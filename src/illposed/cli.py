@@ -13,90 +13,48 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .adversarial import FigureId, FIGURES, build_gramian, reproduce_figure, worst_function
-from .diff_ops import SignVariant, assemble_bertero_grunbaum, assemble_fourth_order, assemble_prolate
-from .domains import Interval, half_line_for, make_grid
+from .domains import Interval, make_grid
 from .errors import InvalidArgumentError
 from .functions import make_sine_basis
-from .integral_ops import (FOURIER, HILBERT, LAPLACE, LAPLACE_ADJOINT,
-                           OperatorKind, gram_matrix, parse_operator)
+from .integral_ops import parse_operator
 from .output import ensure_out_dir, svg_plot, write_json, write_text
-from .spectral import (converged_mode_count, decompose_operator,
-                       match_eigenfunctions, spectrum_to_csv)
-from .stability import (EXPONENTIAL, POWER_OF_RATIO, eigenfunction_sweep,
-                        fit_constants_from_sweep, make_rng, random_exp_poly,
-                        random_sine_series, verify_theorem, violation_count)
+from .problem import Problem
+from .spectral import decompose_operator, spectrum_to_csv
+from .stability import make_rng, verify_theorem, violation_count
 
 MAX_N, MAX_TRIAL = 1024, 512
 
 
-@dataclass
-class RunConfig:
-    command: str
-    operator: str = "laplace:a=1,b=2"
-    figure_id: int = 2
-    basis: str = "sine"
-    n: int = 256
-    N: int = 128
-    m: int = 12
-    count: int = 500
-    seed: int = DEFAULT_SEED
-    out_dir: str = "illposed-out"
-    svg: bool = True
-
-    def validate(self):
-        if not (1 <= self.n <= MAX_N):
-            raise InvalidArgumentError(f"n must be in [1, {MAX_N}]")
-        if not (4 <= self.N <= MAX_TRIAL):
-            raise InvalidArgumentError(f"N must be in [4, {MAX_TRIAL}]")
+def _validate(args: argparse.Namespace) -> None:
+    """Reject sizes and seeds the commands cannot honour."""
+    if not (1 <= args.n <= MAX_N):
+        raise InvalidArgumentError(f"n must be in [1, {MAX_N}]")
+    if not (4 <= args.N <= MAX_TRIAL):
+        raise InvalidArgumentError(f"N must be in [4, {MAX_TRIAL}]")
+    if args.seed < 0:
+        raise InvalidArgumentError("seed must be a nonnegative integer")
 
 
-def _operator_grid(kind: OperatorKind, n: int):
-    if kind.tag == LAPLACE_ADJOINT:
-        return make_grid(kind.half, max(16, n // kind.half.panel_count))
-    return make_grid(kind.input_domain, n)
-
-
-def _partner_diffop(kind: OperatorKind, N: int):
-    """The commuting differential operator paired with an integral kind."""
-    if kind.tag == LAPLACE:
-        return assemble_bertero_grunbaum(kind.source, N), None
-    if kind.tag == FOURIER:
-        return assemble_prolate(N), None
-    if kind.tag == LAPLACE_ADJOINT:
-        N4 = min(max(N // 2, 32), 64)
-        best = None
-        for variant in SignVariant:
-            op = assemble_fourth_order(kind.source, kind.half, N4, variant)
-            conv = converged_mode_count(op)
-            if conv >= 4:
-                M = gram_matrix(kind, _operator_grid(kind, 256))
-                rep = match_eigenfunctions(M, op, min(10, conv), converged=conv)
-                entry = (rep.commutation_residual, variant, op, conv)
-            else:
-                entry = (math.inf, variant, op, conv)
-            if best is None or entry[0] < best[0]:
-                best = entry
-        return best[2], {"variant": best[1].value, "commutation": best[0]}
-    raise InvalidArgumentError("no commuting differential operator for this kind")
+def _problem(args: argparse.Namespace) -> Problem:
+    return Problem(parse_operator(args.op), args.n, args.N, args.m)
 
 
 # ----------------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------------
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    kind = parse_operator(cfg.operator)
-    M = gram_matrix(kind, _operator_grid(kind, cfg.n))
+def cmd_spectrum(args) -> int:
+    p = _problem(args)
+    kind, M = p.kind, p.matrix
     dec = decompose_operator(M)
-    out = ensure_out_dir(cfg.out_dir)
+    out = ensure_out_dir(args.out_dir)
     write_text(os.path.join(out, "spectrum.csv"), spectrum_to_csv(dec))
-    if cfg.svg:
+    if not args.no_svg:
         mu = dec.eigenvalues
         keep = mu > 0
         ns = np.arange(1, len(mu) + 1)[keep][:40]
@@ -114,58 +72,55 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0 if (ordered and psd) else 2
 
 
-def cmd_match(cfg: RunConfig) -> int:
-    kind = parse_operator(cfg.operator)
-    M = gram_matrix(kind, _operator_grid(kind, cfg.n))
-    diff, selection = _partner_diffop(kind, cfg.N)
-    conv = converged_mode_count(diff)
-    m = min(cfg.m, conv)
-    rep = match_eigenfunctions(M, diff, m, converged=conv)
+def cmd_match(args) -> int:
+    p = _problem(args)
+    rep, variant = p.report, p.diff.spec.sign_variant
     doc = rep.to_json()
-    doc["converged_modes"] = conv
-    if selection:
-        doc["sign_variant"] = selection
-    out = ensure_out_dir(cfg.out_dir)
+    doc["converged_modes"] = p.converged
+    if variant is not None:
+        doc["sign_variant"] = {"variant": variant.value,
+                               "commutation": rep.commutation_residual}
+    out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "match.json"), doc)
     ok = rep.max_residual() <= 1e-6 and rep.commutation_residual <= 1e-8
-    print(f"match: {kind.to_string()} <-> {diff.spec.tag} m={m} "
+    print(f"match: {p.kind.to_string()} <-> {p.diff.spec.tag} m={len(rep.records)} "
           f"max_residual={rep.max_residual():.3e} "
           f"commutation={rep.commutation_residual:.3e}")
     return 0 if ok else 2
 
 
-def cmd_adversarial(cfg: RunConfig) -> int:
-    kind = parse_operator(cfg.operator)
-    if cfg.basis != "sine":
+def cmd_adversarial(args) -> int:
+    kind = parse_operator(args.op)
+    if args.basis != "sine":
         raise InvalidArgumentError("only the sine basis family is built in")
     domain = kind.input_domain
     if not isinstance(domain, Interval):
         raise InvalidArgumentError("adversarial synthesis needs an interval domain")
     grid = make_grid(domain, 256)
-    report = build_gramian(kind, make_sine_basis(domain, cfg.n), grid)
+    report = build_gramian(kind, make_sine_basis(domain, args.n), grid)
     f = worst_function(report)
-    out = ensure_out_dir(cfg.out_dir)
+    out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "adversarial.json"), report.to_json())
     xs = np.linspace(domain.a, domain.b, 512)
     ys = f.values(xs)
     lines = ["x,f"] + [f"{x:.17g},{y:.17g}" for x, y in zip(xs, ys)]
     write_text(os.path.join(out, "worst_function.csv"), "\n".join(lines) + "\n")
-    if cfg.svg:
+    if not args.no_svg:
         write_text(os.path.join(out, "worst_function.svg"),
                    svg_plot([(list(xs), list(ys), "firebrick")],
                             f"worst function, {kind.to_string()} "
                             f"ratio={report.min_eigenvalue:.3e}", "x", "f(x)"))
-    print(f"adversarial: {kind.to_string()} basis=sine n={cfg.n} "
+    print(f"adversarial: {kind.to_string()} basis=sine n={args.n} "
           f"min_eigenvalue={report.min_eigenvalue:.6e}")
     return 0
 
 
-def cmd_figures(cfg: RunConfig) -> int:
-    fid = FigureId(cfg.figure_id)
-    rec = reproduce_figure(fid, cfg.n)
-    out = ensure_out_dir(cfg.out_dir)
+def cmd_figures(args) -> int:
+    fid = FigureId(args.id)
+    rec = reproduce_figure(fid, args.n)
+    out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, f"figure{fid.value}.json"), rec)
-    if cfg.svg:
+    if not args.no_svg:
         spec = FIGURES[fid]
         f = spec.function()
         xs = np.linspace(spec.domain.a, spec.domain.b, 512)
@@ -178,25 +133,14 @@ def cmd_figures(cfg: RunConfig) -> int:
     return 0 if rec["pass"] else 2
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    kind = parse_operator(cfg.operator)
-    M = gram_matrix(kind, _operator_grid(kind, cfg.n))
-    diff, _ = _partner_diffop(kind, cfg.N)
-    conv = converged_mode_count(diff)
-    m = min(cfg.m, conv)
-    sweep = eigenfunction_sweep(M, diff, m, converged=conv)
-    form = POWER_OF_RATIO if kind.tag == FOURIER else EXPONENTIAL
-    fit = fit_constants_from_sweep(sweep, form)
-    rng = make_rng(cfg.seed)
-    if kind.tag == LAPLACE_ADJOINT:
-        ensemble = random_exp_poly(cfg.count, rng)
-    else:
-        ensemble = random_sine_series(kind.input_domain, cfg.count, rng)
-    records = verify_theorem(M, fit, ensemble)
+def cmd_verify(args) -> int:
+    p = _problem(args)
+    fit = p.fit
+    records = verify_theorem(p.matrix, fit, p.ensemble(args.count, make_rng(args.seed)))
     violations = violation_count(records)
-    out = ensure_out_dir(cfg.out_dir)
+    out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "verify.json"), {
-        "operator": kind.to_string(),
+        "operator": p.kind.to_string(),
         "fit": fit.to_json(),
         "records": [r.to_json() for r in records],
         "violations": violations,
@@ -206,14 +150,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         if r.lhs > 0:
             lines.append(f"{r.h1_ratio:.17g},{math.log(r.lhs):.17g}")
     write_text(os.path.join(out, "verify_points.csv"), "\n".join(lines) + "\n")
-    print(f"verify: {kind.to_string()} fit(c1={fit.c1:.4g}, c2={fit.c2:.4g}, "
-          f"r2={fit.r_squared:.4f}) violations={violations}/{cfg.count}")
+    print(f"verify: {p.kind.to_string()} fit(c1={fit.c1:.4g}, c2={fit.c2:.4g}, "
+          f"r2={fit.r_squared:.4f}) violations={violations}/{args.count}")
     return 0 if violations == 0 else 2
 
 
-def cmd_report_all(cfg: RunConfig) -> int:
-    results = run_acceptance(seed=cfg.seed, n=cfg.n, N=cfg.N, m=cfg.m)
-    out = ensure_out_dir(cfg.out_dir)
+def cmd_report_all(args) -> int:
+    results = run_acceptance(seed=args.seed, n=args.n, N=args.N, m=args.m)
+    out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "report.json"),
                {"criteria": [r.to_json() for r in results]})
     for r in results:
@@ -279,23 +223,11 @@ COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    cfg.validate()
-    return COMMANDS[cfg.command](cfg)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = RunConfig(
-            command=args.command,
-            operator=getattr(args, "op", "laplace:a=1,b=2"),
-            figure_id=getattr(args, "id", 2),
-            basis=getattr(args, "basis", "sine"),
-            n=args.n, N=args.N, m=args.m, count=getattr(args, "count", 500),
-            seed=args.seed, out_dir=args.out_dir, svg=not args.no_svg,
-        )
-        return run(cfg)
+        _validate(args)
+        return COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     except InvalidArgumentError as exc:

@@ -57,8 +57,6 @@ class DiffOpSpec:
 class LegendreTrialBasis:
     """Orthonormalized Legendre polynomials mapped to an interval."""
 
-    family = "legendre"
-
     def __init__(self, domain: Interval, size: int):
         self.domain = domain
         self.size = size
@@ -89,8 +87,6 @@ class LaguerreExpTrialBasis:
     """Functions p_k(t) e^{-sigma t}: scaled Laguerre functions on [0, s_max],
     re-orthonormalized against the assembly grid (the truncation tail is
     ~e^{-2 sigma s_max} but Cholesky makes discrete orthonormality exact)."""
-
-    family = "laguerre-exp"
 
     def __init__(self, half: HalfLineDomain, size: int, sigma: float, grid: QuadGrid):
         if sigma <= 0:
@@ -158,12 +154,6 @@ class GalerkinOperator:
     @property
     def size(self) -> int:
         return self.stiffness.shape[0]
-
-    @property
-    def basis_descriptor(self) -> dict:
-        dom = self.basis.domain
-        return {"family": self.basis.family, "size": self.size,
-                "domain": [getattr(dom, "a", 0.0), getattr(dom, "b", getattr(dom, "s_max", 0.0))]}
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
@@ -265,23 +255,3 @@ def project_coefficients(op: GalerkinOperator, f: FunctionLike) -> np.ndarray:
             f"projection residual {np.sqrt(resid2 / norm2):.3e} exceeds {PROJECTION_TOL:g}"
         )
     return c
-
-
-def dirichlet_form(op: GalerkinOperator, f: FunctionLike) -> float:
-    """<D f, f> through the trial-space quadratic form."""
-    c = project_coefficients(op, f)
-    return float(c @ op.stiffness @ c)
-
-
-def parse_diffop(text: str, ab: Interval, half: Optional[HalfLineDomain] = None,
-                 N: int = 128) -> GalerkinOperator:
-    """Parse CLI names: "bg", "prolate", "fourth:lemma", "fourth:proof"."""
-    if text == "bg":
-        return assemble_bertero_grunbaum(ab, N)
-    if text == "prolate":
-        return assemble_prolate(N)
-    if text.startswith("fourth:"):
-        variant = SignVariant(text.split(":", 1)[1])
-        from .domains import half_line_for
-        return assemble_fourth_order(ab, half or half_line_for(ab), N, variant)
-    raise InvalidArgumentError(f"unknown differential operator: {text!r}")

@@ -45,10 +45,6 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
-
     def overlaps(self, other: "Interval") -> bool:
         return self.a < other.b and other.a < self.b
 
@@ -124,9 +120,6 @@ class QuadGrid:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
 
 
 def _gauss_panel(lo: float, hi: float, n: int):

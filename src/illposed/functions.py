@@ -1,10 +1,9 @@
 """Function representations, norms and inner products.
 
-A FunctionRep is either a coefficient series (sine / cosine / orthonormal
-Legendre) with exact analytic differentiation, or samples on Chebyshev points
-differentiated spectrally through barycentric interpolation.  Half-line
-functions (Theorem-2 territory) are polynomial-times-exponential ExpPoly
-objects, which also differentiate exactly.
+A FunctionRep is a coefficient series (sine / cosine / orthonormal
+Legendre) with exact analytic differentiation.  Half-line functions
+(Theorem-2 territory) are polynomial-times-exponential ExpPoly objects,
+which also differentiate exactly.
 """
 
 from __future__ import annotations
@@ -22,49 +21,9 @@ from .errors import InvalidArgumentError
 
 
 class FunctionKind(Enum):
-    GRID_SAMPLES = "grid-samples"
     SINE_SERIES = "sine-series"
     COSINE_SERIES = "cosine-series"
     LEGENDRE_SERIES = "legendre-series"
-
-
-# ----------------------------------------------------------------------------
-# Chebyshev machinery for GridSamples (spectral differentiation)
-# ----------------------------------------------------------------------------
-
-def cheb_nodes(m: int, domain: Interval) -> np.ndarray:
-    """Ascending Chebyshev-Lobatto points on the domain (m >= 2)."""
-    j = np.arange(m)
-    ref = -np.cos(np.pi * j / (m - 1))  # ascending on [-1, 1]
-    return domain.midpoint + 0.5 * domain.length * ref
-
-
-def _cheb_bary_weights(m: int) -> np.ndarray:
-    w = (-1.0) ** np.arange(m)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def _bary_eval(x_nodes, w_bary, samples, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    diff = x[:, None] - x_nodes[None, :]
-    hit = np.isclose(diff, 0.0, rtol=0.0, atol=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = w_bary[None, :] / diff
-        out = (ratio @ samples) / ratio.sum(axis=1)
-    exact_rows, exact_cols = np.nonzero(hit)
-    out[exact_rows] = samples[exact_cols]
-    return out
-
-
-def _bary_diff_matrix(x_nodes, w_bary):
-    m = len(x_nodes)
-    with np.errstate(divide="ignore"):
-        D = (w_bary[None, :] / w_bary[:, None]) / (x_nodes[:, None] - x_nodes[None, :])
-    D[np.arange(m), np.arange(m)] = 0.0
-    D[np.arange(m), np.arange(m)] = -D.sum(axis=1)
-    return D
 
 
 # ----------------------------------------------------------------------------
@@ -73,7 +32,7 @@ def _bary_diff_matrix(x_nodes, w_bary):
 
 @dataclass(frozen=True)
 class FunctionRep:
-    """A real function on an interval, as coefficients or samples.
+    """A real function on an interval, as series coefficients.
 
     Series conventions on [p, q] with L = q - p:
       sine:    f(x) = sum_k c_k sin(k pi (x-p)/L),  k = 1..K (vanishes at ends)
@@ -81,7 +40,6 @@ class FunctionRep:
       legendre: orthonormalized Legendre polynomials mapped to [p, q], k = 0..K-1
     With raw_x=True the trig bases are sin(k pi x) / cos(k pi x) in the raw
     coordinate, exactly as plotted in the worst-case figure reproductions.
-    GridSamples hold values at ascending Chebyshev-Lobatto points.
     """
 
     kind: FunctionKind
@@ -95,11 +53,6 @@ class FunctionRep:
         object.__setattr__(self, "payload", payload)
         if payload.ndim != 1 or len(payload) == 0:
             raise InvalidArgumentError("payload must be a nonempty 1-d array")
-        if self.kind is FunctionKind.GRID_SAMPLES:
-            if len(payload) < 2:
-                raise InvalidArgumentError("grid samples need at least 2 points")
-            if self.raw_x:
-                raise InvalidArgumentError("raw_x applies to trig series only")
         if self.raw_x and self.kind is FunctionKind.LEGENDRE_SERIES:
             raise InvalidArgumentError("raw_x applies to trig series only")
 
@@ -120,11 +73,8 @@ class FunctionRep:
         if self.kind is FunctionKind.COSINE_SERIES:
             omega, p = self._trig_freqs()
             return np.cos(np.outer(x - p, omega)) @ self.payload
-        if self.kind is FunctionKind.LEGENDRE_SERIES:
-            xi = (2.0 * x - self.domain.a - self.domain.b) / self.domain.length
-            return npleg.legval(xi, self._plain_legendre_coeffs())
-        nodes = cheb_nodes(len(self.payload), self.domain)
-        return _bary_eval(nodes, _cheb_bary_weights(len(self.payload)), self.payload, x)
+        xi = (2.0 * x - self.domain.a - self.domain.b) / self.domain.length
+        return npleg.legval(xi, self._plain_legendre_coeffs())
 
     def _plain_legendre_coeffs(self) -> np.ndarray:
         k = np.arange(len(self.payload))
@@ -141,37 +91,12 @@ class FunctionRep:
             omega, _ = self._trig_freqs()
             return FunctionRep(FunctionKind.SINE_SERIES, -self.payload * omega,
                                self.domain, self.raw_x)
-        if self.kind is FunctionKind.LEGENDRE_SERIES:
-            plain = npleg.legder(self._plain_legendre_coeffs()) * (2.0 / self.domain.length)
-            if len(plain) == 0:
-                plain = np.zeros(1)
-            k = np.arange(len(plain))
-            coeffs = plain / np.sqrt((2 * k + 1) / self.domain.length)
-            return FunctionRep(FunctionKind.LEGENDRE_SERIES, coeffs, self.domain)
-        nodes = cheb_nodes(len(self.payload), self.domain)
-        D = _bary_diff_matrix(nodes, _cheb_bary_weights(len(self.payload)))
-        return FunctionRep(FunctionKind.GRID_SAMPLES, D @ self.payload, self.domain)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        key = "samples" if self.kind is FunctionKind.GRID_SAMPLES else "coefficients"
-        obj = {
-            "kind": self.kind.value,
-            "domain": {"a": self.domain.a, "b": self.domain.b},
-            key: list(self.payload),
-        }
-        if self.raw_x:
-            obj["raw_x"] = True
-        return obj
-
-    @staticmethod
-    def from_json(obj: dict) -> "FunctionRep":
-        kind = FunctionKind(obj["kind"])
-        domain = Interval(float(obj["domain"]["a"]), float(obj["domain"]["b"]))
-        payload = obj["samples"] if kind is FunctionKind.GRID_SAMPLES else obj["coefficients"]
-        return FunctionRep(kind, np.asarray(payload, dtype=float), domain,
-                           bool(obj.get("raw_x", False)))
+        plain = npleg.legder(self._plain_legendre_coeffs()) * (2.0 / self.domain.length)
+        if len(plain) == 0:
+            plain = np.zeros(1)
+        k = np.arange(len(plain))
+        coeffs = plain / np.sqrt((2 * k + 1) / self.domain.length)
+        return FunctionRep(FunctionKind.LEGENDRE_SERIES, coeffs, self.domain)
 
 
 @dataclass(frozen=True)
@@ -237,7 +162,7 @@ def l2_norm(f: FunctionLike, grid: QuadGrid) -> float:
 
 
 def h1_seminorm(f: FunctionLike, grid: QuadGrid) -> float:
-    """L2 norm of the exact (series) or spectral (samples) derivative."""
+    """L2 norm of the exact derivative."""
     return l2_norm(f.derivative(), grid)
 
 
@@ -276,22 +201,16 @@ def make_sine_basis(domain: Interval, n: int) -> list[FunctionRep]:
 
 
 def linear_combination(basis: list[FunctionRep], coeffs) -> FunctionRep:
-    """Combine same-kind series into one FunctionRep (samples fall back to a grid)."""
+    """Combine series of one kind, domain and coordinate into one FunctionRep."""
     coeffs = np.asarray(coeffs, dtype=float)
     if len(basis) != len(coeffs) or not basis:
         raise InvalidArgumentError("need one coefficient per basis function")
     first = basis[0]
-    same = all(
-        b.kind is first.kind and b.domain == first.domain and b.raw_x == first.raw_x
-        and b.kind is not FunctionKind.GRID_SAMPLES
-        for b in basis
-    )
-    if same:
-        size = max(len(b.payload) for b in basis)
-        payload = np.zeros(size)
-        for b, c in zip(basis, coeffs):
-            payload[: len(b.payload)] += c * b.payload
-        return FunctionRep(first.kind, payload, first.domain, first.raw_x)
-    nodes = cheb_nodes(129, first.domain)
-    samples = sum(c * b.values(nodes) for b, c in zip(basis, coeffs))
-    return FunctionRep(FunctionKind.GRID_SAMPLES, samples, first.domain)
+    if any((b.kind, b.domain, b.raw_x) != (first.kind, first.domain, first.raw_x)
+           for b in basis):
+        raise InvalidArgumentError("basis functions differ in kind, domain or raw_x")
+    size = max(len(b.payload) for b in basis)
+    payload = np.zeros(size)
+    for b, c in zip(basis, coeffs):
+        payload[: len(b.payload)] += c * b.payload
+    return FunctionRep(first.kind, payload, first.domain, first.raw_x)

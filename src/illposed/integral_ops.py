@@ -89,40 +89,50 @@ class OperatorKind:
         return f"{self.tag}:a={self.source.a:g},b={self.source.b:g}"
 
 
+# Keys each operator string takes, with the number of values per key.
+_OPERATOR_KEYS = {HILBERT: {"I": 2, "J": 2}, LAPLACE: {"a": 1, "b": 1},
+                  LAPLACE_ADJOINT: {"a": 1, "b": 1}, FOURIER: {}}
+
+
 def parse_operator(text: str) -> OperatorKind:
     """Parse CLI operator strings.
 
     Grammar: "hilbert:I=0,1:J=2,3", "laplace:a=1,b=2",
     "laplace-adjoint:a=1,b=2", "fourier".  Commas either separate key=value
-    pairs or continue the previous value list (interval endpoints).
+    pairs or continue the previous value list (interval endpoints).  Every
+    key the operator takes must appear once, with its number of values, and
+    no other key may appear.
     """
     parts = text.strip().split(":")
     tag = parts[0]
+    if tag not in _OPERATOR_KEYS:
+        raise InvalidArgumentError(f"unknown operator: {text!r}")
+    kv: dict[str, list[float]] = {}
+    key = None
     try:
-        if tag == FOURIER:
-            return OperatorKind.fourier_tt()
-        kv: dict[str, list[float]] = {}
-        key = None
         for part in parts[1:]:
             for token in part.split(","):
                 if "=" in token:
                     key, _, val = token.partition("=")
+                    if key in kv:
+                        raise ValueError(f"repeated key {key!r}")
                     kv[key] = [float(val)]
                 elif key is not None:
                     kv[key].append(float(token))
                 else:
-                    raise InvalidArgumentError(f"malformed operator string: {text!r}")
-        if tag == HILBERT:
-            return OperatorKind.hilbert_truncated(Interval(*kv["I"]), Interval(*kv["J"]))
-        if tag == LAPLACE:
-            return OperatorKind.laplace_tt(Interval(kv["a"][0], kv["b"][0]))
-        if tag == LAPLACE_ADJOINT:
-            return OperatorKind.laplace_adjoint_tt(Interval(kv["a"][0], kv["b"][0]))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidArgumentError):
-            raise
+                    raise ValueError("value without a key")
+    except ValueError as exc:
         raise InvalidArgumentError(f"malformed operator string: {text!r}") from exc
-    raise InvalidArgumentError(f"unknown operator: {text!r}")
+    if {k: len(v) for k, v in kv.items()} != _OPERATOR_KEYS[tag]:
+        raise InvalidArgumentError(
+            f"malformed operator string: {text!r} (keys for {tag}: "
+            f"{', '.join(_OPERATOR_KEYS[tag]) or 'none'})")
+    if tag == HILBERT:
+        return OperatorKind.hilbert_truncated(Interval(*kv["I"]), Interval(*kv["J"]))
+    if tag == FOURIER:
+        return OperatorKind.fourier_tt()
+    ab = Interval(kv["a"][0], kv["b"][0])
+    return OperatorKind.laplace_tt(ab) if tag == LAPLACE else OperatorKind.laplace_adjoint_tt(ab)
 
 
 # ----------------------------------------------------------------------------
@@ -145,19 +155,6 @@ def _adjoint_kernel(u, a: float, b: float):
     return out
 
 
-def kernel_value(kind: OperatorKind, x: float, y: float) -> float:
-    """Pointwise T*T kernel value (not defined for the Hilbert transform)."""
-    if kind.tag == LAPLACE:
-        return 1.0 / (x + y)
-    if kind.tag == LAPLACE_ADJOINT:
-        return float(_adjoint_kernel(np.array([x + y]), kind.source.a, kind.source.b)[0])
-    if kind.tag == FOURIER:
-        return float(2.0 * np.sinc((x - y) / np.pi))
-    raise UnsupportedKindError(
-        "the truncated Hilbert transform has no pointwise T*T kernel; use gram_matrix"
-    )
-
-
 # ----------------------------------------------------------------------------
 # Operator matrices
 # ----------------------------------------------------------------------------
@@ -169,7 +166,6 @@ class OperatorMatrix:
     entries: np.ndarray = field(repr=False)
     grid: QuadGrid
     kind: OperatorKind
-    symmetrized: bool = True
     half_factor: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -241,7 +237,7 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
         M = 0.5 * (M + M.T)
     else:
         M = _weighted_kernel_matrix(kind, grid)
-    return OperatorMatrix(M, grid, kind, symmetrized=True, half_factor=A)
+    return OperatorMatrix(M, grid, kind, half_factor=A)
 
 
 def _weighted_values(M: OperatorMatrix, f: FunctionLike) -> np.ndarray:
@@ -259,24 +255,9 @@ def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:
     return float(np.dot(Av, Av))
 
 
-def bilinear_form(M: OperatorMatrix, f: FunctionLike, g: FunctionLike) -> float:
-    """<T f, T g> = <T*T f, g>."""
-    return float(np.dot(M.half_factor @ _weighted_values(M, f),
-                        M.half_factor @ _weighted_values(M, g)))
-
-
 # ----------------------------------------------------------------------------
-# Forward Laplace transform and the direct Fourier image energy
+# The direct Fourier image energy
 # ----------------------------------------------------------------------------
-
-def laplace_forward(f: FunctionLike, ab: Interval, s_values, n: int = 256) -> np.ndarray:
-    """(L f)(s) = int_a^b e^{-s t} f(t) dt at each requested s >= 0."""
-    s = np.atleast_1d(np.asarray(s_values, dtype=float))
-    if np.any(s < 0):
-        raise InvalidArgumentError("Laplace transform arguments must be >= 0")
-    grid = make_grid(ab, n)
-    return np.exp(-np.outer(s, grid.nodes)) @ (grid.weights * f.values(grid.nodes))
-
 
 def _trig_transform(omega: float, phase: float, xi: np.ndarray, lo: float, hi: float,
                     is_sine: bool) -> np.ndarray:
@@ -300,45 +281,29 @@ def _trig_transform(omega: float, phase: float, xi: np.ndarray, lo: float, hi: f
 def fourier_image_energy(f: FunctionRep, n_xi: int = 256) -> float:
     """int_{-1}^{1} |f_hat(xi)|^2 d xi by direct transform evaluation.
 
-    For trig series each basis transform is evaluated in closed form and the
-    coefficient sum is compensated (math.fsum); the small transform values are
-    resolved before squaring.  Other representations fall back to a quadrature
-    transform of the samples.
+    Each basis transform of the trig series is evaluated in closed form and
+    the coefficient sum is compensated (math.fsum); the small transform values
+    are resolved before squaring.
     """
     if f.domain != Interval(-1.0, 1.0):
         raise InvalidArgumentError("image energy is defined for functions on [-1, 1]")
+    if f.kind not in (FunctionKind.SINE_SERIES, FunctionKind.COSINE_SERIES):
+        raise InvalidArgumentError("image energy is defined for trig series only")
     xi_grid = make_grid(Interval(-1.0, 1.0), n_xi)
     xi = xi_grid.nodes
-    if f.kind in (FunctionKind.SINE_SERIES, FunctionKind.COSINE_SERIES):
-        is_sine = f.kind is FunctionKind.SINE_SERIES
-        terms = []
-        for k, c in enumerate(f.payload, start=1):
-            if f.raw_x:
-                omega, phase = k * np.pi, 0.0
-            else:
-                omega = k * np.pi / f.domain.length
-                phase = -omega * f.domain.a
-            terms.append(c * _trig_transform(omega, phase, xi, f.domain.a,
-                                             f.domain.b, is_sine))
-        fhat = np.array([
-            complex(math.fsum(t[i].real for t in terms),
-                    math.fsum(t[i].imag for t in terms))
-            for i in range(len(xi))
-        ])
-    else:
-        quad = make_grid(f.domain, 256)
-        wf = quad.weights * f.values(quad.nodes)
-        fhat = np.exp(1j * np.outer(xi, quad.nodes)) @ wf
+    is_sine = f.kind is FunctionKind.SINE_SERIES
+    terms = []
+    for k, c in enumerate(f.payload, start=1):
+        if f.raw_x:
+            omega, phase = k * np.pi, 0.0
+        else:
+            omega = k * np.pi / f.domain.length
+            phase = -omega * f.domain.a
+        terms.append(c * _trig_transform(omega, phase, xi, f.domain.a,
+                                         f.domain.b, is_sine))
+    fhat = np.array([
+        complex(math.fsum(t[i].real for t in terms),
+                math.fsum(t[i].imag for t in terms))
+        for i in range(len(xi))
+    ])
     return float(np.dot(xi_grid.weights, np.abs(fhat) ** 2))
-
-
-# ----------------------------------------------------------------------------
-# CSV export
-# ----------------------------------------------------------------------------
-
-def matrix_to_csv(M: OperatorMatrix) -> str:
-    """Row-major CSV with a header comment naming the kind and grid size."""
-    lines = [f"# operator={M.kind.to_string()} n={M.size}"]
-    for row in M.entries:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"

@@ -135,6 +135,8 @@ class MatchReport:
     commutation_residual: float
     integral_source: str
     diff_source: str
+    # Trial-space coefficients of the matched modes, one column per mode.
+    vectors: np.ndarray = field(repr=False, compare=False)
 
     def max_residual(self) -> float:
         return max(r.residual for r in self.records)
@@ -195,7 +197,7 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
     lam = np.diag(dec.eigenvalues[:m])
     comm = np.linalg.norm(K @ lam - lam @ K) / (np.linalg.norm(K) * np.linalg.norm(lam))
     return MatchReport(tuple(records), float(comm),
-                       integral.kind.to_string(), diff.spec.tag)
+                       integral.kind.to_string(), diff.spec.tag, U)
 
 
 # ----------------------------------------------------------------------------

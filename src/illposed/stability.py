@@ -23,10 +23,9 @@ from .domains import Interval, QuadGrid
 from .errors import (InsufficientDataError, InvalidArgumentError)
 from .functions import (ExpPoly, FunctionKind, FunctionLike, FunctionRep,
                         h1_seminorm, l2_norm, weighted_norm)
-from .integral_ops import (LAPLACE_ADJOINT, FOURIER, OperatorMatrix,
-                           quadratic_form)
-from .spectral import (SpectralDecomposition, eig_sym, match_eigenfunctions,
-                       ASCENDING_DIFF)
+from .integral_ops import LAPLACE_ADJOINT, OperatorMatrix, quadratic_form
+from .spectral import (ASCENDING_DIFF, MatchReport, SpectralDecomposition,
+                       match_eigenfunctions)
 
 EXPONENTIAL = "exponential"
 POWER_OF_RATIO = "power-of-ratio"
@@ -118,11 +117,6 @@ class StabilityFit:
 def refined_sample(f: FunctionRep, grid: QuadGrid, factor: int = REFINE_FACTOR):
     xs = np.linspace(grid.domain.a, grid.domain.b, factor * grid.size + 1)
     return xs, f.values(xs)
-
-
-def changes_sign(f: FunctionRep, grid: QuadGrid) -> bool:
-    _, vals = refined_sample(f, grid)
-    return bool(vals.min() < -SIGN_TOL and vals.max() > SIGN_TOL)
 
 
 def oscillation_ratio(M: OperatorMatrix, f: FunctionLike) -> float:
@@ -249,11 +243,14 @@ class SweepData:
 def eigenfunction_sweep(M: OperatorMatrix, diff: GalerkinOperator, m: int,
                         converged: Optional[int] = None) -> SweepData:
     """(oscillation ratio, ||T u_n||) along the matched eigenfunctions."""
-    rep = match_eigenfunctions(M, diff, m, converged=converged)
-    dec = eig_sym(diff.stiffness, ASCENDING_DIFF)
+    return sweep_from_report(M, diff, match_eigenfunctions(M, diff, m, converged=converged))
+
+
+def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
+                      rep: MatchReport) -> SweepData:
+    """The sweep along the modes of an existing match of diff against M."""
     ratios = []
-    for n in range(m):
-        c = dec.eigenvectors[:, n]
+    for c in rep.vectors.T:
         if isinstance(diff.basis, LaguerreExpTrialBasis):
             f = _laguerre_mode_ratio(M, diff, c)
         else:
@@ -261,7 +258,7 @@ def eigenfunction_sweep(M: OperatorMatrix, diff: GalerkinOperator, m: int,
             f = oscillation_ratio(M, fn)
         ratios.append(f)
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records], 0.0))
-    return SweepData(np.arange(1, m + 1), np.asarray(ratios), lhs,
+    return SweepData(np.arange(1, len(ratios) + 1), np.asarray(ratios), lhs,
                      M.kind.to_string(), diff.spec.tag)
 
 
@@ -309,15 +306,6 @@ def fit_constants_from_sweep(sweep: SweepData, form: str,
     r2 = 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return StabilityFit(float(c1), float(c2), form, float(np.clip(r2, 0.0, 1.0)),
                         f"{sweep.operator}|{sweep.diff_source}|m={len(sweep.indices)}")
-
-
-def fit_constants(M: OperatorMatrix, diff: GalerkinOperator, m: int,
-                  form: Optional[str] = None,
-                  converged: Optional[int] = None) -> StabilityFit:
-    if form is None:
-        form = POWER_OF_RATIO if M.kind.tag == FOURIER else EXPONENTIAL
-    sweep = eigenfunction_sweep(M, diff, m, converged=converged)
-    return fit_constants_from_sweep(sweep, form)
 
 
 # ----------------------------------------------------------------------------

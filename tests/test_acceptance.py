@@ -8,9 +8,15 @@ bending the exponential-in-ratio envelope).  They are marked strict-xfail so
 a behavior change in either direction is loud.
 """
 
+import json
+import os
+
 import pytest
 
+from illposed import acceptance
 from illposed.acceptance import run_acceptance
+from illposed.cli import main
+from illposed.errors import InsufficientDataError
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +98,30 @@ def test_criterion_12_sharpness(results):
 
 def test_total_runtime_within_budget(results):
     assert sum(r.seconds for r in results.values()) <= 60.0
+
+
+def test_cli_verify_writes_the_criterion_11_fit(results, tmp_path):
+    # the CLI and the suite pick the same grid, sign variant and modes
+    out = str(tmp_path)
+    assert main(["verify", "--op", "laplace-adjoint:a=1,b=2", "--count", "20",
+                 "--out-dir", out]) == 0
+    with open(os.path.join(out, "verify.json")) as fh:
+        fit = json.load(fh)["fit"]
+    thm2 = results["11"].details["thm2"]["fit"]
+    assert (fit["c1"], fit["c2"], fit["r2"]) == (thm2["c1"], thm2["c2"], thm2["r2"])
+
+
+def test_criterion_09_counts_refusals(monkeypatch):
+    calls = []
+
+    def refuse_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise InsufficientDataError("threshold index exceeds the trial space")
+        return verify_lemma1(*args, **kwargs)
+    verify_lemma1 = acceptance.verify_lemma1
+    monkeypatch.setattr(acceptance, "verify_lemma1", refuse_first)
+    out = run_acceptance(n=128, N=64, m=8)  # half size: only the guard is under test
+    assert len(out) == 12
+    c9 = out[8]
+    assert c9.cid == "9" and c9.details["refused"] == 1 and c9.passed

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -62,9 +63,36 @@ def test_verify_small_run(tmp_path):
     assert '"violations": 0' in doc
 
 
-def test_usage_error_exits_one(tmp_path):
+def test_usage_error_exits_one(tmp_path, capsys):
     assert main(["spectrum", "--op", "nonsense:q=1"]) == 1
     assert main(["no-such-command"]) == 1
+    for argv in (["spectrum", "--op", "laplace:a=1,b=2,c=3"],
+                 ["spectrum", "--op", "fourier:x=1"],
+                 ["verify", "--seed", "-1"],
+                 ["spectrum", "--seed", "-1"],
+                 ["match", "--seed", "-1"],
+                 ["adversarial", "--seed", "-1"],
+                 ["figures", "--id", "2", "--seed", "-1"],
+                 ["report-all", "--seed", "-1"]):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_match_builds_one_gram_matrix(tmp_path, monkeypatch):
+    # the sign variant is scored on the command's own matrix, not a second one
+    import illposed.integral_ops
+    original, grids = illposed.integral_ops.gram_matrix, []
+
+    def counted(kind, grid):
+        grids.append(grid.size)
+        return original(kind, grid)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("illposed") and getattr(module, "gram_matrix", None) is original:
+            monkeypatch.setattr(module, "gram_matrix", counted)
+    code, _ = run_cli(["match", "--op", "laplace-adjoint:a=1,b=2", "--n", "128"], tmp_path)
+    assert code == 0
+    assert grids == [128]
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -4,12 +4,18 @@ import pytest
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, RepresentationError, SignVariant,
                       assemble_bertero_grunbaum, assemble_fourth_order,
-                      assemble_prolate, dirichlet_form, eig_sym, h1_seminorm,
-                      l2_norm, make_grid, parse_diffop)
+                      assemble_prolate, eig_sym, h1_seminorm, l2_norm)
+from illposed.diff_ops import project_coefficients
 from illposed.domains import half_line_for
 from illposed.spectral import ASCENDING_DIFF
 
 AB = Interval(1.0, 2.0)
+
+
+def dirichlet_form(op, f):
+    """<D f, f> through the trial-space quadratic form."""
+    c = project_coefficients(op, f)
+    return float(c @ op.stiffness @ c)
 
 
 def test_bg_requires_positive_a():
@@ -109,12 +115,3 @@ def test_fourth_order_exp_oracle():
 def test_fourth_order_invalid_variant():
     with pytest.raises(InvalidArgumentError):
         assemble_fourth_order(AB, half_line_for(AB), 32, "proof")
-
-
-def test_parse_diffop_names():
-    assert parse_diffop("bg", AB, N=16).spec.tag == "bertero-grunbaum"
-    assert parse_diffop("prolate", AB, N=16).spec.tag == "prolate"
-    op = parse_diffop("fourth:proof", AB, N=16)
-    assert op.spec.sign_variant is SignVariant.AS_PROOF_BOUND
-    with pytest.raises(InvalidArgumentError):
-        parse_diffop("heat", AB)

@@ -43,7 +43,7 @@ def test_two_point_rule():
 def test_weights_sum_to_length():
     for n in (1, 3, 17, 64):
         g = make_grid(Interval(1.0, 2.0), n)
-        assert g.integrate(np.ones(g.size)) == pytest.approx(1.0, rel=1e-14)
+        assert g.weights @ np.ones(g.size) == pytest.approx(1.0, rel=1e-14)
     h = make_grid(half_line_for(Interval(1.0, 2.0)), 16)
     assert h.weights.sum() == pytest.approx(40.0, rel=1e-13)
 
@@ -61,10 +61,10 @@ def test_gauss_exactness_on_monomials(n, k):
         return
     g = make_grid(Interval(0.0, 1.0), n)
     exact = 1.0 / (k + 1)
-    assert g.integrate(g.nodes ** k) == pytest.approx(exact, rel=1e-12)
+    assert g.weights @ g.nodes ** k == pytest.approx(exact, rel=1e-12)
 
 
 def test_half_line_panels_integrate_decaying_kernel():
     h = make_grid(half_line_for(Interval(1.0, 2.0)), 32)
     # int_0^inf e^{-2s} ds = 1/2, truncation tail below 1e-34
-    assert h.integrate(np.exp(-2.0 * h.nodes)) == pytest.approx(0.5, rel=1e-13)
+    assert h.weights @ np.exp(-2.0 * h.nodes) == pytest.approx(0.5, rel=1e-13)

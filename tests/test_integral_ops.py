@@ -3,10 +3,9 @@ import pytest
 from scipy import integrate
 
 from illposed import (FunctionKind, FunctionRep, Interval,
-                      InvalidArgumentError, OperatorKind, UnsupportedKindError,
-                      bilinear_form, fourier_image_energy, gram_matrix,
-                      kernel_value, laplace_forward, make_grid, matrix_to_csv,
-                      parse_operator, quadratic_form)
+                      InvalidArgumentError, OperatorKind, fourier_image_energy,
+                      gram_matrix, make_grid, parse_operator, quadratic_form)
+from illposed.integral_ops import _adjoint_kernel
 
 AB = Interval(1.0, 2.0)
 SYM = Interval(-1.0, 1.0)
@@ -37,33 +36,19 @@ def test_parse_operator_strings():
     assert parse_operator("fourier").tag == "fourier"
     with pytest.raises(InvalidArgumentError):
         parse_operator("banana:x=1")
-    with pytest.raises(InvalidArgumentError):
-        parse_operator("laplace:a=x")
+    for text in ("laplace:a=x", "laplace:a=1,b=2,c=3", "laplace:a=1", "laplace:a=1,2,b=3",
+                 "laplace:a=1,a=2", "fourier:x=1", "hilbert:I=0,1:J=2"):
+        with pytest.raises(InvalidArgumentError):
+            parse_operator(text)
 
 
 def test_kernel_values():
-    assert kernel_value(OperatorKind.fourier_tt(), 0.3, 0.3) == pytest.approx(2.0)
-    assert kernel_value(OperatorKind.laplace_tt(AB), 1.0, 1.0) == pytest.approx(0.5)
-    adj = OperatorKind.laplace_adjoint_tt(AB)
-    # Taylor limit of (e^{-au} - e^{-bu})/u at u = 0 is b - a
-    assert kernel_value(adj, 0.0, 0.0) == pytest.approx(1.0)
+    # Taylor limit of the adjoint kernel (e^{-au} - e^{-bu})/u at u = 0 is b - a
+    assert _adjoint_kernel(np.array([0.0]), 1.0, 2.0)[0] == pytest.approx(1.0)
     # the Taylor branch must agree with the direct formula at the same point
     u = 0.999e-3
     direct = (np.exp(-1.0 * u) - np.exp(-2.0 * u)) / u
-    assert kernel_value(adj, 0.0, u) == pytest.approx(direct, rel=1e-9)
-    with pytest.raises(UnsupportedKindError):
-        kernel_value(OperatorKind.hilbert_truncated(Interval(0, 1), Interval(2, 3)), 0.5, 2.5)
-
-
-def test_laplace_forward():
-    zero = FunctionRep(FunctionKind.SINE_SERIES, [0.0], AB)
-    assert laplace_forward(zero, AB, [0.0, 1.0, 2.0]) == pytest.approx([0.0, 0.0, 0.0])
-    one = one_on(AB)
-    out = laplace_forward(one, AB, [0.0, 1.0])
-    assert out[0] == pytest.approx(1.0, rel=1e-14)  # weights sum to length
-    assert out[1] == pytest.approx(np.exp(-1.0) - np.exp(-2.0), rel=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        laplace_forward(one, AB, [-0.5])
+    assert _adjoint_kernel(np.array([u]), 1.0, 2.0)[0] == pytest.approx(direct, rel=1e-9)
 
 
 def test_gram_matrix_fourier_diagonal():
@@ -109,16 +94,13 @@ def test_grid_domain_mismatch():
 
 
 def test_self_adjoint_bilinearity(laplace_M, ab):
+    # parallelogram law: ||T(f+g)||^2 + ||T(f-g)||^2 = 2 ||Tf||^2 + 2 ||Tg||^2
     rng = np.random.Generator(np.random.PCG64(7))
     for _ in range(10):
         cf, cg = rng.standard_normal(6), rng.standard_normal(6)
-        f = FunctionRep(FunctionKind.SINE_SERIES, cf, ab)
-        g = FunctionRep(FunctionKind.SINE_SERIES, cg, ab)
-        fg = FunctionRep(FunctionKind.SINE_SERIES, cf + cg, ab)
-        lhs = quadratic_form(laplace_M, fg) - quadratic_form(laplace_M, f) \
-            - quadratic_form(laplace_M, g)
-        rhs = 2.0 * bilinear_form(laplace_M, f, g)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-13)
+        q = [quadratic_form(laplace_M, FunctionRep(FunctionKind.SINE_SERIES, c, ab))
+             for c in (cf + cg, cf - cg, cf, cg)]
+        assert q[0] + q[1] == pytest.approx(2.0 * (q[2] + q[3]), rel=1e-10, abs=1e-13)
 
 
 def test_grid_refinement_stability(ab):
@@ -135,21 +117,5 @@ def test_fourier_form_matches_direct_transform(fourier_M):
     form = quadratic_form(fourier_M, f)
     direct = fourier_image_energy(f)
     assert form == pytest.approx(direct, rel=1e-6)
-
-
-def test_fourier_image_energy_samples_path(fourier_M):
-    from illposed.functions import cheb_nodes
-    nodes = cheb_nodes(65, SYM)
-    f = FunctionRep(FunctionKind.GRID_SAMPLES, np.exp(-nodes ** 2), SYM)
-    direct = fourier_image_energy(f)
-    form = quadratic_form(fourier_M, f)
-    assert form == pytest.approx(direct, rel=1e-6)
-
-
-def test_matrix_csv_export():
-    grid = make_grid(AB, 4)
-    M = gram_matrix(OperatorKind.laplace_tt(AB), grid)
-    text = matrix_to_csv(M)
-    lines = text.strip().split("\n")
-    assert lines[0] == "# operator=laplace:a=1,b=2 n=4"
-    assert len(lines) == 5 and len(lines[1].split(",")) == 4
+    with pytest.raises(InvalidArgumentError):  # closed forms exist for trig series only
+        fourier_image_energy(one_on(SYM))
