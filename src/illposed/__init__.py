@@ -12,7 +12,7 @@ from .errors import (InsufficientDataError, InvalidArgumentError,
                      ModeRangeError, RepresentationError)
 from .functions import (ExpPoly, FunctionKind, FunctionRep, h1_seminorm,
                         inner_product, l2_norm, linear_combination,
-                        make_sine_basis, weighted_norm)
+                        make_sine_basis)
 from .integral_ops import (OperatorKind, fourier_image_energy, gram_matrix,
                            parse_operator, quadratic_form)
 from .diff_ops import (SignVariant, assemble_bertero_grunbaum,

@@ -29,8 +29,8 @@ from .functions import FunctionKind, FunctionRep, h1_seminorm, make_sine_basis
 from .integral_ops import OperatorKind
 from .problem import Problem
 from .spectral import (ASCENDING_DIFF, EXP_DECAY, SUPER_EXP, SVD_FLOOR,
-                       decompose_operator, eig_sym, fit_decay, growth_check,
-                       match_eigenfunctions, usable_modes)
+                       decompose_operator, eig_sym, fit_decay, fit_line,
+                       growth_check, usable_modes)
 from .stability import (EXPONENTIAL, fit_constants_from_sweep, lemma1_constant,
                         make_rng, random_nonnegative_series, random_sine_series,
                         random_trial_mix, verify_lemma1, verify_lemma2,
@@ -101,9 +101,8 @@ def criterion_04(ctx) -> CriterionResult:
     def run():
         out = {}
         for name, p in (("laplace-bg", ctx.laplace), ("fourier-prolate", ctx.fourier)):
-            rep = match_eigenfunctions(p.matrix, p.diff, 10, converged=p.converged)
-            out[name] = {"max_residual": rep.max_residual(),
-                         "commutation": rep.commutation_residual}
+            out[name] = {"max_residual": p.report.max_residual(),
+                         "commutation": p.report.commutation_residual}
         return out
     out, dt = _timed(run)
     ok = all(v["max_residual"] <= 1e-6 and v["commutation"] <= 1e-8
@@ -178,10 +177,9 @@ def criterion_08(ctx) -> CriterionResult:
         # the documented solver-floor rule excludes unresolvable eigenvalues
         above = window & (np.array(mins) > SVD_FLOOR * np.array(tops))
         x, y = ns[above], np.log(np.array(mins)[above])
-        slope, intercept = np.polyfit(x, y, 1)
-        r2 = 1.0 - np.sum((y - slope * x - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
+        slope, _, r2 = fit_line(x, y)
         return {"min_eigs": mins, "fit_modes": [int(v) for v in x],
-                "slope": float(slope), "r_squared": float(r2),
+                "slope": slope, "r_squared": r2,
                 "decreasing": decreasing}
     out, dt = _timed(run)
     ok = out["decreasing"] and out["slope"] < 0 and out["r_squared"] >= 0.97

@@ -19,7 +19,7 @@ import numpy as np
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .adversarial import FigureId, FIGURES, build_gramian, reproduce_figure, worst_function
 from .domains import Interval, make_grid
-from .errors import InvalidArgumentError
+from .errors import InsufficientDataError, InvalidArgumentError, ModeRangeError
 from .functions import make_sine_basis
 from .integral_ops import parse_operator
 from .output import ensure_out_dir, svg_plot, write_json, write_text
@@ -36,6 +36,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise InvalidArgumentError(f"n must be in [1, {MAX_N}]")
     if not (4 <= args.N <= MAX_TRIAL):
         raise InvalidArgumentError(f"N must be in [4, {MAX_TRIAL}]")
+    if args.m < 1:
+        raise InvalidArgumentError("m must be a positive integer")
     if args.seed < 0:
         raise InvalidArgumentError("seed must be a nonnegative integer")
 
@@ -230,7 +232,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    except InvalidArgumentError as exc:
+    except (InvalidArgumentError, InsufficientDataError, ModeRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

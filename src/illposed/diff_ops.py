@@ -83,6 +83,13 @@ class LegendreTrialBasis:
         return D * self._norms[None, :] * (2.0 / self.domain.length)
 
 
+def _laguerre_deriv(V: np.ndarray) -> np.ndarray:
+    """d/du of Laguerre Vandermonde columns, by L_k' = -sum_{j<k} L_j."""
+    D = np.zeros_like(V)
+    D[:, 1:] = -np.cumsum(V[:, :-1], axis=1)
+    return D
+
+
 class LaguerreExpTrialBasis:
     """Functions p_k(t) e^{-sigma t}: scaled Laguerre functions on [0, s_max],
     re-orthonormalized against the assembly grid (the truncation tail is
@@ -103,25 +110,16 @@ class LaguerreExpTrialBasis:
 
     def _raw(self, x, order: int) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = 2.0 * self.sigma * x
-        env = np.sqrt(2.0 * self.sigma) * np.exp(-self.sigma * x)
-        out = np.empty((len(x), self.size))
-        for k in range(self.size):
-            ck = np.zeros(k + 1)
-            ck[k] = 1.0
-            L0 = nplag.lagval(u, ck)
-            if order == 0:
-                out[:, k] = env * L0
-                continue
-            L1 = nplag.lagval(u, nplag.lagder(ck)) if k >= 1 else np.zeros_like(u)
-            if order == 1:
-                out[:, k] = env * (2.0 * self.sigma * L1 - self.sigma * L0)
-            else:
-                L2 = nplag.lagval(u, nplag.lagder(ck, 2)) if k >= 2 else np.zeros_like(u)
-                out[:, k] = env * (4.0 * self.sigma ** 2 * L2
-                                   - 4.0 * self.sigma ** 2 * L1
-                                   + self.sigma ** 2 * L0)
-        return out
+        sigma = self.sigma
+        env = (np.sqrt(2.0 * sigma) * np.exp(-sigma * x))[:, None]
+        L0 = nplag.lagvander(2.0 * sigma * x, self.size - 1)
+        if order == 0:
+            return env * L0
+        L1 = _laguerre_deriv(L0)
+        if order == 1:
+            return env * (2.0 * sigma * L1 - sigma * L0)
+        L2 = _laguerre_deriv(L1)
+        return env * (4.0 * sigma ** 2 * L2 - 4.0 * sigma ** 2 * L1 + sigma ** 2 * L0)
 
     def values(self, x) -> np.ndarray:
         return self._raw(x, 0) @ self._combine

@@ -166,23 +166,6 @@ def h1_seminorm(f: FunctionLike, grid: QuadGrid) -> float:
     return l2_norm(f.derivative(), grid)
 
 
-def weighted_norm(f: FunctionLike, grid: QuadGrid, weight_power: int,
-                  derivative_order: int) -> float:
-    """|| x^p f^{(k)} || over the truncated half line."""
-    if not isinstance(grid.domain, HalfLineDomain):
-        raise InvalidArgumentError("weighted_norm requires a half-line grid")
-    if weight_power not in (0, 1):
-        raise InvalidArgumentError("weight_power must be 0 or 1")
-    if derivative_order not in (0, 1, 2):
-        raise InvalidArgumentError("derivative_order must be 0, 1 or 2")
-    g = f
-    for _ in range(derivative_order):
-        g = g.derivative()
-    vals = g.values(grid.nodes)
-    wgt = grid.nodes ** (2 * weight_power) if weight_power else 1.0
-    return float(np.sqrt(max(np.dot(grid.weights, wgt * vals * vals), 0.0)))
-
-
 # ----------------------------------------------------------------------------
 # Basis helpers
 # ----------------------------------------------------------------------------

@@ -219,12 +219,16 @@ class DecayFit:
                 "n_range": list(self.n_range)}
 
 
-def _r_squared(y, yhat) -> float:
-    ss_res = float(np.sum((y - yhat) ** 2))
+def fit_line(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = slope x + intercept: (slope, intercept, r^2).
+
+    r^2 is clipped to [0, 1] and is 1 when y is constant.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    return float(slope), float(intercept), float(np.clip(r2, 0.0, 1.0))
 
 
 def usable_modes(dec: SpectralDecomposition, n_range) -> np.ndarray:
@@ -262,16 +266,14 @@ def fit_decay(dec: SpectralDecomposition, model: str,
         regressor = idx * np.log(idx)
     else:
         raise InvalidArgumentError(f"unknown decay model: {model}")
-    slope, intercept = np.polyfit(regressor, logmu, 1)
-    r2 = _r_squared(logmu, slope * regressor + intercept)
+    slope, intercept, r2 = fit_line(regressor, logmu)
     if model == EXP_DECAY:
-        c1, c2 = float(np.exp(intercept)), float(-slope)
+        c1, c2 = float(np.exp(intercept)), -slope
         if c2 <= 0:
             raise InvalidArgumentError("spectrum is not decaying: fitted c2 <= 0")
     else:
-        c1, c2 = float(np.exp(intercept)), float(abs(slope))
-    return DecayFit(model, c1, c2, float(slope), float(np.clip(r2, 0.0, 1.0)),
-                    (int(idx[0]), int(idx[-1])))
+        c1, c2 = float(np.exp(intercept)), abs(slope)
+    return DecayFit(model, c1, c2, slope, r2, (int(idx[0]), int(idx[-1])))
 
 
 def growth_check(dec: SpectralDecomposition, mode_count: Optional[int] = None) -> float:

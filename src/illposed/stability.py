@@ -16,16 +16,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .diff_ops import GalerkinOperator, LaguerreExpTrialBasis, project_coefficients
 from .domains import Interval, QuadGrid
 from .errors import (InsufficientDataError, InvalidArgumentError)
 from .functions import (ExpPoly, FunctionKind, FunctionLike, FunctionRep,
-                        h1_seminorm, l2_norm, weighted_norm)
+                        h1_seminorm, l2_norm)
 from .integral_ops import LAPLACE_ADJOINT, OperatorMatrix, quadratic_form
 from .spectral import (ASCENDING_DIFF, MatchReport, SpectralDecomposition,
-                       match_eigenfunctions)
+                       fit_line, growth_check, match_eigenfunctions)
 
 EXPONENTIAL = "exponential"
 POWER_OF_RATIO = "power-of-ratio"
@@ -119,6 +118,15 @@ def refined_sample(f: FunctionRep, grid: QuadGrid, factor: int = REFINE_FACTOR):
     return xs, f.values(xs)
 
 
+def _theorem2_ratio(t, w, v, v1, v2) -> float:
+    """(||t f''|| + ||t f'|| + ||t f|| + ||f||) / ||f|| from samples of f, f'
+    and f'' at half-line nodes t with quadrature weights w."""
+    def nrm(vals, power):
+        return math.sqrt(max(float(np.dot(w, t ** (2 * power) * vals * vals)), 0.0))
+    norm = nrm(v, 0)
+    return (nrm(v2, 1) + nrm(v1, 1) + nrm(v, 1) + norm) / norm
+
+
 def oscillation_ratio(M: OperatorMatrix, f: FunctionLike) -> float:
     """||f_x||/||f||, or the weighted second-order aggregate for the adjoint."""
     grid = M.grid
@@ -126,9 +134,9 @@ def oscillation_ratio(M: OperatorMatrix, f: FunctionLike) -> float:
     if norm == 0.0:
         return 0.0
     if M.kind.tag == LAPLACE_ADJOINT:
-        num = (weighted_norm(f, grid, 1, 2) + weighted_norm(f, grid, 1, 1)
-               + weighted_norm(f, grid, 1, 0) + weighted_norm(f, grid, 0, 0))
-        return num / norm
+        t, df = grid.nodes, f.derivative()
+        return _theorem2_ratio(t, grid.weights, f.values(t), df.values(t),
+                               df.derivative().values(t))
     return h1_seminorm(f, grid) / norm
 
 
@@ -196,8 +204,7 @@ def lemma1_constant(diff: GalerkinOperator, dec: SpectralDecomposition,
     space (the Parseval tail bound runs over every trial mode), c2 the
     largest measured <Df, f>/||f_x||^2.
     """
-    n = np.arange(1, dec.size + 1, dtype=float)
-    c1 = float(np.min(dec.eigenvalues / n ** 2))
+    c1 = growth_check(dec)
     c2 = float(np.max(dirichlet_ratios))
     if c1 <= 0 or c2 <= 0:
         raise InvalidArgumentError("measured constants must be positive")
@@ -252,7 +259,7 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     ratios = []
     for c in rep.vectors.T:
         if isinstance(diff.basis, LaguerreExpTrialBasis):
-            f = _laguerre_mode_ratio(M, diff, c)
+            f = _laguerre_mode_ratio(diff, c)
         else:
             fn = FunctionRep(FunctionKind.LEGENDRE_SERIES, c, diff.basis.domain)
             f = oscillation_ratio(M, fn)
@@ -262,17 +269,28 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
                      M.kind.to_string(), diff.spec.tag)
 
 
-def _laguerre_mode_ratio(M: OperatorMatrix, diff: GalerkinOperator, c) -> float:
+def _laguerre_mode_ratio(diff: GalerkinOperator, c) -> float:
     """Theorem-2 weighted aggregate for a trial-space eigenvector."""
-    grid = diff.grid
-    t, w = grid.nodes, grid.weights
-    v = diff.basis.values(t) @ c
-    v1 = diff.basis.deriv(t) @ c
-    v2 = diff.basis.deriv2(t) @ c
-    def nrm(vals, power):
-        return math.sqrt(max(float(np.dot(w, t ** (2 * power) * vals * vals)), 0.0))
-    norm = nrm(v, 0)
-    return (nrm(v2, 1) + nrm(v1, 1) + nrm(v, 1) + norm) / norm
+    t, basis = diff.grid.nodes, diff.basis
+    return _theorem2_ratio(t, diff.grid.weights, basis.values(t) @ c,
+                           basis.deriv(t) @ c, basis.deriv2(t) @ c)
+
+
+def _golden_section_min(f, a: float, b: float) -> float:
+    """Minimizer of a unimodal f on [a, b], bracketed to a width of 1e-10."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-10:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def fit_constants_from_sweep(sweep: SweepData, form: str,
@@ -285,26 +303,24 @@ def fit_constants_from_sweep(sweep: SweepData, form: str,
     if len(r) < 4:
         raise InsufficientDataError("need at least 4 swept modes to fit constants")
     if form == EXPONENTIAL:
-        slope, intercept = np.polyfit(r, y, 1)
+        slope, intercept, r2 = fit_line(r, y)
         c1, c2 = math.exp(intercept), -slope
-        yhat = intercept + slope * r
     elif form == POWER_OF_RATIO:
+        # The intercept is profiled out, leaving a 1-d search over log c2.
         def sse(log_c2):
             c2 = math.exp(log_c2)
             g = -c2 * r * np.log(c2 * r)
             a = float(np.mean(y - g))
             return float(np.sum((y - g - a) ** 2))
-        res = optimize.minimize_scalar(sse, bounds=(-6.0, 3.0), method="bounded")
-        c2 = math.exp(res.x)
+        log_c2 = _golden_section_min(sse, -6.0, 3.0)
+        c2 = math.exp(log_c2)
         g = -c2 * r * np.log(c2 * r)
-        intercept = float(np.mean(y - g))
-        c1 = math.exp(intercept)
-        yhat = intercept + g
+        c1 = math.exp(float(np.mean(y - g)))
+        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+        r2 = float(np.clip(1.0 - sse(log_c2) / ss_tot, 0.0, 1.0)) if ss_tot > 0 else 1.0
     else:
         raise InvalidArgumentError(f"unknown fit form: {form}")
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return StabilityFit(float(c1), float(c2), form, float(np.clip(r2, 0.0, 1.0)),
+    return StabilityFit(float(c1), float(c2), form, r2,
                         f"{sweep.operator}|{sweep.diff_source}|m={len(sweep.indices)}")
 
 

@@ -1,6 +1,8 @@
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,10 +75,30 @@ def test_usage_error_exits_one(tmp_path, capsys):
                  ["match", "--seed", "-1"],
                  ["adversarial", "--seed", "-1"],
                  ["figures", "--id", "2", "--seed", "-1"],
-                 ["report-all", "--seed", "-1"]):
+                 ["report-all", "--seed", "-1"],
+                 ["match", "--m", "0"],
+                 ["verify", "--m", "3", "--count", "5"]):
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_report_all_at_small_trial_size(tmp_path):
+    # N=32 converges 8 modes: every criterion reports at min(m, converged) modes
+    code, out = run_cli(["report-all", "--n", "64", "--N", "32", "--m", "8"], tmp_path)
+    assert code == 2
+    criteria = json.load(open(os.path.join(out, "report.json")))["criteria"]
+    assert len(criteria) == 12
+    assert next(c for c in criteria if c["criterion"] == "4")["pass"]
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, illposed, illposed.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_match_builds_one_gram_matrix(tmp_path, monkeypatch):

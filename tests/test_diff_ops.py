@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import laguerre as nplag
 
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, RepresentationError, SignVariant,
@@ -110,6 +111,39 @@ def test_fourth_order_exp_oracle():
     op = assemble_fourth_order(AB, half, 48, SignVariant.AS_PROOF_BOUND)
     got = dirichlet_form(op, ExpPoly([1.0], 1.0))
     assert got == pytest.approx(3.5, rel=1e-4)
+
+
+def laguerre_raw_reference(basis, x, order):
+    """Raw trial functions and derivatives, one lagval/lagder per degree."""
+    sigma = basis.sigma
+    u = 2.0 * sigma * x
+    env = np.sqrt(2.0 * sigma) * np.exp(-sigma * x)
+    out = np.empty((len(x), basis.size))
+    for k in range(basis.size):
+        ck = np.zeros(k + 1)
+        ck[k] = 1.0
+        L0 = nplag.lagval(u, ck)
+        if order == 0:
+            out[:, k] = env * L0
+            continue
+        L1 = nplag.lagval(u, nplag.lagder(ck)) if k >= 1 else np.zeros_like(u)
+        if order == 1:
+            out[:, k] = env * (2.0 * sigma * L1 - sigma * L0)
+        else:
+            L2 = nplag.lagval(u, nplag.lagder(ck, 2)) if k >= 2 else np.zeros_like(u)
+            out[:, k] = env * (4.0 * sigma ** 2 * L2 - 4.0 * sigma ** 2 * L1
+                               + sigma ** 2 * L0)
+    return out
+
+
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_laguerre_vandermonde_matches_per_degree_reference(N):
+    op = assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_PROOF_BOUND)
+    t = op.grid.nodes
+    for order in (0, 1, 2):
+        ref = laguerre_raw_reference(op.basis, t, order)
+        err = np.max(np.abs(op.basis._raw(t, order) - ref))
+        assert err <= 1e-11 * np.max(np.abs(ref)), (N, order)
 
 
 def test_fourth_order_invalid_variant():

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, h1_seminorm, inner_product,
-                      l2_norm, linear_combination, make_grid, make_sine_basis,
-                      weighted_norm)
-from illposed.domains import half_line_for
+                      l2_norm, linear_combination, make_grid, make_sine_basis)
+from illposed.stability import oscillation_ratio
 
 
 UNIT = Interval(0.0, 1.0)
@@ -55,20 +54,13 @@ def test_empty_payload_rejected():
         FunctionRep(FunctionKind.SINE_SERIES, [], UNIT)
 
 
-def test_weighted_norms_gamma_oracle():
-    half = half_line_for(Interval(1.0, 2.0))
-    grid = make_grid(half, 48)
-    f = ExpPoly([1.0], 1.0)  # e^{-x}
-    # ||e^-x|| = sqrt(1/2)
-    assert weighted_norm(f, grid, 0, 0) == pytest.approx(np.sqrt(0.5), rel=1e-6)
-    # ||x (e^-x)'|| = ||x e^-x|| = sqrt(int x^2 e^{-2x}) = sqrt(1/4) = 1/2
-    assert weighted_norm(f, grid, 1, 1) == pytest.approx(0.5, rel=1e-6)
-    zero = ExpPoly([0.0], 1.0)
-    assert weighted_norm(zero, grid, 1, 2) == 0.0
-    with pytest.raises(InvalidArgumentError):
-        weighted_norm(f, grid, 1, 3)
-    with pytest.raises(InvalidArgumentError):
-        weighted_norm(f, grid, 2, 1)
+def test_weighted_norms_gamma_oracle(adjoint_M):
+    # Theorem-2 aggregate of e^{-x}: ||e^-x|| = sqrt(1/2), and each of
+    # ||x f''||, ||x f'||, ||x f|| is sqrt(int x^2 e^{-2x}) = sqrt(1/4) = 1/2
+    f = ExpPoly([1.0], 1.0)
+    expect = (1.5 + np.sqrt(0.5)) / np.sqrt(0.5)  # 1 + 1.5 sqrt(2)
+    assert oscillation_ratio(adjoint_M, f) == pytest.approx(expect, rel=1e-6)
+    assert oscillation_ratio(adjoint_M, ExpPoly([0.0], 1.0)) == 0.0
 
 
 def test_exp_poly_derivative_exact():

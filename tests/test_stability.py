@@ -160,8 +160,8 @@ def test_fit_synthetic_power_of_ratio():
     lhs = c1 * (c2 * r) ** (-c2 * r)
     sweep = SweepData(np.arange(1, 13), r, lhs, "synthetic", "synthetic")
     fit = fit_constants_from_sweep(sweep, POWER_OF_RATIO)
-    assert fit.c1 == pytest.approx(c1, rel=1e-4)
-    assert fit.c2 == pytest.approx(c2, rel=1e-4)
+    assert fit.c1 == pytest.approx(c1, rel=1e-9)
+    assert fit.c2 == pytest.approx(c2, rel=1e-9)
     assert fit.r_squared >= 1.0 - 1e-8
 
 
