@@ -28,7 +28,7 @@ from .errors import InsufficientDataError
 from .functions import FunctionKind, FunctionRep, h1_seminorm, make_sine_basis
 from .integral_ops import OperatorKind
 from .problem import Problem
-from .spectral import (ASCENDING_DIFF, EXP_DECAY, SUPER_EXP, SVD_FLOOR,
+from .spectral import (ASCENDING_DIFF, EXP_DECAY, SUPER_EXP,
                        decompose_operator, eig_sym, fit_decay, fit_line,
                        growth_check, usable_modes)
 from .stability import (EXPONENTIAL, fit_constants_from_sweep, lemma1_constant,
@@ -166,16 +166,14 @@ def criterion_08(ctx) -> CriterionResult:
         dom = Interval(0.0, 1.0)
         grid = make_grid(dom, ctx.laplace.n)
         op = OperatorKind.hilbert_truncated(dom, Interval(2.0, 3.0))
-        mins, tops = [], []
-        for size in range(1, 13):
-            rep = build_gramian(op, make_sine_basis(dom, size), grid)
-            mins.append(rep.min_eigenvalue)
-            tops.append(float(np.linalg.eigvalsh(rep.gramian)[-1]))
+        reps = [build_gramian(op, make_sine_basis(dom, size), grid)
+                for size in range(1, 13)]
+        mins = [rep.min_eigenvalue for rep in reps]
         ns = np.arange(1, 13)
         window = (ns >= 3) & (ns <= 12)
         decreasing = bool(np.all(np.diff(np.array(mins)[window]) < 0))
         # the documented solver-floor rule excludes unresolvable eigenvalues
-        above = window & (np.array(mins) > SVD_FLOOR * np.array(tops))
+        above = window & ~np.array([rep.below_floor for rep in reps])
         x, y = ns[above], np.log(np.array(mins)[above])
         slope, _, r2 = fit_line(x, y)
         return {"min_eigs": mins, "fit_modes": [int(v) for v in x],

@@ -19,6 +19,7 @@ from .errors import InvalidArgumentError
 from .functions import FunctionKind, FunctionRep, linear_combination
 from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
                            gram_matrix, quadratic_form)
+from .spectral import SVD_FLOOR
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -31,12 +32,15 @@ class GramianReport:
     minimizer_coefficients: np.ndarray = field(repr=False, default=None)
     basis: tuple = field(repr=False, default=())
     operator: str = ""
+    # min_eigenvalue < SVD_FLOOR * (top eigenvalue): below what the SVD resolves
+    below_floor: bool = False
 
     def to_json(self) -> dict:
         return {
             "operator": self.operator,
             "basis": self.basis_descriptor,
             "min_eigenvalue": self.min_eigenvalue,
+            "below_floor": self.below_floor,
             "minimizer": list(self.minimizer_coefficients),
         }
 
@@ -46,7 +50,9 @@ def build_gramian(operator: OperatorKind, basis: list[FunctionRep],
     """Gramian of the operator images of an orthonormal basis.
 
     The smallest eigenpair comes from an SVD of the half-factor image matrix,
-    so min eigenvalues far below eps*||G|| are still resolved accurately.
+    so min eigenvalues far below eps*||G|| are still resolved accurately,
+    down to SVD_FLOOR times the top eigenvalue; below_floor flags a minimum
+    under that floor.
     """
     V = np.column_stack([phi.values(grid.nodes) for phi in basis])
     gram0 = V.T @ (grid.weights[:, None] * V)
@@ -69,7 +75,8 @@ def build_gramian(operator: OperatorKind, basis: list[FunctionRep],
         "domain": [first.domain.a, first.domain.b],
     }
     return GramianReport(descriptor, 0.5 * (G + G.T), float(s[-1] ** 2),
-                         vec, tuple(basis), operator.to_string())
+                         vec, tuple(basis), operator.to_string(),
+                         bool(s[-1] ** 2 < SVD_FLOOR * s[0] ** 2))
 
 
 def worst_function(report: GramianReport) -> FunctionRep:

@@ -40,6 +40,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("m must be a positive integer")
     if args.seed < 0:
         raise InvalidArgumentError("seed must be a nonnegative integer")
+    if getattr(args, "count", 1) < 1:
+        raise InvalidArgumentError("count must be a positive integer")
 
 
 def _problem(args: argparse.Namespace) -> Problem:
@@ -113,8 +115,8 @@ def cmd_adversarial(args) -> int:
                             f"worst function, {kind.to_string()} "
                             f"ratio={report.min_eigenvalue:.3e}", "x", "f(x)"))
     print(f"adversarial: {kind.to_string()} basis=sine n={args.n} "
-          f"min_eigenvalue={report.min_eigenvalue:.6e}")
-    return 0
+          f"min_eigenvalue={report.min_eigenvalue:.6e} below_floor={report.below_floor}")
+    return 2 if report.below_floor else 0
 
 
 def cmd_figures(args) -> int:

@@ -47,7 +47,7 @@ class OperatorKind:
             if self.target is None:
                 raise InvalidArgumentError("hilbert operator needs both intervals")
             if self.source.overlaps(self.target):
-                raise InvalidArgumentError("hilbert intervals must be disjoint")
+                raise InvalidArgumentError("hilbert intervals must be disjoint closed intervals")
         elif self.tag in (LAPLACE, LAPLACE_ADJOINT):
             if self.source.a <= 0:
                 raise InvalidArgumentError("Laplace operators require 0 < a < b")

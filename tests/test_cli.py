@@ -55,6 +55,16 @@ def test_adversarial_outputs(tmp_path):
     assert code == 0
     csv = open(os.path.join(out, "worst_function.csv")).read().splitlines()
     assert csv[0] == "x,f" and len(csv) == 513
+    assert not json.load(open(os.path.join(out, "adversarial.json")))["below_floor"]
+
+
+def test_adversarial_below_solver_floor_exits_two(tmp_path, capsys):
+    # at 12 sine modes the minimum is ~1e-33 of the top eigenvalue
+    code, out = run_cli(["adversarial", "--op", "hilbert:I=0,1:J=2,3",
+                         "--n", "12", "--no-svg"], tmp_path)
+    assert code == 2
+    assert json.load(open(os.path.join(out, "adversarial.json")))["below_floor"]
+    assert "below_floor=True" in capsys.readouterr().out
 
 
 def test_verify_small_run(tmp_path):
@@ -77,7 +87,9 @@ def test_usage_error_exits_one(tmp_path, capsys):
                  ["figures", "--id", "2", "--seed", "-1"],
                  ["report-all", "--seed", "-1"],
                  ["match", "--m", "0"],
-                 ["verify", "--m", "3", "--count", "5"]):
+                 ["verify", "--m", "3", "--count", "5"],
+                 ["verify", "--count", "0"],
+                 ["verify", "--count", "-5"]):
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv

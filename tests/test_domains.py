@@ -1,10 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illposed import HalfLineDomain, Interval, InvalidArgumentError, make_grid
-from illposed.domains import half_line_for
+from illposed.domains import gauss_legendre, half_line_for
 
 
 def test_interval_validation():
@@ -68,3 +69,55 @@ def test_half_line_panels_integrate_decaying_kernel():
     h = make_grid(half_line_for(Interval(1.0, 2.0)), 32)
     # int_0^inf e^{-2s} ds = 1/2, truncation tail below 1e-34
     assert h.weights @ np.exp(-2.0 * h.nodes) == pytest.approx(0.5, rel=1e-13)
+
+
+def _mp_gauss_node(n, x0):
+    """40-digit Newton on the Legendre recurrence from x0: node and weight."""
+    def newton_terms(x):
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (p_prev - x * p) / (1 - x * x)
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for _ in range(5):
+            p, dp = newton_terms(x)
+            x -= p / dp
+        _, dp = newton_terms(x)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_gauss_legendre_against_mpmath(n):
+    # the independent leggauss rule only seeds the 40-digit Newton; its own
+    # endpoint weights are off by 6e-8 relative at n = 2048
+    seeds = np.polynomial.legendre.leggauss(n)[0]
+    x, w = gauss_legendre(n)
+    for i in (0, 1, n // 4, n // 2):
+        node, weight = _mp_gauss_node(n, seeds[i])
+        assert abs(x[i] - node) <= 2 * abs(np.spacing(float(node))), i
+        assert abs(w[i] / float(weight) - 1.0) <= 1e-9, i
+
+
+def test_gauss_legendre_odd_middle_node_is_zero():
+    for n in (1, 3, 17, 255, 1025):
+        x, w = gauss_legendre(n)
+        assert x[n // 2] == 0.0
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_gauss_legendre_arrays_are_read_only():
+    x, w = gauss_legendre(16)
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_grids_of_one_size_share_one_rule():
+    gauss_legendre.cache_clear()
+    half = half_line_for(Interval(1.0, 2.0))
+    first = make_grid(half, 24)
+    second = make_grid(half, 24)
+    assert gauss_legendre.cache_info().misses == 1
+    assert np.array_equal(first.nodes, second.nodes)

@@ -37,7 +37,8 @@ def test_parse_operator_strings():
     with pytest.raises(InvalidArgumentError):
         parse_operator("banana:x=1")
     for text in ("laplace:a=x", "laplace:a=1,b=2,c=3", "laplace:a=1", "laplace:a=1,2,b=3",
-                 "laplace:a=1,a=2", "fourier:x=1", "hilbert:I=0,1:J=2"):
+                 "laplace:a=1,a=2", "fourier:x=1", "hilbert:I=0,1:J=2",
+                 "hilbert:I=0,1:J=1,2"):
         with pytest.raises(InvalidArgumentError):
             parse_operator(text)
 
