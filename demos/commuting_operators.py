@@ -10,7 +10,6 @@ from illposed import (Interval, OperatorKind, SignVariant,
                       assemble_prolate, converged_mode_count, eig_sym,
                       gram_matrix, growth_check, half_line_for, make_grid,
                       match_eigenfunctions)
-from illposed.spectral import ASCENDING_DIFF
 
 ab = Interval(1, 2)
 
@@ -20,7 +19,7 @@ bg = assemble_bertero_grunbaum(ab, 128)
 rep = match_eigenfunctions(ML, bg, 10)
 print(f"max eigen-equation residual over 10 modes: {rep.max_residual():.2e}")
 print(f"commutation residual (matched block):      {rep.commutation_residual:.2e}")
-dec = eig_sym(bg.stiffness, ASCENDING_DIFF)
+dec = eig_sym(bg.stiffness)
 print(f"eigenvalue growth: min lambda_n / n^2 = "
       f"{growth_check(dec, converged_mode_count(bg)):.4f}")
 

@@ -27,13 +27,12 @@ ORTHONORMALITY_TOL = 1e-10
 @dataclass(frozen=True)
 class GramianReport:
     basis_descriptor: dict
-    gramian: np.ndarray = field(repr=False)
-    min_eigenvalue: float = 0.0
-    minimizer_coefficients: np.ndarray = field(repr=False, default=None)
-    basis: tuple = field(repr=False, default=())
-    operator: str = ""
+    min_eigenvalue: float
+    minimizer_coefficients: np.ndarray = field(repr=False)
+    basis: tuple = field(repr=False)
+    operator: str
     # min_eigenvalue < SVD_FLOOR * (top eigenvalue): below what the SVD resolves
-    below_floor: bool = False
+    below_floor: bool
 
     def to_json(self) -> dict:
         return {
@@ -47,12 +46,13 @@ class GramianReport:
 
 def build_gramian(operator: OperatorKind, basis: list[FunctionRep],
                   grid: QuadGrid) -> GramianReport:
-    """Gramian of the operator images of an orthonormal basis.
+    """Smallest eigenpair of the Gramian G = (AV)^T AV of the operator
+    images AV of an orthonormal basis.
 
-    The smallest eigenpair comes from an SVD of the half-factor image matrix,
-    so min eigenvalues far below eps*||G|| are still resolved accurately,
-    down to SVD_FLOOR times the top eigenvalue; below_floor flags a minimum
-    under that floor.
+    The eigenpair comes from an SVD of AV, without forming G, so min
+    eigenvalues far below eps*||G|| are still resolved accurately, down to
+    SVD_FLOOR times the top eigenvalue; below_floor flags a minimum under
+    that floor.
     """
     V = np.column_stack([phi.values(grid.nodes) for phi in basis])
     gram0 = V.T @ (grid.weights[:, None] * V)
@@ -60,7 +60,6 @@ def build_gramian(operator: OperatorKind, basis: list[FunctionRep],
         raise InvalidArgumentError("basis is not orthonormal on the grid")
     M = gram_matrix(operator, grid)
     AV = M.half_factor @ (np.sqrt(grid.weights)[:, None] * V)
-    G = AV.T @ AV
     _, s, Vt = np.linalg.svd(AV, full_matrices=False)
     if len(s) < len(basis):
         raise InvalidArgumentError("image matrix is rank deficient for this basis")
@@ -74,15 +73,13 @@ def build_gramian(operator: OperatorKind, basis: list[FunctionRep],
         "size": len(basis),
         "domain": [first.domain.a, first.domain.b],
     }
-    return GramianReport(descriptor, 0.5 * (G + G.T), float(s[-1] ** 2),
+    return GramianReport(descriptor, float(s[-1] ** 2),
                          vec, tuple(basis), operator.to_string(),
                          bool(s[-1] ** 2 < SVD_FLOOR * s[0] ** 2))
 
 
 def worst_function(report: GramianReport) -> FunctionRep:
     """The minimizing combination sum_k a_k phi_k as a FunctionRep."""
-    if not report.basis:
-        raise InvalidArgumentError("report carries no basis functions")
     return linear_combination(list(report.basis), report.minimizer_coefficients)
 
 

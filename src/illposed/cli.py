@@ -21,19 +21,19 @@ from .adversarial import FigureId, FIGURES, build_gramian, reproduce_figure, wor
 from .domains import Interval, make_grid
 from .errors import InsufficientDataError, InvalidArgumentError, ModeRangeError
 from .functions import make_sine_basis
-from .integral_ops import parse_operator
+from .integral_ops import MAX_DENSE_SIZE, parse_operator
 from .output import ensure_out_dir, svg_plot, write_json, write_text
 from .problem import Problem
-from .spectral import decompose_operator, spectrum_to_csv
+from .spectral import decompose_operator, spectrum_to_csv, usable_modes
 from .stability import make_rng, verify_theorem, violation_count
 
-MAX_N, MAX_TRIAL = 1024, 512
+MAX_TRIAL = 512
 
 
 def _validate(args: argparse.Namespace) -> None:
     """Reject sizes and seeds the commands cannot honour."""
-    if not (1 <= args.n <= MAX_N):
-        raise InvalidArgumentError(f"n must be in [1, {MAX_N}]")
+    if not (1 <= args.n <= MAX_DENSE_SIZE):
+        raise InvalidArgumentError(f"n must be in [1, {MAX_DENSE_SIZE}]")
     if not (4 <= args.N <= MAX_TRIAL):
         raise InvalidArgumentError(f"N must be in [4, {MAX_TRIAL}]")
     if args.m < 1:
@@ -55,24 +55,27 @@ def _problem(args: argparse.Namespace) -> Problem:
 def cmd_spectrum(args) -> int:
     p = _problem(args)
     kind, M = p.kind, p.matrix
-    dec = decompose_operator(M)
+    spec = decompose_operator(M)
+    mu = spec.eigenvalues
     out = ensure_out_dir(args.out_dir)
-    write_text(os.path.join(out, "spectrum.csv"), spectrum_to_csv(dec))
+    write_text(os.path.join(out, "spectrum.csv"), spectrum_to_csv(spec))
     if not args.no_svg:
-        mu = dec.eigenvalues
         keep = mu > 0
         ns = np.arange(1, len(mu) + 1)[keep][:40]
         ys = np.log10(mu[keep][:40])
         write_text(os.path.join(out, "spectrum.svg"),
                    svg_plot([(list(ns), list(ys), "steelblue")],
                             f"spectrum of {kind.to_string()}", "n", "log10 mu_n"))
-    ordered = bool(np.all(np.diff(dec.eigenvalues) <= 0))
-    psd = bool(dec.eigenvalues[-1] >= -1e-10 * dec.eigenvalues[0])
+    ordered = bool(np.all(np.diff(mu) <= 0))
+    psd = bool(mu[-1] >= -1e-10 * mu[0])
+    resolved = len(usable_modes(spec, (1, spec.size)))
     write_json(os.path.join(out, "spectrum.json"), {
         "operator": kind.to_string(), "n": M.size,
-        "mu_1": float(dec.eigenvalues[0]), "ordered": ordered, "psd": psd,
+        "mu_1": float(mu[0]), "ordered": ordered, "psd": psd,
+        "resolved_modes": resolved,
     })
-    print(f"spectrum: {kind.to_string()} n={M.size} mu_1={dec.eigenvalues[0]:.6e}")
+    print(f"spectrum: {kind.to_string()} n={M.size} mu_1={mu[0]:.6e} "
+          f"resolved_modes={resolved}")
     return 0 if (ordered and psd) else 2
 
 

@@ -22,6 +22,8 @@ from .errors import InvalidArgumentError, UnsupportedKindError
 from .functions import FunctionKind, FunctionLike, FunctionRep
 
 MAX_DENSE_SIZE = 1024
+# Largest relative gap allowed between ||A||_F^2 and trace(M).
+FACTOR_RTOL = 1e-12
 
 HILBERT = "hilbert"
 LAPLACE = "laplace"
@@ -237,6 +239,14 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
         M = 0.5 * (M + M.T)
     else:
         M = _weighted_kernel_matrix(kind, grid)
+    # ||A||_F^2 = sum of mu_n must equal trace(M): a half factor whose
+    # image-side rule misses the kernel would print a wrong spectrum.
+    trace = float(np.trace(M))
+    gap = abs(float(np.vdot(A, A)) - trace) / trace
+    if not gap <= FACTOR_RTOL:
+        raise InvalidArgumentError(
+            f"half factor of {kind.to_string()} disagrees with its kernel matrix "
+            f"at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
     return OperatorMatrix(M, grid, kind, half_factor=A)
 
 

@@ -3,7 +3,8 @@
 Integral-operator spectra are computed from singular values of the half
 factor (sigma_n^2 = mu_n), which resolves the exponential and
 superexponential decay far below the ~1e-16 ||M|| floor of a direct
-eigensolve; the floor excluding modes from fits tracks the solver used.
+eigensolve; decay fits use only the modes above SVD_FLOOR * mu_1.
+Differential-operator spectra come from a symmetric eigensolve with vectors.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ from .errors import (InsufficientDataError, InvalidArgumentError,
                      ModeRangeError)
 from .integral_ops import OperatorMatrix
 
-ASCENDING_DIFF = "ascending-diff"
-DESCENDING_INTEGRAL = "descending-integral"
-
 EXP_DECAY = "exp-decay"
 SUPER_EXP = "super-exp"
 
-# Modes below floor * mu_1 are excluded from fits.  A direct eigensolve is
-# trustworthy to ~1e-14 relative; the SVD route resolves sigma_n/sigma_1 down
-# to ~1e-14, i.e. mu ratios down to ~1e-28.
-EIG_FLOOR = 1e-14
+# Modes below SVD_FLOOR * mu_1 are excluded from fits: the SVD of the half
+# factor resolves sigma_n/sigma_1 down to ~1e-14, i.e. mu ratios to ~1e-28.
 SVD_FLOOR = 1e-28
 
 # Galerkin eigenvalue k counts as converged when resolutions N and 2N agree
@@ -37,63 +33,60 @@ CONVERGENCE_RTOL = 1e-8
 DEFAULT_FIT_WINDOW = (2, 25)
 
 
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector signs: largest-magnitude entry positive."""
-    V = V.copy()
-    idx = np.argmax(np.abs(V), axis=0)
-    flip = V[idx, np.arange(V.shape[1])] < 0
-    V[:, flip] *= -1.0
-    return V
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """Ascending eigensystem of a symmetric matrix (a Galerkin stiffness)."""
+
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-    order: str
-    source: str
-    value_floor: float = EIG_FLOOR
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=float)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
+        object.__setattr__(self, "eigenvectors", _read_only(self.eigenvectors))
 
     @property
     def size(self) -> int:
         return len(self.eigenvalues)
 
 
-def eig_sym(M: np.ndarray, order: str = ASCENDING_DIFF,
-            source: str = "matrix") -> SpectralDecomposition:
-    """Full decomposition of a symmetric matrix with deterministic signs."""
+@dataclass(frozen=True)
+class IntegralSpectrum:
+    """Descending eigenvalues mu_n of T*T, one per grid node."""
+
+    eigenvalues: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
+
+    @property
+    def size(self) -> int:
+        return len(self.eigenvalues)
+
+
+def eig_sym(M: np.ndarray) -> SpectralDecomposition:
+    """Ascending decomposition of a symmetric matrix; each eigenvector's
+    largest-magnitude entry is positive."""
     M = np.asarray(M, dtype=float)
     scale = np.max(np.abs(M))
     if scale > 0 and np.max(np.abs(M - M.T)) > 1e-10 * scale:
         raise InvalidArgumentError("matrix is not symmetric to tolerance")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if order == DESCENDING_INTEGRAL:
-        vals, vecs = vals[::-1], vecs[:, ::-1]
-    elif order != ASCENDING_DIFF:
-        raise InvalidArgumentError(f"unknown ordering: {order}")
-    return SpectralDecomposition(vals, _fix_signs(vecs), order, source)
+    idx = np.argmax(np.abs(vecs), axis=0)
+    vecs[:, vecs[idx, np.arange(vecs.shape[1])] < 0] *= -1.0
+    return SpectralDecomposition(vals, vecs)
 
 
-def decompose_operator(M: OperatorMatrix) -> SpectralDecomposition:
-    """Spectrum of T*T through singular values of the half factor."""
-    A = M.half_factor
-    _, s, Vt = np.linalg.svd(A, full_matrices=False)
-    vals = s ** 2
-    vecs = Vt.T
-    if len(vals) < M.size:  # rank-limited factor: pad with exact zeros
-        pad = M.size - len(vals)
-        vals = np.concatenate([vals, np.zeros(pad)])
-        vecs = np.hstack([vecs, np.zeros((M.size, pad))])
-    return SpectralDecomposition(vals, _fix_signs(vecs), DESCENDING_INTEGRAL,
-                                 M.kind.to_string(), value_floor=SVD_FLOOR)
+def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
+    """Spectrum of T*T: squared singular values of the half factor, padded
+    with exact zeros when the factor has fewer rows than M."""
+    mu = np.linalg.svd(M.half_factor, compute_uv=False) ** 2
+    return IntegralSpectrum(np.concatenate([mu, np.zeros(M.size - len(mu))]))
 
 
 # ----------------------------------------------------------------------------
@@ -177,7 +170,7 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
         converged = converged_mode_count(diff)
     if m > converged:
         raise ModeRangeError(f"requested {m} modes, only {converged} converged")
-    dec = eig_sym(diff.stiffness, ASCENDING_DIFF, source=diff.spec.tag)
+    dec = eig_sym(diff.stiffness)
     B = np.sqrt(integral.grid.weights)[:, None] * basis_on_grid(diff, integral.grid)
     M = integral.entries
     A = integral.half_factor
@@ -231,16 +224,16 @@ def fit_line(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(np.clip(r2, 0.0, 1.0))
 
 
-def usable_modes(dec: SpectralDecomposition, n_range) -> np.ndarray:
-    """1-based indices inside the window and above the solver floor."""
-    mu = dec.eigenvalues
+def usable_modes(spec: IntegralSpectrum, n_range) -> np.ndarray:
+    """1-based indices inside the window and above SVD_FLOOR * mu_1."""
+    mu = spec.eigenvalues
     lo, hi = n_range
     idx = np.arange(1, len(mu) + 1)
-    keep = (idx >= lo) & (idx <= hi) & (mu > dec.value_floor * mu[0]) & (mu > 0)
+    keep = (idx >= lo) & (idx <= hi) & (mu > SVD_FLOOR * mu[0]) & (mu > 0)
     return idx[keep]
 
 
-def fit_decay(dec: SpectralDecomposition, model: str,
+def fit_decay(spec: IntegralSpectrum, model: str,
               n_range=DEFAULT_FIT_WINDOW) -> DecayFit:
     """Least-squares decay-law fit on the log spectrum.
 
@@ -250,16 +243,14 @@ def fit_decay(dec: SpectralDecomposition, model: str,
     The spectrum must carry >= 8 modes above the solver floor; the requested
     window is then intersected with the usable modes (>= 4 points for a fit).
     """
-    if dec.order != DESCENDING_INTEGRAL:
-        raise InvalidArgumentError("decay fits expect an integral-operator spectrum")
-    if len(usable_modes(dec, (1, dec.size))) < 8:
+    if len(usable_modes(spec, (1, spec.size))) < 8:
         raise InsufficientDataError("fewer than 8 modes above the solver floor")
-    idx = usable_modes(dec, n_range)
+    idx = usable_modes(spec, n_range)
     if len(idx) < 4:
         raise InsufficientDataError(
             f"only {len(idx)} usable modes in window {n_range}; need >= 4"
         )
-    logmu = np.log(dec.eigenvalues[idx - 1])
+    logmu = np.log(spec.eigenvalues[idx - 1])
     if model == EXP_DECAY:
         regressor = idx.astype(float)
     elif model == SUPER_EXP:
@@ -278,8 +269,6 @@ def fit_decay(dec: SpectralDecomposition, model: str,
 
 def growth_check(dec: SpectralDecomposition, mode_count: Optional[int] = None) -> float:
     """min over modes of lambda_n / n^2 (ascending spectrum, 1-indexed)."""
-    if dec.order != ASCENDING_DIFF:
-        raise InvalidArgumentError("growth check expects an ascending spectrum")
     lam = dec.eigenvalues
     if mode_count is not None:
         lam = lam[:mode_count]
@@ -287,8 +276,8 @@ def growth_check(dec: SpectralDecomposition, mode_count: Optional[int] = None) -
     return float(np.min(lam / n ** 2))
 
 
-def spectrum_to_csv(dec: SpectralDecomposition) -> str:
+def spectrum_to_csv(spec: IntegralSpectrum) -> str:
     lines = ["n,eigenvalue"]
-    for n, val in enumerate(dec.eigenvalues, start=1):
+    for n, val in enumerate(spec.eigenvalues, start=1):
         lines.append(f"{n},{val:.17g}")
     return "\n".join(lines) + "\n"

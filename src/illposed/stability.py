@@ -23,8 +23,8 @@ from .errors import (InsufficientDataError, InvalidArgumentError)
 from .functions import (ExpPoly, FunctionKind, FunctionLike, FunctionRep,
                         h1_seminorm, l2_norm)
 from .integral_ops import LAPLACE_ADJOINT, OperatorMatrix, quadratic_form
-from .spectral import (ASCENDING_DIFF, MatchReport, SpectralDecomposition,
-                       fit_line, growth_check, match_eigenfunctions)
+from .spectral import (MatchReport, SpectralDecomposition, fit_line,
+                       growth_check, match_eigenfunctions)
 
 EXPONENTIAL = "exponential"
 POWER_OF_RATIO = "power-of-ratio"
@@ -215,8 +215,6 @@ def verify_lemma1(f: FunctionRep, diff: GalerkinOperator,
                   dec: SpectralDecomposition, c: float,
                   converged: Optional[int] = None) -> Lemma1Record:
     """Partial Parseval mass below the oscillation threshold index."""
-    if dec.order != ASCENDING_DIFF:
-        raise InvalidArgumentError("lemma 1 needs the ascending diff spectrum")
     coeffs = project_coefficients(diff, f)
     nrm = float(np.linalg.norm(coeffs))
     if nrm == 0.0:

@@ -41,6 +41,18 @@ def test_spectrum_outputs(tmp_path):
     assert mu1 > mu2 > 0
 
 
+@pytest.mark.parametrize("op,resolved", [("laplace:a=1,b=2", 14),
+                                         ("laplace-adjoint:a=1,b=2", 14),
+                                         ("fourier", 11),
+                                         ("hilbert:I=0,1:J=2,3", 9)])
+def test_spectrum_reports_resolved_modes(tmp_path, capsys, op, resolved):
+    code, out = run_cli(["spectrum", "--op", op, "--no-svg"], tmp_path)
+    assert code == 0
+    doc = json.load(open(os.path.join(out, "spectrum.json")))
+    assert doc["n"] == 256 and doc["resolved_modes"] == resolved
+    assert f"resolved_modes={resolved}" in capsys.readouterr().out
+
+
 def test_match_exit_contract(tmp_path):
     code, out = run_cli(["match", "--op", "fourier", "--N", "64", "--m", "8",
                          "--n", "128"], tmp_path)
@@ -89,7 +101,11 @@ def test_usage_error_exits_one(tmp_path, capsys):
                  ["match", "--m", "0"],
                  ["verify", "--m", "3", "--count", "5"],
                  ["verify", "--count", "0"],
-                 ["verify", "--count", "-5"]):
+                 ["verify", "--count", "-5"],
+                 ["spectrum", "--n", "1025"],
+                 # half factors that disagree with their kernel matrices
+                 ["spectrum", "--op", "laplace:a=1e-9,b=2"],
+                 ["spectrum", "--op", "laplace-adjoint:a=1e-3,b=2"]):
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv

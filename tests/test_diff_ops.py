@@ -8,7 +8,6 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       assemble_prolate, eig_sym, h1_seminorm, l2_norm)
 from illposed.diff_ops import project_coefficients
 from illposed.domains import half_line_for
-from illposed.spectral import ASCENDING_DIFF
 
 AB = Interval(1.0, 2.0)
 
@@ -42,7 +41,7 @@ def test_bg_constant_function_oracle():
 
 def test_dirichlet_form_rayleigh_at_eigenvector():
     op = assemble_bertero_grunbaum(AB, 32)
-    dec = eig_sym(op.stiffness, ASCENDING_DIFF)
+    dec = eig_sym(op.stiffness)
     f = FunctionRep(FunctionKind.LEGENDRE_SERIES, dec.eigenvectors[:, 0], AB)
     assert dirichlet_form(op, f) == pytest.approx(dec.eigenvalues[0], rel=1e-12)
 
@@ -86,7 +85,7 @@ def test_prolate_eigenvalues_near_legendre():
 
 def test_prolate_eigenvector_parity():
     op = assemble_prolate(48)
-    dec = eig_sym(op.stiffness, ASCENDING_DIFF)
+    dec = eig_sym(op.stiffness)
     # reflection x -> -x flips odd Legendre coefficients
     signs = (-1.0) ** np.arange(48)
     for n in range(10):

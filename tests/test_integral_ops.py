@@ -5,7 +5,8 @@ from scipy import integrate
 from illposed import (FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, OperatorKind, fourier_image_energy,
                       gram_matrix, make_grid, parse_operator, quadratic_form)
-from illposed.integral_ops import _adjoint_kernel
+from illposed.integral_ops import FACTOR_RTOL, _adjoint_kernel
+from illposed.problem import Problem
 
 AB = Interval(1.0, 2.0)
 SYM = Interval(-1.0, 1.0)
@@ -80,6 +81,23 @@ def test_gram_matrices_are_symmetric_psd():
         assert np.max(np.abs(M - M.T)) <= 1e-13 * np.max(np.abs(M))
         w = np.linalg.eigvalsh(M)
         assert w[0] >= -1e-10 * w[-1]
+
+
+def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):
+    # sum mu_n = ||A||_F^2 must equal trace(M)
+    for M in (laplace_M, fourier_M, adjoint_M):
+        trace = np.trace(M.entries)
+        assert abs(np.vdot(M.half_factor, M.half_factor) - trace) <= 1e-13 * trace
+    # image-side rules that miss the kernel mass near the origin
+    for text in ("laplace:a=1e-9,b=2", "laplace-adjoint:a=1e-3,b=2"):
+        kind = parse_operator(text)
+        with pytest.raises(InvalidArgumentError, match="disagrees with its kernel matrix "
+                                                       "at n = 256"):
+            gram_matrix(kind, Problem(kind, 256, 128, 12).grid)
+    # 512 output nodes resolve the adjoint kernel at a = 1e-3
+    M = Problem(parse_operator("laplace-adjoint:a=1e-3,b=2"), 1024, 128, 12).matrix
+    trace = np.trace(M.entries)
+    assert abs(np.vdot(M.half_factor, M.half_factor) - trace) <= FACTOR_RTOL * trace
 
 
 def test_zero_function_maps_to_zero():

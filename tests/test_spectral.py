@@ -5,15 +5,13 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
                       Interval, InvalidArgumentError, ModeRangeError,
                       converged_mode_count, decompose_operator, eig_sym,
                       fit_decay, growth_check, match_eigenfunctions,
-                      quadratic_form, spectrum_to_csv)
-from illposed.spectral import (ASCENDING_DIFF, DESCENDING_INTEGRAL, EXP_DECAY,
-                               SUPER_EXP, SpectralDecomposition)
+                      parse_operator, quadratic_form, spectrum_to_csv)
+from illposed.problem import Problem
+from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
+                               SpectralDecomposition)
 
-
-def synthetic_descending(vals):
-    vals = np.asarray(vals, dtype=float)
-    return SpectralDecomposition(vals, np.eye(len(vals)), DESCENDING_INTEGRAL,
-                                 "synthetic")
+OPERATORS = ("laplace:a=1,b=2", "laplace-adjoint:a=1,b=2", "fourier",
+             "hilbert:I=0,1:J=2,3")
 
 
 def test_eig_sym_identity():
@@ -52,12 +50,21 @@ def test_orthonormal_gram_identity_spectrum():
     assert dec.eigenvalues == pytest.approx(np.ones(8), abs=1e-12)
 
 
-def test_decompose_operator_reconstructs(laplace_M):
-    dec = decompose_operator(laplace_M)
-    V, lam = dec.eigenvectors, dec.eigenvalues
-    M2 = V @ np.diag(lam) @ V.T
-    assert np.max(np.abs(laplace_M.entries - M2)) <= 1e-10 * lam[0]
-    assert np.all(np.diff(lam) <= 0) and lam[-1] >= -1e-10 * lam[0]
+@pytest.mark.parametrize("text", OPERATORS)
+def test_decompose_operator_matches_full_svd(text):
+    M = Problem(parse_operator(text), 256, 128, 12).matrix
+    mu = decompose_operator(M).eigenvalues
+    # reference: the with-vectors SVD of the half factor
+    _, s, Vt = np.linalg.svd(M.half_factor, full_matrices=False)
+    ref = np.concatenate([s ** 2, np.zeros(M.size - len(s))])
+    assert mu.shape == (M.size,)
+    keep = mu > SVD_FLOOR * mu[0]
+    assert np.max(np.abs(mu[keep] / ref[keep] - 1.0)) <= 1e-11
+    assert float(np.sum(mu)) == pytest.approx(float(np.trace(M.entries)), rel=1e-13)
+    assert np.all(np.diff(mu) <= 0) and np.all(mu >= 0)
+    # the reference vectors with these values reconstruct M
+    M2 = (Vt.T * mu[:len(s)]) @ Vt
+    assert np.max(np.abs(M.entries - M2)) <= 1e-10 * mu[0]
 
 
 def test_match_examples(laplace_M, fourier_M, bg128, prolate128):
@@ -86,7 +93,7 @@ def test_converged_mode_count(bg128):
 
 def test_fit_decay_synthetic_exact():
     n = np.arange(1, 21)
-    dec = synthetic_descending(3.0 * np.exp(-2.0 * n))
+    dec = IntegralSpectrum(3.0 * np.exp(-2.0 * n))
     fit = fit_decay(dec, EXP_DECAY, (1, 20))
     assert fit.c1 == pytest.approx(3.0, rel=1e-10)
     assert fit.c2 == pytest.approx(2.0, rel=1e-10)
@@ -107,36 +114,36 @@ def test_fit_decay_fourier_superexp(fourier_M):
 
 
 def test_fit_decay_insufficient_data():
-    dec = synthetic_descending([1.0, 0.5, 0.1])
+    dec = IntegralSpectrum([1.0, 0.5, 0.1])
     with pytest.raises(InsufficientDataError):
         fit_decay(dec, EXP_DECAY, (1, 3))
 
 
 def test_growth_check_legendre_spectrum():
     lam = np.array([(n - 1) * n for n in range(2, 30)], dtype=float)
-    dec = SpectralDecomposition(lam, np.eye(len(lam)), ASCENDING_DIFF, "legendre")
+    dec = SpectralDecomposition(lam, np.eye(len(lam)))
     assert growth_check(dec) > 0
 
 
 def test_growth_check_negative_control():
     lam = np.arange(1, 101, dtype=float)  # lambda_n = n: ratio 1/n -> 0
-    dec = SpectralDecomposition(lam, np.eye(100), ASCENDING_DIFF, "linear")
+    dec = SpectralDecomposition(lam, np.eye(100))
     assert growth_check(dec, 20) < growth_check(dec, 5)
 
 
 def test_parseval_and_quadratic_form_identity(laplace_M, ab):
-    dec = decompose_operator(laplace_M)
+    mu = decompose_operator(laplace_M).eigenvalues
+    _, _, Vt = np.linalg.svd(laplace_M.half_factor, full_matrices=False)
     f = FunctionRep(FunctionKind.SINE_SERIES, [0.6, -0.3, 0.1], ab)
     v = np.sqrt(laplace_M.grid.weights) * f.values(laplace_M.grid.nodes)
-    coeffs = dec.eigenvectors.T @ v
+    coeffs = Vt @ v
     norm2 = float(v @ v)
     assert float(coeffs @ coeffs) == pytest.approx(norm2, rel=1e-10)
-    total = float(np.sum(dec.eigenvalues * coeffs ** 2))
+    total = float(np.sum(mu[:len(coeffs)] * coeffs ** 2))
     assert quadratic_form(laplace_M, f) == pytest.approx(total, rel=1e-8)
 
 
 def test_spectrum_csv():
-    dec = synthetic_descending([2.0, 1.0])
-    text = spectrum_to_csv(dec)
+    text = spectrum_to_csv(IntegralSpectrum([2.0, 1.0]))
     assert text.splitlines()[0] == "n,eigenvalue"
     assert text.splitlines()[1] == "1,2"

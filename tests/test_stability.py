@@ -8,7 +8,6 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       lemma3_prefactor, make_grid, make_rng, verify_lemma1,
                       verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
-from illposed.spectral import ASCENDING_DIFF
 from illposed.stability import (EXPONENTIAL, POWER_OF_RATIO, StabilityFit,
                                 SweepData,
                                 fit_constants_from_sweep, h1_seminorm,
@@ -111,7 +110,7 @@ def test_lemma3_prefactor_monotone_in_c2():
 # ----------------------------------------------------------------------------
 
 def test_lemma1_first_eigenfunction(bg128):
-    dec = eig_sym(bg128.stiffness, ASCENDING_DIFF)
+    dec = eig_sym(bg128.stiffness)
     f = legendre(dec.eigenvectors[:, 0], Interval(1.0, 2.0))
     rec = verify_lemma1(f, bg128, dec, c=5.0)
     assert rec.threshold_index >= 1
@@ -120,7 +119,7 @@ def test_lemma1_first_eigenfunction(bg128):
 
 
 def test_lemma1_deep_eigenfunction(bg128):
-    dec = eig_sym(bg128.stiffness, ASCENDING_DIFF)
+    dec = eig_sym(bg128.stiffness)
     c = lemma1_constant(bg128, dec, [10.0])
     m = 8
     f = legendre(dec.eigenvectors[:, m - 1], Interval(1.0, 2.0))
@@ -131,7 +130,7 @@ def test_lemma1_deep_eigenfunction(bg128):
 
 
 def test_lemma1_random_ensemble(bg128):
-    dec = eig_sym(bg128.stiffness, ASCENDING_DIFF)
+    dec = eig_sym(bg128.stiffness)
     rng = make_rng(42)
     vectors = random_trial_mix(dec, 50, rng)
     funcs = [legendre(v, Interval(1.0, 2.0)) for v in vectors]
