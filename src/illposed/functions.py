@@ -141,8 +141,8 @@ FunctionLike = Union[FunctionRep, ExpPoly]
 # Norms and inner products
 # ----------------------------------------------------------------------------
 
-def _check_same_domain(f: FunctionLike, g: FunctionLike, grid: QuadGrid):
-    for h in (f, g):
+def _check_domain(grid: QuadGrid, *functions: FunctionLike):
+    for h in functions:
         if isinstance(h, FunctionRep):
             if not isinstance(grid.domain, Interval) or h.domain != grid.domain:
                 raise InvalidArgumentError("function domain does not match grid domain")
@@ -153,12 +153,15 @@ def _check_same_domain(f: FunctionLike, g: FunctionLike, grid: QuadGrid):
 
 def inner_product(f: FunctionLike, g: FunctionLike, grid: QuadGrid) -> float:
     """Discrete L2 pairing sum_i w_i f(x_i) g(x_i)."""
-    _check_same_domain(f, g, grid)
+    _check_domain(grid, f, g)
     return float(np.dot(grid.weights, f.values(grid.nodes) * g.values(grid.nodes)))
 
 
 def l2_norm(f: FunctionLike, grid: QuadGrid) -> float:
-    return float(np.sqrt(max(inner_product(f, f, grid), 0.0)))
+    """sqrt(sum_i w_i f(x_i)^2), sampling f once."""
+    _check_domain(grid, f)
+    v = f.values(grid.nodes)
+    return float(np.sqrt(max(float(np.dot(grid.weights, v * v)), 0.0)))
 
 
 def h1_seminorm(f: FunctionLike, grid: QuadGrid) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -163,25 +164,30 @@ def _adjoint_kernel(u, a: float, b: float):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense symmetrized discretization of T*T on a quadrature grid."""
+    """Dense symmetrized discretization M of T*T on a quadrature grid, with
+    its half factor A (M = A^T A)."""
 
     entries: np.ndarray = field(repr=False)
     grid: QuadGrid
     kind: OperatorKind
-    half_factor: np.ndarray = field(repr=False, default=None)
+    half_factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        if self.half_factor is not None:
-            hf = np.asarray(self.half_factor, dtype=float)
-            hf.setflags(write=False)
-            object.__setattr__(self, "half_factor", hf)
+        for name in ("entries", "half_factor"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Descending singular values of the half factor, computed once."""
+        s = np.linalg.svd(self.half_factor, compute_uv=False)
+        s.setflags(write=False)
+        return s
 
 
 def _weighted_kernel_matrix(kind: OperatorKind, grid: QuadGrid) -> np.ndarray:

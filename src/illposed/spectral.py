@@ -3,7 +3,8 @@
 Integral-operator spectra are computed from singular values of the half
 factor (sigma_n^2 = mu_n), which resolves the exponential and
 superexponential decay far below the ~1e-16 ||M|| floor of a direct
-eigensolve; decay fits use only the modes above SVD_FLOOR * mu_1.
+eigensolve.  IntegralSpectrum.resolved, the modes above SVD_FLOOR * mu_1,
+is the one floor rule: decay fits and eigenfunction sweeps use only those.
 Differential-operator spectra come from a symmetric eigensolve with vectors.
 """
 
@@ -68,6 +69,11 @@ class IntegralSpectrum:
     def size(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def resolved(self) -> int:
+        """Number of mu_n above SVD_FLOOR * mu_1: the leading modes, as mu descends."""
+        return int(np.count_nonzero(self.eigenvalues > SVD_FLOOR * self.eigenvalues[0]))
+
 
 def eig_sym(M: np.ndarray) -> SpectralDecomposition:
     """Ascending decomposition of a symmetric matrix; each eigenvector's
@@ -85,7 +91,7 @@ def eig_sym(M: np.ndarray) -> SpectralDecomposition:
 def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
     """Spectrum of T*T: squared singular values of the half factor, padded
     with exact zeros when the factor has fewer rows than M."""
-    mu = np.linalg.svd(M.half_factor, compute_uv=False) ** 2
+    mu = M.singular_values ** 2
     return IntegralSpectrum(np.concatenate([mu, np.zeros(M.size - len(mu))]))
 
 
@@ -101,13 +107,8 @@ def converged_mode_count(op: GalerkinOperator,
         refined = reassemble(op, 2 * op.size)
     lam2 = np.linalg.eigvalsh(refined.stiffness)
     kmax = op.size // 4
-    count = 0
-    for k in range(kmax):
-        if abs(lam[k] - lam2[k]) <= CONVERGENCE_RTOL * abs(lam2[k]):
-            count += 1
-        else:
-            break
-    return count
+    stable = np.abs(lam[:kmax] - lam2[:kmax]) <= CONVERGENCE_RTOL * np.abs(lam2[:kmax])
+    return int(np.argmin(np.append(stable, False)))  # first unstable index
 
 
 # ----------------------------------------------------------------------------
@@ -174,7 +175,7 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
     B = np.sqrt(integral.grid.weights)[:, None] * basis_on_grid(diff, integral.grid)
     M = integral.entries
     A = integral.half_factor
-    op_norm = float(np.linalg.svd(A, compute_uv=False)[0] ** 2)
+    op_norm = float(integral.singular_values[0] ** 2)
     records = []
     for n in range(m):
         v = B @ dec.eigenvectors[:, n]
@@ -225,12 +226,9 @@ def fit_line(x, y) -> tuple[float, float, float]:
 
 
 def usable_modes(spec: IntegralSpectrum, n_range) -> np.ndarray:
-    """1-based indices inside the window and above SVD_FLOOR * mu_1."""
-    mu = spec.eigenvalues
+    """1-based indices of the resolved modes inside the window."""
     lo, hi = n_range
-    idx = np.arange(1, len(mu) + 1)
-    keep = (idx >= lo) & (idx <= hi) & (mu > SVD_FLOOR * mu[0]) & (mu > 0)
-    return idx[keep]
+    return np.arange(max(lo, 1), min(hi, spec.resolved) + 1)
 
 
 def fit_decay(spec: IntegralSpectrum, model: str,
@@ -243,7 +241,7 @@ def fit_decay(spec: IntegralSpectrum, model: str,
     The spectrum must carry >= 8 modes above the solver floor; the requested
     window is then intersected with the usable modes (>= 4 points for a fit).
     """
-    if len(usable_modes(spec, (1, spec.size))) < 8:
+    if spec.resolved < 8:
         raise InsufficientDataError("fewer than 8 modes above the solver floor")
     idx = usable_modes(spec, n_range)
     if len(idx) < 4:
@@ -258,13 +256,11 @@ def fit_decay(spec: IntegralSpectrum, model: str,
     else:
         raise InvalidArgumentError(f"unknown decay model: {model}")
     slope, intercept, r2 = fit_line(regressor, logmu)
-    if model == EXP_DECAY:
-        c1, c2 = float(np.exp(intercept)), -slope
-        if c2 <= 0:
-            raise InvalidArgumentError("spectrum is not decaying: fitted c2 <= 0")
-    else:
-        c1, c2 = float(np.exp(intercept)), abs(slope)
-    return DecayFit(model, c1, c2, slope, r2, (int(idx[0]), int(idx[-1])))
+    c2 = -slope if model == EXP_DECAY else abs(slope)
+    if model == EXP_DECAY and c2 <= 0:
+        raise InvalidArgumentError("spectrum is not decaying: fitted c2 <= 0")
+    return DecayFit(model, float(np.exp(intercept)), c2, slope, r2,
+                    (int(idx[0]), int(idx[-1])))
 
 
 def growth_check(dec: SpectralDecomposition, mode_count: Optional[int] = None) -> float:

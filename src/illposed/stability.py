@@ -17,14 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .diff_ops import GalerkinOperator, LaguerreExpTrialBasis, project_coefficients
+from .diff_ops import GalerkinOperator, project_coefficients
 from .domains import Interval, QuadGrid
 from .errors import (InsufficientDataError, InvalidArgumentError)
 from .functions import (ExpPoly, FunctionKind, FunctionLike, FunctionRep,
                         h1_seminorm, l2_norm)
 from .integral_ops import LAPLACE_ADJOINT, OperatorMatrix, quadratic_form
-from .spectral import (MatchReport, SpectralDecomposition, fit_line,
-                       growth_check, match_eigenfunctions)
+from .spectral import (MatchReport, SpectralDecomposition, decompose_operator,
+                       fit_line, growth_check, match_eigenfunctions)
 
 EXPONENTIAL = "exponential"
 POWER_OF_RATIO = "power-of-ratio"
@@ -113,18 +113,22 @@ class StabilityFit:
 # Sampling helpers
 # ----------------------------------------------------------------------------
 
-def refined_sample(f: FunctionRep, grid: QuadGrid, factor: int = REFINE_FACTOR):
-    xs = np.linspace(grid.domain.a, grid.domain.b, factor * grid.size + 1)
-    return xs, f.values(xs)
+def _refined_values(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
+    """f at REFINE_FACTOR times as many equispaced points as the grid has nodes."""
+    return f.values(np.linspace(grid.domain.a, grid.domain.b, REFINE_FACTOR * grid.size + 1))
 
 
-def _theorem2_ratio(t, w, v, v1, v2) -> float:
+def _norms(w, vals, weight=1.0):
+    """sqrt(sum_i w_i weight_i vals_i^2), one per column of a matrix vals."""
+    return np.sqrt(np.maximum(w @ (weight * vals.T * vals.T).T, 0.0))
+
+
+def _theorem2_ratio(t, w, v, v1, v2):
     """(||t f''|| + ||t f'|| + ||t f|| + ||f||) / ||f|| from samples of f, f'
-    and f'' at half-line nodes t with quadrature weights w."""
-    def nrm(vals, power):
-        return math.sqrt(max(float(np.dot(w, t ** (2 * power) * vals * vals)), 0.0))
-    norm = nrm(v, 0)
-    return (nrm(v2, 1) + nrm(v1, 1) + nrm(v, 1) + norm) / norm
+    and f'' at half-line nodes t with quadrature weights w; one ratio per
+    column when the samples are matrices."""
+    t2, norm = t ** 2, _norms(w, v)
+    return (_norms(w, v2, t2) + _norms(w, v1, t2) + _norms(w, v, t2) + norm) / norm
 
 
 def oscillation_ratio(M: OperatorMatrix, f: FunctionLike) -> float:
@@ -135,8 +139,8 @@ def oscillation_ratio(M: OperatorMatrix, f: FunctionLike) -> float:
         return 0.0
     if M.kind.tag == LAPLACE_ADJOINT:
         t, df = grid.nodes, f.derivative()
-        return _theorem2_ratio(t, grid.weights, f.values(t), df.values(t),
-                               df.derivative().values(t))
+        return float(_theorem2_ratio(t, grid.weights, f.values(t), df.values(t),
+                                     df.derivative().values(t)))
     return h1_seminorm(f, grid) / norm
 
 
@@ -145,7 +149,7 @@ def oscillation_ratio(M: OperatorMatrix, f: FunctionLike) -> float:
 # ----------------------------------------------------------------------------
 
 def verify_lemma2(f: FunctionRep, grid: QuadGrid) -> Lemma2Record:
-    _, vals = refined_sample(f, grid)
+    vals = _refined_values(f, grid)
     applicable = bool(vals.min() < -SIGN_TOL and vals.max() > SIGN_TOL)
     sup = float(np.max(np.abs(vals)))
     bound = math.sqrt(grid.domain.length) * h1_seminorm(f, grid)
@@ -178,7 +182,7 @@ def lemma3_prefactor(c2: float, domain: Interval) -> float:
 
 
 def verify_lemma3(f: FunctionRep, grid: QuadGrid, c2: float) -> Lemma3Record:
-    _, vals = refined_sample(f, grid)
+    vals = _refined_values(f, grid)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if vals.min() < -SIGN_TOL * scale:
         raise InvalidArgumentError("lemma 3 applies to nonnegative functions only")
@@ -212,8 +216,7 @@ def lemma1_constant(diff: GalerkinOperator, dec: SpectralDecomposition,
 
 
 def verify_lemma1(f: FunctionRep, diff: GalerkinOperator,
-                  dec: SpectralDecomposition, c: float,
-                  converged: Optional[int] = None) -> Lemma1Record:
+                  dec: SpectralDecomposition, c: float) -> Lemma1Record:
     """Partial Parseval mass below the oscillation threshold index."""
     coeffs = project_coefficients(diff, f)
     nrm = float(np.linalg.norm(coeffs))
@@ -222,11 +225,9 @@ def verify_lemma1(f: FunctionRep, diff: GalerkinOperator,
     coeffs = coeffs / nrm
     ratio = h1_seminorm(f, diff.grid) / l2_norm(f, diff.grid)
     threshold = int(math.floor(c * ratio))
-    cap = converged if converged is not None else dec.size
-    if threshold > cap:
+    if threshold > dec.size:
         raise InsufficientDataError(
-            f"threshold index {threshold} exceeds {cap} converged modes"
-        )
+            f"threshold index {threshold} exceeds the {dec.size} trial modes")
     overlaps = dec.eigenvectors[:, :threshold].T @ coeffs
     mass = float(np.dot(overlaps, overlaps))
     return Lemma1Record(mass, threshold, bool(mass >= 0.5 - 1e-10))
@@ -247,31 +248,24 @@ class SweepData:
 
 def eigenfunction_sweep(M: OperatorMatrix, diff: GalerkinOperator, m: int,
                         converged: Optional[int] = None) -> SweepData:
-    """(oscillation ratio, ||T u_n||) along the matched eigenfunctions."""
+    """(oscillation ratio, ||T u_n||) along the matched, resolved eigenfunctions."""
     return sweep_from_report(M, diff, match_eigenfunctions(M, diff, m, converged=converged))
 
 
 def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
                       rep: MatchReport) -> SweepData:
-    """The sweep along the modes of an existing match of diff against M."""
-    ratios = []
-    for c in rep.vectors.T:
-        if isinstance(diff.basis, LaguerreExpTrialBasis):
-            f = _laguerre_mode_ratio(diff, c)
-        else:
-            fn = FunctionRep(FunctionKind.LEGENDRE_SERIES, c, diff.basis.domain)
-            f = oscillation_ratio(M, fn)
-        ratios.append(f)
-    lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records], 0.0))
-    return SweepData(np.arange(1, len(ratios) + 1), np.asarray(ratios), lhs,
-                     M.kind.to_string(), diff.spec.tag)
-
-
-def _laguerre_mode_ratio(diff: GalerkinOperator, c) -> float:
-    """Theorem-2 weighted aggregate for a trial-space eigenvector."""
-    t, basis = diff.grid.nodes, diff.basis
-    return _theorem2_ratio(t, diff.grid.weights, basis.values(t) @ c,
-                           basis.deriv(t) @ c, basis.deriv2(t) @ c)
+    """The sweep along the matched modes that M's spectrum resolves, with
+    every ratio from the trial vectors on the basis's own assembly grid."""
+    m = min(len(rep.records), decompose_operator(M).resolved)
+    U = rep.vectors[:, :m]
+    t, w, basis = diff.grid.nodes, diff.grid.weights, diff.basis
+    V, D = basis.values(t) @ U, basis.deriv(t) @ U
+    if M.kind.tag == LAPLACE_ADJOINT:
+        ratios = _theorem2_ratio(t, w, V, D, basis.deriv2(t) @ U)
+    else:
+        ratios = _norms(w, D) / _norms(w, V)
+    lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
+    return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.spec.tag)
 
 
 def _golden_section_min(f, a: float, b: float) -> float:

@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from illposed import decompose_operator, parse_operator
 from illposed.cli import main
 from illposed.output import json_dumps
+from illposed.problem import Problem
+from illposed.spectral import SVD_FLOOR, usable_modes
 
 
 def run_cli(args, tmp_path, sub="out"):
@@ -51,6 +55,10 @@ def test_spectrum_reports_resolved_modes(tmp_path, capsys, op, resolved):
     doc = json.load(open(os.path.join(out, "spectrum.json")))
     assert doc["n"] == 256 and doc["resolved_modes"] == resolved
     assert f"resolved_modes={resolved}" in capsys.readouterr().out
+    spec = decompose_operator(Problem(parse_operator(op), 256, 128, 12).matrix)
+    mu = spec.eigenvalues
+    assert spec.resolved == len(usable_modes(spec, (1, spec.size))) == resolved
+    assert spec.resolved == int(np.sum(mu > SVD_FLOOR * mu[0]))
 
 
 def test_match_exit_contract(tmp_path):
@@ -79,12 +87,30 @@ def test_adversarial_below_solver_floor_exits_two(tmp_path, capsys):
     assert "below_floor=True" in capsys.readouterr().out
 
 
-def test_verify_small_run(tmp_path):
+def test_verify_small_run(tmp_path, capsys):
     code, out = run_cli(["verify", "--op", "laplace:a=1,b=2", "--count", "40",
                          "--N", "64"], tmp_path)
     assert code == 0
     doc = open(os.path.join(out, "verify.json")).read()
     assert '"violations": 0' in doc
+    assert json.loads(doc)["errors"] == 0
+    assert "violations=0/40 errors=0" in capsys.readouterr().out
+
+
+def test_verify_reports_errors_apart_from_violations(tmp_path, capsys, monkeypatch):
+    from illposed import cli
+    from illposed.stability import StabilityRecord
+
+    def one_error_one_pass(M, fit, ensemble):
+        nan = float("nan")
+        return [StabilityRecord("f0000", "op", nan, nan, nan, False, error="boom"),
+                StabilityRecord("f0001", "op", 1.0, 1.0, 0.5, True)]
+    monkeypatch.setattr(cli, "verify_theorem", one_error_one_pass)
+    code, out = run_cli(["verify", "--count", "2", "--N", "64"], tmp_path)
+    assert code == 2
+    doc = json.load(open(os.path.join(out, "verify.json")))
+    assert doc["violations"] == 0 and doc["errors"] == 1
+    assert "violations=0/2 errors=1" in capsys.readouterr().out
 
 
 def test_usage_error_exits_one(tmp_path, capsys):

@@ -67,6 +67,20 @@ def test_decompose_operator_matches_full_svd(text):
     assert np.max(np.abs(M.entries - M2)) <= 1e-10 * mu[0]
 
 
+@pytest.mark.parametrize("text", OPERATORS[:3])
+def test_one_svd_of_the_half_factor_per_problem(monkeypatch, text):
+    p = Problem(parse_operator(text), 128, 64, 12)
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    p.fit  # grid, matrix, commuting operator, match, sweep and fit
+    decompose_operator(p.matrix)
+    assert sum(a is p.matrix.half_factor for a in seen) == 1
+
+
 def test_match_examples(laplace_M, fourier_M, bg128, prolate128):
     rep = match_eigenfunctions(fourier_M, prolate128, 10)
     assert rep.max_residual() <= 1e-6  # threshold fixed by convergence study

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
-                      InvalidArgumentError, eig_sym, lemma1_constant,
-                      lemma3_prefactor, make_grid, make_rng, verify_lemma1,
+                      InvalidArgumentError, decompose_operator, eig_sym,
+                      lemma1_constant, lemma3_prefactor, make_grid, make_rng,
+                      match_eigenfunctions, parse_operator, verify_lemma1,
                       verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
+from illposed.problem import Problem
+from illposed.spectral import SVD_FLOOR
 from illposed.stability import (EXPONENTIAL, POWER_OF_RATIO, StabilityFit,
                                 SweepData,
                                 fit_constants_from_sweep, h1_seminorm,
-                                random_nonnegative_series, random_sine_series,
-                                random_trial_mix)
+                                oscillation_ratio, random_nonnegative_series,
+                                random_sine_series, random_trial_mix,
+                                sweep_from_report)
 
 SYM = Interval(-1.0, 1.0)
 UNIT = Interval(0.0, 1.0)
@@ -219,3 +223,34 @@ def test_figure3_function_satisfies_theorem3(fourier_M, prolate128):
     f = FIGURES[FigureId.FIG3].function()
     rec = verify_theorem(fourier_M, fit, [f])[0]
     assert rec.satisfied  # large ratio makes the bound astronomically small
+
+
+# ----------------------------------------------------------------------------
+# Eigenfunction sweeps keep only resolved modes
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["laplace", "fourier"])
+def test_sweep_ratios_match_per_mode_functions(which, laplace_M, fourier_M,
+                                               bg128, prolate128):
+    M, diff = (laplace_M, bg128) if which == "laplace" else (fourier_M, prolate128)
+    rep = match_eigenfunctions(M, diff, 12)
+    sweep = sweep_from_report(M, diff, rep)
+    # reference: each mode as a Legendre series, normed on the operator grid
+    ref = [oscillation_ratio(M, legendre(c, diff.basis.domain))
+           for c in rep.vectors.T[:len(sweep.indices)]]
+    assert np.max(np.abs(sweep.ratios / ref - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["laplace:a=1,b=2", "fourier", "laplace-adjoint:a=1,b=2"])
+def test_sweep_modes_sit_above_the_solver_floor(text):
+    p = Problem(parse_operator(text), 256, 128, 12)
+    mu1 = decompose_operator(p.matrix).eigenvalues[0]
+    assert np.all(p.sweep.lhs ** 2 > SVD_FLOOR * mu1)
+    expected = 11 if text == "fourier" else 12  # Fourier resolves 11 modes at n = 256
+    assert len(p.sweep.indices) == expected
+    assert p.fit.ensemble_descriptor.endswith(f"m={expected}")
+
+
+def test_fourier_power_fit_is_stable_under_grid_refinement():
+    c1 = [Problem(parse_operator("fourier"), n, 128, 12).fit.c1 for n in (128, 256, 512)]
+    assert (max(c1) - min(c1)) / min(c1) < 1e-5
