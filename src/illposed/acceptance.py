@@ -28,8 +28,8 @@ from .errors import InsufficientDataError
 from .functions import FunctionKind, FunctionRep, h1_seminorm, make_sine_basis
 from .integral_ops import OperatorKind
 from .problem import Problem
-from .spectral import (EXP_DECAY, SUPER_EXP, decompose_operator, eig_sym,
-                       fit_decay, fit_line, growth_check)
+from .spectral import (EXP_DECAY, SUPER_EXP, decompose_operator, fit_decay,
+                       fit_line, growth_check)
 from .stability import (EXPONENTIAL, fit_constants_from_sweep, lemma1_constant,
                         make_rng, random_nonnegative_series, random_sine_series,
                         random_trial_mix, verify_lemma1, verify_lemma2,
@@ -145,11 +145,8 @@ def criterion_07(ctx) -> CriterionResult:
     def run():
         out = {}
         for name, p in (("bg", ctx.laplace), ("prolate", ctx.fourier)):
-            conv_lo = p.converged
-            dec_lo = eig_sym(p.diff.stiffness)
-            dec_hi = eig_sym(p.refined.stiffness)
-            g_lo = growth_check(dec_lo, conv_lo)
-            g_hi = growth_check(dec_hi, conv_lo)  # same converged window
+            g_lo = growth_check(p.diff.eigensystem, p.converged)
+            g_hi = growth_check(p.diff.refined.eigensystem, p.converged)  # same window
             out[name] = {"min_ratio_N": g_lo, "min_ratio_2N": g_hi,
                          "shift": abs(g_lo - g_hi) / g_hi}
         return out
@@ -186,7 +183,7 @@ def criterion_08(ctx) -> CriterionResult:
 def criterion_09(ctx) -> CriterionResult:
     def run():
         diff = ctx.laplace.diff
-        dec = eig_sym(diff.stiffness)
+        dec = diff.eigensystem
         rng = make_rng(ctx.seed)
         coeff_vectors = random_trial_mix(dec, 200, rng)
         funcs = [FunctionRep(FunctionKind.LEGENDRE_SERIES, c, diff.basis.domain)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -131,12 +132,49 @@ class LaguerreExpTrialBasis:
         return self._raw(x, 2) @ self._combine
 
 
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """Ascending eigensystem of a symmetric matrix (a Galerkin stiffness)."""
+
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
+        object.__setattr__(self, "eigenvectors", _read_only(self.eigenvectors))
+
+    @property
+    def size(self) -> int:
+        return len(self.eigenvalues)
+
+
+def eig_sym(M: np.ndarray) -> SpectralDecomposition:
+    """Ascending decomposition of a symmetric matrix; each eigenvector's
+    largest-magnitude entry is positive."""
+    M = np.asarray(M, dtype=float)
+    scale = np.max(np.abs(M))
+    if scale > 0 and np.max(np.abs(M - M.T)) > 1e-10 * scale:
+        raise InvalidArgumentError("matrix is not symmetric to tolerance")
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    idx = np.argmax(np.abs(vecs), axis=0)
+    vecs[:, vecs[idx, np.arange(vecs.shape[1])] < 0] *= -1.0
+    return SpectralDecomposition(vals, vecs)
+
+
 @dataclass(frozen=True)
 class GalerkinOperator:
     """Symmetric stiffness matrix over an orthonormal trial basis.
 
-    mass matrix is the identity by construction; eigenvalues of `stiffness`
-    are the Galerkin eigenvalues of the operator.
+    The mass matrix is the identity by construction, so the eigenvalues of
+    `stiffness` are the Galerkin eigenvalues of the operator.  The basis tables
+    (trial functions and derivatives at `grid.nodes`), the eigensystem and the
+    same operator at 2N are each computed once, on first use.
     """
 
     stiffness: np.ndarray = field(repr=False)
@@ -145,13 +183,35 @@ class GalerkinOperator:
     grid: QuadGrid
 
     def __post_init__(self):
-        S = np.asarray(self.stiffness, dtype=float)
-        S.setflags(write=False)
-        object.__setattr__(self, "stiffness", S)
+        object.__setattr__(self, "stiffness", _read_only(self.stiffness))
+        if not np.all(np.isfinite(self.stiffness)):
+            raise InvalidArgumentError(
+                f"{self.spec.tag} operator: stiffness is not finite at N={self.size}")
 
     @property
     def size(self) -> int:
         return self.stiffness.shape[0]
+
+    @cached_property
+    def basis_values(self) -> np.ndarray:
+        return _read_only(self.basis.values(self.grid.nodes))
+
+    @cached_property
+    def basis_deriv(self) -> np.ndarray:
+        return _read_only(self.basis.deriv(self.grid.nodes))
+
+    @cached_property
+    def basis_deriv2(self) -> np.ndarray:
+        """Second derivatives: only the half-line basis of the fourth-order operator has them."""
+        return _read_only(self.basis.deriv2(self.grid.nodes))
+
+    @cached_property
+    def eigensystem(self) -> SpectralDecomposition:
+        return eig_sym(self.stiffness)
+
+    @cached_property
+    def refined(self) -> "GalerkinOperator":
+        return reassemble(self, 2 * self.size)
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
@@ -192,6 +252,8 @@ def assemble_prolate(N: int) -> GalerkinOperator:
     return GalerkinOperator(_sym(S), DiffOpSpec(PROLATE), basis, grid)
 
 
+# Past N ~ 300 the Laguerre values overflow; GalerkinOperator rejects the result.
+@np.errstate(all="ignore")
 def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
                           sign_variant: SignVariant) -> GalerkinOperator:
     """Weak form of the weighted fourth-order half-line operator.
@@ -244,9 +306,8 @@ def project_coefficients(op: GalerkinOperator, f: FunctionLike) -> np.ndarray:
     norm2 = float(np.dot(w, vals * vals))
     if norm2 == 0.0:
         return np.zeros(op.size)
-    V = op.basis.values(op.grid.nodes)
-    c = V.T @ (w * vals)
-    r = vals - V @ c  # pointwise residual: immune to norm-difference roundoff
+    c = op.basis_values.T @ (w * vals)
+    r = vals - op.basis_values @ c  # pointwise residual: immune to norm-difference roundoff
     resid2 = float(np.dot(w, r * r))
     if np.sqrt(resid2 / norm2) > PROJECTION_TOL:
         raise RepresentationError(

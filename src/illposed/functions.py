@@ -1,4 +1,4 @@
-"""Function representations, norms and inner products.
+"""Function representations and their norms.
 
 A FunctionRep is a coefficient series (sine / cosine / orthonormal
 Legendre) with exact analytic differentiation.  Half-line functions
@@ -138,28 +138,16 @@ FunctionLike = Union[FunctionRep, ExpPoly]
 
 
 # ----------------------------------------------------------------------------
-# Norms and inner products
+# Norms
 # ----------------------------------------------------------------------------
 
-def _check_domain(grid: QuadGrid, *functions: FunctionLike):
-    for h in functions:
-        if isinstance(h, FunctionRep):
-            if not isinstance(grid.domain, Interval) or h.domain != grid.domain:
-                raise InvalidArgumentError("function domain does not match grid domain")
-        elif isinstance(h, ExpPoly):
-            if not isinstance(grid.domain, HalfLineDomain):
-                raise InvalidArgumentError("ExpPoly functions live on a half-line grid")
-
-
-def inner_product(f: FunctionLike, g: FunctionLike, grid: QuadGrid) -> float:
-    """Discrete L2 pairing sum_i w_i f(x_i) g(x_i)."""
-    _check_domain(grid, f, g)
-    return float(np.dot(grid.weights, f.values(grid.nodes) * g.values(grid.nodes)))
-
-
 def l2_norm(f: FunctionLike, grid: QuadGrid) -> float:
-    """sqrt(sum_i w_i f(x_i)^2), sampling f once."""
-    _check_domain(grid, f)
+    """sqrt(sum_i w_i f(x_i)^2), sampling f once; f must live on the grid's domain."""
+    if isinstance(f, FunctionRep):
+        if not isinstance(grid.domain, Interval) or f.domain != grid.domain:
+            raise InvalidArgumentError("function domain does not match grid domain")
+    elif isinstance(f, ExpPoly) and not isinstance(grid.domain, HalfLineDomain):
+        raise InvalidArgumentError("ExpPoly functions live on a half-line grid")
     v = f.values(grid.nodes)
     return float(np.sqrt(max(float(np.dot(grid.weights, v * v)), 0.0)))
 

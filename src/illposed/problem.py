@@ -27,10 +27,9 @@ from .stability import (EXPONENTIAL, POWER_OF_RATIO, StabilityFit, SweepData,
 
 
 class Pairing(NamedTuple):
-    """The commuting operator at N and 2N, its converged modes, and its match."""
+    """The commuting operator, its converged modes, and its match."""
 
     diff: GalerkinOperator
-    refined: GalerkinOperator
     converged: int
     report: Optional[MatchReport]
 
@@ -56,30 +55,27 @@ class Problem:
     def matrix(self) -> OperatorMatrix:
         return gram_matrix(self.kind, self.grid)
 
-    def _pair(self, assemble, N: int, min_modes: int) -> Pairing:
-        diff, refined = assemble(N), assemble(2 * N)
-        conv = converged_mode_count(diff, refined)
+    def _pair(self, diff: GalerkinOperator, min_modes: int) -> Pairing:
+        conv = converged_mode_count(diff)
         report = None
         if conv >= min_modes:
-            report = match_eigenfunctions(self.matrix, diff, min(self.m, conv),
-                                          converged=conv)
-        return Pairing(diff, refined, conv, report)
+            report = match_eigenfunctions(self.matrix, diff, min(self.m, conv))
+        return Pairing(diff, conv, report)
 
     @cached_property
     def pairing(self) -> Pairing:
         kind = self.kind
         if kind.tag == LAPLACE:
-            best = self._pair(lambda N: assemble_bertero_grunbaum(kind.source, N), self.N, 1)
+            best = self._pair(assemble_bertero_grunbaum(kind.source, self.N), 1)
         elif kind.tag == FOURIER:
-            best = self._pair(assemble_prolate, self.N, 1)
+            best = self._pair(assemble_prolate(self.N), 1)
         elif kind.tag == LAPLACE_ADJOINT:
             # The printed operator and the form of its proof disagree on two
             # signs: keep the variant whose matched block commutes best with
             # this composition.  Variants with < 4 converged modes are unstable.
             N4 = min(max(self.N // 2, 32), 64)
-            best = min((self._pair(lambda N, v=variant: assemble_fourth_order(
-                            kind.source, kind.half, N, v), N4, 4)
-                        for variant in SignVariant),
+            best = min((self._pair(assemble_fourth_order(kind.source, kind.half, N4, v), 4)
+                        for v in SignVariant),
                        key=lambda p: p.report.commutation_residual if p.report else math.inf)
         else:
             raise InvalidArgumentError("no commuting differential operator for this kind")
@@ -91,10 +87,6 @@ class Problem:
     @property
     def diff(self) -> GalerkinOperator:
         return self.pairing.diff
-
-    @property
-    def refined(self) -> GalerkinOperator:
-        return self.pairing.refined
 
     @property
     def converged(self) -> int:

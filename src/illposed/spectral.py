@@ -5,7 +5,7 @@ factor (sigma_n^2 = mu_n), which resolves the exponential and
 superexponential decay far below the ~1e-16 ||M|| floor of a direct
 eigensolve.  IntegralSpectrum.resolved, the modes above SVD_FLOOR * mu_1,
 is the one floor rule: decay fits and eigenfunction sweeps use only those.
-Differential-operator spectra come from a symmetric eigensolve with vectors.
+Differential-operator spectra are each GalerkinOperator's own eigensystem.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .diff_ops import GalerkinOperator, reassemble
+# eig_sym and SpectralDecomposition live in diff_ops and are re-exported here.
+from .diff_ops import (GalerkinOperator, SpectralDecomposition, _read_only,
+                       eig_sym)
 from .errors import (InsufficientDataError, InvalidArgumentError,
                      ModeRangeError)
 from .integral_ops import OperatorMatrix
@@ -32,28 +34,6 @@ SVD_FLOOR = 1e-28
 CONVERGENCE_RTOL = 1e-8
 
 DEFAULT_FIT_WINDOW = (2, 25)
-
-
-def _read_only(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigensystem of a symmetric matrix (a Galerkin stiffness)."""
-
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _read_only(self.eigenvectors))
-
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -75,19 +55,6 @@ class IntegralSpectrum:
         return int(np.count_nonzero(self.eigenvalues > SVD_FLOOR * self.eigenvalues[0]))
 
 
-def eig_sym(M: np.ndarray) -> SpectralDecomposition:
-    """Ascending decomposition of a symmetric matrix; each eigenvector's
-    largest-magnitude entry is positive."""
-    M = np.asarray(M, dtype=float)
-    scale = np.max(np.abs(M))
-    if scale > 0 and np.max(np.abs(M - M.T)) > 1e-10 * scale:
-        raise InvalidArgumentError("matrix is not symmetric to tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    idx = np.argmax(np.abs(vecs), axis=0)
-    vecs[:, vecs[idx, np.arange(vecs.shape[1])] < 0] *= -1.0
-    return SpectralDecomposition(vals, vecs)
-
-
 def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
     """Spectrum of T*T: squared singular values of the half factor, padded
     with exact zeros when the factor has fewer rows than M."""
@@ -99,13 +66,10 @@ def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
 # Converged Galerkin modes
 # ----------------------------------------------------------------------------
 
-def converged_mode_count(op: GalerkinOperator,
-                         refined: Optional[GalerkinOperator] = None) -> int:
+def converged_mode_count(op: GalerkinOperator) -> int:
     """Number of leading eigenvalues stable under N -> 2N refinement."""
-    lam = np.linalg.eigvalsh(op.stiffness)
-    if refined is None:
-        refined = reassemble(op, 2 * op.size)
-    lam2 = np.linalg.eigvalsh(refined.stiffness)
+    lam = op.eigensystem.eigenvalues
+    lam2 = op.refined.eigensystem.eigenvalues
     kmax = op.size // 4
     stable = np.abs(lam[:kmax] - lam2[:kmax]) <= CONVERGENCE_RTOL * np.abs(lam2[:kmax])
     return int(np.argmin(np.append(stable, False)))  # first unstable index
@@ -171,7 +135,7 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
         converged = converged_mode_count(diff)
     if m > converged:
         raise ModeRangeError(f"requested {m} modes, only {converged} converged")
-    dec = eig_sym(diff.stiffness)
+    dec = diff.eigensystem
     B = np.sqrt(integral.grid.weights)[:, None] * basis_on_grid(diff, integral.grid)
     M = integral.entries
     A = integral.half_factor

@@ -123,25 +123,27 @@ def _norms(w, vals, weight=1.0):
     return np.sqrt(np.maximum(w @ (weight * vals.T * vals.T).T, 0.0))
 
 
-def _theorem2_ratio(t, w, v, v1, v2):
-    """(||t f''|| + ||t f'|| + ||t f|| + ||f||) / ||f|| from samples of f, f'
-    and f'' at half-line nodes t with quadrature weights w; one ratio per
-    column when the samples are matrices."""
-    t2, norm = t ** 2, _norms(w, v)
-    return (_norms(w, v2, t2) + _norms(w, v1, t2) + _norms(w, v, t2) + norm) / norm
+def _oscillation_ratios(tag: str, t, w, v, v1, second) -> np.ndarray:
+    """||f'||/||f|| from samples v of f and v1 of f' at nodes t with weights w,
+    or for the adjoint the Theorem-2 aggregate (||t f''|| + ||t f'|| + ||t f||
+    + ||f||)/||f|| with f'' from second(); one ratio per sample column."""
+    norm = _norms(w, v)
+    if tag == LAPLACE_ADJOINT:
+        t2 = t ** 2
+        return (_norms(w, second(), t2) + _norms(w, v1, t2) + _norms(w, v, t2) + norm) / norm
+    return _norms(w, v1) / norm
 
 
 def oscillation_ratio(M: OperatorMatrix, f: FunctionLike) -> float:
-    """||f_x||/||f||, or the weighted second-order aggregate for the adjoint."""
-    grid = M.grid
-    norm = l2_norm(f, grid)
-    if norm == 0.0:
+    """||f_x||/||f||, or the weighted second-order aggregate for the adjoint,
+    for f on M's grid domain (verify_theorem checks it with l2_norm)."""
+    t, w = M.grid.nodes, M.grid.weights
+    v = f.values(t)
+    if _norms(w, v) == 0.0:
         return 0.0
-    if M.kind.tag == LAPLACE_ADJOINT:
-        t, df = grid.nodes, f.derivative()
-        return float(_theorem2_ratio(t, grid.weights, f.values(t), df.values(t),
-                                     df.derivative().values(t)))
-    return h1_seminorm(f, grid) / norm
+    df = f.derivative()
+    return float(_oscillation_ratios(M.kind.tag, t, w, v, df.values(t),
+                                     lambda: df.derivative().values(t)))
 
 
 # ----------------------------------------------------------------------------
@@ -258,12 +260,9 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     every ratio from the trial vectors on the basis's own assembly grid."""
     m = min(len(rep.records), decompose_operator(M).resolved)
     U = rep.vectors[:, :m]
-    t, w, basis = diff.grid.nodes, diff.grid.weights, diff.basis
-    V, D = basis.values(t) @ U, basis.deriv(t) @ U
-    if M.kind.tag == LAPLACE_ADJOINT:
-        ratios = _theorem2_ratio(t, w, V, D, basis.deriv2(t) @ U)
-    else:
-        ratios = _norms(w, D) / _norms(w, V)
+    ratios = _oscillation_ratios(M.kind.tag, diff.grid.nodes, diff.grid.weights,
+                                 diff.basis_values @ U, diff.basis_deriv @ U,
+                                 lambda: diff.basis_deriv2 @ U)
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
     return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.spec.tag)
 

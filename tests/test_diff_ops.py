@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import laguerre as nplag
@@ -5,7 +7,8 @@ from numpy.polynomial import laguerre as nplag
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, RepresentationError, SignVariant,
                       assemble_bertero_grunbaum, assemble_fourth_order,
-                      assemble_prolate, eig_sym, h1_seminorm, l2_norm)
+                      assemble_prolate, converged_mode_count, eig_sym,
+                      h1_seminorm, l2_norm)
 from illposed.diff_ops import project_coefficients
 from illposed.domains import half_line_for
 
@@ -148,3 +151,45 @@ def test_laguerre_vandermonde_matches_per_degree_reference(N):
 def test_fourth_order_invalid_variant():
     with pytest.raises(InvalidArgumentError):
         assemble_fourth_order(AB, half_line_for(AB), 32, "proof")
+
+
+@pytest.mark.parametrize("assemble", [
+    lambda N: assemble_bertero_grunbaum(AB, N),
+    assemble_prolate,
+    lambda N: assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_LEMMA),
+], ids=["bertero-grunbaum", "prolate", "fourth-order"])
+def test_operator_keeps_its_decompositions(assemble):
+    op = assemble(16)
+    t = op.grid.nodes
+    tables = [("basis_values", op.basis.values), ("basis_deriv", op.basis.deriv)]
+    if hasattr(op.basis, "deriv2"):
+        tables.append(("basis_deriv2", op.basis.deriv2))
+    for name, evaluate in tables:
+        table = getattr(op, name)
+        assert table is getattr(op, name) and not table.flags.writeable
+        assert np.array_equal(table, evaluate(t))
+    dec = op.eigensystem
+    assert dec is op.eigensystem and not dec.eigenvectors.flags.writeable
+    ref = eig_sym(op.stiffness)
+    assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, ref.eigenvectors)
+    assert op.refined is op.refined and op.refined.size == 32
+    assert op.refined.spec == op.spec
+
+
+def test_fourth_order_overflow_fails_loudly():
+    # Laguerre values overflow near u ~ 5N: at N = 320 the stiffness would be
+    # all NaN, and the overflow must not leak out as a RuntimeWarning either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidArgumentError, match="fourth-order.*N=320"):
+            assemble_fourth_order(AB, half_line_for(AB), 320, SignVariant.AS_PROOF_BOUND)
+
+
+def test_converged_count_names_the_refinement_that_overflows():
+    op = assemble_fourth_order(AB, half_line_for(AB), 256, SignVariant.AS_PROOF_BOUND)
+    assert np.all(np.isfinite(op.stiffness))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidArgumentError, match="fourth-order.*N=512"):
+            converged_mode_count(op)

@@ -6,6 +6,8 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
                       converged_mode_count, decompose_operator, eig_sym,
                       fit_decay, growth_check, match_eigenfunctions,
                       parse_operator, quadratic_form, spectrum_to_csv)
+from illposed.acceptance import Suite, criterion_07, criterion_09
+from illposed.integral_ops import OperatorKind
 from illposed.problem import Problem
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
                                SpectralDecomposition)
@@ -79,6 +81,26 @@ def test_one_svd_of_the_half_factor_per_problem(monkeypatch, text):
     p.fit  # grid, matrix, commuting operator, match, sweep and fit
     decompose_operator(p.matrix)
     assert sum(a is p.matrix.half_factor for a in seen) == 1
+
+
+def test_one_eigensystem_per_stiffness(monkeypatch):
+    ab = Interval(1.0, 2.0)
+    ctx = Suite(0, Problem(OperatorKind.laplace_tt(ab), 128, 64, 12),
+                Problem(OperatorKind.fourier_tt(), 128, 64, 12),
+                Problem(OperatorKind.laplace_adjoint_tt(ab), 128, 64, 12))
+    seen = []
+
+    def counting(solve):
+        def wrapped(a, *args, **kwargs):
+            seen.append(np.asarray(a).tobytes())
+            return solve(a, *args, **kwargs)
+        return wrapped
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    ctx.laplace.fit  # converged modes, match, sweep and fit
+    assert criterion_07(ctx).passed and criterion_09(ctx).passed
+    # Bertero-Grunbaum and prolate stiffness, each at N and at 2N
+    assert len(seen) == len(set(seen)) == 4
 
 
 def test_match_examples(laplace_M, fourier_M, bg128, prolate128):
