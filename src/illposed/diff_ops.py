@@ -22,7 +22,7 @@ from numpy.polynomial import laguerre as nplag
 
 from .domains import HalfLineDomain, Interval, QuadGrid, make_grid
 from .errors import InvalidArgumentError, RepresentationError
-from .functions import FunctionLike
+from .functions import FunctionKind, FunctionLike, basis_table, sample
 
 BERTERO_GRUNBAUM = "bertero-grunbaum"
 FOURTH_ORDER = "fourth-order"
@@ -61,27 +61,12 @@ class LegendreTrialBasis:
     def __init__(self, domain: Interval, size: int):
         self.domain = domain
         self.size = size
-        k = np.arange(size)
-        self._norms = np.sqrt((2 * k + 1) / domain.length)
-
-    def _ref(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (2.0 * x - self.domain.a - self.domain.b) / self.domain.length
 
     def values(self, x) -> np.ndarray:
-        xi = self._ref(x)
-        V = np.polynomial.legendre.legvander(xi, self.size - 1)
-        return V * self._norms[None, :]
+        return basis_table(FunctionKind.LEGENDRE_SERIES, self.size, self.domain, False, 0, x)
 
     def deriv(self, x) -> np.ndarray:
-        xi = self._ref(x)
-        V = np.polynomial.legendre.legvander(xi, self.size - 1)
-        D = np.zeros_like(V)
-        if self.size > 1:
-            D[:, 1] = 1.0
-        for k in range(1, self.size - 1):
-            D[:, k + 1] = D[:, k - 1] + (2 * k + 1) * V[:, k]
-        return D * self._norms[None, :] * (2.0 / self.domain.length)
+        return basis_table(FunctionKind.LEGENDRE_SERIES, self.size, self.domain, False, 1, x)
 
 
 def _laguerre_deriv(V: np.ndarray) -> np.ndarray:
@@ -302,7 +287,7 @@ def reassemble(op: GalerkinOperator, N: int) -> GalerkinOperator:
 def project_coefficients(op: GalerkinOperator, f: FunctionLike) -> np.ndarray:
     """Trial-space coefficients of f, failing if the residual exceeds tolerance."""
     w = op.grid.weights
-    vals = f.values(op.grid.nodes)
+    vals = sample(f, op.grid.nodes)
     norm2 = float(np.dot(w, vals * vals))
     if norm2 == 0.0:
         return np.zeros(op.size)

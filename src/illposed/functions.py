@@ -3,18 +3,20 @@
 A FunctionRep is a coefficient series (sine / cosine / orthonormal
 Legendre) with exact analytic differentiation.  Half-line functions
 (Theorem-2 territory) are polynomial-times-exponential ExpPoly objects,
-which also differentiate exactly.
+which also differentiate exactly.  On a fixed point set (a quadrature grid,
+or the refined points of the lemmas) a function, or a block of functions of
+one series type, is sampled as one product with a cached basis table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as nppoly
 
 from .domains import HalfLineDomain, Interval, QuadGrid
 from .errors import InvalidArgumentError
@@ -56,47 +58,25 @@ class FunctionRep:
         if self.raw_x and self.kind is FunctionKind.LEGENDRE_SERIES:
             raise InvalidArgumentError("raw_x applies to trig series only")
 
-    # -- evaluation -----------------------------------------------------------
-
-    def _trig_freqs(self):
-        k = np.arange(1, len(self.payload) + 1, dtype=float)
-        if self.raw_x:
-            return k * np.pi, 0.0  # angle = omega*x
-        omega = k * np.pi / self.domain.length
-        return omega, self.domain.a  # angle = omega*(x - p)
-
     def values(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind is FunctionKind.SINE_SERIES:
-            omega, p = self._trig_freqs()
-            return np.sin(np.outer(x - p, omega)) @ self.payload
-        if self.kind is FunctionKind.COSINE_SERIES:
-            omega, p = self._trig_freqs()
-            return np.cos(np.outer(x - p, omega)) @ self.payload
-        xi = (2.0 * x - self.domain.a - self.domain.b) / self.domain.length
-        return npleg.legval(xi, self._plain_legendre_coeffs())
-
-    def _plain_legendre_coeffs(self) -> np.ndarray:
-        k = np.arange(len(self.payload))
-        return self.payload * np.sqrt((2 * k + 1) / self.domain.length)
+        table = basis_table(self.kind, len(self.payload), self.domain, self.raw_x, 0, x)
+        return table @ self.payload
 
     # -- exact differentiation ------------------------------------------------
 
     def derivative(self) -> "FunctionRep":
+        if self.kind is FunctionKind.LEGENDRE_SERIES:
+            norms = np.sqrt((2 * np.arange(len(self.payload)) + 1) / self.domain.length)
+            plain = npleg.legder(self.payload * norms) * (2.0 / self.domain.length)
+            if len(plain) == 0:
+                plain = np.zeros(1)
+            return FunctionRep(self.kind, plain / norms[:len(plain)], self.domain)
+        omega, _ = trig_freqs(len(self.payload), self.domain, self.raw_x)
         if self.kind is FunctionKind.SINE_SERIES:
-            omega, _ = self._trig_freqs()
             return FunctionRep(FunctionKind.COSINE_SERIES, self.payload * omega,
                                self.domain, self.raw_x)
-        if self.kind is FunctionKind.COSINE_SERIES:
-            omega, _ = self._trig_freqs()
-            return FunctionRep(FunctionKind.SINE_SERIES, -self.payload * omega,
-                               self.domain, self.raw_x)
-        plain = npleg.legder(self._plain_legendre_coeffs()) * (2.0 / self.domain.length)
-        if len(plain) == 0:
-            plain = np.zeros(1)
-        k = np.arange(len(plain))
-        coeffs = plain / np.sqrt((2 * k + 1) / self.domain.length)
-        return FunctionRep(FunctionKind.LEGENDRE_SERIES, coeffs, self.domain)
+        return FunctionRep(FunctionKind.SINE_SERIES, -self.payload * omega,
+                           self.domain, self.raw_x)
 
 
 @dataclass(frozen=True)
@@ -121,40 +101,119 @@ class ExpPoly:
 
     def values(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return nppoly.polyval(x, self.poly) * np.exp(-self.rate * x)
+        return np.vander(x, len(self.poly), increasing=True) @ self.poly * np.exp(-self.rate * x)
 
     def derivative(self) -> "ExpPoly":
-        dp = nppoly.polyder(self.poly)
-        if len(dp) == 0:
-            dp = np.zeros(1)
-        n = max(len(dp), len(self.poly))
-        coeffs = np.zeros(n)
-        coeffs[: len(dp)] += dp
-        coeffs[: len(self.poly)] -= self.rate * self.poly
-        return ExpPoly(coeffs, self.rate)
+        return ExpPoly(_exp_poly_derivative(self.poly[:, None], self.rate)[:, 0], self.rate)
 
 
 FunctionLike = Union[FunctionRep, ExpPoly]
 
 
 # ----------------------------------------------------------------------------
+# Basis tables
+# ----------------------------------------------------------------------------
+
+def trig_freqs(size: int, domain: Interval, raw_x: bool):
+    """(omega, p) with angle omega*(x - p); raw_x series use omega = k pi, p = 0."""
+    k = np.arange(1, size + 1, dtype=float)
+    if raw_x:
+        return k * np.pi, 0.0
+    return k * np.pi / domain.length, domain.a
+
+
+def basis_table(kind, size: int, domain, raw_x: bool, order: int, x) -> np.ndarray:
+    """Column k: the order-th derivative (0 or 1) of the k-th basis function
+    of a series at x: sin/cos k pi (x-p)/L, or the orthonormal Legendre
+    function of degree k.  kind None is ExpPoly's power basis x^k, order 0
+    only: its derivatives act on the coefficients and the exponential."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if kind is None:
+        return np.vander(x, size, increasing=True)
+    if kind is FunctionKind.LEGENDRE_SERIES:
+        V = npleg.legvander((2.0 * x - domain.a - domain.b) / domain.length, size - 1)
+        norms = np.sqrt((2 * np.arange(size) + 1) / domain.length)
+        if order == 0:
+            return V * norms[None, :]
+        D = np.zeros_like(V)  # P_{k+1}' = P_{k-1}' + (2k+1) P_k
+        if size > 1:
+            D[:, 1] = 1.0
+        for k in range(1, size - 1):
+            D[:, k + 1] = D[:, k - 1] + (2 * k + 1) * V[:, k]
+        return D * norms[None, :] * (2.0 / domain.length)
+    omega, p = trig_freqs(size, domain, raw_x)
+    phase = np.outer(x - p, omega)
+    sine = kind is FunctionKind.SINE_SERIES
+    if order == 0:
+        return np.sin(phase) if sine else np.cos(phase)
+    return np.cos(phase) * omega if sine else -np.sin(phase) * omega
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_table(kind, size, domain, raw_x, order, points: bytes) -> np.ndarray:
+    table = basis_table(kind, size, domain, raw_x, order, np.frombuffer(points))
+    table.setflags(write=False)
+    return table
+
+
+def _exp_poly_derivative(P: np.ndarray, rates) -> np.ndarray:
+    """Columns p' - rate p: the polynomial factor of (p e^{-rate x})'."""
+    D = -rates * P
+    D[:-1] += np.arange(1, len(P))[:, None] * P[1:]
+    return D
+
+
+def sample_columns(funcs, x, order: int = 0) -> np.ndarray:
+    """Column j: the order-th derivative of funcs[j] at the fixed points x,
+    as one product with a cached, read-only basis table.  The functions
+    share their type, kind, coefficient count, domain and raw_x."""
+    f, points = funcs[0], np.ascontiguousarray(x, dtype=float).tobytes()
+    if isinstance(f, ExpPoly):
+        P = np.column_stack([g.poly for g in funcs])
+        rates = np.array([g.rate for g in funcs])
+        for _ in range(order):
+            P = _exp_poly_derivative(P, rates)
+        table = _cached_table(None, len(P), None, False, 0, points)
+        return (table @ P) * np.exp(-np.outer(x, rates))
+    table = _cached_table(f.kind, len(f.payload), f.domain, f.raw_x, order, points)
+    return table @ np.column_stack([g.payload for g in funcs])
+
+
+def sample(f: FunctionLike, x, order: int = 0) -> np.ndarray:
+    """f's order-th derivative at the fixed points x, through a cached table."""
+    return sample_columns([f], x, order)[:, 0]
+
+
+# ----------------------------------------------------------------------------
 # Norms
 # ----------------------------------------------------------------------------
 
-def l2_norm(f: FunctionLike, grid: QuadGrid) -> float:
-    """sqrt(sum_i w_i f(x_i)^2), sampling f once; f must live on the grid's domain."""
+def check_domain(f, grid: QuadGrid) -> None:
+    """Raise unless f is a function that lives on the grid's domain."""
     if isinstance(f, FunctionRep):
         if not isinstance(grid.domain, Interval) or f.domain != grid.domain:
             raise InvalidArgumentError("function domain does not match grid domain")
-    elif isinstance(f, ExpPoly) and not isinstance(grid.domain, HalfLineDomain):
-        raise InvalidArgumentError("ExpPoly functions live on a half-line grid")
-    v = f.values(grid.nodes)
+    elif isinstance(f, ExpPoly):
+        if not isinstance(grid.domain, HalfLineDomain):
+            raise InvalidArgumentError("ExpPoly functions live on a half-line grid")
+    else:
+        raise InvalidArgumentError(f"not a function representation: {type(f).__name__}")
+
+
+def _norm(f: FunctionLike, grid: QuadGrid, order: int) -> float:
+    check_domain(f, grid)
+    v = sample(f, grid.nodes, order)
     return float(np.sqrt(max(float(np.dot(grid.weights, v * v)), 0.0)))
+
+
+def l2_norm(f: FunctionLike, grid: QuadGrid) -> float:
+    """sqrt(sum_i w_i f(x_i)^2), sampling f once; f must live on the grid's domain."""
+    return _norm(f, grid, 0)
 
 
 def h1_seminorm(f: FunctionLike, grid: QuadGrid) -> float:
     """L2 norm of the exact derivative."""
-    return l2_norm(f.derivative(), grid)
+    return _norm(f, grid, 1)
 
 
 # ----------------------------------------------------------------------------

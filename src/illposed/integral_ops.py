@@ -20,7 +20,7 @@ import numpy as np
 
 from .domains import HalfLineDomain, Interval, QuadGrid, half_line_for, make_grid
 from .errors import InvalidArgumentError, UnsupportedKindError
-from .functions import FunctionKind, FunctionLike, FunctionRep
+from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
 
 MAX_DENSE_SIZE = 1024
 # Largest relative gap allowed between ||A||_F^2 and trace(M).
@@ -256,10 +256,6 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
     return OperatorMatrix(M, grid, kind, half_factor=A)
 
 
-def _weighted_values(M: OperatorMatrix, f: FunctionLike) -> np.ndarray:
-    return np.sqrt(M.grid.weights) * f.values(M.grid.nodes)
-
-
 def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:
     """||T f||^2 = <T*T f, f>, evaluated through the half factor.
 
@@ -267,7 +263,7 @@ def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:
     relative accuracy deep below the cancellation floor of the plain form
     v^T M v (the demonstrated worst cases sit at ~1e-18 ||f||^2).
     """
-    Av = M.half_factor @ _weighted_values(M, f)
+    Av = M.half_factor @ (np.sqrt(M.grid.weights) * sample(f, M.grid.nodes))
     return float(np.dot(Av, Av))
 
 
@@ -308,15 +304,9 @@ def fourier_image_energy(f: FunctionRep, n_xi: int = 256) -> float:
     xi_grid = make_grid(Interval(-1.0, 1.0), n_xi)
     xi = xi_grid.nodes
     is_sine = f.kind is FunctionKind.SINE_SERIES
-    terms = []
-    for k, c in enumerate(f.payload, start=1):
-        if f.raw_x:
-            omega, phase = k * np.pi, 0.0
-        else:
-            omega = k * np.pi / f.domain.length
-            phase = -omega * f.domain.a
-        terms.append(c * _trig_transform(omega, phase, xi, f.domain.a,
-                                         f.domain.b, is_sine))
+    omegas, p = trig_freqs(len(f.payload), f.domain, f.raw_x)
+    terms = [c * _trig_transform(omega, -omega * p, xi, f.domain.a, f.domain.b, is_sine)
+             for c, omega in zip(f.payload, omegas)]
     fhat = np.array([
         complex(math.fsum(t[i].real for t in terms),
                 math.fsum(t[i].imag for t in terms))

@@ -11,12 +11,15 @@ a behavior change in either direction is loud.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from illposed import acceptance
-from illposed.acceptance import run_acceptance
+from illposed import Interval, OperatorKind
+from illposed.acceptance import Suite, criterion_09, run_acceptance
 from illposed.cli import main
 from illposed.errors import InsufficientDataError
+from illposed.problem import Problem
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +128,18 @@ def test_criterion_09_counts_refusals(monkeypatch):
     assert len(out) == 12
     c9 = out[8]
     assert c9.cid == "9" and c9.details["refused"] == 1 and c9.passed
+
+
+def test_criterion_09_samples_through_basis_tables(monkeypatch):
+    # every trial mix is sampled by a product with the cached Legendre
+    # tables; no per-function Clenshaw series evaluation runs
+    ab = Interval(1.0, 2.0)
+    ctx = Suite(0, Problem(OperatorKind.laplace_tt(ab), 128, 64, 12),
+                Problem(OperatorKind.fourier_tt(), 128, 64, 12),
+                Problem(OperatorKind.laplace_adjoint_tt(ab), 128, 64, 12))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("series evaluated outside the basis tables")
+    for name in ("legval", "legder"):
+        monkeypatch.setattr(np.polynomial.legendre, name, forbidden)
+    assert criterion_09(ctx).passed

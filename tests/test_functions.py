@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, h1_seminorm, l2_norm,
                       linear_combination, make_grid, make_sine_basis)
-from illposed.stability import oscillation_ratio
+from illposed.stability import EXPONENTIAL, StabilityFit, verify_theorem
 
 
 UNIT = Interval(0.0, 1.0)
@@ -66,8 +66,10 @@ def test_weighted_norms_gamma_oracle(adjoint_M):
     # ||x f''||, ||x f'||, ||x f|| is sqrt(int x^2 e^{-2x}) = sqrt(1/4) = 1/2
     f = ExpPoly([1.0], 1.0)
     expect = (1.5 + np.sqrt(0.5)) / np.sqrt(0.5)  # 1 + 1.5 sqrt(2)
-    assert oscillation_ratio(adjoint_M, f) == pytest.approx(expect, rel=1e-6)
-    assert oscillation_ratio(adjoint_M, ExpPoly([0.0], 1.0)) == 0.0
+    fit = StabilityFit(1.0, 1.0, EXPONENTIAL, 1.0, "synthetic")
+    recs = verify_theorem(adjoint_M, fit, [f, ExpPoly([0.0], 1.0)])
+    assert recs[0].h1_ratio == pytest.approx(expect, rel=1e-6)
+    assert recs[1].h1_ratio == 0.0
 
 
 def test_exp_poly_derivative_exact():

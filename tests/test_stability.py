@@ -1,20 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, decompose_operator, eig_sym,
-                      lemma1_constant, lemma3_prefactor, make_grid, make_rng,
+                      l2_norm, lemma1_constant, lemma3_prefactor, make_grid, make_rng,
                       match_eigenfunctions, parse_operator, verify_lemma1,
                       verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
 from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR
-from illposed.stability import (EXPONENTIAL, POWER_OF_RATIO, StabilityFit,
+from illposed.stability import (_BLOCK, EXPONENTIAL, POWER_OF_RATIO, StabilityFit,
                                 SweepData,
                                 fit_constants_from_sweep, h1_seminorm,
-                                oscillation_ratio, random_nonnegative_series,
+                                random_nonnegative_series,
                                 random_sine_series, random_trial_mix,
                                 sweep_from_report)
 
@@ -57,6 +58,21 @@ def test_lemma2_sine_on_longer_interval():
     assert rec.sup_norm == pytest.approx(1.0, rel=1e-8)
     assert rec.bound == pytest.approx(np.sqrt(2.0) * np.pi, rel=1e-10)
     assert rec.passed
+
+
+def test_lemma_verdicts_are_scale_invariant():
+    # both lemmas are homogeneous: their sign tests read the sup norm, not 1
+    grid = make_grid(UNIT, 64)
+    f = FunctionRep(FunctionKind.SINE_SERIES, [0.0, 1.0], UNIT)  # sin(2 pi x)
+    tiny = FunctionRep(FunctionKind.SINE_SERIES, 1e-13 * f.payload, UNIT)
+    rec, rec_tiny = verify_lemma2(f, grid), verify_lemma2(tiny, grid)
+    assert rec.applicable and rec.passed
+    assert (rec_tiny.applicable, rec_tiny.passed) == (rec.applicable, rec.passed)
+    with pytest.raises(InvalidArgumentError):
+        verify_lemma3(tiny, grid, c2=1.0)
+    g = legendre([1.0, 0.3], UNIT)  # 1 + 0.3 sqrt(3) (2x - 1) > 0
+    assert verify_lemma3(g, grid, 1.0).passed
+    assert verify_lemma3(legendre(1e-13 * g.payload, UNIT), grid, 1.0).passed
 
 
 # ----------------------------------------------------------------------------
@@ -206,6 +222,83 @@ def test_scale_invariance_of_verdicts(laplace_M):
     assert r1.h1_ratio == pytest.approx(r2.h1_ratio, rel=1e-12)
 
 
+def _reference_record(M, fit, f, i):
+    """One record the per-function way: f.values on M's grid, the half factor
+    for ||T f||, and the derivatives' values for the oscillation ratio."""
+    fid = f"f{i:04d}"
+    try:
+        l2_norm(f, M.grid)
+    except InvalidArgumentError as exc:
+        return fid, math.nan, math.nan, math.nan, False, str(exc)
+    t, w = M.grid.nodes, M.grid.weights
+
+    def norm(v, weight=1.0):
+        return math.sqrt(float(np.dot(w, weight * v * v)))
+    v = f.values(t)
+    if norm(v) == 0.0:
+        return fid, 0.0, 0.0, 0.0, True, None
+    Av = M.half_factor @ (np.sqrt(w) * v)
+    lhs = math.sqrt(float(np.dot(Av, Av)))
+    df = f.derivative()
+    if isinstance(f, ExpPoly):  # Theorem 2's aggregate
+        d2 = df.derivative().values(t)
+        ratio = (norm(d2, t ** 2) + norm(df.values(t), t ** 2) + norm(v, t ** 2)
+                 + norm(v)) / norm(v)
+    else:
+        ratio = norm(df.values(t)) / norm(v)
+    rhs = fit.bound(ratio, norm(v))
+    return fid, lhs, ratio, rhs, lhs >= rhs, None
+
+
+def _check_against_reference(M, fit, ens):
+    recs = verify_theorem(M, fit, ens)
+    ref = [_reference_record(M, fit, f, i) for i, f in enumerate(ens)]
+    assert [(r.function_id, r.satisfied, r.error) for r in recs] == \
+        [(fid, ok, err) for fid, _, _, _, ok, err in ref]
+    got = np.array([(r.lhs, r.h1_ratio, r.rhs_at_fit) for r in recs])
+    want = np.array([row[1:4] for row in ref])
+    ok = ~np.isnan(want)
+    assert np.array_equal(np.isnan(got), ~ok)
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-13 * np.abs(want[ok]))
+    return recs
+
+
+def test_verify_theorem_batch_matches_per_function_reference(laplace_M, adjoint_M, ab):
+    rng = make_rng(11)
+    fit = StabilityFit(10.0, 0.3, EXPONENTIAL, 0.98, "synthetic")  # some verdicts fail
+    # one group larger than a block, so a block boundary falls inside it
+    ens = (random_sine_series(ab, _BLOCK + 12, rng)
+           + random_sine_series(ab, 20, rng, n_modes=7)
+           + [FunctionRep(FunctionKind.SINE_SERIES, [0.3, -0.2, 0.5], ab, raw_x=True),
+              FunctionRep(FunctionKind.SINE_SERIES, [1.0], UNIT),  # wrong domain
+              FunctionRep(FunctionKind.SINE_SERIES, np.zeros(12), ab),
+              ExpPoly([1.0], 1.0)])  # half-line function on an interval operator
+    ens = [ens[i] for i in rng.permutation(len(ens))]
+    recs = _check_against_reference(laplace_M, fit, ens)
+    assert {r.satisfied for r in recs if r.error is None} == {True, False}
+    assert sum(r.error is not None for r in recs) == 2
+
+    adj = [ExpPoly(rng.standard_normal(d + 1) / 2.0 ** np.arange(d + 1),
+                   float(rng.uniform(1.0, 2.0)))
+           for d in range(6) for _ in range(5)]
+    adj += [ExpPoly([0.0], 1.0), FunctionRep(FunctionKind.SINE_SERIES, [1.0], ab)]
+    _check_against_reference(adjoint_M, StabilityFit(0.5, 0.5, EXPONENTIAL, 0.98, "synthetic"),
+                             [adj[i] for i in rng.permutation(len(adj))])
+
+
+def test_verify_theorem_memory_stays_flat(laplace_M, ab):
+    # blocks keep the sample matrices small: one 256 x 4096 matrix is 8.4 MB
+    ens = random_sine_series(ab, 4096, make_rng(5))
+    fit = StabilityFit(0.06, 0.3, EXPONENTIAL, 0.98, "synthetic")
+    tracemalloc.start()
+    try:
+        recs = verify_theorem(laplace_M, fit, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 4096 and peak < 8e6
+
+
 def test_lemma_ensembles_zero_violations(ab):
     grid = make_grid(ab, 128)
     rng = make_rng(7)
@@ -236,8 +329,9 @@ def test_sweep_ratios_match_per_mode_functions(which, laplace_M, fourier_M,
     rep = match_eigenfunctions(M, diff, 12)
     sweep = sweep_from_report(M, diff, rep)
     # reference: each mode as a Legendre series, normed on the operator grid
-    ref = [oscillation_ratio(M, legendre(c, diff.basis.domain))
-           for c in rep.vectors.T[:len(sweep.indices)]]
+    fit = StabilityFit(1.0, 1.0, EXPONENTIAL, 1.0, "synthetic")
+    ref = [r.h1_ratio for r in verify_theorem(
+        M, fit, [legendre(c, diff.basis.domain) for c in rep.vectors.T[:len(sweep.indices)]])]
     assert np.max(np.abs(sweep.ratios / ref - 1.0)) <= 1e-12
 
 
