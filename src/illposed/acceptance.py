@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import FigureId, build_gramian, reproduce_figure
-from .domains import Interval, make_grid
+from .domains import Interval
 from .errors import InsufficientDataError
 from .functions import FunctionKind, FunctionRep, h1_seminorm, make_sine_basis
 from .integral_ops import OperatorKind
@@ -159,10 +159,8 @@ def criterion_07(ctx) -> CriterionResult:
 def criterion_08(ctx) -> CriterionResult:
     def run():
         dom = Interval(0.0, 1.0)
-        grid = make_grid(dom, ctx.laplace.n)
-        op = OperatorKind.hilbert_truncated(dom, Interval(2.0, 3.0))
-        reps = [build_gramian(op, make_sine_basis(dom, size), grid)
-                for size in range(1, 13)]
+        M = Problem(OperatorKind.hilbert_truncated(dom, Interval(2.0, 3.0)), ctx.laplace.n).matrix
+        reps = [build_gramian(M, make_sine_basis(dom, size)) for size in range(1, 13)]
         mins = [rep.min_eigenvalue for rep in reps]
         ns = np.arange(1, 13)
         window = (ns >= 3) & (ns <= 12)
@@ -277,8 +275,8 @@ CRITERIA = [criterion_01, criterion_02, criterion_03, criterion_04,
             criterion_09, criterion_10, criterion_11, criterion_12]
 
 
-def run_acceptance(seed: int = DEFAULT_SEED, n: int = 256, N: int = 128,
-                   m: int = 12) -> list[CriterionResult]:
+def run_acceptance(seed: int = DEFAULT_SEED, n: int = Problem.n, N: int = Problem.N,
+                   m: int = Problem.m) -> list[CriterionResult]:
     ab = Interval(1.0, 2.0)
     ctx = Suite(seed, Problem(OperatorKind.laplace_tt(ab), n, N, m),
                 Problem(OperatorKind.fourier_tt(), n, N, m),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .adversarial import FigureId, FIGURES, build_gramian, reproduce_figure, worst_function
-from .domains import Interval, make_grid
+from .domains import Interval
 from .errors import InsufficientDataError, InvalidArgumentError, ModeRangeError
 from .functions import make_sine_basis
 from .integral_ops import MAX_DENSE_SIZE, parse_operator
@@ -31,21 +31,23 @@ MAX_TRIAL = 512
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Reject sizes and seeds the commands cannot honour."""
+    """Reject sizes and seeds the command cannot honour.  Every command has
+    --n; the other options are checked where the command declares them."""
     if not (1 <= args.n <= MAX_DENSE_SIZE):
         raise InvalidArgumentError(f"n must be in [1, {MAX_DENSE_SIZE}]")
-    if not (4 <= args.N <= MAX_TRIAL):
+    if not (4 <= getattr(args, "N", 4) <= MAX_TRIAL):
         raise InvalidArgumentError(f"N must be in [4, {MAX_TRIAL}]")
-    if args.m < 1:
+    if getattr(args, "m", 1) < 1:
         raise InvalidArgumentError("m must be a positive integer")
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise InvalidArgumentError("seed must be a nonnegative integer")
     if getattr(args, "count", 1) < 1:
         raise InvalidArgumentError("count must be a positive integer")
 
 
 def _problem(args: argparse.Namespace) -> Problem:
-    return Problem(parse_operator(args.op), args.n, args.N, args.m)
+    sizes = {k: v for k, v in vars(args).items() if k in ("n", "N", "m")}
+    return Problem(parse_operator(args.op), **sizes)
 
 
 # ----------------------------------------------------------------------------
@@ -97,13 +99,10 @@ def cmd_match(args) -> int:
 
 def cmd_adversarial(args) -> int:
     kind = parse_operator(args.op)
-    if args.basis != "sine":
-        raise InvalidArgumentError("only the sine basis family is built in")
     domain = kind.input_domain
     if not isinstance(domain, Interval):
         raise InvalidArgumentError("adversarial synthesis needs an interval domain")
-    grid = make_grid(domain, 256)
-    report = build_gramian(kind, make_sine_basis(domain, args.n), grid)
+    report = build_gramian(Problem(kind).matrix, make_sine_basis(domain, args.n))
     f = worst_function(report)
     out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "adversarial.json"), report.to_json())
@@ -128,8 +127,8 @@ def cmd_figures(args) -> int:
     write_json(os.path.join(out, f"figure{fid.value}.json"), rec)
     if not args.no_svg:
         spec = FIGURES[fid]
-        f = spec.function()
-        xs = np.linspace(spec.domain.a, spec.domain.b, 512)
+        f, domain = spec.function(), spec.operator.input_domain
+        xs = np.linspace(domain.a, domain.b, 512)
         write_text(os.path.join(out, f"figure{fid.value}.svg"),
                    svg_plot([(list(xs), list(f.values(xs)), "black")],
                             f"figure {fid.value}: ratio {rec['computed_ratio']:.3e}",
@@ -183,60 +182,59 @@ def cmd_report_all(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+# Every option once, with its default.
+_OPTIONS = {
+    "--op": dict(default="laplace:a=1,b=2",
+                 help="operator: hilbert:I=0,1:J=2,3 | laplace:a=1,b=2 "
+                      "| laplace-adjoint:a=1,b=2 | fourier"),
+    "--id": dict(type=int, required=True, choices=(1, 2, 3)),
+    "--basis": dict(default="sine", choices=("sine",), help="basis family"),
+    "--n": dict(type=int, default=Problem.n, help="grid size (adversarial: basis size)"),
+    "--N": dict(type=int, default=Problem.N, help="Galerkin trial size"),
+    "--m": dict(type=int, default=Problem.m, help="mode count"),
+    "--seed": dict(type=lambda s: int(s, 0), default=DEFAULT_SEED),
+    "--count": dict(type=int, default=500),
+    "--out-dir": dict(default="illposed-out"),
+    "--no-svg": dict(action="store_true"),
+}
+
+# Each subcommand: its function, its help, and exactly the options it reads.
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "T*T spectrum to CSV/SVG", "--op --n --out-dir --no-svg"),
+    "match": (cmd_match, "eigenfunction coincidence report", "--op --n --N --m --out-dir"),
+    "adversarial": (cmd_adversarial, "Gramian worst-case synthesis",
+                    "--op --basis --n --out-dir --no-svg"),
+    "figures": (cmd_figures, "reproduce a published worst-case figure",
+                "--id --n --out-dir --no-svg"),
+    "verify": (cmd_verify, "fit stability constants, verify ensemble",
+               "--op --n --N --m --seed --count --out-dir"),
+    "report-all": (cmd_report_all, "run the full acceptance suite",
+                   "--n --N --m --seed --out-dir"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="illposed",
                 description="truncated-transform spectral analysis toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, op_default=None):
-        if op_default is not None:
-            sp.add_argument("--op", default=op_default,
-                            help="operator: hilbert:I=0,1:J=2,3 | laplace:a=1,b=2 "
-                                 "| laplace-adjoint:a=1,b=2 | fourier")
-        sp.add_argument("--n", type=int, default=256, help="grid size")
-        sp.add_argument("--N", type=int, default=128, help="Galerkin trial size")
-        sp.add_argument("--m", type=int, default=12, help="mode count")
-        sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-        sp.add_argument("--out-dir", default="illposed-out")
-        sp.add_argument("--no-svg", action="store_true")
-
-    common(sub.add_parser("spectrum", help="T*T spectrum to CSV/SVG"),
-           "laplace:a=1,b=2")
-    common(sub.add_parser("match", help="eigenfunction coincidence report"),
-           "laplace:a=1,b=2")
-    sp = sub.add_parser("adversarial", help="Gramian worst-case synthesis")
-    sp.add_argument("--basis", default="sine")
-    common(sp, "laplace:a=1,b=2")
-    sp.set_defaults(n=8)  # here --n is the basis size, per the interface
-    sp = sub.add_parser("figures", help="reproduce a published worst-case figure")
-    sp.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
-    common(sp)
-    sp = sub.add_parser("verify", help="fit stability constants, verify ensemble")
-    sp.add_argument("--count", type=int, default=500)
-    common(sp, "laplace:a=1,b=2")
-    common(sub.add_parser("report-all", help="run the full acceptance suite"))
+    for name, (_, text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for option in options.split():
+            sp.add_argument(option, **_OPTIONS[option])
+    # adversarial's --n is the basis size, per the interface
+    sub.choices["adversarial"].set_defaults(n=8)
     return p
-
-
-COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "match": cmd_match,
-    "adversarial": cmd_adversarial,
-    "figures": cmd_figures,
-    "verify": cmd_verify,
-    "report-all": cmd_report_all,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _validate(args)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     except (InvalidArgumentError, InsufficientDataError, ModeRangeError) as exc:

@@ -240,14 +240,17 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
             f"grid domain {grid.domain} does not match operator input {expected}"
         )
     A = _half_factor(kind, grid)
+    # ||A||_F^2 = sum of mu_n must equal the kernel's trace: a half factor whose
+    # image-side rule misses the kernel would print a wrong spectrum.  Hilbert's
+    # M is A^T A, so its diagonal is (1/(c-s) - 1/(d-s))/pi^2 in closed form.
     if kind.tag == HILBERT:
         M = A.T @ A
         M = 0.5 * (M + M.T)
+        c, d, x = kind.target.a, kind.target.b, grid.nodes
+        trace = float(np.dot(grid.weights, 1.0 / (c - x) - 1.0 / (d - x))) / math.pi ** 2
     else:
         M = _weighted_kernel_matrix(kind, grid)
-    # ||A||_F^2 = sum of mu_n must equal trace(M): a half factor whose
-    # image-side rule misses the kernel would print a wrong spectrum.
-    trace = float(np.trace(M))
+        trace = float(np.trace(M))
     gap = abs(float(np.vdot(A, A)) - trace) / trace
     if not gap <= FACTOR_RTOL:
         raise InvalidArgumentError(

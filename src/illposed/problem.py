@@ -4,13 +4,14 @@ A Problem pairs a T*T composition with the differential operator that
 commutes with it (Bertero-Grunbaum for Laplace, the weighted fourth-order
 operator for the adjoint Laplace composition, prolate for Fourier) and fixes
 the resolution policy: the quadrature grid, the Galerkin trial sizes and the
-number of matched modes.  The CLI and the acceptance suite read every layer
-from here, so each of these decisions is written once.
+number of matched modes, with their defaults.  The CLI and the acceptance
+suite read every layer from here, so each of these decisions is written once.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -34,6 +35,7 @@ class Pairing(NamedTuple):
     report: Optional[MatchReport]
 
 
+@dataclass(eq=False)
 class Problem:
     """An operator kind with grid size n, trial size N and mode count m.
 
@@ -41,8 +43,10 @@ class Problem:
     Each layer is a cached property, built on first use and shared after.
     """
 
-    def __init__(self, kind: OperatorKind, n: int, N: int, m: int):
-        self.kind, self.n, self.N, self.m = kind, n, N, m
+    kind: OperatorKind
+    n: int = 256
+    N: int = 128
+    m: int = 12
 
     @cached_property
     def grid(self) -> QuadGrid:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,18 @@ def prolate128():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.Generator(np.random.PCG64(0xC0FFEE))
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Grid sizes of the gram_matrix calls made through the package."""
+    import illposed.integral_ops
+    original, sizes = illposed.integral_ops.gram_matrix, []
+
+    def counted(kind, grid):
+        sizes.append(grid.size)
+        return original(kind, grid)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("illposed") and getattr(module, "gram_matrix", None) is original:
+            monkeypatch.setattr(module, "gram_matrix", counted)
+    return sizes

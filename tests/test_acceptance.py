@@ -16,7 +16,7 @@ import pytest
 
 from illposed import acceptance
 from illposed import Interval, OperatorKind
-from illposed.acceptance import Suite, criterion_09, run_acceptance
+from illposed.acceptance import Suite, criterion_08, criterion_09, run_acceptance
 from illposed.cli import main
 from illposed.errors import InsufficientDataError
 from illposed.problem import Problem
@@ -143,3 +143,17 @@ def test_criterion_09_samples_through_basis_tables(monkeypatch):
     for name in ("legval", "legder"):
         monkeypatch.setattr(np.polynomial.legendre, name, forbidden)
     assert criterion_09(ctx).passed
+
+
+def test_acceptance_builds_six_gram_matrices(gram_calls):
+    # one per shared Problem (3), one in each of criteria 1 and 2, which time
+    # their whole figure reproduction, and one Hilbert matrix that criterion 8
+    # shares among its twelve basis sizes
+    assert len(run_acceptance()) == 12
+    assert len(gram_calls) == 6
+    gram_calls.clear()
+    ab = Interval(1.0, 2.0)
+    ctx = Suite(0, Problem(OperatorKind.laplace_tt(ab)), Problem(OperatorKind.fourier_tt()),
+                Problem(OperatorKind.laplace_adjoint_tt(ab)))
+    assert criterion_08(ctx).passed
+    assert gram_calls == [Problem.n]

@@ -8,16 +8,23 @@ from illposed import (FigureId, FunctionKind, FunctionRep, Interval,
 
 HILBERT = OperatorKind.hilbert_truncated(Interval(0.0, 1.0), Interval(2.0, 3.0))
 UNIT = Interval(0.0, 1.0)
+AB = Interval(1.0, 2.0)
 
 # printed-coefficient figure ratios, frozen from 40-digit quadrature oracles
 FIG1_PRINTED_RATIO = 2.5971582e-3
 FIG3_PRINTED_RATIO = 2.1683345e-12
 
 
-def image_gramian(kind, basis, grid):
+@pytest.fixture(scope="module")
+def hilbert_M():
+    return gram_matrix(HILBERT, make_grid(UNIT, 256))
+
+
+def image_gramian(M, basis):
     """G = (AV)^T AV, the Gramian of the half-factor images of the basis."""
+    grid = M.grid
     V = np.column_stack([phi.values(grid.nodes) for phi in basis])
-    AV = gram_matrix(kind, grid).half_factor @ (np.sqrt(grid.weights)[:, None] * V)
+    AV = M.half_factor @ (np.sqrt(grid.weights)[:, None] * V)
     return AV.T @ AV
 
 
@@ -34,9 +41,8 @@ def test_gramian_of_eigenfunction_basis_is_diagonal(laplace_M, ab):
         vals = Vt[k] / sw
         coeffs = proj.T @ (grid.weights * vals)
         basis.append(FunctionRep(FunctionKind.LEGENDRE_SERIES, coeffs, ab))
-    kind = OperatorKind.laplace_tt(ab)
-    rep = build_gramian(kind, basis, grid)
-    G = image_gramian(kind, basis, grid)
+    rep = build_gramian(laplace_M, basis)
+    G = image_gramian(laplace_M, basis)
     off = G - np.diag(np.diag(G))
     assert np.max(np.abs(off)) <= 1e-6 * G[0, 0]
     # minimizer concentrates on the last (smallest-eigenvalue) direction
@@ -44,54 +50,56 @@ def test_gramian_of_eigenfunction_basis_is_diagonal(laplace_M, ab):
 
 
 def test_gramian_requires_orthonormal_basis(ab):
-    grid = make_grid(ab, 64)
+    M = gram_matrix(OperatorKind.laplace_tt(ab), make_grid(ab, 64))
     bad = [FunctionRep(FunctionKind.SINE_SERIES, [2.0], ab)]
-    with pytest.raises(InvalidArgumentError):
-        build_gramian(OperatorKind.laplace_tt(ab), bad, grid)
+    with pytest.raises(InvalidArgumentError, match="not orthonormal"):
+        build_gramian(M, bad)
+
+
+def test_gramian_rejects_a_basis_from_another_domain(laplace_M, hilbert_M):
+    # sin(k pi x) is orthonormal on [1, 2] as well as on [0, 1], so only the
+    # domain check catches a basis that lives on [0, 1]
+    with pytest.raises(InvalidArgumentError, match="function domain does not match"):
+        build_gramian(laplace_M, make_sine_basis(UNIT, 4))
+    with pytest.raises(InvalidArgumentError, match="function domain does not match"):
+        build_gramian(hilbert_M, make_sine_basis(UNIT, 3) + make_sine_basis(AB, 1))
 
 
 def test_gramian_single_function():
-    grid = make_grid(UNIT, 64)
+    M = gram_matrix(HILBERT, make_grid(UNIT, 64))
     basis = make_sine_basis(UNIT, 1)
-    rep = build_gramian(HILBERT, basis, grid)
-    G = image_gramian(HILBERT, basis, grid)
+    rep = build_gramian(M, basis)
+    G = image_gramian(M, basis)
     assert G.shape == (1, 1)
     assert rep.minimizer_coefficients == pytest.approx([1.0])
     assert rep.min_eigenvalue == pytest.approx(G[0, 0], rel=1e-12)
 
 
-def test_hilbert_sine_family_reaches_1e_minus_7():
-    grid = make_grid(UNIT, 256)
-    rep = build_gramian(HILBERT, make_sine_basis(UNIT, 5), grid)
+def test_hilbert_sine_family_reaches_1e_minus_7(hilbert_M):
+    rep = build_gramian(hilbert_M, make_sine_basis(UNIT, 5))
     assert rep.min_eigenvalue <= 1e-7
 
 
-def test_worst_function_achieves_min_eigenvalue(ab):
-    grid = make_grid(ab, 256)
-    kind = OperatorKind.laplace_tt(ab)
-    rep = build_gramian(kind, make_sine_basis(ab, 4), grid)
+def test_worst_function_achieves_min_eigenvalue(ab, laplace_M):
+    rep = build_gramian(laplace_M, make_sine_basis(ab, 4))
     f = worst_function(rep)
-    M = gram_matrix(kind, grid)
-    ratio = quadratic_form(M, f) / l2_norm(f, grid) ** 2
+    ratio = quadratic_form(laplace_M, f) / l2_norm(f, laplace_M.grid) ** 2
     assert ratio == pytest.approx(rep.min_eigenvalue, rel=1e-9)
     # paper-scale magnitude: within a factor 30 of 1e-8
     assert 1e-8 / 30 <= ratio <= 30e-8
 
 
-def test_min_eigenvalue_weakly_decreasing_in_basis_size():
-    grid = make_grid(UNIT, 256)
-    vals = [build_gramian(HILBERT, make_sine_basis(UNIT, n), grid).min_eigenvalue
+def test_min_eigenvalue_weakly_decreasing_in_basis_size(hilbert_M):
+    vals = [build_gramian(hilbert_M, make_sine_basis(UNIT, n)).min_eigenvalue
             for n in range(1, 7)]
     assert all(a >= b * (1.0 - 1e-12) for a, b in zip(vals, vals[1:]))
 
 
 def test_gramian_matches_direct_quadratic_form(ab):
-    grid = make_grid(ab, 128)
-    kind = OperatorKind.laplace_tt(ab)
+    M = gram_matrix(OperatorKind.laplace_tt(ab), make_grid(ab, 128))
     basis = make_sine_basis(ab, 5)
-    rep = build_gramian(kind, basis, grid)
-    G = image_gramian(kind, basis, grid)
-    M = gram_matrix(kind, grid)
+    rep = build_gramian(M, basis)
+    G = image_gramian(M, basis)
     rng = np.random.Generator(np.random.PCG64(17))
     from illposed import linear_combination
     for _ in range(50):

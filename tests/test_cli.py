@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from illposed import decompose_operator, parse_operator
-from illposed.cli import main
+from illposed.cli import build_parser, main
 from illposed.output import json_dumps
 from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR, usable_modes
@@ -119,11 +120,13 @@ def test_usage_error_exits_one(tmp_path, capsys):
     for argv in (["spectrum", "--op", "laplace:a=1,b=2,c=3"],
                  ["spectrum", "--op", "fourier:x=1"],
                  ["verify", "--seed", "-1"],
+                 # spectrum, match, adversarial and figures take no --seed
                  ["spectrum", "--seed", "-1"],
                  ["match", "--seed", "-1"],
                  ["adversarial", "--seed", "-1"],
                  ["figures", "--id", "2", "--seed", "-1"],
                  ["report-all", "--seed", "-1"],
+                 ["adversarial", "--basis", "cosine"],
                  ["match", "--m", "0"],
                  ["verify", "--m", "3", "--count", "5"],
                  ["verify", "--count", "0"],
@@ -131,10 +134,55 @@ def test_usage_error_exits_one(tmp_path, capsys):
                  ["spectrum", "--n", "1025"],
                  # half factors that disagree with their kernel matrices
                  ["spectrum", "--op", "laplace:a=1e-9,b=2"],
-                 ["spectrum", "--op", "laplace-adjoint:a=1e-3,b=2"]):
+                 ["spectrum", "--op", "laplace-adjoint:a=1e-3,b=2"],
+                 ["spectrum", "--op", "hilbert:I=0,1:J=1.0001,2"],
+                 ["spectrum", "--op", "hilbert:I=0,1:J=1.000000001,2"]):
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+# The options each subcommand reads; it accepts these and no others.
+OPTION_TABLE = {
+    "spectrum": {"--op", "--n", "--out-dir", "--no-svg"},
+    "match": {"--op", "--n", "--N", "--m", "--out-dir"},
+    "adversarial": {"--op", "--basis", "--n", "--out-dir", "--no-svg"},
+    "figures": {"--id", "--n", "--out-dir", "--no-svg"},
+    "verify": {"--op", "--n", "--N", "--m", "--seed", "--count", "--out-dir"},
+    "report-all": {"--n", "--N", "--m", "--seed", "--out-dir"},
+}
+
+
+def test_each_subcommand_declares_exactly_the_options_it_reads():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(OPTION_TABLE)
+    for name, parser in subparsers.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == OPTION_TABLE[name], name
+    assert sum(len(v) for v in OPTION_TABLE.values()) == 30
+
+
+def test_defaults_come_from_problem():
+    parser = build_parser()
+    for name in ("match", "verify", "report-all"):
+        args = parser.parse_args([name])
+        assert (args.n, args.N, args.m) == (Problem.n, Problem.N, Problem.m) == (256, 128, 12)
+    assert parser.parse_args(["spectrum"]).n == parser.parse_args(["figures", "--id", "1"]).n == 256
+    assert parser.parse_args(["adversarial"]).n == 8  # the basis size
+
+
+@pytest.mark.parametrize("argv,option", [(["spectrum", "--N", "64"], "--N 64"),
+                                         (["match", "--no-svg"], "--no-svg"),
+                                         (["figures", "--id", "2", "--seed", "1"], "--seed 1"),
+                                         (["spectrum", "--m", "3"], "--m 3"),
+                                         (["adversarial", "--seed", "5"], "--seed 5"),
+                                         (["report-all", "--op", "fourier"], "--op fourier")])
+def test_option_a_subcommand_does_not_read_exits_one(tmp_path, capsys, argv, option):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: ") and option in err
+    assert not os.listdir(tmp_path)
 
 
 def test_report_all_at_small_trial_size(tmp_path):
@@ -155,20 +203,18 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_match_builds_one_gram_matrix(tmp_path, monkeypatch):
+def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
     # the sign variant is scored on the command's own matrix, not a second one
-    import illposed.integral_ops
-    original, grids = illposed.integral_ops.gram_matrix, []
-
-    def counted(kind, grid):
-        grids.append(grid.size)
-        return original(kind, grid)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("illposed") and getattr(module, "gram_matrix", None) is original:
-            monkeypatch.setattr(module, "gram_matrix", counted)
     code, _ = run_cli(["match", "--op", "laplace-adjoint:a=1,b=2", "--n", "128"], tmp_path)
     assert code == 0
-    assert grids == [128]
+    assert gram_calls == [128]
+
+
+def test_adversarial_builds_the_problem_matrix(tmp_path, gram_calls):
+    code, _ = run_cli(["adversarial", "--op", "hilbert:I=0,1:J=2,3", "--n", "4",
+                       "--no-svg"], tmp_path)
+    assert code == 0
+    assert gram_calls == [Problem.n]
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -88,8 +88,15 @@ def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):
     for M in (laplace_M, fourier_M, adjoint_M):
         trace = np.trace(M.entries)
         assert abs(np.vdot(M.half_factor, M.half_factor) - trace) <= 1e-13 * trace
-    # image-side rules that miss the kernel mass near the origin
-    for text in ("laplace:a=1e-9,b=2", "laplace-adjoint:a=1e-3,b=2"):
+    # Hilbert's M is A^T A; its trace is int_I (1/(2-s) - 1/(3-s)) ds / pi^2
+    # = ln(4/3) / pi^2 for I = [0, 1], J = [2, 3]
+    M = Problem(parse_operator("hilbert:I=0,1:J=2,3")).matrix
+    hs = np.log(4.0 / 3.0) / np.pi ** 2
+    assert abs(np.vdot(M.half_factor, M.half_factor) - hs) <= 1e-13 * hs
+    # image-side rules that miss the kernel mass near the origin, or near
+    # the end of I that J almost touches
+    for text in ("laplace:a=1e-9,b=2", "laplace-adjoint:a=1e-3,b=2",
+                 "hilbert:I=0,1:J=1.0001,2", "hilbert:I=0,1:J=1.000000001,2"):
         kind = parse_operator(text)
         with pytest.raises(InvalidArgumentError, match="disagrees with its kernel matrix "
                                                        "at n = 256"):
@@ -98,6 +105,8 @@ def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):
     M = Problem(parse_operator("laplace-adjoint:a=1e-3,b=2"), 1024, 128, 12).matrix
     trace = np.trace(M.entries)
     assert abs(np.vdot(M.half_factor, M.half_factor) - trace) <= FACTOR_RTOL * trace
+    # and 2048 output nodes resolve the Hilbert kernel at a gap of 1e-4
+    Problem(parse_operator("hilbert:I=0,1:J=1.0001,2"), 1024).matrix
 
 
 def test_zero_function_maps_to_zero():
