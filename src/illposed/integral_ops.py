@@ -293,7 +293,7 @@ def _trig_transform(omega: float, phase: float, xi: np.ndarray, lo: float, hi: f
     return out / denom
 
 
-def fourier_image_energy(f: FunctionRep, n_xi: int = 256) -> float:
+def fourier_image_energy(f: FunctionRep, n_xi: int) -> float:
     """int_{-1}^{1} |f_hat(xi)|^2 d xi by direct transform evaluation.
 
     Each basis transform of the trig series is evaluated in closed form and

@@ -210,13 +210,6 @@ def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
     assert gram_calls == [128]
 
 
-def test_adversarial_builds_the_problem_matrix(tmp_path, gram_calls):
-    code, _ = run_cli(["adversarial", "--op", "hilbert:I=0,1:J=2,3", "--n", "4",
-                       "--no-svg"], tmp_path)
-    assert code == 0
-    assert gram_calls == [Problem.n]
-
-
 def test_determinism_byte_identical(tmp_path):
     _, out_a = run_cli(["spectrum", "--op", "fourier", "--n", "96"], tmp_path, "a")
     _, out_b = run_cli(["spectrum", "--op", "fourier", "--n", "96"], tmp_path, "b")

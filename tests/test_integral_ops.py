@@ -143,7 +143,7 @@ def test_grid_refinement_stability(ab):
 def test_fourier_form_matches_direct_transform(fourier_M):
     f = FunctionRep(FunctionKind.SINE_SERIES, [0.7, -0.2, 0.05], SYM)
     form = quadratic_form(fourier_M, f)
-    direct = fourier_image_energy(f)
+    direct = fourier_image_energy(f, fourier_M.size)
     assert form == pytest.approx(direct, rel=1e-6)
     with pytest.raises(InvalidArgumentError):  # closed forms exist for trig series only
-        fourier_image_energy(one_on(SYM))
+        fourier_image_energy(one_on(SYM), fourier_M.size)
