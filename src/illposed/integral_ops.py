@@ -7,6 +7,17 @@ the image values A v are small numbers computed before squaring, which keeps
 relative accuracy even when ||T f||^2 is ~1e-18 ||f||^2 (the figure-3 regime),
 and singular values of A resolve spectral decay far below the eigensolver
 floor of M itself.
+
+The image-side rule of A is sized to the kernel, not to the grid: the
+spectra decay (super-)exponentially, so a few dozen image nodes resolve every
+mode above SVD_FLOOR whatever n is.  gram_matrix starts from a small rule and
+doubles it until two successive factors agree: the finer one's trace gap is
+within FACTOR_RTOL, both resolve the same modes, and each resolved mu_n moves
+by at most REFINEMENT_SLACK times the SVD perturbation bound
+2 eps sqrt(mu_1/mu_n).  The cap rule (2n image rows for Laplace, Fourier and
+Hilbert) is accepted on its trace check alone, so every input is accepted or
+rejected as it was when the cap was the only rule.  The accepted factor's
+singular values are computed once, by the refinement or on first use.
 """
 
 from __future__ import annotations
@@ -25,6 +36,14 @@ from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_fre
 MAX_DENSE_SIZE = 1024
 # Largest relative gap allowed between ||A||_F^2 and trace(M).
 FACTOR_RTOL = 1e-12
+
+# Modes below SVD_FLOOR * mu_1 are not resolved: the SVD of the half factor
+# resolves sigma_n/sigma_1 down to ~1e-14, i.e. mu ratios to ~1e-28.
+SVD_FLOOR = 1e-28
+
+# A refined half factor is accepted when every resolved mu_n agrees with the
+# factor on half as many image nodes to this many SVD perturbation bounds.
+REFINEMENT_SLACK = 4.0
 
 HILBERT = "hilbert"
 LAPLACE = "laplace"
@@ -85,11 +104,17 @@ class OperatorKind:
 
     def to_string(self) -> str:
         if self.tag == HILBERT:
-            return (f"hilbert:I={self.source.a:g},{self.source.b:g}"
-                    f":J={self.target.a:g},{self.target.b:g}")
+            return (f"hilbert:I={_shortest(self.source.a)},{_shortest(self.source.b)}"
+                    f":J={_shortest(self.target.a)},{_shortest(self.target.b)}")
         if self.tag == FOURIER:
             return "fourier"
-        return f"{self.tag}:a={self.source.a:g},b={self.source.b:g}"
+        return f"{self.tag}:a={_shortest(self.source.a)},b={_shortest(self.source.b)}"
+
+
+def _shortest(v: float) -> str:
+    """Shortest %g form of v that reads back as v (the :g form whenever that
+    round-trips), so an operator's name parses back to its own endpoints."""
+    return next(s for p in range(6, 18) if float(s := f"{v:.{p}g}") == v)
 
 
 # Keys each operator string takes, with the number of values per key.
@@ -165,12 +190,21 @@ def _adjoint_kernel(u, a: float, b: float):
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense symmetrized discretization M of T*T on a quadrature grid, with
-    its half factor A (M = A^T A)."""
+    its half factor A (M = A^T A).
+
+    image_refinement is the largest move of a resolved mu_n between A and the
+    factor on half as many image nodes, in units of the SVD perturbation
+    bound 2 eps sqrt(mu_1/mu_n); None when that coarser factor was not built.
+    """
 
     entries: np.ndarray = field(repr=False)
     grid: QuadGrid
     kind: OperatorKind
     half_factor: np.ndarray = field(repr=False)
+    image_refinement: Optional[float] = None
+    # Singular values of half_factor that the refinement already computed.
+    known_singular_values: Optional[np.ndarray] = field(default=None, repr=False,
+                                                         compare=False)
 
     def __post_init__(self):
         for name in ("entries", "half_factor"):
@@ -185,9 +219,21 @@ class OperatorMatrix:
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Descending singular values of the half factor, computed once."""
-        s = np.linalg.svd(self.half_factor, compute_uv=False)
+        s = self.known_singular_values
+        if s is None:
+            s = np.linalg.svd(self.half_factor, compute_uv=False)
         s.setflags(write=False)
         return s
+
+    @property
+    def image_nodes(self) -> int:
+        """Rows of the half factor: image-side quadrature nodes (2 per xi for Fourier)."""
+        return self.half_factor.shape[0]
+
+
+def resolved_count(mu: np.ndarray) -> int:
+    """Number of mu_n above SVD_FLOOR * mu_1, for descending mu: the one floor rule."""
+    return int(np.count_nonzero(mu > SVD_FLOOR * mu[0]))
 
 
 def _weighted_kernel_matrix(kind: OperatorKind, grid: QuadGrid) -> np.ndarray:
@@ -205,33 +251,99 @@ def _weighted_kernel_matrix(kind: OperatorKind, grid: QuadGrid) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _half_factor(kind: OperatorKind, grid: QuadGrid) -> np.ndarray:
-    """Rectangular A with A^T A = M: rows sample the image-side quadrature."""
+# Image-side rule size r of each kind: the first size refinement tries, and
+# the cap for a grid of n nodes.  r counts nodes per half-line panel for
+# Laplace, nodes on [a, b] for the adjoint, xi nodes on [-1, 1] for Fourier
+# and nodes on J for Hilbert.
+_IMAGE_RULES = {
+    LAPLACE: (32, lambda n: max(32, n // 4)),
+    LAPLACE_ADJOINT: (128, lambda n: min(max(128, n // 2), MAX_DENSE_SIZE)),
+    FOURIER: (64, lambda n: n),
+    HILBERT: (64, lambda n: 2 * n),
+}
+
+
+def _half_factor(kind: OperatorKind, grid: QuadGrid, r: int) -> np.ndarray:
+    """Rectangular A with A^T A = M: rows sample an image-side rule of size r."""
     sw_in = np.sqrt(grid.weights)
     x = grid.nodes
     if kind.tag == LAPLACE:
-        out = make_grid(half_line_for(kind.source), max(32, grid.size // 4))
+        out = make_grid(half_line_for(kind.source), r)
         A = np.exp(-np.outer(out.nodes, x))
     elif kind.tag == LAPLACE_ADJOINT:
-        out = make_grid(kind.source, min(max(128, grid.size // 2), MAX_DENSE_SIZE))
+        out = make_grid(kind.source, r)
         A = np.exp(-np.outer(out.nodes, x))
     elif kind.tag == FOURIER:
-        out = make_grid(Interval(-1.0, 1.0), grid.size)
+        out = make_grid(Interval(-1.0, 1.0), r)
         phase = np.outer(out.nodes, x)
         A = np.vstack([np.cos(phase), np.sin(phase)])
         sw_out = np.concatenate([np.sqrt(out.weights)] * 2)
         return sw_out[:, None] * A * sw_in[None, :]
     elif kind.tag == HILBERT:
-        # Output-side rule on J with 2x oversampling; kernel smooth on I x J.
-        out = make_grid(kind.target, 2 * grid.size)
+        # Kernel 1/(t - s) is smooth on J x I: the rule lives on J.
+        out = make_grid(kind.target, r)
         A = (1.0 / np.pi) / (out.nodes[:, None] - x[None, :])
     else:
         raise UnsupportedKindError(kind.tag)
     return np.sqrt(out.weights)[:, None] * A * sw_in[None, :]
 
 
+def _trace_gap(A: np.ndarray, trace: float) -> float:
+    """Relative gap between ||A||_F^2 = sum of mu_n and the kernel's trace."""
+    return abs(float(np.vdot(A, A)) - trace) / trace
+
+
+def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
+    """Largest relative move of a mode both spectra resolve, in units of the
+    SVD perturbation bound 2 eps sqrt(mu_1/mu_n)."""
+    k = min(resolved_count(mu_coarse), resolved_count(mu_fine))
+    mu = mu_fine[:k]
+    bound = 2.0 * np.finfo(float).eps * np.sqrt(mu[0] / mu)
+    return float(np.max(np.abs(mu_coarse[:k] - mu) / (mu * bound)))
+
+
+def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
+    """Half factor on the smallest image-side rule that refinement confirms:
+    (A, its singular values or None, its refinement or None).
+
+    Rules double from the kind's first size while below the cap; each is
+    accepted when its trace gap is within FACTOR_RTOL, it resolves as many
+    modes as the rule before it, and no resolved mu_n moved by more than
+    REFINEMENT_SLACK bounds.  Otherwise the cap rule is used, on the trace
+    check alone, and its singular values are left to first use when no
+    coarser factor was built.  Raises InvalidArgumentError when the cap rule
+    misses the kernel trace.
+    """
+    first, cap = _IMAGE_RULES[kind.tag]
+    r_max = cap(grid.size)
+    # Refinement needs two rules below the cap; with fewer, build the cap.
+    r = first if 2 * first < r_max else r_max
+    mu_coarse = None
+    while r < r_max:
+        A = _half_factor(kind, grid, r)
+        s = np.linalg.svd(A, compute_uv=False)
+        mu = s ** 2
+        if mu_coarse is not None:
+            refinement = _refinement(mu_coarse, mu)
+            if (_trace_gap(A, trace) <= FACTOR_RTOL and refinement <= REFINEMENT_SLACK
+                    and resolved_count(mu) == resolved_count(mu_coarse)):
+                return A, s, refinement
+        mu_coarse, r = mu, 2 * r
+    A = _half_factor(kind, grid, r_max)
+    gap = _trace_gap(A, trace)
+    if not gap <= FACTOR_RTOL:
+        raise InvalidArgumentError(
+            f"half factor of {kind.to_string()} disagrees with its kernel matrix "
+            f"at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
+    if mu_coarse is None:
+        return A, None, None
+    s = np.linalg.svd(A, compute_uv=False)
+    return A, s, _refinement(mu_coarse, s ** 2)
+
+
 def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
-    """Assemble the symmetric PSD matrix of T*T in the discrete L2 geometry."""
+    """Assemble the symmetric PSD matrix of T*T in the discrete L2 geometry,
+    with its refinement-checked half factor."""
     if grid.size > MAX_DENSE_SIZE:
         raise InvalidArgumentError(f"dense matrices capped at n = {MAX_DENSE_SIZE}")
     expected = kind.input_domain
@@ -239,24 +351,20 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
         raise InvalidArgumentError(
             f"grid domain {grid.domain} does not match operator input {expected}"
         )
-    A = _half_factor(kind, grid)
     # ||A||_F^2 = sum of mu_n must equal the kernel's trace: a half factor whose
     # image-side rule misses the kernel would print a wrong spectrum.  Hilbert's
     # M is A^T A, so its diagonal is (1/(c-s) - 1/(d-s))/pi^2 in closed form.
     if kind.tag == HILBERT:
-        M = A.T @ A
-        M = 0.5 * (M + M.T)
         c, d, x = kind.target.a, kind.target.b, grid.nodes
         trace = float(np.dot(grid.weights, 1.0 / (c - x) - 1.0 / (d - x))) / math.pi ** 2
     else:
         M = _weighted_kernel_matrix(kind, grid)
         trace = float(np.trace(M))
-    gap = abs(float(np.vdot(A, A)) - trace) / trace
-    if not gap <= FACTOR_RTOL:
-        raise InvalidArgumentError(
-            f"half factor of {kind.to_string()} disagrees with its kernel matrix "
-            f"at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
-    return OperatorMatrix(M, grid, kind, half_factor=A)
+    A, s, refinement = _refined_half_factor(kind, grid, trace)
+    if kind.tag == HILBERT:
+        M = A.T @ A
+        M = 0.5 * (M + M.T)
+    return OperatorMatrix(M, grid, kind, A, refinement, s)
 
 
 def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:

@@ -20,14 +20,12 @@ from .diff_ops import (GalerkinOperator, SpectralDecomposition, _read_only,
                        eig_sym)
 from .errors import (InsufficientDataError, InvalidArgumentError,
                      ModeRangeError)
-from .integral_ops import OperatorMatrix
+# SVD_FLOOR and resolved_count, the one floor rule, live in integral_ops,
+# whose refinement check reads them too; SVD_FLOOR is re-exported here.
+from .integral_ops import SVD_FLOOR, OperatorMatrix, resolved_count
 
 EXP_DECAY = "exp-decay"
 SUPER_EXP = "super-exp"
-
-# Modes below SVD_FLOOR * mu_1 are excluded from fits: the SVD of the half
-# factor resolves sigma_n/sigma_1 down to ~1e-14, i.e. mu ratios to ~1e-28.
-SVD_FLOOR = 1e-28
 
 # Galerkin eigenvalue k counts as converged when resolutions N and 2N agree
 # to this relative tolerance, for k <= N/4.
@@ -52,12 +50,14 @@ class IntegralSpectrum:
     @property
     def resolved(self) -> int:
         """Number of mu_n above SVD_FLOOR * mu_1: the leading modes, as mu descends."""
-        return int(np.count_nonzero(self.eigenvalues > SVD_FLOOR * self.eigenvalues[0]))
+        return resolved_count(self.eigenvalues)
 
 
 def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
-    """Spectrum of T*T: squared singular values of the half factor, padded
-    with exact zeros when the factor has fewer rows than M."""
+    """Spectrum of T*T: squared singular values of the half factor, computed
+    once per matrix, padded with exact zeros past the factor's rows.  The
+    image-side rule is sized to the resolved modes, not to n, so at large n
+    most of the n modes are these zeros."""
     mu = M.singular_values ** 2
     return IntegralSpectrum(np.concatenate([mu, np.zeros(M.size - len(mu))]))
 

@@ -10,6 +10,7 @@ import pytest
 
 from illposed import decompose_operator, parse_operator
 from illposed.cli import build_parser, main
+from illposed.integral_ops import REFINEMENT_SLACK
 from illposed.output import json_dumps
 from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR, usable_modes
@@ -60,6 +61,39 @@ def test_spectrum_reports_resolved_modes(tmp_path, capsys, op, resolved):
     mu = spec.eigenvalues
     assert spec.resolved == len(usable_modes(spec, (1, spec.size))) == resolved
     assert spec.resolved == int(np.sum(mu > SVD_FLOOR * mu[0]))
+
+
+def test_spectrum_reports_its_image_rule(tmp_path):
+    # Fourier at n = 256 is refined (64 -> 128 xi nodes, 2 rows each); Laplace
+    # at n = 256 goes straight to the cap rule, 64 nodes on each of 8 panels
+    for op, rows, refined in (("fourier", 256, True), ("laplace:a=1,b=2", 512, False)):
+        docs = []
+        for sub in ("a", "b"):
+            code, out = run_cli(["spectrum", "--op", op, "--no-svg"], tmp_path, op + sub)
+            assert code == 0
+            docs.append([open(os.path.join(out, name), "rb").read()
+                         for name in ("spectrum.csv", "spectrum.json")])
+        assert docs[0] == docs[1]
+        doc = json.loads(docs[0][1])
+        assert doc["image_nodes"] == rows
+        if refined:
+            assert 0.0 <= doc["image_refinement"] <= REFINEMENT_SLACK
+        else:
+            assert doc["image_refinement"] is None
+        # modes past the factor's rows are exact zeros
+        mu = [float(line.split(b",")[1]) for line in docs[0][0].splitlines()[1:]]
+        assert all(m > 0 for m in mu[:rows]) and all(m == 0.0 for m in mu[rows:])
+
+
+def test_operator_names_keep_every_digit(tmp_path, capsys):
+    code, out = run_cli(["spectrum", "--op", "laplace:a=1.0000001,b=2", "--no-svg"], tmp_path)
+    assert code == 0
+    assert json.load(open(os.path.join(out, "spectrum.json")))["operator"] == \
+        "laplace:a=1.0000001,b=2"
+    assert "spectrum: laplace:a=1.0000001,b=2 " in capsys.readouterr().out
+    code, _ = run_cli(["spectrum", "--op", "hilbert:I=0,1:J=1.000000001,2"], tmp_path)
+    assert code == 1
+    assert "half factor of hilbert:I=0,1:J=1.000000001,2 disagrees" in capsys.readouterr().err
 
 
 def test_match_exit_contract(tmp_path):

@@ -3,9 +3,11 @@ import pytest
 from scipy import integrate
 
 from illposed import (FunctionKind, FunctionRep, Interval,
-                      InvalidArgumentError, OperatorKind, fourier_image_energy,
-                      gram_matrix, make_grid, parse_operator, quadratic_form)
-from illposed.integral_ops import FACTOR_RTOL, _adjoint_kernel
+                      InvalidArgumentError, OperatorKind, decompose_operator,
+                      fourier_image_energy, gram_matrix, make_grid, parse_operator,
+                      quadratic_form)
+from illposed.integral_ops import (_IMAGE_RULES, FACTOR_RTOL, REFINEMENT_SLACK,
+                                   _adjoint_kernel, _half_factor, resolved_count)
 from illposed.problem import Problem
 
 AB = Interval(1.0, 2.0)
@@ -42,6 +44,42 @@ def test_parse_operator_strings():
                  "hilbert:I=0,1:J=1,2"):
         with pytest.raises(InvalidArgumentError):
             parse_operator(text)
+
+
+def test_operator_names_round_trip():
+    # default names print as they always have, and every name parses back
+    for text in ("laplace:a=1,b=2", "laplace-adjoint:a=1,b=2", "fourier",
+                 "hilbert:I=0,1:J=2,3", "laplace:a=1e-09,b=2", "laplace:a=0.5,b=100000",
+                 "laplace:a=1.0000001,b=2", "hilbert:I=0,1:J=1.000000001,2",
+                 "laplace:a=0.1,b=0.30000000000000004"):
+        assert parse_operator(text).to_string() == text
+        assert parse_operator(parse_operator(text).to_string()) == parse_operator(text)
+
+
+@pytest.mark.parametrize("text,n,resolved", [
+    # the adjoint at a = 0.01 loses mode 40 on 128 image nodes; its trace gap
+    # does not show it, the refinement check does
+    ("laplace-adjoint:a=0.01,b=1", 1024, 40),
+    ("hilbert:I=0,1:J=1.1,2", 1024, 15),
+    ("laplace:a=1,b=2", 1024, 14),
+    ("laplace:a=1,b=2", 512, 14),
+    ("fourier", 512, 11),
+    ("hilbert:I=0,1:J=2,3", 512, 9),
+])
+def test_refined_factor_matches_the_cap_rule(text, n, resolved):
+    p = Problem(parse_operator(text), n)
+    M = p.matrix
+    mu = decompose_operator(M).eigenvalues
+    cap = _half_factor(p.kind, p.grid, _IMAGE_RULES[p.kind.tag][1](n))
+    ref = np.linalg.svd(cap, compute_uv=False) ** 2
+    assert resolved_count(mu) == resolved_count(ref) == resolved
+    # accepted by refinement, or the cap rule itself
+    assert M.image_refinement <= REFINEMENT_SLACK or M.image_nodes == cap.shape[0]
+    k = resolved
+    bound = REFINEMENT_SLACK * 2 * np.finfo(float).eps * np.sqrt(ref[0] / ref[:k])
+    assert np.all(np.abs(mu[:k] / ref[:k] - 1.0) <= bound)
+    assert abs(mu.sum() / ref.sum() - 1.0) <= 1e-14
+    assert np.all(mu[M.image_nodes:] == 0.0)
 
 
 def test_kernel_values():

@@ -1,3 +1,6 @@
+import functools
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
                       fit_decay, growth_check, match_eigenfunctions,
                       parse_operator, quadratic_form, spectrum_to_csv)
 from illposed.acceptance import Suite, criterion_07, criterion_09
-from illposed.integral_ops import OperatorKind
+from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind
 from illposed.problem import Problem
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
                                SpectralDecomposition)
@@ -81,6 +84,50 @@ def test_one_svd_of_the_half_factor_per_problem(monkeypatch, text):
     p.fit  # grid, matrix, commuting operator, match, sweep and fit
     decompose_operator(p.matrix)
     assert sum(a is p.matrix.half_factor for a in seen) == 1
+
+
+def test_one_svd_of_a_refined_half_factor(monkeypatch):
+    # Fourier at n = 256 compares the 64- and 128-node image rules and keeps
+    # the second: two SVDs in all, the accepted factor's read by every layer
+    p = Problem(parse_operator("fourier"), 256, 64, 12)
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    p.fit
+    decompose_operator(p.matrix)
+    assert p.matrix.image_nodes == 256 and p.matrix.image_refinement is not None
+    assert len(seen) == 2 and seen[1] is p.matrix.half_factor
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier_nystrom_reference(nodes=40, dps=50):
+    """Eigenvalues of the Fourier composition, Nystrom on Gauss-Legendre
+    nodes in dps-digit arithmetic, descending."""
+    with mpmath.workdps(dps):
+        xs, ws = [], []
+        for seed in np.polynomial.legendre.leggauss(nodes)[0]:
+            x = mpmath.findroot(lambda t: mpmath.legendre(nodes, t), mpmath.mpf(seed))
+            xs.append(x)
+            ws.append(2 * (1 - x * x) / (nodes * mpmath.legendre(nodes - 1, x)) ** 2)
+        K = mpmath.matrix(nodes, nodes)
+        for i in range(nodes):
+            for j in range(nodes):
+                d = xs[i] - xs[j]
+                K[i, j] = mpmath.sqrt(ws[i] * ws[j]) * (2 if i == j else 2 * mpmath.sin(d) / d)
+        mu = mpmath.eigsy(K, eigvals_only=True)
+        return np.array(sorted((float(m) for m in mu), reverse=True))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_fourier_spectrum_against_50_digit_reference(n):
+    spec = decompose_operator(Problem(parse_operator("fourier"), n).matrix)
+    k = spec.resolved
+    mu, ref = spec.eigenvalues[:k], _fourier_nystrom_reference()[:k]
+    bound = REFINEMENT_SLACK * 2 * np.finfo(float).eps * np.sqrt(mu[0] / mu)
+    assert k == 11 and np.all(np.abs(mu / ref - 1.0) <= bound)
 
 
 def test_one_eigensystem_per_stiffness(monkeypatch):
