@@ -102,11 +102,12 @@ def test_one_svd_of_a_refined_half_factor(monkeypatch):
     assert len(seen) == 2 and seen[1] is p.matrix.half_factor
 
 
-@functools.lru_cache(maxsize=None)
-def _fourier_nystrom_reference(nodes=40, dps=50):
-    """Eigenvalues of the Fourier composition, Nystrom on Gauss-Legendre
-    nodes in dps-digit arithmetic, descending."""
-    with mpmath.workdps(dps):
+@functools.cache
+def _fourier_nystrom_reference():
+    """Eigenvalues of the Fourier composition, descending: Nystrom on 40
+    Gauss-Legendre nodes in 50-digit arithmetic."""
+    nodes = 40
+    with mpmath.workdps(50):
         xs, ws = [], []
         for seed in np.polynomial.legendre.leggauss(nodes)[0]:
             x = mpmath.findroot(lambda t: mpmath.legendre(nodes, t), mpmath.mpf(seed))
