@@ -1,12 +1,13 @@
 """Truncated integral operators and their self-adjoint compositions.
 
-Each operator kind carries a dense symmetrized kernel matrix
-M = W^{1/2} K W^{1/2} together with a rectangular "half factor" A satisfying
-M = A^T A up to quadrature error.  Quadratic forms are evaluated as ||A v||^2:
-the image values A v are small numbers computed before squaring, which keeps
-relative accuracy even when ||T f||^2 is ~1e-18 ||f||^2 (the figure-3 regime),
-and singular values of A resolve spectral decay far below the eigensolver
-floor of M itself.
+Each operator kind is discretized by a rectangular "half factor" A alone:
+A^T A is the symmetrized kernel matrix M = W^{1/2} K W^{1/2} up to quadrature
+error, and M itself is never formed.  Quadratic forms are evaluated as
+||A v||^2: the image values A v are small numbers computed before squaring,
+which keeps relative accuracy even when ||T f||^2 is ~1e-18 ||f||^2 (the
+figure-3 regime), and singular values of A resolve spectral decay far below
+the eigensolver floor of M itself.  The factor is checked against the trace
+of M, the sum of the kernel's diagonal in closed form.
 
 The image-side rule of A is sized to the kernel, not to the grid: the
 spectra decay (super-)exponentially, so a few dozen image nodes resolve every
@@ -183,21 +184,34 @@ def _adjoint_kernel(u, a: float, b: float):
     return out
 
 
+def _kernel_diagonal(kind: OperatorKind, x: np.ndarray) -> np.ndarray:
+    """K(x, x) in closed form: its weighted sum is trace(M) = ||A||_F^2."""
+    if kind.tag == LAPLACE:
+        return 1.0 / (2.0 * x)
+    if kind.tag == LAPLACE_ADJOINT:
+        return _adjoint_kernel(2.0 * x, kind.source.a, kind.source.b)
+    if kind.tag == FOURIER:
+        return np.full_like(x, 2.0)
+    if kind.tag == HILBERT:
+        c, d = kind.target.a, kind.target.b
+        return (1.0 / (c - x) - 1.0 / (d - x)) / math.pi ** 2
+    raise UnsupportedKindError(kind.tag)
+
+
 # ----------------------------------------------------------------------------
 # Operator matrices
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense symmetrized discretization M of T*T on a quadrature grid, with
-    its half factor A (M = A^T A).
+    """T*T on a quadrature grid, held as its half factor A: A^T A is the
+    symmetrized kernel matrix M, which is never formed.
 
     image_refinement is the largest move of a resolved mu_n between A and the
     factor on half as many image nodes, in units of the SVD perturbation
     bound 2 eps sqrt(mu_1/mu_n); None when that coarser factor was not built.
     """
 
-    entries: np.ndarray = field(repr=False)
     grid: QuadGrid
     kind: OperatorKind
     half_factor: np.ndarray = field(repr=False)
@@ -207,14 +221,13 @@ class OperatorMatrix:
                                                          compare=False)
 
     def __post_init__(self):
-        for name in ("entries", "half_factor"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        a = np.asarray(self.half_factor, dtype=float)
+        a.setflags(write=False)
+        object.__setattr__(self, "half_factor", a)
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return self.grid.size
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -234,21 +247,6 @@ class OperatorMatrix:
 def resolved_count(mu: np.ndarray) -> int:
     """Number of mu_n above SVD_FLOOR * mu_1, for descending mu: the one floor rule."""
     return int(np.count_nonzero(mu > SVD_FLOOR * mu[0]))
-
-
-def _weighted_kernel_matrix(kind: OperatorKind, grid: QuadGrid) -> np.ndarray:
-    x = grid.nodes
-    if kind.tag == LAPLACE:
-        K = 1.0 / (x[:, None] + x[None, :])
-    elif kind.tag == LAPLACE_ADJOINT:
-        K = _adjoint_kernel(x[:, None] + x[None, :], kind.source.a, kind.source.b)
-    elif kind.tag == FOURIER:
-        K = 2.0 * np.sinc((x[:, None] - x[None, :]) / np.pi)
-    else:
-        raise UnsupportedKindError(kind.tag)
-    sw = np.sqrt(grid.weights)
-    M = sw[:, None] * K * sw[None, :]
-    return 0.5 * (M + M.T)
 
 
 # Image-side rule size r of each kind: the first size refinement tries, and
@@ -342,8 +340,7 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
 
 
 def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
-    """Assemble the symmetric PSD matrix of T*T in the discrete L2 geometry,
-    with its refinement-checked half factor."""
+    """T*T in the discrete L2 geometry, as its refinement-checked half factor."""
     if grid.size > MAX_DENSE_SIZE:
         raise InvalidArgumentError(f"dense matrices capped at n = {MAX_DENSE_SIZE}")
     expected = kind.input_domain
@@ -352,19 +349,10 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
             f"grid domain {grid.domain} does not match operator input {expected}"
         )
     # ||A||_F^2 = sum of mu_n must equal the kernel's trace: a half factor whose
-    # image-side rule misses the kernel would print a wrong spectrum.  Hilbert's
-    # M is A^T A, so its diagonal is (1/(c-s) - 1/(d-s))/pi^2 in closed form.
-    if kind.tag == HILBERT:
-        c, d, x = kind.target.a, kind.target.b, grid.nodes
-        trace = float(np.dot(grid.weights, 1.0 / (c - x) - 1.0 / (d - x))) / math.pi ** 2
-    else:
-        M = _weighted_kernel_matrix(kind, grid)
-        trace = float(np.trace(M))
+    # image-side rule misses the kernel would print a wrong spectrum.
+    trace = float(np.dot(grid.weights, _kernel_diagonal(kind, grid.nodes)))
     A, s, refinement = _refined_half_factor(kind, grid, trace)
-    if kind.tag == HILBERT:
-        M = A.T @ A
-        M = 0.5 * (M + M.T)
-    return OperatorMatrix(M, grid, kind, A, refinement, s)
+    return OperatorMatrix(grid, kind, A, refinement, s)
 
 
 def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:

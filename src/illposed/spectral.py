@@ -84,7 +84,7 @@ class ModeMatch:
     index: int
     lambda_diff: float
     rayleigh: float
-    residual: float  # ||M u - mu u|| / ||M||_2
+    residual: float  # ||A^T (A v) - mu v|| / mu_1
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,11 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
                          m: int, converged: Optional[int] = None) -> MatchReport:
     """Rayleigh values and residuals of diff eigenvectors against T*T.
 
-    residuals are relative to ||M||_2; the commutation residual
-    ||KS - SK||_F / (||K||_F ||S||_F) is computed in the trial space, where
-    the degenerate endpoint coefficients cause no discretization artifacts.
+    T*T acts through its half factor A: a normalized mode v has Rayleigh
+    value mu = ||A v||^2 and residual ||A^T (A v) - mu v|| / mu_1.  The
+    commutation residual ||KS - SK||_F / (||K||_F ||S||_F), with
+    K = (ABU)^T (ABU), is computed in the trial space, where the degenerate
+    endpoint coefficients cause no discretization artifacts.
     """
     if converged is None:
         converged = converged_mode_count(diff)
@@ -137,7 +139,6 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
         raise ModeRangeError(f"requested {m} modes, only {converged} converged")
     dec = diff.eigensystem
     B = np.sqrt(integral.grid.weights)[:, None] * basis_on_grid(diff, integral.grid)
-    M = integral.entries
     A = integral.half_factor
     op_norm = float(integral.singular_values[0] ** 2)
     records = []
@@ -146,12 +147,13 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
         v = v / np.linalg.norm(v)
         Av = A @ v  # Rayleigh through the half factor resolves deep modes
         mu = float(np.dot(Av, Av))
-        res = float(np.linalg.norm(M @ v - mu * v)) / op_norm
+        res = float(np.linalg.norm(A.T @ Av - mu * v)) / op_norm
         records.append(ModeMatch(n + 1, float(dec.eigenvalues[n]), mu, res))
     # Commutator on the matched eigenblock: non-converged Galerkin modes carry
     # no spectral claim and their norms would drown the signal.
     U = dec.eigenvectors[:, :m]
-    K = (B @ U).T @ M @ (B @ U)
+    ABU = A @ (B @ U)
+    K = ABU.T @ ABU
     lam = np.diag(dec.eigenvalues[:m])
     comm = np.linalg.norm(K @ lam - lam @ K) / (np.linalg.norm(K) * np.linalg.norm(lam))
     return MatchReport(tuple(records), float(comm),

@@ -5,6 +5,37 @@ import pytest
 
 from illposed import (Interval, OperatorKind, assemble_bertero_grunbaum,
                       assemble_prolate, gram_matrix, half_line_for, make_grid)
+from illposed.integral_ops import FOURIER, LAPLACE, LAPLACE_ADJOINT, _adjoint_kernel
+
+
+def kernel_matrix(kind, grid):
+    """Weighted kernel matrix sqrt(w) K sqrt(w) of T*T on a grid, built from
+    the kernel formulas alone: an oracle for the half factor's A^T A.
+
+    Laplace 1/(x + y), adjoint Laplace (e^{-a(x+y)} - e^{-b(x+y)})/(x + y),
+    Fourier 2 sinc(x - y), and for the truncated Hilbert transform into
+    J = [c, d]
+    log((d - x)(c - y) / ((c - x)(d - y))) / (pi^2 (x - y)),
+    written with log1p, since the ratio minus one is
+    (d - c)(x - y) / ((c - x)(d - y)); its diagonal is
+    (1/(c - x) - 1/(d - x)) / pi^2.
+    """
+    x = grid.nodes
+    X, Y = x[:, None], x[None, :]
+    if kind.tag == LAPLACE:
+        K = 1.0 / (X + Y)
+    elif kind.tag == LAPLACE_ADJOINT:
+        K = _adjoint_kernel(X + Y, kind.source.a, kind.source.b)
+    elif kind.tag == FOURIER:
+        K = 2.0 * np.sinc((X - Y) / np.pi)
+    else:
+        c, d = kind.target.a, kind.target.b
+        # 1 on the diagonal keeps log1p(0)/0 out; the diagonal is set below
+        K = np.log1p((d - c) * (X - Y) / ((c - X) * (d - Y))) / (X - Y + np.eye(len(x)))
+        np.fill_diagonal(K, 1.0 / (c - x) - 1.0 / (d - x))
+        K /= np.pi ** 2
+    sw = np.sqrt(grid.weights)
+    return sw[:, None] * K * sw[None, :]
 
 
 @pytest.fixture(scope="session")

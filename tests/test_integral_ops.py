@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,6 +11,8 @@ from illposed import (FunctionKind, FunctionRep, Interval,
 from illposed.integral_ops import (_IMAGE_RULES, FACTOR_RTOL, REFINEMENT_SLACK,
                                    _adjoint_kernel, _half_factor, resolved_count)
 from illposed.problem import Problem
+
+from conftest import kernel_matrix
 
 AB = Interval(1.0, 2.0)
 SYM = Interval(-1.0, 1.0)
@@ -93,7 +97,10 @@ def test_kernel_values():
 def test_gram_matrix_fourier_diagonal():
     grid = make_grid(SYM, 32)
     M = gram_matrix(OperatorKind.fourier_tt(), grid)
-    assert np.diag(M.entries) == pytest.approx(2.0 * grid.weights, rel=1e-14)
+    assert np.diag(kernel_matrix(M.kind, grid)) == pytest.approx(2.0 * grid.weights, rel=1e-14)
+    # the diagonal of A^T A: squared column norms of the half factor
+    col = np.sum(M.half_factor ** 2, axis=0)
+    assert col == pytest.approx(2.0 * grid.weights, rel=1e-14)
 
 
 def test_gram_matrix_laplace_quadratic_form_oracle():
@@ -114,16 +121,28 @@ def test_gram_matrices_are_symmetric_psd():
         (OperatorKind.hilbert_truncated(Interval(0, 1), Interval(2, 3)),
          make_grid(Interval(0.0, 1.0), 48)),
     ]:
-        M = gram_matrix(kind, grid).entries
+        M = kernel_matrix(kind, grid)
         assert np.max(np.abs(M - M.T)) <= 1e-13 * np.max(np.abs(M))
         w = np.linalg.eigvalsh(M)
         assert w[0] >= -1e-10 * w[-1]
 
 
+@pytest.mark.parametrize("n", [48, 256])
+@pytest.mark.parametrize("text", ["laplace:a=1,b=2", "laplace-adjoint:a=1,b=2", "fourier",
+                                  "hilbert:I=0,1:J=2,3"])
+def test_half_factor_reproduces_the_kernel_matrix(text, n):
+    # A^T A against the kernel formulas entry by entry; the Hilbert oracle is
+    # the closed-form integral over J, not a quadrature like A's rows
+    M = Problem(parse_operator(text), n).matrix
+    A = M.half_factor
+    gap = np.max(np.abs(kernel_matrix(M.kind, M.grid) - A.T @ A))
+    assert gap <= 1e-16 * M.singular_values[0] ** 2
+
+
 def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):
     # sum mu_n = ||A||_F^2 must equal trace(M)
     for M in (laplace_M, fourier_M, adjoint_M):
-        trace = np.trace(M.entries)
+        trace = np.trace(kernel_matrix(M.kind, M.grid))
         assert abs(np.vdot(M.half_factor, M.half_factor) - trace) <= 1e-13 * trace
     # Hilbert's M is A^T A; its trace is int_I (1/(2-s) - 1/(3-s)) ds / pi^2
     # = ln(4/3) / pi^2 for I = [0, 1], J = [2, 3]
@@ -140,10 +159,25 @@ def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):
             gram_matrix(kind, Problem(kind, 256, 128, 12).grid)
     # 512 output nodes resolve the adjoint kernel at a = 1e-3
     M = Problem(parse_operator("laplace-adjoint:a=1e-3,b=2"), 1024, 128, 12).matrix
-    trace = np.trace(M.entries)
+    trace = np.trace(kernel_matrix(M.kind, M.grid))
     assert abs(np.vdot(M.half_factor, M.half_factor) - trace) <= FACTOR_RTOL * trace
     # and 2048 output nodes resolve the Hilbert kernel at a gap of 1e-4
     Problem(parse_operator("hilbert:I=0,1:J=1.0001,2"), 1024).matrix
+
+
+@pytest.mark.parametrize("text", ["laplace:a=1,b=2", "laplace-adjoint:a=1,b=2", "fourier",
+                                  "hilbert:I=0,1:J=2,3"])
+def test_gram_matrix_holds_only_its_half_factor(text):
+    # no n x n array survives: at n = 1024 one would hold 8 MB
+    p = Problem(parse_operator(text), 1024)
+    grid = p.grid
+    tracemalloc.start()
+    try:
+        M = gram_matrix(p.kind, grid)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= M.half_factor.nbytes + 2 ** 20
 
 
 def test_zero_function_maps_to_zero():

@@ -13,7 +13,9 @@ from illposed.acceptance import Suite, criterion_07, criterion_09
 from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind
 from illposed.problem import Problem
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
-                               SpectralDecomposition)
+                               SpectralDecomposition, basis_on_grid)
+
+from conftest import kernel_matrix
 
 OPERATORS = ("laplace:a=1,b=2", "laplace-adjoint:a=1,b=2", "fourier",
              "hilbert:I=0,1:J=2,3")
@@ -65,11 +67,12 @@ def test_decompose_operator_matches_full_svd(text):
     assert mu.shape == (M.size,)
     keep = mu > SVD_FLOOR * mu[0]
     assert np.max(np.abs(mu[keep] / ref[keep] - 1.0)) <= 1e-11
-    assert float(np.sum(mu)) == pytest.approx(float(np.trace(M.entries)), rel=1e-13)
+    K = kernel_matrix(M.kind, M.grid)
+    assert float(np.sum(mu)) == pytest.approx(float(np.trace(K)), rel=1e-13)
     assert np.all(np.diff(mu) <= 0) and np.all(mu >= 0)
     # the reference vectors with these values reconstruct M
     M2 = (Vt.T * mu[:len(s)]) @ Vt
-    assert np.max(np.abs(M.entries - M2)) <= 1e-10 * mu[0]
+    assert np.max(np.abs(K - M2)) <= 1e-10 * mu[0]
 
 
 @pytest.mark.parametrize("text", OPERATORS[:3])
@@ -157,6 +160,23 @@ def test_match_examples(laplace_M, fourier_M, bg128, prolate128):
     rep2 = match_eigenfunctions(laplace_M, bg128, 8)
     ray = [r.rayleigh for r in rep2.records]
     assert all(a > b for a, b in zip(ray, ray[1:]))  # integral-descending order
+
+
+@pytest.mark.parametrize("text", OPERATORS[:3])
+def test_match_through_the_factor_agrees_with_the_kernel_matrix(text):
+    # residuals and the commutator through A^T A, against the same quantities
+    # through the kernel matrix built from the kernel formulas
+    p = Problem(parse_operator(text), 256)
+    M, rep = p.matrix, p.report
+    K = kernel_matrix(M.kind, M.grid)
+    BU = np.sqrt(M.grid.weights)[:, None] * basis_on_grid(p.diff, M.grid) @ rep.vectors
+    mu1 = M.singular_values[0] ** 2
+    for r, v in zip(rep.records, (BU / np.linalg.norm(BU, axis=0)).T):
+        assert abs(r.residual - np.linalg.norm(K @ v - r.rayleigh * v) / mu1) <= 1e-15
+    C = BU.T @ K @ BU
+    lam = np.diag(p.diff.eigensystem.eigenvalues[:len(rep.records)])
+    comm = np.linalg.norm(C @ lam - lam @ C) / (np.linalg.norm(C) * np.linalg.norm(lam))
+    assert abs(rep.commutation_residual - comm) <= 1e-15
 
 
 def test_match_negative_control(laplace_M, prolate128):
