@@ -10,8 +10,7 @@ inequalities relating image norms to oscillation ratios.
 from .domains import HalfLineDomain, Interval, half_line_for, make_grid
 from .errors import (InsufficientDataError, InvalidArgumentError,
                      ModeRangeError, RepresentationError)
-from .functions import (ExpPoly, FunctionKind, FunctionRep, h1_seminorm,
-                        l2_norm, linear_combination, make_sine_basis)
+from .functions import ExpPoly, FunctionKind, FunctionRep, h1_seminorm, l2_norm
 from .integral_ops import (OperatorKind, fourier_image_energy, gram_matrix,
                            parse_operator, quadratic_form)
 from .diff_ops import (SignVariant, assemble_bertero_grunbaum,

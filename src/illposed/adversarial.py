@@ -14,71 +14,75 @@ from enum import Enum
 
 import numpy as np
 
+from .diff_ops import largest_entry_positive
 from .domains import Interval
 from .errors import InvalidArgumentError
-from .functions import FunctionKind, FunctionRep, check_domain, linear_combination
-from .integral_ops import OperatorKind, OperatorMatrix, fourier_image_energy, quadratic_form
+from .functions import FunctionKind, FunctionRep, basis_table
+from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
+                           quadratic_form, resolved_count)
 from .problem import Problem
-from .spectral import SVD_FLOOR
 
 ORTHONORMALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class GramianReport:
-    basis_descriptor: dict
-    min_eigenvalue: float
-    minimizer_coefficients: np.ndarray = field(repr=False)
-    basis: tuple = field(repr=False)
     operator: str
+    domain: Interval
+    min_eigenvalue: float
+    # Coefficients a_k of the minimizer over the sine family, k = 1..size.
+    minimizer_coefficients: np.ndarray = field(repr=False)
     # min_eigenvalue < SVD_FLOOR * (top eigenvalue): below what the SVD resolves
     below_floor: bool
 
     def to_json(self) -> dict:
         return {
             "operator": self.operator,
-            "basis": self.basis_descriptor,
+            "basis": {"family": FunctionKind.SINE_SERIES.value,
+                      "size": len(self.minimizer_coefficients),
+                      "domain": [self.domain.a, self.domain.b]},
             "min_eigenvalue": self.min_eigenvalue,
             "below_floor": self.below_floor,
             "minimizer": list(self.minimizer_coefficients),
         }
 
 
-def build_gramian(M: OperatorMatrix, basis: list[FunctionRep]) -> GramianReport:
+def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
     """Smallest eigenpair of the Gramian G = (AV)^T AV of the images under
-    M's half factor A of a basis orthonormal on M's grid.
+    M's half factor A of the sine family sqrt(2/L) sin(k pi (x-a)/L),
+    k = 1..size, on M's grid over [a, a+L].
 
-    The eigenpair comes from an SVD of AV, without forming G, so min
-    eigenvalues far below eps*||G|| are still resolved accurately, down to
-    SVD_FLOOR times the top eigenvalue; below_floor flags a minimum under
-    that floor.
+    The family is sampled as one basis table and must be orthonormal on the
+    grid, which rejects a size the grid cannot resolve.  The eigenpair comes
+    from an SVD of AV, without forming G, so min eigenvalues far below
+    eps*||G|| are still resolved accurately, down to SVD_FLOOR times the top
+    eigenvalue; below_floor flags a minimum under that floor.
     """
     grid = M.grid
-    for phi in basis:
-        check_domain(phi, grid)
-    V = np.column_stack([phi.values(grid.nodes) for phi in basis])
+    domain = grid.domain
+    if not isinstance(domain, Interval):
+        raise InvalidArgumentError("adversarial synthesis needs an interval domain")
+    if size < 1:
+        raise InvalidArgumentError("basis size must be >= 1")
+    scale = np.sqrt(2.0 / domain.length)
+    V = scale * basis_table(FunctionKind.SINE_SERIES, size, domain, False, 0, grid.nodes)
     gram0 = V.T @ (grid.weights[:, None] * V)
-    if np.max(np.abs(gram0 - np.eye(len(basis)))) > ORTHONORMALITY_TOL:
+    if np.max(np.abs(gram0 - np.eye(size))) > ORTHONORMALITY_TOL:
         raise InvalidArgumentError("basis is not orthonormal on the grid")
     AV = M.half_factor @ (np.sqrt(grid.weights)[:, None] * V)
     _, s, Vt = np.linalg.svd(AV, full_matrices=False)
-    if len(s) < len(basis):
+    if len(s) < size:
         raise InvalidArgumentError("image matrix is rank deficient for this basis")
-    vec = Vt[-1]
-    i = np.argmax(np.abs(vec))
-    if vec[i] < 0:
-        vec = -vec
-    first = basis[0]
-    descriptor = {"family": first.kind.value, "size": len(basis),
-                  "domain": [first.domain.a, first.domain.b]}
-    return GramianReport(descriptor, float(s[-1] ** 2),
-                         vec, tuple(basis), M.kind.to_string(),
-                         bool(s[-1] ** 2 < SVD_FLOOR * s[0] ** 2))
+    vec = largest_entry_positive(Vt[-1:].T)[:, 0]
+    return GramianReport(M.kind.to_string(), domain, float(s[-1] ** 2), vec,
+                         resolved_count(s ** 2) < size)
 
 
 def worst_function(report: GramianReport) -> FunctionRep:
-    """The minimizing combination sum_k a_k phi_k as a FunctionRep."""
-    return linear_combination(list(report.basis), report.minimizer_coefficients)
+    """The minimizing combination sum_k a_k sqrt(2/L) sin(k pi (x-a)/L) as one sine series."""
+    scale = np.sqrt(2.0 / report.domain.length)
+    return FunctionRep(FunctionKind.SINE_SERIES, scale * report.minimizer_coefficients,
+                       report.domain)
 
 
 # ----------------------------------------------------------------------------

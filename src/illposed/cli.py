@@ -18,10 +18,8 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .adversarial import FigureId, FIGURES, build_gramian, reproduce_figure, worst_function
-from .domains import Interval
 from .errors import InsufficientDataError, InvalidArgumentError, ModeRangeError
-from .functions import make_sine_basis
-from .integral_ops import MAX_DENSE_SIZE, parse_operator
+from .integral_ops import MAX_GRID_SIZE, parse_operator
 from .output import ensure_out_dir, svg_plot, write_json, write_text
 from .problem import Problem
 from .spectral import decompose_operator, spectrum_to_csv
@@ -33,8 +31,8 @@ MAX_TRIAL = 512
 def _validate(args: argparse.Namespace) -> None:
     """Reject sizes and seeds the command cannot honour.  Every command has
     --n; the other options are checked where the command declares them."""
-    if not (1 <= args.n <= MAX_DENSE_SIZE):
-        raise InvalidArgumentError(f"n must be in [1, {MAX_DENSE_SIZE}]")
+    if not (1 <= args.n <= MAX_GRID_SIZE):
+        raise InvalidArgumentError(f"n must be in [1, {MAX_GRID_SIZE}], the grid-size cap")
     if not (4 <= getattr(args, "N", 4) <= MAX_TRIAL):
         raise InvalidArgumentError(f"N must be in [4, {MAX_TRIAL}]")
     if getattr(args, "m", 1) < 1:
@@ -100,14 +98,11 @@ def cmd_match(args) -> int:
 
 def cmd_adversarial(args) -> int:
     kind = parse_operator(args.op)
-    domain = kind.input_domain
-    if not isinstance(domain, Interval):
-        raise InvalidArgumentError("adversarial synthesis needs an interval domain")
-    report = build_gramian(Problem(kind).matrix, make_sine_basis(domain, args.n))
+    report = build_gramian(Problem(kind).matrix, args.n)
     f = worst_function(report)
     out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "adversarial.json"), report.to_json())
-    xs = np.linspace(domain.a, domain.b, 512)
+    xs = np.linspace(report.domain.a, report.domain.b, 512)
     ys = f.values(xs)
     lines = ["x,f"] + [f"{x:.17g},{y:.17g}" for x, y in zip(xs, ys)]
     write_text(os.path.join(out, "worst_function.csv"), "\n".join(lines) + "\n")
@@ -169,11 +164,12 @@ def cmd_report_all(args) -> int:
     out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "report.json"),
                {"criteria": [r.to_json() for r in results]})
+    # Wall times go to stderr, so that stdout is the same on every run.
     for r in results:
         print(r.line())
-    total = sum(r.seconds for r in results)
-    print(f"report-all: {sum(r.passed for r in results)}/{len(results)} passed "
-          f"in {total:.1f}s")
+        print(f"criterion {r.cid}: {r.seconds:.2f}s", file=sys.stderr)
+    print(f"report-all: {sum(r.passed for r in results)}/{len(results)} passed")
+    print(f"report-all: {sum(r.seconds for r in results):.1f}s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -193,7 +189,6 @@ _OPTIONS = {
                  help="operator: hilbert:I=0,1:J=2,3 | laplace:a=1,b=2 "
                       "| laplace-adjoint:a=1,b=2 | fourier"),
     "--id": dict(type=int, required=True, choices=(1, 2, 3)),
-    "--basis": dict(default="sine", choices=("sine",), help="basis family"),
     "--n": dict(type=int, default=Problem.n, help="grid size (adversarial: basis size)"),
     "--N": dict(type=int, default=Problem.N, help="Galerkin trial size"),
     "--m": dict(type=int, default=Problem.m, help="mode count"),
@@ -208,7 +203,7 @@ COMMANDS = {
     "spectrum": (cmd_spectrum, "T*T spectrum to CSV/SVG", "--op --n --out-dir --no-svg"),
     "match": (cmd_match, "eigenfunction coincidence report", "--op --n --N --m --out-dir"),
     "adversarial": (cmd_adversarial, "Gramian worst-case synthesis",
-                    "--op --basis --n --out-dir --no-svg"),
+                    "--op --n --out-dir --no-svg"),
     "figures": (cmd_figures, "reproduce a published worst-case figure",
                 "--id --n --out-dir --no-svg"),
     "verify": (cmd_verify, "fit stability constants, verify ensemble",

@@ -22,7 +22,7 @@ from numpy.polynomial import laguerre as nplag
 
 from .domains import HalfLineDomain, Interval, QuadGrid, make_grid
 from .errors import InvalidArgumentError, RepresentationError
-from .functions import FunctionKind, FunctionLike, basis_table, sample
+from .functions import FunctionKind, FunctionLike, basis_table, cached_table, sample
 
 BERTERO_GRUNBAUM = "bertero-grunbaum"
 FOURTH_ORDER = "fourth-order"
@@ -58,15 +58,17 @@ class DiffOpSpec:
 class LegendreTrialBasis:
     """Orthonormalized Legendre polynomials mapped to an interval."""
 
+    orders = (0, 1)
+
     def __init__(self, domain: Interval, size: int):
         self.domain = domain
         self.size = size
 
-    def values(self, x) -> np.ndarray:
-        return basis_table(FunctionKind.LEGENDRE_SERIES, self.size, self.domain, False, 0, x)
-
-    def deriv(self, x) -> np.ndarray:
-        return basis_table(FunctionKind.LEGENDRE_SERIES, self.size, self.domain, False, 1, x)
+    def tables(self, x, orders) -> list:
+        """One read-only table per derivative order at x: the cached tables
+        that sampling a Legendre series of this size at x reads."""
+        return [cached_table(FunctionKind.LEGENDRE_SERIES, self.size, self.domain, False, k, x)
+                for k in orders]
 
 
 def _laguerre_deriv(V: np.ndarray) -> np.ndarray:
@@ -81,6 +83,8 @@ class LaguerreExpTrialBasis:
     re-orthonormalized against the assembly grid (the truncation tail is
     ~e^{-2 sigma s_max} but Cholesky makes discrete orthonormality exact)."""
 
+    orders = (0, 1, 2)
+
     def __init__(self, half: HalfLineDomain, size: int, sigma: float, grid: QuadGrid):
         if sigma <= 0:
             raise InvalidArgumentError("decay rate sigma must be positive")
@@ -88,33 +92,31 @@ class LaguerreExpTrialBasis:
         self.size = size
         self.sigma = sigma
         self.grid = grid
-        V = self._raw(grid.nodes, order=0)
+        V, = self._raw(grid.nodes, (0,))
         G = V.T @ (grid.weights[:, None] * V)
         L = np.linalg.cholesky(0.5 * (G + G.T))
         # columns of raw basis combined so the grid Gram is the identity
         self._combine = np.linalg.inv(L).T
 
-    def _raw(self, x, order: int) -> np.ndarray:
+    def _raw(self, x, orders) -> list:
+        """Raw trial functions' derivatives of each order (0, 1 or 2) at x,
+        from one Laguerre Vandermonde and one envelope."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         sigma = self.sigma
         env = (np.sqrt(2.0 * sigma) * np.exp(-sigma * x))[:, None]
         L0 = nplag.lagvander(2.0 * sigma * x, self.size - 1)
-        if order == 0:
-            return env * L0
-        L1 = _laguerre_deriv(L0)
-        if order == 1:
-            return env * (2.0 * sigma * L1 - sigma * L0)
-        L2 = _laguerre_deriv(L1)
-        return env * (4.0 * sigma ** 2 * L2 - 4.0 * sigma ** 2 * L1 + sigma ** 2 * L0)
+        # u-derivatives only as deep as asked: with their chain-rule sums they
+        # cost more than the Vandermonde itself
+        L1 = _laguerre_deriv(L0) if max(orders) >= 1 else None
+        L2 = _laguerre_deriv(L1) if max(orders) >= 2 else None
+        raw = {0: lambda: L0,
+               1: lambda: 2.0 * sigma * L1 - sigma * L0,
+               2: lambda: 4.0 * sigma ** 2 * L2 - 4.0 * sigma ** 2 * L1 + sigma ** 2 * L0}
+        return [env * raw[k]() for k in orders]
 
-    def values(self, x) -> np.ndarray:
-        return self._raw(x, 0) @ self._combine
-
-    def deriv(self, x) -> np.ndarray:
-        return self._raw(x, 1) @ self._combine
-
-    def deriv2(self, x) -> np.ndarray:
-        return self._raw(x, 2) @ self._combine
+    def tables(self, x, orders) -> list:
+        """One read-only table per derivative order at x."""
+        return [_read_only(R @ self._combine) for R in self._raw(x, orders)]
 
 
 def _read_only(a) -> np.ndarray:
@@ -147,9 +149,15 @@ def eig_sym(M: np.ndarray) -> SpectralDecomposition:
     if scale > 0 and np.max(np.abs(M - M.T)) > 1e-10 * scale:
         raise InvalidArgumentError("matrix is not symmetric to tolerance")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    return SpectralDecomposition(vals, largest_entry_positive(vecs))
+
+
+def largest_entry_positive(vecs: np.ndarray) -> np.ndarray:
+    """Flip, in place, each column whose largest-magnitude entry is negative:
+    the one sign rule for eigenvectors and Gramian minimizers."""
     idx = np.argmax(np.abs(vecs), axis=0)
     vecs[:, vecs[idx, np.arange(vecs.shape[1])] < 0] *= -1.0
-    return SpectralDecomposition(vals, vecs)
+    return vecs
 
 
 @dataclass(frozen=True)
@@ -158,8 +166,9 @@ class GalerkinOperator:
 
     The mass matrix is the identity by construction, so the eigenvalues of
     `stiffness` are the Galerkin eigenvalues of the operator.  The basis tables
-    (trial functions and derivatives at `grid.nodes`), the eigensystem and the
-    same operator at 2N are each computed once, on first use.
+    (trial functions and derivatives at `grid.nodes`, from one `basis.tables`
+    call), the eigensystem and the same operator at 2N are each computed once,
+    on first use.
     """
 
     stiffness: np.ndarray = field(repr=False)
@@ -178,17 +187,21 @@ class GalerkinOperator:
         return self.stiffness.shape[0]
 
     @cached_property
+    def _tables(self) -> list:
+        return self.basis.tables(self.grid.nodes, self.basis.orders)
+
+    @property
     def basis_values(self) -> np.ndarray:
-        return _read_only(self.basis.values(self.grid.nodes))
+        return self._tables[0]
 
-    @cached_property
+    @property
     def basis_deriv(self) -> np.ndarray:
-        return _read_only(self.basis.deriv(self.grid.nodes))
+        return self._tables[1]
 
-    @cached_property
+    @property
     def basis_deriv2(self) -> np.ndarray:
         """Second derivatives: only the half-line basis of the fourth-order operator has them."""
-        return _read_only(self.basis.deriv2(self.grid.nodes))
+        return self._tables[2]
 
     @cached_property
     def eigensystem(self) -> SpectralDecomposition:
@@ -203,6 +216,22 @@ def _sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _legendre_weak_form(ab: Interval, N: int, p, q, spec: DiffOpSpec) -> GalerkinOperator:
+    """Weak form of -(p u')' + q u over N orthonormal Legendre functions on
+    ab, with the coefficient functions p and q evaluated at the grid nodes."""
+    if N < 4:
+        raise InvalidArgumentError("trial space needs N >= 4")
+    grid = make_grid(ab, N + 8)
+    basis = LegendreTrialBasis(ab, N)
+    t, w = grid.nodes, grid.weights
+    # Evaluated apart from the sampling cache, which would keep alive the
+    # tables of every assembly, 2N refinements included, though most are
+    # never sampled; basis.tables reads the cache on first use.
+    V, D = (basis_table(FunctionKind.LEGENDRE_SERIES, N, ab, False, k, t) for k in (0, 1))
+    S = D.T @ ((w * p(t))[:, None] * D) + V.T @ ((w * q(t))[:, None] * V)
+    return GalerkinOperator(_sym(S), spec, basis, grid)
+
+
 def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
     """Weak form of -d/dt((t^2-a^2)(b^2-t^2) d/dt) + 2(t^2-a^2) on [a, b].
 
@@ -212,29 +241,15 @@ def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
     """
     if ab.a <= 0:
         raise InvalidArgumentError("operator requires 0 < a < b")
-    if N < 4:
-        raise InvalidArgumentError("trial space needs N >= 4")
-    grid = make_grid(ab, N + 8)
-    basis = LegendreTrialBasis(ab, N)
-    t, w = grid.nodes, grid.weights
-    p = (t ** 2 - ab.a ** 2) * (ab.b ** 2 - t ** 2)
-    q = 2.0 * (t ** 2 - ab.a ** 2)
-    V, D = basis.values(t), basis.deriv(t)
-    S = D.T @ ((w * p)[:, None] * D) + V.T @ ((w * q)[:, None] * V)
-    return GalerkinOperator(_sym(S), DiffOpSpec(BERTERO_GRUNBAUM, ab=ab), basis, grid)
+    return _legendre_weak_form(ab, N, lambda t: (t ** 2 - ab.a ** 2) * (ab.b ** 2 - t ** 2),
+                               lambda t: 2.0 * (t ** 2 - ab.a ** 2),
+                               DiffOpSpec(BERTERO_GRUNBAUM, ab=ab))
 
 
 def assemble_prolate(N: int) -> GalerkinOperator:
     """Weak form of -d/dx((1-x^2) d/dx) + x^2 on [-1, 1]."""
-    if N < 4:
-        raise InvalidArgumentError("trial space needs N >= 4")
-    ab = Interval(-1.0, 1.0)
-    grid = make_grid(ab, N + 8)
-    basis = LegendreTrialBasis(ab, N)
-    x, w = grid.nodes, grid.weights
-    V, D = basis.values(x), basis.deriv(x)
-    S = D.T @ ((w * (1.0 - x ** 2))[:, None] * D) + V.T @ ((w * x ** 2)[:, None] * V)
-    return GalerkinOperator(_sym(S), DiffOpSpec(PROLATE), basis, grid)
+    return _legendre_weak_form(Interval(-1.0, 1.0), N, lambda x: 1.0 - x ** 2,
+                               lambda x: x ** 2, DiffOpSpec(PROLATE))
 
 
 # Past N ~ 300 the Laguerre values overflow; GalerkinOperator rejects the result.
@@ -264,9 +279,7 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     t, w = grid.nodes, grid.weights
     s = 1.0 if sign_variant is SignVariant.AS_PROOF_BOUND else -1.0
     a2, b2 = ab.a ** 2, ab.b ** 2
-    V = basis.values(t)
-    D1 = basis.deriv(t)
-    D2 = basis.deriv2(t)
+    V, D1, D2 = basis.tables(t, (0, 1, 2))
     S = (D2.T @ ((w * t ** 2)[:, None] * D2)
          + s * (a2 + b2) * (D1.T @ ((w * t ** 2)[:, None] * D1))
          + V.T @ ((w * (s * a2 * b2 * t ** 2 + 2.0 * a2))[:, None] * V))

@@ -1,11 +1,11 @@
 """Function representations and their norms.
 
 A FunctionRep is a coefficient series (sine / cosine / orthonormal
-Legendre) with exact analytic differentiation.  Half-line functions
-(Theorem-2 territory) are polynomial-times-exponential ExpPoly objects,
-which also differentiate exactly.  On a fixed point set (a quadrature grid,
-or the refined points of the lemmas) a function, or a block of functions of
-one series type, is sampled as one product with a cached basis table.
+Legendre).  Half-line functions (Theorem-2 territory) are
+polynomial-times-exponential ExpPoly objects.  On a fixed point set (a
+quadrature grid, or the refined points of the lemmas) a function, or a block
+of functions of one series type, is sampled, or differentiated exactly, as
+one product with a cached basis table.
 """
 
 from __future__ import annotations
@@ -62,26 +62,10 @@ class FunctionRep:
         table = basis_table(self.kind, len(self.payload), self.domain, self.raw_x, 0, x)
         return table @ self.payload
 
-    # -- exact differentiation ------------------------------------------------
-
-    def derivative(self) -> "FunctionRep":
-        if self.kind is FunctionKind.LEGENDRE_SERIES:
-            norms = np.sqrt((2 * np.arange(len(self.payload)) + 1) / self.domain.length)
-            plain = npleg.legder(self.payload * norms) * (2.0 / self.domain.length)
-            if len(plain) == 0:
-                plain = np.zeros(1)
-            return FunctionRep(self.kind, plain / norms[:len(plain)], self.domain)
-        omega, _ = trig_freqs(len(self.payload), self.domain, self.raw_x)
-        if self.kind is FunctionKind.SINE_SERIES:
-            return FunctionRep(FunctionKind.COSINE_SERIES, self.payload * omega,
-                               self.domain, self.raw_x)
-        return FunctionRep(FunctionKind.SINE_SERIES, -self.payload * omega,
-                           self.domain, self.raw_x)
-
 
 @dataclass(frozen=True)
 class ExpPoly:
-    """p(x) e^{-rate x} on the half line, with exact differentiation.
+    """p(x) e^{-rate x} on the half line.
 
     poly holds power-basis coefficients (low order first).  All weighted
     norms of Theorem-2 type are finite for rate > 0.
@@ -102,9 +86,6 @@ class ExpPoly:
     def values(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.vander(x, len(self.poly), increasing=True) @ self.poly * np.exp(-self.rate * x)
-
-    def derivative(self) -> "ExpPoly":
-        return ExpPoly(_exp_poly_derivative(self.poly[:, None], self.rate)[:, 0], self.rate)
 
 
 FunctionLike = Union[FunctionRep, ExpPoly]
@@ -156,6 +137,13 @@ def _cached_table(kind, size, domain, raw_x, order, points: bytes) -> np.ndarray
     return table
 
 
+def cached_table(kind, size: int, domain, raw_x: bool, order: int, x) -> np.ndarray:
+    """basis_table at the fixed points x as one cached, read-only array: the
+    samples at x and a Legendre trial basis at x all read it."""
+    points = np.ascontiguousarray(x, dtype=float).tobytes()
+    return _cached_table(kind, size, domain, raw_x, order, points)
+
+
 def _exp_poly_derivative(P: np.ndarray, rates) -> np.ndarray:
     """Columns p' - rate p: the polynomial factor of (p e^{-rate x})'."""
     D = -rates * P
@@ -167,15 +155,15 @@ def sample_columns(funcs, x, order: int = 0) -> np.ndarray:
     """Column j: the order-th derivative of funcs[j] at the fixed points x,
     as one product with a cached, read-only basis table.  The functions
     share their type, kind, coefficient count, domain and raw_x."""
-    f, points = funcs[0], np.ascontiguousarray(x, dtype=float).tobytes()
+    f = funcs[0]
     if isinstance(f, ExpPoly):
         P = np.column_stack([g.poly for g in funcs])
         rates = np.array([g.rate for g in funcs])
         for _ in range(order):
             P = _exp_poly_derivative(P, rates)
-        table = _cached_table(None, len(P), None, False, 0, points)
+        table = cached_table(None, len(P), None, False, 0, x)
         return (table @ P) * np.exp(-np.outer(x, rates))
-    table = _cached_table(f.kind, len(f.payload), f.domain, f.raw_x, order, points)
+    table = cached_table(f.kind, len(f.payload), f.domain, f.raw_x, order, x)
     return table @ np.column_stack([g.payload for g in funcs])
 
 
@@ -214,36 +202,3 @@ def l2_norm(f: FunctionLike, grid: QuadGrid) -> float:
 def h1_seminorm(f: FunctionLike, grid: QuadGrid) -> float:
     """L2 norm of the exact derivative."""
     return _norm(f, grid, 1)
-
-
-# ----------------------------------------------------------------------------
-# Basis helpers
-# ----------------------------------------------------------------------------
-
-def make_sine_basis(domain: Interval, n: int) -> list[FunctionRep]:
-    """L2-orthonormal sine functions sqrt(2/L) sin(k pi (x-p)/L), k = 1..n."""
-    if n < 1:
-        raise InvalidArgumentError("basis size must be >= 1")
-    scale = np.sqrt(2.0 / domain.length)
-    basis = []
-    for k in range(1, n + 1):
-        coeffs = np.zeros(k)
-        coeffs[-1] = scale
-        basis.append(FunctionRep(FunctionKind.SINE_SERIES, coeffs, domain))
-    return basis
-
-
-def linear_combination(basis: list[FunctionRep], coeffs) -> FunctionRep:
-    """Combine series of one kind, domain and coordinate into one FunctionRep."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(basis) != len(coeffs) or not basis:
-        raise InvalidArgumentError("need one coefficient per basis function")
-    first = basis[0]
-    if any((b.kind, b.domain, b.raw_x) != (first.kind, first.domain, first.raw_x)
-           for b in basis):
-        raise InvalidArgumentError("basis functions differ in kind, domain or raw_x")
-    size = max(len(b.payload) for b in basis)
-    payload = np.zeros(size)
-    for b, c in zip(basis, coeffs):
-        payload[: len(b.payload)] += c * b.payload
-    return FunctionRep(first.kind, payload, first.domain, first.raw_x)

@@ -34,7 +34,8 @@ from .domains import HalfLineDomain, Interval, QuadGrid, half_line_for, make_gri
 from .errors import InvalidArgumentError, UnsupportedKindError
 from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
 
-MAX_DENSE_SIZE = 1024
+# Largest grid size n: the cap-rule half factor is up to 2n x n (Fourier, Hilbert).
+MAX_GRID_SIZE = 1024
 # Largest relative gap allowed between ||A||_F^2 and trace(M).
 FACTOR_RTOL = 1e-12
 
@@ -255,7 +256,7 @@ def resolved_count(mu: np.ndarray) -> int:
 # and nodes on J for Hilbert.
 _IMAGE_RULES = {
     LAPLACE: (32, lambda n: max(32, n // 4)),
-    LAPLACE_ADJOINT: (128, lambda n: min(max(128, n // 2), MAX_DENSE_SIZE)),
+    LAPLACE_ADJOINT: (128, lambda n: max(128, n // 2)),
     FOURIER: (64, lambda n: n),
     HILBERT: (64, lambda n: 2 * n),
 }
@@ -341,8 +342,8 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
 
 def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
     """T*T in the discrete L2 geometry, as its refinement-checked half factor."""
-    if grid.size > MAX_DENSE_SIZE:
-        raise InvalidArgumentError(f"dense matrices capped at n = {MAX_DENSE_SIZE}")
+    if grid.size > MAX_GRID_SIZE:
+        raise InvalidArgumentError(f"grid size capped at n = {MAX_GRID_SIZE}")
     expected = kind.input_domain
     if grid.domain != expected:
         raise InvalidArgumentError(

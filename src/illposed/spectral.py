@@ -120,7 +120,7 @@ def basis_on_grid(diff: GalerkinOperator, grid) -> np.ndarray:
     from .domains import Interval
     if isinstance(bdom, Interval) and isinstance(gdom, Interval) and bdom != gdom:
         x = bdom.a + (x - gdom.a) * (bdom.length / gdom.length)
-    return diff.basis.values(x)
+    return diff.basis.tables(x, (0,))[0]
 
 
 def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,

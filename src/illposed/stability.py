@@ -366,53 +366,57 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def random_sine_series(domain: Interval, count: int, rng,
-                       n_modes: int = 12, decay: float = 2.0):
-    """Unit-norm sine series with 1/k^decay amplitude envelope."""
+# Ensemble recipes: the modes of each random series and their envelopes.
+SINE_MODES, SINE_DECAY = 12, 2.0
+NONNEGATIVE_MODES = 10
+EXP_POLY_MAX_DEGREE, EXP_POLY_RATES = 5, (1.0, 2.0)
+TRIAL_MIX_DECAY = 2.0
+
+
+def random_sine_series(domain: Interval, count: int, rng):
+    """Unit-norm sine series of SINE_MODES modes with 1/k^SINE_DECAY amplitude envelope."""
     out = []
-    k = np.arange(1, n_modes + 1, dtype=float)
+    k = np.arange(1, SINE_MODES + 1, dtype=float)
     for _ in range(count):
-        c = rng.standard_normal(n_modes) / k ** decay
+        c = rng.standard_normal(SINE_MODES) / k ** SINE_DECAY
         c /= np.linalg.norm(c) * math.sqrt(domain.length / 2.0)
         out.append(FunctionRep(FunctionKind.SINE_SERIES, c, domain))
     return out
 
 
-def random_nonnegative_series(domain: Interval, count: int, rng,
-                              n_modes: int = 10):
+def random_nonnegative_series(domain: Interval, count: int, rng):
     """Nonnegative Legendre series: constant term dominates the oscillation."""
     out = []
+    n = NONNEGATIVE_MODES
     for _ in range(count):
-        c = np.zeros(n_modes)
-        c[1:] = rng.standard_normal(n_modes - 1) / (np.arange(1, n_modes) + 1.0) ** 2
+        c = np.zeros(n)
+        c[1:] = rng.standard_normal(n - 1) / (np.arange(1, n) + 1.0) ** 2
         # |f| >= c0/sqrt(L) - sum |c_k| sqrt((2k+1)/L): keep it positive
         c[0] = (1.0 + rng.uniform(0.05, 1.0)) * float(
-            np.sum(np.abs(c[1:]) * np.sqrt(2 * np.arange(1, n_modes) + 1.0))
+            np.sum(np.abs(c[1:]) * np.sqrt(2 * np.arange(1, n) + 1.0))
         ) + 0.1
         out.append(FunctionRep(FunctionKind.LEGENDRE_SERIES, c, domain))
     return out
 
 
-def random_exp_poly(count: int, rng, max_degree: int = 5,
-                    rate_range=(1.0, 2.0)):
+def random_exp_poly(count: int, rng):
     """p(x) e^{-rate x} ensemble with finite Theorem-2 weighted norms."""
     out = []
     for _ in range(count):
-        deg = int(rng.integers(1, max_degree + 1))
+        deg = int(rng.integers(1, EXP_POLY_MAX_DEGREE + 1))
         coeffs = rng.standard_normal(deg + 1) / (2.0 ** np.arange(deg + 1))
         if abs(coeffs[0]) < 0.1:
             coeffs[0] = 0.1 * (1.0 if coeffs[0] >= 0 else -1.0)
-        out.append(ExpPoly(coeffs, float(rng.uniform(*rate_range))))
+        out.append(ExpPoly(coeffs, float(rng.uniform(*EXP_POLY_RATES))))
     return out
 
 
-def random_trial_mix(dec: SpectralDecomposition, count: int, rng,
-                     decay: float = 2.0):
-    """Unit coefficient vectors spread over the eigenbasis with 1/n^decay envelope."""
+def random_trial_mix(dec: SpectralDecomposition, count: int, rng):
+    """Unit coefficient vectors spread over the eigenbasis with 1/n^TRIAL_MIX_DECAY envelope."""
     out = []
     n = np.arange(1, dec.size + 1, dtype=float)
     for _ in range(count):
-        d = rng.standard_normal(dec.size) / n ** decay
+        d = rng.standard_normal(dec.size) / n ** TRIAL_MIX_DECAY
         d /= np.linalg.norm(d)
         out.append(dec.eigenvectors @ d)
     return out

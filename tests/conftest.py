@@ -2,8 +2,9 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre, Polynomial
 
-from illposed import (Interval, OperatorKind, assemble_bertero_grunbaum,
+from illposed import (ExpPoly, FunctionKind, Interval, OperatorKind, assemble_bertero_grunbaum,
                       assemble_prolate, gram_matrix, half_line_for, make_grid)
 from illposed.integral_ops import FOURIER, LAPLACE, LAPLACE_ADJOINT, _adjoint_kernel
 
@@ -36,6 +37,28 @@ def kernel_matrix(kind, grid):
         K /= np.pi ** 2
     sw = np.sqrt(grid.weights)
     return sw[:, None] * K * sw[None, :]
+
+
+def derivative_values(f, x, order=1):
+    """f's order-th derivative at x in closed form, apart from the package's
+    basis tables: each trig term c sin(w(x - p)) differentiates to
+    c w^order sin(w(x - p) + order pi/2); a Legendre series through numpy's
+    Legendre class on f's domain; p(x) e^{-rx} through p' - r p, order
+    times, with numpy's Polynomial."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(f, ExpPoly):
+        P = Polynomial(f.poly)
+        for _ in range(order):
+            P = P.deriv() - f.rate * P
+        return P(x) * np.exp(-f.rate * x)
+    dom = f.domain
+    if f.kind is FunctionKind.LEGENDRE_SERIES:
+        norms = np.sqrt((2 * np.arange(len(f.payload)) + 1) / dom.length)
+        return Legendre(f.payload * norms, domain=[dom.a, dom.b]).deriv(order)(x)
+    k = np.arange(1, len(f.payload) + 1)
+    w, p = (k * np.pi, 0.0) if f.raw_x else (k * np.pi / dom.length, dom.a)
+    shift = order * np.pi / 2 + (np.pi / 2 if f.kind is FunctionKind.COSINE_SERIES else 0.0)
+    return np.sin(np.outer(x - p, w) + shift) @ (f.payload * w ** order)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 import argparse
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,8 +107,7 @@ def test_match_exit_contract(tmp_path):
 
 
 def test_adversarial_outputs(tmp_path):
-    code, out = run_cli(["adversarial", "--op", "hilbert:I=0,1:J=2,3",
-                         "--basis", "sine", "--n", "6"], tmp_path)
+    code, out = run_cli(["adversarial", "--op", "hilbert:I=0,1:J=2,3", "--n", "6"], tmp_path)
     assert code == 0
     csv = open(os.path.join(out, "worst_function.csv")).read().splitlines()
     assert csv[0] == "x,f" and len(csv) == 513
@@ -180,7 +181,7 @@ def test_usage_error_exits_one(tmp_path, capsys):
 OPTION_TABLE = {
     "spectrum": {"--op", "--n", "--out-dir", "--no-svg"},
     "match": {"--op", "--n", "--N", "--m", "--out-dir"},
-    "adversarial": {"--op", "--basis", "--n", "--out-dir", "--no-svg"},
+    "adversarial": {"--op", "--n", "--out-dir", "--no-svg"},
     "figures": {"--id", "--n", "--out-dir", "--no-svg"},
     "verify": {"--op", "--n", "--N", "--m", "--seed", "--count", "--out-dir"},
     "report-all": {"--n", "--N", "--m", "--seed", "--out-dir"},
@@ -194,7 +195,7 @@ def test_each_subcommand_declares_exactly_the_options_it_reads():
     for name, parser in subparsers.choices.items():
         options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
         assert options == OPTION_TABLE[name], name
-    assert sum(len(v) for v in OPTION_TABLE.values()) == 30
+    assert sum(len(v) for v in OPTION_TABLE.values()) == 29
 
 
 def test_defaults_come_from_problem():
@@ -226,6 +227,23 @@ def test_report_all_at_small_trial_size(tmp_path):
     criteria = json.load(open(os.path.join(out, "report.json")))["criteria"]
     assert len(criteria) == 12
     assert next(c for c in criteria if c["criterion"] == "4")["pass"]
+
+
+def test_report_all_stdout_is_the_same_on_every_run(tmp_path, capsys, monkeypatch):
+    # a clock whose steps grow, so the two runs' criteria take different times
+    from illposed import acceptance
+    ticks = itertools.count()
+    monkeypatch.setattr(acceptance, "time",
+                        SimpleNamespace(perf_counter=lambda: 0.01 * next(ticks) ** 2))
+    runs = []
+    for sub in ("a", "b"):
+        run_cli(["report-all", "--n", "64", "--N", "32", "--m", "8"], tmp_path, sub)
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    assert runs[0].out.splitlines()[-1] == "report-all: 8/12 passed"
+    assert runs[0].err != runs[1].err
+    assert runs[0].err.splitlines()[0].startswith("criterion 1: ")
+    assert runs[0].err.splitlines()[-1].startswith("report-all: ")
 
 
 def test_import_leaves_scipy_unloaded():

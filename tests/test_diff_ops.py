@@ -142,10 +142,48 @@ def laguerre_raw_reference(basis, x, order):
 def test_laguerre_vandermonde_matches_per_degree_reference(N):
     op = assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_PROOF_BOUND)
     t = op.grid.nodes
-    for order in (0, 1, 2):
+    for order, raw in zip((0, 1, 2), op.basis._raw(t, (0, 1, 2))):
         ref = laguerre_raw_reference(op.basis, t, order)
-        err = np.max(np.abs(op.basis._raw(t, order) - ref))
+        err = np.max(np.abs(raw - ref))
         assert err <= 1e-11 * np.max(np.abs(ref)), (N, order)
+
+
+def test_laguerre_tables_take_one_vandermonde(monkeypatch):
+    op = assemble_fourth_order(AB, half_line_for(AB), 32, SignVariant.AS_PROOF_BOUND)
+    calls = []
+    original = nplag.lagvander
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(nplag, "lagvander", counted)
+    t = op.grid.nodes
+    for orders in ((0,), (0, 1), (0, 1, 2), (2,)):
+        calls.clear()
+        tables = op.basis.tables(t, orders)
+        assert len(calls) == 1 and len(tables) == len(orders), orders
+    full = op.basis.tables(t, (0, 1, 2))
+    assert np.array_equal(op.basis.tables(t, (2,))[0], full[2])
+    assert all(not table.flags.writeable for table in full)
+
+
+@pytest.mark.parametrize("assemble", [lambda N: assemble_bertero_grunbaum(AB, N),
+                                      assemble_prolate], ids=["bertero-grunbaum", "prolate"])
+def test_legendre_operator_reads_the_sampling_tables(assemble, monkeypatch):
+    # a Legendre series sampled on the operator's grid reads the very tables
+    # the operator holds: one copy of each, not two equal ones
+    from illposed import functions
+    op = assemble(24)
+    read, original = [], functions._cached_table
+
+    def spy(*args):
+        read.append(original(*args))
+        return read[-1]
+    monkeypatch.setattr(functions, "_cached_table", spy)
+    f = FunctionRep(FunctionKind.LEGENDRE_SERIES, np.ones(24), op.basis.domain)
+    functions.sample(f, op.grid.nodes)
+    functions.sample(f, op.grid.nodes, 1)
+    assert read[0] is op.basis_values and read[1] is op.basis_deriv
 
 
 def test_fourth_order_invalid_variant():
@@ -160,14 +198,11 @@ def test_fourth_order_invalid_variant():
 ], ids=["bertero-grunbaum", "prolate", "fourth-order"])
 def test_operator_keeps_its_decompositions(assemble):
     op = assemble(16)
-    t = op.grid.nodes
-    tables = [("basis_values", op.basis.values), ("basis_deriv", op.basis.deriv)]
-    if hasattr(op.basis, "deriv2"):
-        tables.append(("basis_deriv2", op.basis.deriv2))
-    for name, evaluate in tables:
+    names = ("basis_values", "basis_deriv", "basis_deriv2")
+    for name, expected in zip(names, op.basis.tables(op.grid.nodes, op.basis.orders)):
         table = getattr(op, name)
         assert table is getattr(op, name) and not table.flags.writeable
-        assert np.array_equal(table, evaluate(t))
+        assert np.array_equal(table, expected)
     dec = op.eigensystem
     assert dec is op.eigensystem and not dec.eigenvectors.flags.writeable
     ref = eig_sym(op.stiffness)

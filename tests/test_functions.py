@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
-                      InvalidArgumentError, h1_seminorm, l2_norm,
-                      linear_combination, make_grid, make_sine_basis)
+                      InvalidArgumentError, h1_seminorm, l2_norm, make_grid)
+from illposed.functions import sample
 from illposed.stability import EXPONENTIAL, StabilityFit, verify_theorem
 
 
@@ -30,7 +31,7 @@ def test_inner_product_constants():
 def test_sine_orthogonality_and_norm():
     grid = make_grid(UNIT, 16)
     s = sine([1.0])
-    c = s.derivative()  # pi cos(pi x)
+    c = FunctionRep(FunctionKind.COSINE_SERIES, [np.pi], UNIT)  # s' = pi cos(pi x)
     assert inner_product(s, c, grid) == pytest.approx(0.0, abs=1e-12)
     assert inner_product(s, s, grid) == pytest.approx(0.5, abs=1e-12)
 
@@ -74,17 +75,28 @@ def test_weighted_norms_gamma_oracle(adjoint_M):
 
 def test_exp_poly_derivative_exact():
     f = ExpPoly([1.0, 2.0], 1.5)  # (1 + 2x) e^{-1.5x}
-    df = f.derivative()
     x = np.linspace(0.0, 3.0, 7)
     expect = (2.0 - 1.5 * (1.0 + 2.0 * x)) * np.exp(-1.5 * x)
-    assert df.values(x) == pytest.approx(expect, rel=1e-14)
+    assert sample(f, x, 1) == pytest.approx(expect, rel=1e-14)
+    assert derivative_values(f, x) == pytest.approx(expect, rel=1e-14)
+    # (1 + 2x)'' e^{-1.5x} terms: p'' - 3 p' + 2.25 p with p = 1 + 2x
+    expect2 = (-6.0 + 2.25 * (1.0 + 2.0 * x)) * np.exp(-1.5 * x)
+    assert sample(f, x, 2) == pytest.approx(expect2, rel=1e-14)
+    assert derivative_values(f, x, 2) == pytest.approx(expect2, rel=1e-14)
 
 
 def test_derivative_consistency_series():
-    # h1 seminorm of a sine series equals the l2 norm of its cosine derivative
-    grid = make_grid(UNIT, 64)
-    f = sine([0.3, -1.2, 0.0, 0.7])
-    assert h1_seminorm(f, grid) == pytest.approx(l2_norm(f.derivative(), grid), rel=1e-12)
+    # sampled derivatives and the h1 seminorm against the closed-form oracle
+    for f in (sine([0.3, -1.2, 0.0, 0.7]),
+              FunctionRep(FunctionKind.COSINE_SERIES, [0.5, 0.25, -1.0], Interval(1.0, 2.5)),
+              sine([0.0, 0.4, -0.6], Interval(1.0, 2.0), raw=True),
+              FunctionRep(FunctionKind.LEGENDRE_SERIES, [0.2, -0.5, 1.0, 0.3], Interval(1.0, 2.0))):
+        grid = make_grid(f.domain, 64)
+        oracle = derivative_values(f, grid.nodes)
+        gap = np.max(np.abs(sample(f, grid.nodes, 1) - oracle))
+        assert gap <= 1e-12 * np.max(np.abs(oracle)), f
+        norm = np.sqrt(np.dot(grid.weights, oracle ** 2))
+        assert h1_seminorm(f, grid) == pytest.approx(norm, rel=1e-12)
 
 
 def test_raw_basis_matches_shifted_identity():
@@ -115,17 +127,9 @@ def test_cauchy_schwarz(cf, cg):
 
 
 def test_sine_basis_orthonormal():
-    grid = make_grid(Interval(1.0, 2.0), 64)
-    basis = make_sine_basis(Interval(1.0, 2.0), 6)
+    # sqrt(2/L) sin(k pi (x-a)/L), the family build_gramian minimizes over
+    dom = Interval(1.0, 2.0)
+    grid = make_grid(dom, 64)
+    basis = [sine(np.sqrt(2.0) * np.eye(6)[k, :k + 1], dom) for k in range(6)]
     G = np.array([[inner_product(a, b, grid) for b in basis] for a in basis])
     assert np.max(np.abs(G - np.eye(6))) < 1e-12
-
-
-def test_linear_combination_series():
-    basis = make_sine_basis(UNIT, 3)
-    f = linear_combination(basis, [1.0, 0.0, -2.0])
-    x = np.linspace(0.0, 1.0, 9)
-    expect = basis[0].values(x) - 2.0 * basis[2].values(x)
-    assert f.values(x) == pytest.approx(expect, abs=1e-14)
-    with pytest.raises(InvalidArgumentError):  # no common series to sum into
-        linear_combination([basis[0], basis[1].derivative()], [1.0, 1.0])

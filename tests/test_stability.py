@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, decompose_operator, eig_sym,
                       l2_norm, lemma1_constant, lemma3_prefactor, make_grid, make_rng,
@@ -224,7 +225,7 @@ def test_scale_invariance_of_verdicts(laplace_M):
 
 def _reference_record(M, fit, f, i):
     """One record the per-function way: f.values on M's grid, the half factor
-    for ||T f||, and the derivatives' values for the oscillation ratio."""
+    for ||T f||, and the closed-form derivatives for the oscillation ratio."""
     fid = f"f{i:04d}"
     try:
         l2_norm(f, M.grid)
@@ -239,13 +240,12 @@ def _reference_record(M, fit, f, i):
         return fid, 0.0, 0.0, 0.0, True, None
     Av = M.half_factor @ (np.sqrt(w) * v)
     lhs = math.sqrt(float(np.dot(Av, Av)))
-    df = f.derivative()
+    df = derivative_values(f, t)
     if isinstance(f, ExpPoly):  # Theorem 2's aggregate
-        d2 = df.derivative().values(t)
-        ratio = (norm(d2, t ** 2) + norm(df.values(t), t ** 2) + norm(v, t ** 2)
-                 + norm(v)) / norm(v)
+        d2 = derivative_values(f, t, 2)
+        ratio = (norm(d2, t ** 2) + norm(df, t ** 2) + norm(v, t ** 2) + norm(v)) / norm(v)
     else:
-        ratio = norm(df.values(t)) / norm(v)
+        ratio = norm(df) / norm(v)
     rhs = fit.bound(ratio, norm(v))
     return fid, lhs, ratio, rhs, lhs >= rhs, None
 
@@ -267,12 +267,15 @@ def test_verify_theorem_batch_matches_per_function_reference(laplace_M, adjoint_
     rng = make_rng(11)
     fit = StabilityFit(10.0, 0.3, EXPONENTIAL, 0.98, "synthetic")  # some verdicts fail
     # one group larger than a block, so a block boundary falls inside it
-    ens = (random_sine_series(ab, _BLOCK + 12, rng)
-           + random_sine_series(ab, 20, rng, n_modes=7)
-           + [FunctionRep(FunctionKind.SINE_SERIES, [0.3, -0.2, 0.5], ab, raw_x=True),
-              FunctionRep(FunctionKind.SINE_SERIES, [1.0], UNIT),  # wrong domain
-              FunctionRep(FunctionKind.SINE_SERIES, np.zeros(12), ab),
-              ExpPoly([1.0], 1.0)])  # half-line function on an interval operator
+    ens = random_sine_series(ab, _BLOCK + 12, rng)
+    for _ in range(20):  # 7-mode series, drawn as random_sine_series draws its 12 modes
+        c = rng.standard_normal(7) / np.arange(1, 8.0) ** 2
+        ens.append(FunctionRep(FunctionKind.SINE_SERIES,
+                               c / (np.linalg.norm(c) * math.sqrt(ab.length / 2.0)), ab))
+    ens += [FunctionRep(FunctionKind.SINE_SERIES, [0.3, -0.2, 0.5], ab, raw_x=True),
+            FunctionRep(FunctionKind.SINE_SERIES, [1.0], UNIT),  # wrong domain
+            FunctionRep(FunctionKind.SINE_SERIES, np.zeros(12), ab),
+            ExpPoly([1.0], 1.0)]  # half-line function on an interval operator
     ens = [ens[i] for i in rng.permutation(len(ens))]
     recs = _check_against_reference(laplace_M, fit, ens)
     assert {r.satisfied for r in recs if r.error is None} == {True, False}
