@@ -8,7 +8,8 @@
 import numpy as np
 
 from illposed import (FigureId, Interval, OperatorKind, build_gramian,
-                      gram_matrix, make_grid, reproduce_figure, worst_function)
+                      gram_matrix, make_grid, reproduce_figure, sample,
+                      worst_function)
 
 op = OperatorKind.hilbert_truncated(Interval(0, 1), Interval(2, 3))
 M = gram_matrix(op, make_grid(Interval(0, 1), 256))  # every basis size reuses it
@@ -23,7 +24,7 @@ f = worst_function(rep)
 print("\nworst 6-mode combination (coefficients):")
 print(" ", np.array2string(rep.minimizer_coefficients, precision=5))
 xs = np.linspace(0, 1, 9)
-print("  sampled f:", np.array2string(f.values(xs), precision=4))
+print("  sampled f:", np.array2string(sample(f, xs), precision=4))
 
 print("\nbuilt-in reference figures (printed plot coefficients):")
 for fid in (FigureId.FIG1, FigureId.FIG2, FigureId.FIG3):

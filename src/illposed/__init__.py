@@ -10,7 +10,8 @@ inequalities relating image norms to oscillation ratios.
 from .domains import HalfLineDomain, Interval, half_line_for, make_grid
 from .errors import (InsufficientDataError, InvalidArgumentError,
                      ModeRangeError, RepresentationError)
-from .functions import ExpPoly, FunctionKind, FunctionRep, h1_seminorm, l2_norm
+from .functions import (ExpPoly, FunctionKind, FunctionRep, h1_seminorm, l2_norm,
+                        sample)
 from .integral_ops import (OperatorKind, fourier_image_energy, gram_matrix,
                            parse_operator, quadratic_form)
 from .diff_ops import (SignVariant, assemble_bertero_grunbaum,

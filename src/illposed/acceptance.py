@@ -240,13 +240,15 @@ def criterion_11(ctx) -> CriterionResult:
             if p is ctx.adjoint:
                 out[key]["variant"] = p.diff.spec.sign_variant.value
                 out[key]["variant_commutation"] = p.report.commutation_residual
-            out[key]["violations"] = violation_count(verify_theorem(p.matrix, p.fit, ens))
+            records = verify_theorem(p.matrix, p.fit, ens)
+            out[key]["violations"] = violation_count(records)
+            out[key]["errors"] = sum(1 for r in records if r.error)
         fit3_exp = fit_constants_from_sweep(ctx.fourier.sweep, EXPONENTIAL)
         out["thm3"]["exp_r2"] = fit3_exp.r_squared
         out["thm3"]["power_beats_exp"] = bool(ctx.fourier.fit.r_squared > fit3_exp.r_squared)
         return out
     out, dt = _timed(run)
-    zero = all(out[k]["violations"] == 0 for k in ("thm1", "thm2", "thm3"))
+    zero = all(out[k]["violations"] == out[k]["errors"] == 0 for k in ("thm1", "thm2", "thm3"))
     ok = zero and out["thm3"]["power_beats_exp"]
     out["zero_violations"] = zero
     return CriterionResult("11", "theorem 1/2/3 ensembles: zero violations; "

@@ -17,7 +17,7 @@ import numpy as np
 from .diff_ops import largest_entry_positive
 from .domains import Interval
 from .errors import InvalidArgumentError
-from .functions import FunctionKind, FunctionRep, basis_table
+from .functions import FunctionKind, FunctionRep, basis_table, sample
 from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
                            quadratic_form, resolved_count)
 from .problem import Problem
@@ -65,7 +65,7 @@ def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
     if size < 1:
         raise InvalidArgumentError("basis size must be >= 1")
     scale = np.sqrt(2.0 / domain.length)
-    V = scale * basis_table(FunctionKind.SINE_SERIES, size, domain, False, 0, grid.nodes)
+    V = scale * basis_table(FunctionKind.SINE_SERIES, size, domain, 0, grid.nodes)
     gram0 = V.T @ (grid.weights[:, None] * V)
     if np.max(np.abs(gram0 - np.eye(size))) > ORTHONORMALITY_TOL:
         raise InvalidArgumentError("basis is not orthonormal on the grid")
@@ -106,12 +106,20 @@ class FigureSpec:
     pass_factor: float
 
     def function(self) -> FunctionRep:
-        payload = np.zeros(self.first_mode - 1 + len(self.coefficients))
-        payload[self.first_mode - 1:] = self.coefficients
-        return FunctionRep(self.basis_kind, payload, self.operator.input_domain, raw_x=True)
+        """The printed series sum_k c_k trig(k pi x) on its domain [p, p+L],
+        as the standard series of that domain: for integer p and L,
+        trig(k pi x) = (-1)^(kp) trig(kL pi (x-p)/L), so index k moves to kL
+        with sign (-1)^(kp)."""
+        domain = self.operator.input_domain
+        p, L = int(domain.a), int(domain.length)
+        k = np.arange(self.first_mode, self.first_mode + len(self.coefficients))
+        payload = np.zeros(k[-1] * L)
+        payload[k * L - 1] = (-1.0) ** (k * p) * np.array(self.coefficients)
+        return FunctionRep(self.basis_kind, payload, domain)
 
 
-# Printed plot coefficients, raw sin(k pi x) / cos(k pi x) bases.
+# Printed plot coefficients, raw sin(k pi x) / cos(k pi x) bases: [0, 1]
+# keeps k, [1, 2] keeps k with sign (-1)^k, [-1, 1] maps k to 2k with sign (-1)^k.
 FIGURES = {
     FigureId.FIG1: FigureSpec(
         FigureId.FIG1,
@@ -147,7 +155,7 @@ def reproduce_figure(figure_id: FigureId, n: int = Problem.n) -> dict:
     f = spec.function()
     p = Problem(spec.operator, n)
     grid = p.grid
-    norm2 = float(np.dot(grid.weights, f.values(grid.nodes) ** 2))
+    norm2 = float(np.dot(grid.weights, sample(f, grid.nodes) ** 2))
     if spec.figure_id is FigureId.FIG3:
         # Cancellation-limited regime: closed-form basis transforms with
         # compensated summation, then integrate |f_hat|^2.

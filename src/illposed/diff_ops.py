@@ -67,7 +67,7 @@ class LegendreTrialBasis:
     def tables(self, x, orders) -> list:
         """One read-only table per derivative order at x: the cached tables
         that sampling a Legendre series of this size at x reads."""
-        return [cached_table(FunctionKind.LEGENDRE_SERIES, self.size, self.domain, False, k, x)
+        return [cached_table(FunctionKind.LEGENDRE_SERIES, self.size, self.domain, k, x)
                 for k in orders]
 
 
@@ -227,7 +227,7 @@ def _legendre_weak_form(ab: Interval, N: int, p, q, spec: DiffOpSpec) -> Galerki
     # Evaluated apart from the sampling cache, which would keep alive the
     # tables of every assembly, 2N refinements included, though most are
     # never sampled; basis.tables reads the cache on first use.
-    V, D = (basis_table(FunctionKind.LEGENDRE_SERIES, N, ab, False, k, t) for k in (0, 1))
+    V, D = (basis_table(FunctionKind.LEGENDRE_SERIES, N, ab, k, t) for k in (0, 1))
     S = D.T @ ((w * p(t))[:, None] * D) + V.T @ ((w * q(t))[:, None] * V)
     return GalerkinOperator(_sym(S), spec, basis, grid)
 

@@ -5,10 +5,6 @@ class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedKindError(InvalidArgumentError):
-    """The requested operation is not defined for this operator kind."""
-
-
 class RepresentationError(ValueError):
     """A function cannot be represented in the requested space to tolerance."""
 

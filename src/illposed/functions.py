@@ -2,10 +2,11 @@
 
 A FunctionRep is a coefficient series (sine / cosine / orthonormal
 Legendre).  Half-line functions (Theorem-2 territory) are
-polynomial-times-exponential ExpPoly objects.  On a fixed point set (a
-quadrature grid, or the refined points of the lemmas) a function, or a block
-of functions of one series type, is sampled, or differentiated exactly, as
-one product with a cached basis table.
+polynomial-times-exponential ExpPoly objects.  sample is the one
+evaluator: on a fixed point set (a quadrature grid, or the refined points
+of the lemmas) a function, or a block of functions of one type, is
+sampled, or differentiated exactly, as one product with a basis table,
+cached for series.
 """
 
 from __future__ import annotations
@@ -40,14 +41,11 @@ class FunctionRep:
       sine:    f(x) = sum_k c_k sin(k pi (x-p)/L),  k = 1..K (vanishes at ends)
       cosine:  f(x) = sum_k c_k cos(k pi (x-p)/L),  k = 1..K
       legendre: orthonormalized Legendre polynomials mapped to [p, q], k = 0..K-1
-    With raw_x=True the trig bases are sin(k pi x) / cos(k pi x) in the raw
-    coordinate, exactly as plotted in the worst-case figure reproductions.
     """
 
     kind: FunctionKind
     payload: np.ndarray = field(repr=False)
     domain: Interval
-    raw_x: bool = False
 
     def __post_init__(self):
         payload = np.asarray(self.payload, dtype=float)
@@ -55,12 +53,6 @@ class FunctionRep:
         object.__setattr__(self, "payload", payload)
         if payload.ndim != 1 or len(payload) == 0:
             raise InvalidArgumentError("payload must be a nonempty 1-d array")
-        if self.raw_x and self.kind is FunctionKind.LEGENDRE_SERIES:
-            raise InvalidArgumentError("raw_x applies to trig series only")
-
-    def values(self, x) -> np.ndarray:
-        table = basis_table(self.kind, len(self.payload), self.domain, self.raw_x, 0, x)
-        return table @ self.payload
 
 
 @dataclass(frozen=True)
@@ -83,10 +75,6 @@ class ExpPoly:
         if not self.rate > 0:
             raise InvalidArgumentError("rate must be positive")
 
-    def values(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.vander(x, len(self.poly), increasing=True) @ self.poly * np.exp(-self.rate * x)
-
 
 FunctionLike = Union[FunctionRep, ExpPoly]
 
@@ -95,22 +83,19 @@ FunctionLike = Union[FunctionRep, ExpPoly]
 # Basis tables
 # ----------------------------------------------------------------------------
 
-def trig_freqs(size: int, domain: Interval, raw_x: bool):
-    """(omega, p) with angle omega*(x - p); raw_x series use omega = k pi, p = 0."""
+def trig_freqs(size: int, domain: Interval):
+    """(omega, p) with angle omega*(x - p): omega = k pi / L, p = a."""
     k = np.arange(1, size + 1, dtype=float)
-    if raw_x:
-        return k * np.pi, 0.0
     return k * np.pi / domain.length, domain.a
 
 
-def basis_table(kind, size: int, domain, raw_x: bool, order: int, x) -> np.ndarray:
+def basis_table(kind: FunctionKind, size: int, domain: Interval, order: int, x) -> np.ndarray:
     """Column k: the order-th derivative (0 or 1) of the k-th basis function
     of a series at x: sin/cos k pi (x-p)/L, or the orthonormal Legendre
-    function of degree k.  kind None is ExpPoly's power basis x^k, order 0
-    only: its derivatives act on the coefficients and the exponential."""
+    function of degree k."""
+    if order not in (0, 1):
+        raise InvalidArgumentError(f"a series table gives derivative orders 0 and 1, not {order}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if kind is None:
-        return np.vander(x, size, increasing=True)
     if kind is FunctionKind.LEGENDRE_SERIES:
         V = npleg.legvander((2.0 * x - domain.a - domain.b) / domain.length, size - 1)
         norms = np.sqrt((2 * np.arange(size) + 1) / domain.length)
@@ -122,7 +107,7 @@ def basis_table(kind, size: int, domain, raw_x: bool, order: int, x) -> np.ndarr
         for k in range(1, size - 1):
             D[:, k + 1] = D[:, k - 1] + (2 * k + 1) * V[:, k]
         return D * norms[None, :] * (2.0 / domain.length)
-    omega, p = trig_freqs(size, domain, raw_x)
+    omega, p = trig_freqs(size, domain)
     phase = np.outer(x - p, omega)
     sine = kind is FunctionKind.SINE_SERIES
     if order == 0:
@@ -131,17 +116,17 @@ def basis_table(kind, size: int, domain, raw_x: bool, order: int, x) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_table(kind, size, domain, raw_x, order, points: bytes) -> np.ndarray:
-    table = basis_table(kind, size, domain, raw_x, order, np.frombuffer(points))
+def _cached_table(kind, size, domain, order, points: bytes) -> np.ndarray:
+    table = basis_table(kind, size, domain, order, np.frombuffer(points))
     table.setflags(write=False)
     return table
 
 
-def cached_table(kind, size: int, domain, raw_x: bool, order: int, x) -> np.ndarray:
+def cached_table(kind: FunctionKind, size: int, domain: Interval, order: int, x) -> np.ndarray:
     """basis_table at the fixed points x as one cached, read-only array: the
     samples at x and a Legendre trial basis at x all read it."""
     points = np.ascontiguousarray(x, dtype=float).tobytes()
-    return _cached_table(kind, size, domain, raw_x, order, points)
+    return _cached_table(kind, size, domain, order, points)
 
 
 def _exp_poly_derivative(P: np.ndarray, rates) -> np.ndarray:
@@ -152,18 +137,20 @@ def _exp_poly_derivative(P: np.ndarray, rates) -> np.ndarray:
 
 
 def sample_columns(funcs, x, order: int = 0) -> np.ndarray:
-    """Column j: the order-th derivative of funcs[j] at the fixed points x,
-    as one product with a cached, read-only basis table.  The functions
-    share their type, kind, coefficient count, domain and raw_x."""
+    """Column j: the order-th derivative of funcs[j] at the fixed points x.
+    The functions share their type, kind, coefficient count and domain.  A
+    series is one product with a cached, read-only basis table, orders 0
+    and 1 only; an ExpPoly takes any order, through its coefficients, on the
+    power basis x^k."""
     f = funcs[0]
     if isinstance(f, ExpPoly):
         P = np.column_stack([g.poly for g in funcs])
         rates = np.array([g.rate for g in funcs])
         for _ in range(order):
             P = _exp_poly_derivative(P, rates)
-        table = cached_table(None, len(P), None, False, 0, x)
-        return (table @ P) * np.exp(-np.outer(x, rates))
-    table = cached_table(f.kind, len(f.payload), f.domain, f.raw_x, order, x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return (np.vander(x, len(P), increasing=True) @ P) * np.exp(-np.outer(x, rates))
+    table = cached_table(f.kind, len(f.payload), f.domain, order, x)
     return table @ np.column_stack([g.payload for g in funcs])
 
 

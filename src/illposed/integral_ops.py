@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import HalfLineDomain, Interval, QuadGrid, half_line_for, make_grid
-from .errors import InvalidArgumentError, UnsupportedKindError
+from .errors import InvalidArgumentError
 from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
 
 # Largest grid size n: the cap-rule half factor is up to 2n x n (Fourier, Hilbert).
@@ -193,10 +193,8 @@ def _kernel_diagonal(kind: OperatorKind, x: np.ndarray) -> np.ndarray:
         return _adjoint_kernel(2.0 * x, kind.source.a, kind.source.b)
     if kind.tag == FOURIER:
         return np.full_like(x, 2.0)
-    if kind.tag == HILBERT:
-        c, d = kind.target.a, kind.target.b
-        return (1.0 / (c - x) - 1.0 / (d - x)) / math.pi ** 2
-    raise UnsupportedKindError(kind.tag)
+    c, d = kind.target.a, kind.target.b  # HILBERT: OperatorKind admits no other tag
+    return (1.0 / (c - x) - 1.0 / (d - x)) / math.pi ** 2
 
 
 # ----------------------------------------------------------------------------
@@ -278,12 +276,9 @@ def _half_factor(kind: OperatorKind, grid: QuadGrid, r: int) -> np.ndarray:
         A = np.vstack([np.cos(phase), np.sin(phase)])
         sw_out = np.concatenate([np.sqrt(out.weights)] * 2)
         return sw_out[:, None] * A * sw_in[None, :]
-    elif kind.tag == HILBERT:
-        # Kernel 1/(t - s) is smooth on J x I: the rule lives on J.
+    else:  # HILBERT: kernel 1/(t - s) is smooth on J x I, so the rule lives on J
         out = make_grid(kind.target, r)
         A = (1.0 / np.pi) / (out.nodes[:, None] - x[None, :])
-    else:
-        raise UnsupportedKindError(kind.tag)
     return np.sqrt(out.weights)[:, None] * A * sw_in[None, :]
 
 
@@ -404,7 +399,7 @@ def fourier_image_energy(f: FunctionRep, n_xi: int) -> float:
     xi_grid = make_grid(Interval(-1.0, 1.0), n_xi)
     xi = xi_grid.nodes
     is_sine = f.kind is FunctionKind.SINE_SERIES
-    omegas, p = trig_freqs(len(f.payload), f.domain, f.raw_x)
+    omegas, p = trig_freqs(len(f.payload), f.domain)
     terms = [c * _trig_transform(omega, -omega * p, xi, f.domain.a, f.domain.b, is_sine)
              for c, omega in zip(f.payload, omegas)]
     fhat = np.array([

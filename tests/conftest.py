@@ -56,7 +56,7 @@ def derivative_values(f, x, order=1):
         norms = np.sqrt((2 * np.arange(len(f.payload)) + 1) / dom.length)
         return Legendre(f.payload * norms, domain=[dom.a, dom.b]).deriv(order)(x)
     k = np.arange(1, len(f.payload) + 1)
-    w, p = (k * np.pi, 0.0) if f.raw_x else (k * np.pi / dom.length, dom.a)
+    w, p = k * np.pi / dom.length, dom.a
     shift = order * np.pi / 2 + (np.pi / 2 if f.kind is FunctionKind.COSINE_SERIES else 0.0)
     return np.sin(np.outer(x - p, w) + shift) @ (f.payload * w ** order)
 

@@ -16,7 +16,8 @@ import pytest
 
 from illposed import acceptance
 from illposed import Interval, OperatorKind
-from illposed.acceptance import Suite, criterion_08, criterion_09, run_acceptance
+from illposed.acceptance import (Suite, criterion_08, criterion_09, criterion_11,
+                                 run_acceptance)
 from illposed.cli import main
 from illposed.errors import InsufficientDataError
 from illposed.problem import Problem
@@ -84,7 +85,7 @@ def test_criterion_11_theorem_ensembles(results):
     r = _report(results, "11")
     assert r.details["zero_violations"]
     for key in ("thm1", "thm2", "thm3"):
-        assert r.details[key]["violations"] == 0
+        assert r.details[key]["violations"] == 0 and r.details[key]["errors"] == 0
 
 
 @pytest.mark.xfail(strict=True, reason="prolate H1 ratios grow like n^1.5, so "
@@ -143,6 +144,26 @@ def test_criterion_09_samples_through_basis_tables(monkeypatch):
     for name in ("legval", "legder"):
         monkeypatch.setattr(np.polynomial.legendre, name, forbidden)
     assert criterion_09(ctx).passed
+
+
+def test_criterion_11_counts_errors_apart_from_violations(monkeypatch):
+    # an ensemble record that raised is an error: counted as one, not as a
+    # violation, and it fails the zero-violations check all the same
+    from illposed.stability import StabilityRecord
+
+    def one_error_one_pass(M, fit, ensemble):
+        nan = float("nan")
+        return [StabilityRecord("f0000", "op", nan, nan, nan, False, error="boom"),
+                StabilityRecord("f0001", "op", 1.0, 1.0, 0.5, True)]
+    monkeypatch.setattr(acceptance, "verify_theorem", one_error_one_pass)
+    ab = Interval(1.0, 2.0)
+    ctx = Suite(0, Problem(OperatorKind.laplace_tt(ab), 128, 64, 12),
+                Problem(OperatorKind.fourier_tt(), 128, 64, 12),
+                Problem(OperatorKind.laplace_adjoint_tt(ab), 128, 64, 12))
+    c11 = criterion_11(ctx)
+    for key in ("thm1", "thm2", "thm3"):
+        assert c11.details[key]["violations"] == 0 and c11.details[key]["errors"] == 1
+    assert not c11.details["zero_violations"] and not c11.passed
 
 
 def test_acceptance_builds_six_gram_matrices(gram_calls):

@@ -262,13 +262,25 @@ def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
     assert gram_calls == [128]
 
 
-def test_determinism_byte_identical(tmp_path):
-    _, out_a = run_cli(["spectrum", "--op", "fourier", "--n", "96"], tmp_path, "a")
-    _, out_b = run_cli(["spectrum", "--op", "fourier", "--n", "96"], tmp_path, "b")
-    for name in ("spectrum.csv", "spectrum.json", "spectrum.svg"):
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--op", "fourier", "--n", "96"],
+    ["match"],
+    ["adversarial", "--op", "hilbert:I=0,1:J=2,3", "--n", "6"],
+    ["figures", "--id", "1"],
+    ["figures", "--id", "2"],
+    ["figures", "--id", "3"],
+    ["verify", "--count", "40", "--N", "64"],
+], ids=["spectrum", "match", "adversarial", "figure1", "figure2", "figure3", "verify"])
+def test_determinism_byte_identical(tmp_path, argv):
+    # two runs write the same files, byte for byte
+    _, out_a = run_cli(argv, tmp_path, "a")
+    _, out_b = run_cli(argv, tmp_path, "b")
+    names = sorted(os.listdir(out_a))
+    assert names and names == sorted(os.listdir(out_b))
+    for name in names:
         fa = open(os.path.join(out_a, name), "rb").read()
         fb = open(os.path.join(out_b, name), "rb").read()
-        assert fa == fb
+        assert fa == fb, name
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -5,21 +5,21 @@ from hypothesis import strategies as st
 
 from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
-                      InvalidArgumentError, h1_seminorm, l2_norm, make_grid)
-from illposed.functions import sample
+                      InvalidArgumentError, h1_seminorm, l2_norm, make_grid, sample)
+from illposed.adversarial import FIGURES
 from illposed.stability import EXPONENTIAL, StabilityFit, verify_theorem
 
 
 UNIT = Interval(0.0, 1.0)
 
 
-def sine(coeffs, domain=UNIT, raw=False):
-    return FunctionRep(FunctionKind.SINE_SERIES, coeffs, domain, raw_x=raw)
+def sine(coeffs, domain=UNIT):
+    return FunctionRep(FunctionKind.SINE_SERIES, coeffs, domain)
 
 
 def inner_product(f, g, grid):
     """Discrete L2 pairing sum_i w_i f(x_i) g(x_i), the one l2_norm squares."""
-    return float(np.dot(grid.weights, f.values(grid.nodes) * g.values(grid.nodes)))
+    return float(np.dot(grid.weights, sample(f, grid.nodes) * sample(g, grid.nodes)))
 
 
 def test_inner_product_constants():
@@ -85,11 +85,23 @@ def test_exp_poly_derivative_exact():
     assert derivative_values(f, x, 2) == pytest.approx(expect2, rel=1e-14)
 
 
+def test_series_tables_refuse_higher_derivatives():
+    # a series table holds orders 0 and 1 only: order 2 is refused, not
+    # answered with the first derivative; ExpPoly takes every order
+    x = np.array([0.25, 0.5])
+    for f in (sine([1.0]), FunctionRep(FunctionKind.COSINE_SERIES, [1.0, 0.5], UNIT),
+              FunctionRep(FunctionKind.LEGENDRE_SERIES, [0.2, -0.5, 1.0], UNIT)):
+        with pytest.raises(InvalidArgumentError):
+            sample(f, x, 2)
+    g = ExpPoly([0.5, -1.0, 0.25], 1.2)
+    assert sample(g, x, 2) == pytest.approx(derivative_values(g, x, 2), rel=1e-14)
+
+
 def test_derivative_consistency_series():
     # sampled derivatives and the h1 seminorm against the closed-form oracle
     for f in (sine([0.3, -1.2, 0.0, 0.7]),
               FunctionRep(FunctionKind.COSINE_SERIES, [0.5, 0.25, -1.0], Interval(1.0, 2.5)),
-              sine([0.0, 0.4, -0.6], Interval(1.0, 2.0), raw=True),
+              sine([0.0, 0.4, -0.6], Interval(1.0, 2.0)),
               FunctionRep(FunctionKind.LEGENDRE_SERIES, [0.2, -0.5, 1.0, 0.3], Interval(1.0, 2.0))):
         grid = make_grid(f.domain, 64)
         oracle = derivative_values(f, grid.nodes)
@@ -99,13 +111,19 @@ def test_derivative_consistency_series():
         assert h1_seminorm(f, grid) == pytest.approx(norm, rel=1e-12)
 
 
-def test_raw_basis_matches_shifted_identity():
-    # on [1,2]: sin(k pi x) = (-1)^k sin(k pi (x-1))
-    dom = Interval(1.0, 2.0)
-    raw = sine([0.0, 1.0], dom, raw=True)         # sin(2 pi x)
-    shifted = sine([0.0, 1.0], dom)               # sin(2 pi (x-1))
-    x = np.linspace(1.0, 2.0, 17)
-    assert raw.values(x) == pytest.approx(shifted.values(x), abs=1e-14)
+@pytest.mark.parametrize("fid", list(FIGURES), ids=lambda fid: f"figure{fid.value}")
+def test_figure_function_is_the_printed_series(fid):
+    # each figure prints sum_k c_k trig(k pi x) on the raw coordinate; its
+    # function is the standard series of its domain, equal at every point
+    spec = FIGURES[fid]
+    f = spec.function()
+    dom = spec.operator.input_domain
+    x = np.linspace(dom.a, dom.b, 1001)
+    trig = np.sin if spec.basis_kind is FunctionKind.SINE_SERIES else np.cos
+    printed = sum(c * trig(k * np.pi * x)
+                  for k, c in enumerate(spec.coefficients, start=spec.first_mode))
+    assert f.domain == dom
+    assert np.max(np.abs(sample(f, x) - printed)) <= 1e-14
 
 
 def test_legendre_series_derivative():

@@ -8,7 +8,7 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
                       Interval, InvalidArgumentError, ModeRangeError,
                       converged_mode_count, decompose_operator, eig_sym,
                       fit_decay, growth_check, match_eigenfunctions,
-                      parse_operator, quadratic_form, spectrum_to_csv)
+                      parse_operator, quadratic_form, sample, spectrum_to_csv)
 from illposed.acceptance import Suite, criterion_07, criterion_09
 from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind
 from illposed.problem import Problem
@@ -239,7 +239,7 @@ def test_parseval_and_quadratic_form_identity(laplace_M, ab):
     mu = decompose_operator(laplace_M).eigenvalues
     _, _, Vt = np.linalg.svd(laplace_M.half_factor, full_matrices=False)
     f = FunctionRep(FunctionKind.SINE_SERIES, [0.6, -0.3, 0.1], ab)
-    v = np.sqrt(laplace_M.grid.weights) * f.values(laplace_M.grid.nodes)
+    v = np.sqrt(laplace_M.grid.weights) * sample(f, laplace_M.grid.nodes)
     coeffs = Vt @ v
     norm2 = float(v @ v)
     assert float(coeffs @ coeffs) == pytest.approx(norm2, rel=1e-10)

@@ -9,12 +9,12 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, decompose_operator, eig_sym,
                       l2_norm, lemma1_constant, lemma3_prefactor, make_grid, make_rng,
                       match_eigenfunctions, parse_operator, verify_lemma1,
-                      verify_lemma2, verify_lemma3, verify_theorem,
+                      sample, verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
 from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR
 from illposed.stability import (_BLOCK, EXPONENTIAL, POWER_OF_RATIO, StabilityFit,
-                                SweepData,
+                                StabilityRecord, SweepData,
                                 fit_constants_from_sweep, h1_seminorm,
                                 random_nonnegative_series,
                                 random_sine_series, random_trial_mix,
@@ -36,7 +36,7 @@ def test_lemma2_linear_function():
     # f(x) = x on [-1,1]: sup 1, ||f_x|| = sqrt(2), bound sqrt(2)*sqrt(2) = 2
     grid = make_grid(SYM, 64)
     f = legendre([0.0, np.sqrt(2.0 / 3.0)], SYM)  # equals x
-    assert f.values(np.array([0.5]))[0] == pytest.approx(0.5, rel=1e-14)
+    assert sample(f, np.array([0.5]))[0] == pytest.approx(0.5, rel=1e-14)
     rec = verify_lemma2(f, grid)
     assert rec.applicable
     assert rec.sup_norm == pytest.approx(1.0, rel=1e-10)
@@ -95,7 +95,7 @@ def test_lemma3_quadratic_oracle():
     coeffs = np.array([1.0 / 3.0, 1.0 / (2.0 * np.sqrt(3.0)), 1.0 / (6.0 * np.sqrt(5.0))])
     f = legendre(coeffs, UNIT)
     xs = np.linspace(0, 1, 7)
-    assert f.values(xs) == pytest.approx(xs ** 2, abs=1e-13)
+    assert sample(f, xs) == pytest.approx(xs ** 2, abs=1e-13)
     rec = verify_lemma3(f, grid, c2=1.0)
     assert rec.lhs == pytest.approx(1.0 / 3.0, rel=1e-12)
     ratio = h1_seminorm(f, grid) / (1.0 / np.sqrt(5.0))
@@ -124,6 +124,22 @@ def test_lemma3_prefactor_monotone_in_c2():
     assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
     with pytest.raises(InvalidArgumentError):
         lemma3_prefactor(-1.0, dom)
+
+
+@pytest.mark.parametrize("c2, length", [
+    (1.0, 1.0),     # interior minimum h(x*) below the clamp L/4
+    (0.3, 2.0),     # interior minimum, longer interval
+    (3.0, 1.0),     # x* = 9/16 < L, but h(x*) is above L/4
+    (8.0, 1.0),     # x* = 4 > L: the minimum over (0, L] sits at L
+    (20.0, 0.01),   # h is e^{100}/200 at x = L: only logs stay finite
+])
+def test_lemma3_prefactor_is_the_brute_force_minimum(c2, length):
+    # c1^2 = min(L/4, min over 0 < x <= L of (x/2) e^{c2/(2 sqrt(x L))}),
+    # minimized here by a dense scan of log h over twelve decades below L
+    x = length * np.logspace(-12.0, 0.0, 400_001)
+    log_h = c2 / (2.0 * np.sqrt(x * length)) + np.log(x / 2.0)
+    want = math.exp(0.5 * min(math.log(length / 4.0), float(log_h.min())))
+    assert lemma3_prefactor(c2, Interval(1.0, 1.0 + length)) == pytest.approx(want, rel=1e-8)
 
 
 # ----------------------------------------------------------------------------
@@ -204,6 +220,15 @@ def test_verify_theorem_zero_violations_small(laplace_M):
     assert violation_count(recs) == 0
 
 
+def test_violation_count_leaves_out_errors():
+    # a record that raised is unsatisfied, but it is an error, not a violation
+    nan = math.nan
+    recs = [StabilityRecord("f0000", "op", nan, nan, nan, False, error="boom"),
+            StabilityRecord("f0001", "op", 0.1, 1.0, 0.5, False),
+            StabilityRecord("f0002", "op", 1.0, 1.0, 0.5, True)]
+    assert violation_count(recs) == 1
+
+
 def test_verify_theorem_records_errors(laplace_M):
     fit = StabilityFit(1.0, 1.0, EXPONENTIAL, 1.0, "synthetic")
     bad = FunctionRep(FunctionKind.SINE_SERIES, [1.0], Interval(0.0, 1.0))
@@ -224,7 +249,7 @@ def test_scale_invariance_of_verdicts(laplace_M):
 
 
 def _reference_record(M, fit, f, i):
-    """One record the per-function way: f.values on M's grid, the half factor
+    """One record the per-function way: f sampled on M's grid, the half factor
     for ||T f||, and the closed-form derivatives for the oscillation ratio."""
     fid = f"f{i:04d}"
     try:
@@ -235,7 +260,7 @@ def _reference_record(M, fit, f, i):
 
     def norm(v, weight=1.0):
         return math.sqrt(float(np.dot(w, weight * v * v)))
-    v = f.values(t)
+    v = sample(f, t)
     if norm(v) == 0.0:
         return fid, 0.0, 0.0, 0.0, True, None
     Av = M.half_factor @ (np.sqrt(w) * v)
@@ -272,7 +297,7 @@ def test_verify_theorem_batch_matches_per_function_reference(laplace_M, adjoint_
         c = rng.standard_normal(7) / np.arange(1, 8.0) ** 2
         ens.append(FunctionRep(FunctionKind.SINE_SERIES,
                                c / (np.linalg.norm(c) * math.sqrt(ab.length / 2.0)), ab))
-    ens += [FunctionRep(FunctionKind.SINE_SERIES, [0.3, -0.2, 0.5], ab, raw_x=True),
+    ens += [FunctionRep(FunctionKind.COSINE_SERIES, [0.3, -0.2, 0.5], ab),
             FunctionRep(FunctionKind.SINE_SERIES, [1.0], UNIT),  # wrong domain
             FunctionRep(FunctionKind.SINE_SERIES, np.zeros(12), ab),
             ExpPoly([1.0], 1.0)]  # half-line function on an interval operator
