@@ -390,7 +390,8 @@ def fourier_image_energy(f: FunctionRep, n_xi: int) -> float:
 
     Each basis transform of the trig series is evaluated in closed form and
     the coefficient sum is compensated (math.fsum); the small transform values
-    are resolved before squaring.
+    are resolved before squaring.  A zero coefficient adds nothing to the
+    exact sum, so its transform is skipped.
     """
     if f.domain != Interval(-1.0, 1.0):
         raise InvalidArgumentError("image energy is defined for functions on [-1, 1]")
@@ -401,7 +402,7 @@ def fourier_image_energy(f: FunctionRep, n_xi: int) -> float:
     is_sine = f.kind is FunctionKind.SINE_SERIES
     omegas, p = trig_freqs(len(f.payload), f.domain)
     terms = [c * _trig_transform(omega, -omega * p, xi, f.domain.a, f.domain.b, is_sine)
-             for c, omega in zip(f.payload, omegas)]
+             for c, omega in zip(f.payload, omegas) if c != 0.0]
     fhat = np.array([
         complex(math.fsum(t[i].real for t in terms),
                 math.fsum(t[i].imag for t in terms))
