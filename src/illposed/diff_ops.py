@@ -22,7 +22,7 @@ from numpy.polynomial import laguerre as nplag
 
 from .domains import HalfLineDomain, Interval, QuadGrid, make_grid
 from .errors import InvalidArgumentError, RepresentationError
-from .functions import FunctionKind, FunctionLike, basis_table, cached_table, sample
+from .functions import FunctionKind, basis_table, cached_table
 
 BERTERO_GRUNBAUM = "bertero-grunbaum"
 FOURTH_ORDER = "fourth-order"
@@ -297,10 +297,10 @@ def reassemble(op: GalerkinOperator, N: int) -> GalerkinOperator:
     return assemble_fourth_order(spec.ab, spec.half, N, spec.sign_variant)
 
 
-def project_coefficients(op: GalerkinOperator, f: FunctionLike) -> np.ndarray:
-    """Trial-space coefficients of f, failing if the residual exceeds tolerance."""
+def project_coefficients(op: GalerkinOperator, vals: np.ndarray) -> np.ndarray:
+    """Trial-space coefficients of the function with values vals at the
+    operator's grid nodes, failing if the residual exceeds tolerance."""
     w = op.grid.weights
-    vals = sample(f, op.grid.nodes)
     norm2 = float(np.dot(w, vals * vals))
     if norm2 == 0.0:
         return np.zeros(op.size)

@@ -11,6 +11,7 @@ constructive constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,8 +21,8 @@ import numpy as np
 from .diff_ops import GalerkinOperator, project_coefficients
 from .domains import Interval, QuadGrid
 from .errors import (InsufficientDataError, InvalidArgumentError)
-from .functions import (ExpPoly, FunctionKind, FunctionRep, check_domain,
-                        h1_seminorm, l2_norm, sample, sample_columns)
+from .functions import (ExpPoly, FunctionKind, FunctionRep, cached_table, check_domain,
+                        columns, grid_norm, h1_seminorm, sample, sample_columns)
 from .integral_ops import LAPLACE_ADJOINT, OperatorMatrix
 from .spectral import (MatchReport, SpectralDecomposition, decompose_operator,
                        fit_line, growth_check, match_eigenfunctions)
@@ -115,9 +116,22 @@ class StabilityFit:
 # Sampling helpers
 # ----------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _refined_points(domain: Interval, size: int) -> np.ndarray:
+    """REFINE_FACTOR times as many equispaced points as a grid of size nodes
+    has, built once per (domain, size) and read-only."""
+    x = np.linspace(domain.a, domain.b, REFINE_FACTOR * size + 1)
+    x.setflags(write=False)
+    return x
+
+
 def _refined_values(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
-    """f at REFINE_FACTOR times as many equispaced points as the grid has nodes."""
-    return sample(f, np.linspace(grid.domain.a, grid.domain.b, REFINE_FACTOR * grid.size + 1))
+    """f at the refined points of the grid, once f is known to live on the
+    grid's bounded interval: Lemmas 2 and 3 are statements on [a, b]."""
+    if not isinstance(grid.domain, Interval):
+        raise InvalidArgumentError("lemmas 2 and 3 hold on a bounded interval, not a half line")
+    check_domain(f, grid)
+    return sample(f, _refined_points(grid.domain, grid.size))
 
 
 def _norms(w, vals, weight=1.0):
@@ -142,7 +156,7 @@ def _oscillation_ratios(tag: str, t, w, v, v1, second) -> np.ndarray:
 
 def verify_lemma2(f: FunctionRep, grid: QuadGrid) -> Lemma2Record:
     vals = _refined_values(f, grid)
-    sup = float(np.max(np.abs(vals)))
+    sup = float(np.abs(vals).max())
     applicable = bool(vals.min() < -SIGN_TOL * sup and vals.max() > SIGN_TOL * sup)
     bound = math.sqrt(grid.domain.length) * h1_seminorm(f, grid)
     passed = (not applicable) or sup <= bound * (1.0 + 1e-9) + SIGN_TOL * sup
@@ -174,13 +188,14 @@ def lemma3_prefactor(c2: float, domain: Interval) -> float:
 
 def verify_lemma3(f: FunctionRep, grid: QuadGrid, c2: float) -> Lemma3Record:
     vals = _refined_values(f, grid)
-    if vals.min() < -SIGN_TOL * float(np.max(np.abs(vals))):
+    if vals.min() < -SIGN_TOL * float(np.abs(vals).max()):
         raise InvalidArgumentError("lemma 3 applies to nonnegative functions only")
-    norm = l2_norm(f, grid)
+    nodal = sample(f, grid.nodes)  # both the norm and the mass
+    norm = grid_norm(nodal, grid)
     c1 = lemma3_prefactor(c2, grid.domain)
     if norm == 0.0:
         return Lemma3Record(0.0, 0.0, c1, True)
-    lhs = float(np.dot(grid.weights, sample(f, grid.nodes)))
+    lhs = float(np.dot(grid.weights, nodal))
     ratio = h1_seminorm(f, grid) / norm
     rhs = c1 * math.exp(-c2 * ratio) * norm
     return Lemma3Record(lhs, rhs, c1, bool(lhs >= rhs * (1.0 - 1e-9)))
@@ -208,12 +223,14 @@ def lemma1_constant(diff: GalerkinOperator, dec: SpectralDecomposition,
 def verify_lemma1(f: FunctionRep, diff: GalerkinOperator,
                   dec: SpectralDecomposition, c: float) -> Lemma1Record:
     """Partial Parseval mass below the oscillation threshold index."""
-    coeffs = project_coefficients(diff, f)
+    check_domain(f, diff.grid)
+    nodal = sample(f, diff.grid.nodes)  # both the projection and ||f||
+    coeffs = project_coefficients(diff, nodal)
     nrm = float(np.linalg.norm(coeffs))
     if nrm == 0.0:
         raise InvalidArgumentError("zero function")
     coeffs = coeffs / nrm
-    ratio = h1_seminorm(f, diff.grid) / l2_norm(f, diff.grid)
+    ratio = h1_seminorm(f, diff.grid) / grid_norm(nodal, diff.grid)
     threshold = int(math.floor(c * ratio))
     if threshold > dec.size:
         raise InsufficientDataError(
@@ -313,10 +330,15 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
 
     lhs is ||T f|| (for the Fourier composition its square is the image
     energy); the bound uses the safety-relaxed fitted constants.  Functions
-    of one type, kind and length are sampled _BLOCK at a time.
+    of one type, kind and length are sampled _BLOCK at a time.  A series
+    group's images are G C for coefficient columns C, with G = A (sqrt(w) T)
+    the images of its K basis functions, built once per call: K columns
+    instead of A applied to every sample block.  ExpPoly tables differ per
+    rate, so their images stay A (sqrt(w) V).
     """
     op = M.kind.to_string()
     t, w = M.grid.nodes, M.grid.weights
+    root_w = np.sqrt(w)[:, None]
     records: list = [None] * len(ensemble)
     groups: dict = {}
     for i, f in enumerate(ensemble):
@@ -329,6 +351,9 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
         key = len(f.poly) if isinstance(f, ExpPoly) else (f.kind, len(f.payload))
         groups.setdefault(key, []).append(i)
     for members in groups.values():
+        f = ensemble[members[0]]
+        if isinstance(f, FunctionRep):
+            G = M.half_factor @ (root_w * cached_table(f.kind, len(f.payload), f.domain, 0, t))
         for start in range(0, len(members), _BLOCK):
             idx = members[start:start + _BLOCK]
             funcs = [ensemble[i] for i in idx]
@@ -336,7 +361,10 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
             norm = _norms(w, V)
             live = norm != 0.0  # a zero function satisfies every bound
             lhs, ratio = np.zeros(len(idx)), np.zeros(len(idx))
-            Av = M.half_factor @ (np.sqrt(w)[:, None] * V[:, live])
+            if isinstance(f, FunctionRep):
+                Av = G @ columns([g.payload for g in funcs])[:, live]
+            else:
+                Av = M.half_factor @ (root_w * V[:, live])
             lhs[live] = np.sqrt(np.maximum(np.einsum("ij,ij->j", Av, Av), 0.0))
             ratio[live] = _oscillation_ratios(
                 M.kind.tag, t, w, V[:, live], sample_columns(funcs, t, 1)[:, live],
@@ -370,13 +398,12 @@ TRIAL_MIX_DECAY = 2.0
 
 def random_sine_series(domain: Interval, count: int, rng):
     """Unit-norm sine series of SINE_MODES modes with 1/k^SINE_DECAY amplitude envelope."""
-    out = []
     k = np.arange(1, SINE_MODES + 1, dtype=float)
-    for _ in range(count):
-        c = rng.standard_normal(SINE_MODES) / k ** SINE_DECAY
-        c /= np.linalg.norm(c) * math.sqrt(domain.length / 2.0)
-        out.append(FunctionRep(FunctionKind.SINE_SERIES, c, domain))
-    return out
+    C = rng.standard_normal((count, SINE_MODES)) / k ** SINE_DECAY  # one draw, row by row
+    scale = math.sqrt(domain.length / 2.0)
+    # each row's own norm: an axis=1 norm sums in another order, off in the last bit
+    return [FunctionRep(FunctionKind.SINE_SERIES, c / (np.linalg.norm(c) * scale), domain)
+            for c in C]
 
 
 def random_nonnegative_series(domain: Interval, count: int, rng):

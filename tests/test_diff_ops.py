@@ -8,7 +8,7 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, RepresentationError, SignVariant,
                       assemble_bertero_grunbaum, assemble_fourth_order,
                       assemble_prolate, converged_mode_count, eig_sym,
-                      h1_seminorm, l2_norm)
+                      h1_seminorm, l2_norm, sample)
 from illposed.diff_ops import project_coefficients
 from illposed.domains import half_line_for
 
@@ -17,7 +17,7 @@ AB = Interval(1.0, 2.0)
 
 def dirichlet_form(op, f):
     """<D f, f> through the trial-space quadratic form."""
-    c = project_coefficients(op, f)
+    c = project_coefficients(op, sample(f, op.grid.nodes))
     return float(c @ op.stiffness @ c)
 
 

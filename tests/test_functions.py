@@ -97,6 +97,18 @@ def test_series_tables_refuse_higher_derivatives():
     assert sample(g, x, 2) == pytest.approx(derivative_values(g, x, 2), rel=1e-14)
 
 
+def test_table_cache_tells_apart_point_sets_that_end_alike():
+    # the cache hashes only a point set's last two points; a lookup still
+    # matches on every point
+    f = sine([0.3, -1.0, 0.5])
+    ends = [0.6, 0.9]
+    for head in ([0.1], [0.2], [0.1, 0.3], [0.15]):
+        x = np.array(head + ends)
+        assert np.array_equal(sample(f, x), sample(f, x.copy()))
+        assert sample(f, x) == pytest.approx(derivative_values(f, x, 0), abs=1e-14)
+        assert sample(f, x, 1) == pytest.approx(derivative_values(f, x, 1), abs=1e-13)
+
+
 def test_derivative_consistency_series():
     # sampled derivatives and the h1 seminorm against the closed-form oracle
     for f in (sine([0.3, -1.2, 0.0, 0.7]),

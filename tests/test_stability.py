@@ -7,14 +7,15 @@ import pytest
 from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, decompose_operator, eig_sym,
-                      l2_norm, lemma1_constant, lemma3_prefactor, make_grid, make_rng,
+                      fourier_image_energy, half_line_for, l2_norm, lemma1_constant,
+                      lemma3_prefactor, make_grid, make_rng,
                       match_eigenfunctions, parse_operator, verify_lemma1,
                       sample, verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
 from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR
-from illposed.stability import (_BLOCK, EXPONENTIAL, POWER_OF_RATIO, StabilityFit,
-                                StabilityRecord, SweepData,
+from illposed.stability import (_BLOCK, EXPONENTIAL, POWER_OF_RATIO, SINE_DECAY, SINE_MODES,
+                                StabilityFit, StabilityRecord, SweepData,
                                 fit_constants_from_sweep, h1_seminorm,
                                 random_nonnegative_series,
                                 random_sine_series, random_trial_mix,
@@ -74,6 +75,52 @@ def test_lemma_verdicts_are_scale_invariant():
     g = legendre([1.0, 0.3], UNIT)  # 1 + 0.3 sqrt(3) (2x - 1) > 0
     assert verify_lemma3(g, grid, 1.0).passed
     assert verify_lemma3(legendre(1e-13 * g.payload, UNIT), grid, 1.0).passed
+
+
+@pytest.mark.parametrize("lemma", [verify_lemma2, lambda f, grid: verify_lemma3(f, grid, 1.0)],
+                         ids=["lemma2", "lemma3"])
+@pytest.mark.parametrize("f, on_half_line", [
+    (ExpPoly([1.0, 0.5], 1.0), True),
+    (FunctionRep(FunctionKind.SINE_SERIES, [1.0, 0.2], Interval(1.0, 2.0)), True),
+    (FunctionRep(FunctionKind.SINE_SERIES, [1.0, 0.2], UNIT), False),  # grid on [1, 2]
+], ids=["exp-poly", "sine-series", "other-interval"])
+def test_lemmas_refuse_functions_off_their_interval(lemma, f, on_half_line):
+    # both lemmas are statements on [a, b]: a half-line grid is refused with
+    # a message, before anything is sampled
+    ab = Interval(1.0, 2.0)
+    grid = make_grid(half_line_for(ab), 64) if on_half_line else make_grid(ab, 64)
+    with pytest.raises(InvalidArgumentError):
+        lemma(f, grid)
+
+
+def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
+    # 100 calls of each lemma on one grid: one refined point set, and one
+    # table per (series, derivative order, point set)
+    from illposed import functions
+    dom = Interval(0.5, 2.25)  # no other test samples here, so no cache is warm
+    grid = make_grid(dom, 72)
+    built, linspaces = [], []
+    original_table, original_linspace = functions.basis_table, np.linspace
+
+    def table(kind, size, domain, order, x):
+        built.append((kind, order, len(x)))
+        return original_table(kind, size, domain, order, x)
+
+    def linspace(*args, **kwargs):
+        linspaces.append(args)
+        return original_linspace(*args, **kwargs)
+    monkeypatch.setattr(functions, "basis_table", table)
+    monkeypatch.setattr(np, "linspace", linspace)
+    rng = make_rng(3)
+    for f in random_sine_series(dom, 100, rng):
+        verify_lemma2(f, grid)
+    for f in random_nonnegative_series(dom, 100, rng):
+        verify_lemma3(f, grid, c2=1.0)
+    sine, leg = FunctionKind.SINE_SERIES, FunctionKind.LEGENDRE_SERIES
+    assert len(linspaces) == 1
+    assert sorted(built, key=str) == sorted([
+        (sine, 0, 4 * 72 + 1), (sine, 1, 72),
+        (leg, 0, 4 * 72 + 1), (leg, 0, 72), (leg, 1, 72)], key=str)
 
 
 # ----------------------------------------------------------------------------
@@ -314,6 +361,37 @@ def test_verify_theorem_batch_matches_per_function_reference(laplace_M, adjoint_
                              [adj[i] for i in rng.permutation(len(adj))])
 
 
+def test_per_basis_images_match_the_per_sample_products(laplace_M, fourier_M, ab):
+    # verify_theorem sums a series block's images as (A sqrt(w) T) C; the
+    # per-sample order A (sqrt(w) T C) is the reference
+    fit = StabilityFit(1.0, 1.0, EXPONENTIAL, 1.0, "synthetic")
+    for M, dom in ((laplace_M, ab), (fourier_M, SYM)):
+        ens = random_sine_series(dom, 2 * _BLOCK + 44, make_rng(17))
+        got = np.array([r.lhs for r in verify_theorem(M, fit, ens)])
+        t, w = M.grid.nodes, M.grid.weights
+        images = M.half_factor @ (np.sqrt(w)[:, None] * np.array([sample(f, t) for f in ens]).T)
+        want = np.sqrt(np.einsum("ij,ij->j", images, images))
+        assert np.max(np.abs(got - want) / want) <= 1e-14, M.kind.to_string()
+
+
+def test_random_sine_series_is_the_per_function_draw():
+    # one (count, SINE_MODES) draw reads the stream as count draws of
+    # SINE_MODES do, and each row keeps its own norm (an axis=1 norm sums in
+    # another order: at this seed it moves the last bit of 1,450 functions)
+    count, dom = 5000, Interval(1.0, 2.0)
+    rng = make_rng(7)
+    k = np.arange(1, SINE_MODES + 1, dtype=float)
+    want = []
+    for _ in range(count):
+        c = rng.standard_normal(SINE_MODES) / k ** SINE_DECAY
+        c /= np.linalg.norm(c) * math.sqrt(dom.length / 2.0)
+        want.append(c)
+    got = random_sine_series(dom, count, make_rng(7))
+    assert len(got) == count
+    assert all(f.domain == dom and f.kind is FunctionKind.SINE_SERIES for f in got)
+    assert all(np.array_equal(f.payload, c) for f, c in zip(got, want))
+
+
 def test_verify_theorem_memory_stays_flat(laplace_M, ab):
     # blocks keep the sample matrices small: one 256 x 4096 matrix is 8.4 MB
     ens = random_sine_series(ab, 4096, make_rng(5))
@@ -344,6 +422,10 @@ def test_figure3_function_satisfies_theorem3(fourier_M, prolate128):
     f = FIGURES[FigureId.FIG3].function()
     rec = verify_theorem(fourier_M, fit, [f])[0]
     assert rec.satisfied  # large ratio makes the bound astronomically small
+    # a near-invisible function: its image is 1.5e-6 of f, summed from term
+    # images up to 5,000 times larger; the closed-form transform is the reference
+    want = math.sqrt(fourier_image_energy(f, fourier_M.size))
+    assert abs(rec.lhs - want) <= 5e-11 * want
 
 
 # ----------------------------------------------------------------------------
