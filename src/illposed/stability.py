@@ -332,8 +332,8 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     energy); the bound uses the safety-relaxed fitted constants.  Functions
     of one type, kind and length are sampled _BLOCK at a time.  A series
     group's images are G C for coefficient columns C, with G = A (sqrt(w) T)
-    the images of its K basis functions, built once per call: K columns
-    instead of A applied to every sample block.  ExpPoly tables differ per
+    the images of its K basis functions, built once per call: a block costs
+    rows x K, not rows x n, flops per function.  ExpPoly tables differ per
     rate, so their images stay A (sqrt(w) V).
     """
     op = M.kind.to_string()

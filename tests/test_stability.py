@@ -377,7 +377,7 @@ def test_per_basis_images_match_the_per_sample_products(laplace_M, fourier_M, ab
 def test_random_sine_series_is_the_per_function_draw():
     # one (count, SINE_MODES) draw reads the stream as count draws of
     # SINE_MODES do, and each row keeps its own norm (an axis=1 norm sums in
-    # another order: at this seed it moves the last bit of 1,450 functions)
+    # another order: at this seed it moves the last bit of 1,450 of the norms)
     count, dom = 5000, Interval(1.0, 2.0)
     rng = make_rng(7)
     k = np.arange(1, SINE_MODES + 1, dtype=float)
