@@ -17,12 +17,10 @@ import numpy as np
 from .diff_ops import largest_entry_positive
 from .domains import Interval
 from .errors import InvalidArgumentError
-from .functions import FunctionKind, FunctionRep, basis_table, sample
+from .functions import FunctionKind, FunctionRep, basis_table, check_orthonormal, sample
 from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
                            quadratic_form, resolved_count)
 from .problem import Problem
-
-ORTHONORMALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,9 @@ def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
         raise InvalidArgumentError("adversarial synthesis needs an interval domain")
     if size < 1:
         raise InvalidArgumentError("basis size must be >= 1")
-    scale = np.sqrt(2.0 / domain.length)
-    V = scale * basis_table(FunctionKind.SINE_SERIES, size, domain, 0, grid.nodes)
-    gram0 = V.T @ (grid.weights[:, None] * V)
-    if np.max(np.abs(gram0 - np.eye(size))) > ORTHONORMALITY_TOL:
-        raise InvalidArgumentError("basis is not orthonormal on the grid")
+    table = basis_table(FunctionKind.SINE_SERIES, size, domain, 0, grid.nodes)
+    check_orthonormal(FunctionKind.SINE_SERIES, table, grid)
+    V = np.sqrt(2.0 / domain.length) * table
     AV = M.half_factor @ (np.sqrt(grid.weights)[:, None] * V)
     _, s, Vt = np.linalg.svd(AV, full_matrices=False)
     if len(s) < size:

@@ -165,10 +165,10 @@ class GalerkinOperator:
     """Symmetric stiffness matrix over an orthonormal trial basis.
 
     The mass matrix is the identity by construction, so the eigenvalues of
-    `stiffness` are the Galerkin eigenvalues of the operator.  The basis tables
-    (trial functions and derivatives at `grid.nodes`, from one `basis.tables`
-    call), the eigensystem and the same operator at 2N are each computed once,
-    on first use.
+    `stiffness` are the Galerkin eigenvalues of the operator.  The basis
+    `tables` (trial functions and derivatives at `grid.nodes`, from one
+    `basis.tables` call), the eigensystem and the same operator at 2N are each
+    computed once, on first use.
     """
 
     stiffness: np.ndarray = field(repr=False)
@@ -187,21 +187,10 @@ class GalerkinOperator:
         return self.stiffness.shape[0]
 
     @cached_property
-    def _tables(self) -> list:
+    def tables(self) -> list:
+        """The trial functions' derivatives at grid.nodes, one read-only table
+        per order of basis.orders: (0, 1), or (0, 1, 2) on the half line."""
         return self.basis.tables(self.grid.nodes, self.basis.orders)
-
-    @property
-    def basis_values(self) -> np.ndarray:
-        return self._tables[0]
-
-    @property
-    def basis_deriv(self) -> np.ndarray:
-        return self._tables[1]
-
-    @property
-    def basis_deriv2(self) -> np.ndarray:
-        """Second derivatives: only the half-line basis of the fourth-order operator has them."""
-        return self._tables[2]
 
     @cached_property
     def eigensystem(self) -> SpectralDecomposition:
@@ -304,8 +293,9 @@ def project_coefficients(op: GalerkinOperator, vals: np.ndarray) -> np.ndarray:
     norm2 = float(np.dot(w, vals * vals))
     if norm2 == 0.0:
         return np.zeros(op.size)
-    c = op.basis_values.T @ (w * vals)
-    r = vals - op.basis_values @ c  # pointwise residual: immune to norm-difference roundoff
+    V = op.tables[0]
+    c = V.T @ (w * vals)
+    r = vals - V @ c  # pointwise residual: immune to norm-difference roundoff
     resid2 = float(np.dot(w, r * r))
     if np.sqrt(resid2 / norm2) > PROJECTION_TOL:
         raise RepresentationError(

@@ -23,6 +23,9 @@ from numpy.polynomial import legendre as npleg
 from .domains import HalfLineDomain, Interval, QuadGrid
 from .errors import InvalidArgumentError
 
+# Largest entry of |G - I| for the grid Gram G of a series basis that the grid resolves.
+ORTHONORMALITY_TOL = 1e-10
+
 
 class FunctionKind(Enum):
     SINE_SERIES = "sine-series"
@@ -148,13 +151,6 @@ def cached_table(kind: FunctionKind, size: int, domain: Interval, order: int, x)
     return _cached_table(kind, size, domain, order, _Points(x))
 
 
-def _exp_poly_derivative(P: np.ndarray, rates) -> np.ndarray:
-    """Columns p' - rate p: the polynomial factor of (p e^{-rate x})'."""
-    D = -rates * P
-    D[:-1] += np.arange(1, len(P))[:, None] * P[1:]
-    return D
-
-
 def columns(arrays) -> np.ndarray:
     """Equal-length 1-d arrays as the columns of one C-ordered matrix: the
     layout of np.column_stack, so products with it keep their bits, at less
@@ -162,28 +158,32 @@ def columns(arrays) -> np.ndarray:
     return np.ascontiguousarray(np.array(arrays).T)
 
 
-def sample_columns(funcs, x, order: int = 0) -> np.ndarray:
-    """Column j: the order-th derivative of funcs[j] at the fixed points x.
-    The functions share their type, kind, coefficient count and domain.  A
-    series is one product with a cached, read-only basis table, orders 0
-    and 1 only; an ExpPoly takes any order, through its coefficients, on the
-    power basis x^k."""
+def sample_columns(funcs, x, orders) -> list:
+    """One array per derivative order in orders: column j is that derivative
+    of funcs[j] at the fixed points x.  The functions share their type, kind,
+    coefficient count and domain; their coefficients are stacked once.  A
+    series is one product per order with a cached, read-only basis table,
+    orders 0 and 1 only; an ExpPoly takes any order, through its
+    coefficients, on one power basis x^k and one envelope e^{-rate x}."""
     f = funcs[0]
     if isinstance(f, ExpPoly):
-        P = columns([g.poly for g in funcs])
+        P = [columns([g.poly for g in funcs])]
         rates = np.array([g.rate for g in funcs])
-        for _ in range(order):
-            P = _exp_poly_derivative(P, rates)
+        for _ in range(max(orders)):  # (p e^{-rate x})' = (p' - rate p) e^{-rate x}
+            D = -rates * P[-1]
+            D[:-1] += np.arange(1, len(D))[:, None] * P[-1][1:]
+            P.append(D)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (np.vander(x, len(P), increasing=True) @ P) * np.exp(-np.outer(x, rates))
-    table = cached_table(f.kind, len(f.payload), f.domain, order, x)
-    return table @ columns([g.payload for g in funcs])
+        X, envelope = np.vander(x, len(P[0]), increasing=True), np.exp(-np.outer(x, rates))
+        return [(X @ P[k]) * envelope for k in orders]
+    C = columns([g.payload for g in funcs])
+    return [cached_table(f.kind, len(f.payload), f.domain, k, x) @ C for k in orders]
 
 
 def sample(f: FunctionLike, x, order: int = 0) -> np.ndarray:
     """f's order-th derivative at the fixed points x, through a cached table."""
     if isinstance(f, ExpPoly):
-        return sample_columns([f], x, order)[:, 0]
+        return sample_columns([f], x, (order,))[0][:, 0]
     return cached_table(f.kind, len(f.payload), f.domain, order, x) @ f.payload
 
 
@@ -201,6 +201,17 @@ def check_domain(f, grid: QuadGrid) -> None:
             raise InvalidArgumentError("ExpPoly functions live on a half-line grid")
     else:
         raise InvalidArgumentError(f"not a function representation: {type(f).__name__}")
+
+
+def check_orthonormal(kind: FunctionKind, table: np.ndarray, grid: QuadGrid) -> None:
+    """Raise unless a series basis table at the grid's nodes, scaled to unit
+    norm (sine and cosine by sqrt(2/L)), is orthonormal on the grid to
+    ORTHONORMALITY_TOL: the one test that a grid resolves a series basis."""
+    if kind is not FunctionKind.LEGENDRE_SERIES:
+        table = math.sqrt(2.0 / grid.domain.length) * table
+    gram = table.T @ (grid.weights[:, None] * table)
+    if np.max(np.abs(gram - np.eye(table.shape[1]))) > ORTHONORMALITY_TOL:
+        raise InvalidArgumentError("basis is not orthonormal on the grid")
 
 
 def grid_norm(v: np.ndarray, grid: QuadGrid) -> float:

@@ -18,14 +18,14 @@ by at most REFINEMENT_SLACK times the SVD perturbation bound
 2 eps sqrt(mu_1/mu_n).  The cap rule (2n image rows for Laplace, Fourier and
 Hilbert) is accepted on its trace check alone, so every input is accepted or
 rejected as it was when the cap was the only rule.  The accepted factor's
-singular values are computed once, by the refinement or on first use.
+singular values are computed with it, once: by the refinement, or after the
+cap rule's trace check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -204,7 +204,8 @@ def _kernel_diagonal(kind: OperatorKind, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class OperatorMatrix:
     """T*T on a quadrature grid, held as its half factor A: A^T A is the
-    symmetrized kernel matrix M, which is never formed.
+    symmetrized kernel matrix M, which is never formed.  singular_values are
+    A's, descending.
 
     image_refinement is the largest move of a resolved mu_n between A and the
     factor on half as many image nodes, in units of the SVD perturbation
@@ -214,28 +215,18 @@ class OperatorMatrix:
     grid: QuadGrid
     kind: OperatorKind
     half_factor: np.ndarray = field(repr=False)
+    singular_values: np.ndarray = field(repr=False)
     image_refinement: Optional[float] = None
-    # Singular values of half_factor that the refinement already computed.
-    known_singular_values: Optional[np.ndarray] = field(default=None, repr=False,
-                                                         compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.half_factor, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "half_factor", a)
+        for name in ("half_factor", "singular_values"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def size(self) -> int:
         return self.grid.size
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Descending singular values of the half factor, computed once."""
-        s = self.known_singular_values
-        if s is None:
-            s = np.linalg.svd(self.half_factor, compute_uv=False)
-        s.setflags(write=False)
-        return s
 
     @property
     def image_nodes(self) -> int:
@@ -298,15 +289,14 @@ def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
 
 def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     """Half factor on the smallest image-side rule that refinement confirms:
-    (A, its singular values or None, its refinement or None).
+    (A, its singular values, its refinement or None).
 
     Rules double from the kind's first size while below the cap; each is
     accepted when its trace gap is within FACTOR_RTOL, it resolves as many
     modes as the rule before it, and no resolved mu_n moved by more than
     REFINEMENT_SLACK bounds.  Otherwise the cap rule is used, on the trace
-    check alone, and its singular values are left to first use when no
-    coarser factor was built.  Raises InvalidArgumentError when the cap rule
-    misses the kernel trace.
+    check alone, and its SVD is taken once that check passes.  Raises
+    InvalidArgumentError when the cap rule misses the kernel trace.
     """
     first, cap = _IMAGE_RULES[kind.tag]
     r_max = cap(grid.size)
@@ -329,10 +319,8 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
         raise InvalidArgumentError(
             f"half factor of {kind.to_string()} disagrees with its kernel matrix "
             f"at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
-    if mu_coarse is None:
-        return A, None, None
     s = np.linalg.svd(A, compute_uv=False)
-    return A, s, _refinement(mu_coarse, s ** 2)
+    return A, s, None if mu_coarse is None else _refinement(mu_coarse, s ** 2)
 
 
 def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
@@ -348,7 +336,7 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
     # image-side rule misses the kernel would print a wrong spectrum.
     trace = float(np.dot(grid.weights, _kernel_diagonal(kind, grid.nodes)))
     A, s, refinement = _refined_half_factor(kind, grid, trace)
-    return OperatorMatrix(grid, kind, A, refinement, s)
+    return OperatorMatrix(grid, kind, A, s, refinement)
 
 
 def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:

@@ -41,7 +41,9 @@ def json_dumps(obj, indent: int = 0) -> str:
         return str(obj)
     if obj is None:
         return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
 def write_json(path: str, obj: dict) -> None:

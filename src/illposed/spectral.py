@@ -54,8 +54,8 @@ class IntegralSpectrum:
 
 
 def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
-    """Spectrum of T*T: squared singular values of the half factor, computed
-    once per matrix, padded with exact zeros past the factor's rows.  The
+    """Spectrum of T*T: squared singular values of the half factor, as the
+    matrix holds them, padded with exact zeros past the factor's rows.  The
     image-side rule is sized to the resolved modes, not to n, so at large n
     most of the n modes are these zeros."""
     mu = M.singular_values ** 2

@@ -22,7 +22,8 @@ from .diff_ops import GalerkinOperator, project_coefficients
 from .domains import Interval, QuadGrid
 from .errors import (InsufficientDataError, InvalidArgumentError)
 from .functions import (ExpPoly, FunctionKind, FunctionRep, cached_table, check_domain,
-                        columns, grid_norm, h1_seminorm, sample, sample_columns)
+                        check_orthonormal, columns, grid_norm, h1_seminorm, sample,
+                        sample_columns)
 from .integral_ops import LAPLACE_ADJOINT, OperatorMatrix
 from .spectral import (MatchReport, SpectralDecomposition, decompose_operator,
                        fit_line, growth_check, match_eigenfunctions)
@@ -71,7 +72,6 @@ class Lemma1Record:
 @dataclass(frozen=True)
 class StabilityRecord:
     function_id: str
-    operator: str
     lhs: float
     h1_ratio: float
     rhs_at_fit: float
@@ -139,14 +139,20 @@ def _norms(w, vals, weight=1.0):
     return np.sqrt(np.maximum(w @ (weight * vals.T * vals.T).T, 0.0))
 
 
-def _oscillation_ratios(tag: str, t, w, v, v1, second) -> np.ndarray:
-    """||f'||/||f|| from samples v of f and v1 of f' at nodes t with weights w,
-    or for the adjoint the Theorem-2 aggregate (||t f''|| + ||t f'|| + ||t f||
-    + ||f||)/||f|| with f'' from second(); one ratio per sample column."""
+def _ratio_orders(tag: str) -> tuple:
+    """Derivative orders an oscillation ratio reads: f'' only for the adjoint."""
+    return (0, 1, 2) if tag == LAPLACE_ADJOINT else (0, 1)
+
+
+def _oscillation_ratios(tag: str, t, w, samples) -> np.ndarray:
+    """||f'||/||f|| from samples [f, f', ...] at nodes t with weights w, one
+    per order of _ratio_orders, or for the adjoint the Theorem-2 aggregate
+    (||t f''|| + ||t f'|| + ||t f|| + ||f||)/||f||; one ratio per column."""
+    v, v1 = samples[0], samples[1]
     norm = _norms(w, v)
     if tag == LAPLACE_ADJOINT:
         t2 = t ** 2
-        return (_norms(w, second(), t2) + _norms(w, v1, t2) + _norms(w, v, t2) + norm) / norm
+        return (_norms(w, samples[2], t2) + _norms(w, v1, t2) + _norms(w, v, t2) + norm) / norm
     return _norms(w, v1) / norm
 
 
@@ -266,8 +272,7 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     m = min(len(rep.records), decompose_operator(M).resolved)
     U = rep.vectors[:, :m]
     ratios = _oscillation_ratios(M.kind.tag, diff.grid.nodes, diff.grid.weights,
-                                 diff.basis_values @ U, diff.basis_deriv @ U,
-                                 lambda: diff.basis_deriv2 @ U)
+                                 [T @ U for T in diff.tables])
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
     return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.spec.tag)
 
@@ -330,13 +335,15 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
 
     lhs is ||T f|| (for the Fourier composition its square is the image
     energy); the bound uses the safety-relaxed fitted constants.  Functions
-    of one type, kind and length are sampled _BLOCK at a time.  A series
-    group's images are G C for coefficient columns C, with G = A (sqrt(w) T)
-    the images of its K basis functions, built once per call: a block costs
-    rows x K, not rows x n, flops per function.  ExpPoly tables differ per
-    rate, so their images stay A (sqrt(w) V).
+    of one type, kind and length are sampled _BLOCK at a time, every order
+    the ratio reads in one call.  A series group's images are G C for
+    coefficient columns C, with G = A (sqrt(w) T) the images of its K basis
+    functions, built once per call: a block costs rows x K, not rows x n,
+    flops per function.  A group whose basis the grid does not resolve gets
+    an error record per function.  ExpPoly tables differ per rate, so their
+    images stay A (sqrt(w) V).
     """
-    op = M.kind.to_string()
+    tag, orders = M.kind.tag, _ratio_orders(M.kind.tag)
     t, w = M.grid.nodes, M.grid.weights
     root_w = np.sqrt(w)[:, None]
     records: list = [None] * len(ensemble)
@@ -344,11 +351,13 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     for i, f in enumerate(ensemble):
         try:
             check_domain(f, M.grid)
+            key = len(f.poly) if isinstance(f, ExpPoly) else (f.kind, len(f.payload))
+            if isinstance(f, FunctionRep) and key not in groups:  # until one passes
+                check_orthonormal(f.kind, cached_table(*key, f.domain, 0, t), M.grid)
         except InvalidArgumentError as exc:  # per-record error entry, run continues
-            records[i] = StabilityRecord(f"f{i:04d}", op, math.nan, math.nan, math.nan,
+            records[i] = StabilityRecord(f"f{i:04d}", math.nan, math.nan, math.nan,
                                          False, error=str(exc))
             continue
-        key = len(f.poly) if isinstance(f, ExpPoly) else (f.kind, len(f.payload))
         groups.setdefault(key, []).append(i)
     for members in groups.values():
         f = ensemble[members[0]]
@@ -357,21 +366,19 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
         for start in range(0, len(members), _BLOCK):
             idx = members[start:start + _BLOCK]
             funcs = [ensemble[i] for i in idx]
-            V = sample_columns(funcs, t)
-            norm = _norms(w, V)
+            S = sample_columns(funcs, t, orders)
+            norm = _norms(w, S[0])
             live = norm != 0.0  # a zero function satisfies every bound
             lhs, ratio = np.zeros(len(idx)), np.zeros(len(idx))
             if isinstance(f, FunctionRep):
                 Av = G @ columns([g.payload for g in funcs])[:, live]
             else:
-                Av = M.half_factor @ (root_w * V[:, live])
+                Av = M.half_factor @ (root_w * S[0][:, live])
             lhs[live] = np.sqrt(np.maximum(np.einsum("ij,ij->j", Av, Av), 0.0))
-            ratio[live] = _oscillation_ratios(
-                M.kind.tag, t, w, V[:, live], sample_columns(funcs, t, 1)[:, live],
-                lambda: sample_columns(funcs, t, 2)[:, live])
+            ratio[live] = _oscillation_ratios(tag, t, w, [s[:, live] for s in S])
             for i, n, a, r in zip(idx, norm.tolist(), lhs.tolist(), ratio.tolist()):
                 rhs = fit.bound(r, n) if n != 0.0 else 0.0
-                records[i] = StabilityRecord(f"f{i:04d}", op, a, r, rhs, a >= rhs)
+                records[i] = StabilityRecord(f"f{i:04d}", a, r, rhs, a >= rhs)
     return records
 
 

@@ -153,8 +153,8 @@ def test_criterion_11_counts_errors_apart_from_violations(monkeypatch):
 
     def one_error_one_pass(M, fit, ensemble):
         nan = float("nan")
-        return [StabilityRecord("f0000", "op", nan, nan, nan, False, error="boom"),
-                StabilityRecord("f0001", "op", 1.0, 1.0, 0.5, True)]
+        return [StabilityRecord("f0000", nan, nan, nan, False, error="boom"),
+                StabilityRecord("f0001", 1.0, 1.0, 0.5, True)]
     monkeypatch.setattr(acceptance, "verify_theorem", one_error_one_pass)
     ab = Interval(1.0, 2.0)
     ctx = Suite(0, Problem(OperatorKind.laplace_tt(ab), 128, 64, 12),

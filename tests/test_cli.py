@@ -133,14 +133,27 @@ def test_verify_small_run(tmp_path, capsys):
     assert "violations=0/40 errors=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["--n", "16"], ["--op", "fourier", "--n", "8"]],
+                         ids=["laplace-n16", "fourier-n8"])
+def test_verify_refuses_a_grid_too_coarse_for_its_ensemble(tmp_path, capsys, argv):
+    # the 12-mode sine family is far from orthonormal on these grids: every
+    # record is an error, and the run exits 2 instead of reporting 0 violations
+    code, out = run_cli(["verify"] + argv, tmp_path)
+    assert code == 2
+    doc = json.load(open(os.path.join(out, "verify.json")))
+    assert doc["violations"] == 0 and doc["errors"] == 500
+    assert all("not orthonormal" in r["error"] for r in doc["records"])
+    assert "violations=0/500 errors=500" in capsys.readouterr().out
+
+
 def test_verify_reports_errors_apart_from_violations(tmp_path, capsys, monkeypatch):
     from illposed import cli
     from illposed.stability import StabilityRecord
 
     def one_error_one_pass(M, fit, ensemble):
         nan = float("nan")
-        return [StabilityRecord("f0000", "op", nan, nan, nan, False, error="boom"),
-                StabilityRecord("f0001", "op", 1.0, 1.0, 0.5, True)]
+        return [StabilityRecord("f0000", nan, nan, nan, False, error="boom"),
+                StabilityRecord("f0001", 1.0, 1.0, 0.5, True)]
     monkeypatch.setattr(cli, "verify_theorem", one_error_one_pass)
     code, out = run_cli(["verify", "--count", "2", "--N", "64"], tmp_path)
     assert code == 2
@@ -246,13 +259,16 @@ def test_report_all_stdout_is_the_same_on_every_run(tmp_path, capsys, monkeypatc
     assert runs[0].err.splitlines()[-1].startswith("report-all: ")
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_loads_no_dependency_beyond_numpy():
+    # numpy is the one runtime dependency: importing the command line in a
+    # fresh process loads neither scipy nor any test-only package
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, illposed, illposed.cli; print('scipy' in sys.modules)"
+    code = ("import sys, illposed, illposed.cli; print(sorted(m for m in "
+            "('scipy', 'mpmath', 'hypothesis', 'pytest') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
@@ -295,3 +311,11 @@ def test_json_writer_is_valid_json():
     doc = json_dumps({"a": 1.5, "b": [True, None, "x\"y"], "c": {"d": 2}})
     parsed = json.loads(doc)
     assert parsed["a"] == 1.5 and parsed["c"]["d"] == 2 and parsed["b"][2] == 'x"y'
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), np.float32(1.5), {1, 2},
+                                   object()], ids=["int64", "bool_", "float32", "set", "object"])
+def test_json_writer_refuses_types_it_does_not_know(value):
+    # an unknown type is an error, not its str() written as a string
+    with pytest.raises(TypeError):
+        json_dumps({"a": [1, value]})

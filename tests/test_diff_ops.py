@@ -183,7 +183,7 @@ def test_legendre_operator_reads_the_sampling_tables(assemble, monkeypatch):
     f = FunctionRep(FunctionKind.LEGENDRE_SERIES, np.ones(24), op.basis.domain)
     functions.sample(f, op.grid.nodes)
     functions.sample(f, op.grid.nodes, 1)
-    assert read[0] is op.basis_values and read[1] is op.basis_deriv
+    assert read[0] is op.tables[0] and read[1] is op.tables[1]
 
 
 def test_fourth_order_invalid_variant():
@@ -198,10 +198,11 @@ def test_fourth_order_invalid_variant():
 ], ids=["bertero-grunbaum", "prolate", "fourth-order"])
 def test_operator_keeps_its_decompositions(assemble):
     op = assemble(16)
-    names = ("basis_values", "basis_deriv", "basis_deriv2")
-    for name, expected in zip(names, op.basis.tables(op.grid.nodes, op.basis.orders)):
-        table = getattr(op, name)
-        assert table is getattr(op, name) and not table.flags.writeable
+    expected_tables = op.basis.tables(op.grid.nodes, op.basis.orders)
+    assert op.tables is op.tables and len(op.tables) == len(expected_tables)
+    for k, expected in enumerate(expected_tables):
+        table = op.tables[k]
+        assert table is op.tables[k] and not table.flags.writeable
         assert np.array_equal(table, expected)
     dec = op.eigensystem
     assert dec is op.eigensystem and not dec.eigenvectors.flags.writeable

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, h1_seminorm, l2_norm, make_grid, sample)
+from illposed.functions import cached_table, sample_columns
 from illposed.adversarial import FIGURES
 from illposed.stability import EXPONENTIAL, StabilityFit, verify_theorem
 
@@ -163,3 +164,41 @@ def test_sine_basis_orthonormal():
     basis = [sine(np.sqrt(2.0) * np.eye(6)[k, :k + 1], dom) for k in range(6)]
     G = np.array([[inner_product(a, b, grid) for b in basis] for a in basis])
     assert np.max(np.abs(G - np.eye(6))) < 1e-12
+
+
+def _per_order_products(funcs, x, order):
+    """The order-th derivatives of a block the per-order way: a series'
+    cached table times its stacked coefficients; an ExpPoly's coefficients
+    differentiated order times, on a power basis built for this order alone,
+    times an envelope built for this order alone."""
+    f = funcs[0]
+    if isinstance(f, ExpPoly):
+        P = np.column_stack([g.poly for g in funcs])
+        rates = np.array([g.rate for g in funcs])
+        for _ in range(order):
+            D = -rates * P
+            D[:-1] += np.arange(1, len(P))[:, None] * P[1:]
+            P = D
+        return (np.vander(x, len(P), increasing=True) @ P) * np.exp(-np.outer(x, rates))
+    C = np.column_stack([g.payload for g in funcs])
+    return cached_table(f.kind, len(f.payload), f.domain, order, x) @ C
+
+
+@pytest.mark.parametrize("block, orders", [
+    ("sine", (0, 1)), ("legendre", (0, 1)), ("exp-poly", (0, 1, 2)), ("exp-poly", (2, 0))])
+def test_sample_columns_is_the_per_order_products(block, orders):
+    # one call for every order, each array bit for bit the per-order product
+    rng = np.random.default_rng(5)
+    ab = Interval(1.0, 2.0)
+    if block == "exp-poly":
+        funcs = [ExpPoly(rng.standard_normal(4), float(rng.uniform(1.0, 2.0))) for _ in range(9)]
+        x = np.linspace(0.0, 30.0, 257)
+    else:
+        kind = FunctionKind.SINE_SERIES if block == "sine" else FunctionKind.LEGENDRE_SERIES
+        funcs = [FunctionRep(kind, rng.standard_normal(12), ab) for _ in range(9)]
+        x = make_grid(ab, 256).nodes
+    got = sample_columns(funcs, x, orders)
+    assert len(got) == len(orders)
+    for k, values in zip(orders, got):
+        assert np.array_equal(values, _per_order_products(funcs, x, k)), k
+        assert values[:, 3] == pytest.approx(derivative_values(funcs[3], x, k), rel=1e-9, abs=1e-9)

@@ -218,3 +218,15 @@ def test_fourier_form_matches_direct_transform(fourier_M):
     assert form == pytest.approx(direct, rel=1e-6)
     with pytest.raises(InvalidArgumentError):  # closed forms exist for trig series only
         fourier_image_energy(one_on(SYM), fourier_M.size)
+
+
+@pytest.mark.parametrize("text, refined", [("laplace:a=1,b=2", False), ("fourier", True)])
+def test_singular_values_are_built_with_the_factor(text, refined):
+    # held as a read-only field, bit for bit the SVD of the accepted factor,
+    # both for a cap rule built directly (Laplace at n = 256) and for a rule
+    # that refinement confirmed (Fourier at n = 256)
+    kind = parse_operator(text)
+    M = gram_matrix(kind, make_grid(kind.input_domain, 256))
+    assert (M.image_refinement is not None) == refined
+    assert np.array_equal(M.singular_values, np.linalg.svd(M.half_factor, compute_uv=False))
+    assert not M.singular_values.flags.writeable

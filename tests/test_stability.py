@@ -12,6 +12,7 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       match_eigenfunctions, parse_operator, verify_lemma1,
                       sample, verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
+from illposed.functions import basis_table, check_orthonormal
 from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR
 from illposed.stability import (_BLOCK, EXPONENTIAL, POWER_OF_RATIO, SINE_DECAY, SINE_MODES,
@@ -270,9 +271,9 @@ def test_verify_theorem_zero_violations_small(laplace_M):
 def test_violation_count_leaves_out_errors():
     # a record that raised is unsatisfied, but it is an error, not a violation
     nan = math.nan
-    recs = [StabilityRecord("f0000", "op", nan, nan, nan, False, error="boom"),
-            StabilityRecord("f0001", "op", 0.1, 1.0, 0.5, False),
-            StabilityRecord("f0002", "op", 1.0, 1.0, 0.5, True)]
+    recs = [StabilityRecord("f0000", nan, nan, nan, False, error="boom"),
+            StabilityRecord("f0001", 0.1, 1.0, 0.5, False),
+            StabilityRecord("f0002", 1.0, 1.0, 0.5, True)]
     assert violation_count(recs) == 1
 
 
@@ -458,3 +459,36 @@ def test_sweep_modes_sit_above_the_solver_floor(text):
 def test_fourier_power_fit_is_stable_under_grid_refinement():
     c1 = [Problem(parse_operator("fourier"), n, 128, 12).fit.c1 for n in (128, 256, 512)]
     assert (max(c1) - min(c1)) / min(c1) < 1e-5
+
+
+def test_adjoint_block_builds_one_power_basis_and_one_envelope(adjoint_M, monkeypatch):
+    # f, f' and f'' of an adjoint block come from one np.vander and one
+    # envelope exp(-outer(t, rates)): two blocks, two of each
+    rng = make_rng(3)
+    ens = [ExpPoly(rng.standard_normal(4), float(rng.uniform(1.0, 2.0)))
+           for _ in range(_BLOCK + 10)]
+    calls = {"vander": 0, "outer": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    recs = verify_theorem(adjoint_M, StabilityFit(0.5, 0.5, EXPONENTIAL, 0.98, "synthetic"), ens)
+    assert calls == {"vander": 2, "outer": 2}
+    assert all(r.error is None for r in recs)
+
+
+def test_verify_theorem_refuses_a_series_group_the_grid_does_not_resolve(ab):
+    # 16 nodes resolve a 3-mode sine family but not a 12-mode one: each
+    # function of the unresolved group gets the orthonormality error
+    M = Problem(parse_operator("laplace:a=1,b=2"), 16).matrix
+    sine = FunctionKind.SINE_SERIES
+    with pytest.raises(InvalidArgumentError, match="not orthonormal"):
+        check_orthonormal(sine, basis_table(sine, 12, ab, 0, M.grid.nodes), M.grid)
+    check_orthonormal(sine, basis_table(sine, 3, ab, 0, M.grid.nodes), M.grid)
+    ens = random_sine_series(ab, 5, make_rng(2))
+    ens += [FunctionRep(sine, [0.3, -0.2, 0.1], ab) for _ in range(3)]
+    recs = verify_theorem(M, StabilityFit(1.0, 1.0, EXPONENTIAL, 1.0, "synthetic"), ens)
+    assert [r.error is None for r in recs] == [False] * 5 + [True] * 3
+    assert all("not orthonormal" in r.error and math.isnan(r.lhs) for r in recs[:5])
+    assert violation_count(recs) == 0
