@@ -221,12 +221,22 @@ def test_fourier_form_matches_direct_transform(fourier_M):
 
 
 @pytest.mark.parametrize("text, refined", [("laplace:a=1,b=2", False), ("fourier", True)])
-def test_singular_values_are_built_with_the_factor(text, refined):
-    # held as a read-only field, bit for bit the SVD of the accepted factor,
-    # both for a cap rule built directly (Laplace at n = 256) and for a rule
-    # that refinement confirmed (Fourier at n = 256)
+def test_singular_values_are_built_with_the_factor(text, refined, monkeypatch):
+    # gram_matrix takes the accepted factor's SVD and the matrix holds it as
+    # a read-only field, bit for bit that SVD, both for a cap rule built
+    # directly (Laplace at n = 256) and for a rule that refinement confirmed
+    # (Fourier at n = 256); reading it computes nothing
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     kind = parse_operator(text)
     M = gram_matrix(kind, make_grid(kind.input_domain, 256))
     assert (M.image_refinement is not None) == refined
-    assert np.array_equal(M.singular_values, np.linalg.svd(M.half_factor, compute_uv=False))
-    assert not M.singular_values.flags.writeable
+    assert seen and seen[-1] is M.half_factor
+    calls = len(seen)
+    s = M.singular_values
+    assert len(seen) == calls and not s.flags.writeable
+    assert np.array_equal(s, svd(M.half_factor, compute_uv=False))
