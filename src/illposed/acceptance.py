@@ -145,8 +145,8 @@ def criterion_07(ctx) -> CriterionResult:
     def run():
         out = {}
         for name, p in (("bg", ctx.laplace), ("prolate", ctx.fourier)):
-            g_lo = growth_check(p.diff.eigensystem, p.converged)
-            g_hi = growth_check(p.diff.refined.eigensystem, p.converged)  # same window
+            g_lo = growth_check(p.diff.eigensystem.eigenvalues, p.converged)
+            g_hi = growth_check(p.diff.refined_eigenvalues, p.converged)  # same window
             out[name] = {"min_ratio_N": g_lo, "min_ratio_2N": g_hi,
                          "shift": abs(g_lo - g_hi) / g_hi}
         return out

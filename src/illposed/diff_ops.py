@@ -22,7 +22,7 @@ from numpy.polynomial import laguerre as nplag
 
 from .domains import HalfLineDomain, Interval, QuadGrid, make_grid
 from .errors import InvalidArgumentError, RepresentationError
-from .functions import FunctionKind, basis_table, cached_table
+from .functions import FunctionKind, cached_table, legendre_tables
 
 BERTERO_GRUNBAUM = "bertero-grunbaum"
 FOURTH_ORDER = "fourth-order"
@@ -167,8 +167,8 @@ class GalerkinOperator:
     The mass matrix is the identity by construction, so the eigenvalues of
     `stiffness` are the Galerkin eigenvalues of the operator.  The basis
     `tables` (trial functions and derivatives at `grid.nodes`, from one
-    `basis.tables` call), the eigensystem and the same operator at 2N are each
-    computed once, on first use.
+    `basis.tables` call), the eigensystem and the eigenvalues of the same
+    operator at 2N are each computed once, on first use.
     """
 
     stiffness: np.ndarray = field(repr=False)
@@ -197,8 +197,11 @@ class GalerkinOperator:
         return eig_sym(self.stiffness)
 
     @cached_property
-    def refined(self) -> "GalerkinOperator":
-        return reassemble(self, 2 * self.size)
+    def refined_eigenvalues(self) -> np.ndarray:
+        """Ascending, read-only eigenvalues of the same operator at 2N, values
+        only: the 2N operator lives just long enough for its finite-stiffness
+        check."""
+        return _read_only(np.linalg.eigvalsh(reassemble(self, 2 * self.size).stiffness))
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
@@ -216,7 +219,7 @@ def _legendre_weak_form(ab: Interval, N: int, p, q, spec: DiffOpSpec) -> Galerki
     # Evaluated apart from the sampling cache, which would keep alive the
     # tables of every assembly, 2N refinements included, though most are
     # never sampled; basis.tables reads the cache on first use.
-    V, D = (basis_table(FunctionKind.LEGENDRE_SERIES, N, ab, k, t) for k in (0, 1))
+    V, D = legendre_tables(N, ab, t, (0, 1))
     S = D.T @ ((w * p(t))[:, None] * D) + V.T @ ((w * q(t))[:, None] * V)
     return GalerkinOperator(_sym(S), spec, basis, grid)
 

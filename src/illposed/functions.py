@@ -93,24 +93,33 @@ def trig_freqs(size: int, domain: Interval):
     return k * np.pi / domain.length, domain.a
 
 
+def legendre_tables(size: int, domain: Interval, x, orders) -> list:
+    """One table per derivative order (0 or 1) in orders, all from one
+    Legendre Vandermonde: column k is that derivative of the orthonormal
+    Legendre function of degree k on domain at x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    V = npleg.legvander((2.0 * x - domain.a - domain.b) / domain.length, size - 1)
+    norms = np.sqrt((2 * np.arange(size) + 1) / domain.length)
+    if 1 in orders:
+        # P_{k+1}' = P_{k-1}' + (2k+1) P_k with P_0' = 0 and P_1' = P_0 = 1:
+        # a running sum per parity, added in the recurrence's own order
+        terms = (2 * np.arange(size - 1) + 1) * V[:, :-1]
+        D = np.zeros_like(V)
+        D[:, 1::2] = np.cumsum(terms[:, 0::2], axis=1)
+        D[:, 2::2] = np.cumsum(terms[:, 1::2], axis=1)
+    return [V * norms[None, :] if k == 0 else D * norms[None, :] * (2.0 / domain.length)
+            for k in orders]
+
+
 def basis_table(kind: FunctionKind, size: int, domain: Interval, order: int, x) -> np.ndarray:
     """Column k: the order-th derivative (0 or 1) of the k-th basis function
     of a series at x: sin/cos k pi (x-p)/L, or the orthonormal Legendre
     function of degree k."""
     if order not in (0, 1):
         raise InvalidArgumentError(f"a series table gives derivative orders 0 and 1, not {order}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     if kind is FunctionKind.LEGENDRE_SERIES:
-        V = npleg.legvander((2.0 * x - domain.a - domain.b) / domain.length, size - 1)
-        norms = np.sqrt((2 * np.arange(size) + 1) / domain.length)
-        if order == 0:
-            return V * norms[None, :]
-        D = np.zeros_like(V)  # P_{k+1}' = P_{k-1}' + (2k+1) P_k
-        if size > 1:
-            D[:, 1] = 1.0
-        for k in range(1, size - 1):
-            D[:, k + 1] = D[:, k - 1] + (2 * k + 1) * V[:, k]
-        return D * norms[None, :] * (2.0 / domain.length)
+        return legendre_tables(size, domain, x, (order,))[0]
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     omega, p = trig_freqs(size, domain)
     phase = np.outer(x - p, omega)
     sine = kind is FunctionKind.SINE_SERIES

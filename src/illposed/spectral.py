@@ -68,8 +68,7 @@ def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
 
 def converged_mode_count(op: GalerkinOperator) -> int:
     """Number of leading eigenvalues stable under N -> 2N refinement."""
-    lam = op.eigensystem.eigenvalues
-    lam2 = op.refined.eigensystem.eigenvalues
+    lam, lam2 = op.eigensystem.eigenvalues, op.refined_eigenvalues
     kmax = op.size // 4
     stable = np.abs(lam[:kmax] - lam2[:kmax]) <= CONVERGENCE_RTOL * np.abs(lam2[:kmax])
     return int(np.argmin(np.append(stable, False)))  # first unstable index
@@ -229,11 +228,11 @@ def fit_decay(spec: IntegralSpectrum, model: str,
                     (int(idx[0]), int(idx[-1])))
 
 
-def growth_check(dec: SpectralDecomposition, mode_count: Optional[int] = None) -> float:
+def growth_check(eigenvalues: np.ndarray, mode_count: Optional[int] = None) -> float:
     """min over modes of lambda_n / n^2 (ascending spectrum, 1-indexed)."""
-    lam = dec.eigenvalues
-    if mode_count is not None:
-        lam = lam[:mode_count]
+    lam = eigenvalues[:mode_count]
+    if len(lam) == 0:
+        raise InsufficientDataError("growth check over an empty window: no modes")
     n = np.arange(1, len(lam) + 1, dtype=float)
     return float(np.min(lam / n ** 2))
 

@@ -219,7 +219,7 @@ def lemma1_constant(diff: GalerkinOperator, dec: SpectralDecomposition,
     space (the Parseval tail bound runs over every trial mode), c2 the
     largest measured <Df, f>/||f_x||^2.
     """
-    c1 = growth_check(dec)
+    c1 = growth_check(dec.eigenvalues)
     c2 = float(np.max(dirichlet_ratios))
     if c1 <= 0 or c2 <= 0:
         raise InvalidArgumentError("measured constants must be positive")

@@ -271,6 +271,21 @@ def test_import_loads_no_dependency_beyond_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_submodule_loads_scipy():
+    # scipy is a test-only package: importing every submodule of illposed in
+    # a fresh process leaves it unloaded, so no runtime path may call it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import importlib, pkgutil, sys, illposed\n"
+            "names = [m.name for m in pkgutil.iter_modules(illposed.__path__, 'illposed.')]\n"
+            "for name in names: importlib.import_module(name)\n"
+            "print(len(names), 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, loaded = proc.stdout.split()
+    assert int(count) >= 12 and loaded == "False"
+
+
 def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
     # the sign variant is scored on the command's own matrix, not a second one
     code, _ = run_cli(["match", "--op", "laplace-adjoint:a=1,b=2", "--n", "128"], tmp_path)

@@ -9,7 +9,8 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       assemble_bertero_grunbaum, assemble_fourth_order,
                       assemble_prolate, converged_mode_count, eig_sym,
                       h1_seminorm, l2_norm, sample)
-from illposed.diff_ops import project_coefficients
+from illposed.spectral import CONVERGENCE_RTOL
+from illposed.diff_ops import project_coefficients, reassemble
 from illposed.domains import half_line_for
 
 AB = Interval(1.0, 2.0)
@@ -209,8 +210,11 @@ def test_operator_keeps_its_decompositions(assemble):
     ref = eig_sym(op.stiffness)
     assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
     assert np.array_equal(dec.eigenvectors, ref.eigenvectors)
-    assert op.refined is op.refined and op.refined.size == 32
-    assert op.refined.spec == op.spec
+    lam2 = op.refined_eigenvalues
+    assert lam2 is op.refined_eigenvalues and not lam2.flags.writeable
+    refined = reassemble(op, 32)
+    assert refined.spec == op.spec
+    assert np.array_equal(lam2, np.linalg.eigvalsh(refined.stiffness))
 
 
 def test_fourth_order_overflow_fails_loudly():
@@ -229,3 +233,26 @@ def test_converged_count_names_the_refinement_that_overflows():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InvalidArgumentError, match="fourth-order.*N=512"):
             converged_mode_count(op)
+
+
+@pytest.mark.parametrize("assemble", [
+    lambda N: assemble_bertero_grunbaum(AB, N),
+    lambda N: assemble_bertero_grunbaum(Interval(0.01, 1.0), N),
+    lambda N: assemble_bertero_grunbaum(Interval(0.1, 1.0), N),
+    assemble_prolate,
+    lambda N: assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_LEMMA),
+    lambda N: assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_PROOF_BOUND),
+], ids=["bertero-grunbaum", "bertero-grunbaum-0.01-1", "bertero-grunbaum-0.1-1",
+        "prolate", "fourth-order-lemma", "fourth-order-proof"])
+@pytest.mark.parametrize("N", [16, 32, 64, 128])
+def test_converged_count_matches_a_full_eigensolve_at_2n(assemble, N):
+    # oracle: eigenvalues at N and 2N from full eigh (vectors and all), the
+    # count being the leading k <= N/4 that agree to CONVERGENCE_RTOL; the
+    # small-a intervals give counts strictly between 0 and N/4
+    op = assemble(N)
+    lam = np.linalg.eigh(op.stiffness)[0]
+    lam2 = np.linalg.eigh(reassemble(op, 2 * N).stiffness)[0]
+    kmax = N // 4
+    stable = np.abs(lam[:kmax] - lam2[:kmax]) <= CONVERGENCE_RTOL * np.abs(lam2[:kmax])
+    expected = kmax if stable.all() else int(np.argmin(stable))
+    assert converged_mode_count(op) == expected

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, h1_seminorm, l2_norm, make_grid, sample)
-from illposed.functions import cached_table, sample_columns
+from illposed.functions import basis_table, cached_table, legendre_tables, sample_columns
 from illposed.adversarial import FIGURES
 from illposed.stability import EXPONENTIAL, StabilityFit, verify_theorem
 
@@ -96,6 +96,26 @@ def test_series_tables_refuse_higher_derivatives():
             sample(f, x, 2)
     g = ExpPoly([0.5, -1.0, 0.25], 1.2)
     assert sample(g, x, 2) == pytest.approx(derivative_values(g, x, 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 64, 512])
+def test_legendre_tables_are_the_loop_recurrence_bit_for_bit(size):
+    # oracle: P_{k+1}' = P_{k-1}' + (2k+1) P_k, one column at a time
+    dom = Interval(1.0, 2.25)
+    x = np.linspace(1.0, 2.25, 97)
+    V = np.polynomial.legendre.legvander((2.0 * x - dom.a - dom.b) / dom.length, size - 1)
+    D = np.zeros_like(V)
+    if size > 1:
+        D[:, 1] = 1.0
+    for k in range(1, size - 1):
+        D[:, k + 1] = D[:, k - 1] + (2 * k + 1) * V[:, k]
+    norms = np.sqrt((2 * np.arange(size) + 1) / dom.length)
+    expected = [V * norms[None, :], D * norms[None, :] * (2.0 / dom.length)]
+    leg = FunctionKind.LEGENDRE_SERIES
+    for k in (0, 1):
+        assert np.array_equal(basis_table(leg, size, dom, k, x), expected[k])
+    for got, want in zip(legendre_tables(size, dom, x, (0, 1)), expected):
+        assert np.array_equal(got, want)
 
 
 def test_table_cache_tells_apart_point_sets_that_end_alike():

@@ -12,8 +12,9 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
 from illposed.acceptance import Suite, criterion_07, criterion_09
 from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind
 from illposed.problem import Problem
+from illposed.diff_ops import assemble_bertero_grunbaum
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
-                               SpectralDecomposition, basis_on_grid)
+                               basis_on_grid)
 
 from conftest import kernel_matrix
 
@@ -225,14 +226,23 @@ def test_fit_decay_insufficient_data():
 
 def test_growth_check_legendre_spectrum():
     lam = np.array([(n - 1) * n for n in range(2, 30)], dtype=float)
-    dec = SpectralDecomposition(lam, np.eye(len(lam)))
-    assert growth_check(dec) > 0
+    assert growth_check(lam) > 0
 
 
 def test_growth_check_negative_control():
     lam = np.arange(1, 101, dtype=float)  # lambda_n = n: ratio 1/n -> 0
-    dec = SpectralDecomposition(lam, np.eye(100))
-    assert growth_check(dec, 20) < growth_check(dec, 5)
+    assert growth_check(lam, 20) < growth_check(lam, 5)
+
+
+def test_growth_check_refuses_an_empty_window():
+    # on [0.01, 1] at N = 16 no Galerkin mode survives N -> 2N
+    op = assemble_bertero_grunbaum(Interval(0.01, 1.0), 16)
+    conv = converged_mode_count(op)
+    assert conv == 0
+    with pytest.raises(InsufficientDataError, match="no modes"):
+        growth_check(op.eigensystem.eigenvalues, conv)
+    with pytest.raises(InsufficientDataError):
+        growth_check(np.array([]))
 
 
 def test_parseval_and_quadratic_form_identity(laplace_M, ab):
