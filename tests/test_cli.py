@@ -260,30 +260,19 @@ def test_report_all_stdout_is_the_same_on_every_run(tmp_path, capsys, monkeypatc
 
 
 def test_import_loads_no_dependency_beyond_numpy():
-    # numpy is the one runtime dependency: importing the command line in a
-    # fresh process loads neither scipy nor any test-only package
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, illposed, illposed.cli; print(sorted(m for m in "
-            "('scipy', 'mpmath', 'hypothesis', 'pytest') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_no_submodule_loads_scipy():
-    # scipy is a test-only package: importing every submodule of illposed in
-    # a fresh process leaves it unloaded, so no runtime path may call it
+    # numpy is the one runtime dependency: importing the package and every
+    # submodule in a fresh process loads neither scipy nor any test-only package
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import importlib, pkgutil, sys, illposed\n"
             "names = [m.name for m in pkgutil.iter_modules(illposed.__path__, 'illposed.')]\n"
             "for name in names: importlib.import_module(name)\n"
-            "print(len(names), 'scipy' in sys.modules)")
+            "print(len(names), sorted(m for m in "
+            "('scipy', 'mpmath', 'hypothesis', 'pytest') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    count, loaded = proc.stdout.split()
-    assert int(count) >= 12 and loaded == "False"
+    count, loaded = proc.stdout.strip().split(" ", 1)
+    assert int(count) == len(list((src / "illposed").glob("[!_]*.py"))) and loaded == "[]"
 
 
 def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
