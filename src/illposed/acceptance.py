@@ -238,7 +238,7 @@ def criterion_11(ctx) -> CriterionResult:
             ens = p.ensemble(500, make_rng(ctx.seed + offset))
             out[key] = {"fit": p.fit.to_json()}
             if p is ctx.adjoint:
-                out[key]["variant"] = p.diff.spec.sign_variant.value
+                out[key]["variant"] = p.diff.sign_variant.value
                 out[key]["variant_commutation"] = p.report.commutation_residual
             records = verify_theorem(p.matrix, p.fit, ens)
             out[key]["violations"] = violation_count(records)

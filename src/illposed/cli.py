@@ -82,7 +82,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_match(args) -> int:
     p = _problem(args)
-    rep, variant = p.report, p.diff.spec.sign_variant
+    rep, variant = p.report, p.diff.sign_variant
     doc = rep.to_json()
     doc["converged_modes"] = p.converged
     if variant is not None:
@@ -91,7 +91,7 @@ def cmd_match(args) -> int:
     out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "match.json"), doc)
     ok = rep.max_residual() <= 1e-6 and rep.commutation_residual <= 1e-8
-    print(f"match: {p.kind.to_string()} <-> {p.diff.spec.tag} m={len(rep.records)} "
+    print(f"match: {p.kind.to_string()} <-> {p.diff.name} m={len(rep.records)} "
           f"max_residual={rep.max_residual():.3e} "
           f"commutation={rep.commutation_residual:.3e}")
     return 0 if ok else 2
@@ -177,6 +177,11 @@ def cmd_report_all(args) -> int:
 # Argument parsing
 # ----------------------------------------------------------------------------
 
+def integer(text: str) -> int:
+    """An integer in any base Python reads: 12, 0x0C, 0o14, 0b1100."""
+    return int(text, 0)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         print(f"error: {message}", file=sys.stderr)
@@ -192,7 +197,7 @@ _OPTIONS = {
     "--n": dict(type=int, default=Problem.n, help="grid size (adversarial: basis size)"),
     "--N": dict(type=int, default=Problem.N, help="Galerkin trial size"),
     "--m": dict(type=int, default=Problem.m, help="mode count"),
-    "--seed": dict(type=lambda s: int(s, 0), default=DEFAULT_SEED),
+    "--seed": dict(type=integer, default=DEFAULT_SEED),
     "--count": dict(type=int, default=500),
     "--out-dir": dict(default="illposed-out"),
     "--no-svg": dict(action="store_true"),

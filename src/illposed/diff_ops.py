@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import laguerre as nplag
@@ -24,10 +24,6 @@ from .domains import HalfLineDomain, Interval, QuadGrid, make_grid
 from .errors import InvalidArgumentError, RepresentationError
 from .functions import FunctionKind, cached_table, legendre_tables
 
-BERTERO_GRUNBAUM = "bertero-grunbaum"
-FOURTH_ORDER = "fourth-order"
-PROLATE = "prolate"
-
 PROJECTION_TOL = 1e-8
 
 
@@ -35,20 +31,14 @@ class SignVariant(Enum):
     """Resolution of the sign discrepancy in the fourth-order operator.
 
     The printed operator and the quadratic form used in its proof disagree on
-    two signs; both are assembled and the commutation test picks the variant
-    that actually shares eigenfunctions with the integral composition.
+    two signs.  AS_PROOF_BOUND is the one that shares eigenfunctions with the
+    adjoint Laplace composition, and the only one a Problem assembles;
+    AS_LEMMA converges on no Galerkin mode on [1, 2], [0.5, 3] or [2, 5] at
+    N = 32 and 64, and is kept as the negative control.
     """
 
     AS_LEMMA = "lemma"
     AS_PROOF_BOUND = "proof"
-
-
-@dataclass(frozen=True)
-class DiffOpSpec:
-    tag: str
-    ab: Optional[Interval] = None
-    half: Optional[HalfLineDomain] = None
-    sign_variant: Optional[SignVariant] = None
 
 
 # ----------------------------------------------------------------------------
@@ -165,22 +155,25 @@ class GalerkinOperator:
     """Symmetric stiffness matrix over an orthonormal trial basis.
 
     The mass matrix is the identity by construction, so the eigenvalues of
-    `stiffness` are the Galerkin eigenvalues of the operator.  The basis
-    `tables` (trial functions and derivatives at `grid.nodes`, from one
-    `basis.tables` call), the eigensystem and the eigenvalues of the same
-    operator at 2N are each computed once, on first use.
+    `stiffness` are the Galerkin eigenvalues of the operator.  `rebuild(N)`
+    assembles the same operator at trial size N.  The basis `tables` (trial
+    functions and derivatives at `grid.nodes`, from one `basis.tables`
+    call), the eigensystem and the eigenvalues of the same operator at 2N
+    are each computed once, on first use.
     """
 
     stiffness: np.ndarray = field(repr=False)
-    spec: DiffOpSpec
+    name: str
+    rebuild: Callable[[int], GalerkinOperator] = field(repr=False)
     basis: object
     grid: QuadGrid
+    sign_variant: Optional[SignVariant] = None
 
     def __post_init__(self):
         object.__setattr__(self, "stiffness", _read_only(self.stiffness))
         if not np.all(np.isfinite(self.stiffness)):
             raise InvalidArgumentError(
-                f"{self.spec.tag} operator: stiffness is not finite at N={self.size}")
+                f"{self.name} operator: stiffness is not finite at N={self.size}")
 
     @property
     def size(self) -> int:
@@ -201,14 +194,14 @@ class GalerkinOperator:
         """Ascending, read-only eigenvalues of the same operator at 2N, values
         only: the 2N operator lives just long enough for its finite-stiffness
         check."""
-        return _read_only(np.linalg.eigvalsh(reassemble(self, 2 * self.size).stiffness))
+        return _read_only(np.linalg.eigvalsh(self.rebuild(2 * self.size).stiffness))
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _legendre_weak_form(ab: Interval, N: int, p, q, spec: DiffOpSpec) -> GalerkinOperator:
+def _legendre_weak_form(ab: Interval, N: int, p, q, name: str, rebuild) -> GalerkinOperator:
     """Weak form of -(p u')' + q u over N orthonormal Legendre functions on
     ab, with the coefficient functions p and q evaluated at the grid nodes."""
     if N < 4:
@@ -221,7 +214,7 @@ def _legendre_weak_form(ab: Interval, N: int, p, q, spec: DiffOpSpec) -> Galerki
     # never sampled; basis.tables reads the cache on first use.
     V, D = legendre_tables(N, ab, t, (0, 1))
     S = D.T @ ((w * p(t))[:, None] * D) + V.T @ ((w * q(t))[:, None] * V)
-    return GalerkinOperator(_sym(S), spec, basis, grid)
+    return GalerkinOperator(_sym(S), name, rebuild, basis, grid)
 
 
 def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
@@ -235,13 +228,13 @@ def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
         raise InvalidArgumentError("operator requires 0 < a < b")
     return _legendre_weak_form(ab, N, lambda t: (t ** 2 - ab.a ** 2) * (ab.b ** 2 - t ** 2),
                                lambda t: 2.0 * (t ** 2 - ab.a ** 2),
-                               DiffOpSpec(BERTERO_GRUNBAUM, ab=ab))
+                               "bertero-grunbaum", partial(assemble_bertero_grunbaum, ab))
 
 
 def assemble_prolate(N: int) -> GalerkinOperator:
     """Weak form of -d/dx((1-x^2) d/dx) + x^2 on [-1, 1]."""
     return _legendre_weak_form(Interval(-1.0, 1.0), N, lambda x: 1.0 - x ** 2,
-                               lambda x: x ** 2, DiffOpSpec(PROLATE))
+                               lambda x: x ** 2, "prolate", assemble_prolate)
 
 
 # Past N ~ 300 the Laguerre values overflow; GalerkinOperator rejects the result.
@@ -275,18 +268,8 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     S = (D2.T @ ((w * t ** 2)[:, None] * D2)
          + s * (a2 + b2) * (D1.T @ ((w * t ** 2)[:, None] * D1))
          + V.T @ ((w * (s * a2 * b2 * t ** 2 + 2.0 * a2))[:, None] * V))
-    spec = DiffOpSpec(FOURTH_ORDER, ab=ab, half=half, sign_variant=sign_variant)
-    return GalerkinOperator(_sym(S), spec, basis, grid)
-
-
-def reassemble(op: GalerkinOperator, N: int) -> GalerkinOperator:
-    """Same operator at a different trial-space resolution."""
-    spec = op.spec
-    if spec.tag == BERTERO_GRUNBAUM:
-        return assemble_bertero_grunbaum(spec.ab, N)
-    if spec.tag == PROLATE:
-        return assemble_prolate(N)
-    return assemble_fourth_order(spec.ab, spec.half, N, spec.sign_variant)
+    rebuild = partial(assemble_fourth_order, ab, half, sign_variant=sign_variant)
+    return GalerkinOperator(_sym(S), "fourth-order", rebuild, basis, grid, sign_variant)
 
 
 def project_coefficients(op: GalerkinOperator, vals: np.ndarray) -> np.ndarray:

@@ -1,19 +1,19 @@
 """One operator at one resolution, with each pipeline layer built once.
 
-A Problem pairs a T*T composition with the differential operator that
-commutes with it (Bertero-Grunbaum for Laplace, the weighted fourth-order
-operator for the adjoint Laplace composition, prolate for Fourier) and fixes
-the resolution policy: the quadrature grid, the Galerkin trial sizes and the
-number of matched modes, with their defaults.  The CLI and the acceptance
-suite read every layer from here, so each of these decisions is written once.
+A Problem pairs a T*T composition with the one differential operator that
+commutes with it (Bertero-Grunbaum for Laplace, prolate for Fourier, and for
+the adjoint Laplace composition the weighted fourth-order operator in the
+sign variant of its proof, SignVariant.AS_PROOF_BOUND) and fixes the
+resolution policy: the quadrature grid, the Galerkin trial sizes (N, and
+N/2 clamped to [32, 64] for the fourth-order operator) and the number of
+matched modes, with their defaults.  The CLI and the acceptance suite read
+every layer from here, so each of these decisions is written once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
 
 from .diff_ops import (GalerkinOperator, SignVariant, assemble_bertero_grunbaum,
                        assemble_fourth_order, assemble_prolate)
@@ -25,14 +25,6 @@ from .spectral import MatchReport, converged_mode_count, match_eigenfunctions
 from .stability import (EXPONENTIAL, POWER_OF_RATIO, StabilityFit, SweepData,
                         fit_constants_from_sweep, random_exp_poly,
                         random_sine_series, sweep_from_report)
-
-
-class Pairing(NamedTuple):
-    """The commuting operator, its converged modes, and its match."""
-
-    diff: GalerkinOperator
-    converged: int
-    report: Optional[MatchReport]
 
 
 @dataclass(eq=False)
@@ -59,47 +51,32 @@ class Problem:
     def matrix(self) -> OperatorMatrix:
         return gram_matrix(self.kind, self.grid)
 
-    def _pair(self, diff: GalerkinOperator, min_modes: int) -> Pairing:
-        conv = converged_mode_count(diff)
-        report = None
-        if conv >= min_modes:
-            report = match_eigenfunctions(self.matrix, diff, min(self.m, conv))
-        return Pairing(diff, conv, report)
-
     @cached_property
-    def pairing(self) -> Pairing:
+    def diff(self) -> GalerkinOperator:
         kind = self.kind
         if kind.tag == LAPLACE:
-            best = self._pair(assemble_bertero_grunbaum(kind.source, self.N), 1)
-        elif kind.tag == FOURIER:
-            best = self._pair(assemble_prolate(self.N), 1)
-        elif kind.tag == LAPLACE_ADJOINT:
-            # The printed operator and the form of its proof disagree on two
-            # signs: keep the variant whose matched block commutes best with
-            # this composition.  Variants with < 4 converged modes are unstable.
-            N4 = min(max(self.N // 2, 32), 64)
-            best = min((self._pair(assemble_fourth_order(kind.source, kind.half, N4, v), 4)
-                        for v in SignVariant),
-                       key=lambda p: p.report.commutation_residual if p.report else math.inf)
-        else:
-            raise InvalidArgumentError("no commuting differential operator for this kind")
-        if best.report is None:
-            raise InvalidArgumentError(
-                f"{kind.to_string()}: too few converged Galerkin modes at N={self.N}")
-        return best
+            return assemble_bertero_grunbaum(kind.source, self.N)
+        if kind.tag == FOURIER:
+            return assemble_prolate(self.N)
+        if kind.tag == LAPLACE_ADJOINT:
+            return assemble_fourth_order(kind.source, kind.half, min(max(self.N // 2, 32), 64),
+                                         SignVariant.AS_PROOF_BOUND)
+        raise InvalidArgumentError(
+            f"{kind.to_string()}: no commuting differential operator for this kind")
 
-    @property
-    def diff(self) -> GalerkinOperator:
-        return self.pairing.diff
-
-    @property
+    @cached_property
     def converged(self) -> int:
-        return self.pairing.converged
+        return converged_mode_count(self.diff)
 
-    @property
+    @cached_property
     def report(self) -> MatchReport:
         """Match of the min(m, converged) leading modes against T*T."""
-        return self.pairing.report
+        # the fourth-order operator's spectrum is unstable below 4 converged modes
+        if self.converged < (4 if self.kind.tag == LAPLACE_ADJOINT else 1):
+            raise InvalidArgumentError(
+                f"{self.kind.to_string()}: too few converged Galerkin modes at N={self.N}")
+        return match_eigenfunctions(self.matrix, self.diff, min(self.m, self.converged),
+                                    converged=self.converged)
 
     @cached_property
     def sweep(self) -> SweepData:

@@ -156,7 +156,7 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
     lam = np.diag(dec.eigenvalues[:m])
     comm = np.linalg.norm(K @ lam - lam @ K) / (np.linalg.norm(K) * np.linalg.norm(lam))
     return MatchReport(tuple(records), float(comm),
-                       integral.kind.to_string(), diff.spec.tag, U)
+                       integral.kind.to_string(), diff.name, U)
 
 
 # ----------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     ratios = _oscillation_ratios(M.kind.tag, diff.grid.nodes, diff.grid.weights,
                                  [T @ U for T in diff.tables])
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
-    return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.spec.tag)
+    return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.name)
 
 
 def _golden_section_min(f, a: float, b: float) -> float:

@@ -188,6 +188,15 @@ def test_usage_error_exits_one(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # the messages name what was refused
+    for argv in (["match", "--op", "hilbert:I=0,1:J=2,3"],
+                 ["verify", "--op", "hilbert:I=0,1:J=2,3"]):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
+        assert capsys.readouterr().err == ("error: hilbert:I=0,1:J=2,3: no commuting "
+                                           "differential operator for this kind\n"), argv
+    assert main(["verify", "--seed", "abc", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --seed: ") and "'abc'" in err and "<lambda>" not in err
 
 
 # The options each subcommand reads; it accepts these and no others.
@@ -276,7 +285,7 @@ def test_import_loads_no_dependency_beyond_numpy():
 
 
 def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
-    # the sign variant is scored on the command's own matrix, not a second one
+    # the commuting operator is matched on the command's own matrix, not a second one
     code, _ = run_cli(["match", "--op", "laplace-adjoint:a=1,b=2", "--n", "128"], tmp_path)
     assert code == 0
     assert gram_calls == [128]
@@ -290,7 +299,9 @@ def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
     ["figures", "--id", "2"],
     ["figures", "--id", "3"],
     ["verify", "--count", "40", "--N", "64"],
-], ids=["spectrum", "match", "adversarial", "figure1", "figure2", "figure3", "verify"])
+    ["match", "--op", "laplace-adjoint:a=1,b=2"],
+], ids=["spectrum", "match", "adversarial", "figure1", "figure2", "figure3", "verify",
+        "match-adjoint"])
 def test_determinism_byte_identical(tmp_path, argv):
     # two runs write the same files, byte for byte
     _, out_a = run_cli(argv, tmp_path, "a")

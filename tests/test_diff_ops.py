@@ -10,7 +10,7 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       assemble_prolate, converged_mode_count, eig_sym,
                       h1_seminorm, l2_norm, sample)
 from illposed.spectral import CONVERGENCE_RTOL
-from illposed.diff_ops import project_coefficients, reassemble
+from illposed.diff_ops import project_coefficients
 from illposed.domains import half_line_for
 
 AB = Interval(1.0, 2.0)
@@ -106,6 +106,19 @@ def test_fourth_order_symmetry_and_proof_variant_pd():
         assert np.max(np.abs(S - S.T)) <= 1e-12 * np.max(np.abs(S))
     proof = assemble_fourth_order(AB, half, 32, SignVariant.AS_PROOF_BOUND)
     assert np.linalg.eigvalsh(proof.stiffness)[0] > 0
+
+
+@pytest.mark.parametrize("ab", [(1.0, 2.0), (0.5, 3.0), (2.0, 5.0)])
+@pytest.mark.parametrize("N", [32, 64])
+def test_printed_fourth_order_variant_converges_on_no_mode(ab, N):
+    # the negative control behind a Problem assembling AS_PROOF_BOUND alone:
+    # the printed operator's leading eigenvalues all move under N -> 2N,
+    # while the proof's quadratic form settles on every mode counted
+    ab = Interval(*ab)
+    lemma, proof = (assemble_fourth_order(ab, half_line_for(ab), N, variant)
+                    for variant in (SignVariant.AS_LEMMA, SignVariant.AS_PROOF_BOUND))
+    assert converged_mode_count(lemma) == 0
+    assert converged_mode_count(proof) == N // 4
 
 
 def test_fourth_order_exp_oracle():
@@ -212,8 +225,9 @@ def test_operator_keeps_its_decompositions(assemble):
     assert np.array_equal(dec.eigenvectors, ref.eigenvectors)
     lam2 = op.refined_eigenvalues
     assert lam2 is op.refined_eigenvalues and not lam2.flags.writeable
-    refined = reassemble(op, 32)
-    assert refined.spec == op.spec
+    refined = op.rebuild(32)
+    assert (refined.name, refined.sign_variant) == (op.name, op.sign_variant)
+    assert np.array_equal(refined.stiffness, assemble(32).stiffness)
     assert np.array_equal(lam2, np.linalg.eigvalsh(refined.stiffness))
 
 
@@ -251,7 +265,7 @@ def test_converged_count_matches_a_full_eigensolve_at_2n(assemble, N):
     # small-a intervals give counts strictly between 0 and N/4
     op = assemble(N)
     lam = np.linalg.eigh(op.stiffness)[0]
-    lam2 = np.linalg.eigh(reassemble(op, 2 * N).stiffness)[0]
+    lam2 = np.linalg.eigh(assemble(2 * N).stiffness)[0]
     kmax = N // 4
     stable = np.abs(lam[:kmax] - lam2[:kmax]) <= CONVERGENCE_RTOL * np.abs(lam2[:kmax])
     expected = kmax if stable.all() else int(np.argmin(stable))

@@ -1,4 +1,5 @@
 import functools
+import sys
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
 from illposed.acceptance import Suite, criterion_07, criterion_09
 from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind
 from illposed.problem import Problem
-from illposed.diff_ops import assemble_bertero_grunbaum
+from illposed.diff_ops import SignVariant, assemble_bertero_grunbaum
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
                                basis_on_grid)
 
@@ -153,6 +154,23 @@ def test_one_eigensystem_per_stiffness(monkeypatch):
     assert criterion_07(ctx).passed and criterion_09(ctx).passed
     # Bertero-Grunbaum and prolate stiffness, each at N and at 2N
     assert len(seen) == len(set(seen)) == 4
+
+
+@pytest.mark.parametrize("N, N4", [(4, 32), (128, 64), (512, 64)])
+def test_adjoint_report_assembles_the_proof_variant_at_n4_and_2n4(monkeypatch, N, N4):
+    # N4 = N/2 clamped to [32, 64], and its 2N refinement: nothing else
+    import illposed.diff_ops
+    original, built = illposed.diff_ops.assemble_fourth_order, []
+
+    def recorded(ab, half, N, sign_variant):
+        built.append((N, sign_variant))
+        return original(ab, half, N, sign_variant)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("illposed") and getattr(module, "assemble_fourth_order", None) is original:
+            monkeypatch.setattr(module, "assemble_fourth_order", recorded)
+    p = Problem(OperatorKind.laplace_adjoint_tt(Interval(1.0, 2.0)), 128, N, 12)
+    assert len(p.report.records) == min(12, N4 // 4)
+    assert built == [(N4, SignVariant.AS_PROOF_BOUND), (2 * N4, SignVariant.AS_PROOF_BOUND)]
 
 
 def test_match_examples(laplace_M, fourier_M, bg128, prolate128):
