@@ -31,8 +31,9 @@ repF = match_eigenfunctions(MF, pro, 10)
 print(f"max residual: {repF.max_residual():.2e}   "
       f"commutation: {repF.commutation_residual:.2e}")
 
-print("\n== negative control: prolate operator against the Laplace kernel ==")
-repN = match_eigenfunctions(ML, pro, 10)
+print("\n== negative control: Bertero-Grunbaum against the Hilbert kernel on [1, 2] ==")
+MN = gram_matrix(OperatorKind.hilbert_truncated(ab, Interval(3, 4)), make_grid(ab, 256))
+repN = match_eigenfunctions(MN, bg, 10)
 print(f"commutation residual for the mismatched pair: "
       f"{repN.commutation_residual:.2e}  (orders of magnitude worse)")
 

@@ -7,7 +7,9 @@ composition, and the prolate operator on [-1, 1] for the Fourier
 composition.  All are assembled as quadratic forms over orthonormal trial
 bases, so the mass matrix is the identity and no boundary terms arise (the
 leading coefficients vanish at the endpoints; half-line trial functions
-decay like e^{-sigma t}).
+decay like e^{-sigma t}).  The Legendre forms are Gauss quadratures; the
+fourth-order form is exact over [0, inf), from the Laguerre basis's finite
+maps for d/dt and multiplication by t.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import laguerre as nplag
 
 from .domains import HalfLineDomain, Interval, QuadGrid, make_grid
 from .errors import InvalidArgumentError, RepresentationError
@@ -61,52 +62,52 @@ class LegendreTrialBasis:
                 for k in orders]
 
 
-def _laguerre_deriv(V: np.ndarray) -> np.ndarray:
-    """d/du of Laguerre Vandermonde columns, by L_k' = -sum_{j<k} L_j."""
-    D = np.zeros_like(V)
-    D[:, 1:] = -np.cumsum(V[:, :-1], axis=1)
-    return D
-
-
 class LaguerreExpTrialBasis:
-    """Functions p_k(t) e^{-sigma t}: scaled Laguerre functions on [0, s_max],
-    re-orthonormalized against the assembly grid (the truncation tail is
-    ~e^{-2 sigma s_max} but Cholesky makes discrete orthonormality exact)."""
+    """Orthonormal Laguerre functions phi_k(t) = sqrt(2 sigma) L_k(2 sigma t)
+    e^{-sigma t} on the half line.  d/dt and multiplication by t act on their
+    coefficients as exact finite matrices, `derivative` and `times_t`."""
 
     orders = (0, 1, 2)
 
-    def __init__(self, half: HalfLineDomain, size: int, sigma: float, grid: QuadGrid):
+    def __init__(self, half: HalfLineDomain, size: int, sigma: float):
         if sigma <= 0:
             raise InvalidArgumentError("decay rate sigma must be positive")
         self.domain = half
         self.size = size
         self.sigma = sigma
-        self.grid = grid
-        V, = self._raw(grid.nodes, (0,))
-        G = V.T @ (grid.weights[:, None] * V)
-        L = np.linalg.cholesky(0.5 * (G + G.T))
-        # columns of raw basis combined so the grid Gram is the identity
-        self._combine = np.linalg.inv(L).T
 
-    def _raw(self, x, orders) -> list:
-        """Raw trial functions' derivatives of each order (0, 1 or 2) at x,
-        from one Laguerre Vandermonde and one envelope."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sigma = self.sigma
-        env = (np.sqrt(2.0 * sigma) * np.exp(-sigma * x))[:, None]
-        L0 = nplag.lagvander(2.0 * sigma * x, self.size - 1)
-        # u-derivatives only as deep as asked: with their chain-rule sums they
-        # cost more than the Vandermonde itself
-        L1 = _laguerre_deriv(L0) if max(orders) >= 1 else None
-        L2 = _laguerre_deriv(L1) if max(orders) >= 2 else None
-        raw = {0: lambda: L0,
-               1: lambda: 2.0 * sigma * L1 - sigma * L0,
-               2: lambda: 4.0 * sigma ** 2 * L2 - 4.0 * sigma ** 2 * L1 + sigma ** 2 * L0}
-        return [env * raw[k]() for k in orders]
+    @cached_property
+    def derivative(self) -> np.ndarray:
+        """N x N, column k: phi_k' = -sigma phi_k - 2 sigma sum_{j<k} phi_j."""
+        N = self.size
+        return _read_only(-self.sigma * (np.eye(N) + 2.0 * np.triu(np.ones((N, N)), 1)))
+
+    @cached_property
+    def times_t(self) -> np.ndarray:
+        """(N+1) x N, column k: 2 sigma t phi_k = -(k+1) phi_{k+1} + (2k+1) phi_k
+        - k phi_{k-1}."""
+        k = np.arange(self.size)
+        X = np.zeros((self.size + 1, self.size))
+        X[k, k] = 2 * k + 1
+        X[k + 1, k] = -(k + 1)
+        X[k[:-1], k[1:]] = -k[1:]
+        return _read_only(X / (2.0 * self.sigma))
 
     def tables(self, x, orders) -> list:
-        """One read-only table per derivative order at x."""
-        return [_read_only(R @ self._combine) for R in self._raw(x, orders)]
+        """One read-only table per derivative order at x: the three-term
+        recurrence with the envelope folded in, then V @ derivative per order.
+        The envelope underflows past 2 sigma t ~ 1490, where every entry reads
+        0: exact to roundoff for degrees below about 370."""
+        u = 2.0 * self.sigma * np.atleast_1d(np.asarray(x, dtype=float))
+        prev, cur = np.zeros_like(u), np.sqrt(2.0 * self.sigma) * np.exp(-0.5 * u)
+        rows = [cur]
+        for k in range(self.size - 1):
+            prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+            rows.append(cur)
+        by_order = [np.array(rows).T]
+        while len(by_order) <= max(orders):
+            by_order.append(by_order[-1] @ self.derivative)
+        return [_read_only(by_order[k]) for k in orders]
 
 
 def _read_only(a) -> np.ndarray:
@@ -237,8 +238,6 @@ def assemble_prolate(N: int) -> GalerkinOperator:
                                lambda x: x ** 2, "prolate", assemble_prolate)
 
 
-# Past N ~ 300 the Laguerre values overflow; GalerkinOperator rejects the result.
-@np.errstate(all="ignore")
 def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
                           sign_variant: SignVariant) -> GalerkinOperator:
     """Weak form of the weighted fourth-order half-line operator.
@@ -247,6 +246,8 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
                          +  int ((-/+) a^2 b^2 t^2 + 2 a^2) p_i p_j
     with upper signs for AS_LEMMA (the printed operator) and lower signs for
     AS_PROOF_BOUND (the manifestly positive quadratic form of its proof).
+    With X0 = basis.times_t, X1 = X0 D and X2 = X0 D^2 (D = basis.derivative)
+    each integral is exact over [0, inf): int t^2 p_i^(r) p_j^(r) = (Xr^T Xr)_ij.
     """
     if not isinstance(sign_variant, SignVariant):
         raise InvalidArgumentError("sign_variant must be a SignVariant")
@@ -255,19 +256,18 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     if N < 4:
         raise InvalidArgumentError("trial space needs N >= 4")
     sigma = 0.5 * (ab.a + ab.b)
-    # Laguerre functions of degree k carry mass out to u ~ 4k+2; the weak-form
-    # integrals must cover the whole basis or the grid Gram degenerates.
-    s_need = 1.25 * (4.0 * N + 2.0) / (2.0 * sigma)
-    assembly_half = HalfLineDomain(max(half.s_max, s_need), half.panel_count)
-    grid = make_grid(assembly_half, max(48, N))
-    basis = LaguerreExpTrialBasis(half, N, sigma, grid)
-    t, w = grid.nodes, grid.weights
+    basis = LaguerreExpTrialBasis(half, N, sigma)
     s = 1.0 if sign_variant is SignVariant.AS_PROOF_BOUND else -1.0
     a2, b2 = ab.a ** 2, ab.b ** 2
-    V, D1, D2 = basis.tables(t, (0, 1, 2))
-    S = (D2.T @ ((w * t ** 2)[:, None] * D2)
-         + s * (a2 + b2) * (D1.T @ ((w * t ** 2)[:, None] * D1))
-         + V.T @ ((w * (s * a2 * b2 * t ** 2 + 2.0 * a2))[:, None] * V))
+    X0 = basis.times_t
+    X1 = X0 @ basis.derivative
+    X2 = X1 @ basis.derivative
+    S = (X2.T @ X2 + s * (a2 + b2) * (X1.T @ X1) + s * a2 * b2 * (X0.T @ X0)
+         + 2.0 * a2 * np.eye(N))
+    # The grid serves only the sweep's ratio quadratures, which must cover the
+    # whole basis: Laguerre functions of degree k carry mass out to u ~ 4k+2.
+    s_need = 1.25 * (4.0 * N + 2.0) / (2.0 * sigma)
+    grid = make_grid(HalfLineDomain(max(half.s_max, s_need), half.panel_count), max(48, N))
     rebuild = partial(assemble_fourth_order, ab, half, sign_variant=sign_variant)
     return GalerkinOperator(_sym(S), "fourth-order", rebuild, basis, grid, sign_variant)
 

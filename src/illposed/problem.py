@@ -74,7 +74,7 @@ class Problem:
         # the fourth-order operator's spectrum is unstable below 4 converged modes
         if self.converged < (4 if self.kind.tag == LAPLACE_ADJOINT else 1):
             raise InvalidArgumentError(
-                f"{self.kind.to_string()}: too few converged Galerkin modes at N={self.N}")
+                f"{self.kind.to_string()}: too few converged Galerkin modes at N={self.diff.size}")
         return match_eigenfunctions(self.matrix, self.diff, min(self.m, self.converged),
                                     converged=self.converged)
 

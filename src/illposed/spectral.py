@@ -112,14 +112,11 @@ class MatchReport:
 
 
 def basis_on_grid(diff: GalerkinOperator, grid) -> np.ndarray:
-    """Trial-basis values at grid nodes, affinely mapped when domains differ."""
-    x = grid.nodes
-    bdom = diff.basis.domain
-    gdom = grid.domain
-    from .domains import Interval
-    if isinstance(bdom, Interval) and isinstance(gdom, Interval) and bdom != gdom:
-        x = bdom.a + (x - gdom.a) * (bdom.length / gdom.length)
-    return diff.basis.tables(x, (0,))[0]
+    """Trial-basis values at the nodes of a grid on the basis domain."""
+    if grid.domain != diff.basis.domain:
+        raise InvalidArgumentError(
+            f"{diff.name} basis lives on {diff.basis.domain}, the grid on {grid.domain}")
+    return diff.basis.tables(grid.nodes, (0,))[0]
 
 
 def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,

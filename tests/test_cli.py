@@ -194,6 +194,12 @@ def test_usage_error_exits_one(tmp_path, capsys):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err == ("error: hilbert:I=0,1:J=2,3: no commuting "
                                            "differential operator for this kind\n"), argv
+    # the adjoint names the fourth-order trial size it used, N/2 clamped to [32, 64]
+    for op, name in (("laplace-adjoint:a=0.01,b=1", "laplace-adjoint:a=0.01,b=1"),
+                     ("laplace-adjoint:a=1e-3,b=2", "laplace-adjoint:a=0.001,b=2")):
+        assert main(["match", "--op", op, "--out-dir", str(tmp_path)]) == 1, op
+        assert capsys.readouterr().err == (f"error: {name}: too few converged Galerkin "
+                                           "modes at N=64\n"), op
     assert main(["verify", "--seed", "abc", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: argument --seed: ") and "'abc'" in err and "<lambda>" not in err

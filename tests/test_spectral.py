@@ -11,7 +11,7 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
                       fit_decay, growth_check, match_eigenfunctions,
                       parse_operator, quadratic_form, sample, spectrum_to_csv)
 from illposed.acceptance import Suite, criterion_07, criterion_09
-from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind
+from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind, gram_matrix
 from illposed.problem import Problem
 from illposed.diff_ops import SignVariant, assemble_bertero_grunbaum
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
@@ -198,10 +198,18 @@ def test_match_through_the_factor_agrees_with_the_kernel_matrix(text):
     assert abs(rep.commutation_residual - comm) <= 1e-15
 
 
-def test_match_negative_control(laplace_M, prolate128):
-    # mismatched pair: frozen from the negative-control run (4.2e-3)
-    rep = match_eigenfunctions(laplace_M, prolate128, 10)
+def test_match_negative_control(ab, grid_ab, bg128):
+    # mismatched pair on one interval: frozen from the negative-control run (6.1e-3)
+    M = gram_matrix(OperatorKind.hilbert_truncated(ab, Interval(3.0, 4.0)), grid_ab)
+    rep = match_eigenfunctions(M, bg128, 10)
     assert rep.commutation_residual >= 1e-3
+
+
+def test_match_refuses_a_basis_on_another_domain(laplace_M):
+    # a trial basis is never remapped onto the integral operator's grid
+    op = assemble_bertero_grunbaum(Interval(0.5, 3.0), 32)
+    with pytest.raises(InvalidArgumentError, match="basis lives on"):
+        match_eigenfunctions(laplace_M, op, 4)
 
 
 def test_match_mode_range_guard(laplace_M, bg128):
