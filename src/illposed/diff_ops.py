@@ -238,6 +238,7 @@ def assemble_prolate(N: int) -> GalerkinOperator:
                                lambda x: x ** 2, "prolate", assemble_prolate)
 
 
+@np.errstate(all="ignore")
 def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
                           sign_variant: SignVariant) -> GalerkinOperator:
     """Weak form of the weighted fourth-order half-line operator.
@@ -248,6 +249,9 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     AS_PROOF_BOUND (the manifestly positive quadratic form of its proof).
     With X0 = basis.times_t, X1 = X0 D and X2 = X0 D^2 (D = basis.derivative)
     each integral is exact over [0, inf): int t^2 p_i^(r) p_j^(r) = (Xr^T Xr)_ij.
+    Far outside a moderate [a, b] the products overflow (a^2 b^2 past the
+    float range, or X0^T X0 ~ (N/sigma)^2 for tiny sigma); the finite-stiffness
+    check reports that, not a RuntimeWarning.
     """
     if not isinstance(sign_variant, SignVariant):
         raise InvalidArgumentError("sign_variant must be a SignVariant")

@@ -252,6 +252,28 @@ def test_fourth_order_assembles_past_the_laguerre_overflow():
             assert converged_mode_count(op) == N // 4, N
 
 
+def test_fourth_order_overflow_fails_loudly():
+    # a^2 b^2 = 4e320 overflows the float range: the stiffness would be NaN,
+    # and the overflow must not leak out as a RuntimeWarning either.
+    ab = Interval(1e80, 2e80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidArgumentError, match="fourth-order.*N=320"):
+            assemble_fourth_order(ab, half_line_for(ab), 320, SignVariant.AS_PROOF_BOUND)
+
+
+def test_converged_count_names_the_refinement_that_overflows():
+    # X0^T X0 ~ (N/sigma)^2 stays finite at N = 256 for sigma = 3.75e-152 and
+    # overflows at the 2N = 512 refinement
+    ab = Interval(2.5e-152, 5e-152)
+    op = assemble_fourth_order(ab, half_line_for(ab), 256, SignVariant.AS_PROOF_BOUND)
+    assert np.all(np.isfinite(op.stiffness))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidArgumentError, match="fourth-order.*N=512"):
+            converged_mode_count(op)
+
+
 @pytest.mark.parametrize("assemble", [
     lambda N: assemble_bertero_grunbaum(AB, N),
     lambda N: assemble_bertero_grunbaum(Interval(0.01, 1.0), N),
