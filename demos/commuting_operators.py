@@ -39,7 +39,7 @@ print(f"commutation residual for the mismatched pair: "
 
 print("\n== adjoint composition: which fourth-order sign variant commutes? ==")
 half = half_line_for(ab)
-MH = gram_matrix(OperatorKind.laplace_adjoint_tt(ab, half), make_grid(half, 64))
+MH = gram_matrix(OperatorKind.laplace_adjoint_tt(ab), make_grid(half, 64))
 for variant in SignVariant:
     op = assemble_fourth_order(ab, half, 48, variant)
     conv = converged_mode_count(op)

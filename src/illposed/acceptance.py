@@ -30,10 +30,10 @@ from .integral_ops import OperatorKind
 from .problem import Problem
 from .spectral import (EXP_DECAY, SUPER_EXP, decompose_operator, fit_decay,
                        fit_line, growth_check)
-from .stability import (EXPONENTIAL, fit_constants_from_sweep, lemma1_constant,
-                        make_rng, random_nonnegative_series, random_sine_series,
-                        random_trial_mix, verify_lemma1, verify_lemma2,
-                        verify_lemma3, verify_theorem, violation_count)
+from .stability import (EXPONENTIAL, error_count, fit_constants_from_sweep,
+                        lemma1_constant, make_rng, random_nonnegative_series,
+                        random_sine_series, random_trial_mix, verify_lemma1,
+                        verify_lemma2, verify_lemma3, violation_count)
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -97,15 +97,11 @@ def criterion_03(ctx) -> CriterionResult:
 
 
 def criterion_04(ctx) -> CriterionResult:
-    def run():
-        out = {}
-        for name, p in (("laplace-bg", ctx.laplace), ("fourier-prolate", ctx.fourier)):
-            out[name] = {"max_residual": p.report.max_residual(),
-                         "commutation": p.report.commutation_residual}
-        return out
-    out, dt = _timed(run)
-    ok = all(v["max_residual"] <= 1e-6 and v["commutation"] <= 1e-8
-             for v in out.values())
+    problems = {"laplace-bg": ctx.laplace, "fourier-prolate": ctx.fourier}
+    out, dt = _timed(lambda: {name: {"max_residual": p.report.max_residual(),
+                                     "commutation": p.report.commutation_residual}
+                              for name, p in problems.items()})
+    ok = all(p.report.passed for p in problems.values())
     return CriterionResult("4", "eigenfunction coincidence: residual <= 1e-6, "
                            "commutation <= 1e-8", ok, out, dt)
 
@@ -235,14 +231,13 @@ def criterion_11(ctx) -> CriterionResult:
         out = {}
         for key, p, offset in (("thm1", ctx.laplace, 1), ("thm2", ctx.adjoint, 2),
                                ("thm3", ctx.fourier, 3)):
-            ens = p.ensemble(500, make_rng(ctx.seed + offset))
             out[key] = {"fit": p.fit.to_json()}
             if p is ctx.adjoint:
                 out[key]["variant"] = p.diff.sign_variant.value
                 out[key]["variant_commutation"] = p.report.commutation_residual
-            records = verify_theorem(p.matrix, p.fit, ens)
+            records = p.verify(500, ctx.seed + offset)
             out[key]["violations"] = violation_count(records)
-            out[key]["errors"] = sum(1 for r in records if r.error)
+            out[key]["errors"] = error_count(records)
         fit3_exp = fit_constants_from_sweep(ctx.fourier.sweep, EXPONENTIAL)
         out["thm3"]["exp_r2"] = fit3_exp.r_squared
         out["thm3"]["power_beats_exp"] = bool(ctx.fourier.fit.r_squared > fit3_exp.r_squared)

@@ -17,7 +17,8 @@ import numpy as np
 from .diff_ops import largest_entry_positive
 from .domains import Interval
 from .errors import InvalidArgumentError
-from .functions import FunctionKind, FunctionRep, basis_table, check_orthonormal, sample
+from .functions import (FunctionKind, FunctionRep, basis_table, cached_table,
+                        check_orthonormal, sample)
 from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
                            quadratic_form, resolved_count)
 from .problem import Problem
@@ -143,7 +144,8 @@ FIGURES = {
 
 def reproduce_figure(figure_id: FigureId, n: int = Problem.n) -> dict:
     """Recompute ||T f||^2 / ||f||^2 for a built-in figure function on the
-    grid of its operator's Problem at size n."""
+    grid of its operator's Problem at size n, which must resolve the
+    function's series basis."""
     try:
         spec = FIGURES[FigureId(figure_id)]
     except (KeyError, ValueError) as exc:
@@ -151,6 +153,7 @@ def reproduce_figure(figure_id: FigureId, n: int = Problem.n) -> dict:
     f = spec.function()
     p = Problem(spec.operator, n)
     grid = p.grid
+    check_orthonormal(f.kind, cached_table(f.kind, len(f.payload), f.domain, 0, grid.nodes), grid)
     norm2 = float(np.dot(grid.weights, sample(f, grid.nodes) ** 2))
     if spec.figure_id is FigureId.FIG3:
         # Cancellation-limited regime: closed-form basis transforms with

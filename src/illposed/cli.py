@@ -24,7 +24,7 @@ from .integral_ops import MAX_GRID_SIZE, parse_operator
 from .output import ensure_out_dir, svg_plot, write_json, write_text
 from .problem import Problem
 from .spectral import decompose_operator, spectrum_to_csv
-from .stability import make_rng, verify_theorem, violation_count
+from .stability import error_count, violation_count
 
 MAX_TRIAL = 512
 
@@ -90,11 +90,10 @@ def cmd_match(args) -> int:
                                "commutation": rep.commutation_residual}
     out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "match.json"), doc)
-    ok = rep.max_residual() <= 1e-6 and rep.commutation_residual <= 1e-8
     print(f"match: {p.kind.to_string()} <-> {p.diff.name} m={len(rep.records)} "
           f"max_residual={rep.max_residual():.3e} "
           f"commutation={rep.commutation_residual:.3e}")
-    return 0 if ok else 2
+    return 0 if rep.passed else 2
 
 
 def cmd_adversarial(args) -> int:
@@ -138,8 +137,8 @@ def cmd_figures(args) -> int:
 def cmd_verify(args) -> int:
     p = _problem(args)
     fit = p.fit
-    records = verify_theorem(p.matrix, fit, p.ensemble(args.count, make_rng(args.seed)))
-    errors = sum(1 for r in records if r.error)
+    records = p.verify(args.count, args.seed)
+    errors = error_count(records)
     violations = violation_count(records)
     out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, "verify.json"), {

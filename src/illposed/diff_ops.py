@@ -49,8 +49,6 @@ class SignVariant(Enum):
 class LegendreTrialBasis:
     """Orthonormalized Legendre polynomials mapped to an interval."""
 
-    orders = (0, 1)
-
     def __init__(self, domain: Interval, size: int):
         self.domain = domain
         self.size = size
@@ -66,8 +64,6 @@ class LaguerreExpTrialBasis:
     """Orthonormal Laguerre functions phi_k(t) = sqrt(2 sigma) L_k(2 sigma t)
     e^{-sigma t} on the half line.  d/dt and multiplication by t act on their
     coefficients as exact finite matrices, `derivative` and `times_t`."""
-
-    orders = (0, 1, 2)
 
     def __init__(self, half: HalfLineDomain, size: int, sigma: float):
         if sigma <= 0:
@@ -157,10 +153,10 @@ class GalerkinOperator:
 
     The mass matrix is the identity by construction, so the eigenvalues of
     `stiffness` are the Galerkin eigenvalues of the operator.  `rebuild(N)`
-    assembles the same operator at trial size N.  The basis `tables` (trial
-    functions and derivatives at `grid.nodes`, from one `basis.tables`
-    call), the eigensystem and the eigenvalues of the same operator at 2N
-    are each computed once, on first use.
+    assembles the same operator at trial size N.  The eigensystem and the
+    eigenvalues of the same operator at 2N are each computed once, on first
+    use.  The trial functions at `grid.nodes` come from `basis.tables`, in
+    the derivative orders the caller reads.
     """
 
     stiffness: np.ndarray = field(repr=False)
@@ -179,12 +175,6 @@ class GalerkinOperator:
     @property
     def size(self) -> int:
         return self.stiffness.shape[0]
-
-    @cached_property
-    def tables(self) -> list:
-        """The trial functions' derivatives at grid.nodes, one read-only table
-        per order of basis.orders: (0, 1), or (0, 1, 2) on the half line."""
-        return self.basis.tables(self.grid.nodes, self.basis.orders)
 
     @cached_property
     def eigensystem(self) -> SpectralDecomposition:
@@ -283,7 +273,7 @@ def project_coefficients(op: GalerkinOperator, vals: np.ndarray) -> np.ndarray:
     norm2 = float(np.dot(w, vals * vals))
     if norm2 == 0.0:
         return np.zeros(op.size)
-    V = op.tables[0]
+    V = op.basis.tables(op.grid.nodes, (0,))[0]
     c = V.T @ (w * vals)
     r = vals - V @ c  # pointwise residual: immune to norm-difference roundoff
     resid2 = float(np.dot(w, r * r))

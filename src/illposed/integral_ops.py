@@ -52,10 +52,6 @@ LAPLACE = "laplace"
 LAPLACE_ADJOINT = "laplace-adjoint"
 FOURIER = "fourier"
 
-# Taylor switch for the adjoint-Laplace kernel (e^{-au} - e^{-bu})/u near u=0.
-_ADJOINT_TAYLOR_CUT = 1e-3
-_ADJOINT_TAYLOR_TERMS = 8
-
 
 @dataclass(frozen=True)
 class OperatorKind:
@@ -64,7 +60,6 @@ class OperatorKind:
     tag: str
     source: Interval
     target: Optional[Interval] = None
-    half: Optional[HalfLineDomain] = None
 
     def __post_init__(self):
         if self.tag == HILBERT:
@@ -90,12 +85,18 @@ class OperatorKind:
         return OperatorKind(LAPLACE, ab)
 
     @staticmethod
-    def laplace_adjoint_tt(ab: Interval, half: Optional[HalfLineDomain] = None) -> "OperatorKind":
-        return OperatorKind(LAPLACE_ADJOINT, ab, half=half or half_line_for(ab))
+    def laplace_adjoint_tt(ab: Interval) -> "OperatorKind":
+        return OperatorKind(LAPLACE_ADJOINT, ab)
 
     @staticmethod
     def fourier_tt() -> "OperatorKind":
         return OperatorKind(FOURIER, Interval(-1.0, 1.0))
+
+    @property
+    def half(self) -> Optional[HalfLineDomain]:
+        """The truncated half line the adjoint composition acts on; None for
+        every other kind."""
+        return half_line_for(self.source) if self.tag == LAPLACE_ADJOINT else None
 
     @property
     def input_domain(self):
@@ -170,19 +171,10 @@ def parse_operator(text: str) -> OperatorKind:
 # ----------------------------------------------------------------------------
 
 def _adjoint_kernel(u, a: float, b: float):
-    """(e^{-au} - e^{-bu})/u with a Taylor branch against cancellation."""
+    """(e^{-au} - e^{-bu})/u for u > 0, as -e^{-au} expm1(-(b-a)u)/u: the
+    difference is never formed, so no u and no gap b-a cancels."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = u < _ADJOINT_TAYLOR_CUT
-    us = u[small]
-    acc = np.zeros_like(us)
-    for n in range(_ADJOINT_TAYLOR_TERMS, 0, -1):
-        coeff = (-1.0) ** (n - 1) * (b ** n - a ** n) / math.factorial(n)
-        acc = acc * us + coeff
-    out[small] = acc
-    ul = u[~small]
-    out[~small] = (np.exp(-a * ul) - np.exp(-b * ul)) / ul
-    return out
+    return -np.exp(-a * u) * np.expm1(-(b - a) * u) / u
 
 
 def _kernel_diagonal(kind: OperatorKind, x: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ sign variant of its proof, SignVariant.AS_PROOF_BOUND) and fixes the
 resolution policy: the quadrature grid, the Galerkin trial sizes (N, and
 N/2 clamped to [32, 64] for the fourth-order operator) and the number of
 matched modes, with their defaults.  The CLI and the acceptance suite read
-every layer from here, so each of these decisions is written once.
+every layer from here, and run the theorem's seeded ensemble through
+`verify`, so each of these decisions is written once.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .integral_ops import (FOURIER, LAPLACE, LAPLACE_ADJOINT, OperatorKind,
                            OperatorMatrix, gram_matrix)
 from .spectral import MatchReport, converged_mode_count, match_eigenfunctions
 from .stability import (EXPONENTIAL, POWER_OF_RATIO, StabilityFit, SweepData,
-                        fit_constants_from_sweep, random_exp_poly,
-                        random_sine_series, sweep_from_report)
+                        fit_constants_from_sweep, make_rng, random_exp_poly,
+                        random_sine_series, sweep_from_report, verify_theorem)
 
 
 @dataclass(eq=False)
@@ -91,8 +92,10 @@ class Problem:
     def fit(self) -> StabilityFit:
         return fit_constants_from_sweep(self.sweep, self.fit_form)
 
-    def ensemble(self, count: int, rng) -> list:
-        """The random functions the stability theorem is verified on."""
-        if self.kind.tag == LAPLACE_ADJOINT:
-            return random_exp_poly(count, rng)
-        return random_sine_series(self.kind.input_domain, count, rng)
+    def verify(self, count: int, seed: int) -> list:
+        """The stability theorem's records, against `fit`, over count random
+        functions from seed: p(t) e^{-rt} for the adjoint, else sine series."""
+        rng = make_rng(seed)
+        ensemble = (random_exp_poly(count, rng) if self.kind.tag == LAPLACE_ADJOINT
+                    else random_sine_series(self.kind.input_domain, count, rng))
+        return verify_theorem(self.matrix, self.fit, ensemble)

@@ -98,6 +98,12 @@ class MatchReport:
     def max_residual(self) -> float:
         return max(r.residual for r in self.records)
 
+    @property
+    def passed(self) -> bool:
+        """Whether the match certifies coincidence: every matched mode's
+        residual within 1e-6 and the commutation residual within 1e-8."""
+        return self.max_residual() <= 1e-6 and self.commutation_residual <= 1e-8
+
     def to_json(self) -> dict:
         return {
             "integral": self.integral_source,

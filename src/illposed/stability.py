@@ -140,7 +140,8 @@ def _norms(w, vals, weight=1.0):
 
 
 def _ratio_orders(tag: str) -> tuple:
-    """Derivative orders an oscillation ratio reads: f'' only for the adjoint."""
+    """Derivative orders an oscillation ratio reads, for ensembles and sweeps
+    alike: f'' only for the adjoint."""
     return (0, 1, 2) if tag == LAPLACE_ADJOINT else (0, 1)
 
 
@@ -271,8 +272,9 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     every ratio from the trial vectors on the basis's own assembly grid."""
     m = min(len(rep.records), decompose_operator(M).resolved)
     U = rep.vectors[:, :m]
-    ratios = _oscillation_ratios(M.kind.tag, diff.grid.nodes, diff.grid.weights,
-                                 [T @ U for T in diff.tables])
+    tag, grid = M.kind.tag, diff.grid
+    tables = diff.basis.tables(grid.nodes, _ratio_orders(tag))
+    ratios = _oscillation_ratios(tag, grid.nodes, grid.weights, [T @ U for T in tables])
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
     return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.name)
 
@@ -386,6 +388,11 @@ def violation_count(records) -> int:
     """Records whose bound failed.  A record that raised is unsatisfied, but
     it is an error, not a violation."""
     return sum(1 for r in records if not (r.satisfied or r.error))
+
+
+def error_count(records) -> int:
+    """Records that raised instead of measuring their function."""
+    return sum(1 for r in records if r.error)
 
 
 # ----------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def fourier_M():
 @pytest.fixture(scope="session")
 def adjoint_M(ab):
     half = half_line_for(ab)
-    return gram_matrix(OperatorKind.laplace_adjoint_tt(ab, half), make_grid(half, 64))
+    return gram_matrix(OperatorKind.laplace_adjoint_tt(ab), make_grid(half, 64))
 
 
 @pytest.fixture(scope="session")

@@ -14,13 +14,14 @@ import os
 import numpy as np
 import pytest
 
-from illposed import acceptance
+from illposed import acceptance, problem
 from illposed import Interval, OperatorKind
-from illposed.acceptance import (Suite, criterion_08, criterion_09, criterion_11,
-                                 run_acceptance)
+from illposed.acceptance import (Suite, criterion_04, criterion_08, criterion_09,
+                                 criterion_11, run_acceptance)
 from illposed.cli import main
 from illposed.errors import InsufficientDataError
 from illposed.problem import Problem
+from illposed.spectral import MatchReport
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +156,7 @@ def test_criterion_11_counts_errors_apart_from_violations(monkeypatch):
         nan = float("nan")
         return [StabilityRecord("f0000", nan, nan, nan, False, error="boom"),
                 StabilityRecord("f0001", 1.0, 1.0, 0.5, True)]
-    monkeypatch.setattr(acceptance, "verify_theorem", one_error_one_pass)
+    monkeypatch.setattr(problem, "verify_theorem", one_error_one_pass)
     ab = Interval(1.0, 2.0)
     ctx = Suite(0, Problem(OperatorKind.laplace_tt(ab), 128, 64, 12),
                 Problem(OperatorKind.fourier_tt(), 128, 64, 12),
@@ -164,6 +165,21 @@ def test_criterion_11_counts_errors_apart_from_violations(monkeypatch):
     for key in ("thm1", "thm2", "thm3"):
         assert c11.details[key]["violations"] == 0 and c11.details[key]["errors"] == 1
     assert not c11.details["zero_violations"] and not c11.passed
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_match_report_passed_decides_match_and_criterion_4(tmp_path, monkeypatch, verdict):
+    # both read the one coincidence verdict: forcing it moves match's exit
+    # code and criterion 4 together
+    monkeypatch.setattr(MatchReport, "passed", property(lambda self: verdict))
+    code = main(["match", "--op", "fourier", "--n", "128", "--N", "64",
+                 "--out-dir", str(tmp_path)])
+    assert code == (0 if verdict else 2)
+    ab = Interval(1.0, 2.0)
+    ctx = Suite(0, Problem(OperatorKind.laplace_tt(ab), 128, 64, 12),
+                Problem(OperatorKind.fourier_tt(), 128, 64, 12),
+                Problem(OperatorKind.laplace_adjoint_tt(ab), 128, 64, 12))
+    assert criterion_04(ctx).passed is verdict
 
 
 def test_acceptance_builds_six_gram_matrices(gram_calls):

@@ -38,6 +38,17 @@ def test_figures_known_defect_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("fid,n,code", [(1, 18, 1), (1, 19, 2), (2, 6, 1), (2, 15, 1),
+                                        (2, 16, 0), (3, 24, 1), (3, 25, 2)])
+def test_figures_refuse_a_grid_that_does_not_resolve_the_figure(tmp_path, capsys, fid, n, code):
+    # below these sizes the figure's series basis is not orthonormal on the
+    # grid, and its ratio (figure 2 at n = 6: 1.3e-7, twice the resolved
+    # 6.6e-8) is refused rather than reported as a pass
+    assert run_cli(["figures", "--id", str(fid), "--n", str(n)], tmp_path)[0] == code
+    refused = "error: basis is not orthonormal on the grid" in capsys.readouterr().err
+    assert refused == (code == 1)
+
+
 def test_spectrum_outputs(tmp_path):
     code, out = run_cli(["spectrum", "--op", "laplace:a=1,b=2", "--n", "128"], tmp_path)
     assert code == 0
@@ -98,6 +109,14 @@ def test_operator_names_keep_every_digit(tmp_path, capsys):
     assert "half factor of hilbert:I=0,1:J=1.000000001,2 disagrees" in capsys.readouterr().err
 
 
+def test_spectrum_of_an_adjoint_with_a_narrow_gap(tmp_path):
+    # the kernel diagonal (e^{-2ax} - e^{-2bx})/(2x) keeps its digits as b -> a,
+    # so the trace check passes on a right half factor
+    code, _ = run_cli(["spectrum", "--op", "laplace-adjoint:a=1,b=1.00001", "--no-svg"],
+                      tmp_path)
+    assert code == 0
+
+
 def test_match_exit_contract(tmp_path):
     code, out = run_cli(["match", "--op", "fourier", "--N", "64", "--m", "8",
                          "--n", "128"], tmp_path)
@@ -147,14 +166,14 @@ def test_verify_refuses_a_grid_too_coarse_for_its_ensemble(tmp_path, capsys, arg
 
 
 def test_verify_reports_errors_apart_from_violations(tmp_path, capsys, monkeypatch):
-    from illposed import cli
+    from illposed import problem
     from illposed.stability import StabilityRecord
 
     def one_error_one_pass(M, fit, ensemble):
         nan = float("nan")
         return [StabilityRecord("f0000", nan, nan, nan, False, error="boom"),
                 StabilityRecord("f0001", 1.0, 1.0, 0.5, True)]
-    monkeypatch.setattr(cli, "verify_theorem", one_error_one_pass)
+    monkeypatch.setattr(problem, "verify_theorem", one_error_one_pass)
     code, out = run_cli(["verify", "--count", "2", "--N", "64"], tmp_path)
     assert code == 2
     doc = json.load(open(os.path.join(out, "verify.json")))
@@ -306,8 +325,9 @@ def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
     ["figures", "--id", "3"],
     ["verify", "--count", "40", "--N", "64"],
     ["match", "--op", "laplace-adjoint:a=1,b=2"],
+    ["report-all"],
 ], ids=["spectrum", "match", "adversarial", "figure1", "figure2", "figure3", "verify",
-        "match-adjoint"])
+        "match-adjoint", "report-all"])
 def test_determinism_byte_identical(tmp_path, argv):
     # two runs write the same files, byte for byte
     _, out_a = run_cli(argv, tmp_path, "a")

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -86,12 +87,25 @@ def test_refined_factor_matches_the_cap_rule(text, n, resolved):
 
 
 def test_kernel_values():
-    # Taylor limit of the adjoint kernel (e^{-au} - e^{-bu})/u at u = 0 is b - a
-    assert _adjoint_kernel(np.array([0.0]), 1.0, 2.0)[0] == pytest.approx(1.0)
-    # the Taylor branch must agree with the direct formula at the same point
+    # the adjoint kernel agrees with the direct difference where that is accurate
     u = 0.999e-3
     direct = (np.exp(-1.0 * u) - np.exp(-2.0 * u)) / u
     assert _adjoint_kernel(np.array([u]), 1.0, 2.0)[0] == pytest.approx(direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.01, 1.0), (1e-3, 2.0), (100.0, 200.0),
+                                 (1.0, 1.0000001)])
+def test_adjoint_kernel_against_mpmath(a, b):
+    # (e^{-au} - e^{-bu})/u at 50 digits, from the same binary a, b and u, over
+    # the u of every interior node; below the smallest normal float only the
+    # absolute floor applies, as subnormals carry fewer digits
+    u = np.logspace(-12, 3, 301)
+    with mpmath.workdps(50):
+        ref = np.array([float((mpmath.exp(-mpmath.mpf(a) * mpmath.mpf(x))
+                               - mpmath.exp(-mpmath.mpf(b) * mpmath.mpf(x))) / mpmath.mpf(x))
+                        for x in u])
+    got = _adjoint_kernel(u, a, b)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + np.finfo(float).tiny)
 
 
 def test_gram_matrix_fourier_diagonal():

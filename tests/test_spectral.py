@@ -15,7 +15,7 @@ from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind, gram_matrix
 from illposed.problem import Problem
 from illposed.diff_ops import SignVariant, assemble_bertero_grunbaum
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
-                               basis_on_grid)
+                               MatchReport, ModeMatch, basis_on_grid)
 
 from conftest import kernel_matrix
 
@@ -203,6 +203,17 @@ def test_match_negative_control(ab, grid_ab, bg128):
     M = gram_matrix(OperatorKind.hilbert_truncated(ab, Interval(3.0, 4.0)), grid_ab)
     rep = match_eigenfunctions(M, bg128, 10)
     assert rep.commutation_residual >= 1e-3
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("residual,commutation,passed", [
+    (1e-6, 1e-8, True), (1.01e-6, 1e-8, False), (1e-6, 1.01e-8, False)])
+def test_match_report_passed_thresholds(residual, commutation, passed):
+    # coincidence: every mode's residual within 1e-6, the commutator within 1e-8
+    records = (ModeMatch(1, 1.0, 0.5, 1e-16), ModeMatch(2, 4.0, 0.1, residual))
+    rep = MatchReport(records, commutation, "laplace:a=1,b=2", "bertero-grunbaum",
+                      np.eye(2))
+    assert rep.passed is passed
 
 
 def test_match_refuses_a_basis_on_another_domain(laplace_M):
