@@ -17,8 +17,7 @@ from .integral_ops import (OperatorKind, fourier_image_energy, gram_matrix,
 from .diff_ops import (SignVariant, assemble_bertero_grunbaum,
                        assemble_fourth_order, assemble_prolate)
 from .spectral import (converged_mode_count, decompose_operator, eig_sym,
-                       fit_decay, growth_check, match_eigenfunctions,
-                       spectrum_to_csv)
+                       fit_decay, growth_check, match_eigenfunctions)
 from .adversarial import (FigureId, build_gramian, reproduce_figure,
                           worst_function)
 from .stability import (eigenfunction_sweep, fit_constants_from_sweep,

@@ -17,8 +17,7 @@ import numpy as np
 from .diff_ops import largest_entry_positive
 from .domains import Interval
 from .errors import InvalidArgumentError
-from .functions import (FunctionKind, FunctionRep, basis_table, cached_table,
-                        check_orthonormal, sample)
+from .functions import FunctionKind, FunctionRep, check_orthonormal
 from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
                            quadratic_form, resolved_count)
 from .problem import Problem
@@ -51,8 +50,8 @@ def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
     M's half factor A of the sine family sqrt(2/L) sin(k pi (x-a)/L),
     k = 1..size, on M's grid over [a, a+L].
 
-    The family is sampled as one basis table and must be orthonormal on the
-    grid, which rejects a size the grid cannot resolve.  The eigenpair comes
+    The family is read as one cached basis table, which must be orthonormal
+    on the grid: a size the grid cannot resolve is refused.  The eigenpair comes
     from an SVD of AV, without forming G, so min eigenvalues far below
     eps*||G|| are still resolved accurately, down to SVD_FLOOR times the top
     eigenvalue; below_floor flags a minimum under that floor.
@@ -63,8 +62,7 @@ def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
         raise InvalidArgumentError("adversarial synthesis needs an interval domain")
     if size < 1:
         raise InvalidArgumentError("basis size must be >= 1")
-    table = basis_table(FunctionKind.SINE_SERIES, size, domain, 0, grid.nodes)
-    check_orthonormal(FunctionKind.SINE_SERIES, table, grid)
+    table = check_orthonormal(FunctionKind.SINE_SERIES, size, domain, grid)
     V = np.sqrt(2.0 / domain.length) * table
     AV = M.half_factor @ (np.sqrt(grid.weights)[:, None] * V)
     _, s, Vt = np.linalg.svd(AV, full_matrices=False)
@@ -94,7 +92,6 @@ class FigureId(Enum):
 
 @dataclass(frozen=True)
 class FigureSpec:
-    figure_id: FigureId
     coefficients: tuple
     basis_kind: FunctionKind
     first_mode: int          # lowest raw frequency k carrying a coefficient
@@ -119,21 +116,18 @@ class FigureSpec:
 # keeps k, [1, 2] keeps k with sign (-1)^k, [-1, 1] maps k to 2k with sign (-1)^k.
 FIGURES = {
     FigureId.FIG1: FigureSpec(
-        FigureId.FIG1,
         (-0.15269, 0.4830, 0.3084, 0.80509),
         FunctionKind.SINE_SERIES, 2,
         OperatorKind.hilbert_truncated(Interval(0.0, 1.0), Interval(2.0, 3.0)),
         1e-7, 30.0,
     ),
     FigureId.FIG2: FigureSpec(
-        FigureId.FIG2,
         (-0.0707, -0.421, 0.2137, 0.8783),
         FunctionKind.SINE_SERIES, 1,
         OperatorKind.laplace_tt(Interval(1.0, 2.0)),
         1e-8, 30.0,
     ),
     FigureId.FIG3: FigureSpec(
-        FigureId.FIG3,
         (0.00055, 0.0824, 0.6196, 0.7805),
         FunctionKind.COSINE_SERIES, 1,
         OperatorKind.fourier_tt(),
@@ -147,15 +141,16 @@ def reproduce_figure(figure_id: FigureId, n: int = Problem.n) -> dict:
     grid of its operator's Problem at size n, which must resolve the
     function's series basis."""
     try:
-        spec = FIGURES[FigureId(figure_id)]
-    except (KeyError, ValueError) as exc:
+        figure_id = FigureId(figure_id)
+    except ValueError as exc:
         raise InvalidArgumentError(f"unknown figure id: {figure_id!r}") from exc
+    spec = FIGURES[figure_id]
     f = spec.function()
     p = Problem(spec.operator, n)
     grid = p.grid
-    check_orthonormal(f.kind, cached_table(f.kind, len(f.payload), f.domain, 0, grid.nodes), grid)
-    norm2 = float(np.dot(grid.weights, sample(f, grid.nodes) ** 2))
-    if spec.figure_id is FigureId.FIG3:
+    table = check_orthonormal(f.kind, len(f.payload), f.domain, grid)
+    norm2 = float(np.dot(grid.weights, (table @ f.payload) ** 2))
+    if figure_id is FigureId.FIG3:
         # Cancellation-limited regime: closed-form basis transforms with
         # compensated summation, then integrate |f_hat|^2.
         image = fourier_image_energy(f, n_xi=n)
@@ -164,7 +159,7 @@ def reproduce_figure(figure_id: FigureId, n: int = Problem.n) -> dict:
     ratio = image / norm2
     ok = spec.claimed_ratio / spec.pass_factor <= ratio <= spec.claimed_ratio * spec.pass_factor
     return {
-        "figure": spec.figure_id.value,
+        "figure": figure_id.value,
         "operator": spec.operator.to_string(),
         "computed_ratio": ratio,
         "claimed_ratio": spec.claimed_ratio,

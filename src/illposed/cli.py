@@ -18,12 +18,12 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .adversarial import FigureId, FIGURES, build_gramian, reproduce_figure, worst_function
-from .errors import InsufficientDataError, InvalidArgumentError, ModeRangeError
+from .errors import REFUSALS, InvalidArgumentError
 from .functions import sample
 from .integral_ops import MAX_GRID_SIZE, parse_operator
-from .output import ensure_out_dir, svg_plot, write_json, write_text
+from .output import ensure_out_dir, write_csv, write_json, write_plot
 from .problem import Problem
-from .spectral import decompose_operator, spectrum_to_csv
+from .spectral import decompose_operator
 from .stability import error_count, violation_count
 
 MAX_TRIAL = 512
@@ -59,14 +59,12 @@ def cmd_spectrum(args) -> int:
     spec = decompose_operator(M)
     mu = spec.eigenvalues
     out = ensure_out_dir(args.out_dir)
-    write_text(os.path.join(out, "spectrum.csv"), spectrum_to_csv(spec))
+    write_csv(os.path.join(out, "spectrum.csv"), ("n", "eigenvalue"), enumerate(mu, start=1))
     if not args.no_svg:
         keep = mu > 0
-        ns = np.arange(1, len(mu) + 1)[keep][:40]
-        ys = np.log10(mu[keep][:40])
-        write_text(os.path.join(out, "spectrum.svg"),
-                   svg_plot([(list(ns), list(ys), "steelblue")],
-                            f"spectrum of {kind.to_string()}", "n", "log10 mu_n"))
+        write_plot(os.path.join(out, "spectrum.svg"), np.arange(1, len(mu) + 1)[keep][:40],
+                   np.log10(mu[keep][:40]), "steelblue", f"spectrum of {kind.to_string()}",
+                   "n", "log10 mu_n")
     ordered = bool(np.all(np.diff(mu) <= 0))
     psd = bool(mu[-1] >= -1e-10 * mu[0])
     write_json(os.path.join(out, "spectrum.json"), {
@@ -104,13 +102,11 @@ def cmd_adversarial(args) -> int:
     write_json(os.path.join(out, "adversarial.json"), report.to_json())
     xs = np.linspace(report.domain.a, report.domain.b, 512)
     ys = sample(f, xs)
-    lines = ["x,f"] + [f"{x:.17g},{y:.17g}" for x, y in zip(xs, ys)]
-    write_text(os.path.join(out, "worst_function.csv"), "\n".join(lines) + "\n")
+    write_csv(os.path.join(out, "worst_function.csv"), ("x", "f"), zip(xs, ys))
     if not args.no_svg:
-        write_text(os.path.join(out, "worst_function.svg"),
-                   svg_plot([(list(xs), list(ys), "firebrick")],
-                            f"worst function, {kind.to_string()} "
-                            f"ratio={report.min_eigenvalue:.3e}", "x", "f(x)"))
+        write_plot(os.path.join(out, "worst_function.svg"), xs, ys, "firebrick",
+                   f"worst function, {kind.to_string()} ratio={report.min_eigenvalue:.3e}",
+                   "x", "f(x)")
     print(f"adversarial: {kind.to_string()} basis=sine n={args.n} "
           f"min_eigenvalue={report.min_eigenvalue:.6e} below_floor={report.below_floor}")
     return 2 if report.below_floor else 0
@@ -125,10 +121,8 @@ def cmd_figures(args) -> int:
         spec = FIGURES[fid]
         f, domain = spec.function(), spec.operator.input_domain
         xs = np.linspace(domain.a, domain.b, 512)
-        write_text(os.path.join(out, f"figure{fid.value}.svg"),
-                   svg_plot([(list(xs), list(sample(f, xs)), "black")],
-                            f"figure {fid.value}: ratio {rec['computed_ratio']:.3e}",
-                            "x", "f(x)"))
+        write_plot(os.path.join(out, f"figure{fid.value}.svg"), xs, sample(f, xs), "black",
+                   f"figure {fid.value}: ratio {rec['computed_ratio']:.3e}", "x", "f(x)")
     print(f"figure {fid.value}: computed={rec['computed_ratio']:.6e} "
           f"claimed={rec['claimed_ratio']:.0e} pass={rec['pass']}")
     return 0 if rec["pass"] else 2
@@ -148,11 +142,8 @@ def cmd_verify(args) -> int:
         "violations": violations,
         "errors": errors,
     })
-    lines = ["h1_ratio,log_lhs"]
-    for r in records:
-        if r.lhs > 0:
-            lines.append(f"{r.h1_ratio:.17g},{math.log(r.lhs):.17g}")
-    write_text(os.path.join(out, "verify_points.csv"), "\n".join(lines) + "\n")
+    write_csv(os.path.join(out, "verify_points.csv"), ("h1_ratio", "log_lhs"),
+              ((r.h1_ratio, math.log(r.lhs)) for r in records if r.lhs > 0))
     print(f"verify: {p.kind.to_string()} fit(c1={fit.c1:.4g}, c2={fit.c2:.4g}, "
           f"r2={fit.r_squared:.4f}) violations={violations}/{args.count} errors={errors}")
     return 0 if violations == errors == 0 else 2
@@ -237,7 +228,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command][0](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    except (InvalidArgumentError, InsufficientDataError, ModeRangeError) as exc:
+    except REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,3 +15,7 @@ class InsufficientDataError(ValueError):
 
 class ModeRangeError(ValueError):
     """A mode index outside the converged range was requested."""
+
+
+# What a command reports as "error: <message>" and exit code 1.
+REFUSALS = (InvalidArgumentError, InsufficientDataError, ModeRangeError)

@@ -212,15 +212,21 @@ def check_domain(f, grid: QuadGrid) -> None:
         raise InvalidArgumentError(f"not a function representation: {type(f).__name__}")
 
 
-def check_orthonormal(kind: FunctionKind, table: np.ndarray, grid: QuadGrid) -> None:
-    """Raise unless a series basis table at the grid's nodes, scaled to unit
-    norm (sine and cosine by sqrt(2/L)), is orthonormal on the grid to
+def check_orthonormal(kind: FunctionKind, size: int, domain: Interval,
+                      grid: QuadGrid) -> np.ndarray:
+    """The cached order-0 table of a series basis of size functions on
+    domain at the grid's nodes, once that table, scaled to unit norm (sine
+    and cosine by sqrt(2/L)), is orthonormal on the grid to
     ORTHONORMALITY_TOL: the one test that a grid resolves a series basis."""
+    table = cached_table(kind, size, domain, 0, grid.nodes)
+    unit = table
     if kind is not FunctionKind.LEGENDRE_SERIES:
-        table = math.sqrt(2.0 / grid.domain.length) * table
-    gram = table.T @ (grid.weights[:, None] * table)
-    if np.max(np.abs(gram - np.eye(table.shape[1]))) > ORTHONORMALITY_TOL:
-        raise InvalidArgumentError("basis is not orthonormal on the grid")
+        unit = math.sqrt(2.0 / domain.length) * table
+    gram = unit.T @ (grid.weights[:, None] * unit)
+    if np.max(np.abs(gram - np.eye(size))) > ORTHONORMALITY_TOL:
+        raise InvalidArgumentError(f"{kind.value} basis of {size} functions is not "
+                                   f"orthonormal on the grid of {grid.size} nodes")
+    return table
 
 
 def grid_norm(v: np.ndarray, grid: QuadGrid) -> float:

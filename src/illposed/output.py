@@ -58,6 +58,15 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """A header line of column names, then one line per row: ints as str,
+    floats as fmt_float."""
+    lines = [",".join(header)]
+    lines += [",".join(fmt_float(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    write_text(path, "\n".join(lines) + "\n")
+
+
 def ensure_out_dir(out_dir: str) -> str:
     out_dir = os.environ.get("ILLPOSED_OUT_DIR", out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -77,15 +86,16 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo) for v in vals]
 
 
-def svg_plot(series: Sequence[tuple], title: str, xlabel: str = "",
-             ylabel: str = "") -> str:
-    """series: list of (xs, ys, color) triples, already in plot coordinates."""
-    all_x = [x for xs, _, _ in series for x in xs]
-    all_y = [y for _, ys, _ in series for y in ys]
-    if not all_x:
-        all_x, all_y = [0.0, 1.0], [0.0, 1.0]
-    x0, x1 = min(all_x), max(all_x)
-    y0, y1 = min(all_y), max(all_y)
+def write_plot(path: str, xs, ys, color: str, title: str, xlabel: str,
+               ylabel: str) -> None:
+    """One polyline through the points (xs, ys), in plot coordinates, with
+    its axes and their ranges, as a self-contained SVG."""
+    xs, ys = list(xs), list(ys)
+    x0, x1 = (min(xs), max(xs)) if xs else (0.0, 1.0)
+    y0, y1 = (min(ys), max(ys)) if ys else (0.0, 1.0)
+    px = _scale(xs, x0, x1, _PAD, _W - _PAD)
+    py = _scale(ys, y0, y1, _H - _PAD, _PAD)
+    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -100,12 +110,7 @@ def svg_plot(series: Sequence[tuple], title: str, xlabel: str = "",
         f'<text x="{_W - _PAD}" y="{_H - _PAD + 16}" text-anchor="end" font-size="10">{x1:.4g}</text>',
         f'<text x="{_PAD - 4}" y="{_H - _PAD}" text-anchor="end" font-size="10">{y0:.4g}</text>',
         f'<text x="{_PAD - 4}" y="{_PAD + 4}" text-anchor="end" font-size="10">{y1:.4g}</text>',
+        f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>',
+        "</svg>",
     ]
-    for xs, ys, color in series:
-        px = _scale(xs, x0, x1, _PAD, _W - _PAD)
-        py = _scale(ys, y0, y1, _H - _PAD, _PAD)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    write_text(path, "\n".join(parts) + "\n")

@@ -239,9 +239,3 @@ def growth_check(eigenvalues: np.ndarray, mode_count: Optional[int] = None) -> f
     n = np.arange(1, len(lam) + 1, dtype=float)
     return float(np.min(lam / n ** 2))
 
-
-def spectrum_to_csv(spec: IntegralSpectrum) -> str:
-    lines = ["n,eigenvalue"]
-    for n, val in enumerate(spec.eigenvalues, start=1):
-        lines.append(f"{n},{val:.17g}")
-    return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ import numpy as np
 from .diff_ops import GalerkinOperator, project_coefficients
 from .domains import Interval, QuadGrid
 from .errors import (InsufficientDataError, InvalidArgumentError)
-from .functions import (ExpPoly, FunctionKind, FunctionRep, cached_table, check_domain,
+from .functions import (ExpPoly, FunctionKind, FunctionRep, check_domain,
                         check_orthonormal, columns, grid_norm, h1_seminorm, sample,
                         sample_columns)
 from .integral_ops import LAPLACE_ADJOINT, OperatorMatrix
@@ -331,6 +331,10 @@ def fit_constants_from_sweep(sweep: SweepData, form: str,
 # Theorem verification over ensembles
 # ----------------------------------------------------------------------------
 
+def _error_record(i: int, exc: Exception) -> StabilityRecord:
+    return StabilityRecord(f"f{i:04d}", math.nan, math.nan, math.nan, False, error=str(exc))
+
+
 def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
                    ensemble) -> list[StabilityRecord]:
     """One StabilityRecord per ensemble function; errors do not stop the run.
@@ -341,9 +345,9 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     the ratio reads in one call.  A series group's images are G C for
     coefficient columns C, with G = A (sqrt(w) T) the images of its K basis
     functions, built once per call: a block costs rows x K, not rows x n,
-    flops per function.  A group whose basis the grid does not resolve gets
-    an error record per function.  ExpPoly tables differ per rate, so their
-    images stay A (sqrt(w) V).
+    flops per function.  A group whose basis the grid does not resolve is
+    checked once and gets an error record per function.  ExpPoly tables
+    differ per rate, so their images stay A (sqrt(w) V).
     """
     tag, orders = M.kind.tag, _ratio_orders(M.kind.tag)
     t, w = M.grid.nodes, M.grid.weights
@@ -353,18 +357,20 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     for i, f in enumerate(ensemble):
         try:
             check_domain(f, M.grid)
-            key = len(f.poly) if isinstance(f, ExpPoly) else (f.kind, len(f.payload))
-            if isinstance(f, FunctionRep) and key not in groups:  # until one passes
-                check_orthonormal(f.kind, cached_table(*key, f.domain, 0, t), M.grid)
         except InvalidArgumentError as exc:  # per-record error entry, run continues
-            records[i] = StabilityRecord(f"f{i:04d}", math.nan, math.nan, math.nan,
-                                         False, error=str(exc))
+            records[i] = _error_record(i, exc)
             continue
+        key = len(f.poly) if isinstance(f, ExpPoly) else (f.kind, len(f.payload))
         groups.setdefault(key, []).append(i)
-    for members in groups.values():
+    for key, members in groups.items():
         f = ensemble[members[0]]
         if isinstance(f, FunctionRep):
-            G = M.half_factor @ (root_w * cached_table(f.kind, len(f.payload), f.domain, 0, t))
+            try:  # kind and size fix the basis table: one check per group
+                G = M.half_factor @ (root_w * check_orthonormal(*key, f.domain, M.grid))
+            except InvalidArgumentError as exc:
+                for i in members:
+                    records[i] = _error_record(i, exc)
+                continue
         for start in range(0, len(members), _BLOCK):
             idx = members[start:start + _BLOCK]
             funcs = [ensemble[i] for i in idx]

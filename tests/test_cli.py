@@ -45,8 +45,24 @@ def test_figures_refuse_a_grid_that_does_not_resolve_the_figure(tmp_path, capsys
     # grid, and its ratio (figure 2 at n = 6: 1.3e-7, twice the resolved
     # 6.6e-8) is refused rather than reported as a pass
     assert run_cli(["figures", "--id", str(fid), "--n", str(n)], tmp_path)[0] == code
-    refused = "error: basis is not orthonormal on the grid" in capsys.readouterr().err
+    kind, size = {1: ("sine", 5), 2: ("sine", 4), 3: ("cosine", 8)}[fid]
+    refused = (f"error: {kind}-series basis of {size} functions is not orthonormal "
+               f"on the grid of {n} nodes") in capsys.readouterr().err
     assert refused == (code == 1)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["figures", "--id", "2", "--n", "6"],
+     "sine-series basis of 4 functions is not orthonormal on the grid of 6 nodes"),
+    (["adversarial", "--op", "laplace:a=1,b=2", "--n", "300"],
+     "sine-series basis of 300 functions is not orthonormal on the grid of 256 nodes"),
+    # figure 1 (criterion 2) needs n >= 19
+    (["report-all", "--n", "16"], "criterion 2: sine-series basis of 5 functions is "
+                                  "not orthonormal on the grid of 16 nodes"),
+], ids=["figures", "adversarial", "report-all"])
+def test_a_refused_grid_names_what_it_refused(tmp_path, capsys, argv, message):
+    assert run_cli(argv, tmp_path)[0] == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_spectrum_outputs(tmp_path):

@@ -9,9 +9,10 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
                       Interval, InvalidArgumentError, ModeRangeError,
                       converged_mode_count, decompose_operator, eig_sym,
                       fit_decay, growth_check, match_eigenfunctions,
-                      parse_operator, quadratic_form, sample, spectrum_to_csv)
+                      parse_operator, quadratic_form, sample)
 from illposed.acceptance import Suite, criterion_07, criterion_09
 from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind, gram_matrix
+from illposed.output import write_csv
 from illposed.problem import Problem
 from illposed.diff_ops import SignVariant, assemble_bertero_grunbaum
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
@@ -294,7 +295,10 @@ def test_parseval_and_quadratic_form_identity(laplace_M, ab):
     assert quadratic_form(laplace_M, f) == pytest.approx(total, rel=1e-8)
 
 
-def test_spectrum_csv():
-    text = spectrum_to_csv(IntegralSpectrum([2.0, 1.0]))
+def test_spectrum_csv(tmp_path):
+    path = tmp_path / "spectrum.csv"
+    write_csv(str(path), ("n", "eigenvalue"),
+              enumerate(IntegralSpectrum([2.0, 1.0]).eigenvalues, start=1))
+    text = path.read_text()
     assert text.splitlines()[0] == "n,eigenvalue"
     assert text.splitlines()[1] == "1,2"

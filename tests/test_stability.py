@@ -12,7 +12,7 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       match_eigenfunctions, parse_operator, verify_lemma1,
                       sample, verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
-from illposed.functions import basis_table, check_orthonormal
+from illposed.functions import check_orthonormal
 from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR
 from illposed.stability import (_BLOCK, EXPONENTIAL, POWER_OF_RATIO, SINE_DECAY, SINE_MODES,
@@ -484,11 +484,31 @@ def test_verify_theorem_refuses_a_series_group_the_grid_does_not_resolve(ab):
     M = Problem(parse_operator("laplace:a=1,b=2"), 16).matrix
     sine = FunctionKind.SINE_SERIES
     with pytest.raises(InvalidArgumentError, match="not orthonormal"):
-        check_orthonormal(sine, basis_table(sine, 12, ab, 0, M.grid.nodes), M.grid)
-    check_orthonormal(sine, basis_table(sine, 3, ab, 0, M.grid.nodes), M.grid)
+        check_orthonormal(sine, 12, ab, M.grid)
+    check_orthonormal(sine, 3, ab, M.grid)
     ens = random_sine_series(ab, 5, make_rng(2))
     ens += [FunctionRep(sine, [0.3, -0.2, 0.1], ab) for _ in range(3)]
     recs = verify_theorem(M, StabilityFit(1.0, 1.0, EXPONENTIAL, 1.0, "synthetic"), ens)
     assert [r.error is None for r in recs] == [False] * 5 + [True] * 3
     assert all("not orthonormal" in r.error and math.isnan(r.lhs) for r in recs[:5])
     assert violation_count(recs) == 0
+
+
+def test_verify_theorem_checks_each_series_group_once(ab, monkeypatch):
+    # a group shares its kind, size and domain, so one check settles it,
+    # whether the grid refuses it (12 modes on 16 nodes) or resolves it (3 modes)
+    from illposed import stability
+    checks = []
+
+    def counted(kind, size, domain, grid):
+        checks.append((kind, size))
+        return check_orthonormal(kind, size, domain, grid)
+    monkeypatch.setattr(stability, "check_orthonormal", counted)
+    M = Problem(parse_operator("laplace:a=1,b=2"), 16).matrix
+    sine = FunctionKind.SINE_SERIES
+    ens = random_sine_series(ab, 300, make_rng(4))
+    ens += [FunctionRep(sine, [0.3, -0.2, 0.1], ab) for _ in range(200)]
+    recs = verify_theorem(M, StabilityFit(1.0, 1.0, EXPONENTIAL, 1.0, "synthetic"), ens)
+    assert checks == [(sine, 12), (sine, 3)]
+    message = "sine-series basis of 12 functions is not orthonormal on the grid of 16 nodes"
+    assert [r.error for r in recs] == [message] * 300 + [None] * 200
