@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import HalfLineDomain, Interval, QuadGrid, half_line_for, make_grid
+from .diff_ops import (SignVariant, assemble_bertero_grunbaum, assemble_fourth_order,
+                       assemble_prolate)
+from .domains import (HALF_LINE_DECAY_SCALE, HalfLineDomain, Interval, QuadGrid,
+                      half_line_for, make_grid)
 from .errors import InvalidArgumentError
 from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
 
@@ -52,29 +55,25 @@ LAPLACE = "laplace"
 LAPLACE_ADJOINT = "laplace-adjoint"
 FOURIER = "fourier"
 
+EXPONENTIAL = "exponential"
+POWER_OF_RATIO = "power-of-ratio"
+
+_SYM = Interval(-1.0, 1.0)
+
 
 @dataclass(frozen=True)
 class OperatorKind:
-    """Which T*T composition (or truncated Hilbert transform) to assemble."""
+    """Which T*T composition (or truncated Hilbert transform) to assemble.
+    Everything that differs between kinds is read from the kind's record."""
 
     tag: str
     source: Interval
     target: Optional[Interval] = None
 
     def __post_init__(self):
-        if self.tag == HILBERT:
-            if self.target is None:
-                raise InvalidArgumentError("hilbert operator needs both intervals")
-            if self.source.overlaps(self.target):
-                raise InvalidArgumentError("hilbert intervals must be disjoint closed intervals")
-        elif self.tag in (LAPLACE, LAPLACE_ADJOINT):
-            if self.source.a <= 0:
-                raise InvalidArgumentError("Laplace operators require 0 < a < b")
-        elif self.tag == FOURIER:
-            if self.source != Interval(-1.0, 1.0):
-                raise InvalidArgumentError("Fourier composition is defined on [-1, 1]")
-        else:
+        if self.tag not in _KINDS:
             raise InvalidArgumentError(f"unknown operator tag: {self.tag}")
+        self.record.check(self)
 
     @staticmethod
     def hilbert_truncated(interval_in: Interval, interval_out: Interval) -> "OperatorKind":
@@ -90,28 +89,25 @@ class OperatorKind:
 
     @staticmethod
     def fourier_tt() -> "OperatorKind":
-        return OperatorKind(FOURIER, Interval(-1.0, 1.0))
+        return OperatorKind(FOURIER, _SYM)
+
+    @property
+    def record(self) -> "KindRecord":
+        return _KINDS[self.tag]
 
     @property
     def half(self) -> Optional[HalfLineDomain]:
-        """The truncated half line the adjoint composition acts on; None for
-        every other kind."""
-        return half_line_for(self.source) if self.tag == LAPLACE_ADJOINT else None
+        """The truncated half line the inputs live on; None when they live on source."""
+        return half_line_for(self.source) if self.record.half else None
 
     @property
     def input_domain(self):
         """Domain of the functions the quadratic form acts on."""
-        if self.tag == LAPLACE_ADJOINT:
-            return self.half
-        return self.source
+        return self.half if self.record.half else self.source
 
     def to_string(self) -> str:
-        if self.tag == HILBERT:
-            return (f"hilbert:I={_shortest(self.source.a)},{_shortest(self.source.b)}"
-                    f":J={_shortest(self.target.a)},{_shortest(self.target.b)}")
-        if self.tag == FOURIER:
-            return "fourier"
-        return f"{self.tag}:a={_shortest(self.source.a)},b={_shortest(self.source.b)}"
+        ends = [e for iv in (self.source, self.target) if iv is not None for e in (iv.a, iv.b)]
+        return ":".join((self.tag,) + self.record.keys).format(*map(_shortest, ends))
 
 
 def _shortest(v: float) -> str:
@@ -120,50 +116,47 @@ def _shortest(v: float) -> str:
     return next(s for p in range(6, 18) if float(s := f"{v:.{p}g}") == v)
 
 
-# Keys each operator string takes, with the number of values per key.
-_OPERATOR_KEYS = {HILBERT: {"I": 2, "J": 2}, LAPLACE: {"a": 1, "b": 1},
-                  LAPLACE_ADJOINT: {"a": 1, "b": 1}, FOURIER: {}}
+def _fields(parts) -> dict:
+    """Each key's values, as text: a comma separates pairs or continues a value list."""
+    kv, key = {}, None
+    for part in parts:
+        for token in part.split(","):
+            if "=" in token:
+                key, _, val = token.partition("=")
+                if key in kv:
+                    raise ValueError(f"repeated key {key!r}")
+                kv[key] = [val]
+            elif key is not None:
+                kv[key].append(token)
+            else:
+                raise ValueError("value without a key")
+    return kv
 
 
 def parse_operator(text: str) -> OperatorKind:
     """Parse CLI operator strings.
 
     Grammar: "hilbert:I=0,1:J=2,3", "laplace:a=1,b=2",
-    "laplace-adjoint:a=1,b=2", "fourier".  Commas either separate key=value
-    pairs or continue the previous value list (interval endpoints).  Every
-    key the operator takes must appear once, with its number of values, and
-    no other key may appear.
+    "laplace-adjoint:a=1,b=2", "fourier".  Every key of the kind's record
+    must appear once, with its number of values, and no other key may
+    appear.  The values in key order are source's endpoints, then target's;
+    a kind without keys acts on [-1, 1].
     """
-    parts = text.strip().split(":")
-    tag = parts[0]
-    if tag not in _OPERATOR_KEYS:
+    tag, *parts = text.strip().split(":")
+    if tag not in _KINDS:
         raise InvalidArgumentError(f"unknown operator: {text!r}")
-    kv: dict[str, list[float]] = {}
-    key = None
     try:
-        for part in parts[1:]:
-            for token in part.split(","):
-                if "=" in token:
-                    key, _, val = token.partition("=")
-                    if key in kv:
-                        raise ValueError(f"repeated key {key!r}")
-                    kv[key] = [float(val)]
-                elif key is not None:
-                    kv[key].append(float(token))
-                else:
-                    raise ValueError("value without a key")
+        kv = {k: [float(v) for v in vals] for k, vals in _fields(parts).items()}
     except ValueError as exc:
         raise InvalidArgumentError(f"malformed operator string: {text!r}") from exc
-    if {k: len(v) for k, v in kv.items()} != _OPERATOR_KEYS[tag]:
+    keys = {k: len(v) for k, v in _fields(_KINDS[tag].keys).items()}
+    if {k: len(v) for k, v in kv.items()} != keys:
         raise InvalidArgumentError(
             f"malformed operator string: {text!r} (keys for {tag}: "
-            f"{', '.join(_OPERATOR_KEYS[tag]) or 'none'})")
-    if tag == HILBERT:
-        return OperatorKind.hilbert_truncated(Interval(*kv["I"]), Interval(*kv["J"]))
-    if tag == FOURIER:
-        return OperatorKind.fourier_tt()
-    ab = Interval(kv["a"][0], kv["b"][0])
-    return OperatorKind.laplace_tt(ab) if tag == LAPLACE else OperatorKind.laplace_adjoint_tt(ab)
+            f"{', '.join(keys) or 'none'})")
+    ends = [v for k in keys for v in kv[k]]
+    intervals = [Interval(*ends[i:i + 2]) for i in range(0, len(ends), 2)]
+    return OperatorKind(tag, *(intervals or [_SYM]))
 
 
 # ----------------------------------------------------------------------------
@@ -177,16 +170,81 @@ def _adjoint_kernel(u, a: float, b: float):
     return -np.exp(-a * u) * np.expm1(-(b - a) * u) / u
 
 
-def _kernel_diagonal(kind: OperatorKind, x: np.ndarray) -> np.ndarray:
-    """K(x, x) in closed form: its weighted sum is trace(M) = ||A||_F^2."""
-    if kind.tag == LAPLACE:
-        return 1.0 / (2.0 * x)
-    if kind.tag == LAPLACE_ADJOINT:
-        return _adjoint_kernel(2.0 * x, kind.source.a, kind.source.b)
-    if kind.tag == FOURIER:
-        return np.full_like(x, 2.0)
-    c, d = kind.target.a, kind.target.b  # HILBERT: OperatorKind admits no other tag
-    return (1.0 / (c - x) - 1.0 / (d - x)) / math.pi ** 2
+def _exp_rows(t, x):
+    return np.exp(-np.outer(t, x))
+
+
+def _trig_rows(t, x):
+    """cos(tx) and sin(tx), the parts of e^{itx}: two rows per image node."""
+    phase = np.outer(t, x)
+    return np.vstack([np.cos(phase), np.sin(phase)])
+
+
+def _check_hilbert(kind: OperatorKind) -> None:
+    if kind.target is None:
+        raise InvalidArgumentError("hilbert operator needs both intervals")
+    if kind.source.overlaps(kind.target):
+        raise InvalidArgumentError("hilbert intervals must be disjoint closed intervals")
+
+
+def _check_laplace(kind: OperatorKind) -> None:
+    """0 < a, and the half line [0, 40/a] of the image side or inputs in float range."""
+    a = kind.source.a
+    if a <= 0:
+        raise InvalidArgumentError("Laplace operators require 0 < a < b")
+    if not math.isfinite(HALF_LINE_DECAY_SCALE / a):
+        raise InvalidArgumentError(f"{kind.to_string()}: a = {_shortest(a)} is too small: "
+                                   f"the half line [0, {HALF_LINE_DECAY_SCALE:g}/a] overflows")
+
+
+def _check_fourier(kind: OperatorKind) -> None:
+    if kind.source != _SYM:
+        raise InvalidArgumentError("Fourier composition is defined on [-1, 1]")
+
+
+@dataclass(frozen=True)
+class KindRecord:
+    """Every decision that differs between operator kinds, one field each."""
+
+    keys: tuple  # the name's fields after the tag, "{}" per endpoint of source, then target
+    check: Callable  # kind -> None, or raises InvalidArgumentError
+    diagonal: Callable  # (kind, x) -> K(x, x), whose weighted sum is trace(M)
+    image_side: Callable  # kind -> the domain of the half factor's image-side rule
+    image_rule: tuple  # (first size refinement tries, n -> the cap's); nodes per panel
+    rows: Callable  # (image nodes t, input nodes x) -> the half factor's kernel rows
+    half: bool = False  # the inputs live on half_line_for(source), not on source
+    diff: Optional[Callable] = None  # (kind, N) -> commuting operator at its trial size
+    min_converged: int = 1  # converged Galerkin modes a match needs
+    fit_form: str = EXPONENTIAL  # the stability theorem's form
+    ratio_orders: tuple = (0, 1)  # derivative orders the oscillation ratio reads
+
+
+_KINDS = {
+    LAPLACE: KindRecord(
+        keys=("a={},b={}",), check=_check_laplace, diagonal=lambda k, x: 1.0 / (2.0 * x),
+        image_side=lambda k: half_line_for(k.source), image_rule=(32, lambda n: max(32, n // 4)),
+        rows=_exp_rows, diff=lambda k, N: assemble_bertero_grunbaum(k.source, N)),
+    # The fourth-order operator in its proof's sign variant, at N/2 clamped to [32, 64]:
+    # its spectrum is unstable below 4 converged modes.  Theorem 2's ratio reads f''.
+    LAPLACE_ADJOINT: KindRecord(
+        keys=("a={},b={}",), check=_check_laplace,
+        diagonal=lambda k, x: _adjoint_kernel(2.0 * x, k.source.a, k.source.b),
+        image_side=lambda k: k.source, image_rule=(128, lambda n: max(128, n // 2)),
+        rows=_exp_rows, half=True, min_converged=4, ratio_orders=(0, 1, 2),
+        diff=lambda k, N: assemble_fourth_order(k.source, k.half, min(max(N // 2, 32), 64),
+                                                SignVariant.AS_PROOF_BOUND)),
+    # Theorem 3 bounds by a power of the ratio.
+    FOURIER: KindRecord(
+        keys=(), check=_check_fourier, diagonal=lambda k, x: np.full_like(x, 2.0),
+        image_side=lambda k: k.source, image_rule=(64, lambda n: n), rows=_trig_rows,
+        diff=lambda k, N: assemble_prolate(N), fit_form=POWER_OF_RATIO),
+    # The kernel 1/(t - s) is smooth on J x I, so the image rule lives on J.
+    HILBERT: KindRecord(
+        keys=("I={},{}", "J={},{}"), check=_check_hilbert,
+        diagonal=lambda k, x: (1.0 / (k.target.a - x) - 1.0 / (k.target.b - x)) / math.pi ** 2,
+        image_side=lambda k: k.target, image_rule=(64, lambda n: 2 * n),
+        rows=lambda t, x: (1.0 / np.pi) / (t[:, None] - x[None, :])),
+}
 
 
 # ----------------------------------------------------------------------------
@@ -231,38 +289,12 @@ def resolved_count(mu: np.ndarray) -> int:
     return int(np.count_nonzero(mu > SVD_FLOOR * mu[0]))
 
 
-# Image-side rule size r of each kind: the first size refinement tries, and
-# the cap for a grid of n nodes.  r counts nodes per half-line panel for
-# Laplace, nodes on [a, b] for the adjoint, xi nodes on [-1, 1] for Fourier
-# and nodes on J for Hilbert.
-_IMAGE_RULES = {
-    LAPLACE: (32, lambda n: max(32, n // 4)),
-    LAPLACE_ADJOINT: (128, lambda n: max(128, n // 2)),
-    FOURIER: (64, lambda n: n),
-    HILBERT: (64, lambda n: 2 * n),
-}
-
-
 def _half_factor(kind: OperatorKind, grid: QuadGrid, r: int) -> np.ndarray:
-    """Rectangular A with A^T A = M: rows sample an image-side rule of size r."""
-    sw_in = np.sqrt(grid.weights)
-    x = grid.nodes
-    if kind.tag == LAPLACE:
-        out = make_grid(half_line_for(kind.source), r)
-        A = np.exp(-np.outer(out.nodes, x))
-    elif kind.tag == LAPLACE_ADJOINT:
-        out = make_grid(kind.source, r)
-        A = np.exp(-np.outer(out.nodes, x))
-    elif kind.tag == FOURIER:
-        out = make_grid(Interval(-1.0, 1.0), r)
-        phase = np.outer(out.nodes, x)
-        A = np.vstack([np.cos(phase), np.sin(phase)])
-        sw_out = np.concatenate([np.sqrt(out.weights)] * 2)
-        return sw_out[:, None] * A * sw_in[None, :]
-    else:  # HILBERT: kernel 1/(t - s) is smooth on J x I, so the rule lives on J
-        out = make_grid(kind.target, r)
-        A = (1.0 / np.pi) / (out.nodes[:, None] - x[None, :])
-    return np.sqrt(out.weights)[:, None] * A * sw_in[None, :]
+    """A with A^T A = M: rows sample an image-side rule of size r, each weighted by its node."""
+    out = make_grid(kind.record.image_side(kind), r)
+    A = kind.record.rows(out.nodes, grid.nodes)
+    sw_out = np.sqrt(np.tile(out.weights, len(A) // out.size))
+    return sw_out[:, None] * A * np.sqrt(grid.weights)[None, :]
 
 
 def _trace_gap(A: np.ndarray, trace: float) -> float:
@@ -290,7 +322,7 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     check alone, and its SVD is taken once that check passes.  Raises
     InvalidArgumentError when the cap rule misses the kernel trace.
     """
-    first, cap = _IMAGE_RULES[kind.tag]
+    first, cap = kind.record.image_rule
     r_max = cap(grid.size)
     # Refinement needs two rules below the cap; with fewer, build the cap.
     r = first if 2 * first < r_max else r_max
@@ -315,8 +347,10 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     return A, s, None if mu_coarse is None else _refinement(mu_coarse, s ** 2)
 
 
+@np.errstate(all="ignore")
 def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
-    """T*T in the discrete L2 geometry, as its refinement-checked half factor."""
+    """T*T in the discrete L2 geometry, as its refinement-checked half factor.
+    Kernel values past the float range fail the trace check, not a warning."""
     if grid.size > MAX_GRID_SIZE:
         raise InvalidArgumentError(f"grid size capped at n = {MAX_GRID_SIZE}")
     expected = kind.input_domain
@@ -326,7 +360,7 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
         )
     # ||A||_F^2 = sum of mu_n must equal the kernel's trace: a half factor whose
     # image-side rule misses the kernel would print a wrong spectrum.
-    trace = float(np.dot(grid.weights, _kernel_diagonal(kind, grid.nodes)))
+    trace = float(np.dot(grid.weights, kind.record.diagonal(kind, grid.nodes)))
     A, s, refinement = _refined_half_factor(kind, grid, trace)
     return OperatorMatrix(grid, kind, A, s, refinement)
 

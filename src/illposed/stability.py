@@ -24,12 +24,9 @@ from .errors import (InsufficientDataError, InvalidArgumentError)
 from .functions import (ExpPoly, FunctionKind, FunctionRep, check_domain,
                         check_orthonormal, columns, grid_norm, h1_seminorm, sample,
                         sample_columns)
-from .integral_ops import LAPLACE_ADJOINT, OperatorMatrix
+from .integral_ops import EXPONENTIAL, POWER_OF_RATIO, OperatorMatrix
 from .spectral import (MatchReport, SpectralDecomposition, decompose_operator,
                        fit_line, growth_check, match_eigenfunctions)
-
-EXPONENTIAL = "exponential"
-POWER_OF_RATIO = "power-of-ratio"
 
 SIGN_TOL = 1e-12  # relative to the sampled sup norm
 REFINE_FACTOR = 4
@@ -139,19 +136,12 @@ def _norms(w, vals, weight=1.0):
     return np.sqrt(np.maximum(w @ (weight * vals.T * vals.T).T, 0.0))
 
 
-def _ratio_orders(tag: str) -> tuple:
-    """Derivative orders an oscillation ratio reads, for ensembles and sweeps
-    alike: f'' only for the adjoint."""
-    return (0, 1, 2) if tag == LAPLACE_ADJOINT else (0, 1)
-
-
-def _oscillation_ratios(tag: str, t, w, samples) -> np.ndarray:
-    """||f'||/||f|| from samples [f, f', ...] at nodes t with weights w, one
-    per order of _ratio_orders, or for the adjoint the Theorem-2 aggregate
-    (||t f''|| + ||t f'|| + ||t f|| + ||f||)/||f||; one ratio per column."""
+def _oscillation_ratios(t, w, samples) -> np.ndarray:
+    """||f'||/||f|| from samples [f, f'] at nodes t with weights w, or from [f, f', f'']
+    the Theorem-2 aggregate (||t f''|| + ||t f'|| + ||t f|| + ||f||)/||f||; one per column."""
     v, v1 = samples[0], samples[1]
     norm = _norms(w, v)
-    if tag == LAPLACE_ADJOINT:
+    if len(samples) == 3:
         t2 = t ** 2
         return (_norms(w, samples[2], t2) + _norms(w, v1, t2) + _norms(w, v, t2) + norm) / norm
     return _norms(w, v1) / norm
@@ -272,9 +262,9 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     every ratio from the trial vectors on the basis's own assembly grid."""
     m = min(len(rep.records), decompose_operator(M).resolved)
     U = rep.vectors[:, :m]
-    tag, grid = M.kind.tag, diff.grid
-    tables = diff.basis.tables(grid.nodes, _ratio_orders(tag))
-    ratios = _oscillation_ratios(tag, grid.nodes, grid.weights, [T @ U for T in tables])
+    grid = diff.grid
+    tables = diff.basis.tables(grid.nodes, M.kind.record.ratio_orders)
+    ratios = _oscillation_ratios(grid.nodes, grid.weights, [T @ U for T in tables])
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
     return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.name)
 
@@ -349,7 +339,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     checked once and gets an error record per function.  ExpPoly tables
     differ per rate, so their images stay A (sqrt(w) V).
     """
-    tag, orders = M.kind.tag, _ratio_orders(M.kind.tag)
+    orders = M.kind.record.ratio_orders
     t, w = M.grid.nodes, M.grid.weights
     root_w = np.sqrt(w)[:, None]
     records: list = [None] * len(ensemble)
@@ -383,7 +373,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
             else:
                 Av = M.half_factor @ (root_w * S[0][:, live])
             lhs[live] = np.sqrt(np.maximum(np.einsum("ij,ij->j", Av, Av), 0.0))
-            ratio[live] = _oscillation_ratios(tag, t, w, [s[:, live] for s in S])
+            ratio[live] = _oscillation_ratios(t, w, [s[:, live] for s in S])
             for i, n, a, r in zip(idx, norm.tolist(), lhs.tolist(), ratio.tolist()):
                 rhs = fit.bound(r, n) if n != 0.0 else 0.0
                 records[i] = StabilityRecord(f"f{i:04d}", a, r, rhs, a >= rhs)

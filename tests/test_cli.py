@@ -65,6 +65,33 @@ def test_a_refused_grid_names_what_it_refused(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("op,name,a", [
+    # names print each endpoint's shortest %g form that reads back as it
+    ("laplace:a=1e-320,b=1", "laplace:a=9.99989e-321,b=1", "9.99989e-321"),
+    ("laplace-adjoint:a=5e-324,b=1", "laplace-adjoint:a=4.94066e-324,b=1", "4.94066e-324"),
+])
+def test_a_laplace_kind_whose_half_line_overflows_is_refused_by_name(tmp_path, capsys, op,
+                                                                     name, a):
+    # 40/a leaves the float range: the refusal names the operator and its a
+    assert run_cli(["spectrum", "--op", op], tmp_path)[0] == 1
+    assert capsys.readouterr().err == (f"error: {name}: a = {a} is too small: "
+                                       "the half line [0, 40/a] overflows\n")
+
+
+@pytest.mark.parametrize("op", ["laplace:a=1e-300,b=1e300", "laplace-adjoint:a=1e-300,b=1e300"])
+def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, op):
+    # a fresh process, with Python's default warning filters: the trace check's
+    # refusal is the one line on stderr, and no RuntimeWarning comes before it
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "illposed.cli", "spectrum", "--op", op,
+                           "--out-dir", str(tmp_path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 1
+    name = op.replace("1e300", "1e+300")
+    assert proc.stderr == (f"error: half factor of {name} disagrees with its kernel matrix at "
+                           "n = 256: relative trace gap 1 > 1e-12\n")
+
+
 def test_spectrum_outputs(tmp_path):
     code, out = run_cli(["spectrum", "--op", "laplace:a=1,b=2", "--n", "128"], tmp_path)
     assert code == 0

@@ -3,13 +3,15 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from illposed import (FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, OperatorKind, decompose_operator,
                       fourier_image_energy, gram_matrix, make_grid, parse_operator,
                       quadratic_form)
-from illposed.integral_ops import (_IMAGE_RULES, FACTOR_RTOL, REFINEMENT_SLACK,
+from illposed.integral_ops import (FACTOR_RTOL, REFINEMENT_SLACK,
                                    _adjoint_kernel, _half_factor, resolved_count)
 from illposed.problem import Problem
 
@@ -60,6 +62,26 @@ def test_operator_names_round_trip():
         assert parse_operator(text).to_string() == text
 
 
+_ENDPOINT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds("hilbert:I={!r},{!r}:J={!r},{!r}".format, _ENDPOINT, _ENDPOINT, _ENDPOINT,
+              _ENDPOINT),
+    st.builds("laplace:a={!r},b={!r}".format, _ENDPOINT, _ENDPOINT),
+    st.builds("laplace-adjoint:a={!r},b={!r}".format, _ENDPOINT, _ENDPOINT),
+    st.just("fourier")))
+def test_operator_names_round_trip_on_random_endpoints(text):
+    # each kind with finite endpoints either parses to a kind whose name parses
+    # back to it, or is refused with a message; nothing else is raised
+    try:
+        kind = parse_operator(text)
+    except InvalidArgumentError:
+        return
+    assert parse_operator(kind.to_string()) == kind
+
+
 @pytest.mark.parametrize("text,n,resolved", [
     # the adjoint at a = 0.01 loses mode 40 on 128 image nodes; its trace gap
     # does not show it, the refinement check does
@@ -74,7 +96,7 @@ def test_refined_factor_matches_the_cap_rule(text, n, resolved):
     p = Problem(parse_operator(text), n)
     M = p.matrix
     mu = decompose_operator(M).eigenvalues
-    cap = _half_factor(p.kind, p.grid, _IMAGE_RULES[p.kind.tag][1](n))
+    cap = _half_factor(p.kind, p.grid, p.kind.record.image_rule[1](n))
     ref = np.linalg.svd(cap, compute_uv=False) ** 2
     assert resolved_count(mu) == resolved_count(ref) == resolved
     # accepted by refinement, or the cap rule itself

@@ -1,5 +1,6 @@
 """The writers: every file the package writes, in one module."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,3 +47,12 @@ def test_only_output_opens_files_or_formats_17_digits():
     writers = [p.name for p in sorted(src.glob("*.py"))
                if "open(" in p.read_text() or "17g" in p.read_text()]
     assert writers == ["output.py"]
+
+
+def test_only_integral_ops_names_an_operator_kind_or_compares_its_tag():
+    # every per-kind decision is read from the kind's record, in one table
+    src = Path(output.__file__).parent
+    per_kind = re.compile(r"\b(HILBERT|LAPLACE|LAPLACE_ADJOINT|FOURIER)\b"
+                          r"|\.tag\s*(==|!=|in\b|not\s+in\b)|(==|!=|\bin)\s*[\w.]*\.tag\b")
+    deciders = [p.name for p in sorted(src.glob("*.py")) if per_kind.search(p.read_text())]
+    assert deciders == ["integral_ops.py"]
