@@ -11,15 +11,15 @@ of M, the sum of the kernel's diagonal in closed form.
 
 The image-side rule of A is sized to the kernel, not to the grid: the
 spectra decay (super-)exponentially, so a few dozen image nodes resolve every
-mode above SVD_FLOOR whatever n is.  gram_matrix starts from a small rule and
-doubles it until two successive factors agree: the finer one's trace gap is
-within FACTOR_RTOL, both resolve the same modes, and each resolved mu_n moves
-by at most REFINEMENT_SLACK times the SVD perturbation bound
-2 eps sqrt(mu_1/mu_n).  The cap rule (2n image rows for Laplace, Fourier and
-Hilbert) is accepted on its trace check alone, so every input is accepted or
-rejected as it was when the cap was the only rule.  The accepted factor's
-singular values are computed with it, once: by the refinement, or after the
-cap rule's trace check.
+mode above SVD_FLOOR whatever n is.  gram_matrix starts every kind from
+FIRST_IMAGE_NODES and doubles the rule until two successive factors agree: the
+finer one's trace gap is within FACTOR_RTOL, both resolve the same modes, and
+each resolved mu_n moves by at most REFINEMENT_SLACK times the SVD
+perturbation bound 2 eps sqrt(mu_1/mu_n).  The cap rule (2n image rows for
+Laplace, Fourier and Hilbert) is accepted on its trace check alone, so every
+input is accepted or rejected as it was when the cap was the only rule.  The
+accepted factor's singular values are computed with it, once: by the
+refinement, or after the cap rule's trace check.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ FACTOR_RTOL = 1e-12
 # Modes below SVD_FLOOR * mu_1 are not resolved: the SVD of the half factor
 # resolves sigma_n/sigma_1 down to ~1e-14, i.e. mu ratios to ~1e-28.
 SVD_FLOOR = 1e-28
+
+# Every refinement starts from this many image nodes (per panel on the half
+# line; each xi node gives Fourier two rows): 9-14 modes resolve for the
+# default operators, and factors of 32-64 rows already agree on them.
+FIRST_IMAGE_NODES = 16
 
 # A refined half factor is accepted when every resolved mu_n agrees with the
 # factor on half as many image nodes to this many SVD perturbation bounds.
@@ -210,7 +215,7 @@ class KindRecord:
     check: Callable  # kind -> None, or raises InvalidArgumentError
     diagonal: Callable  # (kind, x) -> K(x, x), whose weighted sum is trace(M)
     image_side: Callable  # kind -> the domain of the half factor's image-side rule
-    image_rule: tuple  # (first size refinement tries, n -> the cap's); nodes per panel
+    image_cap: Callable  # n -> nodes (per panel) of the cap, the largest rule refinement builds
     rows: Callable  # (image nodes t, input nodes x) -> the half factor's kernel rows
     half: bool = False  # the inputs live on half_line_for(source), not on source
     diff: Optional[Callable] = None  # (kind, N) -> commuting operator at its trial size
@@ -222,27 +227,27 @@ class KindRecord:
 _KINDS = {
     LAPLACE: KindRecord(
         keys=("a={},b={}",), check=_check_laplace, diagonal=lambda k, x: 1.0 / (2.0 * x),
-        image_side=lambda k: half_line_for(k.source), image_rule=(32, lambda n: max(32, n // 4)),
+        image_side=lambda k: half_line_for(k.source), image_cap=lambda n: max(32, n // 4),
         rows=_exp_rows, diff=lambda k, N: assemble_bertero_grunbaum(k.source, N)),
     # The fourth-order operator in its proof's sign variant, at N/2 clamped to [32, 64]:
     # its spectrum is unstable below 4 converged modes.  Theorem 2's ratio reads f''.
     LAPLACE_ADJOINT: KindRecord(
         keys=("a={},b={}",), check=_check_laplace,
         diagonal=lambda k, x: _adjoint_kernel(2.0 * x, k.source.a, k.source.b),
-        image_side=lambda k: k.source, image_rule=(128, lambda n: max(128, n // 2)),
+        image_side=lambda k: k.source, image_cap=lambda n: max(128, n // 2),
         rows=_exp_rows, half=True, min_converged=4, ratio_orders=(0, 1, 2),
         diff=lambda k, N: assemble_fourth_order(k.source, k.half, min(max(N // 2, 32), 64),
                                                 SignVariant.AS_PROOF_BOUND)),
     # Theorem 3 bounds by a power of the ratio.
     FOURIER: KindRecord(
         keys=(), check=_check_fourier, diagonal=lambda k, x: np.full_like(x, 2.0),
-        image_side=lambda k: k.source, image_rule=(64, lambda n: n), rows=_trig_rows,
+        image_side=lambda k: k.source, image_cap=lambda n: n, rows=_trig_rows,
         diff=lambda k, N: assemble_prolate(N), fit_form=POWER_OF_RATIO),
     # The kernel 1/(t - s) is smooth on J x I, so the image rule lives on J.
     HILBERT: KindRecord(
         keys=("I={},{}", "J={},{}"), check=_check_hilbert,
         diagonal=lambda k, x: (1.0 / (k.target.a - x) - 1.0 / (k.target.b - x)) / math.pi ** 2,
-        image_side=lambda k: k.target, image_rule=(64, lambda n: 2 * n),
+        image_side=lambda k: k.target, image_cap=lambda n: 2 * n,
         rows=lambda t, x: (1.0 / np.pi) / (t[:, None] - x[None, :])),
 }
 
@@ -304,8 +309,11 @@ def _trace_gap(A: np.ndarray, trace: float) -> float:
 
 def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
     """Largest relative move of a mode both spectra resolve, in units of the
-    SVD perturbation bound 2 eps sqrt(mu_1/mu_n)."""
+    SVD perturbation bound 2 eps sqrt(mu_1/mu_n); infinite when either
+    spectrum resolves none."""
     k = min(resolved_count(mu_coarse), resolved_count(mu_fine))
+    if k == 0:
+        return math.inf
     mu = mu_fine[:k]
     bound = 2.0 * np.finfo(float).eps * np.sqrt(mu[0] / mu)
     return float(np.max(np.abs(mu_coarse[:k] - mu) / (mu * bound)))
@@ -315,17 +323,16 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     """Half factor on the smallest image-side rule that refinement confirms:
     (A, its singular values, its refinement or None).
 
-    Rules double from the kind's first size while below the cap; each is
+    Rules double from FIRST_IMAGE_NODES while below the cap; each is
     accepted when its trace gap is within FACTOR_RTOL, it resolves as many
     modes as the rule before it, and no resolved mu_n moved by more than
     REFINEMENT_SLACK bounds.  Otherwise the cap rule is used, on the trace
     check alone, and its SVD is taken once that check passes.  Raises
     InvalidArgumentError when the cap rule misses the kernel trace.
     """
-    first, cap = kind.record.image_rule
-    r_max = cap(grid.size)
+    r_max = kind.record.image_cap(grid.size)
     # Refinement needs two rules below the cap; with fewer, build the cap.
-    r = first if 2 * first < r_max else r_max
+    r = FIRST_IMAGE_NODES if 2 * FIRST_IMAGE_NODES < r_max else r_max
     mu_coarse = None
     while r < r_max:
         A = _half_factor(kind, grid, r)

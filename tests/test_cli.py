@@ -78,18 +78,22 @@ def test_a_laplace_kind_whose_half_line_overflows_is_refused_by_name(tmp_path, c
                                        "the half line [0, 40/a] overflows\n")
 
 
-@pytest.mark.parametrize("op", ["laplace:a=1e-300,b=1e300", "laplace-adjoint:a=1e-300,b=1e300"])
-def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, op):
+@pytest.mark.parametrize("op,n", [
+    pytest.param(op, n, id=op if n is None else f"{op}-{n}") for n in (None, 512, 1024)
+    for op in ("laplace:a=1e-300,b=1e300", "laplace-adjoint:a=1e-300,b=1e300")])
+def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, op, n):
     # a fresh process, with Python's default warning filters: the trace check's
-    # refusal is the one line on stderr, and no RuntimeWarning comes before it
+    # refusal is the one line on stderr, and no RuntimeWarning comes before it;
+    # refinement rungs that resolve no mode fall through to that refusal
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "illposed.cli", "spectrum", "--op", op,
+    size = [] if n is None else ["--n", str(n)]
+    proc = subprocess.run([sys.executable, "-m", "illposed.cli", "spectrum", "--op", op, *size,
                            "--out-dir", str(tmp_path)], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert proc.returncode == 1
     name = op.replace("1e300", "1e+300")
     assert proc.stderr == (f"error: half factor of {name} disagrees with its kernel matrix at "
-                           "n = 256: relative trace gap 1 > 1e-12\n")
+                           f"n = {n or 256}: relative trace gap 1 > 1e-12\n")
 
 
 def test_spectrum_outputs(tmp_path):
@@ -120,12 +124,13 @@ def test_spectrum_reports_resolved_modes(tmp_path, capsys, op, resolved):
 
 
 def test_spectrum_reports_its_image_rule(tmp_path):
-    # Fourier at n = 256 is refined (64 -> 128 xi nodes, 2 rows each); Laplace
-    # at n = 256 goes straight to the cap rule, 64 nodes on each of 8 panels
-    for op, rows, refined in (("fourier", 256, True), ("laplace:a=1,b=2", 512, False)):
+    # Fourier at n = 256 is refined (16 -> 32 xi nodes, 2 rows each); Laplace
+    # at n = 128 goes straight to the cap rule, 32 nodes on each of 8 panels
+    for op, n, rows, refined in (("fourier", 256, 64, True), ("laplace:a=1,b=2", 128, 256, False)):
         docs = []
         for sub in ("a", "b"):
-            code, out = run_cli(["spectrum", "--op", op, "--no-svg"], tmp_path, op + sub)
+            code, out = run_cli(["spectrum", "--op", op, "--n", str(n), "--no-svg"], tmp_path,
+                                op + sub)
             assert code == 0
             docs.append([open(os.path.join(out, name), "rb").read()
                          for name in ("spectrum.csv", "spectrum.json")])

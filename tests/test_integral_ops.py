@@ -12,7 +12,7 @@ from illposed import (FunctionKind, FunctionRep, Interval,
                       fourier_image_energy, gram_matrix, make_grid, parse_operator,
                       quadratic_form)
 from illposed.integral_ops import (FACTOR_RTOL, REFINEMENT_SLACK,
-                                   _adjoint_kernel, _half_factor, resolved_count)
+                                   _adjoint_kernel, _half_factor, _trace_gap, resolved_count)
 from illposed.problem import Problem
 
 from conftest import kernel_matrix
@@ -91,12 +91,20 @@ def test_operator_names_round_trip_on_random_endpoints(text):
     ("laplace:a=1,b=2", 512, 14),
     ("fourier", 512, 11),
     ("hilbert:I=0,1:J=2,3", 512, 9),
+    # the four defaults, each refined from 16 image nodes at n = 256
+    ("laplace:a=1,b=2", 256, 14),
+    ("laplace-adjoint:a=1,b=2", 256, 14),
+    ("fourier", 256, 11),
+    ("hilbert:I=0,1:J=2,3", 256, 9),
+    # the largest moves against the cap: a nearly degenerate [a, b], a narrow J
+    ("laplace-adjoint:a=1,b=1.00001", 256, 3),
+    ("hilbert:I=0,1:J=1.01,1.02", 1024, 11),
 ])
 def test_refined_factor_matches_the_cap_rule(text, n, resolved):
     p = Problem(parse_operator(text), n)
     M = p.matrix
     mu = decompose_operator(M).eigenvalues
-    cap = _half_factor(p.kind, p.grid, p.kind.record.image_rule[1](n))
+    cap = _half_factor(p.kind, p.grid, p.kind.record.image_cap(n))
     ref = np.linalg.svd(cap, compute_uv=False) ** 2
     assert resolved_count(mu) == resolved_count(ref) == resolved
     # accepted by refinement, or the cap rule itself
@@ -106,6 +114,52 @@ def test_refined_factor_matches_the_cap_rule(text, n, resolved):
     assert np.all(np.abs(mu[:k] / ref[:k] - 1.0) <= bound)
     assert abs(mu.sum() / ref.sum() - 1.0) <= 1e-14
     assert np.all(mu[M.image_nodes:] == 0.0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(
+    st.builds(lambda tag, a, gap: f"{tag}:a={a!r},b={a * (1 + gap)!r}",
+              st.sampled_from(["laplace", "laplace-adjoint"]), _log_uniform(1e-3, 1e2),
+              _log_uniform(1e-5, 1e3)),
+    st.builds(lambda gap, width: f"hilbert:I=0,1:J={1 + gap!r},{1 + gap + width!r}",
+              _log_uniform(1e-5, 10.0), _log_uniform(1e-2, 10.0))))
+def test_the_ladder_accepts_what_the_cap_accepts(text):
+    # at n = 256 the refined factor is accepted exactly when the cap rule
+    # passes its trace check, and it resolves as many modes as the cap
+    kind = parse_operator(text)
+    p = Problem(kind, 256)
+    cap = _half_factor(kind, p.grid, kind.record.image_cap(256))
+    trace = float(np.dot(p.grid.weights, kind.record.diagonal(kind, p.grid.nodes)))
+    cap_passes = _trace_gap(cap, trace) <= FACTOR_RTOL
+    try:
+        M = p.matrix
+    except InvalidArgumentError:
+        assert not cap_passes
+        return
+    assert cap_passes
+    ref = np.linalg.svd(cap, compute_uv=False) ** 2
+    assert resolved_count(M.singular_values ** 2) == resolved_count(ref)
+
+
+@pytest.mark.parametrize("text,rows", [("laplace:a=1,b=2", 512), ("laplace-adjoint:a=1,b=2", 64),
+                                       ("fourier", 64), ("hilbert:I=0,1:J=2,3", 64)])
+def test_image_rules_stay_small(text, rows, monkeypatch):
+    # at n = 1024 refinement confirms a factor far below the cap (2048 rows
+    # for Laplace, Fourier and Hilbert, 512 for the adjoint) in at most 3 SVDs
+    p = Problem(parse_operator(text), 1024)
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    M = gram_matrix(p.kind, p.grid)
+    assert M.image_nodes <= rows and M.image_refinement <= REFINEMENT_SLACK
+    assert len(seen) <= 3
 
 
 def test_kernel_values():
@@ -260,7 +314,7 @@ def test_fourier_form_matches_direct_transform(fourier_M):
 def test_singular_values_are_built_with_the_factor(text, refined, monkeypatch):
     # gram_matrix takes the accepted factor's SVD and the matrix holds it as
     # a read-only field, bit for bit that SVD, both for a cap rule built
-    # directly (Laplace at n = 256) and for a rule that refinement confirmed
+    # directly (Laplace at n = 128) and for a rule that refinement confirmed
     # (Fourier at n = 256); reading it computes nothing
     svd, seen = np.linalg.svd, []
 
@@ -269,7 +323,7 @@ def test_singular_values_are_built_with_the_factor(text, refined, monkeypatch):
         return svd(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     kind = parse_operator(text)
-    M = gram_matrix(kind, make_grid(kind.input_domain, 256))
+    M = gram_matrix(kind, make_grid(kind.input_domain, 256 if refined else 128))
     assert (M.image_refinement is not None) == refined
     assert seen and seen[-1] is M.half_factor
     calls = len(seen)

@@ -93,7 +93,7 @@ def test_one_svd_of_the_half_factor_per_problem(monkeypatch, text):
 
 
 def test_one_svd_of_a_refined_half_factor(monkeypatch):
-    # Fourier at n = 256 compares the 64- and 128-node image rules and keeps
+    # Fourier at n = 256 compares the 16- and 32-node image rules and keeps
     # the second: two SVDs in all, the accepted factor's read by every layer
     p = Problem(parse_operator("fourier"), 256, 64, 12)
     svd, seen = np.linalg.svd, []
@@ -104,7 +104,7 @@ def test_one_svd_of_a_refined_half_factor(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     p.fit
     decompose_operator(p.matrix)
-    assert p.matrix.image_nodes == 256 and p.matrix.image_refinement is not None
+    assert p.matrix.image_nodes == 64 and p.matrix.image_refinement is not None
     assert len(seen) == 2 and seen[1] is p.matrix.half_factor
 
 
