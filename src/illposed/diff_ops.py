@@ -192,9 +192,11 @@ def _sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+@np.errstate(all="ignore")
 def _legendre_weak_form(ab: Interval, N: int, p, q, name: str, rebuild) -> GalerkinOperator:
     """Weak form of -(p u')' + q u over N orthonormal Legendre functions on
-    ab, with the coefficient functions p and q evaluated at the grid nodes."""
+    ab, with p and q evaluated at the grid nodes; values past the float
+    range fail the finite-stiffness check, not a RuntimeWarning."""
     if N < 4:
         raise InvalidArgumentError("trial space needs N >= 4")
     grid = make_grid(ab, N + 8)
@@ -217,8 +219,9 @@ def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
     """
     if ab.a <= 0:
         raise InvalidArgumentError("operator requires 0 < a < b")
-    return _legendre_weak_form(ab, N, lambda t: (t ** 2 - ab.a ** 2) * (ab.b ** 2 - t ** 2),
-                               lambda t: 2.0 * (t ** 2 - ab.a ** 2),
+    return _legendre_weak_form(ab, N,
+                               lambda t: (t ** 2 - np.square(ab.a)) * (np.square(ab.b) - t ** 2),
+                               lambda t: 2.0 * (t ** 2 - np.square(ab.a)),
                                "bertero-grunbaum", partial(assemble_bertero_grunbaum, ab))
 
 
@@ -252,7 +255,7 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     sigma = 0.5 * (ab.a + ab.b)
     basis = LaguerreExpTrialBasis(half, N, sigma)
     s = 1.0 if sign_variant is SignVariant.AS_PROOF_BOUND else -1.0
-    a2, b2 = ab.a ** 2, ab.b ** 2
+    a2, b2 = np.square(ab.a), np.square(ab.b)
     X0 = basis.times_t
     X1 = X0 @ basis.derivative
     X2 = X1 @ basis.derivative
@@ -261,7 +264,7 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     # The grid serves only the sweep's ratio quadratures, which must cover the
     # whole basis: Laguerre functions of degree k carry mass out to u ~ 4k+2.
     s_need = 1.25 * (4.0 * N + 2.0) / (2.0 * sigma)
-    grid = make_grid(HalfLineDomain(max(half.s_max, s_need), half.panel_count), max(48, N))
+    grid = make_grid(HalfLineDomain(max(half.s_max, s_need)), max(48, N))
     rebuild = partial(assemble_fourth_order, ab, half, sign_variant=sign_variant)
     return GalerkinOperator(_sym(S), "fourth-order", rebuild, basis, grid, sign_variant)
 

@@ -65,13 +65,11 @@ class HalfLineDomain:
     """Truncated half line [0, s_max] split into geometrically graded panels."""
 
     s_max: float
-    panel_count: int = HALF_LINE_PANELS
+    panel_count = HALF_LINE_PANELS  # one panel layout for every half line
 
     def __post_init__(self):
         if not (np.isfinite(self.s_max) and self.s_max > 0):
             raise InvalidArgumentError("s_max must be positive")
-        if self.panel_count < 1:
-            raise InvalidArgumentError("panel_count must be >= 1")
 
     @property
     def length(self) -> float:
@@ -90,7 +88,7 @@ def half_line_for(ab: Interval) -> HalfLineDomain:
     """Default half-line truncation for Laplace operators on [a, b]."""
     if ab.a <= 0:
         raise InvalidArgumentError("Laplace domain requires 0 < a")
-    return HalfLineDomain(HALF_LINE_DECAY_SCALE / ab.a, HALF_LINE_PANELS)
+    return HalfLineDomain(HALF_LINE_DECAY_SCALE / ab.a)
 
 
 @dataclass(frozen=True)

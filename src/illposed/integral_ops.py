@@ -11,15 +11,14 @@ of M, the sum of the kernel's diagonal in closed form.
 
 The image-side rule of A is sized to the kernel, not to the grid: the
 spectra decay (super-)exponentially, so a few dozen image nodes resolve every
-mode above SVD_FLOOR whatever n is.  gram_matrix starts every kind from
-FIRST_IMAGE_NODES and doubles the rule until two successive factors agree: the
-finer one's trace gap is within FACTOR_RTOL, both resolve the same modes, and
-each resolved mu_n moves by at most REFINEMENT_SLACK times the SVD
-perturbation bound 2 eps sqrt(mu_1/mu_n).  The cap rule (2n image rows for
-Laplace, Fourier and Hilbert) is accepted on its trace check alone, so every
-input is accepted or rejected as it was when the cap was the only rule.  The
-accepted factor's singular values are computed with it, once: by the
-refinement, or after the cap rule's trace check.
+mode above SVD_FLOOR whatever n is.  gram_matrix doubles the rule from
+FIRST_IMAGE_NODES to the cap (2n image rows for Laplace, Fourier and Hilbert)
+and reads each rung's trace gap first; a rung's SVD is taken only when its
+gap is within FACTOR_RTOL, with the rung before's when the two are compared.
+A rung below the cap is accepted when both resolve the same modes and each
+resolved mu_n moves by at most REFINEMENT_SLACK times the SVD perturbation
+bound 2 eps sqrt(mu_1/mu_n).  The cap is accepted on its trace check alone,
+as when it was the only rule; a refused input takes no SVD.
 """
 
 from __future__ import annotations
@@ -303,8 +302,8 @@ def _half_factor(kind: OperatorKind, grid: QuadGrid, r: int) -> np.ndarray:
 
 
 def _trace_gap(A: np.ndarray, trace: float) -> float:
-    """Relative gap between ||A||_F^2 = sum of mu_n and the kernel's trace."""
-    return abs(float(np.vdot(A, A)) - trace) / trace
+    """Relative gap between ||A||_F^2 = sum mu_n and the kernel's trace; inf at trace 0."""
+    return abs(float(np.vdot(A, A)) - trace) / trace if trace else math.inf
 
 
 def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
@@ -323,35 +322,35 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     """Half factor on the smallest image-side rule that refinement confirms:
     (A, its singular values, its refinement or None).
 
-    Rules double from FIRST_IMAGE_NODES while below the cap; each is
-    accepted when its trace gap is within FACTOR_RTOL, it resolves as many
-    modes as the rule before it, and no resolved mu_n moved by more than
-    REFINEMENT_SLACK bounds.  Otherwise the cap rule is used, on the trace
-    check alone, and its SVD is taken once that check passes.  Raises
-    InvalidArgumentError when the cap rule misses the kernel trace.
+    Rules double from FIRST_IMAGE_NODES up to the cap, the last rule, and
+    each rule's trace gap is read first: a rule's SVD is taken only when its
+    trace gap is within FACTOR_RTOL, with the rule before's if still owed.
+    A rule below the cap is accepted when it resolves as many modes as the
+    rule before it and no resolved mu_n moved by more than REFINEMENT_SLACK
+    bounds; the cap on its trace check alone, which raises
+    InvalidArgumentError when it fails.
     """
     r_max = kind.record.image_cap(grid.size)
     # Refinement needs two rules below the cap; with fewer, build the cap.
     r = FIRST_IMAGE_NODES if 2 * FIRST_IMAGE_NODES < r_max else r_max
-    mu_coarse = None
-    while r < r_max:
+    A_coarse = mu_coarse = None  # the rule before: its factor while its SVD is owed
+    while True:
         A = _half_factor(kind, grid, r)
-        s = np.linalg.svd(A, compute_uv=False)
-        mu = s ** 2
-        if mu_coarse is not None:
-            refinement = _refinement(mu_coarse, mu)
-            if (_trace_gap(A, trace) <= FACTOR_RTOL and refinement <= REFINEMENT_SLACK
-                    and resolved_count(mu) == resolved_count(mu_coarse)):
+        gap = _trace_gap(A, trace)
+        if gap <= FACTOR_RTOL:
+            if A_coarse is not None:
+                mu_coarse = np.linalg.svd(A_coarse, compute_uv=False) ** 2
+            s = np.linalg.svd(A, compute_uv=False)
+            refinement = None if mu_coarse is None else _refinement(mu_coarse, s ** 2)
+            if r == r_max or (refinement is not None and refinement <= REFINEMENT_SLACK
+                              and resolved_count(s ** 2) == resolved_count(mu_coarse)):
                 return A, s, refinement
-        mu_coarse, r = mu, 2 * r
-    A = _half_factor(kind, grid, r_max)
-    gap = _trace_gap(A, trace)
-    if not gap <= FACTOR_RTOL:
-        raise InvalidArgumentError(
-            f"half factor of {kind.to_string()} disagrees with its kernel matrix "
-            f"at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
-    s = np.linalg.svd(A, compute_uv=False)
-    return A, s, None if mu_coarse is None else _refinement(mu_coarse, s ** 2)
+        elif r == r_max:
+            raise InvalidArgumentError(
+                f"half factor of {kind.to_string()} disagrees with its kernel matrix "
+                f"at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
+        A_coarse, mu_coarse = (None, s ** 2) if gap <= FACTOR_RTOL else (A, None)
+        r = min(2 * r, r_max)
 
 
 @np.errstate(all="ignore")

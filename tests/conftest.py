@@ -115,3 +115,15 @@ def gram_calls(monkeypatch):
         if name.startswith("illposed") and getattr(module, "gram_matrix", None) is original:
             monkeypatch.setattr(module, "gram_matrix", counted)
     return sizes
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The matrices passed to np.linalg.svd, in call order."""
+    svd, seen = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return seen

@@ -78,22 +78,40 @@ def test_a_laplace_kind_whose_half_line_overflows_is_refused_by_name(tmp_path, c
                                        "the half line [0, 40/a] overflows\n")
 
 
-@pytest.mark.parametrize("op,n", [
-    pytest.param(op, n, id=op if n is None else f"{op}-{n}") for n in (None, 512, 1024)
-    for op in ("laplace:a=1e-300,b=1e300", "laplace-adjoint:a=1e-300,b=1e300")])
-def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, op, n):
+def _trace_refusal(op, n):
+    """spectrum --op op [--n n], and the trace check's refusal of it."""
+    name = op.replace("1e300", "1e+300").replace("1e90", "1e+90")
+    gap = "inf" if op.startswith("hilbert") else "1"
+    return (["spectrum", "--op", op] + ([] if n is None else ["--n", str(n)]),
+            f"error: half factor of {name} disagrees with its kernel matrix at "
+            f"n = {n or 256}: relative trace gap {gap} > 1e-12\n")
+
+
+def _stiffness_refusal(command, op, name, N):
+    return [command, "--op", op], f"error: {name} operator: stiffness is not finite at N={N}\n"
+
+
+@pytest.mark.parametrize("args,stderr", [
+    pytest.param(*_trace_refusal(op, n), id=op if n is None else f"{op}-{n}")
+    for n in (None, 512, 1024)
+    # the last one's kernel diagonal cancels to exactly 0: its trace gap is inf
+    for op in ("laplace:a=1e-300,b=1e300", "laplace-adjoint:a=1e-300,b=1e300",
+               "hilbert:I=-1e90,0:J=1e-300,1")] + [
+    pytest.param(*_stiffness_refusal(command, op, name, N), id=f"{command}-{op}")
+    for command, op, name, N in (("match", "laplace:a=1e200,b=2e200", "bertero-grunbaum", 128),
+                                 ("match", "laplace:a=1e-303,b=2e-303", "bertero-grunbaum", 128),
+                                 ("match", "laplace-adjoint:a=1e294,b=2e294", "fourth-order", 64),
+                                 ("verify", "laplace-adjoint:a=1e160,b=2e160", "fourth-order", 64))])
+def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, args, stderr):
     # a fresh process, with Python's default warning filters: the trace check's
-    # refusal is the one line on stderr, and no RuntimeWarning comes before it;
-    # refinement rungs that resolve no mode fall through to that refusal
+    # or the finite-stiffness check's refusal is the one line on stderr, and
+    # no RuntimeWarning or traceback comes before it; refinement rungs that
+    # resolve no mode fall through to the trace refusal
     src = Path(__file__).resolve().parent.parent / "src"
-    size = [] if n is None else ["--n", str(n)]
-    proc = subprocess.run([sys.executable, "-m", "illposed.cli", "spectrum", "--op", op, *size,
+    proc = subprocess.run([sys.executable, "-m", "illposed.cli", *args,
                            "--out-dir", str(tmp_path)], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
-    assert proc.returncode == 1
-    name = op.replace("1e300", "1e+300")
-    assert proc.stderr == (f"error: half factor of {name} disagrees with its kernel matrix at "
-                           f"n = {n or 256}: relative trace gap 1 > 1e-12\n")
+    assert (proc.returncode, proc.stderr) == (1, stderr)
 
 
 def test_spectrum_outputs(tmp_path):

@@ -19,8 +19,6 @@ def test_interval_validation():
 def test_half_line_validation():
     with pytest.raises(InvalidArgumentError):
         HalfLineDomain(-1.0)
-    with pytest.raises(InvalidArgumentError):
-        HalfLineDomain(10.0, panel_count=0)
     d = half_line_for(Interval(1.0, 2.0))
     assert d.s_max == 40.0 and d.panel_count == 8
     edges = d.breakpoints()

@@ -147,19 +147,26 @@ def test_the_ladder_accepts_what_the_cap_accepts(text):
 
 @pytest.mark.parametrize("text,rows", [("laplace:a=1,b=2", 512), ("laplace-adjoint:a=1,b=2", 64),
                                        ("fourier", 64), ("hilbert:I=0,1:J=2,3", 64)])
-def test_image_rules_stay_small(text, rows, monkeypatch):
+def test_image_rules_stay_small(text, rows, svd_calls):
     # at n = 1024 refinement confirms a factor far below the cap (2048 rows
     # for Laplace, Fourier and Hilbert, 512 for the adjoint) in at most 3 SVDs
     p = Problem(parse_operator(text), 1024)
-    svd, seen = np.linalg.svd, []
-
-    def counting_svd(a, *args, **kwargs):
-        seen.append(a)
-        return svd(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     M = gram_matrix(p.kind, p.grid)
     assert M.image_nodes <= rows and M.image_refinement <= REFINEMENT_SLACK
-    assert len(seen) <= 3
+    assert len(svd_calls) <= 3
+
+
+def test_no_rung_is_decomposed_before_its_trace_check(svd_calls):
+    # each rung's trace gap is read before its SVD: an input the cap refuses
+    # takes none, and one the kernel resolves late (at n = 1024 only rungs of
+    # 1024 nodes and more pass) decomposes the first passing rung, the rung
+    # it is compared with, and the cap
+    kind = parse_operator("hilbert:I=0,1:J=1.0001,2")
+    with pytest.raises(InvalidArgumentError, match="relative trace gap"):
+        gram_matrix(kind, Problem(kind, 256).grid)
+    assert svd_calls == []
+    M = gram_matrix(kind, Problem(kind, 1024).grid)
+    assert len(svd_calls) <= 3 and svd_calls[-1] is M.half_factor
 
 
 def test_kernel_values():
@@ -311,22 +318,16 @@ def test_fourier_form_matches_direct_transform(fourier_M):
 
 
 @pytest.mark.parametrize("text, refined", [("laplace:a=1,b=2", False), ("fourier", True)])
-def test_singular_values_are_built_with_the_factor(text, refined, monkeypatch):
+def test_singular_values_are_built_with_the_factor(text, refined, svd_calls):
     # gram_matrix takes the accepted factor's SVD and the matrix holds it as
     # a read-only field, bit for bit that SVD, both for a cap rule built
     # directly (Laplace at n = 128) and for a rule that refinement confirmed
     # (Fourier at n = 256); reading it computes nothing
-    svd, seen = np.linalg.svd, []
-
-    def counting_svd(a, *args, **kwargs):
-        seen.append(a)
-        return svd(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     kind = parse_operator(text)
     M = gram_matrix(kind, make_grid(kind.input_domain, 256 if refined else 128))
     assert (M.image_refinement is not None) == refined
-    assert seen and seen[-1] is M.half_factor
-    calls = len(seen)
+    assert svd_calls and svd_calls[-1] is M.half_factor
+    calls = len(svd_calls)
     s = M.singular_values
-    assert len(seen) == calls and not s.flags.writeable
-    assert np.array_equal(s, svd(M.half_factor, compute_uv=False))
+    assert len(svd_calls) == calls and not s.flags.writeable
+    assert np.array_equal(s, np.linalg.svd(M.half_factor, compute_uv=False))

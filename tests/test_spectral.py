@@ -79,33 +79,21 @@ def test_decompose_operator_matches_full_svd(text):
 
 
 @pytest.mark.parametrize("text", OPERATORS[:3])
-def test_one_svd_of_the_half_factor_per_problem(monkeypatch, text):
+def test_one_svd_of_the_half_factor_per_problem(svd_calls, text):
     p = Problem(parse_operator(text), 128, 64, 12)
-    svd, seen = np.linalg.svd, []
-
-    def counting_svd(a, *args, **kwargs):
-        seen.append(a)
-        return svd(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     p.fit  # grid, matrix, commuting operator, match, sweep and fit
     decompose_operator(p.matrix)
-    assert sum(a is p.matrix.half_factor for a in seen) == 1
+    assert sum(a is p.matrix.half_factor for a in svd_calls) == 1
 
 
-def test_one_svd_of_a_refined_half_factor(monkeypatch):
+def test_one_svd_of_a_refined_half_factor(svd_calls):
     # Fourier at n = 256 compares the 16- and 32-node image rules and keeps
     # the second: two SVDs in all, the accepted factor's read by every layer
     p = Problem(parse_operator("fourier"), 256, 64, 12)
-    svd, seen = np.linalg.svd, []
-
-    def counting_svd(a, *args, **kwargs):
-        seen.append(a)
-        return svd(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     p.fit
     decompose_operator(p.matrix)
     assert p.matrix.image_nodes == 64 and p.matrix.image_refinement is not None
-    assert len(seen) == 2 and seen[1] is p.matrix.half_factor
+    assert len(svd_calls) == 2 and svd_calls[1] is p.matrix.half_factor
 
 
 @functools.cache
