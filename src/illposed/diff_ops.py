@@ -7,9 +7,12 @@ composition, and the prolate operator on [-1, 1] for the Fourier
 composition.  All are assembled as quadratic forms over orthonormal trial
 bases, so the mass matrix is the identity and no boundary terms arise (the
 leading coefficients vanish at the endpoints; half-line trial functions
-decay like e^{-sigma t}).  The Legendre forms are Gauss quadratures; the
-fourth-order form is exact over [0, inf), from the Laguerre basis's finite
-maps for d/dt and multiplication by t.
+decay like e^{-sigma t}).  Every stiffness is exact, with no quadrature:
+the Legendre forms are pentadiagonal, from the three-term recurrences of
+the Legendre and Gegenbauer(3/2) polynomials, and the fourth-order form is
+exact over [0, inf), from the Laguerre basis's finite maps for d/dt and
+multiplication by t.  A stiffness that couples no even index to an odd one
+(the prolate operator's) is solved one parity block at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .domains import HalfLineDomain, Interval, QuadGrid, make_grid
 from .errors import InvalidArgumentError, RepresentationError
-from .functions import FunctionKind, cached_table, legendre_tables
+from .functions import FunctionKind, cached_table
 
 PROJECTION_TOL = 1e-8
 
@@ -129,14 +132,39 @@ class SpectralDecomposition:
 
 
 def eig_sym(M: np.ndarray) -> SpectralDecomposition:
-    """Ascending decomposition of a symmetric matrix; each eigenvector's
+    """Ascending decomposition of a symmetric matrix, one parity block at a
+    time when it couples no even index to an odd one; each eigenvector's
     largest-magnitude entry is positive."""
     M = np.asarray(M, dtype=float)
     scale = np.max(np.abs(M))
     if scale > 0 and np.max(np.abs(M - M.T)) > 1e-10 * scale:
         raise InvalidArgumentError("matrix is not symmetric to tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    return SpectralDecomposition(vals, largest_entry_positive(vecs))
+    M = _sym(M)
+    vals, vecs = np.empty(len(M)), np.zeros(M.shape)
+    start = 0
+    for block in _parity_blocks(M):
+        lam, V = np.linalg.eigh(M[block, block])
+        vals[start:start + len(lam)] = lam
+        vecs[block, start:start + len(lam)] = largest_entry_positive(V)
+        start += len(lam)
+    order = np.argsort(vals, kind="stable")
+    return SpectralDecomposition(vals[order], vecs[:, order])
+
+
+def eigvals_sym(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, one solve per parity
+    block as in eig_sym."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(M[block, block])
+                                   for block in _parity_blocks(M)]))
+
+
+def _parity_blocks(M: np.ndarray) -> tuple:
+    """The even and the odd indices when M couples no even index to an odd
+    one (the prolate stiffness), else all indices.  Each block is solved on
+    its own: two half-size solves cost about a quarter of one full solve."""
+    if len(M) > 1 and not np.any(M[0::2, 1::2]):
+        return slice(0, None, 2), slice(1, None, 2)
+    return (slice(None),)
 
 
 def largest_entry_positive(vecs: np.ndarray) -> np.ndarray:
@@ -171,6 +199,9 @@ class GalerkinOperator:
         if not np.all(np.isfinite(self.stiffness)):
             raise InvalidArgumentError(
                 f"{self.name} operator: stiffness is not finite at N={self.size}")
+        if not np.max(np.abs(self.stiffness)) >= np.finfo(float).tiny:
+            raise InvalidArgumentError(
+                f"{self.name} operator: stiffness underflows the float range at N={self.size}")
 
     @property
     def size(self) -> int:
@@ -183,31 +214,61 @@ class GalerkinOperator:
     @cached_property
     def refined_eigenvalues(self) -> np.ndarray:
         """Ascending, read-only eigenvalues of the same operator at 2N, values
-        only: the 2N operator lives just long enough for its finite-stiffness
-        check."""
-        return _read_only(np.linalg.eigvalsh(self.rebuild(2 * self.size).stiffness))
+        only: the 2N operator lives just long enough for its stiffness checks."""
+        return _read_only(eigvals_sym(self.rebuild(2 * self.size).stiffness))
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _quadratic_of_jacobi(coeffs, beta: np.ndarray) -> list:
+    """Diagonals 0, 1 and 2 of the leading n x n block of c0 + c1 J + c2 J^2,
+    with n = len(beta) and J the infinite zero-diagonal Jacobi matrix whose
+    off-diagonal starts with beta: (J^2)_kk = beta_{k-1}^2 + beta_k^2 and
+    (J^2)_{k,k+2} = beta_k beta_{k+1}."""
+    c0, c1, c2 = coeffs
+    sq = np.square(beta)
+    return [c0 + c2 * (np.concatenate(([0.0], sq[:-1])) + sq), c1 * beta[:-1],
+            c2 * (beta[:-2] * beta[1:-1])]
+
+
+def _linear_product(u, v) -> tuple:
+    """Coefficients of (u0 + u1 x)(v0 + v1 x) in powers of x."""
+    return u[0] * v[0], u[0] * v[1] + u[1] * v[0], u[1] * v[1]
+
+
 @np.errstate(all="ignore")
-def _legendre_weak_form(ab: Interval, N: int, p, q, name: str, rebuild) -> GalerkinOperator:
-    """Weak form of -(p u')' + q u over N orthonormal Legendre functions on
-    ab, with p and q evaluated at the grid nodes; values past the float
-    range fail the finite-stiffness check, not a RuntimeWarning."""
+def _legendre_weak_form(ab: Interval, N: int, q, g, name: str, rebuild) -> GalerkinOperator:
+    """Weak form of -(p u')' + q u, p(t) = (t-a)(b-t) g(t), over N
+    orthonormal Legendre functions on ab, exact for quadratic q and g.
+
+    With t = c + h x (c and h the midpoint and half length of ab), q(c, h)
+    and g(c, h) give the coefficients of q and g in powers of x.  The mass
+    part is q(c + h J_L), J_L the Jacobi matrix of the orthonormal Legendre
+    polynomials p_k, with off-diagonal beta_m = (m+1)/sqrt((2m+1)(2m+3)).
+    Since p_k' = sqrt(k(k+1)) psi_{k-1}, with psi orthonormal for the
+    weight 1 - x^2, and (t-a)(b-t) = h^2 (1 - x^2), the derivative part is
+    D g(c + h J_G) D, with D = diag(sqrt(k(k+1))) and J_G the Jacobi matrix
+    of psi, off-diagonal gamma_m = sqrt((m+1)(m+3)/((2m+3)(2m+5))).  Both
+    are pentadiagonal; values past the float range fail the stiffness
+    checks, not a RuntimeWarning.
+    """
     if N < 4:
         raise InvalidArgumentError("trial space needs N >= 4")
-    grid = make_grid(ab, N + 8)
-    basis = LegendreTrialBasis(ab, N)
-    t, w = grid.nodes, grid.weights
-    # Evaluated apart from the sampling cache, which would keep alive the
-    # tables of every assembly, 2N refinements included, though most are
-    # never sampled; basis.tables reads the cache on first use.
-    V, D = legendre_tables(N, ab, t, (0, 1))
-    S = D.T @ ((w * p(t))[:, None] * D) + V.T @ ((w * q(t))[:, None] * V)
-    return GalerkinOperator(_sym(S), name, rebuild, basis, grid)
+    c, h = 0.5 * (ab.a + ab.b), 0.5 * (ab.b - ab.a)
+    m = np.arange(N, dtype=float)
+    beta = (m + 1.0) / np.sqrt((2.0 * m + 1.0) * (2.0 * m + 3.0))
+    m = m[:-1]
+    gamma = np.sqrt((m + 1.0) * (m + 3.0) / ((2.0 * m + 3.0) * (2.0 * m + 5.0)))
+    d = np.sqrt((m + 1.0) * (m + 2.0))
+    bands = _quadratic_of_jacobi(q(c, h), beta)
+    for j, band in enumerate(_quadratic_of_jacobi(g(c, h), gamma)):
+        bands[j][1:] += band * (d[:N - 1 - j] * d[j:])
+    S, i = np.zeros((N, N)), np.arange(N)
+    for j, band in enumerate(bands):
+        S[i[:N - j], i[j:]] = S[i[j:], i[:N - j]] = band
+    return GalerkinOperator(S, name, rebuild, LegendreTrialBasis(ab, N), make_grid(ab, N + 8))
 
 
 def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
@@ -215,20 +276,27 @@ def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
 
     Positive-definite sign convention; the coefficient vanishes at both
     endpoints so natural boundary conditions apply and no boundary terms
-    enter the weak form.
+    enter the weak form.  Here p = (t-a)(b-t) g with g = (t+a)(t+b), and in
+    x every factor is a sum of nonnegative terms: t - a = h(1 + x),
+    t + a = (c + a) + h x, t + b = (c + b) + h x.  So no coefficient
+    cancels, and [2^k a, 2^k b] assembles to exactly 4^k times [a, b]
+    while every entry stays in the normal float range.
     """
     if ab.a <= 0:
         raise InvalidArgumentError("operator requires 0 < a < b")
-    return _legendre_weak_form(ab, N,
-                               lambda t: (t ** 2 - np.square(ab.a)) * (np.square(ab.b) - t ** 2),
-                               lambda t: 2.0 * (t ** 2 - np.square(ab.a)),
-                               "bertero-grunbaum", partial(assemble_bertero_grunbaum, ab))
+    a, b = ab.a, ab.b
+    return _legendre_weak_form(
+        ab, N,
+        lambda c, h: _linear_product((2.0 * h, 2.0 * h), (c + a, h)),
+        lambda c, h: _linear_product((c + a, h), (c + b, h)),
+        "bertero-grunbaum", partial(assemble_bertero_grunbaum, ab))
 
 
 def assemble_prolate(N: int) -> GalerkinOperator:
-    """Weak form of -d/dx((1-x^2) d/dx) + x^2 on [-1, 1]."""
-    return _legendre_weak_form(Interval(-1.0, 1.0), N, lambda x: 1.0 - x ** 2,
-                               lambda x: x ** 2, "prolate", assemble_prolate)
+    """Weak form of -d/dx((1-x^2) d/dx) + x^2 on [-1, 1]: tridiagonal within
+    each parity, since x^2 couples p_k with p_k and p_{k+2} alone."""
+    return _legendre_weak_form(Interval(-1.0, 1.0), N, lambda c, h: (0.0, 0.0, 1.0),
+                               lambda c, h: (1.0, 0.0, 0.0), "prolate", assemble_prolate)
 
 
 @np.errstate(all="ignore")

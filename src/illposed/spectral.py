@@ -133,7 +133,9 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
     value mu = ||A v||^2 and residual ||A^T (A v) - mu v|| / mu_1.  The
     commutation residual ||KS - SK||_F / (||K||_F ||S||_F), with
     K = (ABU)^T (ABU), is computed in the trial space, where the degenerate
-    endpoint coefficients cause no discretization artifacts.
+    endpoint coefficients cause no discretization artifacts.  ABU and S are
+    each scaled to a largest entry of 1 first, so that no norm leaves the
+    float range on any interval; an all-zero one is refused by name.
     """
     if converged is None:
         converged = converged_mode_count(diff)
@@ -154,12 +156,21 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
     # Commutator on the matched eigenblock: non-converged Galerkin modes carry
     # no spectral claim and their norms would drown the signal.
     U = dec.eigenvectors[:, :m]
-    ABU = A @ (B @ U)
+    ABU = _unit_peak(A @ (B @ U), f"{integral.kind.to_string()}: image of the matched modes")
+    lam = np.diag(_unit_peak(dec.eigenvalues[:m], f"{diff.name} operator: matched eigenvalues"))
     K = ABU.T @ ABU
-    lam = np.diag(dec.eigenvalues[:m])
     comm = np.linalg.norm(K @ lam - lam @ K) / (np.linalg.norm(K) * np.linalg.norm(lam))
     return MatchReport(tuple(records), float(comm),
                        integral.kind.to_string(), diff.name, U)
+
+
+def _unit_peak(block: np.ndarray, what: str) -> np.ndarray:
+    """block divided by its largest-magnitude entry; an all-zero block is
+    refused by name."""
+    peak = np.max(np.abs(block))
+    if not peak > 0:
+        raise InvalidArgumentError(f"{what} is zero")
+    return block / peak
 
 
 # ----------------------------------------------------------------------------

@@ -87,8 +87,8 @@ def _trace_refusal(op, n):
             f"n = {n or 256}: relative trace gap {gap} > 1e-12\n")
 
 
-def _stiffness_refusal(command, op, name, N):
-    return [command, "--op", op], f"error: {name} operator: stiffness is not finite at N={N}\n"
+def _stiffness_refusal(command, op, name, N, reason="is not finite"):
+    return [command, "--op", op], f"error: {name} operator: stiffness {reason} at N={N}\n"
 
 
 @pytest.mark.parametrize("args,stderr", [
@@ -97,14 +97,20 @@ def _stiffness_refusal(command, op, name, N):
     # the last one's kernel diagonal cancels to exactly 0: its trace gap is inf
     for op in ("laplace:a=1e-300,b=1e300", "laplace-adjoint:a=1e-300,b=1e300",
                "hilbert:I=-1e90,0:J=1e-300,1")] + [
-    pytest.param(*_stiffness_refusal(command, op, name, N), id=f"{command}-{op}")
-    for command, op, name, N in (("match", "laplace:a=1e200,b=2e200", "bertero-grunbaum", 128),
-                                 ("match", "laplace:a=1e-303,b=2e-303", "bertero-grunbaum", 128),
-                                 ("match", "laplace-adjoint:a=1e294,b=2e294", "fourth-order", 64),
-                                 ("verify", "laplace-adjoint:a=1e160,b=2e160", "fourth-order", 64))])
+    pytest.param(*_stiffness_refusal(command, op, name, N, *reason), id=f"{command}-{op}")
+    for command, op, name, N, *reason in (
+        ("match", "laplace:a=1e200,b=2e200", "bertero-grunbaum", 128),
+        # the exact stiffness is all zeros here: the float range's other end
+        ("match", "laplace:a=1e-303,b=2e-303", "bertero-grunbaum", 128,
+         "underflows the float range"),
+        # nonzero, but every entry subnormal: too few digits to match on
+        ("match", "laplace:a=1e-160,b=2e-160", "bertero-grunbaum", 128,
+         "underflows the float range"),
+        ("match", "laplace-adjoint:a=1e294,b=2e294", "fourth-order", 64),
+        ("verify", "laplace-adjoint:a=1e160,b=2e160", "fourth-order", 64))])
 def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, args, stderr):
     # a fresh process, with Python's default warning filters: the trace check's
-    # or the finite-stiffness check's refusal is the one line on stderr, and
+    # or a stiffness check's refusal is the one line on stderr, and
     # no RuntimeWarning or traceback comes before it; refinement rungs that
     # resolve no mode fall through to the trace refusal
     src = Path(__file__).resolve().parent.parent / "src"
@@ -112,6 +118,26 @@ def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, ar
                            "--out-dir", str(tmp_path)], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert (proc.returncode, proc.stderr) == (1, stderr)
+
+
+@pytest.mark.parametrize("op", ["laplace:a=1.5065986448845864e-105,b=1.5067234402942631e-105",
+                                "laplace:a=1e100,b=2e100", "laplace:a=1e-80,b=2e-80"])
+def test_match_far_from_unit_scale_gives_a_finite_verdict_or_a_refusal(tmp_path, op):
+    # ||K|| ||Lambda|| under- or overflows on these intervals: the commutation
+    # residual must still be a number, with no RuntimeWarning, or the command
+    # must refuse in one line
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "illposed.cli", "match", "--op", op,
+                           "--n", "64", "--out-dir", str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    if proc.returncode == 1:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        return
+    assert proc.returncode in (0, 2) and proc.stderr == ""
+    doc = json.load(open(tmp_path / "match.json"))
+    values = [doc["commutation_residual"]] + [m["residual"] for m in doc["modes"]]
+    assert np.all(np.isfinite(values))
+    assert "commutation=nan" not in proc.stdout
 
 
 def test_spectrum_outputs(tmp_path):

@@ -10,8 +10,9 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       assemble_prolate, converged_mode_count, eig_sym,
                       h1_seminorm, l2_norm, sample)
 from illposed.spectral import CONVERGENCE_RTOL
-from illposed.diff_ops import project_coefficients
-from illposed.domains import half_line_for
+from illposed.diff_ops import eigvals_sym, project_coefficients
+from illposed.domains import half_line_for, make_grid
+from illposed.functions import legendre_tables
 
 AB = Interval(1.0, 2.0)
 
@@ -237,7 +238,7 @@ def test_operator_keeps_its_decompositions(assemble):
     refined = op.rebuild(32)
     assert (refined.name, refined.sign_variant) == (op.name, op.sign_variant)
     assert np.array_equal(refined.stiffness, assemble(32).stiffness)
-    assert np.array_equal(lam2, np.linalg.eigvalsh(refined.stiffness))
+    assert np.array_equal(lam2, eigvals_sym(refined.stiffness))
 
 
 def test_fourth_order_assembles_past_the_laguerre_overflow():
@@ -294,3 +295,95 @@ def test_converged_count_matches_a_full_eigensolve_at_2n(assemble, N):
     stable = np.abs(lam[:kmax] - lam2[:kmax]) <= CONVERGENCE_RTOL * np.abs(lam2[:kmax])
     expected = kmax if stable.all() else int(np.argmin(stable))
     assert converged_mode_count(op) == expected
+
+
+def legendre_weak_form_by_quadrature(ab, N, p, q):
+    """Oracle: the weak form of -(p u')' + q u over N orthonormal Legendre
+    functions on ab by (N+8)-point Gauss-Legendre quadrature, exact for the
+    degree-2N integrands of a quartic p and a quadratic q."""
+    grid = make_grid(ab, N + 8)
+    t, w = grid.nodes, grid.weights
+    V, D = legendre_tables(N, ab, t, (0, 1))
+    S = D.T @ ((w * p(t))[:, None] * D) + V.T @ ((w * q(t))[:, None] * V)
+    return 0.5 * (S + S.T)
+
+
+def bertero_grunbaum_by_quadrature(ab, N):
+    a, b = ab.a, ab.b
+    return legendre_weak_form_by_quadrature(ab, N, lambda t: (t * t - a * a) * (b * b - t * t),
+                                            lambda t: 2.0 * (t * t - a * a))
+
+
+@pytest.mark.parametrize("operator, oracle", [
+    *[(lambda N, ab=Interval(*ab): assemble_bertero_grunbaum(ab, N),
+       lambda N, ab=Interval(*ab): bertero_grunbaum_by_quadrature(ab, N))
+      for ab in ((1.0, 2.0), (0.01, 1.0), (0.1, 1.0), (100.0, 200.0))],
+    (assemble_prolate,
+     lambda N: legendre_weak_form_by_quadrature(Interval(-1.0, 1.0), N, lambda x: 1.0 - x * x,
+                                                lambda x: x * x)),
+], ids=["bertero-grunbaum-1-2", "bertero-grunbaum-0.01-1", "bertero-grunbaum-0.1-1",
+        "bertero-grunbaum-100-200", "prolate"])
+@pytest.mark.parametrize("N", [8, 32, 128, 512])
+def test_legendre_stiffness_matches_gauss_quadrature(operator, oracle, N):
+    # the closed form from the Jacobi matrices against the quadrature form
+    # it replaced: entries to roundoff, and the leading N/4 eigenvalues
+    S, ref = operator(N).stiffness, oracle(N)
+    assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
+    lam, lam_ref = np.linalg.eigvalsh(S)[:N // 4], np.linalg.eigvalsh(ref)[:N // 4]
+    assert np.all(np.abs(lam - lam_ref) <= 1e-10 * np.abs(lam_ref))
+
+
+@pytest.mark.parametrize("assemble", [lambda N: assemble_bertero_grunbaum(AB, N),
+                                      assemble_prolate], ids=["bertero-grunbaum", "prolate"])
+def test_legendre_assembly_evaluates_no_vandermonde(assemble, monkeypatch):
+    from numpy.polynomial import legendre
+    calls, legvander = [], legendre.legvander
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return legvander(*args, **kwargs)
+    monkeypatch.setattr(legendre, "legvander", counted)
+    op = assemble(512)
+    op.refined_eigenvalues
+    assert calls == [] and op.size == 512
+
+
+@pytest.mark.parametrize("k", [-260, -20, 20, 200])
+def test_bertero_grunbaum_rescales_exactly(k):
+    # t -> 2^k t scales every coefficient of the weak form by 4^k: the
+    # assembly must reproduce that bit for bit, with no underflow of
+    # p(t) ~ t^4 at k = -260
+    S = assemble_bertero_grunbaum(Interval(1.0, 2.0), 64).stiffness
+    scaled = assemble_bertero_grunbaum(Interval(2.0 ** k, 2.0 ** (k + 1)), 64).stiffness
+    assert np.array_equal(scaled, S * 4.0 ** k)
+
+
+@pytest.mark.parametrize("N", [8, 33, 128])
+def test_prolate_parity_blocks_are_the_closed_form_tridiagonals(N):
+    # at bandwidth c = 1, the prolate stiffness within each parity is
+    # tridiagonal with diagonal d_k = k(k+1) + c^2 (2k(k+1) - 1)/((2k+3)(2k-1))
+    # and off-diagonal o_k = c^2 (k+1)(k+2)/((2k+3) sqrt((2k+1)(2k+5)))
+    S = assemble_prolate(N).stiffness
+    k = np.arange(N, dtype=float)
+    d = k * (k + 1) + (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    o = (k + 1) * (k + 2) / ((2 * k + 3) * np.sqrt((2 * k + 1) * (2 * k + 5)))
+    assert not np.any(S[0::2, 1::2]) and not np.any(S[1::2, 0::2])
+    for parity in (0, 1):
+        block, dk, ok = S[parity::2, parity::2], d[parity::2], o[parity::2][:-1]
+        expected = np.diag(dk) + np.diag(ok, 1) + np.diag(ok, -1)
+        assert np.all(np.abs(block - expected) <= 1e-14 * np.abs(expected)), parity
+
+
+@pytest.mark.parametrize("N", [16, 64, 257])
+def test_parity_blocked_eigensystem_matches_a_full_solve(N):
+    # oracle: eigh of the whole prolate stiffness; the blocked solve gives
+    # the same eigenpairs, each vector with exact zeros in the other parity
+    S = assemble_prolate(N).stiffness
+    dec, (lam, vecs) = eig_sym(S), np.linalg.eigh(S)
+    for values in (dec.eigenvalues, eigvals_sym(S)):
+        assert np.all(np.abs(values - lam) <= 1e-13 * np.abs(lam))
+    overlap = np.abs(np.sum(dec.eigenvectors * vecs, axis=0))
+    assert np.all(np.abs(overlap - 1.0) <= 1e-12)
+    parity = np.arange(N) % 2
+    for v in dec.eigenvectors.T:
+        assert not np.any(v[parity != parity[np.argmax(np.abs(v))]])

@@ -141,8 +141,9 @@ def test_one_eigensystem_per_stiffness(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     ctx.laplace.fit  # converged modes, match, sweep and fit
     assert criterion_07(ctx).passed and criterion_09(ctx).passed
-    # Bertero-Grunbaum and prolate stiffness, each at N and at 2N
-    assert len(seen) == len(set(seen)) == 4
+    # Bertero-Grunbaum stiffness at N and at 2N, and each parity block of
+    # the prolate stiffness at N and at 2N: no stiffness or block twice
+    assert len(seen) == len(set(seen)) == 6
 
 
 @pytest.mark.parametrize("N, N4", [(4, 32), (128, 64), (512, 64)])
@@ -160,6 +161,24 @@ def test_adjoint_report_assembles_the_proof_variant_at_n4_and_2n4(monkeypatch, N
     p = Problem(OperatorKind.laplace_adjoint_tt(Interval(1.0, 2.0)), 128, N, 12)
     assert len(p.report.records) == min(12, N4 // 4)
     assert built == [(N4, SignVariant.AS_PROOF_BOUND), (2 * N4, SignVariant.AS_PROOF_BOUND)]
+
+
+def test_commutation_is_scale_free_and_refuses_a_zero_image(laplace_M, bg128):
+    # the commutation residual is a ratio of norms whose squares leave the
+    # float range when T*T is scaled by 4^-300 or the stiffness by 4^500:
+    # it must stay a number (power-of-two scaling of A keeps its very bits),
+    # and a half factor that is all zeros is refused by name
+    import dataclasses
+    ref = match_eigenfunctions(laplace_M, bg128, 8).commutation_residual
+    tiny = dataclasses.replace(laplace_M, half_factor=laplace_M.half_factor * 2.0 ** -300,
+                               singular_values=laplace_M.singular_values * 2.0 ** -300)
+    assert match_eigenfunctions(tiny, bg128, 8, converged=8).commutation_residual == ref
+    huge = dataclasses.replace(bg128, stiffness=bg128.stiffness * 4.0 ** 500)
+    assert match_eigenfunctions(laplace_M, huge, 8, converged=8).commutation_residual <= 1e-14
+    zero = dataclasses.replace(laplace_M, half_factor=np.zeros_like(laplace_M.half_factor))
+    with pytest.raises(InvalidArgumentError,
+                       match="laplace:a=1,b=2: image of the matched modes is zero"):
+        match_eigenfunctions(zero, bg128, 8, converged=8)
 
 
 def test_match_examples(laplace_M, fourier_M, bg128, prolate128):
