@@ -11,16 +11,18 @@ decay like e^{-sigma t}).  Every stiffness is exact, with no quadrature:
 the Legendre forms are pentadiagonal, from the three-term recurrences of
 the Legendre and Gegenbauer(3/2) polynomials, and the fourth-order form is
 exact over [0, inf), from the Laguerre basis's finite maps for d/dt and
-multiplication by t.  A stiffness that couples no even index to an odd one
-(the prolate operator's) is solved one parity block at a time.
+multiplication by t.  Each operator is assembled once, at 2N, its own
+refinement: the trial bases are nested, so the operator at N is that
+matrix's leading block.  A stiffness that couples no even index to an odd
+one (the prolate operator's) is solved one parity block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -180,32 +182,37 @@ class GalerkinOperator:
     """Symmetric stiffness matrix over an orthonormal trial basis.
 
     The mass matrix is the identity by construction, so the eigenvalues of
-    `stiffness` are the Galerkin eigenvalues of the operator.  `rebuild(N)`
-    assembles the same operator at trial size N.  The eigensystem and the
-    eigenvalues of the same operator at 2N are each computed once, on first
-    use.  The trial functions at `grid.nodes` come from `basis.tables`, in
-    the derivative orders the caller reads.
+    `stiffness` are the Galerkin eigenvalues of the operator.  Its refinement
+    is its own assembly at 2N, `refined_stiffness`, whose leading N x N block
+    is `stiffness` (a read-only copy).  The eigensystem at N and the
+    eigenvalues at 2N are each computed once, on first use.  The N trial
+    functions at `grid.nodes` come from `basis.tables`, in the derivative
+    orders the caller reads.
     """
 
-    stiffness: np.ndarray = field(repr=False)
+    refined_stiffness: np.ndarray = field(repr=False)
     name: str
-    rebuild: Callable[[int], GalerkinOperator] = field(repr=False)
     basis: object
     grid: QuadGrid
     sign_variant: Optional[SignVariant] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stiffness", _read_only(self.stiffness))
-        if not np.all(np.isfinite(self.stiffness)):
-            raise InvalidArgumentError(
-                f"{self.name} operator: stiffness is not finite at N={self.size}")
-        if not np.max(np.abs(self.stiffness)) >= np.finfo(float).tiny:
-            raise InvalidArgumentError(
-                f"{self.name} operator: stiffness underflows the float range at N={self.size}")
+        object.__setattr__(self, "refined_stiffness", _read_only(self.refined_stiffness))
+        for S in (self.stiffness, self.refined_stiffness):  # each refusal names its size
+            if not np.all(np.isfinite(S)):
+                raise InvalidArgumentError(
+                    f"{self.name} operator: stiffness is not finite at N={len(S)}")
+            if not np.max(np.abs(S)) >= np.finfo(float).tiny:
+                raise InvalidArgumentError(
+                    f"{self.name} operator: stiffness underflows the float range at N={len(S)}")
 
     @property
     def size(self) -> int:
-        return self.stiffness.shape[0]
+        return self.basis.size
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        return _read_only(self.refined_stiffness[:self.size, :self.size].copy())
 
     @cached_property
     def eigensystem(self) -> SpectralDecomposition:
@@ -213,9 +220,7 @@ class GalerkinOperator:
 
     @cached_property
     def refined_eigenvalues(self) -> np.ndarray:
-        """Ascending, read-only eigenvalues of the same operator at 2N, values
-        only: the 2N operator lives just long enough for its stiffness checks."""
-        return _read_only(eigvals_sym(self.rebuild(2 * self.size).stiffness))
+        return _read_only(eigvals_sym(self.refined_stiffness))
 
 
 def _sym(S: np.ndarray) -> np.ndarray:
@@ -239,7 +244,7 @@ def _linear_product(u, v) -> tuple:
 
 
 @np.errstate(all="ignore")
-def _legendre_weak_form(ab: Interval, N: int, q, g, name: str, rebuild) -> GalerkinOperator:
+def _legendre_weak_form(ab: Interval, N: int, q, g, name: str) -> GalerkinOperator:
     """Weak form of -(p u')' + q u, p(t) = (t-a)(b-t) g(t), over N
     orthonormal Legendre functions on ab, exact for quadratic q and g.
 
@@ -256,19 +261,19 @@ def _legendre_weak_form(ab: Interval, N: int, q, g, name: str, rebuild) -> Galer
     """
     if N < 4:
         raise InvalidArgumentError("trial space needs N >= 4")
-    c, h = 0.5 * (ab.a + ab.b), 0.5 * (ab.b - ab.a)
-    m = np.arange(N, dtype=float)
+    c, h, n = 0.5 * (ab.a + ab.b), 0.5 * (ab.b - ab.a), 2 * N
+    m = np.arange(n, dtype=float)
     beta = (m + 1.0) / np.sqrt((2.0 * m + 1.0) * (2.0 * m + 3.0))
     m = m[:-1]
     gamma = np.sqrt((m + 1.0) * (m + 3.0) / ((2.0 * m + 3.0) * (2.0 * m + 5.0)))
     d = np.sqrt((m + 1.0) * (m + 2.0))
     bands = _quadratic_of_jacobi(q(c, h), beta)
     for j, band in enumerate(_quadratic_of_jacobi(g(c, h), gamma)):
-        bands[j][1:] += band * (d[:N - 1 - j] * d[j:])
-    S, i = np.zeros((N, N)), np.arange(N)
+        bands[j][1:] += band * (d[:n - 1 - j] * d[j:])
+    S, i = np.zeros((n, n)), np.arange(n)
     for j, band in enumerate(bands):
-        S[i[:N - j], i[j:]] = S[i[j:], i[:N - j]] = band
-    return GalerkinOperator(S, name, rebuild, LegendreTrialBasis(ab, N), make_grid(ab, N + 8))
+        S[i[:n - j], i[j:]] = S[i[j:], i[:n - j]] = band
+    return GalerkinOperator(S, name, LegendreTrialBasis(ab, N), make_grid(ab, N + 8))
 
 
 def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
@@ -289,14 +294,14 @@ def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
         ab, N,
         lambda c, h: _linear_product((2.0 * h, 2.0 * h), (c + a, h)),
         lambda c, h: _linear_product((c + a, h), (c + b, h)),
-        "bertero-grunbaum", partial(assemble_bertero_grunbaum, ab))
+        "bertero-grunbaum")
 
 
 def assemble_prolate(N: int) -> GalerkinOperator:
     """Weak form of -d/dx((1-x^2) d/dx) + x^2 on [-1, 1]: tridiagonal within
     each parity, since x^2 couples p_k with p_k and p_{k+2} alone."""
     return _legendre_weak_form(Interval(-1.0, 1.0), N, lambda c, h: (0.0, 0.0, 1.0),
-                               lambda c, h: (1.0, 0.0, 0.0), "prolate", assemble_prolate)
+                               lambda c, h: (1.0, 0.0, 0.0), "prolate")
 
 
 @np.errstate(all="ignore")
@@ -308,7 +313,7 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
                          +  int ((-/+) a^2 b^2 t^2 + 2 a^2) p_i p_j
     with upper signs for AS_LEMMA (the printed operator) and lower signs for
     AS_PROOF_BOUND (the manifestly positive quadratic form of its proof).
-    With X0 = basis.times_t, X1 = X0 D and X2 = X0 D^2 (D = basis.derivative)
+    With X0 = times_t, X1 = X0 D and X2 = X0 D^2 (D = derivative) at 2N,
     each integral is exact over [0, inf): int t^2 p_i^(r) p_j^(r) = (Xr^T Xr)_ij.
     Far outside a moderate [a, b] the products overflow (a^2 b^2 past the
     float range, or X0^T X0 ~ (N/sigma)^2 for tiny sigma); the finite-stiffness
@@ -321,20 +326,19 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     if N < 4:
         raise InvalidArgumentError("trial space needs N >= 4")
     sigma = 0.5 * (ab.a + ab.b)
-    basis = LaguerreExpTrialBasis(half, N, sigma)
+    basis, maps = (LaguerreExpTrialBasis(half, n, sigma) for n in (N, 2 * N))
     s = 1.0 if sign_variant is SignVariant.AS_PROOF_BOUND else -1.0
     a2, b2 = np.square(ab.a), np.square(ab.b)
-    X0 = basis.times_t
-    X1 = X0 @ basis.derivative
-    X2 = X1 @ basis.derivative
+    X0 = maps.times_t
+    X1 = X0 @ maps.derivative
+    X2 = X1 @ maps.derivative
     S = (X2.T @ X2 + s * (a2 + b2) * (X1.T @ X1) + s * a2 * b2 * (X0.T @ X0)
-         + 2.0 * a2 * np.eye(N))
+         + 2.0 * a2 * np.eye(2 * N))
     # The grid serves only the sweep's ratio quadratures, which must cover the
     # whole basis: Laguerre functions of degree k carry mass out to u ~ 4k+2.
     s_need = 1.25 * (4.0 * N + 2.0) / (2.0 * sigma)
     grid = make_grid(HalfLineDomain(max(half.s_max, s_need)), max(48, N))
-    rebuild = partial(assemble_fourth_order, ab, half, sign_variant=sign_variant)
-    return GalerkinOperator(_sym(S), "fourth-order", rebuild, basis, grid, sign_variant)
+    return GalerkinOperator(_sym(S), "fourth-order", basis, grid, sign_variant)
 
 
 def project_coefficients(op: GalerkinOperator, vals: np.ndarray) -> np.ndarray:

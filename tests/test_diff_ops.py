@@ -233,12 +233,14 @@ def test_operator_keeps_its_decompositions(assemble):
     ref = eig_sym(op.stiffness)
     assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
     assert np.array_equal(dec.eigenvectors, ref.eigenvectors)
+    assert op.stiffness.flags.c_contiguous and not op.stiffness.flags.writeable
     lam2 = op.refined_eigenvalues
     assert lam2 is op.refined_eigenvalues and not lam2.flags.writeable
-    refined = op.rebuild(32)
+    refined = assemble(32)
     assert (refined.name, refined.sign_variant) == (op.name, op.sign_variant)
-    assert np.array_equal(refined.stiffness, assemble(32).stiffness)
-    assert np.array_equal(lam2, eigvals_sym(refined.stiffness))
+    assert np.array_equal(op.refined_stiffness, refined.stiffness)
+    assert not op.refined_stiffness.flags.writeable
+    assert np.array_equal(lam2, eigvals_sym(op.refined_stiffness))
 
 
 def test_fourth_order_assembles_past_the_laguerre_overflow():
@@ -263,15 +265,57 @@ def test_fourth_order_overflow_fails_loudly():
 
 
 def test_converged_count_names_the_refinement_that_overflows():
-    # X0^T X0 ~ (N/sigma)^2 stays finite at N = 256 for sigma = 3.75e-152 and
-    # overflows at the 2N = 512 refinement
+    # X0^T X0 ~ (N/sigma)^2 stays finite at 256 for sigma = 3.75e-152 and
+    # overflows at 512: N = 128's refinement is finite, and the N = 256
+    # assembly, which is its own 2N = 512 refinement, is refused by that size
     ab = Interval(2.5e-152, 5e-152)
-    op = assemble_fourth_order(ab, half_line_for(ab), 256, SignVariant.AS_PROOF_BOUND)
-    assert np.all(np.isfinite(op.stiffness))
+    op = assemble_fourth_order(ab, half_line_for(ab), 128, SignVariant.AS_PROOF_BOUND)
+    assert op.refined_stiffness.shape == (256, 256)
+    assert np.all(np.isfinite(op.refined_stiffness))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InvalidArgumentError, match="fourth-order.*N=512"):
-            converged_mode_count(op)
+            assemble_fourth_order(ab, half_line_for(ab), 256, SignVariant.AS_PROOF_BOUND)
+
+
+@pytest.mark.parametrize("assemble", [
+    lambda N: assemble_bertero_grunbaum(AB, N),
+    lambda N: assemble_bertero_grunbaum(Interval(0.01, 1.0), N),
+    lambda N: assemble_bertero_grunbaum(Interval(0.1, 1.0), N),
+    lambda N: assemble_bertero_grunbaum(Interval(100.0, 200.0), N),
+    assemble_prolate,
+    lambda N: assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_LEMMA),
+    lambda N: assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_PROOF_BOUND),
+], ids=["bertero-grunbaum", "bertero-grunbaum-0.01-1", "bertero-grunbaum-0.1-1",
+        "bertero-grunbaum-100-200", "prolate", "fourth-order-lemma", "fourth-order-proof"])
+def test_operator_at_n_is_the_leading_block_at_2n(assemble):
+    # every trial basis is nested, so the stiffness at N is, bit for bit,
+    # the leading N x N block of the stiffness at 2N: the invariant that lets
+    # one assembly at 2N be both the operator and its refinement
+    for N in (4, 8, 16, 32, 64, 128, 256):
+        assert np.array_equal(assemble(N).stiffness, assemble(2 * N).stiffness[:N, :N]), N
+
+
+@pytest.mark.parametrize("assemble, N, nodes", [
+    (lambda N: assemble_bertero_grunbaum(AB, N), 64, [72]),
+    (assemble_prolate, 64, [72]),
+    (lambda N: assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_LEMMA), 32, [48]),
+    (lambda N: assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_PROOF_BOUND),
+     32, [48]),
+], ids=["bertero-grunbaum", "prolate", "fourth-order-lemma", "fourth-order-proof"])
+def test_assembly_and_its_refinement_build_one_grid(assemble, N, nodes, monkeypatch):
+    # the 2N refinement is a matrix the operator already holds: reading the
+    # converged count builds no second grid for it
+    from illposed import diff_ops
+    built, make_grid = [], diff_ops.make_grid
+
+    def counted(domain, n):
+        built.append(n)
+        return make_grid(domain, n)
+    monkeypatch.setattr(diff_ops, "make_grid", counted)
+    op = assemble(N)
+    converged_mode_count(op)
+    assert built == nodes and op.size == op.basis.size == N
 
 
 @pytest.mark.parametrize("assemble", [

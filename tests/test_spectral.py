@@ -148,7 +148,8 @@ def test_one_eigensystem_per_stiffness(monkeypatch):
 
 @pytest.mark.parametrize("N, N4", [(4, 32), (128, 64), (512, 64)])
 def test_adjoint_report_assembles_the_proof_variant_at_n4_and_2n4(monkeypatch, N, N4):
-    # N4 = N/2 clamped to [32, 64], and its 2N refinement: nothing else
+    # N4 = N/2 clamped to [32, 64], assembled once: that assembly holds its
+    # own 2N refinement, so nothing else is built
     import illposed.diff_ops
     original, built = illposed.diff_ops.assemble_fourth_order, []
 
@@ -160,12 +161,13 @@ def test_adjoint_report_assembles_the_proof_variant_at_n4_and_2n4(monkeypatch, N
             monkeypatch.setattr(module, "assemble_fourth_order", recorded)
     p = Problem(OperatorKind.laplace_adjoint_tt(Interval(1.0, 2.0)), 128, N, 12)
     assert len(p.report.records) == min(12, N4 // 4)
-    assert built == [(N4, SignVariant.AS_PROOF_BOUND), (2 * N4, SignVariant.AS_PROOF_BOUND)]
+    assert built == [(N4, SignVariant.AS_PROOF_BOUND)]
 
 
 def test_commutation_is_scale_free_and_refuses_a_zero_image(laplace_M, bg128):
     # the commutation residual is a ratio of norms whose squares leave the
-    # float range when T*T is scaled by 4^-300 or the stiffness by 4^500:
+    # float range when T*T is scaled by 4^-300 or the stiffness (with its 2N
+    # refinement, whose leading block it is) by 4^500:
     # it must stay a number (power-of-two scaling of A keeps its very bits),
     # and a half factor that is all zeros is refused by name
     import dataclasses
@@ -173,7 +175,7 @@ def test_commutation_is_scale_free_and_refuses_a_zero_image(laplace_M, bg128):
     tiny = dataclasses.replace(laplace_M, half_factor=laplace_M.half_factor * 2.0 ** -300,
                                singular_values=laplace_M.singular_values * 2.0 ** -300)
     assert match_eigenfunctions(tiny, bg128, 8, converged=8).commutation_residual == ref
-    huge = dataclasses.replace(bg128, stiffness=bg128.stiffness * 4.0 ** 500)
+    huge = dataclasses.replace(bg128, refined_stiffness=bg128.refined_stiffness * 4.0 ** 500)
     assert match_eigenfunctions(laplace_M, huge, 8, converged=8).commutation_residual <= 1e-14
     zero = dataclasses.replace(laplace_M, half_factor=np.zeros_like(laplace_M.half_factor))
     with pytest.raises(InvalidArgumentError,
