@@ -238,10 +238,10 @@ def criterion_11(ctx):
 @_criterion("12", "sharpness: Laplace fit residuals change sign >= 3 times over n in [2,12]")
 def criterion_12(ctx):
     sweep = ctx.laplace.sweep
-    fit = fit_constants_from_sweep(sweep, EXPONENTIAL, mode_range=(2, 12))
     keep = (sweep.indices >= 2) & (sweep.indices <= 12)
-    resid = (np.log(sweep.lhs[keep])
-             - (math.log(fit.c1) - fit.c2 * sweep.ratios[keep]))
+    slope, intercept, _ = fit_line(sweep.ratios[keep], np.log(sweep.lhs[keep]))
+    c1, c2 = math.exp(intercept), -slope
+    resid = np.log(sweep.lhs[keep]) - (math.log(c1) - c2 * sweep.ratios[keep])
     signs = np.sign(resid)
     changes = int(np.sum(signs[1:] * signs[:-1] < 0))
     return {"residuals": [float(v) for v in resid], "sign_changes": changes}, changes >= 3

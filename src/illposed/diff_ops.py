@@ -14,7 +14,10 @@ exact over [0, inf), from the Laguerre basis's finite maps for d/dt and
 multiplication by t.  Each operator is assembled once, at 2N, its own
 refinement: the trial bases are nested, so the operator at N is that
 matrix's leading block.  A stiffness that couples no even index to an odd
-one (the prolate operator's) is solved one parity block at a time.
+one (the prolate operator's) is solved one parity block at a time.  No
+assembly builds a quadrature grid: callers evaluate the trial basis on the
+grid they integrate on, and only Lemma 1's projection reads the operator's
+own `grid`, built on first use.
 """
 
 from __future__ import annotations
@@ -186,14 +189,13 @@ class GalerkinOperator:
     is its own assembly at 2N, `refined_stiffness`, whose leading N x N block
     is `stiffness` (a read-only copy).  The eigensystem at N and the
     eigenvalues at 2N are each computed once, on first use.  The N trial
-    functions at `grid.nodes` come from `basis.tables`, in the derivative
+    functions at any nodes come from `basis.tables`, in the derivative
     orders the caller reads.
     """
 
     refined_stiffness: np.ndarray = field(repr=False)
     name: str
     basis: object
-    grid: QuadGrid
     sign_variant: Optional[SignVariant] = None
 
     def __post_init__(self):
@@ -213,6 +215,12 @@ class GalerkinOperator:
     @cached_property
     def stiffness(self) -> np.ndarray:
         return _read_only(self.refined_stiffness[:self.size, :self.size].copy())
+
+    @cached_property
+    def grid(self) -> QuadGrid:
+        """Gauss grid of N + 8 nodes on the basis domain, built on first use:
+        the quadrature of Lemma 1's projection (`project_coefficients`)."""
+        return make_grid(self.basis.domain, self.size + 8)
 
     @cached_property
     def eigensystem(self) -> SpectralDecomposition:
@@ -273,7 +281,7 @@ def _legendre_weak_form(ab: Interval, N: int, q, g, name: str) -> GalerkinOperat
     S, i = np.zeros((n, n)), np.arange(n)
     for j, band in enumerate(bands):
         S[i[:n - j], i[j:]] = S[i[j:], i[:n - j]] = band
-    return GalerkinOperator(S, name, LegendreTrialBasis(ab, N), make_grid(ab, N + 8))
+    return GalerkinOperator(S, name, LegendreTrialBasis(ab, N))
 
 
 def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
@@ -317,7 +325,9 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     each integral is exact over [0, inf): int t^2 p_i^(r) p_j^(r) = (Xr^T Xr)_ij.
     Far outside a moderate [a, b] the products overflow (a^2 b^2 past the
     float range, or X0^T X0 ~ (N/sigma)^2 for tiny sigma); the finite-stiffness
-    check reports that, not a RuntimeWarning.
+    check reports that, not a RuntimeWarning.  `half` is only the basis's
+    domain: no grid is built, and a sweep samples the basis on the grid its
+    Rayleigh values came from.
     """
     if not isinstance(sign_variant, SignVariant):
         raise InvalidArgumentError("sign_variant must be a SignVariant")
@@ -334,11 +344,7 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     X2 = X1 @ maps.derivative
     S = (X2.T @ X2 + s * (a2 + b2) * (X1.T @ X1) + s * a2 * b2 * (X0.T @ X0)
          + 2.0 * a2 * np.eye(2 * N))
-    # The grid serves only the sweep's ratio quadratures, which must cover the
-    # whole basis: Laguerre functions of degree k carry mass out to u ~ 4k+2.
-    s_need = 1.25 * (4.0 * N + 2.0) / (2.0 * sigma)
-    grid = make_grid(HalfLineDomain(max(half.s_max, s_need)), max(48, N))
-    return GalerkinOperator(_sym(S), "fourth-order", basis, grid, sign_variant)
+    return GalerkinOperator(_sym(S), "fourth-order", basis, sign_variant)
 
 
 def project_coefficients(op: GalerkinOperator, vals: np.ndarray) -> np.ndarray:

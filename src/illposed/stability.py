@@ -258,40 +258,26 @@ def eigenfunction_sweep(M: OperatorMatrix, diff: GalerkinOperator, m: int,
 
 def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
                       rep: MatchReport) -> SweepData:
-    """The sweep along the matched modes that M's spectrum resolves, with
-    every ratio from the trial vectors on the basis's own assembly grid."""
+    """The sweep along the matched modes that M's spectrum resolves.  Each
+    mode is sampled once, on M's grid: the samples whose Rayleigh values
+    `match` measured give ||T u_n||, and their derivatives the ratio."""
     m = min(len(rep.records), decompose_operator(M).resolved)
     U = rep.vectors[:, :m]
-    grid = diff.grid
-    tables = diff.basis.tables(grid.nodes, M.kind.record.ratio_orders)
-    ratios = _oscillation_ratios(grid.nodes, grid.weights, [T @ U for T in tables])
+    t, w = M.grid.nodes, M.grid.weights
+    tables = diff.basis.tables(t, M.kind.record.ratio_orders)
+    ratios = _oscillation_ratios(t, w, [T @ U for T in tables])
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
     return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.name)
 
 
-def _golden_section_min(f, a: float, b: float) -> float:
-    """Minimizer of a unimodal f on [a, b], bracketed to a width of 1e-10."""
-    r = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def fit_constants_from_sweep(sweep: SweepData, form: str,
-                             mode_range=None) -> StabilityFit:
-    keep = np.ones(len(sweep.indices), dtype=bool)
-    if mode_range is not None:
-        keep = (sweep.indices >= mode_range[0]) & (sweep.indices <= mode_range[1])
-    keep &= sweep.lhs > 0
+def fit_constants_from_sweep(sweep: SweepData, form: str) -> StabilityFit:
+    """(c1, c2) of the theorem's form, least squares in log ||T u_n||.  The
+    power-of-ratio form log c1 - x log x, x = c2 r, has its intercept
+    profiled out; the profile need not be unimodal, so its best log c2 on a
+    37-point scan of [-6, 3] is refined, between its two neighbours, by
+    bisection on the sign of the slope -2 sum res (g - x), g = -x log x.
+    A best point at an end of the scan is refused."""
+    keep = sweep.lhs > 0
     r, y = sweep.ratios[keep], np.log(sweep.lhs[keep])
     if len(r) < 4:
         raise InsufficientDataError("need at least 4 swept modes to fit constants")
@@ -299,18 +285,26 @@ def fit_constants_from_sweep(sweep: SweepData, form: str,
         slope, intercept, r2 = fit_line(r, y)
         c1, c2 = math.exp(intercept), -slope
     elif form == POWER_OF_RATIO:
-        # The intercept is profiled out, leaving a 1-d search over log c2.
-        def sse(log_c2):
-            c2 = math.exp(log_c2)
-            g = -c2 * r * np.log(c2 * r)
-            a = float(np.mean(y - g))
-            return float(np.sum((y - g - a) ** 2))
-        log_c2 = _golden_section_min(sse, -6.0, 3.0)
+        def profile(log_c2):  # g, the residuals about their mean, dg/dlog c2
+            x = np.exp(log_c2) * r
+            g = -x * np.log(x)
+            res = y - g
+            return g, res - np.mean(res, axis=-1, keepdims=True), g - x
+        scan = np.linspace(-6.0, 3.0, 37)
+        k = int(np.argmin(np.sum(profile(scan[:, None])[1] ** 2, axis=1)))
+        if k in (0, len(scan) - 1):
+            raise InsufficientDataError("power-of-ratio fit: best log c2 at an end of [-6, 3]")
+        lo, hi = scan[k - 1], scan[k + 1]
+        log_c2 = 0.5 * (lo + hi)
+        while lo < log_c2 < hi:
+            _, res, dg = profile(log_c2)
+            lo, hi = (log_c2, hi) if np.dot(res, dg) > 0.0 else (lo, log_c2)
+            log_c2 = 0.5 * (lo + hi)
         c2 = math.exp(log_c2)
-        g = -c2 * r * np.log(c2 * r)
+        g, res, _ = profile(log_c2)
         c1 = math.exp(float(np.mean(y - g)))
         ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = float(np.clip(1.0 - sse(log_c2) / ss_tot, 0.0, 1.0)) if ss_tot > 0 else 1.0
+        r2 = float(np.clip(1.0 - np.sum(res ** 2) / ss_tot, 0.0, 1.0)) if ss_tot > 0 else 1.0
     else:
         raise InvalidArgumentError(f"unknown fit form: {form}")
     return StabilityFit(float(c1), float(c2), form, r2,

@@ -418,8 +418,9 @@ def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
     ["verify", "--count", "40", "--N", "64"],
     ["match", "--op", "laplace-adjoint:a=1,b=2"],
     ["report-all"],
+    ["verify", "--op", "fourier", "--count", "40"],
 ], ids=["spectrum", "match", "adversarial", "figure1", "figure2", "figure3", "verify",
-        "match-adjoint", "report-all"])
+        "match-adjoint", "report-all", "verify-fourier"])
 def test_determinism_byte_identical(tmp_path, argv):
     # two runs write the same files, byte for byte
     _, out_a = run_cli(argv, tmp_path, "a")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import derivative_values
-from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
+from illposed import (ExpPoly, FunctionKind, FunctionRep, InsufficientDataError, Interval,
                       InvalidArgumentError, decompose_operator, eig_sym,
                       fourier_image_energy, half_line_for, l2_norm, lemma1_constant,
                       lemma3_prefactor, make_grid, make_rng,
@@ -249,6 +249,51 @@ def test_fit_synthetic_power_of_ratio():
     assert fit.r_squared >= 1.0 - 1e-8
 
 
+def test_power_fit_recovers_exact_data_over_the_scan():
+    # c1 (c2 r)^(-c2 r) at 60 values of c2 over four ratio ranges.  The
+    # profile is not unimodal: a search that assumes it is can return
+    # c2 = 0.0053 for c2 = 0.047 on [1.5, 12].  A lhs that is subnormal
+    # carries fewer than 53 bits, so c1 is held to 1e-9 only where every
+    # lhs is a normal float; with fewer than 4 lhs above 0 the fit refuses
+    c1 = 0.7
+    for lo, hi in [(1.0, 9.0), (1.5, 12.0), (0.2, 34.0), (3.0, 40.0)]:
+        r = np.linspace(lo, hi, 12)
+        for c2 in np.exp(np.linspace(-5.5, 2.5, 60)):
+            with np.errstate(under="ignore"):
+                lhs = c1 * (c2 * r) ** (-c2 * r)
+            sweep = SweepData(np.arange(1, 13), r, lhs, "synthetic", "synthetic")
+            if np.sum(lhs > 0) < 4:
+                with pytest.raises(InsufficientDataError):
+                    fit_constants_from_sweep(sweep, POWER_OF_RATIO)
+                continue
+            fit = fit_constants_from_sweep(sweep, POWER_OF_RATIO)
+            assert fit.c2 == pytest.approx(c2, rel=1e-9), (lo, hi, c2)
+            if np.all(lhs >= np.finfo(float).tiny):
+                assert fit.c1 == pytest.approx(c1, rel=1e-9), (lo, hi, c2)
+
+
+def test_power_fit_is_stable_under_roundoff_in_the_ratios():
+    # 3e-15 relative in the ratios, about what a change of quadrature grid
+    # makes, moves the fitted constants by roundoff, not by the width to
+    # which a search brackets the flat profile's minimizer
+    sweep = Problem(parse_operator("fourier")).sweep
+    fit = fit_constants_from_sweep(sweep, POWER_OF_RATIO)
+    sign = (-1.0) ** np.arange(len(sweep.ratios))
+    moved = fit_constants_from_sweep(SweepData(sweep.indices, sweep.ratios * (1.0 + 3e-15 * sign),
+                                               sweep.lhs, "synthetic", "synthetic"), POWER_OF_RATIO)
+    assert moved.c1 == pytest.approx(fit.c1, rel=1e-12)
+    assert moved.c2 == pytest.approx(fit.c2, rel=1e-12)
+
+
+@pytest.mark.parametrize("c2, r", [(math.exp(-7.0), np.linspace(1.0, 9.0, 12)),
+                                   (math.exp(4.0), np.linspace(0.01, 0.1, 12))],
+                         ids=["below", "above"])
+def test_power_fit_refuses_a_minimum_at_an_end_of_the_scan(c2, r):
+    sweep = SweepData(np.arange(1, 13), r, 0.7 * (c2 * r) ** (-c2 * r), "synthetic", "synthetic")
+    with pytest.raises(InsufficientDataError, match="end"):
+        fit_constants_from_sweep(sweep, POWER_OF_RATIO)
+
+
 def test_fit_requires_positive_constants():
     r = np.linspace(0.5, 5.0, 8)
     sweep = SweepData(np.arange(1, 9), r, np.exp(+r), "synthetic", "synthetic")
@@ -444,6 +489,34 @@ def test_sweep_ratios_match_per_mode_functions(which, laplace_M, fourier_M,
     ref = [r.h1_ratio for r in verify_theorem(
         M, fit, [legendre(c, diff.basis.domain) for c in rep.vectors.T[:len(sweep.indices)]])]
     assert np.max(np.abs(sweep.ratios / ref - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["laplace:a=1,b=2", "laplace:a=0.01,b=1", "fourier"])
+def test_sweep_ratios_equal_those_on_a_gauss_grid_of_the_basis(text):
+    # oracle: the matched modes on N + 8 Gauss nodes of the basis domain,
+    # exact for the polynomial integrands, not on the Problem's grid
+    p = Problem(parse_operator(text))
+    U = p.report.vectors[:, :len(p.sweep.indices)]
+    grid = make_grid(p.diff.basis.domain, p.diff.size + 8)
+    f, df = (T @ U for T in p.diff.basis.tables(grid.nodes, (0, 1)))
+    ref = np.sqrt((grid.weights @ df ** 2) / (grid.weights @ f ** 2))
+    assert np.max(np.abs(p.sweep.ratios / ref - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("text, tol", [("laplace-adjoint:a=1,b=2", 1e-13),
+                                       ("laplace-adjoint:a=0.5,b=3", 1e-13),
+                                       ("laplace-adjoint:a=0.1,b=1", 1e-10)])
+def test_adjoint_sweep_ratios_equal_the_exact_laguerre_forms(text, tol):
+    # oracle: ||t u^(r)|| over [0, inf) is ||X0 D^r c|| in the coefficients,
+    # and ||u|| is ||c||, with no quadrature.  On [0.1, 1] the Problem's
+    # 32 nodes per panel on [0, 400] resolve the modes to 2.5e-11
+    p = Problem(parse_operator(text))
+    U = p.report.vectors[:, :len(p.sweep.indices)]
+    X0, D = p.diff.basis.times_t, p.diff.basis.derivative
+    norm = np.linalg.norm(U, axis=0)
+    ref = sum(np.linalg.norm(X0 @ np.linalg.matrix_power(D, k) @ U, axis=0)
+              for k in (2, 1, 0)) / norm + 1.0
+    assert np.max(np.abs(p.sweep.ratios / ref - 1.0)) <= tol
 
 
 @pytest.mark.parametrize("text", ["laplace:a=1,b=2", "fourier", "laplace-adjoint:a=1,b=2"])
