@@ -19,6 +19,12 @@ A rung below the cap is accepted when both resolve the same modes and each
 resolved mu_n moves by at most REFINEMENT_SLACK times the SVD perturbation
 bound 2 eps sqrt(mu_1/mu_n).  The cap is accepted on its trace check alone,
 as when it was the only rule; a refused input takes no SVD.
+
+On an interval grid the kernel rows are smooth in the input variable, so a
+rung's SVD is taken on the input grid's first K orthonormal Legendre
+functions, K far below n, whenever the projection residual certifies that
+they hold the rung to rounding (_singular_values).  A itself is unchanged:
+quadratic forms and the trace check read it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from .diff_ops import (SignVariant, assemble_bertero_grunbaum, assemble_fourth_o
 from .domains import (HALF_LINE_DECAY_SCALE, HalfLineDomain, Interval, QuadGrid,
                       half_line_for, make_grid)
 from .errors import InvalidArgumentError
-from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
+from .functions import (FunctionKind, FunctionLike, FunctionRep, check_orthonormal, sample,
+                        trig_freqs)
 
 # Largest grid size n: the cap-rule half factor is up to 2n x n (Fourier, Hilbert).
 MAX_GRID_SIZE = 1024
@@ -53,6 +60,13 @@ FIRST_IMAGE_NODES = 16
 # A refined half factor is accepted when every resolved mu_n agrees with the
 # factor on half as many image nodes to this many SVD perturbation bounds.
 REFINEMENT_SLACK = 4.0
+
+# The input Legendre ranges a rung's SVD may be taken on, K below half of the
+# rung's smaller side (so K <= 256 for n <= MAX_GRID_SIZE).  A range is used
+# when the projection residual is within PROJECTION_RTOL of ||A||_F: kernels
+# that a range resolves leave 1e-15 to 4e-14, the others 2e-12 and more.
+INPUT_MODES = (32, 64, 128, 256)
+PROJECTION_RTOL = 1e-13
 
 HILBERT = "hilbert"
 LAPLACE = "laplace"
@@ -175,7 +189,10 @@ def _adjoint_kernel(u, a: float, b: float):
 
 
 def _exp_rows(t, x):
-    return np.exp(-np.outer(t, x))
+    """e^{-tx}, computed in one array."""
+    rows = np.outer(t, x)
+    np.negative(rows, out=rows)
+    return np.exp(rows, out=rows)
 
 
 def _trig_rows(t, x):
@@ -259,7 +276,9 @@ _KINDS = {
 class OperatorMatrix:
     """T*T on a quadrature grid, held as its half factor A: A^T A is the
     symmetrized kernel matrix M, which is never formed.  singular_values are
-    A's, descending.
+    A's, descending: A's own when input_modes is None, else those of A on
+    its first input_modes orthonormal Legendre functions, whose projection
+    residual is within PROJECTION_RTOL ||A||_F (A's past them read as zero).
 
     image_refinement is the largest move of a resolved mu_n between A and the
     factor on half as many image nodes, in units of the SVD perturbation
@@ -271,6 +290,7 @@ class OperatorMatrix:
     half_factor: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
     image_refinement: Optional[float] = None
+    input_modes: Optional[int] = None
 
     def __post_init__(self):
         for name in ("half_factor", "singular_values"):
@@ -294,11 +314,13 @@ def resolved_count(mu: np.ndarray) -> int:
 
 
 def _half_factor(kind: OperatorKind, grid: QuadGrid, r: int) -> np.ndarray:
-    """A with A^T A = M: rows sample an image-side rule of size r, each weighted by its node."""
+    """A with A^T A = M: rows sample an image-side rule of size r, each
+    weighted by its node, weighted in place in the kernel rows' own array."""
     out = make_grid(kind.record.image_side(kind), r)
     A = kind.record.rows(out.nodes, grid.nodes)
-    sw_out = np.sqrt(np.tile(out.weights, len(A) // out.size))
-    return sw_out[:, None] * A * np.sqrt(grid.weights)[None, :]
+    A *= np.sqrt(np.tile(out.weights, len(A) // out.size))[:, None]
+    A *= np.sqrt(grid.weights)
+    return A
 
 
 def _trace_gap(A: np.ndarray, trace: float) -> float:
@@ -318,13 +340,48 @@ def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
     return float(np.max(np.abs(mu_coarse[:k] - mu) / (mu * bound)))
 
 
+def _singular_values(A: np.ndarray, grid: QuadGrid, modes) -> tuple:
+    """A's singular values, descending, and the input modes K they were taken
+    on, or None when they are A's own.
+
+    For the first K in modes below half of A's smaller side whose projection
+    residual ||A - C Q^T||_F is within PROJECTION_RTOL ||A||_F, they are
+    those of the m x K matrix C = A Q.  Q = sqrt(w) Phi_K holds the first K
+    orthonormal Legendre functions in the grid's Gauss variable (on an
+    interval's Gauss rule, the interval's own), read through
+    check_orthonormal, so its columns are orthonormal.  A - C Q^T is
+    orthogonal to them, so sigma_j(C) <= sigma_j(A) <= (sigma_j(C)^2 +
+    residual^2)^(1/2).  Half-line grids, and every grid when modes is empty,
+    take A's own.
+    """
+    if isinstance(grid.domain, Interval):
+        norm = np.linalg.norm(A)
+        for K in modes:
+            if 2 * K >= min(A.shape):
+                break
+            Q = np.sqrt(grid.weights)[:, None] * check_orthonormal(
+                FunctionKind.LEGENDRE_SERIES, K, grid.domain, grid)
+            C = A @ Q
+            if _projection_residual(A, C, Q) <= PROJECTION_RTOL * norm:
+                return np.linalg.svd(C, compute_uv=False), K
+    return np.linalg.svd(A, compute_uv=False), None
+
+
+def _projection_residual(A: np.ndarray, C: np.ndarray, Q: np.ndarray) -> float:
+    """||A - C Q^T||_F, 64 rows at a time, so that no second m x n array is held."""
+    return math.sqrt(sum(float(np.vdot(R, R)) for R in
+                         (C[i:i + 64] @ Q.T - A[i:i + 64] for i in range(0, len(A), 64))))
+
+
 def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     """Half factor on the smallest image-side rule that refinement confirms:
-    (A, its singular values, its refinement or None).
+    (A, its singular values, its refinement or None, its input modes or None).
 
     Rules double from FIRST_IMAGE_NODES up to the cap, the last rule, and
     each rule's trace gap is read first: a rule's SVD is taken only when its
     trace gap is within FACTOR_RTOL, with the rule before's if still owed.
+    The first rule that passes chooses the input modes K among INPUT_MODES;
+    every later SVD tries that K alone, or none when none was chosen.
     A rule below the cap is accepted when it resolves as many modes as the
     rule before it and no resolved mu_n moved by more than REFINEMENT_SLACK
     bounds; the cap on its trace check alone, which raises
@@ -334,17 +391,19 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     # Refinement needs two rules below the cap; with fewer, build the cap.
     r = FIRST_IMAGE_NODES if 2 * FIRST_IMAGE_NODES < r_max else r_max
     A_coarse = mu_coarse = None  # the rule before: its factor while its SVD is owed
+    modes = INPUT_MODES
     while True:
         A = _half_factor(kind, grid, r)
         gap = _trace_gap(A, trace)
         if gap <= FACTOR_RTOL:
+            s, K = _singular_values(A, grid, modes)
+            modes = () if K is None else (K,)
             if A_coarse is not None:
-                mu_coarse = np.linalg.svd(A_coarse, compute_uv=False) ** 2
-            s = np.linalg.svd(A, compute_uv=False)
+                mu_coarse = _singular_values(A_coarse, grid, modes)[0] ** 2
             refinement = None if mu_coarse is None else _refinement(mu_coarse, s ** 2)
             if r == r_max or (refinement is not None and refinement <= REFINEMENT_SLACK
                               and resolved_count(s ** 2) == resolved_count(mu_coarse)):
-                return A, s, refinement
+                return A, s, refinement, K
         elif r == r_max:
             raise InvalidArgumentError(
                 f"half factor of {kind.to_string()} disagrees with its kernel matrix "
@@ -367,8 +426,7 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
     # ||A||_F^2 = sum of mu_n must equal the kernel's trace: a half factor whose
     # image-side rule misses the kernel would print a wrong spectrum.
     trace = float(np.dot(grid.weights, kind.record.diagonal(kind, grid.nodes)))
-    A, s, refinement = _refined_half_factor(kind, grid, trace)
-    return OperatorMatrix(grid, kind, A, s, refinement)
+    return OperatorMatrix(grid, kind, *_refined_half_factor(kind, grid, trace))
 
 
 def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:

@@ -168,9 +168,11 @@ def test_spectrum_reports_resolved_modes(tmp_path, capsys, op, resolved):
 
 
 def test_spectrum_reports_its_image_rule(tmp_path):
-    # Fourier at n = 256 is refined (16 -> 32 xi nodes, 2 rows each); Laplace
-    # at n = 128 goes straight to the cap rule, 32 nodes on each of 8 panels
-    for op, n, rows, refined in (("fourier", 256, 64, True), ("laplace:a=1,b=2", 128, 256, False)):
+    # Fourier at n = 256 is refined (16 -> 32 xi nodes, 2 rows each) and
+    # decomposed whole; Laplace at n = 128 goes straight to the cap rule, 32
+    # nodes on each of 8 panels, decomposed on 32 input modes
+    for op, n, rows, modes, refined in (("fourier", 256, 64, None, True),
+                                        ("laplace:a=1,b=2", 128, 256, 32, False)):
         docs = []
         for sub in ("a", "b"):
             code, out = run_cli(["spectrum", "--op", op, "--n", str(n), "--no-svg"], tmp_path,
@@ -180,14 +182,15 @@ def test_spectrum_reports_its_image_rule(tmp_path):
                          for name in ("spectrum.csv", "spectrum.json")])
         assert docs[0] == docs[1]
         doc = json.loads(docs[0][1])
-        assert doc["image_nodes"] == rows
+        assert doc["image_nodes"] == rows and doc["input_modes"] == modes
         if refined:
             assert 0.0 <= doc["image_refinement"] <= REFINEMENT_SLACK
         else:
             assert doc["image_refinement"] is None
-        # modes past the factor's rows are exact zeros
+        # modes past the factor's rows, or past its input modes, are exact zeros
+        held = min(rows, modes or rows)
         mu = [float(line.split(b",")[1]) for line in docs[0][0].splitlines()[1:]]
-        assert all(m > 0 for m in mu[:rows]) and all(m == 0.0 for m in mu[rows:])
+        assert all(m > 0 for m in mu[:held]) and all(m == 0.0 for m in mu[held:])
 
 
 def test_operator_names_keep_every_digit(tmp_path, capsys):

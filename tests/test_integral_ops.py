@@ -11,11 +11,13 @@ from illposed import (FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, OperatorKind, decompose_operator,
                       fourier_image_energy, gram_matrix, make_grid, parse_operator,
                       quadratic_form)
-from illposed.integral_ops import (FACTOR_RTOL, REFINEMENT_SLACK,
+from illposed import integral_ops
+from illposed.functions import check_orthonormal
+from illposed.integral_ops import (FACTOR_RTOL, PROJECTION_RTOL, REFINEMENT_SLACK,
                                    _adjoint_kernel, _half_factor, _trace_gap, resolved_count)
 from illposed.problem import Problem
 
-from conftest import kernel_matrix
+from conftest import decomposed, kernel_matrix
 
 AB = Interval(1.0, 2.0)
 SYM = Interval(-1.0, 1.0)
@@ -319,15 +321,59 @@ def test_fourier_form_matches_direct_transform(fourier_M):
 
 @pytest.mark.parametrize("text, refined", [("laplace:a=1,b=2", False), ("fourier", True)])
 def test_singular_values_are_built_with_the_factor(text, refined, svd_calls):
-    # gram_matrix takes the accepted factor's SVD and the matrix holds it as
-    # a read-only field, bit for bit that SVD, both for a cap rule built
-    # directly (Laplace at n = 128) and for a rule that refinement confirmed
-    # (Fourier at n = 256); reading it computes nothing
+    # gram_matrix takes the accepted factor's SVD once, last, and the matrix
+    # holds it as a read-only field, bit for bit that SVD, both for a cap rule
+    # built directly (Laplace at n = 128) and for a rule that refinement
+    # confirmed (Fourier at n = 256); reading it computes nothing.  Fourier's
+    # 64 rows leave no input range below half the rows: the SVD is A's own.
+    # Laplace's is that of A on its first 32 input Legendre modes
     kind = parse_operator(text)
     M = gram_matrix(kind, make_grid(kind.input_domain, 256 if refined else 128))
     assert (M.image_refinement is not None) == refined
-    assert svd_calls and svd_calls[-1] is M.half_factor
+    assert M.input_modes == {"laplace": 32, "fourier": None}[kind.tag]
+    B = decomposed(M)
+    assert sum(np.array_equal(a, B) for a in svd_calls) == 1
+    assert np.array_equal(svd_calls[-1], B)
     calls = len(svd_calls)
     s = M.singular_values
     assert len(svd_calls) == calls and not s.flags.writeable
-    assert np.array_equal(s, np.linalg.svd(M.half_factor, compute_uv=False))
+    assert np.array_equal(s, np.linalg.svd(B, compute_uv=False))
+
+
+def test_an_unresolved_input_range_is_not_used():
+    # negative control: on [0.01, 1] the kernel rows e^{-st}, s up to 4000,
+    # need more than 32 Legendre modes in t.  The 32-mode range fails its
+    # residual, and would lose 12 of the 40 resolved modes; the factor keeps
+    # the SVD of A itself, which resolves what the plain path does
+    p = Problem(parse_operator("laplace:a=0.01,b=1"), 256)
+    M = p.matrix
+    A = M.half_factor
+    table = check_orthonormal(FunctionKind.LEGENDRE_SERIES, 32, p.grid.domain, p.grid)
+    Q = np.sqrt(p.grid.weights)[:, None] * table
+    C = A @ Q
+    assert np.linalg.norm(A - C @ Q.T) > PROJECTION_RTOL * np.linalg.norm(A)
+    assert M.input_modes is None
+    plain = np.linalg.svd(A, compute_uv=False) ** 2
+    assert np.array_equal(M.singular_values ** 2, plain)
+    assert resolved_count(M.singular_values ** 2) == resolved_count(plain) == 40
+    assert resolved_count(np.linalg.svd(C, compute_uv=False) ** 2) < 40
+
+
+@pytest.mark.parametrize("text, resolved", [
+    ("laplace:a=1,b=2", 14), ("laplace-adjoint:a=1,b=2", 14), ("fourier", 11),
+    ("hilbert:I=0,1:J=2,3", 9), ("laplace:a=0.1,b=1", 25)])
+def test_the_ladder_outcomes_across_n(text, resolved, monkeypatch):
+    # with and without input ranges, each n from 128 to 1024 resolves the
+    # same modes, and every factor that refinement accepted moved by at most
+    # REFINEMENT_SLACK bounds
+    kind = parse_operator(text)
+    for n in (128, 256, 512, 1024):
+        grid = Problem(kind, n).grid
+        with monkeypatch.context() as plain_path:
+            plain_path.setattr(integral_ops, "INPUT_MODES", ())
+            plain = gram_matrix(kind, grid)
+        M = gram_matrix(kind, grid)
+        assert plain.input_modes is None
+        for got in (M, plain):
+            assert resolved_count(got.singular_values ** 2) == resolved
+            assert got.image_refinement is None or got.image_refinement <= REFINEMENT_SLACK

@@ -18,7 +18,7 @@ from illposed.diff_ops import SignVariant, assemble_bertero_grunbaum
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
                                MatchReport, ModeMatch, basis_on_grid)
 
-from conftest import kernel_matrix
+from conftest import decomposed, kernel_matrix
 
 OPERATORS = ("laplace:a=1,b=2", "laplace-adjoint:a=1,b=2", "fourier",
              "hilbert:I=0,1:J=2,3")
@@ -69,7 +69,15 @@ def test_decompose_operator_matches_full_svd(text):
     ref = np.concatenate([s ** 2, np.zeros(M.size - len(s))])
     assert mu.shape == (M.size,)
     keep = mu > SVD_FLOOR * mu[0]
-    assert np.max(np.abs(mu[keep] / ref[keep] - 1.0)) <= 1e-11
+    assert np.array_equal(keep, ref > SVD_FLOOR * ref[0])
+    if M.input_modes is None:
+        assert np.max(np.abs(mu[keep] / ref[keep] - 1.0)) <= 1e-11
+    else:
+        # on its input range: within 2 SVD perturbation bounds of A's own,
+        # and exact zeros past the range
+        bound = 2 * np.finfo(float).eps * np.sqrt(ref[0] / ref[keep])
+        assert np.all(np.abs(mu[keep] / ref[keep] - 1.0) <= 2 * bound)
+        assert np.all(mu[min(M.image_nodes, M.input_modes):] == 0.0)
     K = kernel_matrix(M.kind, M.grid)
     assert float(np.sum(mu)) == pytest.approx(float(np.trace(K)), rel=1e-13)
     assert np.all(np.diff(mu) <= 0) and np.all(mu >= 0)
@@ -80,10 +88,13 @@ def test_decompose_operator_matches_full_svd(text):
 
 @pytest.mark.parametrize("text", OPERATORS[:3])
 def test_one_svd_of_the_half_factor_per_problem(svd_calls, text):
+    # one SVD of the accepted factor, or of it on its input range (Laplace)
     p = Problem(parse_operator(text), 128, 64, 12)
     p.fit  # grid, matrix, commuting operator, match, sweep and fit
     decompose_operator(p.matrix)
-    assert sum(a is p.matrix.half_factor for a in svd_calls) == 1
+    assert (p.matrix.input_modes is None) == (p.kind.tag != "laplace")
+    B = decomposed(p.matrix)
+    assert sum(np.array_equal(a, B) for a in svd_calls) == 1
 
 
 def test_one_svd_of_a_refined_half_factor(svd_calls):
