@@ -14,17 +14,18 @@ spectra decay (super-)exponentially, so a few dozen image nodes resolve every
 mode above SVD_FLOOR whatever n is.  gram_matrix doubles the rule from
 FIRST_IMAGE_NODES to the cap (2n image rows for Laplace, Fourier and Hilbert)
 and reads each rung's trace gap first; a rung's SVD is taken only when its
-gap is within FACTOR_RTOL, with the rung before's when the two are compared.
-A rung below the cap is accepted when both resolve the same modes and each
-resolved mu_n moves by at most REFINEMENT_SLACK times the SVD perturbation
-bound 2 eps sqrt(mu_1/mu_n).  The cap is accepted on its trace check alone,
+gap is within FACTOR_RTOL.  A rung below the cap is accepted when the rung
+before it passed too, both resolve the same modes, and each resolved mu_n
+moves by at most REFINEMENT_SLACK times the SVD perturbation bound
+2 eps sqrt(mu_1/mu_n).  The cap is accepted on its trace check alone,
 as when it was the only rule; a refused input takes no SVD.
 
 On an interval grid the kernel rows are smooth in the input variable, so a
-rung's SVD is taken on the input grid's first K orthonormal Legendre
-functions, K far below n, whenever the projection residual certifies that
-they hold the rung to rounding (_singular_values).  A itself is unchanged:
-quadratic forms and the trace check read it.
+rung's SVD is taken on the input grid's first K = INPUT_MODES orthonormal
+Legendre functions, K far below n, whenever the grid resolves them and the
+projection residual certifies that they hold the rung to rounding
+(_singular_values).  A itself is unchanged: quadratic forms and the trace
+check read it.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ FIRST_IMAGE_NODES = 16
 # factor on half as many image nodes to this many SVD perturbation bounds.
 REFINEMENT_SLACK = 4.0
 
-# The input Legendre ranges a rung's SVD may be taken on, K below half of the
-# rung's smaller side (so K <= 256 for n <= MAX_GRID_SIZE).  A range is used
-# when the projection residual is within PROJECTION_RTOL of ||A||_F: kernels
-# that a range resolves leave 1e-15 to 4e-14, the others 2e-12 and more.
-INPUT_MODES = (32, 64, 128, 256)
+# The input Legendre range a rung's SVD may be taken on, K below half of the
+# rung's smaller side.  The range is used when the projection residual is
+# within PROJECTION_RTOL of ||A||_F: kernels that it resolves leave 1e-15 to
+# 4e-14, the others 2e-12 and more.
+INPUT_MODES = 32
 PROJECTION_RTOL = 1e-13
 
 HILBERT = "hilbert"
@@ -282,7 +283,9 @@ class OperatorMatrix:
 
     image_refinement is the largest move of a resolved mu_n between A and the
     factor on half as many image nodes, in units of the SVD perturbation
-    bound 2 eps sqrt(mu_1/mu_n); None when that coarser factor was not built.
+    bound 2 eps sqrt(mu_1/mu_n).  It is None when the cap rule was built
+    directly, and inf when the rule before the cap failed its trace check,
+    so that nothing confirmed the accepted factor.
     """
 
     grid: QuadGrid
@@ -328,11 +331,11 @@ def _trace_gap(A: np.ndarray, trace: float) -> float:
     return abs(float(np.vdot(A, A)) - trace) / trace if trace else math.inf
 
 
-def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
+def _refinement(mu_coarse: Optional[np.ndarray], mu_fine: np.ndarray) -> float:
     """Largest relative move of a mode both spectra resolve, in units of the
-    SVD perturbation bound 2 eps sqrt(mu_1/mu_n); infinite when either
-    spectrum resolves none."""
-    k = min(resolved_count(mu_coarse), resolved_count(mu_fine))
+    SVD perturbation bound 2 eps sqrt(mu_1/mu_n); infinite when the coarser
+    rule failed its trace check (None) or either spectrum resolves none."""
+    k = 0 if mu_coarse is None else min(resolved_count(mu_coarse), resolved_count(mu_fine))
     if k == 0:
         return math.inf
     mu = mu_fine[:k]
@@ -340,30 +343,28 @@ def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
     return float(np.max(np.abs(mu_coarse[:k] - mu) / (mu * bound)))
 
 
-def _singular_values(A: np.ndarray, grid: QuadGrid, modes) -> tuple:
+def _singular_values(A: np.ndarray, grid: QuadGrid, K: Optional[int]) -> tuple:
     """A's singular values, descending, and the input modes K they were taken
     on, or None when they are A's own.
 
-    For the first K in modes below half of A's smaller side whose projection
-    residual ||A - C Q^T||_F is within PROJECTION_RTOL ||A||_F, they are
-    those of the m x K matrix C = A Q.  Q = sqrt(w) Phi_K holds the first K
-    orthonormal Legendre functions in the grid's Gauss variable (on an
-    interval's Gauss rule, the interval's own), read through
-    check_orthonormal, so its columns are orthonormal.  A - C Q^T is
-    orthogonal to them, so sigma_j(C) <= sigma_j(A) <= (sigma_j(C)^2 +
-    residual^2)^(1/2).  Half-line grids, and every grid when modes is empty,
-    take A's own.
+    When K is below half of A's smaller side and the projection residual
+    ||A - C Q^T||_F is within PROJECTION_RTOL ||A||_F, they are those of the
+    m x K matrix C = A Q.  Q = sqrt(w) Phi_K holds the first K orthonormal
+    Legendre functions in the grid's Gauss variable (on an interval's Gauss
+    rule, the interval's own), read through check_orthonormal, so its columns
+    are orthonormal.  A - C Q^T is orthogonal to them, so sigma_j(C) <=
+    sigma_j(A) <= (sigma_j(C)^2 + residual^2)^(1/2).  Half-line grids, K None,
+    and grids on which check_orthonormal refuses the K functions take A's own.
     """
-    if isinstance(grid.domain, Interval):
-        norm = np.linalg.norm(A)
-        for K in modes:
-            if 2 * K >= min(A.shape):
-                break
+    if K is not None and 2 * K < min(A.shape) and isinstance(grid.domain, Interval):
+        try:
             Q = np.sqrt(grid.weights)[:, None] * check_orthonormal(
                 FunctionKind.LEGENDRE_SERIES, K, grid.domain, grid)
-            C = A @ Q
-            if _projection_residual(A, C, Q) <= PROJECTION_RTOL * norm:
-                return np.linalg.svd(C, compute_uv=False), K
+        except InvalidArgumentError:
+            return np.linalg.svd(A, compute_uv=False), None
+        C = A @ Q
+        if _projection_residual(A, C, Q) <= PROJECTION_RTOL * np.linalg.norm(A):
+            return np.linalg.svd(C, compute_uv=False), K
     return np.linalg.svd(A, compute_uv=False), None
 
 
@@ -379,36 +380,36 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
 
     Rules double from FIRST_IMAGE_NODES up to the cap, the last rule, and
     each rule's trace gap is read first: a rule's SVD is taken only when its
-    trace gap is within FACTOR_RTOL, with the rule before's if still owed.
-    The first rule that passes chooses the input modes K among INPUT_MODES;
-    every later SVD tries that K alone, or none when none was chosen.
-    A rule below the cap is accepted when it resolves as many modes as the
-    rule before it and no resolved mu_n moved by more than REFINEMENT_SLACK
-    bounds; the cap on its trace check alone, which raises
-    InvalidArgumentError when it fails.
+    trace gap is within FACTOR_RTOL, and a rule that fails it is never
+    decomposed.  Each SVD tries the input modes K = INPUT_MODES until a
+    passing rule takes A's own values instead (it is too small for K, the
+    grid cannot hold K functions, or the residual fails); every later SVD
+    takes A's own.
+    A rule below the cap is accepted when the rule before it passed too,
+    resolves as many modes, and no resolved mu_n moved by more than
+    REFINEMENT_SLACK bounds.  The cap is accepted on its trace check alone,
+    which raises InvalidArgumentError when it fails; its refinement is None
+    when it was built directly and inf when the rule before it failed.
     """
     r_max = kind.record.image_cap(grid.size)
     # Refinement needs two rules below the cap; with fewer, build the cap.
-    r = FIRST_IMAGE_NODES if 2 * FIRST_IMAGE_NODES < r_max else r_max
-    A_coarse = mu_coarse = None  # the rule before: its factor while its SVD is owed
-    modes = INPUT_MODES
+    r0 = r = FIRST_IMAGE_NODES if 2 * FIRST_IMAGE_NODES < r_max else r_max
+    mu_coarse, K = None, INPUT_MODES  # the rule before's mu_n, None when it failed
     while True:
         A = _half_factor(kind, grid, r)
         gap = _trace_gap(A, trace)
         if gap <= FACTOR_RTOL:
-            s, K = _singular_values(A, grid, modes)
-            modes = () if K is None else (K,)
-            if A_coarse is not None:
-                mu_coarse = _singular_values(A_coarse, grid, modes)[0] ** 2
-            refinement = None if mu_coarse is None else _refinement(mu_coarse, s ** 2)
-            if r == r_max or (refinement is not None and refinement <= REFINEMENT_SLACK
-                              and resolved_count(s ** 2) == resolved_count(mu_coarse)):
+            s, K = _singular_values(A, grid, K)
+            mu = s ** 2
+            refinement = None if r == r0 else _refinement(mu_coarse, mu)
+            if r == r_max or (r != r0 and refinement <= REFINEMENT_SLACK
+                              and resolved_count(mu) == resolved_count(mu_coarse)):
                 return A, s, refinement, K
         elif r == r_max:
             raise InvalidArgumentError(
                 f"half factor of {kind.to_string()} disagrees with its kernel matrix "
                 f"at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
-        A_coarse, mu_coarse = (None, s ** 2) if gap <= FACTOR_RTOL else (A, None)
+        mu_coarse = mu if gap <= FACTOR_RTOL else None
         r = min(2 * r, r_max)
 
 

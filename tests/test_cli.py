@@ -212,6 +212,15 @@ def test_spectrum_of_an_adjoint_with_a_narrow_gap(tmp_path):
     assert code == 0
 
 
+def test_spectrum_of_a_narrow_laplace_interval(tmp_path):
+    # the grid cannot hold the 32 input Legendre functions on [1, 1.00001];
+    # the spectrum is taken on the half factor itself
+    code, out = run_cli(["spectrum", "--op", "laplace:a=1,b=1.00001", "--no-svg"], tmp_path)
+    assert code == 0
+    doc = json.load(open(os.path.join(out, "spectrum.json")))
+    assert doc["input_modes"] is None and doc["resolved_modes"] == 3
+
+
 def test_match_exit_contract(tmp_path):
     code, out = run_cli(["match", "--op", "fourier", "--N", "64", "--m", "8",
                          "--n", "128"], tmp_path)

@@ -3,7 +3,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -13,8 +13,9 @@ from illposed import (FunctionKind, FunctionRep, Interval,
                       quadratic_form)
 from illposed import integral_ops
 from illposed.functions import check_orthonormal
-from illposed.integral_ops import (FACTOR_RTOL, PROJECTION_RTOL, REFINEMENT_SLACK,
-                                   _adjoint_kernel, _half_factor, _trace_gap, resolved_count)
+from illposed.integral_ops import (FACTOR_RTOL, MAX_GRID_SIZE, PROJECTION_RTOL,
+                                   REFINEMENT_SLACK, _adjoint_kernel, _half_factor, _trace_gap,
+                                   resolved_count)
 from illposed.problem import Problem
 
 from conftest import decomposed, kernel_matrix
@@ -129,6 +130,8 @@ def _log_uniform(lo, hi):
               _log_uniform(1e-5, 1e3)),
     st.builds(lambda gap, width: f"hilbert:I=0,1:J={1 + gap!r},{1 + gap + width!r}",
               _log_uniform(1e-5, 10.0), _log_uniform(1e-2, 10.0))))
+@example("laplace:a=1.0,b=1.00001")
+@example("laplace:a=0.001,b=0.00100001")
 def test_the_ladder_accepts_what_the_cap_accepts(text):
     # at n = 256 the refined factor is accepted exactly when the cap rule
     # passes its trace check, and it resolves as many modes as the cap
@@ -159,16 +162,26 @@ def test_image_rules_stay_small(text, rows, svd_calls):
 
 
 def test_no_rung_is_decomposed_before_its_trace_check(svd_calls):
-    # each rung's trace gap is read before its SVD: an input the cap refuses
-    # takes none, and one the kernel resolves late (at n = 1024 only rungs of
-    # 1024 nodes and more pass) decomposes the first passing rung, the rung
-    # it is compared with, and the cap
+    # each rung's trace gap is read before its SVD, and a rung that fails it
+    # is never decomposed: an input the cap refuses takes no SVD, and one the
+    # kernel resolves late (at n = 1024 only rungs of 1024 nodes and more
+    # pass) decomposes exactly its passing rungs, the 1024-node rung and the cap
     kind = parse_operator("hilbert:I=0,1:J=1.0001,2")
     with pytest.raises(InvalidArgumentError, match="relative trace gap"):
         gram_matrix(kind, Problem(kind, 256).grid)
     assert svd_calls == []
     M = gram_matrix(kind, Problem(kind, 1024).grid)
-    assert len(svd_calls) <= 3 and svd_calls[-1] is M.half_factor
+    assert [len(a) for a in svd_calls] == [1024, 2048] and svd_calls[-1] is M.half_factor
+    assert 0.0 <= M.image_refinement < np.inf
+    # on the adjoint at a = 0.01 only the 128-node cap passes: the 64-node
+    # rung before it is not decomposed, so the cap is compared with nothing
+    # and its refinement is inf
+    svd_calls.clear()
+    kind = parse_operator("laplace-adjoint:a=0.01,b=1")
+    M = gram_matrix(kind, Problem(kind, 256).grid)
+    assert M.image_nodes == 128 and M.image_refinement == np.inf
+    assert resolved_count(M.singular_values ** 2) == 39
+    assert len(svd_calls) == 1 and svd_calls[0] is M.half_factor
 
 
 def test_kernel_values():
@@ -370,10 +383,62 @@ def test_the_ladder_outcomes_across_n(text, resolved, monkeypatch):
     for n in (128, 256, 512, 1024):
         grid = Problem(kind, n).grid
         with monkeypatch.context() as plain_path:
-            plain_path.setattr(integral_ops, "INPUT_MODES", ())
+            plain_path.setattr(integral_ops, "INPUT_MODES", MAX_GRID_SIZE)
             plain = gram_matrix(kind, grid)
         M = gram_matrix(kind, grid)
         assert plain.input_modes is None
         for got in (M, plain):
             assert resolved_count(got.singular_values ** 2) == resolved
             assert got.image_refinement is None or got.image_refinement <= REFINEMENT_SLACK
+
+
+@pytest.mark.parametrize("text", ["laplace:a=1.0,b=1.00001", "laplace:a=0.001,b=0.00100001"])
+def test_a_range_the_grid_cannot_hold_falls_back_to_the_plain_svd(text):
+    # on a narrow interval check_orthonormal refuses the 32 input Legendre
+    # functions; the factor is still accepted and keeps svd(A) bit for bit
+    kind = parse_operator(text)
+    for n in (128, 256, 1024):
+        M = gram_matrix(kind, Problem(kind, n).grid)
+        assert M.input_modes is None
+        assert np.array_equal(M.singular_values,
+                              np.linalg.svd(M.half_factor, compute_uv=False))
+        assert resolved_count(M.singular_values ** 2) == 3
+
+
+# Every decision of the ladder on a few inputs: (image rows, input modes, the
+# class of image_refinement, resolved modes).  The refinement class is None
+# for a cap built directly, "ok" within REFINEMENT_SLACK, "cap" for a cap that
+# moved by more (accepted on its trace check alone), and "inf" for a cap whose
+# rung before failed its trace check.
+LADDER_DECISIONS = [
+    ("laplace:a=1,b=2", 128, 256, 32, None, 14),
+    ("laplace:a=1,b=2", 512, 256, 32, "ok", 14),
+    ("laplace-adjoint:a=1,b=2", 256, 64, None, "ok", 14),
+    ("fourier", 256, 64, None, "ok", 11),
+    ("hilbert:I=0,1:J=2,3", 256, 32, None, "ok", 9),
+    ("laplace:a=1,b=1.00001", 256, 256, None, "ok", 3),
+    ("laplace:a=0.01,b=1", 256, 512, None, "ok", 40),
+    ("laplace-adjoint:a=0.01,b=1", 256, 128, None, "inf", 39),
+    ("laplace-adjoint:a=0.01,b=1", 512, 256, None, "cap", 40),
+    ("hilbert:I=0,1:J=1.001,1.101", 128, 256, None, "cap", 21),
+    ("hilbert:I=0,1:J=2,12", 256, 128, None, "ok", 10),
+]
+
+
+def _refinement_class(refinement):
+    if refinement is None:
+        return None
+    if refinement == np.inf:
+        return "inf"
+    return "ok" if refinement <= REFINEMENT_SLACK else "cap"
+
+
+def test_the_ladder_decision_table():
+    got = []
+    for text, n, *_ in LADDER_DECISIONS:
+        kind = parse_operator(text)
+        M = gram_matrix(kind, Problem(kind, n).grid)
+        got.append((text, n, M.image_nodes, M.input_modes,
+                    _refinement_class(M.image_refinement),
+                    resolved_count(M.singular_values ** 2)))
+    assert got == LADDER_DECISIONS
