@@ -71,8 +71,7 @@ def cmd_spectrum(args) -> int:
         "operator": kind.to_string(), "n": M.size,
         "mu_1": float(mu[0]), "ordered": ordered, "psd": psd,
         "resolved_modes": spec.resolved,
-        "image_nodes": M.image_nodes, "input_modes": M.input_modes,
-        "image_refinement": M.image_refinement,
+        "image_nodes": M.image_nodes, "image_refinement": M.image_refinement,
     })
     print(f"spectrum: {kind.to_string()} n={M.size} mu_1={mu[0]:.6e} "
           f"resolved_modes={spec.resolved}")

@@ -2,30 +2,31 @@
 
 Each operator kind is discretized by a rectangular "half factor" A alone:
 A^T A is the symmetrized kernel matrix M = W^{1/2} K W^{1/2} up to quadrature
-error, and M itself is never formed.  Quadratic forms are evaluated as
-||A v||^2: the image values A v are small numbers computed before squaring,
-which keeps relative accuracy even when ||T f||^2 is ~1e-18 ||f||^2 (the
-figure-3 regime), and singular values of A resolve spectral decay far below
-the eigensolver floor of M itself.  The factor is checked against the trace
-of M, the sum of the kernel's diagonal in closed form.
+error (for Laplace, up to a Schur complement below the floor), and M itself
+is never formed.  Quadratic forms are evaluated as ||A v||^2: the image
+values A v are small numbers computed before squaring, which keeps relative
+accuracy even when ||T f||^2 is ~1e-18 ||f||^2 (the figure-3 regime), and
+singular values of A resolve spectral decay far below the eigensolver floor
+of M itself.  The factor is checked against the trace of M, the sum of the
+kernel's diagonal in closed form.
 
-The image-side rule of A is sized to the kernel, not to the grid: the
-spectra decay (super-)exponentially, so a few dozen image nodes resolve every
-mode above SVD_FLOOR whatever n is.  gram_matrix doubles the rule from
-FIRST_IMAGE_NODES to the cap (2n image rows for Laplace, Fourier and Hilbert)
-and reads each rung's trace gap first; a rung's SVD is taken only when its
-gap is within FACTOR_RTOL.  A rung below the cap is accepted when the rung
-before it passed too, both resolve the same modes, and each resolved mu_n
-moves by at most REFINEMENT_SLACK times the SVD perturbation bound
-2 eps sqrt(mu_1/mu_n).  The cap is accepted on its trace check alone,
-as when it was the only rule; a refused input takes no SVD.
+Laplace T*T has the Cauchy kernel 1/(s + t), so its M is a symmetric Cauchy
+matrix and needs no image-side rule: cauchy_factor takes its pivoted LDL^T
+from the generators sqrt(w) and the nodes, one O(n) step per mode, and stops
+when the Schur complement left holds less than eps SVD_FLOOR times the first
+pivot.  Its trace is ln(b/a)/2 in closed form, and a grid whose own trace
+misses that by more than FACTOR_RTOL is refused before anything is factored.
 
-On an interval grid the kernel rows are smooth in the input variable, so a
-rung's SVD is taken on the input grid's first K = INPUT_MODES orthonormal
-Legendre functions, K far below n, whenever the grid resolves them and the
-projection residual certifies that they hold the rung to rounding
-(_singular_values).  A itself is unchanged: quadratic forms and the trace
-check read it.
+Every other kind samples its kernel on an image-side rule sized to the
+kernel, not to the grid: the spectra decay (super-)exponentially, so a few
+dozen image nodes resolve every mode above SVD_FLOOR whatever n is.
+gram_matrix doubles the rule from FIRST_IMAGE_NODES to the cap (2n image rows
+for Fourier and Hilbert) and reads each rung's trace gap first; a rung's SVD
+is taken only when its gap is within FACTOR_RTOL.  A rung below the cap is
+accepted when the rung before it passed too, both resolve the same modes,
+and each resolved mu_n moves by at most REFINEMENT_SLACK times the SVD
+perturbation bound 2 eps sqrt(mu_1/mu_n).  The cap is accepted on its trace
+check alone, as when it was the only rule; a refused input takes no SVD.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from .diff_ops import (SignVariant, assemble_bertero_grunbaum, assemble_fourth_o
 from .domains import (HALF_LINE_DECAY_SCALE, HalfLineDomain, Interval, QuadGrid,
                       half_line_for, make_grid)
 from .errors import InvalidArgumentError
-from .functions import (FunctionKind, FunctionLike, FunctionRep, check_orthonormal, sample,
-                        trig_freqs)
+from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
 
 # Largest grid size n: the cap-rule half factor is up to 2n x n (Fourier, Hilbert).
 MAX_GRID_SIZE = 1024
@@ -61,13 +61,6 @@ FIRST_IMAGE_NODES = 16
 # A refined half factor is accepted when every resolved mu_n agrees with the
 # factor on half as many image nodes to this many SVD perturbation bounds.
 REFINEMENT_SLACK = 4.0
-
-# The input Legendre range a rung's SVD may be taken on, K below half of the
-# rung's smaller side.  The range is used when the projection residual is
-# within PROJECTION_RTOL of ||A||_F: kernels that it resolves leave 1e-15 to
-# 4e-14, the others 2e-12 and more.
-INPUT_MODES = 32
-PROJECTION_RTOL = 1e-13
 
 HILBERT = "hilbert"
 LAPLACE = "laplace"
@@ -210,7 +203,7 @@ def _check_hilbert(kind: OperatorKind) -> None:
 
 
 def _check_laplace(kind: OperatorKind) -> None:
-    """0 < a, and the half line [0, 40/a] of the image side or inputs in float range."""
+    """0 < a, and the half line [0, 40/a] the adjoint's inputs live on in float range."""
     a = kind.source.a
     if a <= 0:
         raise InvalidArgumentError("Laplace operators require 0 < a < b")
@@ -224,6 +217,42 @@ def _check_fourier(kind: OperatorKind) -> None:
         raise InvalidArgumentError("Fourier composition is defined on [-1, 1]")
 
 
+def _log_ratio(ab: Interval) -> float:
+    """ln(b/a) for 0 < a < b, as log1p((b - a)/a) while that ratio is finite:
+    b - a is exact when b is near a, so nothing cancels; past the float range
+    the ratio is large and ln b - ln a cannot cancel either."""
+    r = (ab.b - ab.a) / ab.a
+    return math.log1p(r) if math.isfinite(r) else math.log(ab.b) - math.log(ab.a)
+
+
+def cauchy_factor(x: np.ndarray, w: np.ndarray) -> tuple:
+    """Pivoted LDL^T of the Cauchy matrix M = sqrt(w_i) sqrt(w_j) / (x_i + x_j),
+    x > 0: (G, trace(S)) with M = G^T G + S exactly, S the Schur complement
+    left, which is positive semidefinite.
+
+    M is Cauchy-like with generators u = sqrt(w): its diagonal is
+    u_i^2 / (2 x_i), and eliminating node k leaves a Cauchy-like complement
+    with u_i <- u_i (x_i - x_k) / (x_i + x_k), so each step costs O(n) and
+    subtracts no two entries.  Each step takes the largest remaining diagonal
+    as its pivot, which is complete pivoting for M, and emits the row
+    u_i u_k / (x_i + x_k) / sqrt(pivot).  It stops when trace(S) is at most
+    eps SVD_FLOOR times the first pivot: every mode left is below the floor.
+    Only ratios of x and of u enter, so scaling x and w by 4^k changes no bit.
+    Demmel, SIAM J. Matrix Anal. Appl. 21 (1999).
+    """
+    u, two_x = np.sqrt(w), 2.0 * x
+    d = u * u / two_x
+    stop = np.finfo(float).eps * SVD_FLOOR * float(np.max(d))
+    rows = []
+    while (rest := float(np.sum(d))) > stop:
+        k = int(np.argmax(d))
+        s = x + x[k]
+        rows.append(u * (u[k] / math.sqrt(d[k])) / s)
+        u = u * ((x - x[k]) / s)
+        d = u * u / two_x
+    return np.array(rows).reshape(len(rows), len(x)), rest
+
+
 @dataclass(frozen=True)
 class KindRecord:
     """Every decision that differs between operator kinds, one field each."""
@@ -231,9 +260,12 @@ class KindRecord:
     keys: tuple  # the name's fields after the tag, "{}" per endpoint of source, then target
     check: Callable  # kind -> None, or raises InvalidArgumentError
     diagonal: Callable  # (kind, x) -> K(x, x), whose weighted sum is trace(M)
-    image_side: Callable  # kind -> the domain of the half factor's image-side rule
-    image_cap: Callable  # n -> nodes (per panel) of the cap, the largest rule refinement builds
-    rows: Callable  # (image nodes t, input nodes x) -> the half factor's kernel rows
+    # (nodes, weights) -> (G, trace(S)) with G^T G + S = M; None: the image-rule ladder below
+    factor: Optional[Callable] = None
+    trace: Optional[Callable] = None  # kind -> trace(T*T) in closed form, the grid's gate
+    image_side: Optional[Callable] = None  # kind -> the domain of the ladder's image-side rule
+    image_cap: Optional[Callable] = None  # n -> nodes (per panel) of the ladder's largest rule
+    rows: Optional[Callable] = None  # (image nodes t, input nodes x) -> the ladder's kernel rows
     half: bool = False  # the inputs live on half_line_for(source), not on source
     diff: Optional[Callable] = None  # (kind, N) -> commuting operator at its trial size
     min_converged: int = 1  # converged Galerkin modes a match needs
@@ -244,8 +276,8 @@ class KindRecord:
 _KINDS = {
     LAPLACE: KindRecord(
         keys=("a={},b={}",), check=_check_laplace, diagonal=lambda k, x: 1.0 / (2.0 * x),
-        image_side=lambda k: half_line_for(k.source), image_cap=lambda n: max(32, n // 4),
-        rows=_exp_rows, diff=lambda k, N: assemble_bertero_grunbaum(k.source, N)),
+        factor=cauchy_factor, trace=lambda k: _log_ratio(k.source) / 2.0,
+        diff=lambda k, N: assemble_bertero_grunbaum(k.source, N)),
     # The fourth-order operator in its proof's sign variant, at N/2 clamped to [32, 64]:
     # its spectrum is unstable below 4 converged modes.  Theorem 2's ratio reads f''.
     LAPLACE_ADJOINT: KindRecord(
@@ -277,15 +309,14 @@ _KINDS = {
 class OperatorMatrix:
     """T*T on a quadrature grid, held as its half factor A: A^T A is the
     symmetrized kernel matrix M, which is never formed.  singular_values are
-    A's, descending: A's own when input_modes is None, else those of A on
-    its first input_modes orthonormal Legendre functions, whose projection
-    residual is within PROJECTION_RTOL ||A||_F (A's past them read as zero).
+    A's, descending.
 
     image_refinement is the largest move of a resolved mu_n between A and the
     factor on half as many image nodes, in units of the SVD perturbation
     bound 2 eps sqrt(mu_1/mu_n).  It is None when the cap rule was built
-    directly, and inf when the rule before the cap failed its trace check,
-    so that nothing confirmed the accepted factor.
+    directly or A is a Cauchy factor, which has no image rule, and inf when
+    the rule before the cap failed its trace check, so that nothing confirmed
+    the accepted factor.
     """
 
     grid: QuadGrid
@@ -293,7 +324,6 @@ class OperatorMatrix:
     half_factor: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
     image_refinement: Optional[float] = None
-    input_modes: Optional[int] = None
 
     def __post_init__(self):
         for name in ("half_factor", "singular_values"):
@@ -307,7 +337,8 @@ class OperatorMatrix:
 
     @property
     def image_nodes(self) -> int:
-        """Rows of the half factor: image-side quadrature nodes (2 per xi for Fourier)."""
+        """Rows of the half factor: image-side quadrature nodes (2 per xi for
+        Fourier), or the pivots of a Cauchy factor."""
         return self.half_factor.shape[0]
 
 
@@ -326,9 +357,15 @@ def _half_factor(kind: OperatorKind, grid: QuadGrid, r: int) -> np.ndarray:
     return A
 
 
-def _trace_gap(A: np.ndarray, trace: float) -> float:
-    """Relative gap between ||A||_F^2 = sum mu_n and the kernel's trace; inf at trace 0."""
-    return abs(float(np.vdot(A, A)) - trace) / trace if trace else math.inf
+def _trace_gap(total: float, trace: float) -> float:
+    """Relative gap between total, such as ||A||_F^2 = sum mu_n, and the
+    kernel's trace; inf at trace 0."""
+    return abs(total - trace) / trace if trace else math.inf
+
+
+def _trace_refusal(what: str, grid: QuadGrid, gap: float) -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"{what} at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
 
 
 def _refinement(mu_coarse: Optional[np.ndarray], mu_fine: np.ndarray) -> float:
@@ -343,48 +380,14 @@ def _refinement(mu_coarse: Optional[np.ndarray], mu_fine: np.ndarray) -> float:
     return float(np.max(np.abs(mu_coarse[:k] - mu) / (mu * bound)))
 
 
-def _singular_values(A: np.ndarray, grid: QuadGrid, K: Optional[int]) -> tuple:
-    """A's singular values, descending, and the input modes K they were taken
-    on, or None when they are A's own.
-
-    When K is below half of A's smaller side and the projection residual
-    ||A - C Q^T||_F is within PROJECTION_RTOL ||A||_F, they are those of the
-    m x K matrix C = A Q.  Q = sqrt(w) Phi_K holds the first K orthonormal
-    Legendre functions in the grid's Gauss variable (on an interval's Gauss
-    rule, the interval's own), read through check_orthonormal, so its columns
-    are orthonormal.  A - C Q^T is orthogonal to them, so sigma_j(C) <=
-    sigma_j(A) <= (sigma_j(C)^2 + residual^2)^(1/2).  Half-line grids, K None,
-    and grids on which check_orthonormal refuses the K functions take A's own.
-    """
-    if K is not None and 2 * K < min(A.shape) and isinstance(grid.domain, Interval):
-        try:
-            Q = np.sqrt(grid.weights)[:, None] * check_orthonormal(
-                FunctionKind.LEGENDRE_SERIES, K, grid.domain, grid)
-        except InvalidArgumentError:
-            return np.linalg.svd(A, compute_uv=False), None
-        C = A @ Q
-        if _projection_residual(A, C, Q) <= PROJECTION_RTOL * np.linalg.norm(A):
-            return np.linalg.svd(C, compute_uv=False), K
-    return np.linalg.svd(A, compute_uv=False), None
-
-
-def _projection_residual(A: np.ndarray, C: np.ndarray, Q: np.ndarray) -> float:
-    """||A - C Q^T||_F, 64 rows at a time, so that no second m x n array is held."""
-    return math.sqrt(sum(float(np.vdot(R, R)) for R in
-                         (C[i:i + 64] @ Q.T - A[i:i + 64] for i in range(0, len(A), 64))))
-
-
 def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     """Half factor on the smallest image-side rule that refinement confirms:
-    (A, its singular values, its refinement or None, its input modes or None).
+    (A, its singular values, its refinement or None).
 
     Rules double from FIRST_IMAGE_NODES up to the cap, the last rule, and
     each rule's trace gap is read first: a rule's SVD is taken only when its
     trace gap is within FACTOR_RTOL, and a rule that fails it is never
-    decomposed.  Each SVD tries the input modes K = INPUT_MODES until a
-    passing rule takes A's own values instead (it is too small for K, the
-    grid cannot hold K functions, or the residual fails); every later SVD
-    takes A's own.
+    decomposed.
     A rule below the cap is accepted when the rule before it passed too,
     resolves as many modes, and no resolved mu_n moved by more than
     REFINEMENT_SLACK bounds.  The cap is accepted on its trace check alone,
@@ -394,29 +397,46 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     r_max = kind.record.image_cap(grid.size)
     # Refinement needs two rules below the cap; with fewer, build the cap.
     r0 = r = FIRST_IMAGE_NODES if 2 * FIRST_IMAGE_NODES < r_max else r_max
-    mu_coarse, K = None, INPUT_MODES  # the rule before's mu_n, None when it failed
+    mu_coarse = None  # the rule before's mu_n, None when it failed
     while True:
         A = _half_factor(kind, grid, r)
-        gap = _trace_gap(A, trace)
+        gap = _trace_gap(float(np.vdot(A, A)), trace)
         if gap <= FACTOR_RTOL:
-            s, K = _singular_values(A, grid, K)
+            s = np.linalg.svd(A, compute_uv=False)
             mu = s ** 2
             refinement = None if r == r0 else _refinement(mu_coarse, mu)
             if r == r_max or (r != r0 and refinement <= REFINEMENT_SLACK
                               and resolved_count(mu) == resolved_count(mu_coarse)):
-                return A, s, refinement, K
+                return A, s, refinement
         elif r == r_max:
-            raise InvalidArgumentError(
-                f"half factor of {kind.to_string()} disagrees with its kernel matrix "
-                f"at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
+            raise _trace_refusal(f"half factor of {kind.to_string()} disagrees with its "
+                                 "kernel matrix", grid, gap)
         mu_coarse = mu if gap <= FACTOR_RTOL else None
         r = min(2 * r, r_max)
 
 
+def _pivoted_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
+    """The kind's exact factor G of M = G^T G + S: (G, its singular values).
+
+    ||G||_F^2 + trace(S) equals trace(M) in exact arithmetic, so its check
+    measures rounding alone.  The singular values are those of the k x k R
+    of qr(G^T): against 120-digit eigenvalues of the same M they hold every
+    resolved mode to a few eps relative (tested), where svd(G) itself does
+    worse on the deep modes.
+    """
+    G, rest = kind.record.factor(grid.nodes, grid.weights)
+    gap = _trace_gap(float(np.vdot(G, G)) + rest, trace)
+    if not gap <= FACTOR_RTOL:
+        raise _trace_refusal(f"half factor of {kind.to_string()} disagrees with its "
+                             "kernel matrix", grid, gap)
+    return G, np.linalg.svd(np.linalg.qr(G.T, mode="r"), compute_uv=False)
+
+
 @np.errstate(all="ignore")
 def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
-    """T*T in the discrete L2 geometry, as its refinement-checked half factor.
-    Kernel values past the float range fail the trace check, not a warning."""
+    """T*T in the discrete L2 geometry, as its exact factor or its
+    refinement-checked half factor.  Kernel values past the float range fail
+    a trace check, not a warning."""
     if grid.size > MAX_GRID_SIZE:
         raise InvalidArgumentError(f"grid size capped at n = {MAX_GRID_SIZE}")
     expected = kind.input_domain
@@ -425,8 +445,17 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
             f"grid domain {grid.domain} does not match operator input {expected}"
         )
     # ||A||_F^2 = sum of mu_n must equal the kernel's trace: a half factor whose
-    # image-side rule misses the kernel would print a wrong spectrum.
-    trace = float(np.dot(grid.weights, kind.record.diagonal(kind, grid.nodes)))
+    # image-side rule misses the kernel would print a wrong spectrum.  Where the
+    # trace has a closed form, the grid's own quadrature of it must match first.
+    record = kind.record
+    trace = float(np.dot(grid.weights, record.diagonal(kind, grid.nodes)))
+    if record.trace is not None:
+        gap = _trace_gap(trace, record.trace(kind))
+        if not gap <= FACTOR_RTOL:
+            raise _trace_refusal(f"grid of {kind.to_string()} misses its closed-form trace",
+                                 grid, gap)
+    if record.factor is not None:
+        return OperatorMatrix(grid, kind, *_pivoted_half_factor(kind, grid, trace))
     return OperatorMatrix(grid, kind, *_refined_half_factor(kind, grid, trace))
 
 

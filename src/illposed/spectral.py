@@ -55,10 +55,9 @@ class IntegralSpectrum:
 
 def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
     """Spectrum of T*T: squared singular values of the half factor, as the
-    matrix holds them, padded with exact zeros past the values it holds:
-    past the factor's rows, or past its input modes when it has them.  The
-    image-side rule and the input range are sized to the resolved modes, not
-    to n, so at large n most of the n modes are these zeros."""
+    matrix holds them, padded with exact zeros past the factor's rows.  The
+    image-side rule, or a Cauchy factor's pivots, are sized to the resolved
+    modes, not to n, so at large n most of the n modes are these zeros."""
     mu = M.singular_values ** 2
     return IntegralSpectrum(np.concatenate([mu, np.zeros(M.size - len(mu))]))
 

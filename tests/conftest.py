@@ -6,7 +6,6 @@ from numpy.polynomial import Legendre, Polynomial
 
 from illposed import (ExpPoly, FunctionKind, Interval, OperatorKind, assemble_bertero_grunbaum,
                       assemble_prolate, gram_matrix, half_line_for, make_grid)
-from illposed.functions import check_orthonormal
 from illposed.integral_ops import FOURIER, LAPLACE, LAPLACE_ADJOINT, _adjoint_kernel
 
 
@@ -42,12 +41,10 @@ def kernel_matrix(kind, grid):
 
 def decomposed(M):
     """The matrix whose SVD gives M.singular_values: the half factor A, or
-    A Q on M's input modes, Q = sqrt(w) times the orthonormal Legendre table."""
-    if M.input_modes is None:
+    for a Cauchy factor G the R of qr(G^T)."""
+    if M.kind.record.factor is None:
         return M.half_factor
-    grid = M.grid
-    table = check_orthonormal(FunctionKind.LEGENDRE_SERIES, M.input_modes, grid.domain, grid)
-    return M.half_factor @ (np.sqrt(grid.weights)[:, None] * table)
+    return np.linalg.qr(M.half_factor.T, mode="r")
 
 
 def derivative_values(f, x, order=1):

@@ -79,12 +79,17 @@ def test_a_laplace_kind_whose_half_line_overflows_is_refused_by_name(tmp_path, c
 
 
 def _trace_refusal(op, n):
-    """spectrum --op op [--n n], and the trace check's refusal of it."""
+    """spectrum --op op [--n n], and the trace check's refusal of it.  Laplace
+    is refused by its closed-form trace ln(b/a)/2, which the grid misses."""
     name = op.replace("1e300", "1e+300").replace("1e90", "1e+90")
-    gap = "inf" if op.startswith("hilbert") else "1"
+    if op.startswith("laplace:"):
+        gap = {None: "0.991", 512: "0.99", 1024: "0.989"}[n]
+        what = f"grid of {name} misses its closed-form trace"
+    else:
+        gap = "inf" if op.startswith("hilbert") else "1"
+        what = f"half factor of {name} disagrees with its kernel matrix"
     return (["spectrum", "--op", op] + ([] if n is None else ["--n", str(n)]),
-            f"error: half factor of {name} disagrees with its kernel matrix at "
-            f"n = {n or 256}: relative trace gap {gap} > 1e-12\n")
+            f"error: {what} at n = {n or 256}: relative trace gap {gap} > 1e-12\n")
 
 
 def _stiffness_refusal(command, op, name, N, reason="is not finite"):
@@ -168,11 +173,10 @@ def test_spectrum_reports_resolved_modes(tmp_path, capsys, op, resolved):
 
 
 def test_spectrum_reports_its_image_rule(tmp_path):
-    # Fourier at n = 256 is refined (16 -> 32 xi nodes, 2 rows each) and
-    # decomposed whole; Laplace at n = 128 goes straight to the cap rule, 32
-    # nodes on each of 8 panels, decomposed on 32 input modes
-    for op, n, rows, modes, refined in (("fourier", 256, 64, None, True),
-                                        ("laplace:a=1,b=2", 128, 256, 32, False)):
+    # Fourier at n = 256 is refined (16 -> 32 xi nodes, 2 rows each); Laplace
+    # at n = 128 has no image rule: its rows are the Cauchy factor's 22 pivots
+    for op, n, rows, refined in (("fourier", 256, 64, True),
+                                 ("laplace:a=1,b=2", 128, 22, False)):
         docs = []
         for sub in ("a", "b"):
             code, out = run_cli(["spectrum", "--op", op, "--n", str(n), "--no-svg"], tmp_path,
@@ -182,15 +186,14 @@ def test_spectrum_reports_its_image_rule(tmp_path):
                          for name in ("spectrum.csv", "spectrum.json")])
         assert docs[0] == docs[1]
         doc = json.loads(docs[0][1])
-        assert doc["image_nodes"] == rows and doc["input_modes"] == modes
+        assert doc["image_nodes"] == rows and "input_modes" not in doc
         if refined:
             assert 0.0 <= doc["image_refinement"] <= REFINEMENT_SLACK
         else:
             assert doc["image_refinement"] is None
-        # modes past the factor's rows, or past its input modes, are exact zeros
-        held = min(rows, modes or rows)
+        # modes past the factor's rows are exact zeros
         mu = [float(line.split(b",")[1]) for line in docs[0][0].splitlines()[1:]]
-        assert all(m > 0 for m in mu[:held]) and all(m == 0.0 for m in mu[held:])
+        assert all(m > 0 for m in mu[:rows]) and all(m == 0.0 for m in mu[rows:])
 
 
 def test_operator_names_keep_every_digit(tmp_path, capsys):
@@ -213,12 +216,12 @@ def test_spectrum_of_an_adjoint_with_a_narrow_gap(tmp_path):
 
 
 def test_spectrum_of_a_narrow_laplace_interval(tmp_path):
-    # the grid cannot hold the 32 input Legendre functions on [1, 1.00001];
-    # the spectrum is taken on the half factor itself
+    # [1, 1.00001] passes the closed-form trace gate, and its Cauchy factor
+    # stops after 4 pivots
     code, out = run_cli(["spectrum", "--op", "laplace:a=1,b=1.00001", "--no-svg"], tmp_path)
     assert code == 0
     doc = json.load(open(os.path.join(out, "spectrum.json")))
-    assert doc["input_modes"] is None and doc["resolved_modes"] == 3
+    assert doc["image_nodes"] == 4 and doc["resolved_modes"] == 3
 
 
 def test_match_exit_contract(tmp_path):

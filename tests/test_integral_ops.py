@@ -1,9 +1,10 @@
+import math
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -12,10 +13,9 @@ from illposed import (FunctionKind, FunctionRep, Interval,
                       fourier_image_energy, gram_matrix, make_grid, parse_operator,
                       quadratic_form)
 from illposed import integral_ops
-from illposed.functions import check_orthonormal
-from illposed.integral_ops import (FACTOR_RTOL, MAX_GRID_SIZE, PROJECTION_RTOL,
-                                   REFINEMENT_SLACK, _adjoint_kernel, _half_factor, _trace_gap,
-                                   resolved_count)
+from illposed.integral_ops import (FACTOR_RTOL, REFINEMENT_SLACK, SVD_FLOOR, _adjoint_kernel,
+                                   _half_factor, _log_ratio, _pivoted_half_factor, _trace_gap,
+                                   cauchy_factor, resolved_count)
 from illposed.problem import Problem
 
 from conftest import decomposed, kernel_matrix
@@ -103,15 +103,24 @@ def test_operator_names_round_trip_on_random_endpoints(text):
     ("laplace-adjoint:a=1,b=1.00001", 256, 3),
     ("hilbert:I=0,1:J=1.01,1.02", 1024, 11),
 ])
-def test_refined_factor_matches_the_cap_rule(text, n, resolved):
+def test_refined_factor_matches_the_cap_rule(text, n, resolved, monkeypatch):
+    # a Laplace factor is checked against its Cauchy factorization run to the
+    # last pivot, the ladder's against its cap rule
     p = Problem(parse_operator(text), n)
     M = p.matrix
     mu = decompose_operator(M).eigenvalues
-    cap = _half_factor(p.kind, p.grid, p.kind.record.image_cap(n))
+    if p.kind.record.factor is None:
+        cap = _half_factor(p.kind, p.grid, p.kind.record.image_cap(n))
+        # accepted by refinement, or the cap rule itself
+        assert M.image_refinement <= REFINEMENT_SLACK or M.image_nodes == cap.shape[0]
+    else:
+        with monkeypatch.context() as complete:
+            complete.setattr(integral_ops, "SVD_FLOOR", 0.0)
+            G, rest = cauchy_factor(p.grid.nodes, p.grid.weights)
+        assert rest == 0.0 and M.image_refinement is None
+        cap = np.linalg.qr(G.T, mode="r")
     ref = np.linalg.svd(cap, compute_uv=False) ** 2
     assert resolved_count(mu) == resolved_count(ref) == resolved
-    # accepted by refinement, or the cap rule itself
-    assert M.image_refinement <= REFINEMENT_SLACK or M.image_nodes == cap.shape[0]
     k = resolved
     bound = REFINEMENT_SLACK * 2 * np.finfo(float).eps * np.sqrt(ref[0] / ref[:k])
     assert np.all(np.abs(mu[:k] / ref[:k] - 1.0) <= bound)
@@ -125,13 +134,10 @@ def _log_uniform(lo, hi):
 
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(
-    st.builds(lambda tag, a, gap: f"{tag}:a={a!r},b={a * (1 + gap)!r}",
-              st.sampled_from(["laplace", "laplace-adjoint"]), _log_uniform(1e-3, 1e2),
-              _log_uniform(1e-5, 1e3)),
+    st.builds(lambda a, gap: f"laplace-adjoint:a={a!r},b={a * (1 + gap)!r}",
+              _log_uniform(1e-3, 1e2), _log_uniform(1e-5, 1e3)),
     st.builds(lambda gap, width: f"hilbert:I=0,1:J={1 + gap!r},{1 + gap + width!r}",
               _log_uniform(1e-5, 10.0), _log_uniform(1e-2, 10.0))))
-@example("laplace:a=1.0,b=1.00001")
-@example("laplace:a=0.001,b=0.00100001")
 def test_the_ladder_accepts_what_the_cap_accepts(text):
     # at n = 256 the refined factor is accepted exactly when the cap rule
     # passes its trace check, and it resolves as many modes as the cap
@@ -139,7 +145,7 @@ def test_the_ladder_accepts_what_the_cap_accepts(text):
     p = Problem(kind, 256)
     cap = _half_factor(kind, p.grid, kind.record.image_cap(256))
     trace = float(np.dot(p.grid.weights, kind.record.diagonal(kind, p.grid.nodes)))
-    cap_passes = _trace_gap(cap, trace) <= FACTOR_RTOL
+    cap_passes = _trace_gap(float(np.vdot(cap, cap)), trace) <= FACTOR_RTOL
     try:
         M = p.matrix
     except InvalidArgumentError:
@@ -150,15 +156,19 @@ def test_the_ladder_accepts_what_the_cap_accepts(text):
     assert resolved_count(M.singular_values ** 2) == resolved_count(ref)
 
 
-@pytest.mark.parametrize("text,rows", [("laplace:a=1,b=2", 512), ("laplace-adjoint:a=1,b=2", 64),
+@pytest.mark.parametrize("text,rows", [("laplace:a=1,b=2", 23), ("laplace-adjoint:a=1,b=2", 64),
                                        ("fourier", 64), ("hilbert:I=0,1:J=2,3", 64)])
 def test_image_rules_stay_small(text, rows, svd_calls):
     # at n = 1024 refinement confirms a factor far below the cap (2048 rows
-    # for Laplace, Fourier and Hilbert, 512 for the adjoint) in at most 3 SVDs
+    # for Fourier and Hilbert, 512 for the adjoint) in at most 3 SVDs; the
+    # Laplace Cauchy factor stops at 23 pivots and takes one SVD, of its R
     p = Problem(parse_operator(text), 1024)
     M = gram_matrix(p.kind, p.grid)
-    assert M.image_nodes <= rows and M.image_refinement <= REFINEMENT_SLACK
-    assert len(svd_calls) <= 3
+    assert M.image_nodes <= rows
+    if p.kind.record.factor is None:
+        assert M.image_refinement <= REFINEMENT_SLACK and len(svd_calls) <= 3
+    else:
+        assert M.image_refinement is None and len(svd_calls) == 1
 
 
 def test_no_rung_is_decomposed_before_its_trace_check(svd_calls):
@@ -263,12 +273,17 @@ def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):
     assert abs(np.vdot(M.half_factor, M.half_factor) - hs) <= 1e-13 * hs
     # image-side rules that miss the kernel mass near the origin, or near
     # the end of I that J almost touches
-    for text in ("laplace:a=1e-9,b=2", "laplace-adjoint:a=1e-3,b=2",
+    for text in ("laplace-adjoint:a=1e-3,b=2",
                  "hilbert:I=0,1:J=1.0001,2", "hilbert:I=0,1:J=1.000000001,2"):
         kind = parse_operator(text)
         with pytest.raises(InvalidArgumentError, match="disagrees with its kernel matrix "
                                                        "at n = 256"):
             gram_matrix(kind, Problem(kind, 256, 128, 12).grid)
+    # a Laplace input grid that misses the mass near the origin is refused by
+    # its closed-form trace, before anything is factored
+    kind = parse_operator("laplace:a=1e-9,b=2")
+    with pytest.raises(InvalidArgumentError, match="misses its closed-form trace at n = 256"):
+        gram_matrix(kind, Problem(kind, 256, 128, 12).grid)
     # 512 output nodes resolve the adjoint kernel at a = 1e-3
     M = Problem(parse_operator("laplace-adjoint:a=1e-3,b=2"), 1024, 128, 12).matrix
     trace = np.trace(kernel_matrix(M.kind, M.grid))
@@ -335,15 +350,13 @@ def test_fourier_form_matches_direct_transform(fourier_M):
 @pytest.mark.parametrize("text, refined", [("laplace:a=1,b=2", False), ("fourier", True)])
 def test_singular_values_are_built_with_the_factor(text, refined, svd_calls):
     # gram_matrix takes the accepted factor's SVD once, last, and the matrix
-    # holds it as a read-only field, bit for bit that SVD, both for a cap rule
-    # built directly (Laplace at n = 128) and for a rule that refinement
-    # confirmed (Fourier at n = 256); reading it computes nothing.  Fourier's
-    # 64 rows leave no input range below half the rows: the SVD is A's own.
-    # Laplace's is that of A on its first 32 input Legendre modes
+    # holds it as a read-only field, bit for bit that SVD, both for a factor
+    # with no image rule (Laplace at n = 128, whose SVD is that of its R) and
+    # for a rule that refinement confirmed (Fourier at n = 256, A's own);
+    # reading it computes nothing
     kind = parse_operator(text)
     M = gram_matrix(kind, make_grid(kind.input_domain, 256 if refined else 128))
     assert (M.image_refinement is not None) == refined
-    assert M.input_modes == {"laplace": 32, "fourier": None}[kind.tag]
     B = decomposed(M)
     assert sum(np.array_equal(a, B) for a in svd_calls) == 1
     assert np.array_equal(svd_calls[-1], B)
@@ -353,75 +366,146 @@ def test_singular_values_are_built_with_the_factor(text, refined, svd_calls):
     assert np.array_equal(s, np.linalg.svd(B, compute_uv=False))
 
 
-def test_an_unresolved_input_range_is_not_used():
-    # negative control: on [0.01, 1] the kernel rows e^{-st}, s up to 4000,
-    # need more than 32 Legendre modes in t.  The 32-mode range fails its
-    # residual, and would lose 12 of the 40 resolved modes; the factor keeps
-    # the SVD of A itself, which resolves what the plain path does
-    p = Problem(parse_operator("laplace:a=0.01,b=1"), 256)
-    M = p.matrix
-    A = M.half_factor
-    table = check_orthonormal(FunctionKind.LEGENDRE_SERIES, 32, p.grid.domain, p.grid)
-    Q = np.sqrt(p.grid.weights)[:, None] * table
-    C = A @ Q
-    assert np.linalg.norm(A - C @ Q.T) > PROJECTION_RTOL * np.linalg.norm(A)
-    assert M.input_modes is None
-    plain = np.linalg.svd(A, compute_uv=False) ** 2
-    assert np.array_equal(M.singular_values ** 2, plain)
-    assert resolved_count(M.singular_values ** 2) == resolved_count(plain) == 40
-    assert resolved_count(np.linalg.svd(C, compute_uv=False) ** 2) < 40
-
-
 @pytest.mark.parametrize("text, resolved", [
     ("laplace:a=1,b=2", 14), ("laplace-adjoint:a=1,b=2", 14), ("fourier", 11),
     ("hilbert:I=0,1:J=2,3", 9), ("laplace:a=0.1,b=1", 25)])
-def test_the_ladder_outcomes_across_n(text, resolved, monkeypatch):
-    # with and without input ranges, each n from 128 to 1024 resolves the
-    # same modes, and every factor that refinement accepted moved by at most
-    # REFINEMENT_SLACK bounds
+def test_the_ladder_outcomes_across_n(text, resolved):
+    # each n from 128 to 1024 resolves the same modes, and every factor that
+    # refinement accepted moved by at most REFINEMENT_SLACK bounds
     kind = parse_operator(text)
     for n in (128, 256, 512, 1024):
-        grid = Problem(kind, n).grid
-        with monkeypatch.context() as plain_path:
-            plain_path.setattr(integral_ops, "INPUT_MODES", MAX_GRID_SIZE)
-            plain = gram_matrix(kind, grid)
-        M = gram_matrix(kind, grid)
-        assert plain.input_modes is None
-        for got in (M, plain):
-            assert resolved_count(got.singular_values ** 2) == resolved
-            assert got.image_refinement is None or got.image_refinement <= REFINEMENT_SLACK
+        M = gram_matrix(kind, Problem(kind, n).grid)
+        assert resolved_count(M.singular_values ** 2) == resolved
+        assert M.image_refinement is None or M.image_refinement <= REFINEMENT_SLACK
 
 
 @pytest.mark.parametrize("text", ["laplace:a=1.0,b=1.00001", "laplace:a=0.001,b=0.00100001"])
-def test_a_range_the_grid_cannot_hold_falls_back_to_the_plain_svd(text):
-    # on a narrow interval check_orthonormal refuses the 32 input Legendre
-    # functions; the factor is still accepted and keeps svd(A) bit for bit
+def test_a_narrow_laplace_interval_takes_the_cauchy_factor(text):
+    # a nearly degenerate [a, b] passes the closed-form trace gate at every n,
+    # and its Cauchy factor resolves 3 modes from 4 pivots
     kind = parse_operator(text)
     for n in (128, 256, 1024):
         M = gram_matrix(kind, Problem(kind, n).grid)
-        assert M.input_modes is None
+        assert M.image_nodes == 4 and M.image_refinement is None
         assert np.array_equal(M.singular_values,
-                              np.linalg.svd(M.half_factor, compute_uv=False))
+                              np.linalg.svd(decomposed(M), compute_uv=False))
         assert resolved_count(M.singular_values ** 2) == 3
 
 
-# Every decision of the ladder on a few inputs: (image rows, input modes, the
-# class of image_refinement, resolved modes).  The refinement class is None
-# for a cap built directly, "ok" within REFINEMENT_SLACK, "cap" for a cap that
-# moved by more (accepted on its trace check alone), and "inf" for a cap whose
-# rung before failed its trace check.
+def _mpmath_eigenvalues(grid, dps=120):
+    """Eigenvalues of M = sqrt(w_i w_j) / (x_i + x_j) on grid, descending, in
+    dps-digit arithmetic from the same binary nodes and weights."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in grid.nodes]
+        w = [mpmath.sqrt(mpmath.mpf(float(v))) for v in grid.weights]
+        M = mpmath.matrix(grid.size, grid.size)
+        for i in range(grid.size):
+            for j in range(grid.size):
+                M[i, j] = w[i] * w[j] / (x[i] + x[j])
+        return np.array(sorted((float(e) for e in mpmath.eigsy(M, eigvals_only=True)),
+                               reverse=True))
+
+
+@pytest.mark.parametrize("text,n,resolved", [("laplace:a=1,b=2", 40, 14),
+                                             ("laplace:a=0.01,b=1", 48, 30)])
+def test_cauchy_factor_against_mpmath_eigenvalues(text, n, resolved):
+    # every resolved mode of the factor within 1e-14 relative of the
+    # 120-digit eigenvalues of the same M, down to mu_n / mu_1 = 1e-28; an
+    # image rule on the half line is off by 1e-5 to 1e-4 on its deep modes.
+    # [0.01, 1] at n = 48 misses the closed-form trace, so the factor is
+    # built as gram_matrix builds it, past the gate
+    kind = parse_operator(text)
+    grid = make_grid(kind.source, n)
+    trace = float(np.dot(grid.weights, 1.0 / (2.0 * grid.nodes)))
+    G, s = _pivoted_half_factor(kind, grid, trace)
+    mu, ref = s ** 2, _mpmath_eigenvalues(grid)
+    assert resolved_count(mu) == resolved_count(ref) == resolved
+    assert np.max(np.abs(mu[:resolved] / ref[:resolved] - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("text", ["laplace:a=1,b=2", "laplace:a=0.1,b=1", "laplace:a=0.01,b=1",
+                                  "laplace:a=1e-3,b=2"])
+@pytest.mark.parametrize("n", [128, 1024])
+def test_cauchy_factor_keeps_the_trace(text, n):
+    # M = G^T G + S exactly, so ||G||_F^2 + trace(S) is the grid's trace up
+    # to rounding, and trace(S) is below eps SVD_FLOOR times the first pivot.
+    # Both sums are correctly rounded (fsum), so the gap is the factor's own
+    grid = make_grid(parse_operator(text).source, n)
+    x, w = grid.nodes, grid.weights
+    G, rest = cauchy_factor(x, w)
+    trace = math.fsum(w / (2.0 * x))
+    assert abs(math.fsum((G * G).ravel()) + rest - trace) <= 1e-15 * trace
+    assert 0.0 <= rest <= np.finfo(float).eps * SVD_FLOOR * np.max(w / (2.0 * x))
+
+
+def test_laplace_spectra_are_scale_free():
+    # the factor reads only ratios of the nodes and of the generators, so
+    # [2^k, 2^(k+1)] gives [1, 2]'s factor and spectrum bit for bit
+    base = Problem(parse_operator("laplace:a=1,b=2"), 256).matrix
+    for k in (-100, -10, 10, 100):
+        M = Problem(parse_operator(f"laplace:a={2.0 ** k!r},b={2.0 ** (k + 1)!r}"), 256).matrix
+        assert np.array_equal(M.half_factor, base.half_factor)
+        assert np.array_equal(M.singular_values, base.singular_values)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 2.0), (1.0, 1.0 + 2.0 ** -40), (1e-300, 1e300),
+                                 (5e-324, 1.0), (1e-3, 1e308), (0.1, 0.30000000000000004)])
+def test_closed_form_trace_against_mpmath(a, b):
+    # ln(b/a) from the same binary a and b, to 2 ulps: no cancellation as
+    # b -> a, no overflow of b/a
+    with mpmath.workdps(50):
+        ref = float(mpmath.log(mpmath.mpf(b) / mpmath.mpf(a)))
+    assert abs(_log_ratio(Interval(a, b)) - ref) <= 4.5e-16 * ref
+
+
+# Relative gaps between the grid's trace sum w / (2x) and ln(b/a)/2 at
+# n = 128 / 256 / 512 / 1024 (measured): [1e-9, 2] 0.49 / 0.43 / 0.36 / 0.30;
+# [1e-3, 2] 8.0e-6 / 8.8e-11 / 2.6e-15 / 2.9e-15; [1e-3, 1.001] 7.7e-8 /
+# 6.3e-15 / 2.3e-15 / 1.5e-15; the accepted intervals at most 6e-16.
+@pytest.mark.parametrize("text,accepted", [
+    ("laplace:a=1e-9,b=2", ()),
+    ("laplace:a=1e-300,b=1e300", ()),
+    ("laplace:a=1e-3,b=2", (512, 1024)),
+    ("laplace:a=1e-3,b=1.001", (256, 512, 1024)),
+    ("laplace:a=1,b=2", (128, 256, 512, 1024)),
+    ("laplace:a=0.1,b=1", (128, 256, 512, 1024)),
+    ("laplace:a=0.01,b=1", (128, 256, 512, 1024)),
+    ("laplace:a=1,b=1.00001", (128, 256, 512, 1024)),
+    ("laplace:a=1e-3,b=0.101", (128, 256, 512, 1024)),
+])
+def test_the_closed_form_trace_gate(text, accepted, svd_calls):
+    # a Laplace grid whose trace misses ln(b/a)/2 by more than FACTOR_RTOL is
+    # refused before anything is factored; the others are factored
+    kind = parse_operator(text)
+    for n in (128, 256, 512, 1024):
+        svd_calls.clear()
+        if n in accepted:
+            gram_matrix(kind, Problem(kind, n).grid)
+            continue
+        with pytest.raises(InvalidArgumentError,
+                           match=f"misses its closed-form trace at n = {n}: relative trace gap"):
+            gram_matrix(kind, Problem(kind, n).grid)
+        assert svd_calls == []
+
+
+# Every decision of the ladder on a few inputs: (image rows, the class of
+# image_refinement, resolved modes).  The refinement class is None for a cap
+# built directly and for a Laplace Cauchy factor, whose rows are its pivots,
+# "ok" within REFINEMENT_SLACK, "cap" for a cap that moved by more (accepted
+# on its trace check alone), and "inf" for a cap whose rung before failed its
+# trace check.
 LADDER_DECISIONS = [
-    ("laplace:a=1,b=2", 128, 256, 32, None, 14),
-    ("laplace:a=1,b=2", 512, 256, 32, "ok", 14),
-    ("laplace-adjoint:a=1,b=2", 256, 64, None, "ok", 14),
-    ("fourier", 256, 64, None, "ok", 11),
-    ("hilbert:I=0,1:J=2,3", 256, 32, None, "ok", 9),
-    ("laplace:a=1,b=1.00001", 256, 256, None, "ok", 3),
-    ("laplace:a=0.01,b=1", 256, 512, None, "ok", 40),
-    ("laplace-adjoint:a=0.01,b=1", 256, 128, None, "inf", 39),
-    ("laplace-adjoint:a=0.01,b=1", 512, 256, None, "cap", 40),
-    ("hilbert:I=0,1:J=1.001,1.101", 128, 256, None, "cap", 21),
-    ("hilbert:I=0,1:J=2,12", 256, 128, None, "ok", 10),
+    ("laplace:a=1,b=2", 128, 22, None, 14),
+    ("laplace:a=1,b=2", 512, 22, None, 14),
+    ("laplace-adjoint:a=1,b=2", 256, 64, "ok", 14),
+    ("fourier", 256, 64, "ok", 11),
+    ("hilbert:I=0,1:J=2,3", 256, 32, "ok", 9),
+    ("laplace:a=1,b=1.00001", 256, 4, None, 3),
+    ("laplace:a=0.01,b=1", 256, 66, None, 40),
+    ("laplace-adjoint:a=0.01,b=1", 256, 128, "inf", 39),
+    ("laplace-adjoint:a=0.01,b=1", 512, 256, "cap", 40),
+    ("hilbert:I=0,1:J=1.001,1.101", 128, 256, "cap", 21),
+    ("hilbert:I=0,1:J=2,12", 256, 128, "ok", 10),
 ]
 
 
@@ -438,7 +522,6 @@ def test_the_ladder_decision_table():
     for text, n, *_ in LADDER_DECISIONS:
         kind = parse_operator(text)
         M = gram_matrix(kind, Problem(kind, n).grid)
-        got.append((text, n, M.image_nodes, M.input_modes,
-                    _refinement_class(M.image_refinement),
+        got.append((text, n, M.image_nodes, _refinement_class(M.image_refinement),
                     resolved_count(M.singular_values ** 2)))
     assert got == LADDER_DECISIONS

@@ -70,14 +70,14 @@ def test_decompose_operator_matches_full_svd(text):
     assert mu.shape == (M.size,)
     keep = mu > SVD_FLOOR * mu[0]
     assert np.array_equal(keep, ref > SVD_FLOOR * ref[0])
-    if M.input_modes is None:
+    if M.kind.record.factor is None:
         assert np.max(np.abs(mu[keep] / ref[keep] - 1.0)) <= 1e-11
     else:
-        # on its input range: within 2 SVD perturbation bounds of A's own,
-        # and exact zeros past the range
+        # a Cauchy factor's values come from the R of its QR: within 2 SVD
+        # perturbation bounds of its own, and exact zeros past its rows
         bound = 2 * np.finfo(float).eps * np.sqrt(ref[0] / ref[keep])
         assert np.all(np.abs(mu[keep] / ref[keep] - 1.0) <= 2 * bound)
-        assert np.all(mu[min(M.image_nodes, M.input_modes):] == 0.0)
+        assert np.all(mu[M.image_nodes:] == 0.0)
     K = kernel_matrix(M.kind, M.grid)
     assert float(np.sum(mu)) == pytest.approx(float(np.trace(K)), rel=1e-13)
     assert np.all(np.diff(mu) <= 0) and np.all(mu >= 0)
@@ -88,11 +88,11 @@ def test_decompose_operator_matches_full_svd(text):
 
 @pytest.mark.parametrize("text", OPERATORS[:3])
 def test_one_svd_of_the_half_factor_per_problem(svd_calls, text):
-    # one SVD of the accepted factor, or of it on its input range (Laplace)
+    # one SVD of the accepted factor, or of the R of its QR (Laplace)
     p = Problem(parse_operator(text), 128, 64, 12)
     p.fit  # grid, matrix, commuting operator, match, sweep and fit
     decompose_operator(p.matrix)
-    assert (p.matrix.input_modes is None) == (p.kind.tag != "laplace")
+    assert (p.matrix.kind.record.factor is None) == (p.kind.tag != "laplace")
     B = decomposed(p.matrix)
     assert sum(np.array_equal(a, B) for a in svd_calls) == 1
 
