@@ -237,19 +237,24 @@ def cauchy_factor(x: np.ndarray, w: np.ndarray) -> tuple:
     as its pivot, which is complete pivoting for M, and emits the row
     u_i u_k / (x_i + x_k) / sqrt(pivot).  It stops when trace(S) is at most
     eps SVD_FLOOR times the first pivot: every mode left is below the floor.
-    Only ratios of x and of u enter, so scaling x and w by 4^k changes no bit.
     Demmel, SIAM J. Matrix Anal. Appl. 21 (1999).
+
+    The generators are carried as v = u / sqrt(2x), so that the diagonal is
+    v^2 and the row is v_i sqrt(x_i) 2 sqrt(x_k) sign(v_k) / (x_i + x_k).
+    Every quantity is then scale-free: scaling x and w by 4^k changes no bit,
+    and no deep pivot underflows however small the interval is (u_i^2 would
+    at a ~ 2^-1000).
     """
-    u, two_x = np.sqrt(w), 2.0 * x
-    d = u * u / two_x
+    v, r = np.sqrt(w / (2.0 * x)), np.sqrt(x)
+    d = v * v
     stop = np.finfo(float).eps * SVD_FLOOR * float(np.max(d))
     rows = []
     while (rest := float(np.sum(d))) > stop:
         k = int(np.argmax(d))
         s = x + x[k]
-        rows.append(u * (u[k] / math.sqrt(d[k])) / s)
-        u = u * ((x - x[k]) / s)
-        d = u * u / two_x
+        rows.append(v * r * (math.copysign(2.0 * r[k], v[k]) / s))
+        v = v * ((x - x[k]) / s)
+        d = v * v
     return np.array(rows).reshape(len(rows), len(x)), rest
 
 

@@ -439,10 +439,11 @@ def test_cauchy_factor_keeps_the_trace(text, n):
 
 
 def test_laplace_spectra_are_scale_free():
-    # the factor reads only ratios of the nodes and of the generators, so
-    # [2^k, 2^(k+1)] gives [1, 2]'s factor and spectrum bit for bit
+    # the factor reads only scale-free ratios, so [2^k, 2^(k+1)] gives
+    # [1, 2]'s factor and spectrum bit for bit, down to k = -1000, where the
+    # squared generators w would leave the float range before the last pivot
     base = Problem(parse_operator("laplace:a=1,b=2"), 256).matrix
-    for k in (-100, -10, 10, 100):
+    for k in (-1000, -100, -10, 10, 100, 1000):
         M = Problem(parse_operator(f"laplace:a={2.0 ** k!r},b={2.0 ** (k + 1)!r}"), 256).matrix
         assert np.array_equal(M.half_factor, base.half_factor)
         assert np.array_equal(M.singular_values, base.singular_values)
