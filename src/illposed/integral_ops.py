@@ -426,8 +426,7 @@ def _pivoted_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     ||G||_F^2 + trace(S) equals trace(M) in exact arithmetic, so its check
     measures rounding alone.  The singular values are those of the k x k R
     of qr(G^T): against 120-digit eigenvalues of the same M they hold every
-    resolved mode to a few eps relative (tested), where svd(G) itself does
-    worse on the deep modes.
+    resolved mode to a few eps relative (measured, and tested to 1e-14).
     """
     G, rest = kind.record.factor(grid.nodes, grid.weights)
     gap = _trace_gap(float(np.vdot(G, G)) + rest, trace)

@@ -110,16 +110,16 @@ def test_refined_factor_matches_the_cap_rule(text, n, resolved, monkeypatch):
     M = p.matrix
     mu = decompose_operator(M).eigenvalues
     if p.kind.record.factor is None:
-        cap = _half_factor(p.kind, p.grid, p.kind.record.image_cap(n))
+        reference = _half_factor(p.kind, p.grid, p.kind.record.image_cap(n))
         # accepted by refinement, or the cap rule itself
-        assert M.image_refinement <= REFINEMENT_SLACK or M.image_nodes == cap.shape[0]
+        assert M.image_refinement <= REFINEMENT_SLACK or M.image_nodes == len(reference)
     else:
         with monkeypatch.context() as complete:
             complete.setattr(integral_ops, "SVD_FLOOR", 0.0)
             G, rest = cauchy_factor(p.grid.nodes, p.grid.weights)
         assert rest == 0.0 and M.image_refinement is None
-        cap = np.linalg.qr(G.T, mode="r")
-    ref = np.linalg.svd(cap, compute_uv=False) ** 2
+        reference = np.linalg.qr(G.T, mode="r")
+    ref = np.linalg.svd(reference, compute_uv=False) ** 2
     assert resolved_count(mu) == resolved_count(ref) == resolved
     k = resolved
     bound = REFINEMENT_SLACK * 2 * np.finfo(float).eps * np.sqrt(ref[0] / ref[:k])
