@@ -156,6 +156,25 @@ def test_the_ladder_accepts_what_the_cap_accepts(text):
     assert resolved_count(M.singular_values ** 2) == resolved_count(ref)
 
 
+@settings(max_examples=25, deadline=None)
+@given(_log_uniform(1e-3, 1e2), _log_uniform(1e-5, 1e7))
+def test_a_laplace_input_is_gated_or_matches_its_kernel_matrix(a, gap):
+    # at n = 256 each interval is refused by its closed-form trace, or its
+    # Cauchy factor gives the leading eigenvalues of the dense kernel matrix
+    # (eigvalsh's absolute error is ~n eps mu_1, so only modes above 1e-6 mu_1)
+    kind = parse_operator(f"laplace:a={a!r},b={a * (1 + gap)!r}")
+    grid = Problem(kind, 256).grid
+    try:
+        M = gram_matrix(kind, grid)
+    except InvalidArgumentError as exc:
+        assert "misses its closed-form trace at n = 256" in str(exc)
+        return
+    ref = np.linalg.eigvalsh(kernel_matrix(kind, grid))[::-1]
+    k = int(np.count_nonzero(ref > 1e-6 * ref[0]))
+    assert M.image_refinement is None and M.image_nodes > k
+    assert np.all(np.abs(M.singular_values[:k] ** 2 / ref[:k] - 1.0) <= 1e-6)
+
+
 @pytest.mark.parametrize("text,rows", [("laplace:a=1,b=2", 23), ("laplace-adjoint:a=1,b=2", 64),
                                        ("fourier", 64), ("hilbert:I=0,1:J=2,3", 64)])
 def test_image_rules_stay_small(text, rows, svd_calls):
@@ -410,14 +429,13 @@ def _mpmath_eigenvalues(grid, dps=120):
                                              ("laplace:a=0.01,b=1", 48, 30)])
 def test_cauchy_factor_against_mpmath_eigenvalues(text, n, resolved):
     # every resolved mode of the factor within 1e-14 relative of the
-    # 120-digit eigenvalues of the same M, down to mu_n / mu_1 = 1e-28; an
-    # image rule on the half line is off by 1e-5 to 1e-4 on its deep modes.
+    # 120-digit eigenvalues of the same M, down to mu_n / mu_1 = 1e-28.
     # [0.01, 1] at n = 48 misses the closed-form trace, so the factor is
     # built as gram_matrix builds it, past the gate
     kind = parse_operator(text)
     grid = make_grid(kind.source, n)
     trace = float(np.dot(grid.weights, 1.0 / (2.0 * grid.nodes)))
-    G, s = _pivoted_half_factor(kind, grid, trace)
+    _, s = _pivoted_half_factor(kind, grid, trace)
     mu, ref = s ** 2, _mpmath_eigenvalues(grid)
     assert resolved_count(mu) == resolved_count(ref) == resolved
     assert np.max(np.abs(mu[:resolved] / ref[:resolved] - 1.0)) <= 1e-14
@@ -440,8 +458,8 @@ def test_cauchy_factor_keeps_the_trace(text, n):
 
 def test_laplace_spectra_are_scale_free():
     # the factor reads only scale-free ratios, so [2^k, 2^(k+1)] gives
-    # [1, 2]'s factor and spectrum bit for bit, down to k = -1000, where the
-    # squared generators w would leave the float range before the last pivot
+    # [1, 2]'s factor and spectrum bit for bit, down to k = -1000, where
+    # u_i^2 = w_i times a deep pivot would underflow
     base = Problem(parse_operator("laplace:a=1,b=2"), 256).matrix
     for k in (-1000, -100, -10, 10, 100, 1000):
         M = Problem(parse_operator(f"laplace:a={2.0 ** k!r},b={2.0 ** (k + 1)!r}"), 256).matrix
