@@ -50,6 +50,9 @@ class Interval:
             raise InvalidArgumentError(
                 f"degenerate interval: need a < b, got [{self.a}, {self.b}]"
             )
+        if not np.isfinite(float(self.b) - float(self.a)):
+            raise InvalidArgumentError(
+                f"interval [{self.a}, {self.b}] is wider than the float range")
 
     @property
     def length(self) -> float:

@@ -10,23 +10,31 @@ singular values of A resolve spectral decay far below the eigensolver floor
 of M itself.  The factor is checked against the trace of M, the sum of the
 kernel's diagonal in closed form.
 
+Every kind also has trace(T*T) in closed form, and a grid whose own trace
+misses it by more than FACTOR_RTOL is refused before anything is factored:
+ln(b/a)/2 for both Laplace kinds, 4 for Fourier, and
+log1p((b - a)(d - c)/((c - b)(d - a)))/pi^2 for Hilbert from I = [a, b] into
+J = [c, d].  The gate is necessary, not sufficient: it checks the input grid's
+quadrature of the diagonal, and hilbert:I=0,1:J=1.001,1.101 passes it at
+n = 256 (gap 1.1e-14) while its modes past 15 are wrong.
+
 Laplace T*T has the Cauchy kernel 1/(s + t), so its M is a symmetric Cauchy
 matrix and needs no image-side rule: cauchy_factor takes its pivoted LDL^T
 from the generators sqrt(w) and the nodes, one O(n) step per mode, and stops
 when the Schur complement left holds less than eps SVD_FLOOR times the first
-pivot.  Its trace is ln(b/a)/2 in closed form, and a grid whose own trace
-misses that by more than FACTOR_RTOL is refused before anything is factored.
+pivot.
 
 Every other kind samples its kernel on an image-side rule sized to the
 kernel, not to the grid: the spectra decay (super-)exponentially, so a few
 dozen image nodes resolve every mode above SVD_FLOOR whatever n is.
-gram_matrix doubles the rule from FIRST_IMAGE_NODES to the cap (2n image rows
-for Fourier and Hilbert) and reads each rung's trace gap first; a rung's SVD
-is taken only when its gap is within FACTOR_RTOL.  A rung below the cap is
-accepted when the rung before it passed too, both resolve the same modes,
-and each resolved mu_n moves by at most REFINEMENT_SLACK times the SVD
-perturbation bound 2 eps sqrt(mu_1/mu_n).  The cap is accepted on its trace
-check alone, as when it was the only rule; a refused input takes no SVD.
+gram_matrix doubles the rule from FIRST_IMAGE_NODES to IMAGE_CAP, one cap for
+every kind, and reads each rung's trace gap first; a rung's SVD is taken only
+when its gap is within FACTOR_RTOL.  A rung is accepted when the rung before
+it was decomposed too, both resolve the same modes, and each resolved mu_n
+moves by at most REFINEMENT_SLACK times the SVD perturbation bound
+2 eps sqrt(mu_1/mu_n).  No rung is accepted on its trace check alone: an
+input that no rung up to the cap confirms is refused, and one that no rung
+passes takes no SVD.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .domains import (HALF_LINE_DECAY_SCALE, HalfLineDomain, Interval, QuadGrid,
 from .errors import InvalidArgumentError
 from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
 
-# Largest grid size n: the cap-rule half factor is up to 2n x n (Fourier, Hilbert).
+# Largest grid size n: the largest ladder rung is IMAGE_CAP x n (twice that for Fourier).
 MAX_GRID_SIZE = 1024
 # Largest relative gap allowed between ||A||_F^2 and trace(M).
 FACTOR_RTOL = 1e-12
@@ -57,6 +65,10 @@ SVD_FLOOR = 1e-28
 # line; each xi node gives Fourier two rows): 9-14 modes resolve for the
 # default operators, and factors of 32-64 rows already agree on them.
 FIRST_IMAGE_NODES = 16
+
+# Every ladder stops at this many image nodes, the largest rule any kind
+# needed when each kind's cap was tied to n (Hilbert's 2n at n = 1024).
+IMAGE_CAP = 2048
 
 # A refined half factor is accepted when every resolved mu_n agrees with the
 # factor on half as many image nodes to this many SVD perturbation bounds.
@@ -203,10 +215,14 @@ def _check_hilbert(kind: OperatorKind) -> None:
 
 
 def _check_laplace(kind: OperatorKind) -> None:
-    """0 < a, and the half line [0, 40/a] the adjoint's inputs live on in float range."""
-    a = kind.source.a
-    if a <= 0:
+    if kind.source.a <= 0:
         raise InvalidArgumentError("Laplace operators require 0 < a < b")
+
+
+def _check_adjoint(kind: OperatorKind) -> None:
+    """Laplace's check, and the half line [0, 40/a] the inputs live on in float range."""
+    _check_laplace(kind)
+    a = kind.source.a
     if not math.isfinite(HALF_LINE_DECAY_SCALE / a):
         raise InvalidArgumentError(f"{kind.to_string()}: a = {_shortest(a)} is too small: "
                                    f"the half line [0, {HALF_LINE_DECAY_SCALE:g}/a] overflows")
@@ -223,6 +239,23 @@ def _log_ratio(ab: Interval) -> float:
     the ratio is large and ln b - ln a cannot cancel either."""
     r = (ab.b - ab.a) / ab.a
     return math.log1p(r) if math.isfinite(r) else math.log(ab.b) - math.log(ab.a)
+
+
+def _laplace_trace(kind: OperatorKind) -> float:
+    """ln(b/a)/2: trace of Laplace T*T on [a, b], and of its adjoint TT* on the
+    half line (Frullani); truncating at 40/a drops less than e^-80 of it."""
+    return _log_ratio(kind.source) / 2.0
+
+
+def _hilbert_trace(kind: OperatorKind) -> float:
+    """int_I (1/(c - x) - 1/(d - x)) dx / pi^2 for J = [c, d], which is
+    log1p(|I| |J| / (gap span)) / pi^2, gap the distance between I and J and
+    span the length of their hull: the same form with J on either side of I,
+    every length a difference of two endpoints, so nothing cancels."""
+    I, J = kind.source, kind.target
+    gap = max(J.a - I.b, I.a - J.b)
+    span = max(I.b, J.b) - min(I.a, J.a)
+    return math.log1p(I.length / span * (J.length / gap)) / math.pi ** 2
 
 
 def cauchy_factor(x: np.ndarray, w: np.ndarray) -> tuple:
@@ -265,11 +298,10 @@ class KindRecord:
     keys: tuple  # the name's fields after the tag, "{}" per endpoint of source, then target
     check: Callable  # kind -> None, or raises InvalidArgumentError
     diagonal: Callable  # (kind, x) -> K(x, x), whose weighted sum is trace(M)
+    trace: Callable  # kind -> trace(T*T) in closed form, the grid's gate
     # (nodes, weights) -> (G, trace(S)) with G^T G + S = M; None: the image-rule ladder below
     factor: Optional[Callable] = None
-    trace: Optional[Callable] = None  # kind -> trace(T*T) in closed form, the grid's gate
     image_side: Optional[Callable] = None  # kind -> the domain of the ladder's image-side rule
-    image_cap: Optional[Callable] = None  # n -> nodes (per panel) of the ladder's largest rule
     rows: Optional[Callable] = None  # (image nodes t, input nodes x) -> the ladder's kernel rows
     half: bool = False  # the inputs live on half_line_for(source), not on source
     diff: Optional[Callable] = None  # (kind, N) -> commuting operator at its trial size
@@ -281,27 +313,27 @@ class KindRecord:
 _KINDS = {
     LAPLACE: KindRecord(
         keys=("a={},b={}",), check=_check_laplace, diagonal=lambda k, x: 1.0 / (2.0 * x),
-        factor=cauchy_factor, trace=lambda k: _log_ratio(k.source) / 2.0,
+        trace=_laplace_trace, factor=cauchy_factor,
         diff=lambda k, N: assemble_bertero_grunbaum(k.source, N)),
     # The fourth-order operator in its proof's sign variant, at N/2 clamped to [32, 64]:
     # its spectrum is unstable below 4 converged modes.  Theorem 2's ratio reads f''.
     LAPLACE_ADJOINT: KindRecord(
-        keys=("a={},b={}",), check=_check_laplace,
+        keys=("a={},b={}",), check=_check_adjoint,
         diagonal=lambda k, x: _adjoint_kernel(2.0 * x, k.source.a, k.source.b),
-        image_side=lambda k: k.source, image_cap=lambda n: max(128, n // 2),
-        rows=_exp_rows, half=True, min_converged=4, ratio_orders=(0, 1, 2),
+        trace=_laplace_trace, image_side=lambda k: k.source, rows=_exp_rows, half=True,
+        min_converged=4, ratio_orders=(0, 1, 2),
         diff=lambda k, N: assemble_fourth_order(k.source, k.half, min(max(N // 2, 32), 64),
                                                 SignVariant.AS_PROOF_BOUND)),
     # Theorem 3 bounds by a power of the ratio.
     FOURIER: KindRecord(
         keys=(), check=_check_fourier, diagonal=lambda k, x: np.full_like(x, 2.0),
-        image_side=lambda k: k.source, image_cap=lambda n: n, rows=_trig_rows,
+        trace=lambda k: 4.0, image_side=lambda k: k.source, rows=_trig_rows,
         diff=lambda k, N: assemble_prolate(N), fit_form=POWER_OF_RATIO),
     # The kernel 1/(t - s) is smooth on J x I, so the image rule lives on J.
     HILBERT: KindRecord(
         keys=("I={},{}", "J={},{}"), check=_check_hilbert,
         diagonal=lambda k, x: (1.0 / (k.target.a - x) - 1.0 / (k.target.b - x)) / math.pi ** 2,
-        image_side=lambda k: k.target, image_cap=lambda n: 2 * n,
+        trace=_hilbert_trace, image_side=lambda k: k.target,
         rows=lambda t, x: (1.0 / np.pi) / (t[:, None] - x[None, :])),
 }
 
@@ -318,10 +350,8 @@ class OperatorMatrix:
 
     image_refinement is the largest move of a resolved mu_n between A and the
     factor on half as many image nodes, in units of the SVD perturbation
-    bound 2 eps sqrt(mu_1/mu_n).  It is None when the cap rule was built
-    directly or A is a Cauchy factor, which has no image rule, and inf when
-    the rule before the cap failed its trace check, so that nothing confirmed
-    the accepted factor.
+    bound 2 eps sqrt(mu_1/mu_n): at most REFINEMENT_SLACK for every ladder
+    factor, and None only for a Cauchy factor, which has no image rule.
     """
 
     grid: QuadGrid
@@ -373,12 +403,12 @@ def _trace_refusal(what: str, grid: QuadGrid, gap: float) -> InvalidArgumentErro
         f"{what} at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
 
 
-def _refinement(mu_coarse: Optional[np.ndarray], mu_fine: np.ndarray) -> float:
-    """Largest relative move of a mode both spectra resolve, in units of the
-    SVD perturbation bound 2 eps sqrt(mu_1/mu_n); infinite when the coarser
-    rule failed its trace check (None) or either spectrum resolves none."""
-    k = 0 if mu_coarse is None else min(resolved_count(mu_coarse), resolved_count(mu_fine))
-    if k == 0:
+def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
+    """Largest relative move of a resolved mode, in units of the SVD
+    perturbation bound 2 eps sqrt(mu_1/mu_n); inf when the two spectra
+    resolve different numbers of modes, or none."""
+    k = resolved_count(mu_fine)
+    if k == 0 or k != resolved_count(mu_coarse):
         return math.inf
     mu = mu_fine[:k]
     bound = 2.0 * np.finfo(float).eps * np.sqrt(mu[0] / mu)
@@ -387,37 +417,36 @@ def _refinement(mu_coarse: Optional[np.ndarray], mu_fine: np.ndarray) -> float:
 
 def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     """Half factor on the smallest image-side rule that refinement confirms:
-    (A, its singular values, its refinement or None).
+    (A, its singular values, its refinement).
 
-    Rules double from FIRST_IMAGE_NODES up to the cap, the last rule, and
-    each rule's trace gap is read first: a rule's SVD is taken only when its
-    trace gap is within FACTOR_RTOL, and a rule that fails it is never
-    decomposed.
-    A rule below the cap is accepted when the rule before it passed too,
-    resolves as many modes, and no resolved mu_n moved by more than
-    REFINEMENT_SLACK bounds.  The cap is accepted on its trace check alone,
-    which raises InvalidArgumentError when it fails; its refinement is None
-    when it was built directly and inf when the rule before it failed.
+    Rules double from FIRST_IMAGE_NODES to IMAGE_CAP, and each rule's trace
+    gap is read first: a rule's SVD is taken only when its gap is within
+    FACTOR_RTOL, and a rule that fails it is never decomposed.  A rule is
+    accepted when the rule before it was decomposed too and no resolved mu_n
+    moved by more than REFINEMENT_SLACK bounds, with the same modes resolved.
+    When no rule up to the cap is accepted, InvalidArgumentError gives the
+    cap's trace gap if no rule passed its trace check, and otherwise the last
+    decomposed rule's move (inf when the rule before it was not decomposed).
     """
-    r_max = kind.record.image_cap(grid.size)
-    # Refinement needs two rules below the cap; with fewer, build the cap.
-    r0 = r = FIRST_IMAGE_NODES if 2 * FIRST_IMAGE_NODES < r_max else r_max
-    mu_coarse = None  # the rule before's mu_n, None when it failed
-    while True:
+    mu_coarse, move = None, None
+    r = FIRST_IMAGE_NODES
+    while r <= IMAGE_CAP:
         A = _half_factor(kind, grid, r)
         gap = _trace_gap(float(np.vdot(A, A)), trace)
+        mu, r = None, 2 * r
         if gap <= FACTOR_RTOL:
             s = np.linalg.svd(A, compute_uv=False)
             mu = s ** 2
-            refinement = None if r == r0 else _refinement(mu_coarse, mu)
-            if r == r_max or (r != r0 and refinement <= REFINEMENT_SLACK
-                              and resolved_count(mu) == resolved_count(mu_coarse)):
-                return A, s, refinement
-        elif r == r_max:
-            raise _trace_refusal(f"half factor of {kind.to_string()} disagrees with its "
-                                 "kernel matrix", grid, gap)
-        mu_coarse = mu if gap <= FACTOR_RTOL else None
-        r = min(2 * r, r_max)
+            move = math.inf if mu_coarse is None else _refinement(mu_coarse, mu)
+            if move <= REFINEMENT_SLACK:
+                return A, s, move
+        mu_coarse = mu
+    name = kind.to_string()
+    if move is None:
+        raise _trace_refusal(f"half factor of {name} disagrees with its kernel matrix", grid, gap)
+    raise InvalidArgumentError(
+        f"half factor of {name} is not confirmed by refinement at n = {grid.size}: last move "
+        f"{move:.3g} bounds > {REFINEMENT_SLACK:g} on rules up to {IMAGE_CAP} image nodes")
 
 
 def _pivoted_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
@@ -449,15 +478,14 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
             f"grid domain {grid.domain} does not match operator input {expected}"
         )
     # ||A||_F^2 = sum of mu_n must equal the kernel's trace: a half factor whose
-    # image-side rule misses the kernel would print a wrong spectrum.  Where the
-    # trace has a closed form, the grid's own quadrature of it must match first.
+    # image-side rule misses the kernel would print a wrong spectrum.  The grid's
+    # own quadrature of the trace must match its closed form first.
     record = kind.record
     trace = float(np.dot(grid.weights, record.diagonal(kind, grid.nodes)))
-    if record.trace is not None:
-        gap = _trace_gap(trace, record.trace(kind))
-        if not gap <= FACTOR_RTOL:
-            raise _trace_refusal(f"grid of {kind.to_string()} misses its closed-form trace",
-                                 grid, gap)
+    gap = _trace_gap(trace, record.trace(kind))
+    if not gap <= FACTOR_RTOL:
+        raise _trace_refusal(f"grid of {kind.to_string()} misses its closed-form trace",
+                             grid, gap)
     if record.factor is not None:
         return OperatorMatrix(grid, kind, *_pivoted_half_factor(kind, grid, trace))
     return OperatorMatrix(grid, kind, *_refined_half_factor(kind, grid, trace))

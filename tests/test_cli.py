@@ -72,24 +72,35 @@ def test_a_refused_grid_names_what_it_refused(tmp_path, capsys, argv, message):
 ])
 def test_a_laplace_kind_whose_half_line_overflows_is_refused_by_name(tmp_path, capsys, op,
                                                                      name, a):
-    # 40/a leaves the float range: the refusal names the operator and its a
+    # 40/a leaves the float range: the adjoint, whose inputs live on [0, 40/a],
+    # is refused with the operator's name and its a; plain Laplace reads no
+    # half line, and its grid misses the closed-form trace ln(b/a)/2
     assert run_cli(["spectrum", "--op", op], tmp_path)[0] == 1
+    if op.startswith("laplace:"):
+        assert capsys.readouterr().err == (f"error: grid of {name} misses its closed-form "
+                                           "trace at n = 256: relative trace gap 0.983 > 1e-12\n")
+        return
     assert capsys.readouterr().err == (f"error: {name}: a = {a} is too small: "
                                        "the half line [0, 40/a] overflows\n")
 
 
+def _fresh_cli(args, tmp_path):
+    """illposed.cli args in a fresh process, with Python's default warning filters."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "illposed.cli", *args,
+                           "--out-dir", str(tmp_path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+
+
 def _trace_refusal(op, n):
-    """spectrum --op op [--n n], and the trace check's refusal of it.  Laplace
-    is refused by its closed-form trace ln(b/a)/2, which the grid misses."""
+    """spectrum --op op [--n n], and the refusal of its grid by the closed-form
+    trace, which the grid misses: ln(b/a)/2 for both Laplace kinds, and for
+    Hilbert a positive trace where the grid's kernel diagonal cancels to 0."""
     name = op.replace("1e300", "1e+300").replace("1e90", "1e+90")
-    if op.startswith("laplace:"):
-        gap = {None: "0.991", 512: "0.99", 1024: "0.989"}[n]
-        what = f"grid of {name} misses its closed-form trace"
-    else:
-        gap = "inf" if op.startswith("hilbert") else "1"
-        what = f"half factor of {name} disagrees with its kernel matrix"
+    gap = "1" if op.startswith("hilbert") else {None: "0.991", 512: "0.99", 1024: "0.989"}[n]
     return (["spectrum", "--op", op] + ([] if n is None else ["--n", str(n)]),
-            f"error: {what} at n = {n or 256}: relative trace gap {gap} > 1e-12\n")
+            f"error: grid of {name} misses its closed-form trace at n = {n or 256}: "
+            f"relative trace gap {gap} > 1e-12\n")
 
 
 def _stiffness_refusal(command, op, name, N, reason="is not finite"):
@@ -99,7 +110,7 @@ def _stiffness_refusal(command, op, name, N, reason="is not finite"):
 @pytest.mark.parametrize("args,stderr", [
     pytest.param(*_trace_refusal(op, n), id=op if n is None else f"{op}-{n}")
     for n in (None, 512, 1024)
-    # the last one's kernel diagonal cancels to exactly 0: its trace gap is inf
+    # the last one's kernel diagonal cancels to exactly 0: its trace gap is 1
     for op in ("laplace:a=1e-300,b=1e300", "laplace-adjoint:a=1e-300,b=1e300",
                "hilbert:I=-1e90,0:J=1e-300,1")] + [
     pytest.param(*_stiffness_refusal(command, op, name, N, *reason), id=f"{command}-{op}")
@@ -114,15 +125,42 @@ def _stiffness_refusal(command, op, name, N, reason="is not finite"):
         ("match", "laplace-adjoint:a=1e294,b=2e294", "fourth-order", 64),
         ("verify", "laplace-adjoint:a=1e160,b=2e160", "fourth-order", 64))])
 def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, args, stderr):
-    # a fresh process, with Python's default warning filters: the trace check's
-    # or a stiffness check's refusal is the one line on stderr, and
-    # no RuntimeWarning or traceback comes before it; refinement rungs that
-    # resolve no mode fall through to the trace refusal
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "illposed.cli", *args,
-                           "--out-dir", str(tmp_path)], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    # a fresh process, with Python's default warning filters: the closed-form
+    # trace gate's or a stiffness check's refusal is the one line on stderr,
+    # and no RuntimeWarning or traceback comes before it
+    proc = _fresh_cli(args, tmp_path)
     assert (proc.returncode, proc.stderr) == (1, stderr)
+
+
+@pytest.mark.parametrize("op,n,stderr", [
+    # grids that miss the closed-form trace, before anything is factored
+    ("hilbert:I=0,1:J=1.0001,1.0101", 256, "grid of hilbert:I=0,1:J=1.0001,1.0101 misses its "
+     "closed-form trace at n = 256: relative trace gap 4.54e-05 > 1e-12"),
+    ("hilbert:I=0,1:J=1.001,1.101", 128, "grid of hilbert:I=0,1:J=1.001,1.101 misses its "
+     "closed-form trace at n = 128: relative trace gap 1.18e-07 > 1e-12"),
+    ("hilbert:I=0,1:J=2,3", 8, "grid of hilbert:I=0,1:J=2,3 misses its closed-form trace "
+     "at n = 8: relative trace gap 2.05e-12 > 1e-12"),
+    ("laplace-adjoint:a=1e-4,b=1", 128, "grid of laplace-adjoint:a=0.0001,b=1 misses its "
+     "closed-form trace at n = 128: relative trace gap 1.7e-10 > 1e-12"),
+    # no image rule up to the cap passes its trace check
+    ("hilbert:I=0,1:J=1.001,1e6", 256, "half factor of hilbert:I=0,1:J=1.001,1e+06 disagrees "
+     "with its kernel matrix at n = 256: relative trace gap 0.626 > 1e-12"),
+    # rules pass their trace check, but no two successive ones agree
+    ("hilbert:I=0,1:J=1.0001,2", 1024, "half factor of hilbert:I=0,1:J=1.0001,2 is not "
+     "confirmed by refinement at n = 1024: last move 178 bounds > 4 on rules up to 2048 "
+     "image nodes"),
+    ("laplace-adjoint:a=1e-3,b=2", 1024, "half factor of laplace-adjoint:a=0.001,b=2 is not "
+     "confirmed by refinement at n = 1024: last move 25.3 bounds > 4 on rules up to 2048 "
+     "image nodes"),
+    # an interval whose width leaves the float range
+    ("hilbert:I=-1.7e308,1.7e308:J=1.75e308,1.79e308", 256,
+     "interval [-1.7e+308, 1.7e+308] is wider than the float range"),
+])
+def test_an_input_nothing_confirms_is_refused_in_one_line(tmp_path, op, n, stderr):
+    # no factor is printed on its trace check alone: each input exits 1 with
+    # one error line, and no warning or traceback
+    proc = _fresh_cli(["spectrum", "--op", op, "--n", str(n)], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {stderr}\n")
 
 
 @pytest.mark.parametrize("op", ["laplace:a=1.5065986448845864e-105,b=1.5067234402942631e-105",
@@ -131,10 +169,7 @@ def test_match_far_from_unit_scale_gives_a_finite_verdict_or_a_refusal(tmp_path,
     # ||K|| ||Lambda|| under- or overflows on these intervals: the commutation
     # residual must still be a number, with no RuntimeWarning, or the command
     # must refuse in one line
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "illposed.cli", "match", "--op", op,
-                           "--n", "64", "--out-dir", str(tmp_path)], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    proc = _fresh_cli(["match", "--op", op, "--n", "64"], tmp_path)
     if proc.returncode == 1:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         return
@@ -204,7 +239,7 @@ def test_operator_names_keep_every_digit(tmp_path, capsys):
     assert "spectrum: laplace:a=1.0000001,b=2 " in capsys.readouterr().out
     code, _ = run_cli(["spectrum", "--op", "hilbert:I=0,1:J=1.000000001,2"], tmp_path)
     assert code == 1
-    assert "half factor of hilbert:I=0,1:J=1.000000001,2 disagrees" in capsys.readouterr().err
+    assert "grid of hilbert:I=0,1:J=1.000000001,2 misses" in capsys.readouterr().err
 
 
 def test_spectrum_of_an_adjoint_with_a_narrow_gap(tmp_path):

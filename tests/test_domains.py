@@ -16,6 +16,14 @@ def test_interval_validation():
     assert Interval(1.0, 2.0).length == 1.0
 
 
+def test_an_interval_wider_than_the_float_range_is_refused_by_name():
+    # b - a overflows to inf, and no grid could be built on it
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^interval \[-1.7e\+308, 1.7e\+308\] is wider than the float range$"):
+        Interval(-1.7e308, 1.7e308)
+    assert Interval(-8e307, 8e307).length == 1.6e308
+
+
 def test_half_line_validation():
     with pytest.raises(InvalidArgumentError):
         HalfLineDomain(-1.0)

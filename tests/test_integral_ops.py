@@ -13,9 +13,9 @@ from illposed import (FunctionKind, FunctionRep, Interval,
                       fourier_image_energy, gram_matrix, make_grid, parse_operator,
                       quadratic_form)
 from illposed import integral_ops
-from illposed.integral_ops import (FACTOR_RTOL, REFINEMENT_SLACK, SVD_FLOOR, _adjoint_kernel,
-                                   _half_factor, _log_ratio, _pivoted_half_factor, _trace_gap,
-                                   cauchy_factor, resolved_count)
+from illposed.integral_ops import (FIRST_IMAGE_NODES, REFINEMENT_SLACK, SVD_FLOOR,
+                                   _adjoint_kernel, _half_factor, _log_ratio,
+                                   _pivoted_half_factor, cauchy_factor, resolved_count)
 from illposed.problem import Problem
 
 from conftest import decomposed, kernel_matrix
@@ -85,6 +85,13 @@ def test_operator_names_round_trip_on_random_endpoints(text):
     assert parse_operator(kind.to_string()) == kind
 
 
+def _rule_nodes(M):
+    """Image nodes of the rule a ladder factor was built on (Fourier takes
+    two rows per node)."""
+    rows_per_node = len(_half_factor(M.kind, M.grid, FIRST_IMAGE_NODES)) // FIRST_IMAGE_NODES
+    return M.image_nodes // rows_per_node
+
+
 @pytest.mark.parametrize("text,n,resolved", [
     # the adjoint at a = 0.01 loses mode 40 on 128 image nodes; its trace gap
     # does not show it, the refinement check does
@@ -99,20 +106,20 @@ def test_operator_names_round_trip_on_random_endpoints(text):
     ("laplace-adjoint:a=1,b=2", 256, 14),
     ("fourier", 256, 11),
     ("hilbert:I=0,1:J=2,3", 256, 9),
-    # the largest moves against the cap: a nearly degenerate [a, b], a narrow J
+    # the largest moves against the finer rule: a nearly degenerate [a, b], a narrow J
     ("laplace-adjoint:a=1,b=1.00001", 256, 3),
     ("hilbert:I=0,1:J=1.01,1.02", 1024, 11),
 ])
 def test_refined_factor_matches_the_cap_rule(text, n, resolved, monkeypatch):
     # a Laplace factor is checked against its Cauchy factorization run to the
-    # last pivot, the ladder's against its cap rule
+    # last pivot, a ladder factor, which refinement accepted, against the rule
+    # on 4 times its image nodes
     p = Problem(parse_operator(text), n)
     M = p.matrix
     mu = decompose_operator(M).eigenvalues
     if p.kind.record.factor is None:
-        reference = _half_factor(p.kind, p.grid, p.kind.record.image_cap(n))
-        # accepted by refinement, or the cap rule itself
-        assert M.image_refinement <= REFINEMENT_SLACK or M.image_nodes == len(reference)
+        assert M.image_refinement <= REFINEMENT_SLACK
+        reference = _half_factor(p.kind, p.grid, 4 * _rule_nodes(M))
     else:
         with monkeypatch.context() as complete:
             complete.setattr(integral_ops, "SVD_FLOOR", 0.0)
@@ -128,6 +135,22 @@ def test_refined_factor_matches_the_cap_rule(text, n, resolved, monkeypatch):
     assert np.all(mu[M.image_nodes:] == 0.0)
 
 
+@pytest.mark.parametrize("ab", ["a=1,b=2", "a=0.1,b=1", "a=0.01,b=1", "a=1,b=1.00001"])
+def test_laplace_and_its_adjoint_share_their_spectrum(ab):
+    # laplace is T*T and laplace-adjoint TT* for the same T, so they share
+    # their nonzero spectrum: on every mode both resolve, mu_n agree within
+    # REFINEMENT_SLACK times the sum of their SVD bounds 2 eps sqrt(mu_1 mu_n).
+    # n = 128 is left out: its input grids do not resolve [0.1, 1] or [0.01, 1]
+    eps = np.finfo(float).eps
+    for n in (256, 512, 1024):
+        mu = [Problem(parse_operator(f"{tag}:{ab}"), n).matrix.singular_values ** 2
+              for tag in ("laplace", "laplace-adjoint")]
+        k = min(map(resolved_count, mu))
+        L, A = (m[:k] for m in mu)
+        bound = 2.0 * eps * (np.sqrt(L[0] * L) + np.sqrt(A[0] * A))
+        assert np.all(np.abs(L - A) <= REFINEMENT_SLACK * bound)
+
+
 def _log_uniform(lo, hi):
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
 
@@ -139,20 +162,20 @@ def _log_uniform(lo, hi):
     st.builds(lambda gap, width: f"hilbert:I=0,1:J={1 + gap!r},{1 + gap + width!r}",
               _log_uniform(1e-5, 10.0), _log_uniform(1e-2, 10.0))))
 def test_the_ladder_accepts_what_the_cap_accepts(text):
-    # at n = 256 the refined factor is accepted exactly when the cap rule
-    # passes its trace check, and it resolves as many modes as the cap
+    # at n = 256 each input is refused by one of the named checks, or its
+    # factor is accepted within REFINEMENT_SLACK and resolves as many modes
+    # as the rule on 4 times its image nodes
     kind = parse_operator(text)
     p = Problem(kind, 256)
-    cap = _half_factor(kind, p.grid, kind.record.image_cap(256))
-    trace = float(np.dot(p.grid.weights, kind.record.diagonal(kind, p.grid.nodes)))
-    cap_passes = _trace_gap(float(np.vdot(cap, cap)), trace) <= FACTOR_RTOL
     try:
         M = p.matrix
-    except InvalidArgumentError:
-        assert not cap_passes
+    except InvalidArgumentError as exc:
+        assert any(f"{what} at n = 256" in str(exc) for what in (
+            "misses its closed-form trace", "disagrees with its kernel matrix",
+            "is not confirmed by refinement"))
         return
-    assert cap_passes
-    ref = np.linalg.svd(cap, compute_uv=False) ** 2
+    assert M.image_refinement <= REFINEMENT_SLACK
+    ref = np.linalg.svd(_half_factor(kind, p.grid, 4 * _rule_nodes(M)), compute_uv=False) ** 2
     assert resolved_count(M.singular_values ** 2) == resolved_count(ref)
 
 
@@ -178,8 +201,8 @@ def test_a_laplace_input_is_gated_or_matches_its_kernel_matrix(a, gap):
 @pytest.mark.parametrize("text,rows", [("laplace:a=1,b=2", 23), ("laplace-adjoint:a=1,b=2", 64),
                                        ("fourier", 64), ("hilbert:I=0,1:J=2,3", 64)])
 def test_image_rules_stay_small(text, rows, svd_calls):
-    # at n = 1024 refinement confirms a factor far below the cap (2048 rows
-    # for Fourier and Hilbert, 512 for the adjoint) in at most 3 SVDs; the
+    # at n = 1024 refinement confirms a factor far below IMAGE_CAP (2048
+    # image nodes) in at most 3 SVDs; the
     # Laplace Cauchy factor stops at 23 pivots and takes one SVD, of its R
     p = Problem(parse_operator(text), 1024)
     M = gram_matrix(p.kind, p.grid)
@@ -192,25 +215,26 @@ def test_image_rules_stay_small(text, rows, svd_calls):
 
 def test_no_rung_is_decomposed_before_its_trace_check(svd_calls):
     # each rung's trace gap is read before its SVD, and a rung that fails it
-    # is never decomposed: an input the cap refuses takes no SVD, and one the
-    # kernel resolves late (at n = 1024 only rungs of 1024 nodes and more
-    # pass) decomposes exactly its passing rungs, the 1024-node rung and the cap
+    # is never decomposed: a grid the closed-form gate refuses takes no SVD,
+    # and an input the kernel resolves late (at n = 1024 only rungs of 1024
+    # nodes and more pass) decomposes exactly its passing rungs, the
+    # 1024-node rung and the 2048-node cap, and is refused when they disagree
     kind = parse_operator("hilbert:I=0,1:J=1.0001,2")
-    with pytest.raises(InvalidArgumentError, match="relative trace gap"):
+    with pytest.raises(InvalidArgumentError, match="misses its closed-form trace at n = 256"):
         gram_matrix(kind, Problem(kind, 256).grid)
     assert svd_calls == []
-    M = gram_matrix(kind, Problem(kind, 1024).grid)
-    assert [len(a) for a in svd_calls] == [1024, 2048] and svd_calls[-1] is M.half_factor
-    assert 0.0 <= M.image_refinement < np.inf
-    # on the adjoint at a = 0.01 only the 128-node cap passes: the 64-node
-    # rung before it is not decomposed, so the cap is compared with nothing
-    # and its refinement is inf
+    with pytest.raises(InvalidArgumentError,
+                       match="is not confirmed by refinement at n = 1024: last move 178 bounds"):
+        gram_matrix(kind, Problem(kind, 1024).grid)
+    assert [len(a) for a in svd_calls] == [1024, 2048]
+    # on the adjoint at a = 0.01 the rungs of 16-64 nodes fail their trace
+    # check and are not decomposed; 128, 256 and 512 pass, and 512 is confirmed
     svd_calls.clear()
     kind = parse_operator("laplace-adjoint:a=0.01,b=1")
     M = gram_matrix(kind, Problem(kind, 256).grid)
-    assert M.image_nodes == 128 and M.image_refinement == np.inf
-    assert resolved_count(M.singular_values ** 2) == 39
-    assert len(svd_calls) == 1 and svd_calls[0] is M.half_factor
+    assert M.image_nodes == 512 and 0.0 <= M.image_refinement <= REFINEMENT_SLACK
+    assert resolved_count(M.singular_values ** 2) == 40
+    assert [len(a) for a in svd_calls] == [128, 256, 512] and svd_calls[-1] is M.half_factor
 
 
 def test_kernel_values():
@@ -290,25 +314,28 @@ def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):
     M = Problem(parse_operator("hilbert:I=0,1:J=2,3")).matrix
     hs = np.log(4.0 / 3.0) / np.pi ** 2
     assert abs(np.vdot(M.half_factor, M.half_factor) - hs) <= 1e-13 * hs
-    # image-side rules that miss the kernel mass near the origin, or near
-    # the end of I that J almost touches
-    for text in ("laplace-adjoint:a=1e-3,b=2",
-                 "hilbert:I=0,1:J=1.0001,2", "hilbert:I=0,1:J=1.000000001,2"):
-        kind = parse_operator(text)
-        with pytest.raises(InvalidArgumentError, match="disagrees with its kernel matrix "
-                                                       "at n = 256"):
-            gram_matrix(kind, Problem(kind, 256, 128, 12).grid)
-    # a Laplace input grid that misses the mass near the origin is refused by
-    # its closed-form trace, before anything is factored
-    kind = parse_operator("laplace:a=1e-9,b=2")
-    with pytest.raises(InvalidArgumentError, match="misses its closed-form trace at n = 256"):
+    # no image-side rule up to the cap holds the kernel mass of a J that
+    # reaches 1e6
+    kind = parse_operator("hilbert:I=0,1:J=1.001,1e6")
+    with pytest.raises(InvalidArgumentError, match="disagrees with its kernel matrix "
+                                                   "at n = 256: relative trace gap 0.626"):
         gram_matrix(kind, Problem(kind, 256, 128, 12).grid)
-    # 512 output nodes resolve the adjoint kernel at a = 1e-3
-    M = Problem(parse_operator("laplace-adjoint:a=1e-3,b=2"), 1024, 128, 12).matrix
-    trace = np.trace(kernel_matrix(M.kind, M.grid))
-    assert abs(np.vdot(M.half_factor, M.half_factor) - trace) <= FACTOR_RTOL * trace
-    # and 2048 output nodes resolve the Hilbert kernel at a gap of 1e-4
-    Problem(parse_operator("hilbert:I=0,1:J=1.0001,2"), 1024).matrix
+    # input grids that miss the mass near the origin, or near the end of I
+    # that J almost touches, are refused by their closed-form trace, before
+    # anything is factored
+    for text in ("laplace:a=1e-9,b=2", "hilbert:I=0,1:J=1.0001,2",
+                 "hilbert:I=0,1:J=1.000000001,2"):
+        kind = parse_operator(text)
+        with pytest.raises(InvalidArgumentError, match="misses its closed-form trace at n = 256"):
+            gram_matrix(kind, Problem(kind, 256, 128, 12).grid)
+    # rules that pass their trace check but that refinement does not confirm:
+    # the adjoint at a = 1e-3 (the largest rules agree with the kernel matrix's
+    # trace and still move its modes) and the Hilbert gap of 1e-4 at n = 1024
+    for text in ("laplace-adjoint:a=1e-3,b=2", "hilbert:I=0,1:J=1.0001,2"):
+        kind = parse_operator(text)
+        with pytest.raises(InvalidArgumentError, match="is not confirmed by refinement "
+                                                       "at n = 1024"):
+            gram_matrix(kind, Problem(kind, 1024, 128, 12).grid)
 
 
 @pytest.mark.parametrize("text", ["laplace:a=1,b=2", "laplace-adjoint:a=1,b=2", "fourier",
@@ -508,39 +535,42 @@ def test_the_closed_form_trace_gate(text, accepted, svd_calls):
 
 
 # Every decision of the ladder on a few inputs: (image rows, the class of
-# image_refinement, resolved modes).  The refinement class is None for a cap
-# built directly and for a Laplace Cauchy factor, whose rows are its pivots,
-# "ok" within REFINEMENT_SLACK, "cap" for a cap that moved by more (accepted
-# on its trace check alone), and "inf" for a cap whose rung before failed its
-# trace check.
+# image_refinement, resolved modes), or the check that refused the input.
+# The refinement class is None for a Laplace Cauchy factor, whose rows are
+# its pivots, and "ok" for a ladder factor, which is accepted only within
+# REFINEMENT_SLACK.
 LADDER_DECISIONS = [
     ("laplace:a=1,b=2", 128, 22, None, 14),
     ("laplace:a=1,b=2", 512, 22, None, 14),
     ("laplace-adjoint:a=1,b=2", 256, 64, "ok", 14),
     ("fourier", 256, 64, "ok", 11),
+    ("fourier", 16, 64, "ok", 11),
     ("hilbert:I=0,1:J=2,3", 256, 32, "ok", 9),
     ("laplace:a=1,b=1.00001", 256, 4, None, 3),
     ("laplace:a=0.01,b=1", 256, 66, None, 40),
-    ("laplace-adjoint:a=0.01,b=1", 256, 128, "inf", 39),
-    ("laplace-adjoint:a=0.01,b=1", 512, 256, "cap", 40),
-    ("hilbert:I=0,1:J=1.001,1.101", 128, 256, "cap", 21),
+    ("laplace-adjoint:a=0.01,b=1", 256, 512, "ok", 40),
+    ("laplace-adjoint:a=0.01,b=1", 512, 512, "ok", 40),
+    ("laplace-adjoint:a=1e-3,b=2", 256, "is not confirmed by refinement"),
+    ("hilbert:I=0,1:J=1.001,1.101", 128, "misses its closed-form trace"),
+    ("hilbert:I=0,1:J=1.001,1.101", 256, 512, "ok", 24),
+    ("hilbert:I=0,1:J=1.001,1e6", 256, "disagrees with its kernel matrix"),
     ("hilbert:I=0,1:J=2,12", 256, 128, "ok", 10),
 ]
+REFUSALS = ("misses its closed-form trace", "disagrees with its kernel matrix",
+            "is not confirmed by refinement")
 
 
-def _refinement_class(refinement):
-    if refinement is None:
-        return None
-    if refinement == np.inf:
-        return "inf"
-    return "ok" if refinement <= REFINEMENT_SLACK else "cap"
+def _decision(text, n):
+    kind = parse_operator(text)
+    try:
+        M = gram_matrix(kind, Problem(kind, n).grid)
+    except InvalidArgumentError as exc:
+        return (text, n) + tuple(what for what in REFUSALS if what in str(exc))
+    refinement = M.image_refinement
+    if refinement is not None and refinement <= REFINEMENT_SLACK:
+        refinement = "ok"
+    return text, n, M.image_nodes, refinement, resolved_count(M.singular_values ** 2)
 
 
 def test_the_ladder_decision_table():
-    got = []
-    for text, n, *_ in LADDER_DECISIONS:
-        kind = parse_operator(text)
-        M = gram_matrix(kind, Problem(kind, n).grid)
-        got.append((text, n, M.image_nodes, _refinement_class(M.image_refinement),
-                    resolved_count(M.singular_values ** 2)))
-    assert got == LADDER_DECISIONS
+    assert [_decision(text, n) for text, n, *_ in LADDER_DECISIONS] == LADDER_DECISIONS
