@@ -66,8 +66,8 @@ SVD_FLOOR = 1e-28
 # default operators, and factors of 32-64 rows already agree on them.
 FIRST_IMAGE_NODES = 16
 
-# Every ladder stops at this many image nodes, the largest rule any kind
-# needed when each kind's cap was tied to n (Hilbert's 2n at n = 1024).
+# Every ladder doubles its rule up to this many image nodes, twice
+# MAX_GRID_SIZE; an input that no rule up to it confirms is refused.
 IMAGE_CAP = 2048
 
 # A refined half factor is accepted when every resolved mu_n agrees with the

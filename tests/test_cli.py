@@ -108,6 +108,10 @@ def _stiffness_refusal(command, op, name, N, reason="is not finite"):
 
 
 @pytest.mark.parametrize("args,stderr", [
+    # an interval whose width leaves the float range is refused by name
+    pytest.param(["spectrum", "--op", "hilbert:I=-1.7e308,1.7e308:J=1.75e308,1.79e308"],
+                 "error: interval [-1.7e+308, 1.7e+308] is wider than the float range\n",
+                 id="interval-wider-than-the-float-range")] + [
     pytest.param(*_trace_refusal(op, n), id=op if n is None else f"{op}-{n}")
     for n in (None, 512, 1024)
     # the last one's kernel diagonal cancels to exactly 0: its trace gap is 1
@@ -125,9 +129,9 @@ def _stiffness_refusal(command, op, name, N, reason="is not finite"):
         ("match", "laplace-adjoint:a=1e294,b=2e294", "fourth-order", 64),
         ("verify", "laplace-adjoint:a=1e160,b=2e160", "fourth-order", 64))])
 def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, args, stderr):
-    # a fresh process, with Python's default warning filters: the closed-form
-    # trace gate's or a stiffness check's refusal is the one line on stderr,
-    # and no RuntimeWarning or traceback comes before it
+    # a fresh process, with Python's default warning filters: the interval's,
+    # the closed-form trace gate's or a stiffness check's refusal is the one
+    # line on stderr, and no RuntimeWarning or traceback comes before it
     proc = _fresh_cli(args, tmp_path)
     assert (proc.returncode, proc.stderr) == (1, stderr)
 
@@ -152,9 +156,6 @@ def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, ar
     ("laplace-adjoint:a=1e-3,b=2", 1024, "half factor of laplace-adjoint:a=0.001,b=2 is not "
      "confirmed by refinement at n = 1024: last move 25.3 bounds > 4 on rules up to 2048 "
      "image nodes"),
-    # an interval whose width leaves the float range
-    ("hilbert:I=-1.7e308,1.7e308:J=1.75e308,1.79e308", 256,
-     "interval [-1.7e+308, 1.7e+308] is wider than the float range"),
 ])
 def test_an_input_nothing_confirms_is_refused_in_one_line(tmp_path, op, n, stderr):
     # no factor is printed on its trace check alone: each input exits 1 with

@@ -328,9 +328,8 @@ def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):
         kind = parse_operator(text)
         with pytest.raises(InvalidArgumentError, match="misses its closed-form trace at n = 256"):
             gram_matrix(kind, Problem(kind, 256, 128, 12).grid)
-    # rules that pass their trace check but that refinement does not confirm:
-    # the adjoint at a = 1e-3 (the largest rules agree with the kernel matrix's
-    # trace and still move its modes) and the Hilbert gap of 1e-4 at n = 1024
+    # rules that pass their trace check, but no two successive ones agree:
+    # the adjoint at a = 1e-3 and the Hilbert gap of 1e-4 at n = 1024
     for text in ("laplace-adjoint:a=1e-3,b=2", "hilbert:I=0,1:J=1.0001,2"):
         kind = parse_operator(text)
         with pytest.raises(InvalidArgumentError, match="is not confirmed by refinement "
