@@ -23,6 +23,11 @@ from conftest import decomposed, kernel_matrix
 AB = Interval(1.0, 2.0)
 SYM = Interval(-1.0, 1.0)
 
+# What each refusal of gram_matrix says: the grid's closed-form trace gate, no
+# image rule passing its trace check, no two successive rules agreeing
+REFUSALS = ("misses its closed-form trace", "disagrees with its kernel matrix",
+            "is not confirmed by refinement")
+
 # 2-D adaptive quadrature oracle for <T*T 1, 1> on [1,2]^2 (= 10 ln 2 - 6 ln 3)
 DBLQUAD_ONE_OVER_TPS = 0.3397980735907949
 
@@ -170,9 +175,7 @@ def test_the_ladder_accepts_what_the_cap_accepts(text):
     try:
         M = p.matrix
     except InvalidArgumentError as exc:
-        assert any(f"{what} at n = 256" in str(exc) for what in (
-            "misses its closed-form trace", "disagrees with its kernel matrix",
-            "is not confirmed by refinement"))
+        assert any(f"{what} at n = 256" in str(exc) for what in REFUSALS)
         return
     assert M.image_refinement <= REFINEMENT_SLACK
     ref = np.linalg.svd(_half_factor(kind, p.grid, 4 * _rule_nodes(M)), compute_uv=False) ** 2
@@ -202,8 +205,8 @@ def test_a_laplace_input_is_gated_or_matches_its_kernel_matrix(a, gap):
                                        ("fourier", 64), ("hilbert:I=0,1:J=2,3", 64)])
 def test_image_rules_stay_small(text, rows, svd_calls):
     # at n = 1024 refinement confirms a factor far below IMAGE_CAP (2048
-    # image nodes) in at most 3 SVDs; the
-    # Laplace Cauchy factor stops at 23 pivots and takes one SVD, of its R
+    # image nodes) in at most 3 SVDs; the Laplace Cauchy factor stops at 23
+    # pivots and takes one SVD, of its R
     p = Problem(parse_operator(text), 1024)
     M = gram_matrix(p.kind, p.grid)
     assert M.image_nodes <= rows
@@ -555,8 +558,6 @@ LADDER_DECISIONS = [
     ("hilbert:I=0,1:J=1.001,1e6", 256, "disagrees with its kernel matrix"),
     ("hilbert:I=0,1:J=2,12", 256, 128, "ok", 10),
 ]
-REFUSALS = ("misses its closed-form trace", "disagrees with its kernel matrix",
-            "is not confirmed by refinement")
 
 
 def _decision(text, n):
