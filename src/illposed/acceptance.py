@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversarial import FigureId, build_gramian, reproduce_figure
+from .adversarial import FIGURES, FigureId, build_gramian, reproduce_figure
 from .domains import Interval
 from .errors import REFUSALS, InsufficientDataError
 from .functions import FunctionKind, FunctionRep, h1_seminorm
 from .integral_ops import OperatorKind
-from .problem import Problem
+from .problem import ENSEMBLE_SIZE, Problem
 from .spectral import (EXP_DECAY, SUPER_EXP, decompose_operator, fit_decay,
                        fit_line, growth_check)
 from .stability import (EXPONENTIAL, error_count, fit_constants_from_sweep,
@@ -154,8 +154,7 @@ def criterion_07(ctx):
 
 @_criterion("8", "Gramian min-eig log-affine decrease over n in [3,12]")
 def criterion_08(ctx):
-    hilbert = OperatorKind.hilbert_truncated(Interval(0.0, 1.0), Interval(2.0, 3.0))
-    M = Problem(hilbert, ctx.laplace.n).matrix
+    M = Problem(FIGURES[FigureId.FIG1].operator, ctx.laplace.n).matrix
     reps = [build_gramian(M, size) for size in range(1, 13)]
     mins = [rep.min_eigenvalue for rep in reps]
     ns = np.arange(1, 13)
@@ -224,7 +223,7 @@ def criterion_11(ctx):
         if p is ctx.adjoint:
             out[key]["variant"] = p.diff.sign_variant.value
             out[key]["variant_commutation"] = p.report.commutation_residual
-        records = p.verify(500, ctx.seed + offset)
+        records = p.verify(ENSEMBLE_SIZE, ctx.seed + offset)
         out[key]["violations"] = violation_count(records)
         out[key]["errors"] = error_count(records)
     fit3_exp = fit_constants_from_sweep(ctx.fourier.sweep, EXPONENTIAL)

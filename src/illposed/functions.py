@@ -217,16 +217,19 @@ def check_orthonormal(kind: FunctionKind, size: int, domain: Interval,
     """The cached order-0 table of a series basis of size functions on
     domain at the grid's nodes, once that table, scaled to unit norm (sine
     and cosine by sqrt(2/L)), is orthonormal on the grid to
-    ORTHONORMALITY_TOL: the one test that a grid resolves a series basis."""
-    table = cached_table(kind, size, domain, 0, grid.nodes)
-    unit = table
-    if kind is not FunctionKind.LEGENDRE_SERIES:
-        unit = math.sqrt(2.0 / domain.length) * table
-    gram = unit.T @ (grid.weights[:, None] * unit)
-    if np.max(np.abs(gram - np.eye(size))) > ORTHONORMALITY_TOL:
-        raise InvalidArgumentError(f"{kind.value} basis of {size} functions is not "
-                                   f"orthonormal on the grid of {grid.size} nodes")
-    return table
+    ORTHONORMALITY_TOL: the one test that a grid resolves a series basis.
+    A grid Gram matrix has rank at most the grid's node count, so a basis
+    of more functions than nodes is refused before any table is built."""
+    if size <= grid.size:
+        table = cached_table(kind, size, domain, 0, grid.nodes)
+        unit = table
+        if kind is not FunctionKind.LEGENDRE_SERIES:
+            unit = math.sqrt(2.0 / domain.length) * table
+        gram = unit.T @ (grid.weights[:, None] * unit)
+        if np.max(np.abs(gram - np.eye(size))) <= ORTHONORMALITY_TOL:
+            return table
+    raise InvalidArgumentError(f"{kind.value} basis of {size} functions is not "
+                               f"orthonormal on the grid of {grid.size} nodes")
 
 
 def grid_norm(v: np.ndarray, grid: QuadGrid) -> float:

@@ -425,28 +425,44 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     accepted when the rule before it was decomposed too and no resolved mu_n
     moved by more than REFINEMENT_SLACK bounds, with the same modes resolved.
     When no rule up to the cap is accepted, InvalidArgumentError gives the
-    cap's trace gap if no rule passed its trace check, and otherwise the last
-    decomposed rule's move (inf when the rule before it was not decomposed).
+    cap's trace gap if no rule passed its trace check, and otherwise says why
+    the last decomposed rule was not accepted: its move, the two rules'
+    resolved mode counts when they differ, or that the rule before it failed
+    its trace check.
     """
-    mu_coarse, move = None, None
+    mu_coarse, last = None, None
     r = FIRST_IMAGE_NODES
     while r <= IMAGE_CAP:
         A = _half_factor(kind, grid, r)
         gap = _trace_gap(float(np.vdot(A, A)), trace)
-        mu, r = None, 2 * r
+        mu = None
         if gap <= FACTOR_RTOL:
             s = np.linalg.svd(A, compute_uv=False)
             mu = s ** 2
             move = math.inf if mu_coarse is None else _refinement(mu_coarse, mu)
             if move <= REFINEMENT_SLACK:
                 return A, s, move
-        mu_coarse = mu
+            last = r, move, mu_coarse, mu
+        mu_coarse, r = mu, 2 * r
     name = kind.to_string()
-    if move is None:
+    if last is None:
         raise _trace_refusal(f"half factor of {name} disagrees with its kernel matrix", grid, gap)
-    raise InvalidArgumentError(
-        f"half factor of {name} is not confirmed by refinement at n = {grid.size}: last move "
-        f"{move:.3g} bounds > {REFINEMENT_SLACK:g} on rules up to {IMAGE_CAP} image nodes")
+    raise InvalidArgumentError(f"half factor of {name} is not confirmed by refinement at "
+                               f"n = {grid.size}: {_unconfirmed(*last)}")
+
+
+def _unconfirmed(r: int, move: float, mu_coarse, mu) -> str:
+    """Why the rule of r image nodes, with eigenvalues mu, was not accepted
+    against mu_coarse, the rule's before it (None when that rule failed its
+    trace check)."""
+    if math.isfinite(move):
+        return (f"last move {move:.3g} bounds > {REFINEMENT_SLACK:g} on rules up to "
+                f"{IMAGE_CAP} image nodes")
+    if mu_coarse is None:
+        return (f"the rule of {r} image nodes is the last one decomposed, and the rule "
+                "before it failed its trace check")
+    return (f"the rules of {r // 2} and {r} image nodes resolve {resolved_count(mu_coarse)} "
+            f"and {resolved_count(mu)} modes")
 
 
 def _pivoted_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):

@@ -3,9 +3,10 @@
 A Problem pairs a T*T composition with the differential operator that
 commutes with it, as the kind's record names it, and fixes the resolution
 policy: the quadrature grid, the Galerkin trial size N and the number of
-matched modes, with their defaults.  The CLI and the acceptance suite read
-every layer from here, and run the theorem's seeded ensemble through
-`verify`, so each of these decisions is written once.
+matched modes, with their defaults and their ranges, and the size of the
+theorem's seeded ensemble.  The CLI and the acceptance suite read every
+layer from here, and run that ensemble through `verify`, so each of these
+decisions is written once.
 """
 
 from __future__ import annotations
@@ -16,11 +17,16 @@ from functools import cached_property
 from .diff_ops import GalerkinOperator
 from .domains import QuadGrid, make_grid
 from .errors import InvalidArgumentError
-from .integral_ops import OperatorKind, OperatorMatrix, gram_matrix
+from .integral_ops import MAX_GRID_SIZE, OperatorKind, OperatorMatrix, gram_matrix
 from .spectral import MatchReport, converged_mode_count, match_eigenfunctions
 from .stability import (StabilityFit, SweepData, fit_constants_from_sweep, make_rng,
                         random_exp_poly, random_sine_series, sweep_from_report,
                         verify_theorem)
+
+# Largest Galerkin trial size N.
+MAX_TRIAL = 512
+# Functions in the theorem's seeded ensemble: verify's default count and criterion 11's.
+ENSEMBLE_SIZE = 500
 
 
 @dataclass(eq=False)
@@ -28,13 +34,23 @@ class Problem:
     """An operator kind with grid size n, trial size N and mode count m.
 
     n is the total node count; on the half line it is split over the panels.
-    Each layer is a cached property, built on first use and shared after.
+    The ranges are checked here, once: n in [1, MAX_GRID_SIZE], N in
+    [4, MAX_TRIAL] and m >= 1.  Each layer is a cached property, built on
+    first use and shared after.
     """
 
     kind: OperatorKind
     n: int = 256
     N: int = 128
     m: int = 12
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_GRID_SIZE:
+            raise InvalidArgumentError(f"n must be in [1, {MAX_GRID_SIZE}], the grid-size cap")
+        if not 4 <= self.N <= MAX_TRIAL:
+            raise InvalidArgumentError(f"N must be in [4, {MAX_TRIAL}]")
+        if self.m < 1:
+            raise InvalidArgumentError("m must be a positive integer")
 
     @cached_property
     def grid(self) -> QuadGrid:
@@ -77,9 +93,12 @@ class Problem:
         return fit_constants_from_sweep(self.sweep, self.kind.record.fit_form)
 
     def verify(self, count: int, seed: int) -> list:
-        """The stability theorem's records, against `fit`, over count random
-        functions from seed: p(t) e^{-rt} on a half line, else sine series."""
+        """The stability theorem's records, against `fit`, over count >= 1
+        random functions from seed: p(t) e^{-rt} on a half line, else sine
+        series.  The seed and the count are checked before the fit is built."""
         rng = make_rng(seed)
+        if count < 1:
+            raise InvalidArgumentError("count must be a positive integer")
         ensemble = (random_exp_poly(count, rng) if self.kind.half is not None
                     else random_sine_series(self.kind.input_domain, count, rng))
         return verify_theorem(self.matrix, self.fit, ensemble)

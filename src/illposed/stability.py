@@ -390,6 +390,9 @@ def error_count(records) -> int:
 # ----------------------------------------------------------------------------
 
 def make_rng(seed: int) -> np.random.Generator:
+    """The seeded generator of every ensemble; seed must be nonnegative."""
+    if seed < 0:
+        raise InvalidArgumentError("seed must be a nonnegative integer")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -156,6 +156,14 @@ def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, ar
     ("laplace-adjoint:a=1e-3,b=2", 1024, "half factor of laplace-adjoint:a=0.001,b=2 is not "
      "confirmed by refinement at n = 1024: last move 25.3 bounds > 4 on rules up to 2048 "
      "image nodes"),
+    # both rules pass their trace checks, but resolve different mode counts
+    ("laplace-adjoint:a=1e-4,b=1", 256, "half factor of laplace-adjoint:a=0.0001,b=1 is not "
+     "confirmed by refinement at n = 256: the rules of 1024 and 2048 image nodes resolve 68 "
+     "and 70 modes"),
+    # the 1024-node rule misses its trace check (gap 3.4e-12): only 2048 is decomposed
+    ("laplace-adjoint:a=4e-5,b=1", 256, "half factor of laplace-adjoint:a=4e-05,b=1 is not "
+     "confirmed by refinement at n = 256: the rule of 2048 image nodes is the last one "
+     "decomposed, and the rule before it failed its trace check"),
 ])
 def test_an_input_nothing_confirms_is_refused_in_one_line(tmp_path, op, n, stderr):
     # no factor is printed on its trace check alone: each input exits 1 with
@@ -342,6 +350,10 @@ def test_usage_error_exits_one(tmp_path, capsys):
                  ["verify", "--count", "0"],
                  ["verify", "--count", "-5"],
                  ["spectrum", "--n", "1025"],
+                 ["match", "--N", "513"],
+                 ["figures", "--id", "2", "--n", "0"],
+                 ["adversarial", "--n", "0"],
+                 ["adversarial", "--n", "1000000000"],
                  # half factors that disagree with their kernel matrices
                  ["spectrum", "--op", "laplace:a=1e-9,b=2"],
                  ["spectrum", "--op", "laplace-adjoint:a=1e-3,b=2"],
@@ -350,21 +362,39 @@ def test_usage_error_exits_one(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+        assert not os.listdir(tmp_path), argv
     # the messages name what was refused
     for argv in (["match", "--op", "hilbert:I=0,1:J=2,3"],
                  ["verify", "--op", "hilbert:I=0,1:J=2,3"]):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
         assert capsys.readouterr().err == ("error: hilbert:I=0,1:J=2,3: no commuting "
                                            "differential operator for this kind\n"), argv
+        assert not os.listdir(tmp_path), argv
     # the adjoint names the fourth-order trial size it used, N/2 clamped to [32, 64]
     for op, name in (("laplace-adjoint:a=0.01,b=1", "laplace-adjoint:a=0.01,b=1"),
                      ("laplace-adjoint:a=1e-3,b=2", "laplace-adjoint:a=0.001,b=2")):
         assert main(["match", "--op", op, "--out-dir", str(tmp_path)]) == 1, op
         assert capsys.readouterr().err == (f"error: {name}: too few converged Galerkin "
                                            "modes at N=64\n"), op
+        assert not os.listdir(tmp_path), op
     assert main(["verify", "--seed", "abc", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: argument --seed: ") and "'abc'" in err and "<lambda>" not in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # the first reader of the seed is criterion 9, after criteria 1-8
+    (["report-all", "--seed", "-1"], "criterion 9: seed must be a nonnegative integer"),
+    # adversarial's --n is a basis size, bounded by the grid's 256 nodes
+    (["adversarial", "--n", "0"], "basis size must be >= 1"),
+    (["adversarial", "--n", "1000000000"], "sine-series basis of 1000000000 functions is "
+                                           "not orthonormal on the grid of 256 nodes"),
+], ids=["report-all-seed", "adversarial-n0", "adversarial-n1e9"])
+def test_a_value_is_refused_by_the_module_that_reads_it(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.listdir(tmp_path)
 
 
 # The options each subcommand reads; it accepts these and no others.
@@ -389,12 +419,14 @@ def test_each_subcommand_declares_exactly_the_options_it_reads():
 
 
 def test_defaults_come_from_problem():
+    from illposed import problem
     parser = build_parser()
     for name in ("match", "verify", "report-all"):
         args = parser.parse_args([name])
         assert (args.n, args.N, args.m) == (Problem.n, Problem.N, Problem.m) == (256, 128, 12)
     assert parser.parse_args(["spectrum"]).n == parser.parse_args(["figures", "--id", "1"]).n == 256
     assert parser.parse_args(["adversarial"]).n == 8  # the basis size
+    assert parser.parse_args(["verify"]).count == problem.ENSEMBLE_SIZE == 500
 
 
 @pytest.mark.parametrize("argv,option", [(["spectrum", "--N", "64"], "--N 64"),

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, h1_seminorm, l2_norm, make_grid, sample)
-from illposed.functions import basis_table, cached_table, legendre_tables, sample_columns
+from illposed import functions
+from illposed.functions import (basis_table, cached_table, check_orthonormal, legendre_tables,
+                                sample_columns)
 from illposed.adversarial import FIGURES
 from illposed.stability import EXPONENTIAL, StabilityFit, verify_theorem
 
@@ -184,6 +186,23 @@ def test_sine_basis_orthonormal():
     basis = [sine(np.sqrt(2.0) * np.eye(6)[k, :k + 1], dom) for k in range(6)]
     G = np.array([[inner_product(a, b, grid) for b in basis] for a in basis])
     assert np.max(np.abs(G - np.eye(6))) < 1e-12
+
+
+def test_a_basis_larger_than_the_grid_is_refused_before_its_table(monkeypatch):
+    # a grid Gram matrix has rank at most the node count, so 300 sines are
+    # never orthonormal on 256 nodes: no table is built to find that out (no
+    # other test tabulates this domain, so the table cache cannot answer)
+    dom = Interval(3.0, 7.5)
+    calls = []
+    monkeypatch.setattr(functions, "basis_table",
+                        lambda *args: calls.append(args) or basis_table(*args))
+    grid = make_grid(dom, 256)
+    with pytest.raises(InvalidArgumentError, match=r"^sine-series basis of 300 functions is "
+                                                   "not orthonormal on the grid of 256 nodes$"):
+        check_orthonormal(FunctionKind.SINE_SERIES, 300, dom, grid)
+    assert calls == []
+    assert check_orthonormal(FunctionKind.SINE_SERIES, 12, dom, grid).shape == (256, 12)
+    assert len(calls) == 1
 
 
 def _per_order_products(funcs, x, order):
