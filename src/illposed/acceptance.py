@@ -120,7 +120,7 @@ def criterion_04(ctx):
 
 @_criterion("5", "Laplace exponential decay fit r^2 >= 0.99", limit=5.0)
 def criterion_05(ctx):
-    out = fit_decay(decompose_operator(ctx.laplace.matrix), EXP_DECAY, (2, 25)).to_json()
+    out = fit_decay(decompose_operator(ctx.laplace.matrix), EXP_DECAY).to_json()
     return out, out["r_squared"] >= 0.99 and out["c2"] > 0
 
 

@@ -50,24 +50,25 @@ def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
     M's half factor A of the sine family sqrt(2/L) sin(k pi (x-a)/L),
     k = 1..size, on M's grid over [a, a+L].
 
-    The family is read as one cached basis table, which must be orthonormal
-    on the grid: a size the grid cannot resolve is refused.  The eigenpair comes
-    from an SVD of AV, without forming G, so min eigenvalues far below
-    eps*||G|| are still resolved accurately, down to SVD_FLOOR times the top
-    eigenvalue; below_floor flags a minimum under that floor.
+    The family is read as one cached basis table, which check_orthonormal,
+    the one reader of the size, must find orthonormal on the grid.  The
+    eigenpair comes from an SVD of AV, without forming G, so min eigenvalues
+    far below eps*||G|| are still resolved accurately, down to SVD_FLOOR
+    times the top eigenvalue; below_floor flags a minimum under that floor.
+    A factor of fewer rows than the basis has functions reads its missing
+    rows as zeros, as decompose_operator pads mu: the Gramian is singular,
+    and its minimum is below the floor.
     """
     grid = M.grid
     domain = grid.domain
     if not isinstance(domain, Interval):
         raise InvalidArgumentError("adversarial synthesis needs an interval domain")
-    if size < 1:
-        raise InvalidArgumentError("basis size must be >= 1")
     table = check_orthonormal(FunctionKind.SINE_SERIES, size, domain, grid)
     V = np.sqrt(2.0 / domain.length) * table
     AV = M.half_factor @ (np.sqrt(grid.weights)[:, None] * V)
+    if len(AV) < size:
+        AV = np.vstack((AV, np.zeros((size - len(AV), size))))
     _, s, Vt = np.linalg.svd(AV, full_matrices=False)
-    if len(s) < size:
-        raise InvalidArgumentError("image matrix is rank deficient for this basis")
     vec = largest_entry_positive(Vt[-1:].T)[:, 0]
     return GramianReport(M.kind.to_string(), domain, float(s[-1] ** 2), vec,
                          resolved_count(s ** 2) < size)

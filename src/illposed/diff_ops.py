@@ -29,11 +29,13 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import HalfLineDomain, Interval, QuadGrid, make_grid
+from .domains import HalfLineDomain, Interval, QuadGrid, check_laplace_interval, make_grid
 from .errors import InvalidArgumentError, RepresentationError
 from .functions import FunctionKind, cached_table
 
 PROJECTION_TOL = 1e-8
+# Smallest Galerkin trial size N of every assembly.
+MIN_TRIAL = 4
 
 
 class SignVariant(Enum):
@@ -70,12 +72,11 @@ class LegendreTrialBasis:
 
 class LaguerreExpTrialBasis:
     """Orthonormal Laguerre functions phi_k(t) = sqrt(2 sigma) L_k(2 sigma t)
-    e^{-sigma t} on the half line.  d/dt and multiplication by t act on their
-    coefficients as exact finite matrices, `derivative` and `times_t`."""
+    e^{-sigma t} on the half line, for sigma > 0 (assemble_fourth_order
+    passes (a + b)/2 after the 0 < a rule).  d/dt and multiplication by t act
+    on their coefficients as exact finite matrices, `derivative` and `times_t`."""
 
     def __init__(self, half: HalfLineDomain, size: int, sigma: float):
-        if sigma <= 0:
-            raise InvalidArgumentError("decay rate sigma must be positive")
         self.domain = half
         self.size = size
         self.sigma = sigma
@@ -112,6 +113,11 @@ class LaguerreExpTrialBasis:
         while len(by_order) <= max(orders):
             by_order.append(by_order[-1] @ self.derivative)
         return [_read_only(by_order[k]) for k in orders]
+
+
+def _check_trial_size(N: int) -> None:
+    if N < MIN_TRIAL:
+        raise InvalidArgumentError(f"trial space needs N >= {MIN_TRIAL}")
 
 
 def _read_only(a) -> np.ndarray:
@@ -267,8 +273,7 @@ def _legendre_weak_form(ab: Interval, N: int, q, g, name: str) -> GalerkinOperat
     are pentadiagonal; values past the float range fail the stiffness
     checks, not a RuntimeWarning.
     """
-    if N < 4:
-        raise InvalidArgumentError("trial space needs N >= 4")
+    _check_trial_size(N)
     c, h, n = 0.5 * (ab.a + ab.b), 0.5 * (ab.b - ab.a), 2 * N
     m = np.arange(n, dtype=float)
     beta = (m + 1.0) / np.sqrt((2.0 * m + 1.0) * (2.0 * m + 3.0))
@@ -295,8 +300,7 @@ def assemble_bertero_grunbaum(ab: Interval, N: int) -> GalerkinOperator:
     cancels, and [2^k a, 2^k b] assembles to exactly 4^k times [a, b]
     while every entry stays in the normal float range.
     """
-    if ab.a <= 0:
-        raise InvalidArgumentError("operator requires 0 < a < b")
+    check_laplace_interval(ab)
     a, b = ab.a, ab.b
     return _legendre_weak_form(
         ab, N,
@@ -331,10 +335,8 @@ def assemble_fourth_order(ab: Interval, half: HalfLineDomain, N: int,
     """
     if not isinstance(sign_variant, SignVariant):
         raise InvalidArgumentError("sign_variant must be a SignVariant")
-    if ab.a <= 0:
-        raise InvalidArgumentError("operator requires 0 < a < b")
-    if N < 4:
-        raise InvalidArgumentError("trial space needs N >= 4")
+    check_laplace_interval(ab)
+    _check_trial_size(N)
     sigma = 0.5 * (ab.a + ab.b)
     basis, maps = (LaguerreExpTrialBasis(half, n, sigma) for n in (N, 2 * N))
     s = 1.0 if sign_variant is SignVariant.AS_PROOF_BOUND else -1.0

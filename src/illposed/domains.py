@@ -87,11 +87,27 @@ class HalfLineDomain:
 Domain = Union[Interval, HalfLineDomain]
 
 
-def half_line_for(ab: Interval) -> HalfLineDomain:
-    """Default half-line truncation for Laplace operators on [a, b]."""
+def shortest(v: float) -> str:
+    """Shortest %g form of v that reads back as v (the :g form whenever that
+    round-trips), so a printed endpoint parses back to itself."""
+    return next(s for p in range(6, 18) if float(s := f"{v:.{p}g}") == v)
+
+
+def check_laplace_interval(ab: Interval) -> None:
+    """Refuse an [a, b] that no Laplace operator acts on: the one 0 < a rule."""
     if ab.a <= 0:
-        raise InvalidArgumentError("Laplace domain requires 0 < a")
-    return HalfLineDomain(HALF_LINE_DECAY_SCALE / ab.a)
+        raise InvalidArgumentError("Laplace operators require 0 < a < b")
+
+
+def half_line_for(ab: Interval) -> HalfLineDomain:
+    """The truncated half line [0, 40/a] of Laplace operators on [a, b],
+    once 0 < a and 40/a is in the float range."""
+    check_laplace_interval(ab)
+    s_max = HALF_LINE_DECAY_SCALE / ab.a
+    if not np.isfinite(s_max):
+        raise InvalidArgumentError(f"a = {shortest(ab.a)} is too small: the half line "
+                                   f"[0, {HALF_LINE_DECAY_SCALE:g}/a] overflows")
+    return HalfLineDomain(s_max)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import numbers
 
 
 class InvalidArgumentError(ValueError):
@@ -19,3 +21,10 @@ class ModeRangeError(ValueError):
 
 # What a command reports as "error: <message>" and exit code 1.
 REFUSALS = (InvalidArgumentError, InsufficientDataError, ModeRangeError)
+
+
+def check_integer(value, name: str) -> None:
+    """Refuse, by its name, a size or a seed that is not an integer; numpy
+    integers are integers."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")

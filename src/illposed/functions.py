@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .domains import HalfLineDomain, Interval, QuadGrid
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer
 
 # Largest entry of |G - I| for the grid Gram G of a series basis that the grid resolves.
 ORTHONORMALITY_TOL = 1e-10
@@ -217,9 +217,14 @@ def check_orthonormal(kind: FunctionKind, size: int, domain: Interval,
     """The cached order-0 table of a series basis of size functions on
     domain at the grid's nodes, once that table, scaled to unit norm (sine
     and cosine by sqrt(2/L)), is orthonormal on the grid to
-    ORTHONORMALITY_TOL: the one test that a grid resolves a series basis.
-    A grid Gram matrix has rank at most the grid's node count, so a basis
-    of more functions than nodes is refused before any table is built."""
+    ORTHONORMALITY_TOL: the one reader of a basis size, and the one test
+    that a grid resolves a series basis (144 sines on a 256-node Gauss grid,
+    not 145).  A size that is not an integer >= 1 is refused before any
+    table is built, and so is a basis of more functions than the grid has
+    nodes, since a grid Gram matrix has rank at most the node count."""
+    check_integer(size, "basis size")
+    if size < 1:
+        raise InvalidArgumentError("basis size must be >= 1")
     if size <= grid.size:
         table = cached_table(kind, size, domain, 0, grid.nodes)
         unit = table

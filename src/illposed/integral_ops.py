@@ -47,8 +47,8 @@ import numpy as np
 
 from .diff_ops import (SignVariant, assemble_bertero_grunbaum, assemble_fourth_order,
                        assemble_prolate)
-from .domains import (HALF_LINE_DECAY_SCALE, HalfLineDomain, Interval, QuadGrid,
-                      half_line_for, make_grid)
+from .domains import (HalfLineDomain, Interval, QuadGrid, check_laplace_interval,
+                      half_line_for, make_grid, shortest)
 from .errors import InvalidArgumentError
 from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
 
@@ -61,9 +61,9 @@ FACTOR_RTOL = 1e-12
 # resolves sigma_n/sigma_1 down to ~1e-14, i.e. mu ratios to ~1e-28.
 SVD_FLOOR = 1e-28
 
-# Every refinement starts from this many image nodes (per panel on the half
-# line; each xi node gives Fourier two rows): 9-14 modes resolve for the
-# default operators, and factors of 32-64 rows already agree on them.
+# Every refinement starts from this many image nodes (each xi node gives
+# Fourier two rows): 9-14 modes resolve for the default operators, and
+# factors of 32-64 rows already agree on them.
 FIRST_IMAGE_NODES = 16
 
 # Every ladder doubles its rule up to this many image nodes, twice
@@ -131,13 +131,7 @@ class OperatorKind:
 
     def to_string(self) -> str:
         ends = [e for iv in (self.source, self.target) if iv is not None for e in (iv.a, iv.b)]
-        return ":".join((self.tag,) + self.record.keys).format(*map(_shortest, ends))
-
-
-def _shortest(v: float) -> str:
-    """Shortest %g form of v that reads back as v (the :g form whenever that
-    round-trips), so an operator's name parses back to its own endpoints."""
-    return next(s for p in range(6, 18) if float(s := f"{v:.{p}g}") == v)
+        return ":".join((self.tag,) + self.record.keys).format(*map(shortest, ends))
 
 
 def _fields(parts) -> dict:
@@ -214,20 +208,6 @@ def _check_hilbert(kind: OperatorKind) -> None:
         raise InvalidArgumentError("hilbert intervals must be disjoint closed intervals")
 
 
-def _check_laplace(kind: OperatorKind) -> None:
-    if kind.source.a <= 0:
-        raise InvalidArgumentError("Laplace operators require 0 < a < b")
-
-
-def _check_adjoint(kind: OperatorKind) -> None:
-    """Laplace's check, and the half line [0, 40/a] the inputs live on in float range."""
-    _check_laplace(kind)
-    a = kind.source.a
-    if not math.isfinite(HALF_LINE_DECAY_SCALE / a):
-        raise InvalidArgumentError(f"{kind.to_string()}: a = {_shortest(a)} is too small: "
-                                   f"the half line [0, {HALF_LINE_DECAY_SCALE:g}/a] overflows")
-
-
 def _check_fourier(kind: OperatorKind) -> None:
     if kind.source != _SYM:
         raise InvalidArgumentError("Fourier composition is defined on [-1, 1]")
@@ -296,7 +276,7 @@ class KindRecord:
     """Every decision that differs between operator kinds, one field each."""
 
     keys: tuple  # the name's fields after the tag, "{}" per endpoint of source, then target
-    check: Callable  # kind -> None, or raises InvalidArgumentError
+    check: Callable  # kind -> raises InvalidArgumentError on an input the kind refuses
     diagonal: Callable  # (kind, x) -> K(x, x), whose weighted sum is trace(M)
     trace: Callable  # kind -> trace(T*T) in closed form, the grid's gate
     # (nodes, weights) -> (G, trace(S)) with G^T G + S = M; None: the image-rule ladder below
@@ -312,13 +292,13 @@ class KindRecord:
 
 _KINDS = {
     LAPLACE: KindRecord(
-        keys=("a={},b={}",), check=_check_laplace, diagonal=lambda k, x: 1.0 / (2.0 * x),
-        trace=_laplace_trace, factor=cauchy_factor,
+        keys=("a={},b={}",), check=lambda k: check_laplace_interval(k.source),
+        diagonal=lambda k, x: 1.0 / (2.0 * x), trace=_laplace_trace, factor=cauchy_factor,
         diff=lambda k, N: assemble_bertero_grunbaum(k.source, N)),
     # The fourth-order operator in its proof's sign variant, at N/2 clamped to [32, 64]:
     # its spectrum is unstable below 4 converged modes.  Theorem 2's ratio reads f''.
     LAPLACE_ADJOINT: KindRecord(
-        keys=("a={},b={}",), check=_check_adjoint,
+        keys=("a={},b={}",), check=lambda k: half_line_for(k.source),
         diagonal=lambda k, x: _adjoint_kernel(2.0 * x, k.source.a, k.source.b),
         trace=_laplace_trace, image_side=lambda k: k.source, rows=_exp_rows, half=True,
         min_converged=4, ratio_orders=(0, 1, 2),
@@ -403,6 +383,13 @@ def _trace_refusal(what: str, grid: QuadGrid, gap: float) -> InvalidArgumentErro
         f"{what} at n = {grid.size}: relative trace gap {gap:.3g} > {FACTOR_RTOL:g}")
 
 
+def _factor_refusal(kind: OperatorKind, grid: QuadGrid, gap: float) -> InvalidArgumentError:
+    """The refusal of every half factor, ladder or exact, whose ||A||_F^2 misses
+    the kernel matrix's trace."""
+    return _trace_refusal(f"half factor of {kind.to_string()} disagrees with its kernel matrix",
+                          grid, gap)
+
+
 def _refinement(mu_coarse: np.ndarray, mu_fine: np.ndarray) -> float:
     """Largest relative move of a resolved mode, in units of the SVD
     perturbation bound 2 eps sqrt(mu_1/mu_n); inf when the two spectra
@@ -444,11 +431,10 @@ def _refined_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
                 return A, s, move
             last = r, move, mu_coarse, mu
         mu_coarse, r = mu, 2 * r
-    name = kind.to_string()
     if last is None:
-        raise _trace_refusal(f"half factor of {name} disagrees with its kernel matrix", grid, gap)
-    raise InvalidArgumentError(f"half factor of {name} is not confirmed by refinement at "
-                               f"n = {grid.size}: {_unconfirmed(*last)}")
+        raise _factor_refusal(kind, grid, gap)
+    raise InvalidArgumentError(f"half factor of {kind.to_string()} is not confirmed by "
+                               f"refinement at n = {grid.size}: {_unconfirmed(*last)}")
 
 
 def _unconfirmed(r: int, move: float, mu_coarse, mu) -> str:
@@ -476,8 +462,7 @@ def _pivoted_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     G, rest = kind.record.factor(grid.nodes, grid.weights)
     gap = _trace_gap(float(np.vdot(G, G)) + rest, trace)
     if not gap <= FACTOR_RTOL:
-        raise _trace_refusal(f"half factor of {kind.to_string()} disagrees with its "
-                             "kernel matrix", grid, gap)
+        raise _factor_refusal(kind, grid, gap)
     return G, np.linalg.svd(np.linalg.qr(G.T, mode="r"), compute_uv=False)
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diff_ops import GalerkinOperator
+from .diff_ops import MIN_TRIAL, GalerkinOperator
 from .domains import QuadGrid, make_grid
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer
 from .integral_ops import MAX_GRID_SIZE, OperatorKind, OperatorMatrix, gram_matrix
 from .spectral import MatchReport, converged_mode_count, match_eigenfunctions
 from .stability import (StabilityFit, SweepData, fit_constants_from_sweep, make_rng,
@@ -34,9 +34,10 @@ class Problem:
     """An operator kind with grid size n, trial size N and mode count m.
 
     n is the total node count; on the half line it is split over the panels.
-    The ranges are checked here, once: n in [1, MAX_GRID_SIZE], N in
-    [4, MAX_TRIAL] and m >= 1.  Each layer is a cached property, built on
-    first use and shared after.
+    The sizes are integers, and their ranges are checked here, once: n in
+    [1, MAX_GRID_SIZE], N in [MIN_TRIAL, MAX_TRIAL] (diff_ops' floor) and
+    m >= 1.  Each layer is a cached property, built on first use and shared
+    after.
     """
 
     kind: OperatorKind
@@ -45,10 +46,12 @@ class Problem:
     m: int = 12
 
     def __post_init__(self):
+        for name in ("n", "N", "m"):
+            check_integer(getattr(self, name), name)
         if not 1 <= self.n <= MAX_GRID_SIZE:
             raise InvalidArgumentError(f"n must be in [1, {MAX_GRID_SIZE}], the grid-size cap")
-        if not 4 <= self.N <= MAX_TRIAL:
-            raise InvalidArgumentError(f"N must be in [4, {MAX_TRIAL}]")
+        if not MIN_TRIAL <= self.N <= MAX_TRIAL:
+            raise InvalidArgumentError(f"N must be in [{MIN_TRIAL}, {MAX_TRIAL}]")
         if self.m < 1:
             raise InvalidArgumentError("m must be a positive integer")
 
@@ -95,8 +98,10 @@ class Problem:
     def verify(self, count: int, seed: int) -> list:
         """The stability theorem's records, against `fit`, over count >= 1
         random functions from seed: p(t) e^{-rt} on a half line, else sine
-        series.  The seed and the count are checked before the fit is built."""
+        series.  The seed and the integer count are checked before the fit is
+        built."""
         rng = make_rng(seed)
+        check_integer(count, "count")
         if count < 1:
             raise InvalidArgumentError("count must be a positive integer")
         ensemble = (random_exp_poly(count, rng) if self.kind.half is not None

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diff_ops import GalerkinOperator, project_coefficients
 from .domains import Interval, QuadGrid
-from .errors import (InsufficientDataError, InvalidArgumentError)
+from .errors import InsufficientDataError, InvalidArgumentError, check_integer
 from .functions import (ExpPoly, FunctionKind, FunctionRep, check_domain,
                         check_orthonormal, columns, grid_norm, h1_seminorm, sample,
                         sample_columns)
@@ -390,7 +390,8 @@ def error_count(records) -> int:
 # ----------------------------------------------------------------------------
 
 def make_rng(seed: int) -> np.random.Generator:
-    """The seeded generator of every ensemble; seed must be nonnegative."""
+    """The seeded generator of every ensemble; seed must be a nonnegative integer."""
+    check_integer(seed, "seed")
     if seed < 0:
         raise InvalidArgumentError("seed must be a nonnegative integer")
     return np.random.Generator(np.random.PCG64(seed))

@@ -73,14 +73,15 @@ def test_a_refused_grid_names_what_it_refused(tmp_path, capsys, argv, message):
 def test_a_laplace_kind_whose_half_line_overflows_is_refused_by_name(tmp_path, capsys, op,
                                                                      name, a):
     # 40/a leaves the float range: the adjoint, whose inputs live on [0, 40/a],
-    # is refused with the operator's name and its a; plain Laplace reads no
-    # half line, and its grid misses the closed-form trace ln(b/a)/2
+    # is refused by half_line_for, which names a alone and not the operator,
+    # as the kind's 0 < a refusal does; plain Laplace reads no half line, and
+    # its grid misses the closed-form trace ln(b/a)/2
     assert run_cli(["spectrum", "--op", op], tmp_path)[0] == 1
     if op.startswith("laplace:"):
         assert capsys.readouterr().err == (f"error: grid of {name} misses its closed-form "
                                            "trace at n = 256: relative trace gap 0.983 > 1e-12\n")
         return
-    assert capsys.readouterr().err == (f"error: {name}: a = {a} is too small: "
+    assert capsys.readouterr().err == (f"error: a = {a} is too small: "
                                        "the half line [0, 40/a] overflows\n")
 
 
@@ -395,6 +396,33 @@ def test_a_value_is_refused_by_the_module_that_reads_it(tmp_path, capsys, argv, 
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("op,rows,minimum", [
+    ("laplace:a=1,b=2", 22, "5.592939e-49"),
+    ("hilbert:I=0,1:J=2,3", 32, "2.249247e-34"),
+    ("fourier", 64, "2.755014e-32"),
+], ids=["laplace", "hilbert", "fourier"])
+def test_a_basis_wider_than_the_half_factor_is_below_the_floor(tmp_path, capsys, op, rows,
+                                                               minimum):
+    # the grid bounds the basis, not the factor's rows: one sine more than
+    # the factor has rows makes the Gramian singular, which is a below-floor
+    # verdict (exit 2, with its files), not a usage error
+    assert Problem(parse_operator(op)).matrix.image_nodes == rows
+    for size in (rows, rows + 1):
+        code, out = run_cli(["adversarial", "--op", op, "--n", str(size)], tmp_path, str(size))
+        assert code == 2, size
+        line = capsys.readouterr().out
+        assert line.startswith(f"adversarial: {op} basis=sine n={size} min_eigenvalue=")
+        assert line.endswith(" below_floor=True\n"), size
+        assert sorted(os.listdir(out)) == ["adversarial.json", "worst_function.csv",
+                                           "worst_function.svg"], size
+        with open(os.path.join(out, "adversarial.json")) as fh:
+            doc = json.load(fh)
+        assert doc["below_floor"] is True and doc["basis"]["size"] == size
+        assert np.linalg.norm(doc["minimizer"]) == pytest.approx(1.0, rel=1e-12)
+        if size == rows:  # no zero rows are added: the factor's own minimum
+            assert f"min_eigenvalue={minimum} " in line
 
 
 # The options each subcommand reads; it accepts these and no others.

@@ -10,7 +10,7 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       assemble_prolate, converged_mode_count, eig_sym,
                       h1_seminorm, l2_norm, sample)
 from illposed.spectral import CONVERGENCE_RTOL
-from illposed.diff_ops import eigvals_sym, project_coefficients
+from illposed.diff_ops import MIN_TRIAL, eigvals_sym, project_coefficients
 from illposed.domains import HalfLineDomain, half_line_for, make_grid
 from illposed.functions import legendre_tables
 
@@ -437,3 +437,13 @@ def test_parity_blocked_eigensystem_matches_a_full_solve(N):
     parity = np.arange(N) % 2
     for v in dec.eigenvectors.T:
         assert not np.any(v[parity != parity[np.argmax(np.abs(v))]])
+
+
+def test_every_assembly_reads_one_trial_size_floor():
+    assemblers = (lambda N: assemble_bertero_grunbaum(AB, N), assemble_prolate,
+                  lambda N: assemble_fourth_order(AB, half_line_for(AB), N,
+                                                  SignVariant.AS_PROOF_BOUND))
+    for assemble in assemblers:
+        with pytest.raises(InvalidArgumentError, match=r"^trial space needs N >= 4$"):
+            assemble(MIN_TRIAL - 1)
+        assert assemble(MIN_TRIAL).size == MIN_TRIAL

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illposed import HalfLineDomain, Interval, InvalidArgumentError, make_grid
+from illposed import (HalfLineDomain, Interval, InvalidArgumentError, OperatorKind, SignVariant,
+                      assemble_bertero_grunbaum, assemble_fourth_order, make_grid)
 from illposed.domains import gauss_legendre, half_line_for
 
 
@@ -127,3 +128,27 @@ def test_grids_of_one_size_share_one_rule():
     second = make_grid(half, 24)
     assert gauss_legendre.cache_info().misses == 1
     assert np.array_equal(first.nodes, second.nodes)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0])
+def test_every_reader_of_a_laplace_interval_refuses_a_with_one_text(a):
+    # the 0 < a rule is one check in domains; each kind, the half line and
+    # both assemblers call it
+    readers = (OperatorKind.laplace_tt, OperatorKind.laplace_adjoint_tt, half_line_for,
+               lambda ab: assemble_bertero_grunbaum(ab, 8),
+               lambda ab: assemble_fourth_order(ab, HalfLineDomain(40.0), 8,
+                                                SignVariant.AS_PROOF_BOUND))
+    for read in readers:
+        with pytest.raises(InvalidArgumentError) as exc:
+            read(Interval(a, 1.0))
+        assert str(exc.value) == "Laplace operators require 0 < a < b"
+
+
+@pytest.mark.parametrize("a,shown", [(5e-324, "4.94066e-324"), (1e-310, "1e-310")])
+def test_half_line_for_refuses_a_half_line_past_the_float_range(a, shown):
+    # 40/a overflows for a below about 2.2e-307; a is named by its shortest
+    # form that reads back as it
+    with pytest.raises(InvalidArgumentError) as exc:
+        half_line_for(Interval(a, 1.0))
+    assert str(exc.value) == f"a = {shown} is too small: the half line [0, 40/a] overflows"
+    assert half_line_for(Interval(1e-300, 1.0)).s_max == 40.0 / 1e-300

@@ -205,6 +205,29 @@ def test_a_basis_larger_than_the_grid_is_refused_before_its_table(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_basis_size_is_an_integer_from_one_to_what_the_grid_resolves(monkeypatch):
+    # check_orthonormal is the one reader of a basis size: a size below 1 or
+    # not an integer is refused by name before any table is built, and the
+    # grid's own rule is the only other bound, 144 sines on 256 Gauss nodes
+    dom = Interval(-3.0, 4.5)  # no other test tabulates this domain
+    grid = make_grid(dom, 256)
+    calls = []
+    monkeypatch.setattr(functions, "basis_table",
+                        lambda *args: calls.append(args) or basis_table(*args))
+    for size, message in ((0, "basis size must be >= 1"), (-2, "basis size must be >= 1"),
+                          (2.5, "basis size must be an integer, got 2.5"),
+                          (np.float64(3.0), "basis size must be an integer, got "
+                                            f"{np.float64(3.0)!r}")):
+        with pytest.raises(InvalidArgumentError) as exc:
+            check_orthonormal(FunctionKind.SINE_SERIES, size, dom, grid)
+        assert str(exc.value) == message
+    assert calls == []
+    table = check_orthonormal(FunctionKind.SINE_SERIES, np.int64(144), dom, grid)
+    assert table.shape == (256, 144)
+    with pytest.raises(InvalidArgumentError, match="basis of 145 functions is not orthonormal"):
+        check_orthonormal(FunctionKind.SINE_SERIES, 145, dom, grid)
+
+
 def _per_order_products(funcs, x, order):
     """The order-th derivatives of a block the per-order way: a series'
     cached table times its stacked coefficients; an ExpPoly's coefficients

@@ -1,12 +1,17 @@
-"""Problem's resolution policy: its defaults and its ranges, checked where they are read."""
+"""Problem's resolution policy: its defaults and its ranges, checked where they are read,
+and each refusal text written once."""
 
+import ast
 import re
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from illposed import Interval, InvalidArgumentError, OperatorKind, make_rng
+from illposed import Interval, InvalidArgumentError, OperatorKind, build_gramian, make_rng
 from illposed import problem
+from illposed.errors import REFUSALS
 from illposed.problem import Problem
 
 ADJOINT = OperatorKind.laplace_adjoint_tt(Interval(1.0, 2.0))
@@ -43,7 +48,7 @@ def test_each_range_is_checked_only_by_the_module_that_reads_it():
     # the CLI declares options and holds no policy: n, N, m and the count are
     # refused by problem, the seed by stability, and cli raises nothing itself
     src = Path(problem.__file__).parent
-    texts = {"problem.py": (r"n must be in \[1, ", r"N must be in \[4, ",
+    texts = {"problem.py": (r"n must be in \[1, ", r"N must be in \[\{MIN_TRIAL\}, ",
                             "m must be a positive integer", "count must be a positive integer"),
              "stability.py": ("seed must be a nonnegative integer",)}
     for reader, patterns in texts.items():
@@ -52,3 +57,49 @@ def test_each_range_is_checked_only_by_the_module_that_reads_it():
                        if re.search(pattern, p.read_text())]
             assert holders == [reader], pattern
     assert "InvalidArgumentError" not in (src / "cli.py").read_text()
+
+
+@pytest.mark.parametrize("name,read,bad,good", [
+    ("n", lambda v: Problem(LAPLACE, n=v).grid, 100.5, np.int64(64)),
+    ("N", lambda v: Problem(LAPLACE, N=v).diff, 64.5, np.int32(16)),
+    ("m", lambda v: Problem(LAPLACE, m=v), 2.5, np.int16(3)),
+    ("count", lambda v: Problem(LAPLACE).verify(v, 1), 2.5, np.int64(3)),
+    ("seed", make_rng, 1.5, np.uint8(7)),
+    ("basis size", lambda v: build_gramian(Problem(LAPLACE).matrix, v), 2.5, np.int64(4)),
+], ids=["n", "N", "m", "count", "seed", "basis-size"])
+def test_a_size_or_seed_that_is_not_an_integer_is_refused_by_name(name, read, bad, good):
+    # unchecked, each bad value failed inside numpy or Python with a TypeError,
+    # which no command reports as a refusal; numpy integers are integers
+    with pytest.raises(InvalidArgumentError) as exc:
+        read(bad)
+    assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
+    read(good)
+
+
+# What builds a refusal: the classes a command reports, and the trace refusal's helper.
+REFUSAL_BUILDERS = {cls.__name__ for cls in REFUSALS} | {"_trace_refusal"}
+
+
+def _refusal_texts(path: Path):
+    """The first argument of every refusal construction in path that is a
+    text, an f-string's fields written as {}."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in REFUSAL_BUILDERS
+                and node.args):
+            text = node.args[0]
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                yield text.value
+            elif isinstance(text, ast.JoinedStr):
+                yield "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                              for v in text.values)
+
+
+def test_each_refusal_text_is_written_once():
+    # one rule, one text: a refusal that two functions both raise is written
+    # in one of them, or in a helper that both call
+    src = Path(problem.__file__).parent
+    texts = Counter(t for p in sorted(src.glob("*.py")) for t in _refusal_texts(p))
+    assert {"basis size must be >= 1", "Laplace operators require 0 < a < b",
+            "trial space needs N >= {}",
+            "half factor of {} disagrees with its kernel matrix"} <= set(texts)
+    assert [t for t, count in texts.items() if count > 1] == []
