@@ -71,8 +71,8 @@ class HalfLineDomain:
     panel_count = HALF_LINE_PANELS  # one panel layout for every half line
 
     def __post_init__(self):
-        if not (np.isfinite(self.s_max) and self.s_max > 0):
-            raise InvalidArgumentError("s_max must be positive")
+        if not 0 < self.s_max < np.inf:
+            raise InvalidArgumentError(f"s_max must be finite and positive, got {self.s_max}")
 
     @property
     def length(self) -> float:
@@ -101,13 +101,14 @@ def check_laplace_interval(ab: Interval) -> None:
 
 def half_line_for(ab: Interval) -> HalfLineDomain:
     """The truncated half line [0, 40/a] of Laplace operators on [a, b],
-    once 0 < a and 40/a is in the float range."""
+    once 0 < a.  HalfLineDomain is the one check of its reach; when 40/a
+    leaves the float range, the refusal names a."""
     check_laplace_interval(ab)
-    s_max = HALF_LINE_DECAY_SCALE / ab.a
-    if not np.isfinite(s_max):
+    try:
+        return HalfLineDomain(HALF_LINE_DECAY_SCALE / ab.a)
+    except InvalidArgumentError:
         raise InvalidArgumentError(f"a = {shortest(ab.a)} is too small: the half line "
-                                   f"[0, {HALF_LINE_DECAY_SCALE:g}/a] overflows")
-    return HalfLineDomain(s_max)
+                                   f"[0, {HALF_LINE_DECAY_SCALE:g}/a] overflows") from None
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ def test_an_interval_wider_than_the_float_range_is_refused_by_name():
 def test_half_line_validation():
     with pytest.raises(InvalidArgumentError):
         HalfLineDomain(-1.0)
+    # inf is positive: the refusal names the condition it fails
+    with pytest.raises(InvalidArgumentError, match=r"^s_max must be finite and positive, got inf$"):
+        HalfLineDomain(float("inf"))
     d = half_line_for(Interval(1.0, 2.0))
     assert d.s_max == 40.0 and d.panel_count == 8
     edges = d.breakpoints()

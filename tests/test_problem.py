@@ -48,7 +48,8 @@ def test_each_range_is_checked_only_by_the_module_that_reads_it():
     # the CLI declares options and holds no policy: n, N, m and the count are
     # refused by problem, the seed by stability, and cli raises nothing itself
     src = Path(problem.__file__).parent
-    texts = {"problem.py": (r"n must be in \[1, ", r"N must be in \[\{MIN_TRIAL\}, ",
+    # the N range is matched both as its literal and as its source spelling
+    texts = {"problem.py": (r"n must be in \[1, ", r"N must be in \[(4|\{MIN_TRIAL\}), ",
                             "m must be a positive integer", "count must be a positive integer"),
              "stability.py": ("seed must be a nonnegative integer",)}
     for reader, patterns in texts.items():
