@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import HalfLineDomain, Interval, QuadGrid, check_laplace_interval, make_grid
-from .errors import InvalidArgumentError, RepresentationError
+from .errors import InvalidArgumentError, RepresentationError, check_integer
 from .functions import FunctionKind, cached_table
 
 PROJECTION_TOL = 1e-8
@@ -116,6 +116,7 @@ class LaguerreExpTrialBasis:
 
 
 def _check_trial_size(N: int) -> None:
+    check_integer(N, "N")
     if N < MIN_TRIAL:
         raise InvalidArgumentError(f"trial space needs N >= {MIN_TRIAL}")
 

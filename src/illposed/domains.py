@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer
 
 # Geometric grading ratio for half-line panels.  With the default 8 panels on
 # [0, 40/a] the first panel has width s_max/4**7, resolving the e^{-2as}
@@ -34,6 +34,9 @@ PANEL_GRADING = 0.25
 # discarded tail below 1e-34.
 HALF_LINE_DECAY_SCALE = 40.0
 HALF_LINE_PANELS = 8
+
+# Equispaced points per node of an interval grid (QuadGrid.refined_points).
+REFINE_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,22 @@ class QuadGrid:
     def size(self) -> int:
         return len(self.nodes)
 
+    @functools.cached_property
+    def series_tables(self) -> dict:
+        """The series-basis tables read on this grid, one per (kind, size,
+        order, refined), filled by functions.grid_values and freed with the
+        grid."""
+        return {}
+
+    @functools.cached_property
+    def refined_points(self) -> np.ndarray:
+        """REFINE_FACTOR times as many equispaced points on the grid's
+        interval [a, b] as it has nodes, plus one, built on first use and
+        read-only: where Lemmas 2 and 3 take a sup norm."""
+        x = np.linspace(self.domain.a, self.domain.b, REFINE_FACTOR * self.size + 1)
+        x.setflags(write=False)
+        return x
+
 
 # Newton from Tricomi's estimate settles in 3-4 steps for every n <= 2048;
 # a step below NEWTON_TOL leaves an error far below one ulp.
@@ -201,6 +220,7 @@ def make_grid(domain: Domain, n: int) -> QuadGrid:
 
     Exact for polynomials of degree <= 2n-1 on each panel.
     """
+    check_integer(n, "n")
     if n < 1:
         raise InvalidArgumentError("need n >= 1 quadrature nodes")
     if isinstance(domain, Interval):

@@ -3,10 +3,12 @@
 A FunctionRep is a coefficient series (sine / cosine / orthonormal
 Legendre).  Half-line functions (Theorem-2 territory) are
 polynomial-times-exponential ExpPoly objects.  sample is the one
-evaluator: on a fixed point set (a quadrature grid, or the refined points
-of the lemmas) a function, or a block of functions of one type, is
-sampled, or differentiated exactly, as one product with a basis table,
-cached for series.
+evaluator: on a fixed point set a function, or a block of functions of one
+type, is sampled, or differentiated exactly, as one product with a basis
+table, cached for series.  On a quadrature grid (its nodes, or the refined
+points of the lemmas) grid_values reads a series' table from the grid's own
+memo, `QuadGrid.series_tables`, so a function checked once against the
+grid's domain costs one dict lookup and one product per table.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .domains import HalfLineDomain, Interval, QuadGrid
 from .errors import InvalidArgumentError, check_integer
@@ -96,9 +97,19 @@ def trig_freqs(size: int, domain: Interval):
 def legendre_tables(size: int, domain: Interval, x, orders) -> list:
     """One table per derivative order (0 or 1) in orders, all from one
     Legendre Vandermonde: column k is that derivative of the orthonormal
-    Legendre function of degree k on domain at x."""
+    Legendre function of degree k on domain at x.  The Vandermonde is the
+    three-term recurrence in numpy's legvander operation order, built as the
+    rows of a (size, len(x)) array and transposed, as legvander's is: the
+    products with a table read that layout."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    V = npleg.legvander((2.0 * x - domain.a - domain.b) / domain.length, size - 1)
+    u = (2.0 * x - domain.a - domain.b) / domain.length
+    rows = np.empty((size, len(u)))
+    rows[0] = 1.0
+    if size > 1:
+        rows[1] = u
+        for i in range(2, size):
+            rows[i] = (rows[i - 1] * u * (2 * i - 1) - rows[i - 2] * (i - 1)) / i
+    V = rows.T
     norms = np.sqrt((2 * np.arange(size) + 1) / domain.length)
     if 1 in orders:
         # P_{k+1}' = P_{k-1}' + (2k+1) P_k with P_0' = 0 and P_1' = P_0 = 1:
@@ -212,6 +223,22 @@ def check_domain(f, grid: QuadGrid) -> None:
         raise InvalidArgumentError(f"not a function representation: {type(f).__name__}")
 
 
+def grid_values(f: FunctionLike, grid: QuadGrid, order: int = 0,
+                refined: bool = False) -> np.ndarray:
+    """f's order-th derivative at the grid's nodes, or refined at its refined
+    points, once check_domain has passed.  A series is one product with the
+    cached_table that the grid memoizes (`QuadGrid.series_tables`): built on
+    first read, then one dict lookup, and freed with the grid."""
+    if isinstance(f, ExpPoly):
+        return sample_columns([f], grid.nodes, (order,))[0][:, 0]
+    key = (f.kind, len(f.payload), order, refined)
+    table = grid.series_tables.get(key)
+    if table is None:
+        x = grid.refined_points if refined else grid.nodes
+        table = grid.series_tables[key] = cached_table(f.kind, key[1], grid.domain, order, x)
+    return table @ f.payload
+
+
 def check_orthonormal(kind: FunctionKind, size: int, domain: Interval,
                       grid: QuadGrid) -> np.ndarray:
     """The cached order-0 table of a series basis of size functions on
@@ -244,7 +271,7 @@ def grid_norm(v: np.ndarray, grid: QuadGrid) -> float:
 
 def _norm(f: FunctionLike, grid: QuadGrid, order: int) -> float:
     check_domain(f, grid)
-    return grid_norm(sample(f, grid.nodes, order), grid)
+    return grid_norm(grid_values(f, grid, order), grid)
 
 
 def l2_norm(f: FunctionLike, grid: QuadGrid) -> float:

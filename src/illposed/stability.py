@@ -11,10 +11,9 @@ constructive constants.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,14 +21,12 @@ from .diff_ops import GalerkinOperator, project_coefficients
 from .domains import Interval, QuadGrid
 from .errors import InsufficientDataError, InvalidArgumentError, check_integer
 from .functions import (ExpPoly, FunctionKind, FunctionRep, check_domain,
-                        check_orthonormal, columns, grid_norm, h1_seminorm, sample,
-                        sample_columns)
+                        check_orthonormal, columns, grid_norm, grid_values, sample_columns)
 from .integral_ops import EXPONENTIAL, POWER_OF_RATIO, OperatorMatrix
 from .spectral import (MatchReport, SpectralDecomposition, decompose_operator,
                        fit_line, growth_check, match_eigenfunctions)
 
 SIGN_TOL = 1e-12  # relative to the sampled sup norm
-REFINE_FACTOR = 4
 # Ensemble functions sampled per matrix product: bounds the sample memory.
 _BLOCK = 128
 
@@ -40,34 +37,31 @@ SAFETY_C2 = 2.0
 
 
 # ----------------------------------------------------------------------------
-# Records
+# Records: one per checked function, so tuples, which build at half the cost
+# of a frozen dataclass
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lemma2Record:
+class Lemma2Record(NamedTuple):
     sup_norm: float
     bound: float
     applicable: bool
     passed: bool
 
 
-@dataclass(frozen=True)
-class Lemma3Record:
+class Lemma3Record(NamedTuple):
     lhs: float
     rhs: float
     c1: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class Lemma1Record:
+class Lemma1Record(NamedTuple):
     low_freq_mass: float
     threshold_index: int
     passed: bool
 
 
-@dataclass(frozen=True)
-class StabilityRecord:
+class StabilityRecord(NamedTuple):
     function_id: str
     lhs: float
     h1_ratio: float
@@ -95,14 +89,18 @@ class StabilityFit:
         if not (self.c1 > 0 and self.c2 > 0):
             raise InvalidArgumentError("stability fit requires positive constants")
 
-    def bound(self, ratio: float, norm: float) -> float:
-        """Lower bound for ||T f|| with the relaxed constants."""
+    def lower_bound(self):
+        """The lower bound for ||T f|| as a function of (ratio, ||f||), with
+        the relaxed constants computed once."""
         c1 = SAFETY_C1 * self.c1
         c2 = SAFETY_C2 * self.c2
         if self.form == EXPONENTIAL:
-            return c1 * math.exp(-c2 * ratio) * norm
-        x = c2 * ratio
-        return c1 * x ** (-x) * norm
+            return lambda ratio, norm: c1 * math.exp(-c2 * ratio) * norm
+
+        def power_of_ratio(ratio, norm):
+            x = c2 * ratio
+            return c1 * x ** (-x) * norm
+        return power_of_ratio
 
     def to_json(self) -> dict:
         return {"c1": self.c1, "c2": self.c2, "form": self.form,
@@ -110,25 +108,26 @@ class StabilityFit:
 
 
 # ----------------------------------------------------------------------------
-# Sampling helpers
+# Sampling helpers: each verifier checks a function's domain once, then reads
+# the grid's memoized tables, one product per table
 # ----------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _refined_points(domain: Interval, size: int) -> np.ndarray:
-    """REFINE_FACTOR times as many equispaced points as a grid of size nodes
-    has, built once per (domain, size) and read-only."""
-    x = np.linspace(domain.a, domain.b, REFINE_FACTOR * size + 1)
-    x.setflags(write=False)
-    return x
-
-
 def _refined_values(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
-    """f at the refined points of the grid, once f is known to live on the
-    grid's bounded interval: Lemmas 2 and 3 are statements on [a, b]."""
+    """f at the grid's refined points, once f is known to live on the grid's
+    bounded interval: Lemmas 2 and 3 are statements on [a, b]."""
     if not isinstance(grid.domain, Interval):
         raise InvalidArgumentError("lemmas 2 and 3 hold on a bounded interval, not a half line")
     check_domain(f, grid)
-    return sample(f, _refined_points(grid.domain, grid.size))
+    return grid_values(f, grid, refined=True)
+
+
+# The ufunc reductions: ndarray.min and max add a Python wrapper per call.
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
+
+def _h1(f: FunctionRep, grid: QuadGrid) -> float:
+    """h1_seminorm of a function already checked against the grid."""
+    return grid_norm(grid_values(f, grid, 1), grid)
 
 
 def _norms(w, vals, weight=1.0):
@@ -153,9 +152,10 @@ def _oscillation_ratios(t, w, samples) -> np.ndarray:
 
 def verify_lemma2(f: FunctionRep, grid: QuadGrid) -> Lemma2Record:
     vals = _refined_values(f, grid)
-    sup = float(np.abs(vals).max())
-    applicable = bool(vals.min() < -SIGN_TOL * sup and vals.max() > SIGN_TOL * sup)
-    bound = math.sqrt(grid.domain.length) * h1_seminorm(f, grid)
+    lo, hi = float(_min(vals)), float(_max(vals))
+    sup = max(abs(lo), abs(hi))
+    applicable = lo < -SIGN_TOL * sup and hi > SIGN_TOL * sup
+    bound = math.sqrt(grid.domain.length) * _h1(f, grid)
     passed = (not applicable) or sup <= bound * (1.0 + 1e-9) + SIGN_TOL * sup
     return Lemma2Record(sup, bound, applicable, bool(passed))
 
@@ -185,15 +185,16 @@ def lemma3_prefactor(c2: float, domain: Interval) -> float:
 
 def verify_lemma3(f: FunctionRep, grid: QuadGrid, c2: float) -> Lemma3Record:
     vals = _refined_values(f, grid)
-    if vals.min() < -SIGN_TOL * float(np.abs(vals).max()):
+    lo = float(_min(vals))
+    if lo < 0.0 and lo < -SIGN_TOL * float(_max(np.abs(vals))):  # the sup only if f dips
         raise InvalidArgumentError("lemma 3 applies to nonnegative functions only")
-    nodal = sample(f, grid.nodes)  # both the norm and the mass
+    nodal = grid_values(f, grid)  # both the norm and the mass
     norm = grid_norm(nodal, grid)
     c1 = lemma3_prefactor(c2, grid.domain)
     if norm == 0.0:
         return Lemma3Record(0.0, 0.0, c1, True)
     lhs = float(np.dot(grid.weights, nodal))
-    ratio = h1_seminorm(f, grid) / norm
+    ratio = _h1(f, grid) / norm
     rhs = c1 * math.exp(-c2 * ratio) * norm
     return Lemma3Record(lhs, rhs, c1, bool(lhs >= rhs * (1.0 - 1e-9)))
 
@@ -220,14 +221,15 @@ def lemma1_constant(diff: GalerkinOperator, dec: SpectralDecomposition,
 def verify_lemma1(f: FunctionRep, diff: GalerkinOperator,
                   dec: SpectralDecomposition, c: float) -> Lemma1Record:
     """Partial Parseval mass below the oscillation threshold index."""
-    check_domain(f, diff.grid)
-    nodal = sample(f, diff.grid.nodes)  # both the projection and ||f||
+    grid = diff.grid
+    check_domain(f, grid)
+    nodal = grid_values(f, grid)  # both the projection and ||f||
     coeffs = project_coefficients(diff, nodal)
-    nrm = float(np.linalg.norm(coeffs))
+    nrm = math.sqrt(float(np.dot(coeffs, coeffs)))  # np.linalg.norm's sum, without its wrapper
     if nrm == 0.0:
         raise InvalidArgumentError("zero function")
     coeffs = coeffs / nrm
-    ratio = h1_seminorm(f, diff.grid) / grid_norm(nodal, diff.grid)
+    ratio = _h1(f, grid) / grid_norm(nodal, grid)
     threshold = int(math.floor(c * ratio))
     if threshold > dec.size:
         raise InsufficientDataError(
@@ -334,6 +336,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     differ per rate, so their images stay A (sqrt(w) V).
     """
     orders = M.kind.record.ratio_orders
+    bound = fit.lower_bound()
     t, w = M.grid.nodes, M.grid.weights
     root_w = np.sqrt(w)[:, None]
     records: list = [None] * len(ensemble)
@@ -369,7 +372,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
             lhs[live] = np.sqrt(np.maximum(np.einsum("ij,ij->j", Av, Av), 0.0))
             ratio[live] = _oscillation_ratios(t, w, [s[:, live] for s in S])
             for i, n, a, r in zip(idx, norm.tolist(), lhs.tolist(), ratio.tolist()):
-                rhs = fit.bound(r, n) if n != 0.0 else 0.0
+                rhs = bound(r, n) if n != 0.0 else 0.0
                 records[i] = StabilityRecord(f"f{i:04d}", a, r, rhs, a >= rhs)
     return records
 

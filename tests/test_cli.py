@@ -504,13 +504,14 @@ def test_report_all_stdout_is_the_same_on_every_run(tmp_path, capsys, monkeypatc
 
 def test_import_loads_no_dependency_beyond_numpy():
     # numpy is the one runtime dependency: importing the package and every
-    # submodule in a fresh process loads neither scipy nor any test-only package
+    # submodule in a fresh process loads neither scipy nor any test-only
+    # package, nor numpy.polynomial, which numpy itself does not import
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import importlib, pkgutil, sys, illposed\n"
             "names = [m.name for m in pkgutil.iter_modules(illposed.__path__, 'illposed.')]\n"
             "for name in names: importlib.import_module(name)\n"
-            "print(len(names), sorted(m for m in "
-            "('scipy', 'mpmath', 'hypothesis', 'pytest') if m in sys.modules))")
+            "print(len(names), sorted(m for m in ('scipy', 'mpmath', 'hypothesis', "
+            "'pytest', 'numpy.polynomial') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr

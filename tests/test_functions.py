@@ -118,6 +118,9 @@ def test_legendre_tables_are_the_loop_recurrence_bit_for_bit(size):
         assert np.array_equal(basis_table(leg, size, dom, k, x), expected[k])
     for got, want in zip(legendre_tables(size, dom, x, (0, 1)), expected):
         assert np.array_equal(got, want)
+        # products with a table read its layout: legvander's, a transposed array
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+            want.flags.c_contiguous, want.flags.f_contiguous)
 
 
 def test_table_cache_tells_apart_point_sets_that_end_alike():

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from illposed import Interval, InvalidArgumentError, OperatorKind, build_gramian, make_rng
+from illposed import (Interval, InvalidArgumentError, OperatorKind, assemble_prolate, build_gramian,
+                      make_grid, make_rng)
 from illposed import problem
 from illposed.errors import REFUSALS
 from illposed.problem import Problem
@@ -67,7 +68,9 @@ def test_each_range_is_checked_only_by_the_module_that_reads_it():
     ("count", lambda v: Problem(LAPLACE).verify(v, 1), 2.5, np.int64(3)),
     ("seed", make_rng, 1.5, np.uint8(7)),
     ("basis size", lambda v: build_gramian(Problem(LAPLACE).matrix, v), 2.5, np.int64(4)),
-], ids=["n", "N", "m", "count", "seed", "basis-size"])
+    ("n", lambda v: make_grid(Interval(0, 1), v), 2.5, np.int64(8)),
+    ("N", assemble_prolate, 8.5, np.int32(8)),
+], ids=["n", "N", "m", "count", "seed", "basis-size", "make-grid-n", "prolate-N"])
 def test_a_size_or_seed_that_is_not_an_integer_is_refused_by_name(name, read, bad, good):
     # unchecked, each bad value failed inside numpy or Python with a TypeError,
     # which no command reports as a refusal; numpy integers are integers

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, InsufficientDataError, Interval,
-                      InvalidArgumentError, decompose_operator, eig_sym,
-                      fourier_image_energy, half_line_for, l2_norm, lemma1_constant,
-                      lemma3_prefactor, make_grid, make_rng,
+                      InvalidArgumentError, assemble_bertero_grunbaum, decompose_operator,
+                      eig_sym, fourier_image_energy, h1_seminorm, half_line_for, l2_norm,
+                      lemma1_constant, lemma3_prefactor, make_grid, make_rng,
                       match_eigenfunctions, parse_operator, verify_lemma1,
                       sample, verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
@@ -17,7 +18,7 @@ from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR
 from illposed.stability import (_BLOCK, EXPONENTIAL, POWER_OF_RATIO, SINE_DECAY, SINE_MODES,
                                 StabilityFit, StabilityRecord, SweepData,
-                                fit_constants_from_sweep, h1_seminorm,
+                                fit_constants_from_sweep,
                                 random_nonnegative_series,
                                 random_sine_series, random_trial_mix,
                                 sweep_from_report)
@@ -95,8 +96,9 @@ def test_lemmas_refuse_functions_off_their_interval(lemma, f, on_half_line):
 
 
 def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
-    # 100 calls of each lemma on one grid: one refined point set, and one
-    # table per (series, derivative order, point set)
+    # 100 calls of each lemma, and of both norms, on one grid each: one
+    # refined point set, for Lemmas 2 and 3 alone, and one table per
+    # (series, derivative order, point set), none that no call reads
     from illposed import functions
     dom = Interval(0.5, 2.25)  # no other test samples here, so no cache is warm
     grid = make_grid(dom, 72)
@@ -122,6 +124,87 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
     assert sorted(built, key=str) == sorted([
         (sine, 0, 4 * 72 + 1), (sine, 1, 72),
         (leg, 0, 4 * 72 + 1), (leg, 0, 72), (leg, 1, 72)], key=str)
+
+    # Lemma 1 on an operator over dom, then each norm of sine series on its grid
+    built.clear()
+    op = assemble_bertero_grunbaum(dom, 16)
+    dec = op.eigensystem
+    for v in random_trial_mix(dec, 100, rng):
+        verify_lemma1(legendre(v, dom), op, dec, c=1.0)
+    for f in random_sine_series(dom, 100, rng):
+        h1_seminorm(f, op.grid)
+    for f in random_sine_series(dom, 100, rng):
+        l2_norm(FunctionRep(FunctionKind.SINE_SERIES, f.payload[:6], dom), op.grid)
+    assert len(linspaces) == 1
+    nodes = op.grid.size
+    assert sorted(built, key=str) == sorted([
+        (leg, 0, nodes), (leg, 1, nodes), (sine, 1, nodes), (sine, 0, nodes)], key=str)
+
+
+def _lemma_records(grid, seed):
+    """Every Lemma 2 and Lemma 3 record of two seeded ensembles on grid."""
+    rng = make_rng(seed)
+    dom = grid.domain
+    return ([verify_lemma2(f, grid) for f in random_sine_series(dom, 60, rng)]
+            + [verify_lemma3(f, grid, 1.0) for f in random_nonnegative_series(dom, 60, rng)])
+
+
+def test_grid_tables_give_the_same_records_on_every_grid_and_cache_state():
+    # the tables a grid holds are the tables any grid built the same way
+    # holds, bit for bit, whether or not the shared table cache is warm
+    from illposed import functions
+    dom = Interval(0.25, 1.75)
+    first, second = make_grid(dom, 40), make_grid(dom, 40)
+    records = _lemma_records(first, 8)
+    assert _lemma_records(second, 8) == records
+    functions._cached_table.cache_clear()
+    assert _lemma_records(make_grid(dom, 40), 8) == records
+    assert _lemma_records(first, 8) == records
+    f = random_sine_series(dom, 1, make_rng(9))[0]
+    assert (l2_norm(f, first), h1_seminorm(f, first)) == (l2_norm(f, second),
+                                                          h1_seminorm(f, second))
+
+
+def test_a_grid_frees_its_tables_with_itself():
+    import gc
+    import weakref
+    dom = Interval(0.25, 1.75)
+    grid = make_grid(dom, 40)
+    _lemma_records(grid, 8)
+    assert len(grid.series_tables) == 5
+    ref = weakref.ref(grid)
+    del grid
+    gc.collect()
+    assert ref() is None
+
+
+def test_each_verifier_keeps_its_refusal_texts(bg128):
+    ab = Interval(1.0, 2.0)
+    grid = make_grid(ab, 64)
+    off = FunctionRep(FunctionKind.SINE_SERIES, [1.0, 0.2], UNIT)
+    half = make_grid(half_line_for(ab), 16)
+    sine = FunctionRep(FunctionKind.SINE_SERIES, [1.0, 0.2], ab)
+    dec = bg128.eigensystem
+    cases = [
+        (lambda: verify_lemma2(off, grid), "function domain does not match grid domain"),
+        (lambda: verify_lemma3(off, grid, 1.0), "function domain does not match grid domain"),
+        (lambda: verify_lemma1(off, bg128, dec, 1.0), "function domain does not match grid domain"),
+        (lambda: l2_norm(off, grid), "function domain does not match grid domain"),
+        (lambda: h1_seminorm(off, grid), "function domain does not match grid domain"),
+        (lambda: verify_lemma2(sine, half),
+         "lemmas 2 and 3 hold on a bounded interval, not a half line"),
+        (lambda: verify_lemma3(sine, half, 1.0),
+         "lemmas 2 and 3 hold on a bounded interval, not a half line"),
+        (lambda: verify_lemma3(FunctionRep(FunctionKind.SINE_SERIES, [-1.0], ab), grid, 1.0),
+         "lemma 3 applies to nonnegative functions only"),
+    ]
+    for call, text in cases:
+        with pytest.raises(InvalidArgumentError) as exc:
+            call()
+        assert str(exc.value) == text
+    with pytest.raises(InsufficientDataError) as exc:
+        verify_lemma1(legendre(dec.eigenvectors[:, -1], ab), bg128, dec, 1e6)
+    assert re.fullmatch(r"threshold index \d+ exceeds the 128 trial modes", str(exc.value))
 
 
 # ----------------------------------------------------------------------------
@@ -364,7 +447,7 @@ def _reference_record(M, fit, f, i):
         ratio = (norm(d2, t ** 2) + norm(df, t ** 2) + norm(v, t ** 2) + norm(v)) / norm(v)
     else:
         ratio = norm(df) / norm(v)
-    rhs = fit.bound(ratio, norm(v))
+    rhs = fit.lower_bound()(ratio, norm(v))
     return fid, lhs, ratio, rhs, lhs >= rhs, None
 
 
