@@ -50,7 +50,7 @@ def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
     M's half factor A of the sine family sqrt(2/L) sin(k pi (x-a)/L),
     k = 1..size, on M's grid over [a, a+L].
 
-    The family is read as one cached basis table, which check_orthonormal,
+    The family is read as the grid's basis table, which check_orthonormal,
     the one reader of the size, must find orthonormal on the grid.  The
     eigenpair comes from an SVD of AV, without forming G, so min eigenvalues
     far below eps*||G|| are still resolved accurately, down to SVD_FLOOR
@@ -63,7 +63,7 @@ def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
     domain = grid.domain
     if not isinstance(domain, Interval):
         raise InvalidArgumentError("adversarial synthesis needs an interval domain")
-    table = check_orthonormal(FunctionKind.SINE_SERIES, size, domain, grid)
+    table = check_orthonormal(FunctionKind.SINE_SERIES, size, grid)
     V = np.sqrt(2.0 / domain.length) * table
     AV = M.half_factor @ (np.sqrt(grid.weights)[:, None] * V)
     if len(AV) < size:
@@ -149,7 +149,7 @@ def reproduce_figure(figure_id: FigureId, n: int = Problem.n) -> dict:
     f = spec.function()
     p = Problem(spec.operator, n)
     grid = p.grid
-    table = check_orthonormal(f.kind, len(f.payload), f.domain, grid)
+    table = check_orthonormal(f.kind, len(f.payload), grid)
     norm2 = float(np.dot(grid.weights, (table @ f.payload) ** 2))
     if figure_id is FigureId.FIG3:
         # Cancellation-limited regime: closed-form basis transforms with

@@ -15,9 +15,10 @@ multiplication by t.  Each operator is assembled once, at 2N, its own
 refinement: the trial bases are nested, so the operator at N is that
 matrix's leading block.  A stiffness that couples no even index to an odd
 one (the prolate operator's) is solved one parity block at a time.  No
-assembly builds a quadrature grid: callers evaluate the trial basis on the
-grid they integrate on, and only Lemma 1's projection reads the operator's
-own `grid`, built on first use.
+assembly builds a quadrature grid: callers read the trial basis on the grid
+they integrate on, which must lie on the basis domain, and only Lemma 1's
+projection reads the operator's own `grid`, built on first use.  A Legendre
+basis's tables are the grid's own (`functions.grid_table`), freed with it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .domains import HalfLineDomain, Interval, QuadGrid, check_laplace_interval, make_grid
 from .errors import InvalidArgumentError, RepresentationError, check_integer
-from .functions import FunctionKind, cached_table
+from .functions import FunctionKind, grid_table
 
 PROJECTION_TOL = 1e-8
 # Smallest Galerkin trial size N of every assembly.
@@ -63,11 +64,12 @@ class LegendreTrialBasis:
         self.domain = domain
         self.size = size
 
-    def tables(self, x, orders) -> list:
-        """One read-only table per derivative order at x: the cached tables
-        that sampling a Legendre series of this size at x reads."""
-        return [cached_table(FunctionKind.LEGENDRE_SERIES, self.size, self.domain, k, x)
-                for k in orders]
+    def tables(self, grid: QuadGrid, orders) -> list:
+        """One read-only table per derivative order at the grid's nodes: the
+        grid's tables, which sampling a Legendre series of this size on the
+        grid reads."""
+        _check_on_basis_domain(self, grid)
+        return [grid_table(FunctionKind.LEGENDRE_SERIES, self.size, k, grid) for k in orders]
 
 
 class LaguerreExpTrialBasis:
@@ -98,12 +100,14 @@ class LaguerreExpTrialBasis:
         X[k[:-1], k[1:]] = -k[1:]
         return _read_only(X / (2.0 * self.sigma))
 
-    def tables(self, x, orders) -> list:
-        """One read-only table per derivative order at x: the three-term
-        recurrence with the envelope folded in, then V @ derivative per order.
-        The envelope underflows past 2 sigma t ~ 1490, where every entry reads
-        0: exact to roundoff for degrees below about 370."""
-        u = 2.0 * self.sigma * np.atleast_1d(np.asarray(x, dtype=float))
+    def tables(self, grid: QuadGrid, orders) -> list:
+        """One read-only table per derivative order at the grid's nodes,
+        built on every call: the three-term recurrence with the envelope
+        folded in, then V @ derivative per order.  The envelope underflows
+        past 2 sigma t ~ 1490, where every entry reads 0: exact to roundoff
+        for degrees below about 370."""
+        _check_on_basis_domain(self, grid)
+        u = 2.0 * self.sigma * grid.nodes
         prev, cur = np.zeros_like(u), np.sqrt(2.0 * self.sigma) * np.exp(-0.5 * u)
         rows = [cur]
         for k in range(self.size - 1):
@@ -113,6 +117,14 @@ class LaguerreExpTrialBasis:
         while len(by_order) <= max(orders):
             by_order.append(by_order[-1] @ self.derivative)
         return [_read_only(by_order[k]) for k in orders]
+
+
+def _check_on_basis_domain(basis, grid: QuadGrid) -> None:
+    """Raise unless the grid lies on the basis domain: a trial basis is never
+    remapped onto another grid's domain."""
+    if grid.domain != basis.domain:
+        raise InvalidArgumentError(
+            f"trial basis lives on {basis.domain}, the grid on {grid.domain}")
 
 
 def _check_trial_size(N: int) -> None:
@@ -357,7 +369,7 @@ def project_coefficients(op: GalerkinOperator, vals: np.ndarray) -> np.ndarray:
     norm2 = float(np.dot(w, vals * vals))
     if norm2 == 0.0:
         return np.zeros(op.size)
-    V = op.basis.tables(op.grid.nodes, (0,))[0]
+    V = op.basis.tables(op.grid, (0,))[0]
     c = V.T @ (w * vals)
     r = vals - V @ c  # pointwise residual: immune to norm-difference roundoff
     resid2 = float(np.dot(w, r * r))

@@ -156,8 +156,8 @@ class QuadGrid:
     @functools.cached_property
     def series_tables(self) -> dict:
         """The series-basis tables read on this grid, one per (kind, size,
-        order, refined), filled by functions.grid_values and freed with the
-        grid."""
+        order, refined), filled by functions.grid_table and freed with the
+        grid: the package's one table cache."""
         return {}
 
     @functools.cached_property

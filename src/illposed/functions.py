@@ -2,18 +2,19 @@
 
 A FunctionRep is a coefficient series (sine / cosine / orthonormal
 Legendre).  Half-line functions (Theorem-2 territory) are
-polynomial-times-exponential ExpPoly objects.  sample is the one
-evaluator: on a fixed point set a function, or a block of functions of one
-type, is sampled, or differentiated exactly, as one product with a basis
-table, cached for series.  On a quadrature grid (its nodes, or the refined
-points of the lemmas) grid_values reads a series' table from the grid's own
-memo, `QuadGrid.series_tables`, so a function checked once against the
-grid's domain costs one dict lookup and one product per table.
+polynomial-times-exponential ExpPoly objects.  A function, or a block of
+functions of one type, is sampled, or differentiated exactly, as one
+product with a basis table.  On a quadrature grid (its nodes, or the
+refined points of the lemmas) a series' table comes from the grid's own
+memo, `QuadGrid.series_tables`, through grid_table, the one table cache:
+built on first read and freed with the grid, so a function checked once
+against the grid's domain costs one dict lookup and one product per table.
+sample, the evaluator at arbitrary points (plots and demos), builds its
+table on every call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -139,36 +140,20 @@ def basis_table(kind: FunctionKind, size: int, domain: Interval, order: int, x) 
     return np.cos(phase) * omega if sine else -np.sin(phase) * omega
 
 
-class _Points:
-    """Exact table-cache key of a point set: keys are equal when all their
-    bytes are.  The hash reads only the last two points, so a lookup does
-    not hash every point again (for 1,025 points that costs about as much as
-    the sample itself); point sets that end alike merely collide."""
-
-    __slots__ = ("data", "_hash")
-
-    def __init__(self, x):
-        self.data = data = np.ascontiguousarray(x, dtype=float).tobytes()
-        self._hash = hash(data[-16:])
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self.data == other.data
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_table(kind, size, domain, order, points: _Points) -> np.ndarray:
-    table = basis_table(kind, size, domain, order, np.frombuffer(points.data))
-    table.setflags(write=False)
+def grid_table(kind: FunctionKind, size: int, order: int, grid: QuadGrid,
+               refined: bool = False) -> np.ndarray:
+    """basis_table at the grid's nodes, or refined at its refined points, as
+    one read-only array kept in the grid's memo (`QuadGrid.series_tables`):
+    built on first read, then one dict lookup, and freed with the grid.  The
+    one table cache: samples on the grid, the orthonormality check and a
+    Legendre trial basis on the grid all read it."""
+    key = (kind, size, order, refined)
+    table = grid.series_tables.get(key)
+    if table is None:
+        x = grid.refined_points if refined else grid.nodes
+        table = grid.series_tables[key] = basis_table(kind, size, grid.domain, order, x)
+        table.setflags(write=False)
     return table
-
-
-def cached_table(kind: FunctionKind, size: int, domain: Interval, order: int, x) -> np.ndarray:
-    """basis_table at the fixed points x as one cached, read-only array: the
-    samples at x and a Legendre trial basis at x all read it."""
-    return _cached_table(kind, size, domain, order, _Points(x))
 
 
 def columns(arrays) -> np.ndarray:
@@ -178,33 +163,41 @@ def columns(arrays) -> np.ndarray:
     return np.ascontiguousarray(np.array(arrays).T)
 
 
-def sample_columns(funcs, x, orders) -> list:
+def _exp_poly_columns(funcs, x, orders) -> list:
+    """One array per derivative order in orders of a block of ExpPoly at the
+    points x: any order, through their coefficients, on one power basis x^k
+    and one envelope e^{-rate x}."""
+    P = [columns([g.poly for g in funcs])]
+    rates = np.array([g.rate for g in funcs])
+    for _ in range(max(orders)):  # (p e^{-rate x})' = (p' - rate p) e^{-rate x}
+        D = -rates * P[-1]
+        D[:-1] += np.arange(1, len(D))[:, None] * P[-1][1:]
+        P.append(D)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    X, envelope = np.vander(x, len(P[0]), increasing=True), np.exp(-np.outer(x, rates))
+    return [(X @ P[k]) * envelope for k in orders]
+
+
+def sample_columns(funcs, grid: QuadGrid, orders) -> list:
     """One array per derivative order in orders: column j is that derivative
-    of funcs[j] at the fixed points x.  The functions share their type, kind,
-    coefficient count and domain; their coefficients are stacked once.  A
-    series is one product per order with a cached, read-only basis table,
-    orders 0 and 1 only; an ExpPoly takes any order, through its
-    coefficients, on one power basis x^k and one envelope e^{-rate x}."""
+    of funcs[j] at the grid's nodes.  The functions share their type, kind,
+    coefficient count and domain, the grid's; their coefficients are stacked
+    once.  A series is one product per order with the grid's table, orders 0
+    and 1 only; an ExpPoly block takes any order."""
     f = funcs[0]
     if isinstance(f, ExpPoly):
-        P = [columns([g.poly for g in funcs])]
-        rates = np.array([g.rate for g in funcs])
-        for _ in range(max(orders)):  # (p e^{-rate x})' = (p' - rate p) e^{-rate x}
-            D = -rates * P[-1]
-            D[:-1] += np.arange(1, len(D))[:, None] * P[-1][1:]
-            P.append(D)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        X, envelope = np.vander(x, len(P[0]), increasing=True), np.exp(-np.outer(x, rates))
-        return [(X @ P[k]) * envelope for k in orders]
+        return _exp_poly_columns(funcs, grid.nodes, orders)
     C = columns([g.payload for g in funcs])
-    return [cached_table(f.kind, len(f.payload), f.domain, k, x) @ C for k in orders]
+    return [grid_table(f.kind, len(f.payload), k, grid) @ C for k in orders]
 
 
 def sample(f: FunctionLike, x, order: int = 0) -> np.ndarray:
-    """f's order-th derivative at the fixed points x, through a cached table."""
+    """f's order-th derivative at arbitrary points x, for plots and demos: a
+    series builds its table on every call.  On a grid, grid_values reads the
+    grid's own tables."""
     if isinstance(f, ExpPoly):
-        return sample_columns([f], x, (order,))[0][:, 0]
-    return cached_table(f.kind, len(f.payload), f.domain, order, x) @ f.payload
+        return _exp_poly_columns([f], x, (order,))[0][:, 0]
+    return basis_table(f.kind, len(f.payload), f.domain, order, x) @ f.payload
 
 
 # ----------------------------------------------------------------------------
@@ -226,24 +219,17 @@ def check_domain(f, grid: QuadGrid) -> None:
 def grid_values(f: FunctionLike, grid: QuadGrid, order: int = 0,
                 refined: bool = False) -> np.ndarray:
     """f's order-th derivative at the grid's nodes, or refined at its refined
-    points, once check_domain has passed.  A series is one product with the
-    cached_table that the grid memoizes (`QuadGrid.series_tables`): built on
-    first read, then one dict lookup, and freed with the grid."""
+    points, once check_domain has passed: a series is one product with the
+    grid's table (grid_table)."""
     if isinstance(f, ExpPoly):
-        return sample_columns([f], grid.nodes, (order,))[0][:, 0]
-    key = (f.kind, len(f.payload), order, refined)
-    table = grid.series_tables.get(key)
-    if table is None:
-        x = grid.refined_points if refined else grid.nodes
-        table = grid.series_tables[key] = cached_table(f.kind, key[1], grid.domain, order, x)
-    return table @ f.payload
+        return sample(f, grid.nodes, order)
+    return grid_table(f.kind, len(f.payload), order, grid, refined) @ f.payload
 
 
-def check_orthonormal(kind: FunctionKind, size: int, domain: Interval,
-                      grid: QuadGrid) -> np.ndarray:
-    """The cached order-0 table of a series basis of size functions on
-    domain at the grid's nodes, once that table, scaled to unit norm (sine
-    and cosine by sqrt(2/L)), is orthonormal on the grid to
+def check_orthonormal(kind: FunctionKind, size: int, grid: QuadGrid) -> np.ndarray:
+    """The grid's order-0 table of a series basis of size functions on the
+    grid's domain, once that table, scaled to unit norm (sine and cosine by
+    sqrt(2/L)), is orthonormal on the grid to
     ORTHONORMALITY_TOL: the one reader of a basis size, and the one test
     that a grid resolves a series basis (144 sines on a 256-node Gauss grid,
     not 145).  A size that is not an integer >= 1 is refused before any
@@ -253,10 +239,10 @@ def check_orthonormal(kind: FunctionKind, size: int, domain: Interval,
     if size < 1:
         raise InvalidArgumentError("basis size must be >= 1")
     if size <= grid.size:
-        table = cached_table(kind, size, domain, 0, grid.nodes)
+        table = grid_table(kind, size, 0, grid)
         unit = table
         if kind is not FunctionKind.LEGENDRE_SERIES:
-            unit = math.sqrt(2.0 / domain.length) * table
+            unit = math.sqrt(2.0 / grid.domain.length) * table
         gram = unit.T @ (grid.weights[:, None] * unit)
         if np.max(np.abs(gram - np.eye(size))) <= ORTHONORMALITY_TOL:
             return table

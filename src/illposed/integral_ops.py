@@ -50,7 +50,8 @@ from .diff_ops import (SignVariant, assemble_bertero_grunbaum, assemble_fourth_o
 from .domains import (HalfLineDomain, Interval, QuadGrid, check_laplace_interval,
                       half_line_for, make_grid, shortest)
 from .errors import InvalidArgumentError
-from .functions import FunctionKind, FunctionLike, FunctionRep, sample, trig_freqs
+from .functions import (FunctionKind, FunctionLike, FunctionRep, check_domain, grid_values,
+                        trig_freqs)
 
 # Largest grid size n: the largest ladder rung is IMAGE_CAP x n (twice that for Fourier).
 MAX_GRID_SIZE = 1024
@@ -497,9 +498,11 @@ def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:
 
     Computing A v first resolves the image before squaring, which preserves
     relative accuracy deep below the cancellation floor of the plain form
-    v^T M v (the demonstrated worst cases sit at ~1e-18 ||f||^2).
+    v^T M v (the demonstrated worst cases sit at ~1e-18 ||f||^2).  f must
+    live on M's grid, as for l2_norm.
     """
-    Av = M.half_factor @ (np.sqrt(M.grid.weights) * sample(f, M.grid.nodes))
+    check_domain(f, M.grid)
+    Av = M.half_factor @ (np.sqrt(M.grid.weights) * grid_values(f, M.grid))
     return float(np.dot(Av, Av))
 
 

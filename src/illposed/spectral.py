@@ -117,14 +117,6 @@ class MatchReport:
         }
 
 
-def basis_on_grid(diff: GalerkinOperator, grid) -> np.ndarray:
-    """Trial-basis values at the nodes of a grid on the basis domain."""
-    if grid.domain != diff.basis.domain:
-        raise InvalidArgumentError(
-            f"{diff.name} basis lives on {diff.basis.domain}, the grid on {grid.domain}")
-    return diff.basis.tables(grid.nodes, (0,))[0]
-
-
 def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
                          m: int, converged: Optional[int] = None) -> MatchReport:
     """Rayleigh values and residuals of diff eigenvectors against T*T.
@@ -142,7 +134,7 @@ def match_eigenfunctions(integral: OperatorMatrix, diff: GalerkinOperator,
     if m > converged:
         raise ModeRangeError(f"requested {m} modes, only {converged} converged")
     dec = diff.eigensystem
-    B = np.sqrt(integral.grid.weights)[:, None] * basis_on_grid(diff, integral.grid)
+    B = np.sqrt(integral.grid.weights)[:, None] * diff.basis.tables(integral.grid, (0,))[0]
     A = integral.half_factor
     op_norm = float(integral.singular_values[0] ** 2)
     records = []

@@ -266,7 +266,7 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     m = min(len(rep.records), decompose_operator(M).resolved)
     U = rep.vectors[:, :m]
     t, w = M.grid.nodes, M.grid.weights
-    tables = diff.basis.tables(t, M.kind.record.ratio_orders)
+    tables = diff.basis.tables(M.grid, M.kind.record.ratio_orders)
     ratios = _oscillation_ratios(t, w, [T @ U for T in tables])
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
     return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.name)
@@ -353,7 +353,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
         f = ensemble[members[0]]
         if isinstance(f, FunctionRep):
             try:  # kind and size fix the basis table: one check per group
-                G = M.half_factor @ (root_w * check_orthonormal(*key, f.domain, M.grid))
+                G = M.half_factor @ (root_w * check_orthonormal(*key, M.grid))
             except InvalidArgumentError as exc:
                 for i in members:
                     records[i] = _error_record(i, exc)
@@ -361,7 +361,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
         for start in range(0, len(members), _BLOCK):
             idx = members[start:start + _BLOCK]
             funcs = [ensemble[i] for i in idx]
-            S = sample_columns(funcs, t, orders)
+            S = sample_columns(funcs, M.grid, orders)
             norm = _norms(w, S[0])
             live = norm != 0.0  # a zero function satisfies every bound
             lhs, ratio = np.zeros(len(idx)), np.zeros(len(idx))

@@ -134,7 +134,7 @@ def test_criterion_09_counts_refusals(monkeypatch):
 
 
 def test_criterion_09_samples_through_basis_tables(monkeypatch):
-    # every trial mix is sampled by a product with the cached Legendre
+    # every trial mix is sampled by a product with the grid's Legendre
     # tables; no per-function Clenshaw series evaluation runs
     ab = Interval(1.0, 2.0)
     ctx = Suite(0, Problem(OperatorKind.laplace_tt(ab), 128, 64, 12),

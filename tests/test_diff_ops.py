@@ -153,30 +153,33 @@ def laguerre_raw_reference(basis, x, order):
     return out
 
 
-def whole_basis_nodes(basis):
-    """Gauss nodes out past the mass of every trial function: the Laguerre
-    function of degree k carries mass out to u = 2 sigma t ~ 4k + 2."""
-    s_max = 1.25 * (4.0 * basis.size + 2.0) / (2.0 * basis.sigma)
-    return make_grid(HalfLineDomain(max(basis.domain.s_max, s_max)), max(48, basis.size)).nodes
+def whole_basis_operator(N):
+    """The fourth-order operator at N on a half line out past the mass of
+    every trial function, and a Gauss grid on that half line: the Laguerre
+    function of degree k carries mass out to u = 2 sigma t ~ 4k + 2.  The
+    half line is only the basis domain; the stiffness does not read it."""
+    sigma = 0.5 * (AB.a + AB.b)
+    s_max = 1.25 * (4.0 * N + 2.0) / (2.0 * sigma)
+    half = HalfLineDomain(max(half_line_for(AB).s_max, s_max))
+    op = assemble_fourth_order(AB, half, N, SignVariant.AS_PROOF_BOUND)
+    return op, make_grid(half, max(48, N))
 
 
 @pytest.mark.parametrize("N", [32, 64, 128])
 def test_laguerre_vandermonde_matches_per_degree_reference(N):
-    op = assemble_fourth_order(AB, half_line_for(AB), N, SignVariant.AS_PROOF_BOUND)
-    t = whole_basis_nodes(op.basis)
-    for order, table in zip((0, 1, 2), op.basis.tables(t, (0, 1, 2))):
-        ref = laguerre_raw_reference(op.basis, t, order)
+    op, grid = whole_basis_operator(N)
+    for order, table in zip((0, 1, 2), op.basis.tables(grid, (0, 1, 2))):
+        ref = laguerre_raw_reference(op.basis, grid.nodes, order)
         err = np.max(np.abs(table - ref))
         assert err <= 1e-11 * np.max(np.abs(ref)), (N, order)
 
 
 def test_laguerre_tables_take_one_vandermonde():
-    op = assemble_fourth_order(AB, half_line_for(AB), 32, SignVariant.AS_PROOF_BOUND)
-    t = whole_basis_nodes(op.basis)
+    op, grid = whole_basis_operator(32)
     for orders in ((0,), (0, 1), (0, 1, 2), (2,)):
-        assert len(op.basis.tables(t, orders)) == len(orders), orders
-    full = op.basis.tables(t, (0, 1, 2))
-    assert np.array_equal(op.basis.tables(t, (2,))[0], full[2])
+        assert len(op.basis.tables(grid, orders)) == len(orders), orders
+    full = op.basis.tables(grid, (0, 1, 2))
+    assert np.array_equal(op.basis.tables(grid, (2,))[0], full[2])
     assert all(not table.flags.writeable for table in full)
 
 
@@ -201,22 +204,19 @@ def test_fourth_order_stiffness_matches_gauss_laguerre(N, variant):
 
 @pytest.mark.parametrize("assemble", [lambda N: assemble_bertero_grunbaum(AB, N),
                                       assemble_prolate], ids=["bertero-grunbaum", "prolate"])
-def test_legendre_operator_reads_the_sampling_tables(assemble, monkeypatch):
+def test_legendre_operator_reads_the_sampling_tables(assemble):
     # a Legendre series sampled on the operator's grid reads the very tables
-    # its trial basis gives there: one cached copy of each, not two equal ones
-    from illposed import functions
+    # its trial basis gives there: one copy of each in the grid's memo, not
+    # two equal ones
+    from illposed.functions import grid_values
     op = assemble(24)
-    read, original = [], functions._cached_table
-
-    def spy(*args):
-        read.append(original(*args))
-        return read[-1]
-    monkeypatch.setattr(functions, "_cached_table", spy)
     f = FunctionRep(FunctionKind.LEGENDRE_SERIES, np.ones(24), op.basis.domain)
-    functions.sample(f, op.grid.nodes)
-    functions.sample(f, op.grid.nodes, 1)
-    tables = op.basis.tables(op.grid.nodes, (0, 1))
-    assert read[0] is tables[0] and read[1] is tables[1]
+    grid_values(f, op.grid)
+    grid_values(f, op.grid, 1)
+    read = list(op.grid.series_tables.values())
+    tables = op.basis.tables(op.grid, (0, 1))
+    assert len(read) == 2 and read[0] is tables[0] and read[1] is tables[1]
+    assert len(op.grid.series_tables) == 2
     assert all(not table.flags.writeable for table in tables)
 
 

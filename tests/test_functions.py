@@ -7,8 +7,8 @@ from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, h1_seminorm, l2_norm, make_grid, sample)
 from illposed import functions
-from illposed.functions import (basis_table, cached_table, check_orthonormal, legendre_tables,
-                                sample_columns)
+from illposed.domains import HalfLineDomain
+from illposed.functions import basis_table, check_orthonormal, legendre_tables, sample_columns
 from illposed.adversarial import FIGURES
 from illposed.stability import EXPONENTIAL, StabilityFit, verify_theorem
 
@@ -123,14 +123,13 @@ def test_legendre_tables_are_the_loop_recurrence_bit_for_bit(size):
             want.flags.c_contiguous, want.flags.f_contiguous)
 
 
-def test_table_cache_tells_apart_point_sets_that_end_alike():
-    # the cache hashes only a point set's last two points; a lookup still
-    # matches on every point
+def test_sample_at_arbitrary_points_matches_the_closed_form():
+    # sample builds its table at any points, off every grid: values and
+    # first derivatives against the closed-form oracle
     f = sine([0.3, -1.0, 0.5])
     ends = [0.6, 0.9]
     for head in ([0.1], [0.2], [0.1, 0.3], [0.15]):
         x = np.array(head + ends)
-        assert np.array_equal(sample(f, x), sample(f, x.copy()))
         assert sample(f, x) == pytest.approx(derivative_values(f, x, 0), abs=1e-14)
         assert sample(f, x, 1) == pytest.approx(derivative_values(f, x, 1), abs=1e-13)
 
@@ -193,8 +192,8 @@ def test_sine_basis_orthonormal():
 
 def test_a_basis_larger_than_the_grid_is_refused_before_its_table(monkeypatch):
     # a grid Gram matrix has rank at most the node count, so 300 sines are
-    # never orthonormal on 256 nodes: no table is built to find that out (no
-    # other test tabulates this domain, so the table cache cannot answer)
+    # never orthonormal on 256 nodes: no table is built to find that out (the
+    # grid is new, so its table memo cannot answer)
     dom = Interval(3.0, 7.5)
     calls = []
     monkeypatch.setattr(functions, "basis_table",
@@ -202,9 +201,9 @@ def test_a_basis_larger_than_the_grid_is_refused_before_its_table(monkeypatch):
     grid = make_grid(dom, 256)
     with pytest.raises(InvalidArgumentError, match=r"^sine-series basis of 300 functions is "
                                                    "not orthonormal on the grid of 256 nodes$"):
-        check_orthonormal(FunctionKind.SINE_SERIES, 300, dom, grid)
+        check_orthonormal(FunctionKind.SINE_SERIES, 300, grid)
     assert calls == []
-    assert check_orthonormal(FunctionKind.SINE_SERIES, 12, dom, grid).shape == (256, 12)
+    assert check_orthonormal(FunctionKind.SINE_SERIES, 12, grid).shape == (256, 12)
     assert len(calls) == 1
 
 
@@ -212,8 +211,7 @@ def test_a_basis_size_is_an_integer_from_one_to_what_the_grid_resolves(monkeypat
     # check_orthonormal is the one reader of a basis size: a size below 1 or
     # not an integer is refused by name before any table is built, and the
     # grid's own rule is the only other bound, 144 sines on 256 Gauss nodes
-    dom = Interval(-3.0, 4.5)  # no other test tabulates this domain
-    grid = make_grid(dom, 256)
+    grid = make_grid(Interval(-3.0, 4.5), 256)
     calls = []
     monkeypatch.setattr(functions, "basis_table",
                         lambda *args: calls.append(args) or basis_table(*args))
@@ -222,18 +220,18 @@ def test_a_basis_size_is_an_integer_from_one_to_what_the_grid_resolves(monkeypat
                           (np.float64(3.0), "basis size must be an integer, got "
                                             f"{np.float64(3.0)!r}")):
         with pytest.raises(InvalidArgumentError) as exc:
-            check_orthonormal(FunctionKind.SINE_SERIES, size, dom, grid)
+            check_orthonormal(FunctionKind.SINE_SERIES, size, grid)
         assert str(exc.value) == message
     assert calls == []
-    table = check_orthonormal(FunctionKind.SINE_SERIES, np.int64(144), dom, grid)
+    table = check_orthonormal(FunctionKind.SINE_SERIES, np.int64(144), grid)
     assert table.shape == (256, 144)
     with pytest.raises(InvalidArgumentError, match="basis of 145 functions is not orthonormal"):
-        check_orthonormal(FunctionKind.SINE_SERIES, 145, dom, grid)
+        check_orthonormal(FunctionKind.SINE_SERIES, 145, grid)
 
 
 def _per_order_products(funcs, x, order):
     """The order-th derivatives of a block the per-order way: a series'
-    cached table times its stacked coefficients; an ExpPoly's coefficients
+    basis table at x times its stacked coefficients; an ExpPoly's coefficients
     differentiated order times, on a power basis built for this order alone,
     times an envelope built for this order alone."""
     f = funcs[0]
@@ -246,7 +244,7 @@ def _per_order_products(funcs, x, order):
             P = D
         return (np.vander(x, len(P), increasing=True) @ P) * np.exp(-np.outer(x, rates))
     C = np.column_stack([g.payload for g in funcs])
-    return cached_table(f.kind, len(f.payload), f.domain, order, x) @ C
+    return basis_table(f.kind, len(f.payload), f.domain, order, x) @ C
 
 
 @pytest.mark.parametrize("block, orders", [
@@ -257,12 +255,13 @@ def test_sample_columns_is_the_per_order_products(block, orders):
     ab = Interval(1.0, 2.0)
     if block == "exp-poly":
         funcs = [ExpPoly(rng.standard_normal(4), float(rng.uniform(1.0, 2.0))) for _ in range(9)]
-        x = np.linspace(0.0, 30.0, 257)
+        grid = make_grid(HalfLineDomain(30.0), 32)
     else:
         kind = FunctionKind.SINE_SERIES if block == "sine" else FunctionKind.LEGENDRE_SERIES
         funcs = [FunctionRep(kind, rng.standard_normal(12), ab) for _ in range(9)]
-        x = make_grid(ab, 256).nodes
-    got = sample_columns(funcs, x, orders)
+        grid = make_grid(ab, 256)
+    x = grid.nodes
+    got = sample_columns(funcs, grid, orders)
     assert len(got) == len(orders)
     for k, values in zip(orders, got):
         assert np.array_equal(values, _per_order_products(funcs, x, k)), k

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from illposed import (FunctionKind, FunctionRep, Interval,
+from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, OperatorKind, decompose_operator,
                       fourier_image_energy, gram_matrix, make_grid, parse_operator,
                       quadratic_form)
@@ -365,6 +365,19 @@ def test_zero_function_maps_to_zero():
 def test_grid_domain_mismatch():
     with pytest.raises(InvalidArgumentError):
         gram_matrix(OperatorKind.laplace_tt(AB), make_grid(Interval(0.0, 1.0), 16))
+
+
+@pytest.mark.parametrize("f, message", [
+    (FunctionRep(FunctionKind.SINE_SERIES, [1.0, 0.2], Interval(0.0, 1.0)),
+     "function domain does not match grid domain"),
+    (ExpPoly([1.0, 0.5], 1.0), "ExpPoly functions live on a half-line grid"),
+], ids=["sine-on-0-1", "exp-poly"])
+def test_quadratic_form_refuses_a_function_from_another_domain(laplace_M, f, message):
+    # a function sampled on a grid it does not live on gives a confident
+    # wrong ||T f||^2: refused with the texts l2_norm gives
+    with pytest.raises(InvalidArgumentError) as exc:
+        quadratic_form(laplace_M, f)
+    assert str(exc.value) == message
 
 
 def test_self_adjoint_bilinearity(laplace_M, ab):

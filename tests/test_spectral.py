@@ -16,7 +16,7 @@ from illposed.output import write_csv
 from illposed.problem import Problem
 from illposed.diff_ops import SignVariant, assemble_bertero_grunbaum
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
-                               MatchReport, ModeMatch, basis_on_grid)
+                               MatchReport, ModeMatch)
 
 from conftest import decomposed, kernel_matrix
 
@@ -209,7 +209,7 @@ def test_match_through_the_factor_agrees_with_the_kernel_matrix(text):
     p = Problem(parse_operator(text), 256)
     M, rep = p.matrix, p.report
     K = kernel_matrix(M.kind, M.grid)
-    BU = np.sqrt(M.grid.weights)[:, None] * basis_on_grid(p.diff, M.grid) @ rep.vectors
+    BU = np.sqrt(M.grid.weights)[:, None] * p.diff.basis.tables(M.grid, (0,))[0] @ rep.vectors
     mu1 = M.singular_values[0] ** 2
     for r, v in zip(rep.records, (BU / np.linalg.norm(BU, axis=0)).T):
         assert abs(r.residual - np.linalg.norm(K @ v - r.rayleigh * v) / mu1) <= 1e-15

@@ -151,14 +151,12 @@ def _lemma_records(grid, seed):
 
 def test_grid_tables_give_the_same_records_on_every_grid_and_cache_state():
     # the tables a grid holds are the tables any grid built the same way
-    # holds, bit for bit, whether or not the shared table cache is warm
-    from illposed import functions
+    # holds, bit for bit, whether its table memo is empty or already full
     dom = Interval(0.25, 1.75)
     first, second = make_grid(dom, 40), make_grid(dom, 40)
     records = _lemma_records(first, 8)
+    assert len(second.series_tables) == 0
     assert _lemma_records(second, 8) == records
-    functions._cached_table.cache_clear()
-    assert _lemma_records(make_grid(dom, 40), 8) == records
     assert _lemma_records(first, 8) == records
     f = random_sine_series(dom, 1, make_rng(9))[0]
     assert (l2_norm(f, first), h1_seminorm(f, first)) == (l2_norm(f, second),
@@ -166,16 +164,27 @@ def test_grid_tables_give_the_same_records_on_every_grid_and_cache_state():
 
 
 def test_a_grid_frees_its_tables_with_itself():
+    # the grid's memo is the only table cache: the grid, a table read on it,
+    # and the table Lemma 1's projection reads on an operator's own grid all
+    # die with their grid
     import gc
     import weakref
+    from illposed.diff_ops import project_coefficients
     dom = Interval(0.25, 1.75)
     grid = make_grid(dom, 40)
     _lemma_records(grid, 8)
     assert len(grid.series_tables) == 5
-    ref = weakref.ref(grid)
+    refs = [weakref.ref(grid), weakref.ref(next(iter(grid.series_tables.values())))]
     del grid
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
+    op = assemble_bertero_grunbaum(dom, 16)
+    coeffs = project_coefficients(op, sample(legendre(np.ones(16), dom), op.grid.nodes))
+    assert np.allclose(coeffs, 1.0, rtol=1e-12) and len(op.grid.series_tables) == 1
+    projection = weakref.ref(op.basis.tables(op.grid, (0,))[0])
+    del op
+    gc.collect()
+    assert projection() is None
 
 
 def test_each_verifier_keeps_its_refusal_texts(bg128):
@@ -581,7 +590,7 @@ def test_sweep_ratios_equal_those_on_a_gauss_grid_of_the_basis(text):
     p = Problem(parse_operator(text))
     U = p.report.vectors[:, :len(p.sweep.indices)]
     grid = make_grid(p.diff.basis.domain, p.diff.size + 8)
-    f, df = (T @ U for T in p.diff.basis.tables(grid.nodes, (0, 1)))
+    f, df = (T @ U for T in p.diff.basis.tables(grid, (0, 1)))
     ref = np.sqrt((grid.weights @ df ** 2) / (grid.weights @ f ** 2))
     assert np.max(np.abs(p.sweep.ratios / ref - 1.0)) <= 1e-13
 
@@ -640,8 +649,8 @@ def test_verify_theorem_refuses_a_series_group_the_grid_does_not_resolve(ab):
     M = Problem(parse_operator("laplace:a=1,b=2"), 16).matrix
     sine = FunctionKind.SINE_SERIES
     with pytest.raises(InvalidArgumentError, match="not orthonormal"):
-        check_orthonormal(sine, 12, ab, M.grid)
-    check_orthonormal(sine, 3, ab, M.grid)
+        check_orthonormal(sine, 12, M.grid)
+    check_orthonormal(sine, 3, M.grid)
     ens = random_sine_series(ab, 5, make_rng(2))
     ens += [FunctionRep(sine, [0.3, -0.2, 0.1], ab) for _ in range(3)]
     recs = verify_theorem(M, StabilityFit(1.0, 1.0, EXPONENTIAL, 1.0, "synthetic"), ens)
@@ -656,9 +665,9 @@ def test_verify_theorem_checks_each_series_group_once(ab, monkeypatch):
     from illposed import stability
     checks = []
 
-    def counted(kind, size, domain, grid):
+    def counted(kind, size, grid):
         checks.append((kind, size))
-        return check_orthonormal(kind, size, domain, grid)
+        return check_orthonormal(kind, size, grid)
     monkeypatch.setattr(stability, "check_orthonormal", counted)
     M = Problem(parse_operator("laplace:a=1,b=2"), 16).matrix
     sine = FunctionKind.SINE_SERIES
