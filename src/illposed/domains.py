@@ -155,9 +155,12 @@ class QuadGrid:
 
     @functools.cached_property
     def series_tables(self) -> dict:
-        """The series-basis tables read on this grid, one per (kind, size,
-        order, refined), filled by functions.grid_table and freed with the
-        grid: the package's one table cache."""
+        """What is read on this grid of a series basis, filled through
+        functions.grid_memo and freed with the grid: its tables, one per
+        (kind, size, order, refined); its Gram forms, one per (kind, size,
+        order, "gram"); its mass row, one per (kind, size, "mass"); and
+        Lemma 3's prefactor, one per ("lemma3_prefactor", c2).  The
+        package's one table cache."""
         return {}
 
     @functools.cached_property

@@ -4,13 +4,16 @@ A FunctionRep is a coefficient series (sine / cosine / orthonormal
 Legendre).  Half-line functions (Theorem-2 territory) are
 polynomial-times-exponential ExpPoly objects.  A function, or a block of
 functions of one type, is sampled, or differentiated exactly, as one
-product with a basis table.  On a quadrature grid (its nodes, or the
-refined points of the lemmas) a series' table comes from the grid's own
-memo, `QuadGrid.series_tables`, through grid_table, the one table cache:
-built on first read and freed with the grid, so a function checked once
-against the grid's domain costs one dict lookup and one product per table.
-sample, the evaluator at arbitrary points (plots and demos), builds its
-table on every call.
+product with a basis table.  On a quadrature grid a series basis has its
+tables (at the nodes, or at the refined points of the lemmas) and its
+forms: the mass row m = T^T w and the Gram forms G_k = T_k^T W T_k of
+derivative orders 0 and 1, so a series' mass is m.c and its squared norms
+are c.G_k c, read from its K coefficients, not from n samples.  Tables and
+forms live in the grid's own memo, `QuadGrid.series_tables`, the one
+cache (grid_memo): built on first read and freed with the grid, so a
+function checked once against the grid's domain costs one dict lookup and
+one product per table or form.  sample, the evaluator at arbitrary points
+(plots and demos), builds its table on every call.
 """
 
 from __future__ import annotations
@@ -140,20 +143,52 @@ def basis_table(kind: FunctionKind, size: int, domain: Interval, order: int, x) 
     return np.cos(phase) * omega if sine else -np.sin(phase) * omega
 
 
+def grid_memo(grid: QuadGrid, key, build, *args):
+    """The value under key in the grid's memo (`QuadGrid.series_tables`):
+    build(*args) on first read, then one dict lookup, and freed with the
+    grid.  An array is kept read-only."""
+    value = grid.series_tables.get(key)
+    if value is None:
+        value = grid.series_tables[key] = build(*args)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return value
+
+
+def _grid_basis_table(kind, size, order, grid, refined):
+    return basis_table(kind, size, grid.domain, order,
+                       grid.refined_points if refined else grid.nodes)
+
+
 def grid_table(kind: FunctionKind, size: int, order: int, grid: QuadGrid,
                refined: bool = False) -> np.ndarray:
     """basis_table at the grid's nodes, or refined at its refined points, as
-    one read-only array kept in the grid's memo (`QuadGrid.series_tables`):
-    built on first read, then one dict lookup, and freed with the grid.  The
-    one table cache: samples on the grid, the orthonormality check and a
-    Legendre trial basis on the grid all read it."""
-    key = (kind, size, order, refined)
-    table = grid.series_tables.get(key)
-    if table is None:
-        x = grid.refined_points if refined else grid.nodes
-        table = grid.series_tables[key] = basis_table(kind, size, grid.domain, order, x)
-        table.setflags(write=False)
-    return table
+    one read-only array in the grid's memo: samples on the grid, the Gram
+    forms and a Legendre trial basis on the grid all read it."""
+    return grid_memo(grid, (kind, size, order, refined), _grid_basis_table,
+                     kind, size, order, grid, refined)
+
+
+def _gram(kind, size, order, grid):
+    table = grid_table(kind, size, order, grid)
+    return table.T @ (grid.weights[:, None] * table)
+
+
+def series_gram(kind: FunctionKind, size: int, order: int, grid: QuadGrid) -> np.ndarray:
+    """G = T^T W T for the grid's table T of derivative order 0 or 1 and
+    its weights W, in the grid's memo: a series with coefficients c has
+    squared grid norm c.G c (of f for order 0, of f' for order 1)."""
+    return grid_memo(grid, (kind, size, order, "gram"), _gram, kind, size, order, grid)
+
+
+def _mass(kind, size, grid):
+    return grid.weights @ grid_table(kind, size, 0, grid)
+
+
+def series_mass(kind: FunctionKind, size: int, grid: QuadGrid) -> np.ndarray:
+    """m = T^T w for the grid's order-0 table T, in the grid's memo: a
+    series with coefficients c has grid mass (integral) m.c."""
+    return grid_memo(grid, (kind, size, "mass"), _mass, kind, size, grid)
 
 
 def columns(arrays) -> np.ndarray:
@@ -163,7 +198,7 @@ def columns(arrays) -> np.ndarray:
     return np.ascontiguousarray(np.array(arrays).T)
 
 
-def _exp_poly_columns(funcs, x, orders) -> list:
+def exp_poly_columns(funcs, x, orders) -> list:
     """One array per derivative order in orders of a block of ExpPoly at the
     points x: any order, through their coefficients, on one power basis x^k
     and one envelope e^{-rate x}."""
@@ -178,25 +213,12 @@ def _exp_poly_columns(funcs, x, orders) -> list:
     return [(X @ P[k]) * envelope for k in orders]
 
 
-def sample_columns(funcs, grid: QuadGrid, orders) -> list:
-    """One array per derivative order in orders: column j is that derivative
-    of funcs[j] at the grid's nodes.  The functions share their type, kind,
-    coefficient count and domain, the grid's; their coefficients are stacked
-    once.  A series is one product per order with the grid's table, orders 0
-    and 1 only; an ExpPoly block takes any order."""
-    f = funcs[0]
-    if isinstance(f, ExpPoly):
-        return _exp_poly_columns(funcs, grid.nodes, orders)
-    C = columns([g.payload for g in funcs])
-    return [grid_table(f.kind, len(f.payload), k, grid) @ C for k in orders]
-
-
 def sample(f: FunctionLike, x, order: int = 0) -> np.ndarray:
     """f's order-th derivative at arbitrary points x, for plots and demos: a
     series builds its table on every call.  On a grid, grid_values reads the
     grid's own tables."""
     if isinstance(f, ExpPoly):
-        return _exp_poly_columns([f], x, (order,))[0][:, 0]
+        return exp_poly_columns([f], x, (order,))[0][:, 0]
     return basis_table(f.kind, len(f.payload), f.domain, order, x) @ f.payload
 
 
@@ -228,24 +250,23 @@ def grid_values(f: FunctionLike, grid: QuadGrid, order: int = 0,
 
 def check_orthonormal(kind: FunctionKind, size: int, grid: QuadGrid) -> np.ndarray:
     """The grid's order-0 table of a series basis of size functions on the
-    grid's domain, once that table, scaled to unit norm (sine and cosine by
-    sqrt(2/L)), is orthonormal on the grid to
-    ORTHONORMALITY_TOL: the one reader of a basis size, and the one test
-    that a grid resolves a series basis (144 sines on a 256-node Gauss grid,
-    not 145).  A size that is not an integer >= 1 is refused before any
-    table is built, and so is a basis of more functions than the grid has
-    nodes, since a grid Gram matrix has rank at most the node count."""
+    grid's domain, once its Gram form (series_gram), scaled to unit norms
+    (sine and cosine by 2/L), is the identity to ORTHONORMALITY_TOL: the
+    one reader of a basis size, and the one test that a grid resolves a
+    series basis (144 sines on a 256-node Gauss grid, not 145).  The form
+    it checks is the one the verifiers read norms from.  A size that is not
+    an integer >= 1 is refused before any table is built, and so is a basis
+    of more functions than the grid has nodes, since a grid Gram matrix has
+    rank at most the node count."""
     check_integer(size, "basis size")
     if size < 1:
         raise InvalidArgumentError("basis size must be >= 1")
     if size <= grid.size:
-        table = grid_table(kind, size, 0, grid)
-        unit = table
+        gram = series_gram(kind, size, 0, grid)
         if kind is not FunctionKind.LEGENDRE_SERIES:
-            unit = math.sqrt(2.0 / grid.domain.length) * table
-        gram = unit.T @ (grid.weights[:, None] * unit)
+            gram = (2.0 / grid.domain.length) * gram
         if np.max(np.abs(gram - np.eye(size))) <= ORTHONORMALITY_TOL:
-            return table
+            return grid_table(kind, size, 0, grid)
     raise InvalidArgumentError(f"{kind.value} basis of {size} functions is not "
                                f"orthonormal on the grid of {grid.size} nodes")
 

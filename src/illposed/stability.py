@@ -20,8 +20,9 @@ import numpy as np
 from .diff_ops import GalerkinOperator, project_coefficients
 from .domains import Interval, QuadGrid
 from .errors import InsufficientDataError, InvalidArgumentError, check_integer
-from .functions import (ExpPoly, FunctionKind, FunctionRep, check_domain,
-                        check_orthonormal, columns, grid_norm, grid_values, sample_columns)
+from .functions import (ExpPoly, FunctionKind, FunctionRep, check_domain, check_orthonormal,
+                        columns, exp_poly_columns, grid_memo, grid_norm, grid_values,
+                        series_gram, series_mass)
 from .integral_ops import EXPONENTIAL, POWER_OF_RATIO, OperatorMatrix
 from .spectral import (MatchReport, SpectralDecomposition, decompose_operator,
                        fit_line, growth_check, match_eigenfunctions)
@@ -109,7 +110,7 @@ class StabilityFit:
 
 # ----------------------------------------------------------------------------
 # Sampling helpers: each verifier checks a function's domain once, then reads
-# the grid's memoized tables, one product per table
+# the grid's memoized tables and forms, one product per table or form
 # ----------------------------------------------------------------------------
 
 def _refined_values(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
@@ -130,20 +131,34 @@ def _h1(f: FunctionRep, grid: QuadGrid) -> float:
     return grid_norm(grid_values(f, grid, 1), grid)
 
 
-def _norms(w, vals, weight=1.0):
-    """sqrt(sum_i w_i weight_i vals_i^2), one per column of a matrix vals."""
-    return np.sqrt(np.maximum(w @ (weight * vals.T * vals.T).T, 0.0))
+def _form_norm(f: FunctionRep, grid: QuadGrid, order: int) -> float:
+    """The grid norm of f (order 0) or f' (order 1), sqrt(c.G c), from f's
+    coefficients c and the grid's Gram form G: K x K flops, not n x K."""
+    c = f.payload
+    return math.sqrt(max(float(np.dot(c, series_gram(f.kind, len(c), order, grid) @ c)), 0.0))
 
 
-def _oscillation_ratios(t, w, samples) -> np.ndarray:
-    """||f'||/||f|| from samples [f, f'] at nodes t with weights w, or from [f, f', f'']
-    the Theorem-2 aggregate (||t f''|| + ||t f'|| + ||t f|| + ||f||)/||f||; one per column."""
-    v, v1 = samples[0], samples[1]
-    norm = _norms(w, v)
+def _column_norms(weights, vals) -> np.ndarray:
+    """sqrt(sum_i weights_i vals_i^2), one per column of a matrix vals."""
+    return np.sqrt(np.maximum(weights @ (vals * vals), 0.0))
+
+
+def _ratios(top, norm) -> np.ndarray:
+    """top/norm per column, and 0 where norm is 0: a zero function's ratio,
+    with no 0/0."""
+    return np.divide(top, norm, out=np.zeros_like(norm), where=norm != 0.0)
+
+
+def _oscillation_ratios(t, w, samples):
+    """(||f||, ratio) per column, from samples [f, f'] at nodes t with weights
+    w, ratio ||f'||/||f||, or from [f, f', f''], ratio the Theorem-2
+    aggregate (||t f''|| + ||t f'|| + ||t f|| + ||f||)/||f||."""
+    norm = _column_norms(w, samples[0])
     if len(samples) == 3:
-        t2 = t ** 2
-        return (_norms(w, samples[2], t2) + _norms(w, v1, t2) + _norms(w, v, t2) + norm) / norm
-    return _norms(w, v1) / norm
+        weights = w * t ** 2
+        t_f, t_df, t_ddf = (_column_norms(weights, s) for s in samples)
+        return norm, _ratios(t_ddf + t_df + t_f + norm, norm)
+    return norm, _ratios(_column_norms(w, samples[1]), norm)
 
 
 # ----------------------------------------------------------------------------
@@ -155,7 +170,7 @@ def verify_lemma2(f: FunctionRep, grid: QuadGrid) -> Lemma2Record:
     lo, hi = float(_min(vals)), float(_max(vals))
     sup = max(abs(lo), abs(hi))
     applicable = lo < -SIGN_TOL * sup and hi > SIGN_TOL * sup
-    bound = math.sqrt(grid.domain.length) * _h1(f, grid)
+    bound = math.sqrt(grid.domain.length) * _form_norm(f, grid, 1)
     passed = (not applicable) or sup <= bound * (1.0 + 1e-9) + SIGN_TOL * sup
     return Lemma2Record(sup, bound, applicable, bool(passed))
 
@@ -184,17 +199,19 @@ def lemma3_prefactor(c2: float, domain: Interval) -> float:
 
 
 def verify_lemma3(f: FunctionRep, grid: QuadGrid, c2: float) -> Lemma3Record:
+    """The mass of a nonnegative f against c1 exp(-c2 ||f'||/||f||) ||f||:
+    the sign from f at the refined points, the mass and both norms from the
+    grid's forms, and c1 = lemma3_prefactor(c2, [a, b]) once per grid and c2."""
     vals = _refined_values(f, grid)
     lo = float(_min(vals))
     if lo < 0.0 and lo < -SIGN_TOL * float(_max(np.abs(vals))):  # the sup only if f dips
         raise InvalidArgumentError("lemma 3 applies to nonnegative functions only")
-    nodal = grid_values(f, grid)  # both the norm and the mass
-    norm = grid_norm(nodal, grid)
-    c1 = lemma3_prefactor(c2, grid.domain)
+    norm = _form_norm(f, grid, 0)
+    c1 = grid_memo(grid, ("lemma3_prefactor", c2), lemma3_prefactor, c2, grid.domain)
     if norm == 0.0:
         return Lemma3Record(0.0, 0.0, c1, True)
-    lhs = float(np.dot(grid.weights, nodal))
-    ratio = _h1(f, grid) / norm
+    lhs = float(np.dot(series_mass(f.kind, len(f.payload), grid), f.payload))
+    ratio = _form_norm(f, grid, 1) / norm
     rhs = c1 * math.exp(-c2 * ratio) * norm
     return Lemma3Record(lhs, rhs, c1, bool(lhs >= rhs * (1.0 - 1e-9)))
 
@@ -267,7 +284,7 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     U = rep.vectors[:, :m]
     t, w = M.grid.nodes, M.grid.weights
     tables = diff.basis.tables(M.grid, M.kind.record.ratio_orders)
-    ratios = _oscillation_ratios(t, w, [T @ U for T in tables])
+    _, ratios = _oscillation_ratios(t, w, [T @ U for T in tables])
     lhs = np.sqrt(np.maximum([r.rayleigh for r in rep.records[:m]], 0.0))
     return SweepData(np.arange(1, m + 1), ratios, lhs, M.kind.to_string(), diff.name)
 
@@ -327,13 +344,17 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
 
     lhs is ||T f|| (for the Fourier composition its square is the image
     energy); the bound uses the safety-relaxed fitted constants.  Functions
-    of one type, kind and length are sampled _BLOCK at a time, every order
-    the ratio reads in one call.  A series group's images are G C for
-    coefficient columns C, with G = A (sqrt(w) T) the images of its K basis
-    functions, built once per call: a block costs rows x K, not rows x n,
-    flops per function.  A group whose basis the grid does not resolve is
-    checked once and gets an error record per function.  ExpPoly tables
-    differ per rate, so their images stay A (sqrt(w) V).
+    of one type, kind and length are checked _BLOCK at a time.  A series
+    group is never sampled: its images are G C for coefficient columns C,
+    with G = A (sqrt(w) T) the images of its K basis functions, built once
+    per call, and its squared norms of f and f' are the column sums of
+    C o (G_k C) for the grid's Gram forms G_k (series_gram): a block costs
+    rows x K, not rows x n, flops per function.  A group whose basis the
+    grid does not resolve is checked once and gets an error record per
+    function.  ExpPoly tables differ per rate, so an ExpPoly block is
+    sampled, every order the ratio reads from one power basis and one
+    envelope, and its images are A (sqrt(w) V).  A zero function has a zero
+    image, and its ratio and bound are 0.
     """
     orders = M.kind.record.ratio_orders
     bound = fit.lower_bound()
@@ -350,29 +371,31 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
         key = len(f.poly) if isinstance(f, ExpPoly) else (f.kind, len(f.payload))
         groups.setdefault(key, []).append(i)
     for key, members in groups.items():
-        f = ensemble[members[0]]
-        if isinstance(f, FunctionRep):
+        series = isinstance(ensemble[members[0]], FunctionRep)
+        if series:
             try:  # kind and size fix the basis table: one check per group
                 G = M.half_factor @ (root_w * check_orthonormal(*key, M.grid))
             except InvalidArgumentError as exc:
                 for i in members:
                     records[i] = _error_record(i, exc)
                 continue
+            grams = [series_gram(*key, k, M.grid) for k in (0, 1)]
         for start in range(0, len(members), _BLOCK):
             idx = members[start:start + _BLOCK]
             funcs = [ensemble[i] for i in idx]
-            S = sample_columns(funcs, M.grid, orders)
-            norm = _norms(w, S[0])
-            live = norm != 0.0  # a zero function satisfies every bound
-            lhs, ratio = np.zeros(len(idx)), np.zeros(len(idx))
-            if isinstance(f, FunctionRep):
-                Av = G @ columns([g.payload for g in funcs])[:, live]
+            if series:
+                C = columns([g.payload for g in funcs])
+                Av = G @ C
+                norm, top = (np.sqrt(np.maximum(np.einsum("ij,ij->j", C, gram @ C), 0.0))
+                             for gram in grams)
+                ratio = _ratios(top, norm)
             else:
-                Av = M.half_factor @ (root_w * S[0][:, live])
-            lhs[live] = np.sqrt(np.maximum(np.einsum("ij,ij->j", Av, Av), 0.0))
-            ratio[live] = _oscillation_ratios(t, w, [s[:, live] for s in S])
+                S = exp_poly_columns(funcs, t, orders)
+                Av = M.half_factor @ (root_w * S[0])
+                norm, ratio = _oscillation_ratios(t, w, S)
+            lhs = np.sqrt(np.maximum(np.einsum("ij,ij->j", Av, Av), 0.0))
             for i, n, a, r in zip(idx, norm.tolist(), lhs.tolist(), ratio.tolist()):
-                rhs = bound(r, n) if n != 0.0 else 0.0
+                rhs = bound(r, n) if n != 0.0 else 0.0  # a zero function meets every bound
                 records[i] = StabilityRecord(f"f{i:04d}", a, r, rhs, a >= rhs)
     return records
 

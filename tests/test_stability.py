@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import tracemalloc
@@ -13,13 +14,14 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, InsufficientDataError,
                       match_eigenfunctions, parse_operator, verify_lemma1,
                       sample, verify_lemma2, verify_lemma3, verify_theorem,
                       violation_count)
+from illposed import stability
 from illposed.functions import check_orthonormal
 from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR
 from illposed.stability import (_BLOCK, EXPONENTIAL, POWER_OF_RATIO, SINE_DECAY, SINE_MODES,
                                 StabilityFit, StabilityRecord, SweepData,
                                 fit_constants_from_sweep,
-                                random_nonnegative_series,
+                                random_exp_poly, random_nonnegative_series,
                                 random_sine_series, random_trial_mix,
                                 sweep_from_report)
 
@@ -95,14 +97,34 @@ def test_lemmas_refuse_functions_off_their_interval(lemma, f, on_half_line):
         lemma(f, grid)
 
 
+class _CountingMemo(dict):
+    """A grid memo that counts how often each key is stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def _counting_memo(grid) -> _CountingMemo:
+    memo = vars(grid)["series_tables"] = _CountingMemo()  # before any read fills it
+    return memo
+
+
 def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
     # 100 calls of each lemma, and of both norms, on one grid each: one
-    # refined point set, for Lemmas 2 and 3 alone, and one table per
-    # (series, derivative order, point set), none that no call reads
+    # refined point set, for Lemmas 2 and 3 alone, one table per (series,
+    # derivative order, point set), one Gram form per (series, order) and
+    # one mass row that the lemmas read their norms and mass from, and one
+    # Lemma 3 prefactor per c2, each stored in the grid's memo once
     from illposed import functions
     dom = Interval(0.5, 2.25)  # no other test samples here, so no cache is warm
     grid = make_grid(dom, 72)
-    built, linspaces = [], []
+    memo = _counting_memo(grid)
+    built, linspaces, prefactors = [], [], []
     original_table, original_linspace = functions.basis_table, np.linspace
 
     def table(kind, size, domain, order, x):
@@ -112,22 +134,35 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
     def linspace(*args, **kwargs):
         linspaces.append(args)
         return original_linspace(*args, **kwargs)
+
+    def prefactor(c2, domain):
+        prefactors.append(c2)
+        return lemma3_prefactor(c2, domain)
     monkeypatch.setattr(functions, "basis_table", table)
     monkeypatch.setattr(np, "linspace", linspace)
+    monkeypatch.setattr(stability, "lemma3_prefactor", prefactor)
     rng = make_rng(3)
     for f in random_sine_series(dom, 100, rng):
         verify_lemma2(f, grid)
     for f in random_nonnegative_series(dom, 100, rng):
         verify_lemma3(f, grid, c2=1.0)
     sine, leg = FunctionKind.SINE_SERIES, FunctionKind.LEGENDRE_SERIES
-    assert len(linspaces) == 1
+    assert len(linspaces) == 1 and prefactors == [1.0]
     assert sorted(built, key=str) == sorted([
         (sine, 0, 4 * 72 + 1), (sine, 1, 72),
         (leg, 0, 4 * 72 + 1), (leg, 0, 72), (leg, 1, 72)], key=str)
+    assert set(memo.stores.values()) == {1}
+    assert sorted(memo, key=str) == sorted([
+        (sine, 12, 0, True), (sine, 12, 1, False), (sine, 12, 1, "gram"),
+        (leg, 10, 0, True), (leg, 10, 0, False), (leg, 10, 1, False),
+        (leg, 10, 0, "gram"), (leg, 10, 1, "gram"), (leg, 10, "mass"),
+        ("lemma3_prefactor", 1.0)], key=str)
 
-    # Lemma 1 on an operator over dom, then each norm of sine series on its grid
+    # Lemma 1 on an operator over dom, then each norm of sine series on its
+    # grid: tables only, since Lemma 1 and both norms sample their functions
     built.clear()
     op = assemble_bertero_grunbaum(dom, 16)
+    memo = _counting_memo(op.grid)
     dec = op.eigensystem
     for v in random_trial_mix(dec, 100, rng):
         verify_lemma1(legendre(v, dom), op, dec, c=1.0)
@@ -139,6 +174,10 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
     nodes = op.grid.size
     assert sorted(built, key=str) == sorted([
         (leg, 0, nodes), (leg, 1, nodes), (sine, 1, nodes), (sine, 0, nodes)], key=str)
+    assert set(memo.stores.values()) == {1}
+    assert sorted(memo, key=str) == sorted([
+        (leg, 16, 0, False), (leg, 16, 1, False), (sine, 12, 1, False),
+        (sine, 6, 0, False)], key=str)
 
 
 def _lemma_records(grid, seed):
@@ -164,8 +203,8 @@ def test_grid_tables_give_the_same_records_on_every_grid_and_cache_state():
 
 
 def test_a_grid_frees_its_tables_with_itself():
-    # the grid's memo is the only table cache: the grid, a table read on it,
-    # and the table Lemma 1's projection reads on an operator's own grid all
+    # the grid's memo is the only table cache: the grid, every table and
+    # form read on it, and the table Lemma 1's projection reads on an operator's own grid all
     # die with their grid
     import gc
     import weakref
@@ -173,9 +212,12 @@ def test_a_grid_frees_its_tables_with_itself():
     dom = Interval(0.25, 1.75)
     grid = make_grid(dom, 40)
     _lemma_records(grid, 8)
-    assert len(grid.series_tables) == 5
-    refs = [weakref.ref(grid), weakref.ref(next(iter(grid.series_tables.values())))]
-    del grid
+    # five tables, three Gram forms, one mass row and one Lemma 3 prefactor
+    assert len(grid.series_tables) == 10
+    arrays = [v for v in grid.series_tables.values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 9
+    refs = [weakref.ref(grid)] + [weakref.ref(v) for v in arrays]
+    del grid, arrays
     gc.collect()
     assert all(ref() is None for ref in refs)
     op = assemble_bertero_grunbaum(dom, 16)
@@ -662,7 +704,6 @@ def test_verify_theorem_refuses_a_series_group_the_grid_does_not_resolve(ab):
 def test_verify_theorem_checks_each_series_group_once(ab, monkeypatch):
     # a group shares its kind, size and domain, so one check settles it,
     # whether the grid refuses it (12 modes on 16 nodes) or resolves it (3 modes)
-    from illposed import stability
     checks = []
 
     def counted(kind, size, grid):
@@ -677,3 +718,105 @@ def test_verify_theorem_checks_each_series_group_once(ab, monkeypatch):
     assert checks == [(sine, 12), (sine, 3)]
     message = "sine-series basis of 12 functions is not orthonormal on the grid of 16 nodes"
     assert [r.error for r in recs] == [message] * 300 + [None] * 200
+
+
+# ----------------------------------------------------------------------------
+# Norms from forms against a sampled quadrature, one function at a time
+# ----------------------------------------------------------------------------
+
+_SERIES_FAMILIES = {  # kind, size, amplitude decay 1/k^decay
+    "sine": (FunctionKind.SINE_SERIES, 12, 2.0),
+    "cosine": (FunctionKind.COSINE_SERIES, 12, 2.0),
+    "legendre": (FunctionKind.LEGENDRE_SERIES, 10, 2.0),
+    "legendre-128": (FunctionKind.LEGENDRE_SERIES, 128, 1.0),
+}
+
+
+def _family(name, count, rng, ab):
+    if name == "exp-poly":
+        return random_exp_poly(count, rng)
+    kind, size, decay = _SERIES_FAMILIES[name]
+    k = np.arange(1, size + 1)
+    return [FunctionRep(kind, rng.standard_normal(size) / k ** decay, ab) for _ in range(count)]
+
+
+def _nonnegative(f):
+    """f with its first coefficient raised until f >= 0: |sin k t| <= k sin t
+    for a sine series, |P_k| <= sqrt((2k + 1)/L) for orthonormal Legendre."""
+    c = f.payload.copy()
+    k = np.arange(1, len(c))
+    scale = k + 1.0 if f.kind is FunctionKind.SINE_SERIES else np.sqrt(2 * k + 1.0)
+    c[0] = 1.0 + float(np.sum(np.abs(c[1:]) * scale))
+    return FunctionRep(f.kind, c, f.domain)
+
+
+def _sampled(f, grid, orders):
+    """(||f||, ratio) from f's samples on grid, one weighted sum per norm:
+    ||f'||/||f||, or with three orders the Theorem-2 aggregate."""
+    w, t = grid.weights, grid.nodes
+    v = [sample(f, t, k) for k in orders]
+    norm = math.sqrt(np.dot(w, v[0] ** 2))
+    if len(orders) == 3:
+        top = sum(math.sqrt(np.dot(w * t ** 2, s ** 2)) for s in v[::-1]) + norm
+    else:
+        top = math.sqrt(np.dot(w, v[1] ** 2))
+    return norm, top / norm
+
+
+def _close(got, want, label, rel=1e-14):
+    assert abs(got - want) <= rel * abs(want), (label, got, want)
+
+
+@pytest.mark.parametrize("family", ["sine", "cosine", "legendre", "legendre-128", "exp-poly"])
+def test_records_from_forms_match_a_sampled_quadrature(family, ab, laplace_M, adjoint_M):
+    # the forms give what sampling each function on the grid gives, to 1e-14:
+    # theorem lhs and ratio, and the bound at the sampled norm (the bound's
+    # exponential magnifies a ratio's rounding by c2 times the ratio, up to
+    # 400 for 128 Legendre terms, so the rhs is compared at the record's
+    # ratio); Lemma 2's bound; Lemma 3's mass, bound and prefactor
+    M = adjoint_M if family == "exp-poly" else laplace_M
+    grid, orders = M.grid, M.kind.record.ratio_orders
+    funcs = _family(family, 200, make_rng(17), ab)
+    fit = StabilityFit(0.5, 0.3, EXPONENTIAL, 1.0, "synthetic")
+    bound = fit.lower_bound()
+    for f, rec in zip(funcs, verify_theorem(M, fit, funcs)):
+        assert rec.error is None
+        norm, ratio = _sampled(f, grid, orders)
+        image = M.half_factor @ (np.sqrt(grid.weights) * sample(f, grid.nodes))
+        _close(rec.lhs, math.sqrt(np.dot(image, image)), "lhs")
+        _close(rec.h1_ratio, ratio, "ratio")
+        _close(rec.rhs_at_fit, bound(rec.h1_ratio, norm), "rhs")
+    if family == "exp-poly":
+        return
+    length = ab.length
+    for f in funcs:
+        _close(verify_lemma2(f, grid).bound, math.sqrt(length) * h1_seminorm(f, grid), "bound")
+    if family == "cosine":  # a cosine series of k >= 1 has mean 0: never nonnegative
+        return
+    c1 = lemma3_prefactor(1.0, ab)
+    for f in map(_nonnegative, funcs):
+        rec = verify_lemma3(f, grid, 1.0)
+        norm, ratio = _sampled(f, grid, (0, 1))
+        assert rec.c1 == c1
+        _close(rec.lhs, np.dot(grid.weights, sample(f, grid.nodes)), "mass")
+        _close(rec.rhs, c1 * math.exp(-ratio) * norm, "rhs")
+
+
+@pytest.mark.parametrize("family", ["sine", "legendre", "exp-poly"])
+def test_a_zero_function_in_a_block_has_a_zero_record(family, ab, laplace_M, adjoint_M):
+    # its image is the zero column, and its ratio and bound are set to 0, not
+    # divided: the suite turns a 0/0 RuntimeWarning into a failure
+    M = adjoint_M if family == "exp-poly" else laplace_M
+    rng = make_rng(5)
+    if family == "exp-poly":
+        funcs = [ExpPoly(rng.standard_normal(4), 1.5) for _ in range(6)]
+        funcs.insert(3, ExpPoly(np.zeros(4), 1.5))
+    else:
+        funcs = _family(family, 6, rng, ab)
+        funcs.insert(3, FunctionRep(funcs[0].kind, np.zeros(len(funcs[0].payload)), ab))
+    recs = verify_theorem(M, StabilityFit(0.5, 0.3, EXPONENTIAL, 1.0, "synthetic"), funcs)
+    zero = recs[3]
+    assert (zero.lhs, zero.h1_ratio, zero.rhs_at_fit) == (0.0, 0.0, 0.0)
+    assert zero.satisfied and zero.error is None
+    assert all(r.lhs > 0.0 and r.h1_ratio > 0.0 and r.rhs_at_fit > 0.0
+               for r in recs[:3] + recs[4:])
