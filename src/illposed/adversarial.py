@@ -17,7 +17,7 @@ import numpy as np
 from .diff_ops import largest_entry_positive
 from .domains import Interval
 from .errors import InvalidArgumentError
-from .functions import FunctionKind, FunctionRep, check_orthonormal
+from .functions import FunctionKind, FunctionRep, _series_norm, check_orthonormal
 from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
                            quadratic_form, resolved_count)
 from .problem import Problem
@@ -148,16 +148,14 @@ def reproduce_figure(figure_id: FigureId, n: int = Problem.n) -> dict:
     spec = FIGURES[figure_id]
     f = spec.function()
     p = Problem(spec.operator, n)
-    grid = p.grid
-    table = check_orthonormal(f.kind, len(f.payload), grid)
-    norm2 = float(np.dot(grid.weights, (table @ f.payload) ** 2))
+    check_orthonormal(f.kind, len(f.payload), p.grid)
     if figure_id is FigureId.FIG3:
         # Cancellation-limited regime: closed-form basis transforms with
         # compensated summation, then integrate |f_hat|^2.
         image = fourier_image_energy(f, n_xi=n)
     else:
         image = quadratic_form(p.matrix, f)
-    ratio = image / norm2
+    ratio = image / _series_norm(f.kind, f.payload, 0, p.grid) ** 2
     ok = spec.claimed_ratio / spec.pass_factor <= ratio <= spec.claimed_ratio * spec.pass_factor
     return {
         "figure": figure_id.value,

@@ -16,9 +16,10 @@ refinement: the trial bases are nested, so the operator at N is that
 matrix's leading block.  A stiffness that couples no even index to an odd
 one (the prolate operator's) is solved one parity block at a time.  No
 assembly builds a quadrature grid: callers read the trial basis on the grid
-they integrate on, which must lie on the basis domain, and only Lemma 1's
-projection reads the operator's own `grid`, built on first use.  A Legendre
-basis's tables are the grid's own (`functions.grid_table`), freed with it.
+they integrate on, which must lie on the basis domain.  The operator's own
+`grid`, built on first use, is where Lemma 1 reads a trial function's norms
+and where `project_coefficients` projects samples.  A Legendre basis's
+tables are the grid's own (`functions.grid_table`), freed with it.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ class GalerkinOperator:
     @cached_property
     def grid(self) -> QuadGrid:
         """Gauss grid of N + 8 nodes on the basis domain, built on first use:
-        the quadrature of Lemma 1's projection (`project_coefficients`)."""
+        Lemma 1 reads a trial function's norms from the Gram forms on it,
+        and `project_coefficients` projects samples at its nodes."""
         return make_grid(self.basis.domain, self.size + 8)
 
     @cached_property

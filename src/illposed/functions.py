@@ -7,13 +7,16 @@ functions of one type, is sampled, or differentiated exactly, as one
 product with a basis table.  On a quadrature grid a series basis has its
 tables (at the nodes, or at the refined points of the lemmas) and its
 forms: the mass row m = T^T w and the Gram forms G_k = T_k^T W T_k of
-derivative orders 0 and 1, so a series' mass is m.c and its squared norms
-are c.G_k c, read from its K coefficients, not from n samples.  Tables and
-forms live in the grid's own memo, `QuadGrid.series_tables`, the one
-cache (grid_memo): built on first read and freed with the grid, so a
-function checked once against the grid's domain costs one dict lookup and
-one product per table or form.  sample, the evaluator at arbitrary points
-(plots and demos), builds its table on every call.
+derivative orders 0 and 1, so a series' mass is m.c and its norms are
+sqrt(c.G_k c), read from its K coefficients, not from n samples.
+_series_norm is the one reader of a series' grid norms, for one function
+or a block: l2_norm, h1_seminorm, the verifiers and the figures all call
+it.  An ExpPoly's tables differ per rate, so its norms are sampled.
+Tables and forms live in the grid's own memo, `QuadGrid.series_tables`,
+the one cache (grid_memo): built on first read and freed with the grid,
+so a function checked once against the grid's domain costs one dict
+lookup and one product per table or form.  sample, the evaluator at
+arbitrary points (plots and demos), builds its table on every call.
 """
 
 from __future__ import annotations
@@ -276,16 +279,32 @@ def grid_norm(v: np.ndarray, grid: QuadGrid) -> float:
     return math.sqrt(max(float(np.dot(grid.weights, v * v)), 0.0))
 
 
+def _series_norm(kind: FunctionKind, coeffs: np.ndarray, order: int, grid: QuadGrid):
+    """sqrt(c.G c) for the grid's Gram form G of derivative order 0 or 1
+    (series_gram): the grid norm of a series (order 0) or of its derivative
+    (order 1) from its coefficients c, K x K flops, not n x K.  c is one
+    function's K coefficients (a float), or a K x B block of them, one
+    function per column (an array).  The one reader of a series' grid norms."""
+    G = series_gram(kind, len(coeffs), order, grid)
+    if coeffs.ndim == 1:
+        return math.sqrt(max(float(np.dot(coeffs, G @ coeffs)), 0.0))
+    return np.sqrt(np.maximum(np.einsum("ij,ij->j", coeffs, G @ coeffs), 0.0))
+
+
 def _norm(f: FunctionLike, grid: QuadGrid, order: int) -> float:
     check_domain(f, grid)
-    return grid_norm(grid_values(f, grid, order), grid)
+    if isinstance(f, ExpPoly):
+        return grid_norm(grid_values(f, grid, order), grid)
+    return _series_norm(f.kind, f.payload, order, grid)
 
 
 def l2_norm(f: FunctionLike, grid: QuadGrid) -> float:
-    """sqrt(sum_i w_i f(x_i)^2), sampling f once; f must live on the grid's domain."""
+    """sqrt(sum_i w_i f(x_i)^2); f must live on the grid's domain.  A series
+    reads it from its coefficients and the grid's G_0 (_series_norm), an
+    ExpPoly from its samples at the nodes."""
     return _norm(f, grid, 0)
 
 
 def h1_seminorm(f: FunctionLike, grid: QuadGrid) -> float:
-    """L2 norm of the exact derivative."""
+    """L2 norm of the exact derivative, read as l2_norm reads f's (G_1 for a series)."""
     return _norm(f, grid, 1)

@@ -17,12 +17,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .diff_ops import GalerkinOperator, project_coefficients
+from .diff_ops import GalerkinOperator
 from .domains import Interval, QuadGrid
 from .errors import InsufficientDataError, InvalidArgumentError, check_integer
-from .functions import (ExpPoly, FunctionKind, FunctionRep, check_domain, check_orthonormal,
-                        columns, exp_poly_columns, grid_memo, grid_norm, grid_values,
-                        series_gram, series_mass)
+from .functions import (ExpPoly, FunctionKind, FunctionRep, _series_norm, check_domain,
+                        check_orthonormal, columns, exp_poly_columns, grid_memo, grid_values,
+                        series_mass)
 from .integral_ops import EXPONENTIAL, POWER_OF_RATIO, OperatorMatrix
 from .spectral import (MatchReport, SpectralDecomposition, decompose_operator,
                        fit_line, growth_check, match_eigenfunctions)
@@ -126,18 +126,6 @@ def _refined_values(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
 _min, _max = np.minimum.reduce, np.maximum.reduce
 
 
-def _h1(f: FunctionRep, grid: QuadGrid) -> float:
-    """h1_seminorm of a function already checked against the grid."""
-    return grid_norm(grid_values(f, grid, 1), grid)
-
-
-def _form_norm(f: FunctionRep, grid: QuadGrid, order: int) -> float:
-    """The grid norm of f (order 0) or f' (order 1), sqrt(c.G c), from f's
-    coefficients c and the grid's Gram form G: K x K flops, not n x K."""
-    c = f.payload
-    return math.sqrt(max(float(np.dot(c, series_gram(f.kind, len(c), order, grid) @ c)), 0.0))
-
-
 def _column_norms(weights, vals) -> np.ndarray:
     """sqrt(sum_i weights_i vals_i^2), one per column of a matrix vals."""
     return np.sqrt(np.maximum(weights @ (vals * vals), 0.0))
@@ -170,7 +158,7 @@ def verify_lemma2(f: FunctionRep, grid: QuadGrid) -> Lemma2Record:
     lo, hi = float(_min(vals)), float(_max(vals))
     sup = max(abs(lo), abs(hi))
     applicable = lo < -SIGN_TOL * sup and hi > SIGN_TOL * sup
-    bound = math.sqrt(grid.domain.length) * _form_norm(f, grid, 1)
+    bound = math.sqrt(grid.domain.length) * _series_norm(f.kind, f.payload, 1, grid)
     passed = (not applicable) or sup <= bound * (1.0 + 1e-9) + SIGN_TOL * sup
     return Lemma2Record(sup, bound, applicable, bool(passed))
 
@@ -188,8 +176,8 @@ def lemma3_prefactor(c2: float, domain: Interval) -> float:
     point at x* = c2^2/(16 L), so the minimum sits at x = min(x*, L).  The
     branches are compared in logs: h itself overflows when c2 >> L.
     """
-    if c2 <= 0:
-        raise InvalidArgumentError("c2 must be positive")
+    if not 0.0 < c2 < math.inf:  # NaN fails both comparisons
+        raise InvalidArgumentError("c2 must be positive and finite")
     length = domain.length
     x = min(c2 ** 2 / (16.0 * length), length)
     log_h = c2 / (2.0 * math.sqrt(x) * math.sqrt(length)) + math.log(x / 2.0)
@@ -206,12 +194,12 @@ def verify_lemma3(f: FunctionRep, grid: QuadGrid, c2: float) -> Lemma3Record:
     lo = float(_min(vals))
     if lo < 0.0 and lo < -SIGN_TOL * float(_max(np.abs(vals))):  # the sup only if f dips
         raise InvalidArgumentError("lemma 3 applies to nonnegative functions only")
-    norm = _form_norm(f, grid, 0)
+    norm = _series_norm(f.kind, f.payload, 0, grid)
     c1 = grid_memo(grid, ("lemma3_prefactor", c2), lemma3_prefactor, c2, grid.domain)
     if norm == 0.0:
         return Lemma3Record(0.0, 0.0, c1, True)
     lhs = float(np.dot(series_mass(f.kind, len(f.payload), grid), f.payload))
-    ratio = _form_norm(f, grid, 1) / norm
+    ratio = _series_norm(f.kind, f.payload, 1, grid) / norm
     rhs = c1 * math.exp(-c2 * ratio) * norm
     return Lemma3Record(lhs, rhs, c1, bool(lhs >= rhs * (1.0 - 1e-9)))
 
@@ -237,16 +225,21 @@ def lemma1_constant(diff: GalerkinOperator, dec: SpectralDecomposition,
 
 def verify_lemma1(f: FunctionRep, diff: GalerkinOperator,
                   dec: SpectralDecomposition, c: float) -> Lemma1Record:
-    """Partial Parseval mass below the oscillation threshold index."""
+    """Partial Parseval mass below the oscillation threshold index, read from
+    f's coefficients: f must be a Legendre series of at most N terms on the
+    trial basis's domain, so its trial coefficients are its payload, padded
+    with zeros, and ||f|| and ||f'|| come from the Gram forms on the
+    operator's grid (`diff.grid`).  Nothing is sampled or projected."""
     grid = diff.grid
     check_domain(f, grid)
-    nodal = grid_values(f, grid)  # both the projection and ||f||
-    coeffs = project_coefficients(diff, nodal)
-    nrm = math.sqrt(float(np.dot(coeffs, coeffs)))  # np.linalg.norm's sum, without its wrapper
+    if (isinstance(f, ExpPoly) or f.kind is not FunctionKind.LEGENDRE_SERIES
+            or len(f.payload) > diff.size):
+        raise InvalidArgumentError(f"lemma 1 reads a Legendre series of at most {diff.size} terms")
+    nrm = math.sqrt(float(np.dot(f.payload, f.payload)))  # np.linalg.norm's sum, unwrapped
     if nrm == 0.0:
         raise InvalidArgumentError("zero function")
-    coeffs = coeffs / nrm
-    ratio = _h1(f, grid) / grid_norm(nodal, grid)
+    coeffs = np.concatenate((f.payload, np.zeros(diff.size - len(f.payload)))) / nrm
+    ratio = _series_norm(f.kind, f.payload, 1, grid) / _series_norm(f.kind, f.payload, 0, grid)
     threshold = int(math.floor(c * ratio))
     if threshold > dec.size:
         raise InsufficientDataError(
@@ -348,7 +341,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     group is never sampled: its images are G C for coefficient columns C,
     with G = A (sqrt(w) T) the images of its K basis functions, built once
     per call, and its squared norms of f and f' are the column sums of
-    C o (G_k C) for the grid's Gram forms G_k (series_gram): a block costs
+    C o (G_k C) for the grid's Gram forms G_k (_series_norm): a block costs
     rows x K, not rows x n, flops per function.  A group whose basis the
     grid does not resolve is checked once and gets an error record per
     function.  ExpPoly tables differ per rate, so an ExpPoly block is
@@ -379,15 +372,13 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
                 for i in members:
                     records[i] = _error_record(i, exc)
                 continue
-            grams = [series_gram(*key, k, M.grid) for k in (0, 1)]
         for start in range(0, len(members), _BLOCK):
             idx = members[start:start + _BLOCK]
             funcs = [ensemble[i] for i in idx]
             if series:
                 C = columns([g.payload for g in funcs])
                 Av = G @ C
-                norm, top = (np.sqrt(np.maximum(np.einsum("ij,ij->j", C, gram @ C), 0.0))
-                             for gram in grams)
+                norm, top = (_series_norm(key[0], C, k, M.grid) for k in (0, 1))
                 ratio = _ratios(top, norm)
             else:
                 S = exp_poly_columns(funcs, t, orders)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +53,25 @@ def test_l2_h1_closed_forms():
     assert h1_seminorm(one, grid) == pytest.approx(0.0, abs=1e-13)
     zero = sine([0.0])
     assert l2_norm(zero, grid) == 0.0 and h1_seminorm(zero, grid) == 0.0
+
+
+def test_only_functions_reads_a_grid_norm_from_forms_or_samples():
+    # one norm path: series_gram and grid_norm are called only by functions'
+    # norm readers (and check_orthonormal's identity test), so every other
+    # module reads a norm through l2_norm, h1_seminorm or _series_norm, and
+    # a second sampled or form-based norm cannot come back unnoticed
+    readers = {"series_gram", "grid_norm"}
+    calls = set()
+    for path in sorted(Path(functions.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in readers:
+                        calls.add((path.stem, getattr(top, "name", "<module>"), name))
+    assert calls == {("functions", "_series_norm", "series_gram"),
+                     ("functions", "check_orthonormal", "series_gram"),
+                     ("functions", "_norm", "grid_norm")}
 
 
 def test_domain_mismatch_rejected():

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import derivative_values
 from illposed import (ExpPoly, FunctionKind, FunctionRep, InsufficientDataError, Interval,
-                      InvalidArgumentError, assemble_bertero_grunbaum, decompose_operator,
+                      InvalidArgumentError, SignVariant, assemble_bertero_grunbaum,
+                      assemble_fourth_order, decompose_operator,
                       eig_sym, fourier_image_energy, h1_seminorm, half_line_for, l2_norm,
                       lemma1_constant, lemma3_prefactor, make_grid, make_rng,
                       match_eigenfunctions, parse_operator, verify_lemma1,
@@ -158,14 +159,19 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
         (leg, 10, 0, "gram"), (leg, 10, 1, "gram"), (leg, 10, "mass"),
         ("lemma3_prefactor", 1.0)], key=str)
 
-    # Lemma 1 on an operator over dom, then each norm of sine series on its
-    # grid: tables only, since Lemma 1 and both norms sample their functions
+    # Lemma 1 on a fresh operator over dom reads its mixes' coefficients: its
+    # grid holds G_0 and G_1 and the two tables they are built from, and no
+    # sample or projection adds another entry; then each norm of sine series
+    # on that grid stores its table and the Gram form read from it
     built.clear()
     op = assemble_bertero_grunbaum(dom, 16)
     memo = _counting_memo(op.grid)
     dec = op.eigensystem
     for v in random_trial_mix(dec, 100, rng):
         verify_lemma1(legendre(v, dom), op, dec, c=1.0)
+    assert sorted(memo, key=str) == sorted([
+        (leg, 16, 0, False), (leg, 16, 1, False),
+        (leg, 16, 0, "gram"), (leg, 16, 1, "gram")], key=str)
     for f in random_sine_series(dom, 100, rng):
         h1_seminorm(f, op.grid)
     for f in random_sine_series(dom, 100, rng):
@@ -176,8 +182,9 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
         (leg, 0, nodes), (leg, 1, nodes), (sine, 1, nodes), (sine, 0, nodes)], key=str)
     assert set(memo.stores.values()) == {1}
     assert sorted(memo, key=str) == sorted([
-        (leg, 16, 0, False), (leg, 16, 1, False), (sine, 12, 1, False),
-        (sine, 6, 0, False)], key=str)
+        (leg, 16, 0, False), (leg, 16, 1, False), (leg, 16, 0, "gram"), (leg, 16, 1, "gram"),
+        (sine, 12, 1, False), (sine, 12, 1, "gram"), (sine, 6, 0, False),
+        (sine, 6, 0, "gram")], key=str)
 
 
 def _lemma_records(grid, seed):
@@ -204,8 +211,8 @@ def test_grid_tables_give_the_same_records_on_every_grid_and_cache_state():
 
 def test_a_grid_frees_its_tables_with_itself():
     # the grid's memo is the only table cache: the grid, every table and
-    # form read on it, and the table Lemma 1's projection reads on an operator's own grid all
-    # die with their grid
+    # form read on it, and the table project_coefficients reads on an
+    # operator's own grid all die with their grid
     import gc
     import weakref
     from illposed.diff_ops import project_coefficients
@@ -236,10 +243,17 @@ def test_each_verifier_keeps_its_refusal_texts(bg128):
     half = make_grid(half_line_for(ab), 16)
     sine = FunctionRep(FunctionKind.SINE_SERIES, [1.0, 0.2], ab)
     dec = bg128.eigensystem
+    fourth = assemble_fourth_order(ab, half_line_for(ab), 8, SignVariant.AS_PROOF_BOUND)
+    lemma1_series = "lemma 1 reads a Legendre series of at most {} terms"
     cases = [
         (lambda: verify_lemma2(off, grid), "function domain does not match grid domain"),
         (lambda: verify_lemma3(off, grid, 1.0), "function domain does not match grid domain"),
         (lambda: verify_lemma1(off, bg128, dec, 1.0), "function domain does not match grid domain"),
+        (lambda: verify_lemma1(sine, bg128, dec, 1.0), lemma1_series.format(128)),
+        (lambda: verify_lemma1(legendre(np.ones(129), ab), bg128, dec, 1.0),
+         lemma1_series.format(128)),
+        (lambda: verify_lemma1(ExpPoly([1.0], 1.0), fourth, fourth.eigensystem, 1.0),
+         lemma1_series.format(8)),
         (lambda: l2_norm(off, grid), "function domain does not match grid domain"),
         (lambda: h1_seminorm(off, grid), "function domain does not match grid domain"),
         (lambda: verify_lemma2(sine, half),
@@ -304,8 +318,13 @@ def test_lemma3_prefactor_monotone_in_c2():
     vals = [lemma3_prefactor(c2, dom) for c2 in (0.5, 1.0, 4.0)]
     assert all(v > 0 for v in vals)
     assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
-    with pytest.raises(InvalidArgumentError):
-        lemma3_prefactor(-1.0, dom)
+    grid = make_grid(dom, 16)
+    for c2 in (-1.0, 0.0, math.nan, math.inf):  # NaN fails every comparison
+        with pytest.raises(InvalidArgumentError, match="^c2 must be positive and finite$"):
+            lemma3_prefactor(c2, dom)
+        with pytest.raises(InvalidArgumentError, match="^c2 must be positive and finite$"):
+            verify_lemma3(legendre([1.0], dom), grid, c2)
+    assert not [key for key in grid.series_tables if key[0] == "lemma3_prefactor"]
 
 
 @pytest.mark.parametrize("c2, length", [
@@ -790,7 +809,8 @@ def test_records_from_forms_match_a_sampled_quadrature(family, ab, laplace_M, ad
         return
     length = ab.length
     for f in funcs:
-        _close(verify_lemma2(f, grid).bound, math.sqrt(length) * h1_seminorm(f, grid), "bound")
+        norm, ratio = _sampled(f, grid, (0, 1))
+        _close(verify_lemma2(f, grid).bound, math.sqrt(length) * norm * ratio, "bound")
     if family == "cosine":  # a cosine series of k >= 1 has mean 0: never nonnegative
         return
     c1 = lemma3_prefactor(1.0, ab)
@@ -800,6 +820,36 @@ def test_records_from_forms_match_a_sampled_quadrature(family, ab, laplace_M, ad
         assert rec.c1 == c1
         _close(rec.lhs, np.dot(grid.weights, sample(f, grid.nodes)), "mass")
         _close(rec.rhs, c1 * math.exp(-ratio) * norm, "rhs")
+
+
+@pytest.mark.parametrize("family, c", [("legendre", 1.0), ("legendre-128", 0.5)])
+def test_lemma1_from_coefficients_matches_a_sampled_projection(family, c, ab, bg128):
+    # the reference samples each function on the operator's grid, projects
+    # the samples on the trial basis and takes the ratio from the samples:
+    # the same threshold, refusal and verdict as the record read from the
+    # coefficients and the Gram forms, and the same mass to 1e-14 (each c
+    # gives two outcomes: passed and failed for 10 terms, passed and refused
+    # past the 128 trial modes for 128 terms)
+    from illposed.diff_ops import project_coefficients
+    dec, grid = bg128.eigensystem, bg128.grid
+    outcomes = collections.Counter()
+    for f in _family(family, 200, make_rng(19), ab):
+        coeffs = project_coefficients(bg128, sample(f, grid.nodes))
+        coeffs = coeffs / math.sqrt(np.dot(coeffs, coeffs))
+        threshold = math.floor(c * _sampled(f, grid, (0, 1))[1])
+        if threshold > dec.size:
+            with pytest.raises(InsufficientDataError):
+                verify_lemma1(f, bg128, dec, c)
+            outcomes["refused"] += 1
+            continue
+        overlaps = dec.eigenvectors[:, :threshold].T @ coeffs
+        mass = float(np.dot(overlaps, overlaps))
+        rec = verify_lemma1(f, bg128, dec, c)
+        assert rec.threshold_index == threshold
+        assert abs(rec.low_freq_mass - mass) <= 1e-14, (rec.low_freq_mass, mass)
+        assert rec.passed == (mass >= 0.5 - 1e-10)
+        outcomes[rec.passed] += 1
+    assert len(outcomes) >= 2, outcomes  # two of refused, passed and failed
 
 
 @pytest.mark.parametrize("family", ["sine", "legendre", "exp-poly"])
