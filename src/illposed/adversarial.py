@@ -65,7 +65,7 @@ def build_gramian(M: OperatorMatrix, size: int) -> GramianReport:
         raise InvalidArgumentError("adversarial synthesis needs an interval domain")
     table = check_orthonormal(FunctionKind.SINE_SERIES, size, grid)
     V = np.sqrt(2.0 / domain.length) * table
-    AV = M.half_factor @ (np.sqrt(grid.weights)[:, None] * V)
+    AV = M.image(V)
     if len(AV) < size:
         AV = np.vstack((AV, np.zeros((size - len(AV), size))))
     _, s, Vt = np.linalg.svd(AV, full_matrices=False)

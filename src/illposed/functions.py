@@ -173,14 +173,18 @@ def grid_table(kind: FunctionKind, size: int, order: int, grid: QuadGrid,
 
 
 def _gram(kind, size, order, grid):
-    table = grid_table(kind, size, order, grid)
+    if (table := grid.series_tables.get((kind, size, order, False))) is None:
+        table = _grid_basis_table(kind, size, order, grid, False)  # for G alone, not kept
     return table.T @ (grid.weights[:, None] * table)
 
 
 def series_gram(kind: FunctionKind, size: int, order: int, grid: QuadGrid) -> np.ndarray:
-    """G = T^T W T for the grid's table T of derivative order 0 or 1 and
-    its weights W, in the grid's memo: a series with coefficients c has
-    squared grid norm c.G c (of f for order 0, of f' for order 1)."""
+    """G = T^T W T for the table T of derivative order 0 or 1 at the grid's
+    nodes and its weights W, in the grid's memo: a series with coefficients
+    c has squared grid norm c.G c (of f for order 0, of f' for order 1).  T
+    is the grid's own table when the grid holds it, and otherwise a table
+    built for G alone and not kept, so norms read through forms alone leave
+    only their forms on the grid."""
     return grid_memo(grid, (kind, size, order, "gram"), _gram, kind, size, order, grid)
 
 
@@ -265,11 +269,12 @@ def check_orthonormal(kind: FunctionKind, size: int, grid: QuadGrid) -> np.ndarr
     if size < 1:
         raise InvalidArgumentError("basis size must be >= 1")
     if size <= grid.size:
+        table = grid_table(kind, size, 0, grid)  # first, so that G is built from it
         gram = series_gram(kind, size, 0, grid)
         if kind is not FunctionKind.LEGENDRE_SERIES:
             gram = (2.0 / grid.domain.length) * gram
         if np.max(np.abs(gram - np.eye(size))) <= ORTHONORMALITY_TOL:
-            return grid_table(kind, size, 0, grid)
+            return table
     raise InvalidArgumentError(f"{kind.value} basis of {size} functions is not "
                                f"orthonormal on the grid of {grid.size} nodes")
 

@@ -10,6 +10,14 @@ singular values of A resolve spectral decay far below the eigensolver floor
 of M itself.  The factor is checked against the trace of M, the sum of the
 kernel's diagonal in closed form.
 
+There is one way into the factor and one way out.  Each kind's record
+names its factor, the kind's one engine: (kind, grid, trace) -> (A, its
+singular values[, image_refinement]).  gram_matrix checks the grid, gates
+its trace and makes that one call.  OperatorMatrix.image, A (sqrt(w) v) for
+one function's values or one per column, is how quadratic_form, the
+adversarial Gramian and the ensemble verifier read images;
+match_eigenfunctions, which also applies A^T, is the one other reader of A.
+
 Every kind also has trace(T*T) in closed form, and a grid whose own trace
 misses it by more than FACTOR_RTOL is refused before anything is factored:
 ln(b/a)/2 for both Laplace kinds, 4 for Fourier, and
@@ -19,22 +27,22 @@ quadrature of the diagonal, and hilbert:I=0,1:J=1.001,1.101 passes it at
 n = 256 (gap 1.1e-14) while its modes past 15 are wrong.
 
 Laplace T*T has the Cauchy kernel 1/(s + t), so its M is a symmetric Cauchy
-matrix and needs no image-side rule: cauchy_factor takes its pivoted LDL^T
-from the generators sqrt(w) and the nodes, one O(n) step per mode, and stops
-when the Schur complement left holds less than eps SVD_FLOOR times the first
-pivot.
+matrix and needs no image-side rule: its factor, _pivoted_half_factor,
+calls cauchy_factor, which takes the pivoted LDL^T from the generators
+sqrt(w) and the nodes, one O(n) step per mode, and stops when the Schur
+complement left holds less than eps SVD_FLOOR times the first pivot.
 
-Every other kind samples its kernel on an image-side rule sized to the
-kernel, not to the grid: the spectra decay (super-)exponentially, so a few
-dozen image nodes resolve every mode above SVD_FLOOR whatever n is.
-gram_matrix doubles the rule from FIRST_IMAGE_NODES to IMAGE_CAP, one cap for
-every kind, and reads each rung's trace gap first; a rung's SVD is taken only
-when its gap is within FACTOR_RTOL.  A rung is accepted when the rung before
-it was decomposed too, both resolve the same modes, and each resolved mu_n
-moves by at most REFINEMENT_SLACK times the SVD perturbation bound
-2 eps sqrt(mu_1/mu_n).  No rung is accepted on its trace check alone: an
-input that no rung up to the cap confirms is refused, and one that no rung
-passes takes no SVD.
+Every other kind's factor is _refined_half_factor, which samples the kernel
+on an image-side rule sized to the kernel, not to the grid: the spectra
+decay (super-)exponentially, so a few dozen image nodes resolve every mode
+above SVD_FLOOR whatever n is.  It doubles the rule from FIRST_IMAGE_NODES
+to IMAGE_CAP, one cap for every kind, and reads each rung's trace gap
+first; a rung's SVD is taken only when its gap is within FACTOR_RTOL.  A
+rung is accepted when the rung before it was decomposed too, both resolve
+the same modes, and each resolved mu_n moves by at most REFINEMENT_SLACK
+times the SVD perturbation bound 2 eps sqrt(mu_1/mu_n).  No rung is
+accepted on its trace check alone: an input that no rung up to the cap
+confirms is refused, and one that no rung passes takes no SVD.
 """
 
 from __future__ import annotations
@@ -280,8 +288,8 @@ class KindRecord:
     check: Callable  # kind -> raises InvalidArgumentError on an input the kind refuses
     diagonal: Callable  # (kind, x) -> K(x, x), whose weighted sum is trace(M)
     trace: Callable  # kind -> trace(T*T) in closed form, the grid's gate
-    # (nodes, weights) -> (G, trace(S)) with G^T G + S = M; None: the image-rule ladder below
-    factor: Optional[Callable] = None
+    # (kind, grid, trace) -> (A, its singular values[, image_refinement]): the kind's one engine
+    factor: Callable
     image_side: Optional[Callable] = None  # kind -> the domain of the ladder's image-side rule
     rows: Optional[Callable] = None  # (image nodes t, input nodes x) -> the ladder's kernel rows
     half: bool = False  # the inputs live on half_line_for(source), not on source
@@ -289,34 +297,6 @@ class KindRecord:
     min_converged: int = 1  # converged Galerkin modes a match needs
     fit_form: str = EXPONENTIAL  # the stability theorem's form
     ratio_orders: tuple = (0, 1)  # derivative orders the oscillation ratio reads
-
-
-_KINDS = {
-    LAPLACE: KindRecord(
-        keys=("a={},b={}",), check=lambda k: check_laplace_interval(k.source),
-        diagonal=lambda k, x: 1.0 / (2.0 * x), trace=_laplace_trace, factor=cauchy_factor,
-        diff=lambda k, N: assemble_bertero_grunbaum(k.source, N)),
-    # The fourth-order operator in its proof's sign variant, at N/2 clamped to [32, 64]:
-    # its spectrum is unstable below 4 converged modes.  Theorem 2's ratio reads f''.
-    LAPLACE_ADJOINT: KindRecord(
-        keys=("a={},b={}",), check=lambda k: half_line_for(k.source),
-        diagonal=lambda k, x: _adjoint_kernel(2.0 * x, k.source.a, k.source.b),
-        trace=_laplace_trace, image_side=lambda k: k.source, rows=_exp_rows, half=True,
-        min_converged=4, ratio_orders=(0, 1, 2),
-        diff=lambda k, N: assemble_fourth_order(k.source, k.half, min(max(N // 2, 32), 64),
-                                                SignVariant.AS_PROOF_BOUND)),
-    # Theorem 3 bounds by a power of the ratio.
-    FOURIER: KindRecord(
-        keys=(), check=_check_fourier, diagonal=lambda k, x: np.full_like(x, 2.0),
-        trace=lambda k: 4.0, image_side=lambda k: k.source, rows=_trig_rows,
-        diff=lambda k, N: assemble_prolate(N), fit_form=POWER_OF_RATIO),
-    # The kernel 1/(t - s) is smooth on J x I, so the image rule lives on J.
-    HILBERT: KindRecord(
-        keys=("I={},{}", "J={},{}"), check=_check_hilbert,
-        diagonal=lambda k, x: (1.0 / (k.target.a - x) - 1.0 / (k.target.b - x)) / math.pi ** 2,
-        trace=_hilbert_trace, image_side=lambda k: k.target,
-        rows=lambda t, x: (1.0 / np.pi) / (t[:, None] - x[None, :])),
-}
 
 
 # ----------------------------------------------------------------------------
@@ -356,6 +336,13 @@ class OperatorMatrix:
         """Rows of the half factor: image-side quadrature nodes (2 per xi for
         Fourier), or the pivots of a Cauchy factor."""
         return self.half_factor.shape[0]
+
+    def image(self, values: np.ndarray) -> np.ndarray:
+        """A (sqrt(w) v): the image of a function from its values v at the
+        grid's nodes, or of one function per column of v, whose squared norm
+        is ||T f||^2.  Every quadratic form and Gramian reads it."""
+        root_w = np.sqrt(self.grid.weights)
+        return self.half_factor @ ((root_w[:, None] if np.ndim(values) == 2 else root_w) * values)
 
 
 def resolved_count(mu: np.ndarray) -> int:
@@ -460,11 +447,40 @@ def _pivoted_half_factor(kind: OperatorKind, grid: QuadGrid, trace: float):
     of qr(G^T): against 120-digit eigenvalues of the same M they hold every
     resolved mode to a few eps relative (measured, and tested to 1e-14).
     """
-    G, rest = kind.record.factor(grid.nodes, grid.weights)
+    G, rest = cauchy_factor(grid.nodes, grid.weights)
     gap = _trace_gap(float(np.vdot(G, G)) + rest, trace)
     if not gap <= FACTOR_RTOL:
         raise _factor_refusal(kind, grid, gap)
     return G, np.linalg.svd(np.linalg.qr(G.T, mode="r"), compute_uv=False)
+
+
+# Every kind's record, after the two engines its factor names.
+_KINDS = {
+    LAPLACE: KindRecord(
+        keys=("a={},b={}",), check=lambda k: check_laplace_interval(k.source),
+        diagonal=lambda k, x: 1.0 / (2.0 * x), trace=_laplace_trace,
+        factor=_pivoted_half_factor, diff=lambda k, N: assemble_bertero_grunbaum(k.source, N)),
+    # The fourth-order operator in its proof's sign variant, at N/2 clamped to [32, 64]:
+    # its spectrum is unstable below 4 converged modes.  Theorem 2's ratio reads f''.
+    LAPLACE_ADJOINT: KindRecord(
+        keys=("a={},b={}",), check=lambda k: half_line_for(k.source),
+        diagonal=lambda k, x: _adjoint_kernel(2.0 * x, k.source.a, k.source.b),
+        trace=_laplace_trace, factor=_refined_half_factor, image_side=lambda k: k.source,
+        rows=_exp_rows, half=True, min_converged=4, ratio_orders=(0, 1, 2),
+        diff=lambda k, N: assemble_fourth_order(k.source, k.half, min(max(N // 2, 32), 64),
+                                                SignVariant.AS_PROOF_BOUND)),
+    # Theorem 3 bounds by a power of the ratio.
+    FOURIER: KindRecord(
+        keys=(), check=_check_fourier, diagonal=lambda k, x: np.full_like(x, 2.0),
+        trace=lambda k: 4.0, factor=_refined_half_factor, image_side=lambda k: k.source,
+        rows=_trig_rows, diff=lambda k, N: assemble_prolate(N), fit_form=POWER_OF_RATIO),
+    # The kernel 1/(t - s) is smooth on J x I, so the image rule lives on J.
+    HILBERT: KindRecord(
+        keys=("I={},{}", "J={},{}"), check=_check_hilbert,
+        diagonal=lambda k, x: (1.0 / (k.target.a - x) - 1.0 / (k.target.b - x)) / math.pi ** 2,
+        trace=_hilbert_trace, factor=_refined_half_factor, image_side=lambda k: k.target,
+        rows=lambda t, x: (1.0 / np.pi) / (t[:, None] - x[None, :])),
+}
 
 
 @np.errstate(all="ignore")
@@ -474,11 +490,9 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
     a trace check, not a warning."""
     if grid.size > MAX_GRID_SIZE:
         raise InvalidArgumentError(f"grid size capped at n = {MAX_GRID_SIZE}")
-    expected = kind.input_domain
-    if grid.domain != expected:
+    if grid.domain != kind.input_domain:
         raise InvalidArgumentError(
-            f"grid domain {grid.domain} does not match operator input {expected}"
-        )
+            f"grid domain {grid.domain} does not match operator input {kind.input_domain}")
     # ||A||_F^2 = sum of mu_n must equal the kernel's trace: a half factor whose
     # image-side rule misses the kernel would print a wrong spectrum.  The grid's
     # own quadrature of the trace must match its closed form first.
@@ -488,9 +502,7 @@ def gram_matrix(kind: OperatorKind, grid: QuadGrid) -> OperatorMatrix:
     if not gap <= FACTOR_RTOL:
         raise _trace_refusal(f"grid of {kind.to_string()} misses its closed-form trace",
                              grid, gap)
-    if record.factor is not None:
-        return OperatorMatrix(grid, kind, *_pivoted_half_factor(kind, grid, trace))
-    return OperatorMatrix(grid, kind, *_refined_half_factor(kind, grid, trace))
+    return OperatorMatrix(grid, kind, *record.factor(kind, grid, trace))
 
 
 def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:
@@ -502,7 +514,7 @@ def quadratic_form(M: OperatorMatrix, f: FunctionLike) -> float:
     live on M's grid, as for l2_norm.
     """
     check_domain(f, M.grid)
-    Av = M.half_factor @ (np.sqrt(M.grid.weights) * grid_values(f, M.grid))
+    Av = M.image(grid_values(f, M.grid))
     return float(np.dot(Av, Av))
 
 

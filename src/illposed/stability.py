@@ -23,9 +23,9 @@ from .errors import InsufficientDataError, InvalidArgumentError, check_integer
 from .functions import (ExpPoly, FunctionKind, FunctionRep, _series_norm, check_domain,
                         check_orthonormal, columns, exp_poly_columns, grid_memo, grid_values,
                         series_mass)
-from .integral_ops import EXPONENTIAL, POWER_OF_RATIO, OperatorMatrix
-from .spectral import (MatchReport, SpectralDecomposition, decompose_operator,
-                       fit_line, growth_check, match_eigenfunctions)
+from .integral_ops import EXPONENTIAL, POWER_OF_RATIO, OperatorMatrix, resolved_count
+from .spectral import (MatchReport, SpectralDecomposition, fit_line, growth_check,
+                       match_eigenfunctions)
 
 SIGN_TOL = 1e-12  # relative to the sampled sup norm
 # Ensemble functions sampled per matrix product: bounds the sample memory.
@@ -194,11 +194,12 @@ def verify_lemma3(f: FunctionRep, grid: QuadGrid, c2: float) -> Lemma3Record:
     lo = float(_min(vals))
     if lo < 0.0 and lo < -SIGN_TOL * float(_max(np.abs(vals))):  # the sup only if f dips
         raise InvalidArgumentError("lemma 3 applies to nonnegative functions only")
+    # the mass row first: it keeps the grid's table, which G_0 is then built from
+    lhs = float(np.dot(series_mass(f.kind, len(f.payload), grid), f.payload))
     norm = _series_norm(f.kind, f.payload, 0, grid)
     c1 = grid_memo(grid, ("lemma3_prefactor", c2), lemma3_prefactor, c2, grid.domain)
     if norm == 0.0:
         return Lemma3Record(0.0, 0.0, c1, True)
-    lhs = float(np.dot(series_mass(f.kind, len(f.payload), grid), f.payload))
     ratio = _series_norm(f.kind, f.payload, 1, grid) / norm
     rhs = c1 * math.exp(-c2 * ratio) * norm
     return Lemma3Record(lhs, rhs, c1, bool(lhs >= rhs * (1.0 - 1e-9)))
@@ -273,7 +274,7 @@ def sweep_from_report(M: OperatorMatrix, diff: GalerkinOperator,
     """The sweep along the matched modes that M's spectrum resolves.  Each
     mode is sampled once, on M's grid: the samples whose Rayleigh values
     `match` measured give ||T u_n||, and their derivatives the ratio."""
-    m = min(len(rep.records), decompose_operator(M).resolved)
+    m = min(len(rep.records), resolved_count(M.singular_values ** 2))
     U = rep.vectors[:, :m]
     t, w = M.grid.nodes, M.grid.weights
     tables = diff.basis.tables(M.grid, M.kind.record.ratio_orders)
@@ -339,20 +340,19 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     energy); the bound uses the safety-relaxed fitted constants.  Functions
     of one type, kind and length are checked _BLOCK at a time.  A series
     group is never sampled: its images are G C for coefficient columns C,
-    with G = A (sqrt(w) T) the images of its K basis functions, built once
+    with G = M.image(T) the images of its K basis functions, built once
     per call, and its squared norms of f and f' are the column sums of
     C o (G_k C) for the grid's Gram forms G_k (_series_norm): a block costs
     rows x K, not rows x n, flops per function.  A group whose basis the
     grid does not resolve is checked once and gets an error record per
     function.  ExpPoly tables differ per rate, so an ExpPoly block is
     sampled, every order the ratio reads from one power basis and one
-    envelope, and its images are A (sqrt(w) V).  A zero function has a zero
+    envelope, and its images are M.image(V).  A zero function has a zero
     image, and its ratio and bound are 0.
     """
     orders = M.kind.record.ratio_orders
     bound = fit.lower_bound()
     t, w = M.grid.nodes, M.grid.weights
-    root_w = np.sqrt(w)[:, None]
     records: list = [None] * len(ensemble)
     groups: dict = {}
     for i, f in enumerate(ensemble):
@@ -367,7 +367,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
         series = isinstance(ensemble[members[0]], FunctionRep)
         if series:
             try:  # kind and size fix the basis table: one check per group
-                G = M.half_factor @ (root_w * check_orthonormal(*key, M.grid))
+                G = M.image(check_orthonormal(*key, M.grid))
             except InvalidArgumentError as exc:
                 for i in members:
                     records[i] = _error_record(i, exc)
@@ -382,7 +382,7 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
                 ratio = _ratios(top, norm)
             else:
                 S = exp_poly_columns(funcs, t, orders)
-                Av = M.half_factor @ (root_w * S[0])
+                Av = M.image(S[0])
                 norm, ratio = _oscillation_ratios(t, w, S)
             lhs = np.sqrt(np.maximum(np.einsum("ij,ij->j", Av, Av), 0.0))
             for i, n, a, r in zip(idx, norm.tolist(), lhs.tolist(), ratio.tolist()):

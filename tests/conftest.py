@@ -42,7 +42,7 @@ def kernel_matrix(kind, grid):
 def decomposed(M):
     """The matrix whose SVD gives M.singular_values: the half factor A, or
     for a Cauchy factor G the R of qr(G^T)."""
-    if M.kind.record.factor is None:
+    if M.image_refinement is not None:
         return M.half_factor
     return np.linalg.qr(M.half_factor.T, mode="r")
 

@@ -1,7 +1,12 @@
 import argparse
+import contextlib
+import difflib
+import io
 import itertools
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -526,29 +531,94 @@ def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
     assert gram_calls == [128]
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--op", "fourier", "--n", "96"],
-    ["match"],
-    ["adversarial", "--op", "hilbert:I=0,1:J=2,3", "--n", "6"],
-    ["figures", "--id", "1"],
-    ["figures", "--id", "2"],
-    ["figures", "--id", "3"],
-    ["verify", "--count", "40", "--N", "64"],
-    ["match", "--op", "laplace-adjoint:a=1,b=2"],
-    ["report-all"],
-    ["verify", "--op", "fourier", "--count", "40"],
-], ids=["spectrum", "match", "adversarial", "figure1", "figure2", "figure3", "verify",
-        "match-adjoint", "report-all", "verify-fourier"])
-def test_determinism_byte_identical(tmp_path, argv):
-    # two runs write the same files, byte for byte
-    _, out_a = run_cli(argv, tmp_path, "a")
-    _, out_b = run_cli(argv, tmp_path, "b")
-    names = sorted(os.listdir(out_a))
-    assert names and names == sorted(os.listdir(out_b))
-    for name in names:
-        fa = open(os.path.join(out_a, name), "rb").read()
-        fb = open(os.path.join(out_b, name), "rb").read()
-        assert fa == fb, name
+# The runs whose files and stdout are pinned, by test id.  tests/reference/<id>/
+# holds the files a run writes and tests/reference/<id>.stdout what it prints.
+# They were written with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64, 2 vCPUs),
+# where one and two BLAS threads write the same bytes, so no thread count is
+# fixed.  `python3 tests/test_cli.py` rewrites them from this list.
+REFERENCE = Path(__file__).parent / "reference"
+REFERENCE_RUNS = {
+    "spectrum": ["spectrum", "--op", "fourier", "--n", "96"],
+    "match": ["match"],
+    "adversarial": ["adversarial", "--op", "hilbert:I=0,1:J=2,3", "--n", "6"],
+    "figure1": ["figures", "--id", "1"],
+    "figure2": ["figures", "--id", "2"],
+    "figure3": ["figures", "--id", "3"],
+    "verify": ["verify", "--count", "40", "--N", "64"],
+    "match-adjoint": ["match", "--op", "laplace-adjoint:a=1,b=2"],
+    "report-all": ["report-all"],
+    "verify-fourier": ["verify", "--op", "fourier", "--count", "40"],
+}
+
+
+def _leaves(name, text):
+    """(where, value) for each value of a JSON or CSV file, numbers as floats:
+    a JSON key path, or a CSV row and column."""
+    def walk(doc, where):
+        if isinstance(doc, dict):
+            for k, v in doc.items():
+                yield from walk(v, f"{where}.{k}")
+        elif isinstance(doc, list):
+            for i, v in enumerate(doc):
+                yield from walk(v, f"{where}[{i}]")
+        else:
+            yield where, float(doc) if type(doc) in (int, float) else doc
+    if name.endswith(".json"):
+        return list(walk(json.loads(text), ""))
+    if not name.endswith(".csv"):
+        raise ValueError(name)
+    rows = [line.split(",") for line in text.splitlines()]
+    return [(f"row {i} {rows[0][j]}", float(v) if i else v)
+            for i, row in enumerate(rows) for j, v in enumerate(row)]
+
+
+def _moved(name, old, new):
+    """What moved from old to new, the texts of one output file: each moved
+    number of a JSON or CSV file that differs in nothing else (file, key or
+    row, old and new value, relative change), otherwise the lines that differ."""
+    try:
+        a, b = _leaves(name, old), _leaves(name, new)
+    except ValueError:  # not JSON or CSV, or not a number where the reference has one
+        a = b = None
+    if a is not None and [w for w, _ in a] == [w for w, _ in b]:
+        moved = [(w, x, y) for (w, x), (_, y) in zip(a, b) if repr(x) != repr(y)]
+        if all(type(x) is type(y) is float for _, x, y in moved):
+            return [f"{name} {w}: {x!r} -> {y!r} ({abs(y - x) / abs(x) if x else math.inf:.3g} "
+                    "relative)" for w, x, y in moved]
+    return [f"{name}: {line}" for line in difflib.unified_diff(
+        old.splitlines(), new.splitlines(), "reference", "this run", lineterm="", n=0)]
+
+
+def _run_printed(argv, out, capsys):
+    """(the files a run writes into out, by name, and what it prints)."""
+    main(argv + ["--out-dir", str(out)])
+    return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_determinism_byte_identical(tmp_path, capsys, name):
+    # two runs write and print the same bytes, and those of the reference;
+    # a mismatch with the reference is listed number by number, or line by line
+    argv = REFERENCE_RUNS[name]
+    files, printed = _run_printed(argv, tmp_path / "a", capsys)
+    assert files and (files, printed) == _run_printed(argv, tmp_path / "b", capsys)
+    ref = REFERENCE / name
+    assert sorted(files) == sorted(p.name for p in ref.iterdir())
+    outputs = [(f, files[f], (ref / f).read_bytes()) for f in files]
+    outputs.append(("stdout", printed.encode(), (REFERENCE / f"{name}.stdout").read_bytes()))
+    report = [line for f, new, old in outputs if new != old
+              for line in _moved(f, old.decode(), new.decode())]
+    assert not report, "\n".join(report)
+
+
+def write_references():
+    """Rewrite tests/reference from this checkout: the files and stdout of each run."""
+    for name, argv in REFERENCE_RUNS.items():
+        shutil.rmtree(REFERENCE / name, ignore_errors=True)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            main(argv + ["--out-dir", str(REFERENCE / name)])
+        (REFERENCE / f"{name}.stdout").write_text(printed.getvalue())
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -571,3 +641,7 @@ def test_json_writer_refuses_types_it_does_not_know(value):
     # an unknown type is an error, not its str() written as a string
     with pytest.raises(TypeError):
         json_dumps({"a": [1, value]})
+
+
+if __name__ == "__main__":
+    write_references()

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -122,14 +124,14 @@ def test_refined_factor_matches_the_cap_rule(text, n, resolved, monkeypatch):
     p = Problem(parse_operator(text), n)
     M = p.matrix
     mu = decompose_operator(M).eigenvalues
-    if p.kind.record.factor is None:
+    if M.image_refinement is not None:
         assert M.image_refinement <= REFINEMENT_SLACK
         reference = _half_factor(p.kind, p.grid, 4 * _rule_nodes(M))
     else:
         with monkeypatch.context() as complete:
             complete.setattr(integral_ops, "SVD_FLOOR", 0.0)
             G, rest = cauchy_factor(p.grid.nodes, p.grid.weights)
-        assert rest == 0.0 and M.image_refinement is None
+        assert rest == 0.0
         reference = np.linalg.qr(G.T, mode="r")
     ref = np.linalg.svd(reference, compute_uv=False) ** 2
     assert resolved_count(mu) == resolved_count(ref) == resolved
@@ -210,10 +212,10 @@ def test_image_rules_stay_small(text, rows, svd_calls):
     p = Problem(parse_operator(text), 1024)
     M = gram_matrix(p.kind, p.grid)
     assert M.image_nodes <= rows
-    if p.kind.record.factor is None:
+    if M.image_refinement is not None:
         assert M.image_refinement <= REFINEMENT_SLACK and len(svd_calls) <= 3
     else:
-        assert M.image_refinement is None and len(svd_calls) == 1
+        assert len(svd_calls) == 1
 
 
 def test_no_rung_is_decomposed_before_its_trace_check(svd_calls):
@@ -305,6 +307,23 @@ def test_half_factor_reproduces_the_kernel_matrix(text, n):
     A = M.half_factor
     gap = np.max(np.abs(kernel_matrix(M.kind, M.grid) - A.T @ A))
     assert gap <= 1e-16 * M.singular_values[0] ** 2
+
+
+def test_one_way_into_the_half_factor_and_one_way_out():
+    # gram_matrix is the one caller of a kind's engine, its record's factor,
+    # and outside integral_ops only match_eigenfunctions, which also applies
+    # A^T, reads the half factor: every other image is OperatorMatrix.image
+    engines, readers = set(), set()
+    for path in sorted(Path(integral_ops.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "factor":
+                    engines.add(where)
+                if getattr(node, "attr", None) == "half_factor" and path.stem != "integral_ops":
+                    readers.add(where)
+    assert engines == {("integral_ops", "gram_matrix")}
+    assert readers == {("spectral", "match_eigenfunctions")}
 
 
 def test_half_factor_agrees_with_kernel_matrix(laplace_M, fourier_M, adjoint_M):

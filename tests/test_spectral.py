@@ -70,7 +70,7 @@ def test_decompose_operator_matches_full_svd(text):
     assert mu.shape == (M.size,)
     keep = mu > SVD_FLOOR * mu[0]
     assert np.array_equal(keep, ref > SVD_FLOOR * ref[0])
-    if M.kind.record.factor is None:
+    if M.image_refinement is not None:
         assert np.max(np.abs(mu[keep] / ref[keep] - 1.0)) <= 1e-11
     else:
         # a Cauchy factor's values come from the R of its QR: within 2 SVD
@@ -92,7 +92,7 @@ def test_one_svd_of_the_half_factor_per_problem(svd_calls, text):
     p = Problem(parse_operator(text), 128, 64, 12)
     p.fit  # grid, matrix, commuting operator, match, sweep and fit
     decompose_operator(p.matrix)
-    assert (p.matrix.kind.record.factor is None) == (p.kind.tag != "laplace")
+    assert (p.matrix.image_refinement is None) == (p.kind.tag == "laplace")
     B = decomposed(p.matrix)
     assert sum(np.array_equal(a, B) for a in svd_calls) == 1
 

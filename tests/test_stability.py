@@ -120,7 +120,9 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
     # refined point set, for Lemmas 2 and 3 alone, one table per (series,
     # derivative order, point set), one Gram form per (series, order) and
     # one mass row that the lemmas read their norms and mass from, and one
-    # Lemma 3 prefactor per c2, each stored in the grid's memo once
+    # Lemma 3 prefactor per c2, each built once.  The grid's memo stores
+    # each once, and keeps a table only where something reads it besides a
+    # Gram form: the refined tables, and the table of Lemma 3's mass row
     from illposed import functions
     dom = Interval(0.5, 2.25)  # no other test samples here, so no cache is warm
     grid = make_grid(dom, 72)
@@ -154,24 +156,23 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
         (leg, 0, 4 * 72 + 1), (leg, 0, 72), (leg, 1, 72)], key=str)
     assert set(memo.stores.values()) == {1}
     assert sorted(memo, key=str) == sorted([
-        (sine, 12, 0, True), (sine, 12, 1, False), (sine, 12, 1, "gram"),
-        (leg, 10, 0, True), (leg, 10, 0, False), (leg, 10, 1, False),
+        (sine, 12, 0, True), (sine, 12, 1, "gram"),
+        (leg, 10, 0, True), (leg, 10, 0, False),
         (leg, 10, 0, "gram"), (leg, 10, 1, "gram"), (leg, 10, "mass"),
         ("lemma3_prefactor", 1.0)], key=str)
 
     # Lemma 1 on a fresh operator over dom reads its mixes' coefficients: its
-    # grid holds G_0 and G_1 and the two tables they are built from, and no
-    # sample or projection adds another entry; then each norm of sine series
-    # on that grid stores its table and the Gram form read from it
+    # grid holds G_0 and G_1 alone, not the two tables they are built from,
+    # and no sample or projection adds another entry; then each norm of sine
+    # series on that grid stores the Gram form it reads, and no table
     built.clear()
     op = assemble_bertero_grunbaum(dom, 16)
     memo = _counting_memo(op.grid)
     dec = op.eigensystem
     for v in random_trial_mix(dec, 100, rng):
         verify_lemma1(legendre(v, dom), op, dec, c=1.0)
-    assert sorted(memo, key=str) == sorted([
-        (leg, 16, 0, False), (leg, 16, 1, False),
-        (leg, 16, 0, "gram"), (leg, 16, 1, "gram")], key=str)
+    assert sorted(memo, key=str) == sorted([(leg, 16, 0, "gram"), (leg, 16, 1, "gram")],
+                                           key=str)
     for f in random_sine_series(dom, 100, rng):
         h1_seminorm(f, op.grid)
     for f in random_sine_series(dom, 100, rng):
@@ -182,8 +183,7 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
         (leg, 0, nodes), (leg, 1, nodes), (sine, 1, nodes), (sine, 0, nodes)], key=str)
     assert set(memo.stores.values()) == {1}
     assert sorted(memo, key=str) == sorted([
-        (leg, 16, 0, False), (leg, 16, 1, False), (leg, 16, 0, "gram"), (leg, 16, 1, "gram"),
-        (sine, 12, 1, False), (sine, 12, 1, "gram"), (sine, 6, 0, False),
+        (leg, 16, 0, "gram"), (leg, 16, 1, "gram"), (sine, 12, 1, "gram"),
         (sine, 6, 0, "gram")], key=str)
 
 
@@ -219,10 +219,10 @@ def test_a_grid_frees_its_tables_with_itself():
     dom = Interval(0.25, 1.75)
     grid = make_grid(dom, 40)
     _lemma_records(grid, 8)
-    # five tables, three Gram forms, one mass row and one Lemma 3 prefactor
-    assert len(grid.series_tables) == 10
+    # three tables, three Gram forms, one mass row and one Lemma 3 prefactor
+    assert len(grid.series_tables) == 8
     arrays = [v for v in grid.series_tables.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 9
+    assert len(arrays) == 7
     refs = [weakref.ref(grid)] + [weakref.ref(v) for v in arrays]
     del grid, arrays
     gc.collect()
