@@ -10,6 +10,8 @@ import numpy as np
 from illposed import (FigureId, Interval, OperatorKind, build_gramian,
                       gram_matrix, make_grid, reproduce_figure, sample,
                       worst_function)
+from illposed.adversarial import FIGURES
+from illposed.problem import Problem
 
 op = OperatorKind.hilbert_truncated(Interval(0, 1), Interval(2, 3))
 M = gram_matrix(op, make_grid(Interval(0, 1), 256))  # every basis size reuses it
@@ -28,7 +30,7 @@ print("  sampled f:", np.array2string(sample(f, xs), precision=4))
 
 print("\nbuilt-in reference figures (printed plot coefficients):")
 for fid in (FigureId.FIG1, FigureId.FIG2, FigureId.FIG3):
-    rec = reproduce_figure(fid)
+    rec = reproduce_figure(fid, Problem(FIGURES[fid].operator))
     print(f"  figure {rec['figure']}: computed {rec['computed_ratio']:.3e}  "
           f"claimed {rec['claimed_ratio']:.0e}  pass={rec['pass']}")
 print("\n(figures 1 and 3 are expected to miss their captioned ratios: the")

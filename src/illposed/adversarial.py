@@ -20,7 +20,6 @@ from .errors import InvalidArgumentError
 from .functions import FunctionKind, FunctionRep, _series_norm, check_orthonormal
 from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
                            quadratic_form, resolved_count)
-from .problem import Problem
 
 
 @dataclass(frozen=True)
@@ -137,25 +136,28 @@ FIGURES = {
 }
 
 
-def reproduce_figure(figure_id: FigureId, n: int = Problem.n) -> dict:
+def reproduce_figure(figure_id: FigureId, problem) -> dict:
     """Recompute ||T f||^2 / ||f||^2 for a built-in figure function on the
-    grid of its operator's Problem at size n, which must resolve the
-    function's series basis."""
+    caller's `problem.Problem`, whose kind must be the figure's operator and
+    whose grid must resolve the function's series basis: the caller decides
+    the size n, and shares the problem's layers with its other readers."""
     try:
         figure_id = FigureId(figure_id)
     except ValueError as exc:
         raise InvalidArgumentError(f"unknown figure id: {figure_id!r}") from exc
     spec = FIGURES[figure_id]
+    if problem.kind != spec.operator:
+        raise InvalidArgumentError(f"figure {figure_id.value} is read on "
+                                   f"{spec.operator.to_string()}, not {problem.kind.to_string()}")
     f = spec.function()
-    p = Problem(spec.operator, n)
-    check_orthonormal(f.kind, len(f.payload), p.grid)
+    check_orthonormal(f.kind, len(f.payload), problem.grid)
     if figure_id is FigureId.FIG3:
         # Cancellation-limited regime: closed-form basis transforms with
         # compensated summation, then integrate |f_hat|^2.
-        image = fourier_image_energy(f, n_xi=n)
+        image = fourier_image_energy(f, n_xi=problem.n)
     else:
-        image = quadratic_form(p.matrix, f)
-    ratio = image / _series_norm(f.kind, f.payload, 0, p.grid) ** 2
+        image = quadratic_form(problem.matrix, f)
+    ratio = image / _series_norm(f.kind, f.payload, 0, problem.grid) ** 2
     ok = spec.claimed_ratio / spec.pass_factor <= ratio <= spec.claimed_ratio * spec.pass_factor
     return {
         "figure": figure_id.value,

@@ -100,11 +100,11 @@ def cmd_adversarial(args) -> int:
 
 def cmd_figures(args) -> int:
     fid = FigureId(args.id)
-    rec = reproduce_figure(fid, args.n)
+    spec = FIGURES[fid]
+    rec = reproduce_figure(fid, Problem(spec.operator, args.n))
     out = ensure_out_dir(args.out_dir)
     write_json(os.path.join(out, f"figure{fid.value}.json"), rec)
     if not args.no_svg:
-        spec = FIGURES[fid]
         f, domain = spec.function(), spec.operator.input_domain
         xs = np.linspace(domain.a, domain.b, 512)
         write_plot(os.path.join(out, f"figure{fid.value}.svg"), xs, sample(f, xs), "black",

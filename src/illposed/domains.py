@@ -35,9 +35,6 @@ PANEL_GRADING = 0.25
 HALF_LINE_DECAY_SCALE = 40.0
 HALF_LINE_PANELS = 8
 
-# Equispaced points per node of an interval grid (QuadGrid.refined_points).
-REFINE_FACTOR = 4
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -155,22 +152,13 @@ class QuadGrid:
 
     @functools.cached_property
     def series_tables(self) -> dict:
-        """What is read on this grid of a series basis, filled through
-        functions.grid_memo and freed with the grid: its tables, one per
-        (kind, size, order, refined); its Gram forms, one per (kind, size,
-        order, "gram"); its mass row, one per (kind, size, "mass"); and
-        Lemma 3's prefactor, one per ("lemma3_prefactor", c2).  The
-        package's one table cache."""
+        """What is read on this grid, filled through functions.grid_memo
+        and freed with the grid: a series basis' tables at the nodes, one
+        per (kind, size, order); its Gram forms, one per (kind, size, order,
+        "gram"); its mass row, one per (kind, size, "mass"); and what
+        stability's lemmas read (their sup-norm points and the tables at
+        them, and Lemma 3's prefactor).  The package's one table cache."""
         return {}
-
-    @functools.cached_property
-    def refined_points(self) -> np.ndarray:
-        """REFINE_FACTOR times as many equispaced points on the grid's
-        interval [a, b] as it has nodes, plus one, built on first use and
-        read-only: where Lemmas 2 and 3 take a sup norm."""
-        x = np.linspace(self.domain.a, self.domain.b, REFINE_FACTOR * self.size + 1)
-        x.setflags(write=False)
-        return x
 
 
 # Newton from Tricomi's estimate settles in 3-4 steps for every n <= 2048;

@@ -5,13 +5,14 @@ Legendre).  Half-line functions (Theorem-2 territory) are
 polynomial-times-exponential ExpPoly objects.  A function, or a block of
 functions of one type, is sampled, or differentiated exactly, as one
 product with a basis table.  On a quadrature grid a series basis has its
-tables (at the nodes, or at the refined points of the lemmas) and its
-forms: the mass row m = T^T w and the Gram forms G_k = T_k^T W T_k of
-derivative orders 0 and 1, so a series' mass is m.c and its norms are
-sqrt(c.G_k c), read from its K coefficients, not from n samples.
+tables at the nodes and its forms: the mass row m = T^T w and the Gram
+forms G_k = T_k^T W T_k of derivative orders 0 and 1, so a series' mass is
+m.c and its norms are sqrt(c.G_k c), read from its K coefficients, not
+from n samples.
 _series_norm is the one reader of a series' grid norms, for one function
 or a block: l2_norm, h1_seminorm, the verifiers and the figures all call
-it.  An ExpPoly's tables differ per rate, so its norms are sampled.
+it.  An ExpPoly's tables differ per rate, so its norms are sampled, and
+weighted_norm is the one reader of sampled norms.
 Tables and forms live in the grid's own memo, `QuadGrid.series_tables`,
 the one cache (grid_memo): built on first read and freed with the grid,
 so a function checked once against the grid's domain costs one dict
@@ -158,23 +159,20 @@ def grid_memo(grid: QuadGrid, key, build, *args):
     return value
 
 
-def _grid_basis_table(kind, size, order, grid, refined):
-    return basis_table(kind, size, grid.domain, order,
-                       grid.refined_points if refined else grid.nodes)
+def _grid_basis_table(kind, size, order, grid):
+    return basis_table(kind, size, grid.domain, order, grid.nodes)
 
 
-def grid_table(kind: FunctionKind, size: int, order: int, grid: QuadGrid,
-               refined: bool = False) -> np.ndarray:
-    """basis_table at the grid's nodes, or refined at its refined points, as
-    one read-only array in the grid's memo: samples on the grid, the Gram
-    forms and a Legendre trial basis on the grid all read it."""
-    return grid_memo(grid, (kind, size, order, refined), _grid_basis_table,
-                     kind, size, order, grid, refined)
+def grid_table(kind: FunctionKind, size: int, order: int, grid: QuadGrid) -> np.ndarray:
+    """basis_table at the grid's nodes, as one read-only array in the grid's
+    memo: samples on the grid, the Gram forms and a Legendre trial basis on
+    the grid all read it."""
+    return grid_memo(grid, (kind, size, order), _grid_basis_table, kind, size, order, grid)
 
 
 def _gram(kind, size, order, grid):
-    if (table := grid.series_tables.get((kind, size, order, False))) is None:
-        table = _grid_basis_table(kind, size, order, grid, False)  # for G alone, not kept
+    if (table := grid.series_tables.get((kind, size, order))) is None:
+        table = _grid_basis_table(kind, size, order, grid)  # for G alone, not kept
     return table.T @ (grid.weights[:, None] * table)
 
 
@@ -245,14 +243,12 @@ def check_domain(f, grid: QuadGrid) -> None:
         raise InvalidArgumentError(f"not a function representation: {type(f).__name__}")
 
 
-def grid_values(f: FunctionLike, grid: QuadGrid, order: int = 0,
-                refined: bool = False) -> np.ndarray:
-    """f's order-th derivative at the grid's nodes, or refined at its refined
-    points, once check_domain has passed: a series is one product with the
-    grid's table (grid_table)."""
+def grid_values(f: FunctionLike, grid: QuadGrid, order: int = 0) -> np.ndarray:
+    """f's order-th derivative at the grid's nodes, once check_domain has
+    passed: a series is one product with the grid's table (grid_table)."""
     if isinstance(f, ExpPoly):
         return sample(f, grid.nodes, order)
-    return grid_table(f.kind, len(f.payload), order, grid, refined) @ f.payload
+    return grid_table(f.kind, len(f.payload), order, grid) @ f.payload
 
 
 def check_orthonormal(kind: FunctionKind, size: int, grid: QuadGrid) -> np.ndarray:
@@ -279,9 +275,11 @@ def check_orthonormal(kind: FunctionKind, size: int, grid: QuadGrid) -> np.ndarr
                                f"orthonormal on the grid of {grid.size} nodes")
 
 
-def grid_norm(v: np.ndarray, grid: QuadGrid) -> float:
-    """sqrt(sum_i w_i v_i^2) of the values v at the grid's nodes."""
-    return math.sqrt(max(float(np.dot(grid.weights, v * v)), 0.0))
+def weighted_norm(weights: np.ndarray, values: np.ndarray):
+    """sqrt(sum_i weights_i values_i^2) of sampled values: one for a vector
+    of values, one per column of a matrix of them.  The one reader of a
+    sampled norm."""
+    return np.sqrt(np.maximum(weights @ (values * values), 0.0))
 
 
 def _series_norm(kind: FunctionKind, coeffs: np.ndarray, order: int, grid: QuadGrid):
@@ -299,7 +297,7 @@ def _series_norm(kind: FunctionKind, coeffs: np.ndarray, order: int, grid: QuadG
 def _norm(f: FunctionLike, grid: QuadGrid, order: int) -> float:
     check_domain(f, grid)
     if isinstance(f, ExpPoly):
-        return grid_norm(grid_values(f, grid, order), grid)
+        return float(weighted_norm(grid.weights, grid_values(f, grid, order)))
     return _series_norm(f.kind, f.payload, order, grid)
 
 

@@ -20,15 +20,19 @@ import numpy as np
 from .diff_ops import GalerkinOperator
 from .domains import Interval, QuadGrid
 from .errors import InsufficientDataError, InvalidArgumentError, check_integer
-from .functions import (ExpPoly, FunctionKind, FunctionRep, _series_norm, check_domain,
-                        check_orthonormal, columns, exp_poly_columns, grid_memo, grid_values,
-                        series_mass)
+from .functions import (ExpPoly, FunctionKind, FunctionRep, _series_norm, basis_table,
+                        check_domain, check_orthonormal, columns, exp_poly_columns, grid_memo,
+                        series_mass, weighted_norm)
 from .integral_ops import EXPONENTIAL, POWER_OF_RATIO, OperatorMatrix, resolved_count
 from .spectral import (MatchReport, SpectralDecomposition, fit_line, growth_check,
                        match_eigenfunctions)
 
 SIGN_TOL = 1e-12  # relative to the sampled sup norm
-# Ensemble functions sampled per matrix product: bounds the sample memory.
+# Lemmas 2 and 3 take their sup norm at REFINE_FACTOR * n + 1 equispaced
+# points of [a, b], n the grid's node count.
+REFINE_FACTOR = 4
+# Ensemble functions per block: bounds the memory of an ExpPoly block's
+# samples.  A series block is read from its coefficients, never sampled.
 _BLOCK = 128
 
 # Fitted constants are relaxed before ensemble verification: the theorems
@@ -113,22 +117,26 @@ class StabilityFit:
 # the grid's memoized tables and forms, one product per table or form
 # ----------------------------------------------------------------------------
 
-def _refined_values(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
-    """f at the grid's refined points, once f is known to live on the grid's
-    bounded interval: Lemmas 2 and 3 are statements on [a, b]."""
+def _sup_table(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
+    """The table of f's series basis at the lemmas' sup-norm points."""
+    x = grid_memo(grid, "sup_points", np.linspace, grid.domain.a, grid.domain.b,
+                  REFINE_FACTOR * grid.size + 1)
+    return basis_table(f.kind, len(f.payload), grid.domain, 0, x)
+
+
+def _sup_values(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
+    """f at the lemmas' sup-norm points, once f is known to live on the
+    grid's bounded interval: Lemmas 2 and 3 are statements on [a, b].  The
+    points, and the table of f's basis at them, are built once per grid in
+    its memo, so a call makes one memo lookup and one product."""
     if not isinstance(grid.domain, Interval):
         raise InvalidArgumentError("lemmas 2 and 3 hold on a bounded interval, not a half line")
     check_domain(f, grid)
-    return grid_values(f, grid, refined=True)
+    return grid_memo(grid, (f.kind, len(f.payload), "sup"), _sup_table, f, grid) @ f.payload
 
 
 # The ufunc reductions: ndarray.min and max add a Python wrapper per call.
 _min, _max = np.minimum.reduce, np.maximum.reduce
-
-
-def _column_norms(weights, vals) -> np.ndarray:
-    """sqrt(sum_i weights_i vals_i^2), one per column of a matrix vals."""
-    return np.sqrt(np.maximum(weights @ (vals * vals), 0.0))
 
 
 def _ratios(top, norm) -> np.ndarray:
@@ -141,12 +149,12 @@ def _oscillation_ratios(t, w, samples):
     """(||f||, ratio) per column, from samples [f, f'] at nodes t with weights
     w, ratio ||f'||/||f||, or from [f, f', f''], ratio the Theorem-2
     aggregate (||t f''|| + ||t f'|| + ||t f|| + ||f||)/||f||."""
-    norm = _column_norms(w, samples[0])
+    norm = weighted_norm(w, samples[0])
     if len(samples) == 3:
         weights = w * t ** 2
-        t_f, t_df, t_ddf = (_column_norms(weights, s) for s in samples)
+        t_f, t_df, t_ddf = (weighted_norm(weights, s) for s in samples)
         return norm, _ratios(t_ddf + t_df + t_f + norm, norm)
-    return norm, _ratios(_column_norms(w, samples[1]), norm)
+    return norm, _ratios(weighted_norm(w, samples[1]), norm)
 
 
 # ----------------------------------------------------------------------------
@@ -154,7 +162,7 @@ def _oscillation_ratios(t, w, samples):
 # ----------------------------------------------------------------------------
 
 def verify_lemma2(f: FunctionRep, grid: QuadGrid) -> Lemma2Record:
-    vals = _refined_values(f, grid)
+    vals = _sup_values(f, grid)
     lo, hi = float(_min(vals)), float(_max(vals))
     sup = max(abs(lo), abs(hi))
     applicable = lo < -SIGN_TOL * sup and hi > SIGN_TOL * sup
@@ -188,9 +196,9 @@ def lemma3_prefactor(c2: float, domain: Interval) -> float:
 
 def verify_lemma3(f: FunctionRep, grid: QuadGrid, c2: float) -> Lemma3Record:
     """The mass of a nonnegative f against c1 exp(-c2 ||f'||/||f||) ||f||:
-    the sign from f at the refined points, the mass and both norms from the
+    the sign from f at the sup-norm points, the mass and both norms from the
     grid's forms, and c1 = lemma3_prefactor(c2, [a, b]) once per grid and c2."""
-    vals = _refined_values(f, grid)
+    vals = _sup_values(f, grid)
     lo = float(_min(vals))
     if lo < 0.0 and lo < -SIGN_TOL * float(_max(np.abs(vals))):  # the sup only if f dips
         raise InvalidArgumentError("lemma 3 applies to nonnegative functions only")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from illposed import (FigureId, FunctionKind, FunctionRep, Interval,
                       InvalidArgumentError, OperatorKind, build_gramian,
                       gram_matrix, l2_norm, make_grid, quadratic_form,
                       reproduce_figure, worst_function)
+from illposed.adversarial import FIGURES
+from illposed.problem import Problem
 from illposed.spectral import SVD_FLOOR
 
 HILBERT = OperatorKind.hilbert_truncated(Interval(0.0, 1.0), Interval(2.0, 3.0))
@@ -111,8 +115,13 @@ def test_gramian_matches_direct_quadratic_form(ab):
         assert rep.min_eigenvalue * float(a @ a) <= through_g * (1.0 + 1e-9)
 
 
+def figure(fid):
+    """The figure's record on its operator's Problem at the default size."""
+    return reproduce_figure(fid, Problem(FIGURES[fid].operator))
+
+
 def test_figure2_reproduces():
-    rec = reproduce_figure(FigureId.FIG2)
+    rec = figure(FigureId.FIG2)
     assert rec["pass"] is True
     assert 1e-8 / 30 <= rec["computed_ratio"] <= 30e-8
 
@@ -121,15 +130,31 @@ def test_figure1_matches_oracle_value():
     # the printed coefficients do NOT reproduce the captioned 1e-7 (see the
     # acceptance notes); the computed ratio must match the independent
     # 40-digit quadrature oracle for the printed function
-    rec = reproduce_figure(FigureId.FIG1)
+    rec = figure(FigureId.FIG1)
     assert rec["computed_ratio"] == pytest.approx(FIG1_PRINTED_RATIO, rel=1e-6)
 
 
 def test_figure3_matches_oracle_value():
-    rec = reproduce_figure(FigureId.FIG3)
+    rec = figure(FigureId.FIG3)
     assert rec["computed_ratio"] == pytest.approx(FIG3_PRINTED_RATIO, rel=1e-6)
 
 
 def test_unknown_figure_rejected():
-    with pytest.raises(InvalidArgumentError):
-        reproduce_figure(7)
+    with pytest.raises(InvalidArgumentError, match="unknown figure id"):
+        reproduce_figure(7, Problem(HILBERT))
+
+
+@pytest.mark.parametrize("fid, other", [
+    (FigureId.FIG1, OperatorKind.laplace_tt(Interval(1.0, 2.0))),
+    (FigureId.FIG2, OperatorKind.laplace_tt(Interval(1.0, 3.0))),
+    (FigureId.FIG3, HILBERT),
+])
+def test_a_figure_refuses_another_operators_problem(fid, other):
+    # a figure is read on its own operator: a Problem of another kind, or of
+    # the same kind on other intervals, is refused before anything is built
+    p = Problem(other, 64)
+    own = FIGURES[fid].operator.to_string()
+    text = f"figure {fid.value} is read on {own}, not {other.to_string()}"
+    with pytest.raises(InvalidArgumentError, match=re.escape(text)):
+        reproduce_figure(fid, p)
+    assert "grid" not in vars(p) and "matrix" not in vars(p)

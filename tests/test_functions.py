@@ -56,11 +56,14 @@ def test_l2_h1_closed_forms():
 
 
 def test_only_functions_reads_a_grid_norm_from_forms_or_samples():
-    # one norm path: series_gram and grid_norm are called only by functions'
-    # norm readers (and check_orthonormal's identity test), so every other
-    # module reads a norm through l2_norm, h1_seminorm or _series_norm, and
-    # a second sampled or form-based norm cannot come back unnoticed
-    readers = {"series_gram", "grid_norm"}
+    # one norm path per representation: series_gram is called only by
+    # functions' norm reader (and check_orthonormal's identity test), and
+    # weighted_norm, the one sampled norm, only by that reader's ExpPoly
+    # branch and by the verifiers' sampled oscillation ratios, so every
+    # other module reads a norm through l2_norm, h1_seminorm, _series_norm
+    # or weighted_norm, and a second sampled or form-based norm cannot come
+    # back unnoticed
+    readers = {"series_gram", "weighted_norm"}
     calls = set()
     for path in sorted(Path(functions.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -71,7 +74,8 @@ def test_only_functions_reads_a_grid_norm_from_forms_or_samples():
                         calls.add((path.stem, getattr(top, "name", "<module>"), name))
     assert calls == {("functions", "_series_norm", "series_gram"),
                      ("functions", "check_orthonormal", "series_gram"),
-                     ("functions", "_norm", "grid_norm")}
+                     ("functions", "_norm", "weighted_norm"),
+                     ("stability", "_oscillation_ratios", "weighted_norm")}
 
 
 def test_domain_mismatch_rejected():

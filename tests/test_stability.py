@@ -67,6 +67,23 @@ def test_lemma2_sine_on_longer_interval():
     assert rec.passed
 
 
+def test_lemma2_reads_its_sup_norm_at_4n_plus_1_equispaced_points():
+    # the point rule, at its one reader: max |f| over linspace(a, b, 4n + 1)
+    # for a grid of n nodes, with f summed here from np.sin; a 4n-point set
+    # misses the same function's sup
+    dom = Interval(0.5, 2.0)
+    n = 24
+    c = np.array([0.3, -0.8, 0.5, 0.9, -0.4, 0.7])
+    rec = verify_lemma2(FunctionRep(FunctionKind.SINE_SERIES, c, dom), make_grid(dom, n))
+
+    def sup(points):
+        x = np.linspace(dom.a, dom.b, points)
+        k = np.arange(1, len(c) + 1, dtype=float)
+        return float(np.max(np.abs(np.sin(np.outer(x - dom.a, k * np.pi / dom.length)) @ c)))
+    assert rec.sup_norm == sup(4 * n + 1)
+    assert rec.sup_norm != sup(4 * n)
+
+
 def test_lemma_verdicts_are_scale_invariant():
     # both lemmas are homogeneous: their sign tests read the sup norm, not 1
     grid = make_grid(UNIT, 64)
@@ -117,12 +134,13 @@ def _counting_memo(grid) -> _CountingMemo:
 
 def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
     # 100 calls of each lemma, and of both norms, on one grid each: one
-    # refined point set, for Lemmas 2 and 3 alone, one table per (series,
+    # sup-norm point set, for Lemmas 2 and 3 alone, one table per (series,
     # derivative order, point set), one Gram form per (series, order) and
     # one mass row that the lemmas read their norms and mass from, and one
     # Lemma 3 prefactor per c2, each built once.  The grid's memo stores
-    # each once, and keeps a table only where something reads it besides a
-    # Gram form: the refined tables, and the table of Lemma 3's mass row
+    # each once, the point set and the tables at it under stability's own
+    # keys, and keeps a table only where something reads it besides a Gram
+    # form: the sup-norm tables, and the table of Lemma 3's mass row
     from illposed import functions
     dom = Interval(0.5, 2.25)  # no other test samples here, so no cache is warm
     grid = make_grid(dom, 72)
@@ -142,6 +160,7 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
         prefactors.append(c2)
         return lemma3_prefactor(c2, domain)
     monkeypatch.setattr(functions, "basis_table", table)
+    monkeypatch.setattr(stability, "basis_table", table)
     monkeypatch.setattr(np, "linspace", linspace)
     monkeypatch.setattr(stability, "lemma3_prefactor", prefactor)
     rng = make_rng(3)
@@ -156,8 +175,8 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
         (leg, 0, 4 * 72 + 1), (leg, 0, 72), (leg, 1, 72)], key=str)
     assert set(memo.stores.values()) == {1}
     assert sorted(memo, key=str) == sorted([
-        (sine, 12, 0, True), (sine, 12, 1, "gram"),
-        (leg, 10, 0, True), (leg, 10, 0, False),
+        "sup_points", (sine, 12, "sup"), (sine, 12, 1, "gram"),
+        (leg, 10, "sup"), (leg, 10, 0),
         (leg, 10, 0, "gram"), (leg, 10, 1, "gram"), (leg, 10, "mass"),
         ("lemma3_prefactor", 1.0)], key=str)
 
@@ -219,10 +238,11 @@ def test_a_grid_frees_its_tables_with_itself():
     dom = Interval(0.25, 1.75)
     grid = make_grid(dom, 40)
     _lemma_records(grid, 8)
-    # three tables, three Gram forms, one mass row and one Lemma 3 prefactor
-    assert len(grid.series_tables) == 8
+    # the sup-norm points, three tables, three Gram forms, one mass row and
+    # one Lemma 3 prefactor
+    assert len(grid.series_tables) == 9
     arrays = [v for v in grid.series_tables.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 7
+    assert len(arrays) == 8
     refs = [weakref.ref(grid)] + [weakref.ref(v) for v in arrays]
     del grid, arrays
     gc.collect()
