@@ -21,16 +21,16 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .adversarial import FIGURES, FigureId, build_gramian, reproduce_figure
 from .domains import Interval
-from .errors import REFUSALS, InsufficientDataError
+from .errors import REFUSALS, Frozen, InsufficientDataError
 from .functions import FunctionKind, FunctionRep, h1_seminorm
 from .integral_ops import OperatorKind
-from .problem import ENSEMBLE_SIZE, Problem
+from .problem import DEFAULT_SEED, ENSEMBLE_SIZE, Problem
 from .spectral import (EXP_DECAY, SUPER_EXP, decompose_operator, fit_decay,
                        fit_line, growth_check)
 from .stability import (EXPONENTIAL, error_count, fit_constants_from_sweep,
@@ -38,11 +38,8 @@ from .stability import (EXPONENTIAL, error_count, fit_constants_from_sweep,
                         random_sine_series, random_trial_mix, verify_lemma1,
                         verify_lemma2, verify_lemma3, violation_count)
 
-DEFAULT_SEED = 0xC0FFEE
 
-
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: str
     title: str
     passed: bool
@@ -58,16 +55,16 @@ class CriterionResult:
                 "details": self.details}
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(Frozen):
     """The seed and the operator problems the criteria share: one per
     theorem, and figure 1's Hilbert problem at the Laplace problem's n,
     built on first use."""
 
-    seed: int
-    laplace: Problem
-    fourier: Problem
-    adjoint: Problem
+    def __init__(self, seed: int, laplace: Problem, fourier: Problem, adjoint: Problem):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "laplace", laplace)
+        object.__setattr__(self, "fourier", fourier)
+        object.__setattr__(self, "adjoint", adjoint)
 
     @functools.cached_property
     def hilbert(self) -> Problem:

@@ -9,8 +9,8 @@ printed coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,13 +22,12 @@ from .integral_ops import (OperatorKind, OperatorMatrix, fourier_image_energy,
                            quadratic_form, resolved_count)
 
 
-@dataclass(frozen=True)
-class GramianReport:
+class GramianReport(NamedTuple):
     operator: str
     domain: Interval
     min_eigenvalue: float
     # Coefficients a_k of the minimizer over the sine family, k = 1..size.
-    minimizer_coefficients: np.ndarray = field(repr=False)
+    minimizer_coefficients: np.ndarray
     # min_eigenvalue < SVD_FLOOR * (top eigenvalue): below what the SVD resolves
     below_floor: bool
 
@@ -90,8 +89,7 @@ class FigureId(Enum):
     FIG3 = 3
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(NamedTuple):
     coefficients: tuple
     basis_kind: FunctionKind
     first_mode: int          # lowest raw frequency k carrying a coefficient

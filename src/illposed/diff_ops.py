@@ -24,7 +24,6 @@ tables are the grid's own (`functions.grid_table`), freed with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -32,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import HalfLineDomain, Interval, QuadGrid, check_laplace_interval, make_grid
-from .errors import InvalidArgumentError, RepresentationError, check_integer
+from .errors import Frozen, InvalidArgumentError, RepresentationError, check_integer
 from .functions import FunctionKind, grid_table
 
 PROJECTION_TOL = 1e-8
@@ -140,16 +139,15 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigensystem of a symmetric matrix (a Galerkin stiffness)."""
+class SpectralDecomposition(Frozen):
+    """Ascending eigensystem of a symmetric matrix (a Galerkin stiffness),
+    kept read-only."""
 
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    __slots__ = ("eigenvalues", "eigenvectors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _read_only(self.eigenvectors))
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        object.__setattr__(self, "eigenvalues", _read_only(eigenvalues))
+        object.__setattr__(self, "eigenvectors", _read_only(eigenvectors))
 
     @property
     def size(self) -> int:
@@ -200,8 +198,7 @@ def largest_entry_positive(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-@dataclass(frozen=True)
-class GalerkinOperator:
+class GalerkinOperator(Frozen):
     """Symmetric stiffness matrix over an orthonormal trial basis.
 
     The mass matrix is the identity by construction, so the eigenvalues of
@@ -213,13 +210,12 @@ class GalerkinOperator:
     orders the caller reads.
     """
 
-    refined_stiffness: np.ndarray = field(repr=False)
-    name: str
-    basis: object
-    sign_variant: Optional[SignVariant] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "refined_stiffness", _read_only(self.refined_stiffness))
+    def __init__(self, refined_stiffness: np.ndarray, name: str, basis,
+                 sign_variant: Optional[SignVariant] = None):
+        object.__setattr__(self, "refined_stiffness", _read_only(refined_stiffness))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "sign_variant", sign_variant)
         for S in (self.stiffness, self.refined_stiffness):  # each refusal names its size
             if not np.all(np.isfinite(S)):
                 raise InvalidArgumentError(

@@ -18,12 +18,11 @@ process and shared, read-only, by every panel and grid of that size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_integer
+from .errors import Frozen, InvalidArgumentError, check_integer
 
 # Geometric grading ratio for half-line panels.  With the default 8 panels on
 # [0, 40/a] the first panel has width s_max/4**7, resolving the e^{-2as}
@@ -36,23 +35,32 @@ HALF_LINE_DECAY_SCALE = 40.0
 HALF_LINE_PANELS = 8
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A bounded interval [a, b] with a < b."""
+class Interval(Frozen):
+    """A bounded interval [a, b] with a < b; equal endpoints make equal
+    intervals, with equal hashes."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+    def __init__(self, a: float, b: float):
+        if not (np.isfinite(a) and np.isfinite(b)):
             raise InvalidArgumentError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise InvalidArgumentError(
-                f"degenerate interval: need a < b, got [{self.a}, {self.b}]"
-            )
-        if not np.isfinite(float(self.b) - float(self.a)):
-            raise InvalidArgumentError(
-                f"interval [{self.a}, {self.b}] is wider than the float range")
+        if not a < b:
+            raise InvalidArgumentError(f"degenerate interval: need a < b, got [{a}, {b}]")
+        if not np.isfinite(float(b) - float(a)):
+            raise InvalidArgumentError(f"interval [{a}, {b}] is wider than the float range")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"Interval(a={self.a!r}, b={self.b!r})"
 
     @property
     def length(self) -> float:
@@ -63,16 +71,28 @@ class Interval:
         return self.a <= other.b and other.a <= self.b
 
 
-@dataclass(frozen=True)
-class HalfLineDomain:
-    """Truncated half line [0, s_max] split into geometrically graded panels."""
+class HalfLineDomain(Frozen):
+    """Truncated half line [0, s_max] split into geometrically graded panels;
+    equal reaches make equal half lines, with equal hashes."""
 
-    s_max: float
+    __slots__ = ("s_max",)
     panel_count = HALF_LINE_PANELS  # one panel layout for every half line
 
-    def __post_init__(self):
-        if not 0 < self.s_max < np.inf:
-            raise InvalidArgumentError(f"s_max must be finite and positive, got {self.s_max}")
+    def __init__(self, s_max: float):
+        if not 0 < s_max < np.inf:
+            raise InvalidArgumentError(f"s_max must be finite and positive, got {s_max}")
+        object.__setattr__(self, "s_max", s_max)
+
+    def __eq__(self, other):
+        if other.__class__ is not HalfLineDomain:
+            return NotImplemented
+        return self.s_max == other.s_max
+
+    def __hash__(self):
+        return hash((self.s_max,))
+
+    def __repr__(self):
+        return f"HalfLineDomain(s_max={self.s_max!r})"
 
     @property
     def length(self) -> float:
@@ -111,26 +131,19 @@ def half_line_for(ab: Interval) -> HalfLineDomain:
                                    f"[0, {HALF_LINE_DECAY_SCALE:g}/a] overflows") from None
 
 
-@dataclass(frozen=True)
-class QuadGrid:
+class QuadGrid(Frozen):
     """Quadrature nodes and weights on a domain.
 
     nodes are strictly increasing and interior to the domain, weights are
     positive, and (for the bounded measure of the domain) the weights sum to
-    the domain length.
+    the domain length.  Both are kept read-only.
     """
 
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    domain: Domain
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, domain: Domain):
+        nodes = np.asarray(nodes, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or weights.ndim != 1 or len(nodes) != len(weights):
             raise InvalidArgumentError("nodes and weights must be 1-d and equal length")
         if len(nodes) == 0:
@@ -139,12 +152,15 @@ class QuadGrid:
             raise InvalidArgumentError("nodes must be strictly increasing")
         if np.any(weights <= 0):
             raise InvalidArgumentError("weights must be positive")
-        lo = 0.0 if isinstance(self.domain, HalfLineDomain) else self.domain.a
-        hi = self.domain.s_max if isinstance(self.domain, HalfLineDomain) else self.domain.b
+        lo = 0.0 if isinstance(domain, HalfLineDomain) else domain.a
+        hi = domain.s_max if isinstance(domain, HalfLineDomain) else domain.b
         if nodes[0] <= lo or nodes[-1] >= hi:
             raise InvalidArgumentError("nodes must lie strictly inside the domain")
-        if abs(weights.sum() - self.domain.length) > 1e-12 * self.domain.length:
+        if abs(weights.sum() - domain.length) > 1e-12 * domain.length:
             raise InvalidArgumentError("weights must sum to the domain length")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "domain", domain)
 
     @property
     def size(self) -> int:

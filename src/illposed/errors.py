@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one integer rule."""
+"""Exception types shared across the package, the one integer rule, and the
+one base of its immutable values."""
 
 import numbers
 
@@ -28,3 +29,18 @@ def check_integer(value, name: str) -> None:
     integers are integers."""
     if not isinstance(value, numbers.Integral):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
+class Frozen:
+    """Base of the package's immutable values: __init__ sets each field once,
+    through object.__setattr__, and assigning or deleting one afterwards
+    raises AttributeError.  A subclass lists its fields in __slots__, or
+    keeps a __dict__ for its cached properties, which write to it directly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -23,14 +23,13 @@ arbitrary points (plots and demos), builds its table on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
 import numpy as np
 
 from .domains import HalfLineDomain, Interval, QuadGrid
-from .errors import InvalidArgumentError, check_integer
+from .errors import Frozen, InvalidArgumentError, check_integer
 
 # Largest entry of |G - I| for the grid Gram G of a series basis that the grid resolves.
 ORTHONORMALITY_TOL = 1e-10
@@ -46,8 +45,7 @@ class FunctionKind(Enum):
 # FunctionRep
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionRep:
+class FunctionRep(Frozen):
     """A real function on an interval, as series coefficients.
 
     Series conventions on [p, q] with L = q - p:
@@ -56,37 +54,36 @@ class FunctionRep:
       legendre: orthonormalized Legendre polynomials mapped to [p, q], k = 0..K-1
     """
 
-    kind: FunctionKind
-    payload: np.ndarray = field(repr=False)
-    domain: Interval
+    __slots__ = ("kind", "payload", "domain")
 
-    def __post_init__(self):
-        payload = np.asarray(self.payload, dtype=float)
+    def __init__(self, kind: FunctionKind, payload: np.ndarray, domain: Interval):
+        payload = np.asarray(payload, dtype=float)
         payload.setflags(write=False)
-        object.__setattr__(self, "payload", payload)
         if payload.ndim != 1 or len(payload) == 0:
             raise InvalidArgumentError("payload must be a nonempty 1-d array")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "domain", domain)
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(Frozen):
     """p(x) e^{-rate x} on the half line.
 
     poly holds power-basis coefficients (low order first).  All weighted
     norms of Theorem-2 type are finite for rate > 0.
     """
 
-    poly: np.ndarray = field(repr=False)
-    rate: float
+    __slots__ = ("poly", "rate")
 
-    def __post_init__(self):
-        poly = np.asarray(self.poly, dtype=float)
+    def __init__(self, poly: np.ndarray, rate: float):
+        poly = np.asarray(poly, dtype=float)
         poly.setflags(write=False)
-        object.__setattr__(self, "poly", poly)
         if poly.ndim != 1 or len(poly) == 0:
             raise InvalidArgumentError("poly must be a nonempty 1-d array")
-        if not self.rate > 0:
+        if not rate > 0:
             raise InvalidArgumentError("rate must be positive")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "rate", rate)
 
 
 FunctionLike = Union[FunctionRep, ExpPoly]

@@ -48,16 +48,15 @@ confirms is refused, and one that no rung passes takes no SVD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .diff_ops import (SignVariant, assemble_bertero_grunbaum, assemble_fourth_order,
-                       assemble_prolate)
+from .diff_ops import (SignVariant, _read_only, assemble_bertero_grunbaum,
+                       assemble_fourth_order, assemble_prolate)
 from .domains import (HalfLineDomain, Interval, QuadGrid, check_laplace_interval,
                       half_line_for, make_grid, shortest)
-from .errors import InvalidArgumentError
+from .errors import Frozen, InvalidArgumentError
 from .functions import (FunctionKind, FunctionLike, FunctionRep, check_domain, grid_values,
                         trig_freqs)
 
@@ -94,19 +93,28 @@ POWER_OF_RATIO = "power-of-ratio"
 _SYM = Interval(-1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class OperatorKind:
+class OperatorKind(Frozen):
     """Which T*T composition (or truncated Hilbert transform) to assemble.
-    Everything that differs between kinds is read from the kind's record."""
+    Everything that differs between kinds is read from the kind's record.
+    Kinds with equal fields are equal, with equal hashes."""
 
-    tag: str
-    source: Interval
-    target: Optional[Interval] = None
+    __slots__ = ("tag", "source", "target")
 
-    def __post_init__(self):
-        if self.tag not in _KINDS:
-            raise InvalidArgumentError(f"unknown operator tag: {self.tag}")
+    def __init__(self, tag: str, source: Interval, target: Optional[Interval] = None):
+        if tag not in _KINDS:
+            raise InvalidArgumentError(f"unknown operator tag: {tag}")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         self.record.check(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not OperatorKind:
+            return NotImplemented
+        return (self.tag, self.source, self.target) == (other.tag, other.source, other.target)
+
+    def __hash__(self):
+        return hash((self.tag, self.source, self.target))
 
     @staticmethod
     def hilbert_truncated(interval_in: Interval, interval_out: Interval) -> "OperatorKind":
@@ -280,8 +288,7 @@ def cauchy_factor(x: np.ndarray, w: np.ndarray) -> tuple:
     return np.array(rows).reshape(len(rows), len(x)), rest
 
 
-@dataclass(frozen=True)
-class KindRecord:
+class KindRecord(NamedTuple):
     """Every decision that differs between operator kinds, one field each."""
 
     keys: tuple  # the name's fields after the tag, "{}" per endpoint of source, then target
@@ -303,11 +310,10 @@ class KindRecord:
 # Operator matrices
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(Frozen):
     """T*T on a quadrature grid, held as its half factor A: A^T A is the
     symmetrized kernel matrix M, which is never formed.  singular_values are
-    A's, descending.
+    A's, descending; both arrays are kept read-only.
 
     image_refinement is the largest move of a resolved mu_n between A and the
     factor on half as many image nodes, in units of the SVD perturbation
@@ -315,17 +321,15 @@ class OperatorMatrix:
     factor, and None only for a Cauchy factor, which has no image rule.
     """
 
-    grid: QuadGrid
-    kind: OperatorKind
-    half_factor: np.ndarray = field(repr=False)
-    singular_values: np.ndarray = field(repr=False)
-    image_refinement: Optional[float] = None
+    __slots__ = ("grid", "kind", "half_factor", "singular_values", "image_refinement")
 
-    def __post_init__(self):
-        for name in ("half_factor", "singular_values"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+    def __init__(self, grid: QuadGrid, kind: OperatorKind, half_factor: np.ndarray,
+                 singular_values: np.ndarray, image_refinement: Optional[float] = None):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "half_factor", _read_only(half_factor))
+        object.__setattr__(self, "singular_values", _read_only(singular_values))
+        object.__setattr__(self, "image_refinement", image_refinement)
 
     @property
     def size(self) -> int:

@@ -11,6 +11,8 @@ import math
 import os
 from typing import Sequence
 
+from .errors import InvalidArgumentError
+
 SCHEMA = "illposed/1"
 
 
@@ -68,8 +70,15 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def ensure_out_dir(out_dir: str) -> str:
+    """The output directory, ILLPOSED_OUT_DIR over out_dir, made if missing.
+    A path that cannot be a directory (an existing file, a path under a
+    file, no permission) is refused by name."""
     out_dir = os.environ.get("ILLPOSED_OUT_DIR", out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgumentError(
+            f"cannot make output directory {out_dir}: {exc.strerror}") from None
     return out_dir
 
 

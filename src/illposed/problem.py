@@ -11,7 +11,6 @@ decisions is written once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .diff_ops import MIN_TRIAL, GalerkinOperator
@@ -27,33 +26,34 @@ from .stability import (StabilityFit, SweepData, fit_constants_from_sweep, make_
 MAX_TRIAL = 512
 # Functions in the theorem's seeded ensemble: verify's default count and criterion 11's.
 ENSEMBLE_SIZE = 500
+# The seed of verify and of the acceptance suite when none is given.
+DEFAULT_SEED = 0xC0FFEE
 
 
-@dataclass(eq=False)
 class Problem:
     """An operator kind with grid size n, trial size N and mode count m.
 
     n is the total node count; on the half line it is split over the panels.
     The sizes are integers, and their ranges are checked here, once: n in
     [1, MAX_GRID_SIZE], N in [MIN_TRIAL, MAX_TRIAL] (diff_ops' floor) and
-    m >= 1.  Each layer is a cached property, built on first use and shared
-    after.
+    m >= 1.  The class attributes n, N and m are the defaults.  Each layer
+    is a cached property, built on first use and shared after.
     """
 
-    kind: OperatorKind
-    n: int = 256
-    N: int = 128
-    m: int = 12
+    n = 256
+    N = 128
+    m = 12
 
-    def __post_init__(self):
-        for name in ("n", "N", "m"):
-            check_integer(getattr(self, name), name)
-        if not 1 <= self.n <= MAX_GRID_SIZE:
+    def __init__(self, kind: OperatorKind, n: int = n, N: int = N, m: int = m):
+        for name, value in (("n", n), ("N", N), ("m", m)):
+            check_integer(value, name)
+        if not 1 <= n <= MAX_GRID_SIZE:
             raise InvalidArgumentError(f"n must be in [1, {MAX_GRID_SIZE}], the grid-size cap")
-        if not MIN_TRIAL <= self.N <= MAX_TRIAL:
+        if not MIN_TRIAL <= N <= MAX_TRIAL:
             raise InvalidArgumentError(f"N must be in [{MIN_TRIAL}, {MAX_TRIAL}]")
-        if self.m < 1:
+        if m < 1:
             raise InvalidArgumentError("m must be a positive integer")
+        self.kind, self.n, self.N, self.m = kind, n, N, m
 
     @cached_property
     def grid(self) -> QuadGrid:

@@ -10,15 +10,14 @@ Differential-operator spectra are each GalerkinOperator's own eigensystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 # eig_sym and SpectralDecomposition live in diff_ops and are re-exported here.
 from .diff_ops import (GalerkinOperator, SpectralDecomposition, _read_only,
                        eig_sym)
-from .errors import (InsufficientDataError, InvalidArgumentError,
+from .errors import (Frozen, InsufficientDataError, InvalidArgumentError,
                      ModeRangeError)
 # SVD_FLOOR and resolved_count, the one floor rule, live in integral_ops,
 # whose refinement check reads them too; SVD_FLOOR is re-exported here.
@@ -34,14 +33,13 @@ CONVERGENCE_RTOL = 1e-8
 DEFAULT_FIT_WINDOW = (2, 25)
 
 
-@dataclass(frozen=True)
-class IntegralSpectrum:
-    """Descending eigenvalues mu_n of T*T, one per grid node."""
+class IntegralSpectrum(Frozen):
+    """Descending eigenvalues mu_n of T*T, one per grid node, kept read-only."""
 
-    eigenvalues: np.ndarray = field(repr=False)
+    __slots__ = ("eigenvalues",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
+    def __init__(self, eigenvalues: np.ndarray):
+        object.__setattr__(self, "eigenvalues", _read_only(eigenvalues))
 
     @property
     def size(self) -> int:
@@ -78,22 +76,20 @@ def converged_mode_count(op: GalerkinOperator) -> int:
 # Eigenfunction coincidence
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModeMatch:
+class ModeMatch(NamedTuple):
     index: int
     lambda_diff: float
     rayleigh: float
     residual: float  # ||A^T (A v) - mu v|| / mu_1
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     records: tuple
     commutation_residual: float
     integral_source: str
     diff_source: str
     # Trial-space coefficients of the matched modes, one column per mode.
-    vectors: np.ndarray = field(repr=False, compare=False)
+    vectors: np.ndarray
 
     def max_residual(self) -> float:
         return max(r.residual for r in self.records)
@@ -169,8 +165,7 @@ def _unit_peak(block: np.ndarray, what: str) -> np.ndarray:
 # Decay and growth laws
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     model: str
     c1: float
     c2: float           # decay rate (exp model) or |slope| (superexp model)

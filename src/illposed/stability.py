@@ -12,14 +12,13 @@ constructive constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .diff_ops import GalerkinOperator
 from .domains import Interval, QuadGrid
-from .errors import InsufficientDataError, InvalidArgumentError, check_integer
+from .errors import Frozen, InsufficientDataError, InvalidArgumentError, check_integer
 from .functions import (ExpPoly, FunctionKind, FunctionRep, _series_norm, basis_table,
                         check_domain, check_orthonormal, columns, exp_poly_columns, grid_memo,
                         series_mass, weighted_norm)
@@ -42,8 +41,7 @@ SAFETY_C2 = 2.0
 
 
 # ----------------------------------------------------------------------------
-# Records: one per checked function, so tuples, which build at half the cost
-# of a frozen dataclass
+# Records: one per checked function
 # ----------------------------------------------------------------------------
 
 class Lemma2Record(NamedTuple):
@@ -82,17 +80,20 @@ class StabilityRecord(NamedTuple):
         return obj
 
 
-@dataclass(frozen=True)
-class StabilityFit:
-    c1: float
-    c2: float
-    form: str
-    r_squared: float
-    ensemble_descriptor: str
+class StabilityFit(Frozen):
+    """Fitted constants (c1, c2) of a theorem's form, both positive."""
 
-    def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0):
+    __slots__ = ("c1", "c2", "form", "r_squared", "ensemble_descriptor")
+
+    def __init__(self, c1: float, c2: float, form: str, r_squared: float,
+                 ensemble_descriptor: str):
+        if not (c1 > 0 and c2 > 0):
             raise InvalidArgumentError("stability fit requires positive constants")
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "r_squared", r_squared)
+        object.__setattr__(self, "ensemble_descriptor", ensemble_descriptor)
 
     def lower_bound(self):
         """The lower bound for ||T f|| as a function of (ratio, ||f||), with
@@ -262,8 +263,7 @@ def verify_lemma1(f: FunctionRep, diff: GalerkinOperator,
 # Eigenfunction sweeps and constant fitting
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepData:
+class SweepData(NamedTuple):
     indices: np.ndarray
     ratios: np.ndarray
     lhs: np.ndarray     # sqrt of the Rayleigh values, i.e. ||T u_n||

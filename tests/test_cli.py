@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import difflib
+import gc
 import io
 import itertools
 import json
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from illposed import decompose_operator, parse_operator
+from illposed import cli
 from illposed.cli import build_parser, main
 from illposed.integral_ops import REFINEMENT_SLACK
 from illposed.output import json_dumps
@@ -90,12 +92,13 @@ def test_a_laplace_kind_whose_half_line_overflows_is_refused_by_name(tmp_path, c
                                        "the half line [0, 40/a] overflows\n")
 
 
-def _fresh_cli(args, tmp_path):
-    """illposed.cli args in a fresh process, with Python's default warning filters."""
+def _fresh_cli(args, out_dir, **env):
+    """illposed.cli args in a fresh process, with Python's default warning
+    filters, writing to out_dir, with env added to the environment."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run([sys.executable, "-m", "illposed.cli", *args,
-                           "--out-dir", str(tmp_path)], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+                           "--out-dir", str(out_dir)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src), **env), timeout=120)
 
 
 def _trace_refusal(op, n):
@@ -142,7 +145,7 @@ def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, ar
     assert (proc.returncode, proc.stderr) == (1, stderr)
 
 
-@pytest.mark.parametrize("op,n,stderr", [
+@pytest.mark.parametrize("op,n,stderr,out", [(*case, None) for case in [
     # grids that miss the closed-form trace, before anything is factored
     ("hilbert:I=0,1:J=1.0001,1.0101", 256, "grid of hilbert:I=0,1:J=1.0001,1.0101 misses its "
      "closed-form trace at n = 256: relative trace gap 4.54e-05 > 1e-12"),
@@ -170,11 +173,28 @@ def test_a_kernel_past_the_float_range_is_refused_without_a_warning(tmp_path, ar
     ("laplace-adjoint:a=4e-5,b=1", 256, "half factor of laplace-adjoint:a=4e-05,b=1 is not "
      "confirmed by refinement at n = 256: the rule of 2048 image nodes is the last one "
      "decomposed, and the rule before it failed its trace check"),
+]] + [
+    # an output directory that cannot be made: an existing file, or a path
+    # under one, by option or by ILLPOSED_OUT_DIR
+    pytest.param("fourier", 64, f"cannot make output directory {{out}}: {reason}",
+                 (route, path), id=f"{route}-{path}")
+    for route in ("--out-dir", "ILLPOSED_OUT_DIR")
+    for path, reason in (("file", "File exists"), ("file/sub", "Not a directory"))
 ])
-def test_an_input_nothing_confirms_is_refused_in_one_line(tmp_path, op, n, stderr):
-    # no factor is printed on its trace check alone: each input exits 1 with
-    # one error line, and no warning or traceback
-    proc = _fresh_cli(["spectrum", "--op", op, "--n", str(n)], tmp_path)
+def test_an_input_nothing_confirms_is_refused_in_one_line(tmp_path, op, n, stderr, out):
+    # no factor is printed on its trace check alone, and no result is
+    # computed into a directory that cannot be made: each input exits 1 with
+    # one error line, and no output, warning or traceback
+    args = ["spectrum", "--op", op, "--n", str(n)]
+    if out is None:
+        proc = _fresh_cli(args, tmp_path)
+    else:
+        route, path = out
+        (tmp_path / "file").write_text("")
+        bad = tmp_path / path
+        proc = (_fresh_cli(args, bad) if route == "--out-dir"
+                else _fresh_cli(args, tmp_path, ILLPOSED_OUT_DIR=str(bad)))
+        stderr = stderr.format(out=bad)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {stderr}\n")
 
 
@@ -522,6 +542,52 @@ def test_import_loads_no_dependency_beyond_numpy():
     assert proc.returncode == 0, proc.stderr
     count, loaded = proc.stdout.strip().split(" ", 1)
     assert int(count) == len(list((src / "illposed").glob("[!_]*.py"))) and loaded == "[]"
+
+
+# What `import illposed` loads, which perfbench's import probe times.
+PACKAGE_IMPORT = {"illposed", "illposed.adversarial", "illposed.diff_ops", "illposed.domains",
+                  "illposed.errors", "illposed.functions", "illposed.integral_ops",
+                  "illposed.spectral", "illposed.stability"}
+
+
+def _fresh_modules(statement):
+    """The sorted sys.modules after statement, in a fresh process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", f"import sys; {statement}; "
+                           "print(' '.join(sorted(sys.modules)))"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_the_cli_import_builds_no_dataclass_and_leaves_the_acceptance_suite_out():
+    # every command's process pays `import illposed.cli`: it generates no
+    # dataclass code, compiles the acceptance suite only for report-all, and
+    # does not load numpy.random; `import illposed` still loads the whole
+    # package it loaded before, so the import probe keeps timing all of it
+    cli = _fresh_modules("import illposed.cli")
+    assert not cli & {"dataclasses", "illposed.acceptance", "numpy.random"}
+    assert _fresh_modules("import illposed") >= PACKAGE_IMPORT
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # main runs in the caller's process (the tests, perfbench's traced
+    # child): it freezes nothing there
+    frozen = gc.get_freeze_count()
+    assert run_cli(["spectrum", "--op", "fourier", "--n", "64", "--no-svg"], tmp_path)[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_freezes_the_imports_then_exits_with_mains_code(monkeypatch):
+    # `python -m illposed.cli` and the `illposed` script both enter through run
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert calls == ["freeze", "main"] and exc.value.code == 2
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert 'illposed = "illposed.cli:run"' in pyproject.read_text().splitlines()
 
 
 def test_match_builds_one_gram_matrix(tmp_path, gram_calls):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from illposed import (ExpPoly, FunctionKind, FunctionRep, Interval,
+from illposed import (ExpPoly, FunctionKind, FunctionRep, HalfLineDomain, Interval,
                       InvalidArgumentError, OperatorKind, decompose_operator,
                       fourier_image_energy, gram_matrix, make_grid, parse_operator,
                       quadratic_form)
@@ -382,8 +382,16 @@ def test_zero_function_maps_to_zero():
 
 
 def test_grid_domain_mismatch():
-    with pytest.raises(InvalidArgumentError):
-        gram_matrix(OperatorKind.laplace_tt(AB), make_grid(Interval(0.0, 1.0), 16))
+    # the refusal prints both domains, each as its repr
+    for kind, domain, message in (
+            (OperatorKind.laplace_tt(AB), Interval(0.0, 1.0), "grid domain Interval(a=0.0, "
+             "b=1.0) does not match operator input Interval(a=1.0, b=2.0)"),
+            (OperatorKind.laplace_adjoint_tt(AB), HalfLineDomain(20.0), "grid domain "
+             "HalfLineDomain(s_max=20.0) does not match operator input "
+             "HalfLineDomain(s_max=40.0)")):
+        with pytest.raises(InvalidArgumentError) as exc:
+            gram_matrix(kind, make_grid(domain, 16))
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("f, message", [

@@ -2,6 +2,7 @@
 and each refusal text written once."""
 
 import ast
+import functools
 import re
 from collections import Counter
 from pathlib import Path
@@ -9,11 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from illposed import (Interval, InvalidArgumentError, OperatorKind, assemble_prolate, build_gramian,
-                      make_grid, make_rng)
+from illposed import (ExpPoly, FunctionKind, FunctionRep, HalfLineDomain, Interval,
+                      InvalidArgumentError, OperatorKind, assemble_prolate, build_gramian,
+                      decompose_operator, fit_decay, half_line_for, make_grid, make_rng)
 from illposed import problem
+from illposed.acceptance import Suite
+from illposed.adversarial import FIGURES, FigureId
 from illposed.errors import REFUSALS
 from illposed.problem import Problem
+from illposed.spectral import EXP_DECAY
 
 ADJOINT = OperatorKind.laplace_adjoint_tt(Interval(1.0, 2.0))
 LAPLACE = OperatorKind.laplace_tt(Interval(1.0, 2.0))
@@ -107,3 +112,52 @@ def test_each_refusal_text_is_written_once():
             "trial space needs N >= {}",
             "half factor of {} disagrees with its kernel matrix"} <= set(texts)
     assert [t for t, count in texts.items() if count > 1] == []
+
+
+# A field of each class whose fields are set once, by class name.
+IMMUTABLE = {"Interval": "a", "HalfLineDomain": "s_max", "QuadGrid": "nodes",
+             "FunctionRep": "payload", "ExpPoly": "rate", "OperatorKind": "tag",
+             "KindRecord": "factor", "OperatorMatrix": "half_factor",
+             "SpectralDecomposition": "eigenvalues", "GalerkinOperator": "refined_stiffness",
+             "IntegralSpectrum": "eigenvalues", "ModeMatch": "residual", "MatchReport": "records",
+             "DecayFit": "slope", "StabilityFit": "c2", "SweepData": "ratios",
+             "GramianReport": "min_eigenvalue", "FigureSpec": "operator", "Suite": "laplace"}
+
+
+@functools.cache
+def _immutable_values() -> dict:
+    """One value of each immutable class, by class name: the layers of one
+    small Problem and what is read from them."""
+    p = Problem(LAPLACE, 128, 64)
+    ab, spectrum = p.kind.source, decompose_operator(p.matrix)
+    values = [ab, half_line_for(ab), p.grid, FunctionRep(FunctionKind.SINE_SERIES, [1.0], ab),
+              ExpPoly([1.0], 1.0), p.kind, p.kind.record, p.matrix, p.diff.eigensystem, p.diff,
+              spectrum, p.report.records[0], p.report, fit_decay(spectrum, EXP_DECAY), p.fit,
+              p.sweep, build_gramian(p.matrix, 4), FIGURES[FigureId.FIG2], Suite(0, p, p, p)]
+    return {type(v).__name__: v for v in values}
+
+
+@pytest.mark.parametrize("name", IMMUTABLE)
+def test_no_field_of_an_immutable_value_can_be_assigned_or_deleted(name):
+    value, field = _immutable_values()[name], IMMUTABLE[name]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("make,other", [
+    (lambda: Interval(1.0, 2.0), Interval(1.0, 3.0)),
+    (lambda: HalfLineDomain(40.0), HalfLineDomain(20.0)),
+    (lambda: OperatorKind.hilbert_truncated(Interval(0.0, 1.0), Interval(2.0, 3.0)),
+     OperatorKind.hilbert_truncated(Interval(0.0, 1.0), Interval(2.0, 4.0))),
+], ids=["Interval", "HalfLineDomain", "OperatorKind"])
+def test_equal_values_compare_and_hash_equal(make, other):
+    # domains are compared once per checked function, and a figure's
+    # operator against its caller's kind: by value, not by identity
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != other and not a == other
+    assert Interval(0.0, 40.0) != HalfLineDomain(40.0)

@@ -11,10 +11,10 @@ from illposed import (FunctionKind, FunctionRep, InsufficientDataError,
                       fit_decay, growth_check, match_eigenfunctions,
                       parse_operator, quadratic_form, sample)
 from illposed.acceptance import Suite, criterion_07, criterion_09
-from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind, gram_matrix
+from illposed.integral_ops import REFINEMENT_SLACK, OperatorKind, OperatorMatrix, gram_matrix
 from illposed.output import write_csv
 from illposed.problem import Problem
-from illposed.diff_ops import SignVariant, assemble_bertero_grunbaum
+from illposed.diff_ops import GalerkinOperator, SignVariant, assemble_bertero_grunbaum
 from illposed.spectral import (EXP_DECAY, SUPER_EXP, SVD_FLOOR, IntegralSpectrum,
                                MatchReport, ModeMatch)
 
@@ -181,14 +181,16 @@ def test_commutation_is_scale_free_and_refuses_a_zero_image(laplace_M, bg128):
     # refinement, whose leading block it is) by 4^500:
     # it must stay a number (power-of-two scaling of A keeps its very bits),
     # and a half factor that is all zeros is refused by name
-    import dataclasses
     ref = match_eigenfunctions(laplace_M, bg128, 8).commutation_residual
-    tiny = dataclasses.replace(laplace_M, half_factor=laplace_M.half_factor * 2.0 ** -300,
-                               singular_values=laplace_M.singular_values * 2.0 ** -300)
+    M = laplace_M
+    tiny = OperatorMatrix(M.grid, M.kind, M.half_factor * 2.0 ** -300,
+                          M.singular_values * 2.0 ** -300, M.image_refinement)
     assert match_eigenfunctions(tiny, bg128, 8, converged=8).commutation_residual == ref
-    huge = dataclasses.replace(bg128, refined_stiffness=bg128.refined_stiffness * 4.0 ** 500)
+    huge = GalerkinOperator(bg128.refined_stiffness * 4.0 ** 500, bg128.name, bg128.basis,
+                            bg128.sign_variant)
     assert match_eigenfunctions(laplace_M, huge, 8, converged=8).commutation_residual <= 1e-14
-    zero = dataclasses.replace(laplace_M, half_factor=np.zeros_like(laplace_M.half_factor))
+    zero = OperatorMatrix(M.grid, M.kind, np.zeros_like(M.half_factor), M.singular_values,
+                          M.image_refinement)
     with pytest.raises(InvalidArgumentError,
                        match="laplace:a=1,b=2: image of the matched modes is zero"):
         match_eigenfunctions(zero, bg128, 8, converged=8)
