@@ -171,9 +171,12 @@ class QuadGrid(Frozen):
         """What is read on this grid, filled through functions.grid_memo
         and freed with the grid: a series basis' tables at the nodes, one
         per (kind, size, order); its Gram forms, one per (kind, size, order,
-        "gram"); its mass row, one per (kind, size, "mass"); and what
-        stability's lemmas read (their sup-norm points and the tables at
-        them, and Lemma 3's prefactor).  The package's one table cache."""
+        "gram"); its read-out at a caller's points, one per (kind, size,
+        points), points the function that gives them: the table there, G_0
+        and G_1 stacked in one matrix, with the mass row (functions.
+        read_series); and what stability's lemmas read besides (their
+        sup-norm points and Lemma 3's prefactor).  The package's one table
+        cache."""
         return {}
 
 

@@ -9,15 +9,20 @@ tables at the nodes and its forms: the mass row m = T^T w and the Gram
 forms G_k = T_k^T W T_k of derivative orders 0 and 1, so a series' mass is
 m.c and its norms are sqrt(c.G_k c), read from its K coefficients, not
 from n samples.
-_series_norm is the one reader of a series' grid norms, for one function
-or a block: l2_norm, h1_seminorm, the verifiers and the figures all call
+form_norm is the one reader of a series' grid norms, sqrt(c.(G_k c)) from
+the products G_k c: _series_norm (l2_norm, h1_seminorm, Lemma 1, the
+theorem verifier and the figures) and read_series (Lemmas 2 and 3) call
 it.  An ExpPoly's tables differ per rate, so its norms are sampled, and
 weighted_norm is the one reader of sampled norms.
 Tables and forms live in the grid's own memo, `QuadGrid.series_tables`,
 the one cache (grid_memo): built on first read and freed with the grid,
 so a function checked once against the grid's domain costs one dict
-lookup and one product per table or form.  sample, the evaluator at
-arbitrary points (plots and demos), builds its table on every call.
+lookup and one product per table or form.  A series basis read at a
+caller's points as well has one read-out there (read_series): its table
+at the points and both forms stacked in one read-only matrix R, and its
+mass row, under one memo key, so values, G_0 c and G_1 c are one lookup
+and one product.  sample, the evaluator at arbitrary points (plots and
+demos), builds its table on every call.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ class FunctionKind(Enum):
     SINE_SERIES = "sine-series"
     COSINE_SERIES = "cosine-series"
     LEGENDRE_SERIES = "legendre-series"
+
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ==, and it is computed in C: Enum's own hashes the name in
+    # Python, once per memo key or group key that holds a kind.
+    __hash__ = object.__hash__
 
 
 # ----------------------------------------------------------------------------
@@ -167,30 +177,72 @@ def grid_table(kind: FunctionKind, size: int, order: int, grid: QuadGrid) -> np.
     return grid_memo(grid, (kind, size, order), _grid_basis_table, kind, size, order, grid)
 
 
-def _gram(kind, size, order, grid):
+def _node_table(kind, size, order, grid):
+    """The grid's own table when the grid holds it, and otherwise a table
+    built for the caller alone and not kept."""
     if (table := grid.series_tables.get((kind, size, order))) is None:
-        table = _grid_basis_table(kind, size, order, grid)  # for G alone, not kept
+        table = _grid_basis_table(kind, size, order, grid)
+    return table
+
+
+def _gram(kind, size, order, grid, table):
+    if table is None:
+        table = _node_table(kind, size, order, grid)
     return table.T @ (grid.weights[:, None] * table)
 
 
-def series_gram(kind: FunctionKind, size: int, order: int, grid: QuadGrid) -> np.ndarray:
+def series_gram(kind: FunctionKind, size: int, order: int, grid: QuadGrid,
+                table: np.ndarray | None = None) -> np.ndarray:
     """G = T^T W T for the table T of derivative order 0 or 1 at the grid's
     nodes and its weights W, in the grid's memo: a series with coefficients
     c has squared grid norm c.G c (of f for order 0, of f' for order 1).  T
-    is the grid's own table when the grid holds it, and otherwise a table
-    built for G alone and not kept, so norms read through forms alone leave
-    only their forms on the grid."""
-    return grid_memo(grid, (kind, size, order, "gram"), _gram, kind, size, order, grid)
+    is the caller's table when it passes one, the grid's own table when the
+    grid holds it, and otherwise a table built for G alone and not kept, so
+    norms read through forms alone leave only their forms on the grid."""
+    return grid_memo(grid, (kind, size, order, "gram"), _gram, kind, size, order, grid, table)
 
 
-def _mass(kind, size, grid):
-    return grid.weights @ grid_table(kind, size, 0, grid)
+def _read_out(kind, size, grid, points):
+    """(R, m, P) for a series basis read at the P points that points(grid)
+    gives.  R stacks the basis table at the points, a few zero rows, G_0 and
+    G_1 in one read-only C-ordered matrix; m = T^T w is the mass row of the
+    table T at the nodes that G_0 is built from.  The zero rows bring R's
+    row count to size mod 4: OpenBLAS's matrix-vector kernel takes the last
+    rows of a product apart, 2 and 1 at a time, so G_1's rows then get the
+    arithmetic of G_1 @ c."""
+    x = points(grid)
+    table = _node_table(kind, size, 0, grid)
+    parts = (basis_table(kind, size, grid.domain, 0, x), np.zeros((-(len(x) + size) % 4, size)),
+             series_gram(kind, size, 0, grid, table), series_gram(kind, size, 1, grid))
+    # R starts on a 64-byte boundary, not malloc's 16: the kernel reads it
+    # about 10% faster (rows of 12 doubles are then all 32-byte aligned),
+    # and its bits do not change
+    entries = sum(len(part) for part in parts) * size
+    buffer = np.empty(entries + 8)
+    start = -buffer.ctypes.data % 64 // 8
+    R = np.concatenate(parts, out=buffer[start:start + entries].reshape(-1, size))
+    m = grid.weights @ table
+    R.setflags(write=False)
+    m.setflags(write=False)
+    return R, m, len(x)
 
 
-def series_mass(kind: FunctionKind, size: int, grid: QuadGrid) -> np.ndarray:
-    """m = T^T w for the grid's order-0 table T, in the grid's memo: a
-    series with coefficients c has grid mass (integral) m.c."""
-    return grid_memo(grid, (kind, size, "mass"), _mass, kind, size, grid)
+def read_series(f: FunctionRep, grid: QuadGrid, points) -> tuple:
+    """(values, m, G_0 c, G_1 c) for a series f with coefficients c, once
+    check_domain has passed: f at the points that points(grid) gives, the
+    grid's mass row m (f's mass is m.c), and the products of c with the
+    Gram forms (form_norm(c, G_k c) is the grid norm of f or f').  The
+    read-out is built on first read and kept under the key (kind, size,
+    points), so a call is one memo lookup and one product with R.  Each row
+    of that product is within the rounding of a K-term dot product, 2 K eps
+    |A| |c|, of the separate product A @ c, A the table at the points, G_0
+    or G_1."""
+    c = f.payload
+    size = len(c)
+    key = (f.kind, size, points)
+    R, m, count = grid_memo(grid, key, _read_out, f.kind, size, grid, points)
+    out = R.dot(c)
+    return out[:count], m, out[-2 * size:-size], out[-size:]
 
 
 def columns(arrays) -> np.ndarray:
@@ -262,8 +314,8 @@ def check_orthonormal(kind: FunctionKind, size: int, grid: QuadGrid) -> np.ndarr
     if size < 1:
         raise InvalidArgumentError("basis size must be >= 1")
     if size <= grid.size:
-        table = grid_table(kind, size, 0, grid)  # first, so that G is built from it
-        gram = series_gram(kind, size, 0, grid)
+        table = grid_table(kind, size, 0, grid)
+        gram = series_gram(kind, size, 0, grid, table)
         if kind is not FunctionKind.LEGENDRE_SERIES:
             gram = (2.0 / grid.domain.length) * gram
         if np.max(np.abs(gram - np.eye(size))) <= ORTHONORMALITY_TOL:
@@ -279,16 +331,21 @@ def weighted_norm(weights: np.ndarray, values: np.ndarray):
     return np.sqrt(np.maximum(weights @ (values * values), 0.0))
 
 
-def _series_norm(kind: FunctionKind, coeffs: np.ndarray, order: int, grid: QuadGrid):
-    """sqrt(c.G c) for the grid's Gram form G of derivative order 0 or 1
-    (series_gram): the grid norm of a series (order 0) or of its derivative
-    (order 1) from its coefficients c, K x K flops, not n x K.  c is one
-    function's K coefficients (a float), or a K x B block of them, one
+def form_norm(coeffs: np.ndarray, products: np.ndarray):
+    """sqrt(c.(G c)) from coefficients c and their products G c with a
+    grid Gram form: the grid norm of a series or of its derivative.  c is
+    one function's K coefficients (a float), or a K x B block of them, one
     function per column (an array).  The one reader of a series' grid norms."""
-    G = series_gram(kind, len(coeffs), order, grid)
-    if coeffs.ndim == 1:
-        return math.sqrt(max(float(np.dot(coeffs, G @ coeffs)), 0.0))
-    return np.sqrt(np.maximum(np.einsum("ij,ij->j", coeffs, G @ coeffs), 0.0))
+    if coeffs.ndim == 1:  # the method skips np.dot's dispatch: the same product
+        return math.sqrt(max(float(coeffs.dot(products)), 0.0))
+    return np.sqrt(np.maximum(np.einsum("ij,ij->j", coeffs, products), 0.0))
+
+
+def _series_norm(kind: FunctionKind, coeffs: np.ndarray, order: int, grid: QuadGrid):
+    """form_norm of the grid's Gram form of derivative order 0 or 1
+    (series_gram): the grid norm of a series (order 0) or of its derivative
+    (order 1) from its coefficients, K x K flops, not n x K."""
+    return form_norm(coeffs, series_gram(kind, len(coeffs), order, grid) @ coeffs)
 
 
 def _norm(f: FunctionLike, grid: QuadGrid, order: int) -> float:

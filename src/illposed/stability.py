@@ -19,9 +19,9 @@ import numpy as np
 from .diff_ops import GalerkinOperator
 from .domains import Interval, QuadGrid
 from .errors import Frozen, InsufficientDataError, InvalidArgumentError, check_integer
-from .functions import (ExpPoly, FunctionKind, FunctionRep, _series_norm, basis_table,
-                        check_domain, check_orthonormal, columns, exp_poly_columns, grid_memo,
-                        series_mass, weighted_norm)
+from .functions import (ExpPoly, FunctionKind, FunctionRep, _series_norm, check_domain,
+                        check_orthonormal, columns, exp_poly_columns, form_norm, grid_memo,
+                        read_series, weighted_norm)
 from .integral_ops import EXPONENTIAL, POWER_OF_RATIO, OperatorMatrix, resolved_count
 from .spectral import (MatchReport, SpectralDecomposition, fit_line, growth_check,
                        match_eigenfunctions)
@@ -43,6 +43,11 @@ SAFETY_C2 = 2.0
 # ----------------------------------------------------------------------------
 # Records: one per checked function
 # ----------------------------------------------------------------------------
+
+# Builds a record in C: _record(Lemma2Record, values) is what
+# Lemma2Record(*values) does, without its Python-level __new__.
+_record = tuple.__new__
+
 
 class Lemma2Record(NamedTuple):
     sup_norm: float
@@ -95,18 +100,18 @@ class StabilityFit(Frozen):
         object.__setattr__(self, "r_squared", r_squared)
         object.__setattr__(self, "ensemble_descriptor", ensemble_descriptor)
 
-    def lower_bound(self):
-        """The lower bound for ||T f|| as a function of (ratio, ||f||), with
-        the relaxed constants computed once."""
+    def lower_bounds(self, ratios, norms) -> list:
+        """The lower bound for ||T f|| at each (ratio, ||f||), with the
+        relaxed constants: c1 exp(-c2 ratio) ||f||, or c1 x^(-x) ||f|| with
+        x = c2 ratio, one math.exp or power per function, and 0 for a zero
+        function, which meets every bound."""
         c1 = SAFETY_C1 * self.c1
         c2 = SAFETY_C2 * self.c2
         if self.form == EXPONENTIAL:
-            return lambda ratio, norm: c1 * math.exp(-c2 * ratio) * norm
-
-        def power_of_ratio(ratio, norm):
-            x = c2 * ratio
-            return c1 * x ** (-x) * norm
-        return power_of_ratio
+            return [c1 * math.exp(-c2 * r) * n if n != 0.0 else 0.0
+                    for r, n in zip(ratios, norms)]
+        return [c1 * x ** (-x) * n if n != 0.0 else 0.0
+                for x, n in zip([c2 * r for r in ratios], norms)]
 
     def to_json(self) -> dict:
         return {"c1": self.c1, "c2": self.c2, "form": self.form,
@@ -118,22 +123,22 @@ class StabilityFit(Frozen):
 # the grid's memoized tables and forms, one product per table or form
 # ----------------------------------------------------------------------------
 
-def _sup_table(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
-    """The table of f's series basis at the lemmas' sup-norm points."""
-    x = grid_memo(grid, "sup_points", np.linspace, grid.domain.a, grid.domain.b,
-                  REFINE_FACTOR * grid.size + 1)
-    return basis_table(f.kind, len(f.payload), grid.domain, 0, x)
+def _sup_points(grid: QuadGrid) -> np.ndarray:
+    """The lemmas' sup-norm points, once per grid in its memo."""
+    return grid_memo(grid, "sup_points", np.linspace, grid.domain.a, grid.domain.b,
+                     REFINE_FACTOR * grid.size + 1)
 
 
-def _sup_values(f: FunctionRep, grid: QuadGrid) -> np.ndarray:
-    """f at the lemmas' sup-norm points, once f is known to live on the
-    grid's bounded interval: Lemmas 2 and 3 are statements on [a, b].  The
-    points, and the table of f's basis at them, are built once per grid in
-    its memo, so a call makes one memo lookup and one product."""
+def _lemma_read(f: FunctionRep, grid: QuadGrid) -> tuple:
+    """f's read-out at the lemmas' sup-norm points (read_series: values, mass
+    row, G_0 c, G_1 c), once f is known to live on the grid's bounded
+    interval: Lemmas 2 and 3 are statements on [a, b].  The read-out of
+    f's basis at the points is built once per grid in its memo, so a call
+    makes one memo lookup and one product."""
     if not isinstance(grid.domain, Interval):
         raise InvalidArgumentError("lemmas 2 and 3 hold on a bounded interval, not a half line")
     check_domain(f, grid)
-    return grid_memo(grid, (f.kind, len(f.payload), "sup"), _sup_table, f, grid) @ f.payload
+    return read_series(f, grid, _sup_points)
 
 
 # The ufunc reductions: ndarray.min and max add a Python wrapper per call.
@@ -163,13 +168,13 @@ def _oscillation_ratios(t, w, samples):
 # ----------------------------------------------------------------------------
 
 def verify_lemma2(f: FunctionRep, grid: QuadGrid) -> Lemma2Record:
-    vals = _sup_values(f, grid)
+    vals, _, _, d_products = _lemma_read(f, grid)
     lo, hi = float(_min(vals)), float(_max(vals))
     sup = max(abs(lo), abs(hi))
     applicable = lo < -SIGN_TOL * sup and hi > SIGN_TOL * sup
-    bound = math.sqrt(grid.domain.length) * _series_norm(f.kind, f.payload, 1, grid)
+    bound = math.sqrt(grid.domain.length) * form_norm(f.payload, d_products)
     passed = (not applicable) or sup <= bound * (1.0 + 1e-9) + SIGN_TOL * sup
-    return Lemma2Record(sup, bound, applicable, bool(passed))
+    return _record(Lemma2Record, (sup, bound, applicable, bool(passed)))
 
 
 # ----------------------------------------------------------------------------
@@ -198,20 +203,21 @@ def lemma3_prefactor(c2: float, domain: Interval) -> float:
 def verify_lemma3(f: FunctionRep, grid: QuadGrid, c2: float) -> Lemma3Record:
     """The mass of a nonnegative f against c1 exp(-c2 ||f'||/||f||) ||f||:
     the sign from f at the sup-norm points, the mass and both norms from the
-    grid's forms, and c1 = lemma3_prefactor(c2, [a, b]) once per grid and c2."""
-    vals = _sup_values(f, grid)
+    grid's mass row and forms, all from one read-out, and c1 =
+    lemma3_prefactor(c2, [a, b]) once per grid and c2."""
+    vals, mass_row, products, d_products = _lemma_read(f, grid)
     lo = float(_min(vals))
     if lo < 0.0 and lo < -SIGN_TOL * float(_max(np.abs(vals))):  # the sup only if f dips
         raise InvalidArgumentError("lemma 3 applies to nonnegative functions only")
-    # the mass row first: it keeps the grid's table, which G_0 is then built from
-    lhs = float(np.dot(series_mass(f.kind, len(f.payload), grid), f.payload))
-    norm = _series_norm(f.kind, f.payload, 0, grid)
+    c = f.payload
+    lhs = float(mass_row.dot(c))
+    norm = form_norm(c, products)
     c1 = grid_memo(grid, ("lemma3_prefactor", c2), lemma3_prefactor, c2, grid.domain)
     if norm == 0.0:
-        return Lemma3Record(0.0, 0.0, c1, True)
-    ratio = _series_norm(f.kind, f.payload, 1, grid) / norm
+        return _record(Lemma3Record, (0.0, 0.0, c1, True))
+    ratio = form_norm(c, d_products) / norm
     rhs = c1 * math.exp(-c2 * ratio) * norm
-    return Lemma3Record(lhs, rhs, c1, bool(lhs >= rhs * (1.0 - 1e-9)))
+    return _record(Lemma3Record, (lhs, rhs, c1, bool(lhs >= rhs * (1.0 - 1e-9))))
 
 
 # ----------------------------------------------------------------------------
@@ -256,7 +262,7 @@ def verify_lemma1(f: FunctionRep, diff: GalerkinOperator,
             f"threshold index {threshold} exceeds the {dec.size} trial modes")
     overlaps = dec.eigenvectors[:, :threshold].T @ coeffs
     mass = float(np.dot(overlaps, overlaps))
-    return Lemma1Record(mass, threshold, bool(mass >= 0.5 - 1e-10))
+    return _record(Lemma1Record, (mass, threshold, bool(mass >= 0.5 - 1e-10)))
 
 
 # ----------------------------------------------------------------------------
@@ -345,11 +351,12 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     """One StabilityRecord per ensemble function; errors do not stop the run.
 
     lhs is ||T f|| (for the Fourier composition its square is the image
-    energy); the bound uses the safety-relaxed fitted constants.  Functions
-    of one type, kind and length are checked _BLOCK at a time.  A series
-    group is never sampled: its images are G C for coefficient columns C,
-    with G = M.image(T) the images of its K basis functions, built once
-    per call, and its squared norms of f and f' are the column sums of
+    energy); the bound uses the safety-relaxed fitted constants, a block's
+    bounds in one lower_bounds call.  Functions of one type, kind and length
+    are checked _BLOCK at a time.  A series group is never sampled: its
+    images are G C for coefficient columns C, with G = M.image(T) the
+    images of its K basis functions, built once per call, and its squared
+    norms of f and f' are the column sums of
     C o (G_k C) for the grid's Gram forms G_k (_series_norm): a block costs
     rows x K, not rows x n, flops per function.  A group whose basis the
     grid does not resolve is checked once and gets an error record per
@@ -359,7 +366,6 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
     image, and its ratio and bound are 0.
     """
     orders = M.kind.record.ratio_orders
-    bound = fit.lower_bound()
     t, w = M.grid.nodes, M.grid.weights
     records: list = [None] * len(ensemble)
     groups: dict = {}
@@ -393,9 +399,10 @@ def verify_theorem(M: OperatorMatrix, fit: StabilityFit,
                 Av = M.image(S[0])
                 norm, ratio = _oscillation_ratios(t, w, S)
             lhs = np.sqrt(np.maximum(np.einsum("ij,ij->j", Av, Av), 0.0))
-            for i, n, a, r in zip(idx, norm.tolist(), lhs.tolist(), ratio.tolist()):
-                rhs = bound(r, n) if n != 0.0 else 0.0  # a zero function meets every bound
-                records[i] = StabilityRecord(f"f{i:04d}", a, r, rhs, a >= rhs)
+            ratios = ratio.tolist()
+            for i, a, r, rhs in zip(idx, lhs.tolist(), ratios,
+                                    fit.lower_bounds(ratios, norm.tolist())):
+                records[i] = _record(StabilityRecord, (f"f{i:04d}", a, r, rhs, a >= rhs, None))
     return records
 
 

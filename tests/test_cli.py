@@ -242,6 +242,45 @@ def test_spectrum_reports_resolved_modes(tmp_path, capsys, op, resolved):
     assert spec.resolved == int(np.sum(mu > SVD_FLOOR * mu[0]))
 
 
+@pytest.mark.parametrize("op,n,code,resolved", [("fourier", 1, 2, 1), ("fourier", 8, 2, 8),
+                                                ("laplace:a=1,b=2", 8, 2, 8),
+                                                ("fourier", 12, 0, 11)])
+def test_a_spectrum_the_grid_bounds_exits_2(tmp_path, capsys, op, n, code, resolved):
+    # every one of n modes above the floor means the grid, not the floor,
+    # bounds the count, and nothing confirms the modes (Fourier at n = 1
+    # prints mu_1 = 4 for 3.5976): the files are written, the exit is 2 and
+    # a line says why; at n = 12 Fourier resolves 11 of 12 and exits 0
+    assert run_cli(["spectrum", "--op", op, "--n", str(n), "--no-svg"], tmp_path) == (
+        code, str(tmp_path / "out"))
+    doc = json.load(open(tmp_path / "out" / "spectrum.json"))
+    assert (doc["n"], doc["resolved_modes"]) == (n, resolved)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f"resolved_modes={resolved}")
+    assert lines[1:] == ([f"spectrum: grid-limited: all {n} modes lie above the floor, so the "
+                          "grid, not the floor, bounds the count; a larger --n resolves more"]
+                         if code else [])
+
+
+def test_an_unusable_output_directory_is_refused_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch):
+    # main makes the output directory before it dispatches, so an existing
+    # file as --out-dir ends verify and report-all in one error line with
+    # neither a Problem nor the acceptance suite ever built
+    from illposed import acceptance
+    calls = []
+    monkeypatch.delenv("ILLPOSED_OUT_DIR", raising=False)
+    monkeypatch.setattr(cli, "Problem", lambda *a, **k: calls.append("Problem"))
+    monkeypatch.setattr(acceptance, "run_acceptance", lambda **k: calls.append("acceptance"))
+    bad = tmp_path / "file"
+    bad.write_text("")
+    for argv in (["verify", "--count", "100000"], ["report-all"]):
+        assert main(argv + ["--out-dir", str(bad)]) == 1
+        printed = capsys.readouterr()
+        assert (printed.out, printed.err) == (
+            "", f"error: cannot make output directory {bad}: File exists\n")
+    assert calls == []
+
+
 def test_spectrum_reports_its_image_rule(tmp_path):
     # Fourier at n = 256 is refined (16 -> 32 xi nodes, 2 rows each); Laplace
     # at n = 128 has no image rule: its rows are the Cauchy factor's 22 pivots

@@ -57,13 +57,15 @@ def test_l2_h1_closed_forms():
 
 def test_only_functions_reads_a_grid_norm_from_forms_or_samples():
     # one norm path per representation: series_gram is called only by
-    # functions' norm reader (and check_orthonormal's identity test), and
+    # functions' norm reader, check_orthonormal's identity test and the
+    # lemmas' read-out builder; form_norm, the one norm from Gram products,
+    # only by that norm reader and by Lemmas 2 and 3 on their read-out; and
     # weighted_norm, the one sampled norm, only by that reader's ExpPoly
     # branch and by the verifiers' sampled oscillation ratios, so every
-    # other module reads a norm through l2_norm, h1_seminorm, _series_norm
-    # or weighted_norm, and a second sampled or form-based norm cannot come
-    # back unnoticed
-    readers = {"series_gram", "weighted_norm"}
+    # other module reads a norm through l2_norm, h1_seminorm, _series_norm,
+    # read_series or weighted_norm, and a second sampled or form-based norm
+    # cannot come back unnoticed
+    readers = {"series_gram", "form_norm", "weighted_norm"}
     calls = set()
     for path in sorted(Path(functions.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -74,6 +76,10 @@ def test_only_functions_reads_a_grid_norm_from_forms_or_samples():
                         calls.add((path.stem, getattr(top, "name", "<module>"), name))
     assert calls == {("functions", "_series_norm", "series_gram"),
                      ("functions", "check_orthonormal", "series_gram"),
+                     ("functions", "_read_out", "series_gram"),
+                     ("functions", "_series_norm", "form_norm"),
+                     ("stability", "verify_lemma2", "form_norm"),
+                     ("stability", "verify_lemma3", "form_norm"),
                      ("functions", "_norm", "weighted_norm"),
                      ("stability", "_oscillation_ratios", "weighted_norm")}
 
@@ -113,6 +119,34 @@ def test_exp_poly_derivative_exact():
     expect2 = (-6.0 + 2.25 * (1.0 + 2.0 * x)) * np.exp(-1.5 * x)
     assert sample(f, x, 2) == pytest.approx(expect2, rel=1e-14)
     assert derivative_values(f, x, 2) == pytest.approx(expect2, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, size", [
+    (FunctionKind.SINE_SERIES, 12), (FunctionKind.COSINE_SERIES, 7),
+    (FunctionKind.LEGENDRE_SERIES, 10), (FunctionKind.LEGENDRE_SERIES, 5)])
+def test_a_read_out_gives_what_the_separate_products_give(kind, size):
+    # read_series at the lemmas' 4n + 1 sup-norm points: its mass row is the
+    # grid's m = T^T w, so the mass m.c is bit for bit that of the separate
+    # products; its values and Gram products are rows of one product with
+    # R, and each is within the rounding of a K-term dot product, 2 K eps
+    # |A| |c|, of the separate product A @ c (A the table at the points, G_0
+    # or G_1).  The read-out is built once per basis and point rule
+    from illposed.stability import _sup_points
+    dom = Interval(0.5, 2.0)
+    grid = make_grid(dom, 64)
+    x = _sup_points(grid)
+    table = basis_table(kind, size, dom, 0, x)
+    node_table = basis_table(kind, size, dom, 0, grid.nodes)
+    forms = [functions.series_gram(kind, size, k, grid) for k in (0, 1)]
+    tol = 2 * size * np.finfo(float).eps
+    for c in np.random.default_rng(size).standard_normal((50, size)):
+        values, mass_row, products, d_products = functions.read_series(
+            FunctionRep(kind, c, dom), grid, _sup_points)
+        assert float(mass_row.dot(c)) == float(grid.weights @ node_table @ c)
+        assert len(values) == len(x) == 4 * 64 + 1
+        for got, A in ((values, table), (products, forms[0]), (d_products, forms[1])):
+            assert np.all(np.abs(got - A @ c) <= tol * (np.abs(A) @ np.abs(c)))
+    assert [k for k in grid.series_tables if k[-1] is _sup_points] == [(kind, size, _sup_points)]
 
 
 def test_series_tables_refuse_higher_derivatives():

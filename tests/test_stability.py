@@ -116,15 +116,21 @@ def test_lemmas_refuse_functions_off_their_interval(lemma, f, on_half_line):
 
 
 class _CountingMemo(dict):
-    """A grid memo that counts how often each key is stored in it."""
+    """A grid memo that counts how often each key is stored in it and read
+    from it (grid_memo reads with get)."""
 
     def __init__(self):
         super().__init__()
         self.stores = collections.Counter()
+        self.reads = collections.Counter()
 
     def __setitem__(self, key, value):
         self.stores[key] += 1
         super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
 
 
 def _counting_memo(grid) -> _CountingMemo:
@@ -135,12 +141,14 @@ def _counting_memo(grid) -> _CountingMemo:
 def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
     # 100 calls of each lemma, and of both norms, on one grid each: one
     # sup-norm point set, for Lemmas 2 and 3 alone, one table per (series,
-    # derivative order, point set), one Gram form per (series, order) and
-    # one mass row that the lemmas read their norms and mass from, and one
-    # Lemma 3 prefactor per c2, each built once.  The grid's memo stores
-    # each once, the point set and the tables at it under stability's own
-    # keys, and keeps a table only where something reads it besides a Gram
-    # form: the sup-norm tables, and the table of Lemma 3's mass row
+    # derivative order, point set), one Gram form per (series, order), one
+    # read-out per series basis that the lemmas read their values, mass and
+    # norms from, and one Lemma 3 prefactor per c2, each built once.  The
+    # grid's memo stores each once, the point set under stability's own key
+    # and each read-out (its table at the points, mass row and both forms)
+    # under a key that names the point rule, and keeps no table at the
+    # nodes: the read-out's mass row and G_0 are built from one table that
+    # is not kept
     from illposed import functions
     dom = Interval(0.5, 2.25)  # no other test samples here, so no cache is warm
     grid = make_grid(dom, 72)
@@ -160,7 +168,6 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
         prefactors.append(c2)
         return lemma3_prefactor(c2, domain)
     monkeypatch.setattr(functions, "basis_table", table)
-    monkeypatch.setattr(stability, "basis_table", table)
     monkeypatch.setattr(np, "linspace", linspace)
     monkeypatch.setattr(stability, "lemma3_prefactor", prefactor)
     rng = make_rng(3)
@@ -169,15 +176,15 @@ def test_lemmas_build_each_table_and_point_set_once(monkeypatch):
     for f in random_nonnegative_series(dom, 100, rng):
         verify_lemma3(f, grid, c2=1.0)
     sine, leg = FunctionKind.SINE_SERIES, FunctionKind.LEGENDRE_SERIES
+    points = stability._sup_points
     assert len(linspaces) == 1 and prefactors == [1.0]
     assert sorted(built, key=str) == sorted([
-        (sine, 0, 4 * 72 + 1), (sine, 1, 72),
+        (sine, 0, 4 * 72 + 1), (sine, 0, 72), (sine, 1, 72),
         (leg, 0, 4 * 72 + 1), (leg, 0, 72), (leg, 1, 72)], key=str)
     assert set(memo.stores.values()) == {1}
     assert sorted(memo, key=str) == sorted([
-        "sup_points", (sine, 12, "sup"), (sine, 12, 1, "gram"),
-        (leg, 10, "sup"), (leg, 10, 0),
-        (leg, 10, 0, "gram"), (leg, 10, 1, "gram"), (leg, 10, "mass"),
+        "sup_points", (sine, 12, points), (sine, 12, 0, "gram"), (sine, 12, 1, "gram"),
+        (leg, 10, points), (leg, 10, 0, "gram"), (leg, 10, 1, "gram"),
         ("lemma3_prefactor", 1.0)], key=str)
 
     # Lemma 1 on a fresh operator over dom reads its mixes' coefficients: its
@@ -238,13 +245,15 @@ def test_a_grid_frees_its_tables_with_itself():
     dom = Interval(0.25, 1.75)
     grid = make_grid(dom, 40)
     _lemma_records(grid, 8)
-    # the sup-norm points, three tables, three Gram forms, one mass row and
-    # one Lemma 3 prefactor
-    assert len(grid.series_tables) == 9
-    arrays = [v for v in grid.series_tables.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8
+    # the sup-norm points, four Gram forms, two read-outs (each a matrix R
+    # and a mass row) and one Lemma 3 prefactor
+    assert len(grid.series_tables) == 8
+    values = list(grid.series_tables.values())
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
+    arrays += [a for v in values if isinstance(v, tuple) for a in v if isinstance(a, np.ndarray)]
+    assert len(arrays) == 9
     refs = [weakref.ref(grid)] + [weakref.ref(v) for v in arrays]
-    del grid, arrays
+    del grid, values, arrays
     gc.collect()
     assert all(ref() is None for ref in refs)
     op = assemble_bertero_grunbaum(dom, 16)
@@ -254,6 +263,31 @@ def test_a_grid_frees_its_tables_with_itself():
     del op
     gc.collect()
     assert projection() is None
+
+
+def test_a_lemma_call_reads_the_memo_once_and_lemma_3_twice():
+    # once a grid holds a basis' read-out, a Lemma 2 call makes one memo
+    # read (the read-out) and a Lemma 3 call two (the read-out and the
+    # prefactor), whatever the call count
+    dom = Interval(0.5, 2.25)
+    grid = make_grid(dom, 48)
+    rng = make_rng(21)
+    sines, positives = random_sine_series(dom, 101, rng), random_nonnegative_series(dom, 101, rng)
+    memo = _counting_memo(grid)
+    verify_lemma2(sines[0], grid)  # each builds its read-out
+    verify_lemma3(positives[0], grid, 1.0)
+    memo.reads.clear()
+    memo.stores.clear()
+    points = stability._sup_points
+    sine, leg = FunctionKind.SINE_SERIES, FunctionKind.LEGENDRE_SERIES
+    for f in sines[1:]:
+        verify_lemma2(f, grid)
+    assert memo.reads == {(sine, 12, points): 100}
+    memo.reads.clear()
+    for f in positives[1:]:
+        verify_lemma3(f, grid, 1.0)
+    assert memo.reads == {(leg, 10, points): 100, ("lemma3_prefactor", 1.0): 100}
+    assert not memo.stores
 
 
 def test_each_verifier_keeps_its_refusal_texts(bg128):
@@ -537,7 +571,7 @@ def _reference_record(M, fit, f, i):
         ratio = (norm(d2, t ** 2) + norm(df, t ** 2) + norm(v, t ** 2) + norm(v)) / norm(v)
     else:
         ratio = norm(df) / norm(v)
-    rhs = fit.lower_bound()(ratio, norm(v))
+    rhs = fit.lower_bounds([ratio], [norm(v)])[0]
     return fid, lhs, ratio, rhs, lhs >= rhs, None
 
 
@@ -817,14 +851,13 @@ def test_records_from_forms_match_a_sampled_quadrature(family, ab, laplace_M, ad
     grid, orders = M.grid, M.kind.record.ratio_orders
     funcs = _family(family, 200, make_rng(17), ab)
     fit = StabilityFit(0.5, 0.3, EXPONENTIAL, 1.0, "synthetic")
-    bound = fit.lower_bound()
     for f, rec in zip(funcs, verify_theorem(M, fit, funcs)):
         assert rec.error is None
         norm, ratio = _sampled(f, grid, orders)
         image = M.half_factor @ (np.sqrt(grid.weights) * sample(f, grid.nodes))
         _close(rec.lhs, math.sqrt(np.dot(image, image)), "lhs")
         _close(rec.h1_ratio, ratio, "ratio")
-        _close(rec.rhs_at_fit, bound(rec.h1_ratio, norm), "rhs")
+        _close(rec.rhs_at_fit, fit.lower_bounds([rec.h1_ratio], [norm])[0], "rhs")
     if family == "exp-poly":
         return
     length = ab.length
