@@ -31,7 +31,7 @@ from .adversarial import FigureId, FIGURES, build_gramian, reproduce_figure, wor
 from .errors import REFUSALS
 from .functions import sample
 from .integral_ops import parse_operator
-from .output import ensure_out_dir, write_csv, write_json, write_plot
+from .output import discard_stdout, ensure_out_dir, write_csv, write_json, write_plot
 from .problem import DEFAULT_SEED, ENSEMBLE_SIZE, Problem
 from .spectral import decompose_operator
 from .stability import error_count, violation_count
@@ -231,9 +231,17 @@ def run() -> None:
     script.  The package is imported by now, so gc.freeze() moves what the
     imports left tracked out of the collector's reach: no collection, the
     one at exit included, walks those objects again.  Then exit with main's
-    code."""
+    code.  A standard output that closes early (`| head -1`) exits 1 with
+    no traceback and keeps the files written: stdout is flushed here, and
+    discarded on a broken pipe."""
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        discard_stdout()
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

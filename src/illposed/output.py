@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from typing import Sequence
 
 from .errors import InvalidArgumentError
@@ -67,6 +68,13 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
     lines += [",".join(fmt_float(v) if isinstance(v, float) else str(v) for v in row)
               for row in rows]
     write_text(path, "\n".join(lines) + "\n")
+
+
+def discard_stdout() -> None:
+    """Point standard output at the null device once its reader has gone
+    (a broken pipe, as under `| head -1`): what is still buffered, and the
+    flush at exit, then have nothing to fail on."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def ensure_out_dir(out_dir: str) -> str:

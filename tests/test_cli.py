@@ -92,13 +92,14 @@ def test_a_laplace_kind_whose_half_line_overflows_is_refused_by_name(tmp_path, c
                                        "the half line [0, 40/a] overflows\n")
 
 
-def _fresh_cli(args, out_dir, **env):
+def _fresh_cli(args, out_dir, stdout=subprocess.PIPE, **env):
     """illposed.cli args in a fresh process, with Python's default warning
     filters, writing to out_dir, with env added to the environment."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run([sys.executable, "-m", "illposed.cli", *args,
-                           "--out-dir", str(out_dir)], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src), **env), timeout=120)
+                           "--out-dir", str(out_dir)], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src), **env),
+                          timeout=120)
 
 
 def _trace_refusal(op, n):
@@ -627,6 +628,25 @@ def test_the_process_entry_freezes_the_imports_then_exits_with_mains_code(monkey
     assert calls == ["freeze", "main"] and exc.value.code == 2
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     assert 'illposed = "illposed.cli:run"' in pyproject.read_text().splitlines()
+
+
+@pytest.mark.parametrize("args, written", [
+    (["spectrum", "--op", "fourier", "--n", "64"], ["spectrum.csv", "spectrum.json",
+                                                   "spectrum.svg"]),
+    (["report-all", "--n", "64", "--N", "32", "--m", "8"], ["report.json"]),
+], ids=["spectrum", "report-all"])
+def test_a_closed_stdout_exits_1_with_no_traceback(tmp_path, args, written):
+    # `illposed ... | head -1` with the reader gone before the command
+    # prints: here its stdout is a pipe whose read end is closed from the start
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_cli(args, tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert sorted(os.listdir(tmp_path)) == written
 
 
 def test_match_builds_one_gram_matrix(tmp_path, gram_calls):
