@@ -9,8 +9,8 @@ one `error:` line.  Outputs are deterministic JSON/CSV (17-significant-digit
 floats, fixed ordering) plus self-contained SVG plots; ILLPOSED_OUT_DIR
 overrides --out-dir, and the directory is made, or refused, before the
 command runs.  Exit codes: 0 all requested checks pass, 2 a check failed
-(for spectrum, also a mode count that the grid bounds), 1 usage or assembly
-error.
+(for spectrum, also a mode count that the grid bounds, or resolved modes
+that the grid of 2n nodes does not certify), 1 usage or assembly error.
 
 `main(argv)` runs one command in the calling process; `run()` is the entry
 of a process that runs one command.  Only `report-all` imports the
@@ -30,7 +30,7 @@ import numpy as np
 from .adversarial import FigureId, FIGURES, build_gramian, reproduce_figure, worst_function
 from .errors import REFUSALS
 from .functions import sample
-from .integral_ops import parse_operator
+from .integral_ops import CONVERGENCE_RTOL, MAX_GRID_SIZE, parse_operator
 from .output import discard_stdout, ensure_out_dir, write_csv, write_json, write_plot
 from .problem import DEFAULT_SEED, ENSEMBLE_SIZE, Problem
 from .spectral import decompose_operator
@@ -61,7 +61,7 @@ def cmd_spectrum(args, out: str) -> int:
     write_json(os.path.join(out, "spectrum.json"), {
         "operator": kind.to_string(), "n": M.size,
         "mu_1": float(mu[0]), "ordered": ordered, "psd": psd,
-        "resolved_modes": spec.resolved,
+        "resolved_modes": spec.resolved, "certified_modes": M.certified,
         "image_nodes": M.image_nodes, "image_refinement": M.image_refinement,
     })
     print(f"spectrum: {kind.to_string()} n={M.size} mu_1={mu[0]:.6e} "
@@ -69,10 +69,16 @@ def cmd_spectrum(args, out: str) -> int:
     # every mode above the floor: the grid, not the floor, bounds the count,
     # and nothing confirms the modes (Fourier at n = 1 prints mu_1 = 4, not 3.5976)
     grid_limited = spec.resolved >= M.size
+    # a Cauchy factor's resolved modes that its factor on 2n nodes does not confirm
+    uncertified = M.certified is not None and M.certified < spec.resolved
     if grid_limited:
         print(f"spectrum: grid-limited: all {M.size} modes lie above the floor, so the grid, "
               f"not the floor, bounds the count; a larger --n resolves more")
-    return 0 if (ordered and psd and not grid_limited) else 2
+    elif uncertified:
+        print(f"spectrum: uncertified: only {M.certified} of {spec.resolved} resolved modes "
+              f"agree to {CONVERGENCE_RTOL:g} relative with the factor on {2 * M.size} nodes"
+              + ("" if M.size >= MAX_GRID_SIZE else "; a larger --n may certify more"))
+    return 0 if (ordered and psd and not grid_limited and not uncertified) else 2
 
 
 def cmd_match(args, out: str) -> int:

@@ -6,6 +6,10 @@ superexponential decay far below the ~1e-16 ||M|| floor of a direct
 eigensolve.  IntegralSpectrum.resolved, the modes above SVD_FLOOR * mu_1,
 is the one floor rule: decay fits and eigenfunction sweeps use only those.
 Differential-operator spectra are each GalerkinOperator's own eigensystem.
+Its converged modes are the leading ones, among the first N/4, that
+integral_ops' certify, the one resolution rule, finds within
+CONVERGENCE_RTOL of the operator at 2N: the rule and the tolerance by which
+a Laplace factor certifies its modes at n against 2n.
 """
 
 from __future__ import annotations
@@ -19,16 +23,14 @@ from .diff_ops import (GalerkinOperator, SpectralDecomposition, _read_only,
                        eig_sym)
 from .errors import (Frozen, InsufficientDataError, InvalidArgumentError,
                      ModeRangeError)
-# SVD_FLOOR and resolved_count, the one floor rule, live in integral_ops,
-# whose refinement check reads them too; SVD_FLOOR is re-exported here.
-from .integral_ops import SVD_FLOOR, OperatorMatrix, resolved_count
+# SVD_FLOOR and resolved_count, the one floor rule, and certify with
+# CONVERGENCE_RTOL, the one resolution rule, live in integral_ops, whose
+# factors read them too; SVD_FLOOR and CONVERGENCE_RTOL are re-exported here.
+from .integral_ops import (CONVERGENCE_RTOL, SVD_FLOOR, OperatorMatrix, certify,
+                           resolved_count)
 
 EXP_DECAY = "exp-decay"
 SUPER_EXP = "super-exp"
-
-# Galerkin eigenvalue k counts as converged when resolutions N and 2N agree
-# to this relative tolerance, for k <= N/4.
-CONVERGENCE_RTOL = 1e-8
 
 DEFAULT_FIT_WINDOW = (2, 25)
 
@@ -65,11 +67,11 @@ def decompose_operator(M: OperatorMatrix) -> IntegralSpectrum:
 # ----------------------------------------------------------------------------
 
 def converged_mode_count(op: GalerkinOperator) -> int:
-    """Number of leading eigenvalues stable under N -> 2N refinement."""
-    lam, lam2 = op.eigensystem.eigenvalues, op.refined_eigenvalues
+    """Number of leading eigenvalues stable under N -> 2N refinement: those
+    that certify passes at CONVERGENCE_RTOL relative, among the first N/4."""
     kmax = op.size // 4
-    stable = np.abs(lam[:kmax] - lam2[:kmax]) <= CONVERGENCE_RTOL * np.abs(lam2[:kmax])
-    return int(np.argmin(np.append(stable, False)))  # first unstable index
+    lam, lam2 = op.eigensystem.eigenvalues[:kmax], op.refined_eigenvalues[:kmax]
+    return certify(lam, lam2, CONVERGENCE_RTOL * np.abs(lam2))[0]
 
 
 # ----------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illposed import decompose_operator, parse_operator
 from illposed import cli
@@ -332,6 +334,83 @@ def test_spectrum_of_a_narrow_laplace_interval(tmp_path):
     assert code == 0
     doc = json.load(open(os.path.join(out, "spectrum.json")))
     assert doc["image_nodes"] == 4 and doc["resolved_modes"] == 3
+
+
+@pytest.mark.parametrize("op,n,resolved,certified", [
+    # each printed modes off the log-t oracle by more than 1e-6 before the
+    # n-against-2n certificate, [1, 2] at n = 16 its mode 14 by 17%
+    ("laplace:a=1e-4,b=1", 1024, 68, 28), ("laplace:a=1e-3,b=2", 512, 58, 28),
+    ("laplace:a=0.01,b=1", 128, 39, 22), ("laplace:a=1,b=2", 16, 14, 9),
+    ("laplace:a=1,b=2", 20, 14, 11),
+    # the same intervals where the grid resolves them, and Fourier, which has
+    # no Cauchy factor to certify
+    ("laplace:a=1e-3,b=2", 1024, 60, 60), ("laplace:a=0.01,b=1", 256, 40, 40),
+    ("fourier", 96, 11, None)] + [("laplace:a=1,b=2", n, 14, 14)
+                                  for n in (24, 32, 64, 128, 256, 512, 1024)])
+def test_a_spectrum_with_uncertified_modes_exits_2(tmp_path, capsys, op, n, resolved,
+                                                   certified):
+    # fewer certified than resolved modes: the files are written, the exit is
+    # 2 and one line says why, advising a larger --n below the grid-size cap
+    code, out = run_cli(["spectrum", "--op", op, "--n", str(n), "--no-svg"], tmp_path)
+    doc = json.load(open(os.path.join(out, "spectrum.json")))
+    assert (doc["resolved_modes"], doc["certified_modes"]) == (resolved, certified)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f"resolved_modes={resolved}")
+    if certified in (resolved, None):
+        assert (code, lines[1:]) == (0, [])
+        return
+    more = "" if n == 1024 else "; a larger --n may certify more"
+    assert (code, lines[1:]) == (2, [
+        f"spectrum: uncertified: only {certified} of {resolved} resolved modes agree to 1e-08 "
+        f"relative with the factor on {2 * n} nodes{more}"])
+
+
+def _log_t_spectrum(a, b, n):
+    """Oracle: mu_k of Laplace T*T on [a, b], descending, from numpy's n-node
+    Gauss rule in u = ln t (nodes t = e^u, weights w t).  M = g_i g_j / (t_i + t_j)
+    is a Cauchy matrix: a complete-pivoted Cholesky takes the largest diagonal
+    g^2 / 2t as its pivot k, emits column k over its root, and leaves the
+    Cauchy complement of generators g (t - t_k) / (t + t_k).  The SVD of the
+    R of the factor's QR keeps every mode's relative accuracy."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    half = (math.log(b) - math.log(a)) / 2.0
+    t = np.exp(math.log(a) + half * (u + 1.0))
+    g = np.sqrt(half * w * t)
+    d = g * g / (2.0 * t)
+    stop, rows = 1e-45 * np.max(d), []
+    while np.sum(d) > stop:
+        k = int(np.argmax(d))
+        rows.append(g * g[k] / (t + t[k]) / math.sqrt(d[k]))
+        g = g * (t - t[k]) / (t + t[k])
+        d = g * g / (2.0 * t)
+    return np.linalg.svd(np.linalg.qr(np.array(rows).T, mode="r"), compute_uv=False) ** 2
+
+
+# a = 10^U(-5, 0), b/a = 10^U(0.05, 5) and these n: before the n-against-2n
+# certificate, a fifth of such runs exited 0 with a mode off the oracle
+LAPLACE_SIZES = (16, 20, 24, 32, 64, 128, 256, 512, 1024)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-5.0, 0.0), st.floats(0.05, 5.0), st.sampled_from(LAPLACE_SIZES))
+def test_laplace_spectrum_prints_no_confident_wrong_mode(tmp_path_factory, log_a, log_ratio,
+                                                         n):
+    # spectrum refuses the input (exit 1), gives a verdict that is not a pass
+    # (exit 2), or exits 0 with every resolved mode within 1e-6 relative of
+    # the oracle, which agrees with itself from 600 to 800 nodes
+    a = 10.0 ** log_a
+    op = f"laplace:a={a!r},b={a * 10.0 ** log_ratio!r}"
+    out = tmp_path_factory.mktemp("laplace")
+    code = main(["spectrum", "--op", op, "--n", str(n), "--no-svg", "--out-dir", str(out)])
+    assert code in (0, 1, 2)
+    if code != 0:
+        return
+    k = json.load(open(out / "spectrum.json"))["resolved_modes"]
+    mu = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:k, 1]
+    kind = parse_operator(op)
+    ref, coarse = (_log_t_spectrum(kind.source.a, kind.source.b, m)[:k] for m in (800, 600))
+    assert len(ref) == k and np.max(np.abs(coarse / ref - 1.0)) <= 1e-9
+    assert np.max(np.abs(mu / ref - 1.0)) <= 1e-6
 
 
 def test_match_exit_contract(tmp_path):

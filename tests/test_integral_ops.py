@@ -17,7 +17,8 @@ from illposed import (ExpPoly, FunctionKind, FunctionRep, HalfLineDomain, Interv
 from illposed import integral_ops
 from illposed.integral_ops import (FIRST_IMAGE_NODES, REFINEMENT_SLACK, SVD_FLOOR,
                                    _adjoint_kernel, _half_factor, _log_ratio,
-                                   _pivoted_half_factor, cauchy_factor, resolved_count)
+                                   _pivoted_half_factor, cauchy_factor, certify,
+                                   resolved_count)
 from illposed.problem import Problem
 
 from conftest import decomposed, kernel_matrix
@@ -208,14 +209,15 @@ def test_a_laplace_input_is_gated_or_matches_its_kernel_matrix(a, gap):
 def test_image_rules_stay_small(text, rows, svd_calls):
     # at n = 1024 refinement confirms a factor far below IMAGE_CAP (2048
     # image nodes) in at most 3 SVDs; the Laplace Cauchy factor stops at 23
-    # pivots and takes one SVD, of its R
+    # pivots and takes two SVDs, of its R and of the R of the factor on 2n
+    # nodes that certifies it
     p = Problem(parse_operator(text), 1024)
     M = gram_matrix(p.kind, p.grid)
     assert M.image_nodes <= rows
     if M.image_refinement is not None:
         assert M.image_refinement <= REFINEMENT_SLACK and len(svd_calls) <= 3
     else:
-        assert len(svd_calls) == 1
+        assert len(svd_calls) == 2
 
 
 def test_no_rung_is_decomposed_before_its_trace_check(svd_calls):
@@ -437,17 +439,24 @@ def test_fourier_form_matches_direct_transform(fourier_M):
 
 @pytest.mark.parametrize("text, refined", [("laplace:a=1,b=2", False), ("fourier", True)])
 def test_singular_values_are_built_with_the_factor(text, refined, svd_calls):
-    # gram_matrix takes the accepted factor's SVD once, last, and the matrix
-    # holds it as a read-only field, bit for bit that SVD, both for a factor
-    # with no image rule (Laplace at n = 128, whose SVD is that of its R) and
-    # for a rule that refinement confirmed (Fourier at n = 256, A's own);
-    # reading it computes nothing
+    # gram_matrix takes the accepted factor's SVD once, and the matrix holds
+    # it as a read-only field, bit for bit that SVD, both for a factor with no
+    # image rule (Laplace at n = 128, whose SVD is that of its R) and for a
+    # rule that refinement confirmed (Fourier at n = 256, A's own); reading
+    # it computes nothing.  A refined factor's SVD is the last one taken; a
+    # Cauchy factor's is followed by one more, of the R of its factor on 2n
+    # nodes, which certifies its modes
     kind = parse_operator(text)
     M = gram_matrix(kind, make_grid(kind.input_domain, 256 if refined else 128))
     assert (M.image_refinement is not None) == refined
     B = decomposed(M)
     assert sum(np.array_equal(a, B) for a in svd_calls) == 1
-    assert np.array_equal(svd_calls[-1], B)
+    assert np.array_equal(svd_calls[-1 if refined else -2], B)
+    if not refined:
+        fine = make_grid(kind.source, 256)
+        G2 = cauchy_factor(fine.nodes, fine.weights)[0]
+        assert len(svd_calls) == 2
+        assert np.array_equal(svd_calls[-1], np.linalg.qr(G2.T, mode="r"))
     calls = len(svd_calls)
     s = M.singular_values
     assert len(svd_calls) == calls and not s.flags.writeable
@@ -480,6 +489,20 @@ def test_a_narrow_laplace_interval_takes_the_cauchy_factor(text):
         assert resolved_count(M.singular_values ** 2) == 3
 
 
+def test_certify_counts_leading_modes_and_reads_every_miss():
+    # the count stops at the first miss, mode 3, though mode 4 agrees again;
+    # worst is the largest miss in units of tol over every mode compared,
+    # here mode 5's, past the count; tol is one number or one per mode (every
+    # number is a binary fraction, so each miss is exact)
+    fine = 2.0 ** -np.arange(5.0)
+    coarse = fine + np.array([0.0, 1.0, 3.0, 0.0, 7.0]) * 2.0 ** -30
+    assert certify(coarse, fine, 2.0 ** -29) == (2, 3.5)
+    assert certify(coarse, fine, 2.0 ** -29 * fine) == (2, 56.0)
+    assert certify(coarse, fine, 2.0 ** -26) == (5, 0.4375)
+    assert certify(coarse[:2], fine[:2], 2.0 ** -30) == (2, 1.0)
+    assert certify(coarse[:0], fine[:0], 1.0) == (0, 0.0)
+
+
 def _mpmath_eigenvalues(grid, dps=120):
     """Eigenvalues of M = sqrt(w_i w_j) / (x_i + x_j) on grid, descending, in
     dps-digit arithmetic from the same binary nodes and weights."""
@@ -504,7 +527,7 @@ def test_cauchy_factor_against_mpmath_eigenvalues(text, n, resolved):
     kind = parse_operator(text)
     grid = make_grid(kind.source, n)
     trace = float(np.dot(grid.weights, 1.0 / (2.0 * grid.nodes)))
-    _, s = _pivoted_half_factor(kind, grid, trace)
+    s = _pivoted_half_factor(kind, grid, trace)[1]
     mu, ref = s ** 2, _mpmath_eigenvalues(grid)
     assert resolved_count(mu) == resolved_count(ref) == resolved
     assert np.max(np.abs(mu[:resolved] / ref[:resolved] - 1.0)) <= 1e-14
